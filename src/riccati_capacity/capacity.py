@@ -14,34 +14,23 @@ the power budget; a classical water-filling solver is kept alongside as
 an independent reference for the memoryless special case.
 """
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.optimize
 
-from .linalg import (
-    as_matrix,
-    block_diag,
-    chol_logdet,
-    spectral_radius,
-    substream,
-    symmetrize,
-)
-from .lyapunov import lyap_solve
-from .models import (
-    Channel,
-    InputModel,
-    NoiseModel,
-    SystemQuadruple,
-    build_augmented,
-    to_quadruple,
-    validate,
-)
+from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetrize
+from .lyapunov import STABILITY_MARGIN, input_power, lyap_solve
+from .lyapunov import _step as _lyap_core
+from .models import Channel, InputModel, NoiseModel, joint_system, require_valid
 from .riccati import _step as _dre_core
-from .riccati import are_solve
+from .riccati import are_solve, innovations_covariance
 from .systests import feasibility_report
+# block_diag, build_augmented, to_quadruple and validate stay importable
+# here because bench/tracing.py patches them at these names
+from .linalg import block_diag  # noqa: F401
+from .models import build_augmented, to_quadruple, validate  # noqa: F401
 
 __all__ = [
     "CapacityResult",
@@ -63,8 +52,6 @@ __all__ = [
 # column order of the per-step trace array produced by finite_n_rate;
 # rate_partial and power_partial are running averages over steps 1..t
 TRACE_COLUMNS = ("t", "logdet_KI", "logdet_KIhat", "rate_partial", "power_partial")
-
-_F_STABILITY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +121,6 @@ def _coerce_cov(P, dim, name):
     return symmetrize(P)
 
 
-def _quads_for(noise, input, channel):
-    # fast per-step assembly; validation is the caller's business
-    H = channel.H
-    nq = SystemQuadruple(noise.A, noise.B, noise.C, noise.N, noise.K_W)
-    aq = SystemQuadruple(
-        block_diag(input.F, noise.A),
-        block_diag(input.G, noise.B),
-        np.hstack([H @ input.Gamma, noise.C]),
-        np.hstack([H @ input.D, noise.N]),
-        block_diag(input.K_Z, noise.K_W),
-    )
-    return nq, aq
-
-
 def _unpack_models(models):
     if isinstance(models, CoefficientSchedule):
         return models
@@ -190,79 +163,53 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # a plain (noise, input) pair takes the cached fast path; an explicit
-    # schedule has its callbacks honored at every step
-    constant = not isinstance(models, CoefficientSchedule)
     schedule = _unpack_models(models)
     noise_1 = schedule.noise_at(1)
     input_1 = schedule.input_at(1)
     # validation plus dimension cross-checks happen once, on the step-1 models
-    augmented_1 = build_augmented(noise_1, input_1, channel)
-    n_s, n_theta = noise_1.n_s, augmented_1.n_theta
-
-    Sigma = (
-        symmetrize(noise_1.K_S1.copy())
-        if Sigma_1 is None
-        else _coerce_cov(Sigma_1, n_s, "Sigma_1")
-    )
-    Pi = (
-        symmetrize(augmented_1.K_Theta1.copy())
-        if Pi_1 is None
-        else _coerce_cov(Pi_1, n_theta, "Pi_1")
-    )
-    P = symmetrize(input_1.K_Xi1.copy())
+    system = joint_system(noise_1, input_1, channel)
+    nq = system.noise_quad
+    Sigma = (symmetrize(noise_1.K_S1) if Sigma_1 is None
+             else _coerce_cov(Sigma_1, system.n_s, "Sigma_1"))
+    Pi = symmetrize(system.K_Theta1) if Pi_1 is None else _coerce_cov(Pi_1, system.m, "Pi_1")
+    P = symmetrize(input_1.K_Xi1)
 
     trace = np.empty((n, 5))
     rate_sum = 0.0
     power_sum = 0.0
-    nq = aq = None
-    noise_t, input_t = noise_1, input_1
     for t in range(1, n + 1):
-        if t > 1 and not constant:
-            noise_t = schedule.noise_at(t)
-            input_t = schedule.input_at(t)
-            if noise_t.n_s != n_s or input_t.n_xi != input_1.n_xi:
-                raise ValueError(f"step {t}: model dimensions changed mid-schedule")
-        if nq is None or not constant:
-            nq, aq = _quads_for(noise_t, input_t, channel)
+        if t > 1:
+            # rewrites only the blocks of a model that changed, so a
+            # constant pair costs no assembly after step 1
+            try:
+                system.update(schedule.noise_at(t), schedule.input_at(t))
+            except ValueError as exc:
+                raise ValueError(f"step {t}: {exc}") from None
         try:
-            K_Ihat = nq.Rhat + nq.Chat @ Sigma @ nq.Chat.T
-            K_I = aq.Rhat + aq.Chat @ Pi @ aq.Chat.T
-            ld_hat = chol_logdet(K_Ihat, context="K_Ihat")
-            ld = chol_logdet(K_I, context="K_I")
+            ld_hat = chol_logdet(innovations_covariance(nq, Sigma), context="K_Ihat")
+            ld = chol_logdet(innovations_covariance(system, Pi), context="K_I")
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"step {t}: {exc}") from None
         rate_sum += max(0.0, ld - ld_hat)
-        GammaP = input_t.Gamma @ P @ input_t.Gamma.T
-        DKD = input_t.D @ input_t.K_Z @ input_t.D.T
-        power_sum += float(np.trace(GammaP) + np.trace(DKD))
+        input_t = system.input
+        power_sum += input_power(input_t, P)
         trace[t - 1] = (t, ld, ld_hat, rate_sum / (2.0 * t), power_sum / t)
         if t < n:
             Sigma = _dre_core(nq, Sigma)
-            Pi = _dre_core(aq, Pi)
-            P = symmetrize(
-                input_t.F @ P @ input_t.F.T + input_t.G @ input_t.K_Z @ input_t.G.T
-            )
-    K_Ihat = symmetrize(nq.Rhat + nq.Chat @ Sigma @ nq.Chat.T)
-    K_I = symmetrize(aq.Rhat + aq.Chat @ Pi @ aq.Chat.T)
+            Pi = _dre_core(system, Pi)
+            P = _lyap_core(input_t.F, input_t.G, input_t.K_Z, P)
     return CapacityResult(
         rate_nats=rate_sum / (2.0 * n),
         power=power_sum / n,
         Sigma_star=Sigma,
         Pi_star=Pi,
         P_star=P,
-        K_I=K_I,
-        K_Ihat=K_Ihat,
+        K_I=symmetrize(innovations_covariance(system, Pi)),
+        K_Ihat=symmetrize(innovations_covariance(nq, Sigma)),
         feasibility=None,
         trace=trace,
         diagnostics={"horizon": n},
     )
-
-
-def _innovations_covariances(nq, aq, Sigma, Pi):
-    K_Ihat = symmetrize(nq.Rhat + nq.Chat @ Sigma @ nq.Chat.T)
-    K_I = symmetrize(aq.Rhat + aq.Chat @ Pi @ aq.Chat.T)
-    return K_I, K_Ihat
 
 
 def asymptotic_rate(
@@ -305,27 +252,24 @@ def asymptotic_rate(
         If a model is invalid or F is not exponentially stable (the
         average power has no limit in that case).
     """
-    augmented = build_augmented(noise, input, channel)
+    system = joint_system(noise, input, channel)
     rho_F = spectral_radius(input.F)
-    if rho_F > 1.0 - _F_STABILITY_MARGIN:
+    if rho_F > 1.0 - STABILITY_MARGIN:
         raise ValueError(
             f"F is not exponentially stable (spectral radius {rho_F:.12g}); "
             "the average power diverges"
         )
-    feas = feasibility_report(noise, input, channel) if with_feasibility else None
-    nq = to_quadruple(noise)
-    aq = to_quadruple(augmented)
+    feas = feasibility_report(noise, input, system) if with_feasibility else None
+    nq = system.noise_quad
     sigma_sol = are_solve(nq, init=Sigma_init, tol=tol, max_iter=max_iter)
-    pi_sol = are_solve(aq, init=Pi_init, tol=tol, max_iter=max_iter)
+    pi_sol = are_solve(system, init=Pi_init, tol=tol, max_iter=max_iter)
     p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
-    K_I, K_Ihat = _innovations_covariances(nq, aq, sigma_sol.P_star, pi_sol.P_star)
+    K_I = symmetrize(innovations_covariance(system, pi_sol.P_star))
+    K_Ihat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     ld = chol_logdet(K_I, context="K_I")
     ld_hat = chol_logdet(K_Ihat, context="K_Ihat")
     rate = 0.5 * max(0.0, ld - ld_hat)
-    power = float(
-        np.trace(input.Gamma @ p_sol.P_star @ input.Gamma.T)
-        + np.trace(input.D @ input.K_Z @ input.D.T)
-    )
+    power = input_power(input, p_sol.P_star)
     diagnostics = {
         "sigma_converged": sigma_sol.converged,
         "sigma_iterations": sigma_sol.iterations,
@@ -361,14 +305,8 @@ def asymptotic_power(input, tol=1e-11):
     tr(Gamma P Gamma^T + D K_Z D^T) with P the Lyapunov fixed point.
     Raises ValueError when F is not exponentially stable.
     """
-    report = validate(input)
-    if not report.ok:
-        raise ValueError("input model invalid: " + "; ".join(report.violations))
-    sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
-    return float(
-        np.trace(input.Gamma @ sol.P_star @ input.Gamma.T)
-        + np.trace(input.D @ input.K_Z @ input.D.T)
-    )
+    require_valid(input)
+    return input_power(input, lyap_solve(input.F, input.G, input.K_Z, tol=tol).P_star)
 
 
 def _waterfill_powers(gains, kappa, iters=200):
@@ -444,9 +382,7 @@ class OptimizerConfig:
 
     ``starts`` counts all local searches, structured ones included.
     ``warm_starts`` passes known-good input models (used by the kappa
-    sweep to chain solutions). ``threads`` caps parallel starts; when
-    None, the RICCATI_CAPACITY_THREADS environment variable decides,
-    defaulting to serial execution.
+    sweep to chain solutions).
     """
 
     starts: int = 32
@@ -457,7 +393,6 @@ class OptimizerConfig:
     are_tol: float = 1e-12
     are_max_iter: int = 100_000
     warm_starts: tuple = ()
-    threads: int = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,16 +405,6 @@ class SweepPoint:
     feasible: bool
     input: InputModel = None
     result: CapacityResult = None
-
-
-def _default_threads():
-    env = os.environ.get("RICCATI_CAPACITY_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 class _ParamSpace:
@@ -537,8 +462,11 @@ def _project_to_budget(model, kappa, tol=1e-11):
     return scaled, kappa
 
 
-def _structured_starts(noise, channel, space, kappa, sigma_star, nq):
-    """Deterministic starting points: flat allocation, then water-filling."""
+def _structured_starts(channel, space, kappa, K_pred):
+    """Deterministic starting points: flat allocation, then water-filling.
+
+    ``K_pred`` is the steady innovations covariance of the noise predictor.
+    """
     n_xi, n_z, n_x = space.n_xi, space.n_z, space.n_x
     starts = []
     if n_z > 0 and kappa > 0:
@@ -549,7 +477,6 @@ def _structured_starts(noise, channel, space, kappa, sigma_star, nq):
         # allocate against the steady prediction-error covariance of the
         # noise; skipped when that covariance is unusable (divergent noise
         # recursion), leaving the flat start to carry the search
-        K_pred = symmetrize(nq.Rhat + nq.Chat @ sigma_star @ nq.Chat.T)
         if np.all(np.isfinite(K_pred)):
             try:
                 L = np.linalg.cholesky(K_pred)
@@ -619,33 +546,26 @@ def optimize_input(noise, channel, dims, config=None):
     optimum.
     """
     cfg = config if config is not None else OptimizerConfig()
-    for model, label in ((noise, "noise"), (channel, "channel")):
-        report = validate(model)
-        if not report.ok:
-            raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
     n_xi, n_z = (int(dims[0]), int(dims[1]))
     if n_xi < 0 or n_z < 0:
         raise ValueError(f"dims must be nonnegative, got {dims}")
-    if channel.n_y != noise.n_y:
-        raise ValueError(
-            f"H has {channel.n_y} rows but noise n_y = {noise.n_y}"
-        )
     kappa = channel.kappa
     n_x = channel.n_x
     space = _ParamSpace(n_xi, n_z, n_x)
+    # validates noise and channel; every candidate input is written into
+    # this one system, starting from the all-zero input
+    F, G, Gamma, D, L = space.unpack(np.zeros(space.size))
+    system = joint_system(noise, _input_from_parts(F, G, Gamma, D, L), channel)
 
-    nq = to_quadruple(noise)
+    nq = system.noise_quad
     sigma_sol = are_solve(nq)
+    K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     try:
-        ld_hat = chol_logdet(
-            nq.Rhat + nq.Chat @ sigma_sol.P_star @ nq.Chat.T, context="K_Ihat"
-        )
+        ld_hat = chol_logdet(K_hat, context="K_Ihat")
     except np.linalg.LinAlgError:
         # divergent noise recursion; the candidates are all headed for the
         # feasibility gate anyway
         ld_hat = np.nan
-    A, B, C, N = noise.A, noise.B, noise.C, noise.N
-    K_W, H = noise.K_W, channel.H
     margin = cfg.stability_margin
     # the noise predictor loop does not depend on the input, so its margin
     # penalty is a constant; it matters only as an infeasibility signal.
@@ -668,29 +588,22 @@ def optimize_input(noise, channel, dims, config=None):
         F, G, Gamma, D, L = space.unpack(theta)
         rho_F = spectral_radius(F)
         pen = base_pen + cfg.penalty * max(0.0, rho_F - (1.0 - margin)) ** 2
-        if rho_F > 1.0 - _F_STABILITY_MARGIN:
+        if rho_F > 1.0 - STABILITY_MARGIN:
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
         K_Z = L @ L.T
         try:
             model = _input_from_parts(F, G, Gamma, D, K_Z)
             model, _ = _project_to_budget(model, kappa, tol=1e-12)
-            aq = SystemQuadruple(
-                block_diag(model.F, A),
-                block_diag(model.G, B),
-                np.hstack([H @ model.Gamma, C]),
-                np.hstack([H @ model.D, N]),
-                block_diag(model.K_Z, K_W),
-            )
-            pi_sol = are_solve(aq, init=warm.get("pi"), tol=cfg.are_tol,
+            system.update(noise, model)
+            pi_sol = are_solve(system, init=warm.get("pi"), tol=cfg.are_tol,
                                max_iter=cfg.are_max_iter)
             if not np.all(np.isfinite(pi_sol.P_star)):
                 warm["pi"] = None
                 return 1e6 + pen
             warm["pi"] = pi_sol.P_star
-            ld = chol_logdet(
-                aq.Rhat + aq.Chat @ pi_sol.P_star @ aq.Chat.T, context="K_I"
-            )
+            ld = chol_logdet(innovations_covariance(system, pi_sol.P_star),
+                             context="K_I")
         except (np.linalg.LinAlgError, ValueError):
             return 1e6 + pen
         rate = 0.5 * max(0.0, ld - ld_hat)
@@ -708,8 +621,7 @@ def optimize_input(noise, channel, dims, config=None):
             return None
         return model, result
 
-    def run_start(item):
-        index, theta0, raw_model = item
+    def run_start(theta0, raw_model):
         outputs = []
         if raw_model is not None:
             outputs.append(final_eval(raw_model))
@@ -726,47 +638,32 @@ def optimize_input(noise, channel, dims, config=None):
                 polished = None
             if polished is not None:
                 outputs.append(final_eval(polished))
-        return index, [o for o in outputs if o is not None]
+        return [o for o in outputs if o is not None]
 
     # assemble starts: structured, warm, then seeded random fills
     items = []
-    structured = _structured_starts(noise, channel, space, kappa,
-                                    sigma_sol.P_star, nq)
-    for parts in structured:
-        F, G, Gamma, D, L = parts
+    for F, G, Gamma, D, L in _structured_starts(channel, space, kappa, K_hat):
         theta0 = space.pack(F, G, Gamma, D, L)
-        raw = _input_from_parts(F, G, Gamma, D, L @ L.T)
-        items.append((len(items), theta0, raw))
+        items.append((theta0, _input_from_parts(F, G, Gamma, D, L @ L.T)))
     for warm_model in cfg.warm_starts:
         theta0 = space.pack(
             warm_model.F, warm_model.G, warm_model.Gamma, warm_model.D,
             _lower_factor(warm_model.K_Z),
         ) if (warm_model.n_xi == n_xi and warm_model.n_z == n_z
               and warm_model.n_x == n_x) else None
-        items.append((len(items), theta0, warm_model))
+        items.append((theta0, warm_model))
     while len(items) < cfg.starts:
         rng = substream(cfg.seed, len(items))
         F, G, Gamma, D, L = _random_start(space, kappa, rng)
         theta0 = space.pack(F, G, Gamma, D, L)
-        items.append((len(items), theta0, None))
-
-    threads = cfg.threads if cfg.threads is not None else _default_threads()
-    threads = max(1, min(threads, len(items)))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            collected = list(pool.map(run_start, items))
-    else:
-        collected = [run_start(item) for item in items]
-    collected.sort(key=lambda pair: pair[0])
+        items.append((theta0, None))
 
     best = None
     total = 0
     feasible_count = 0
     best_any_rate = -np.inf
-    for index, outputs in collected:
-        for model, result in outputs:
+    for theta0, raw_model in items:
+        for model, result in run_start(theta0, raw_model):
             total += 1
             best_any_rate = max(best_any_rate, result.rate_nats)
             ok = (
@@ -841,11 +738,6 @@ def case2_rate(schedule, channel, n_max):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not isinstance(schedule, CoefficientSchedule):
         raise TypeError("schedule must be a CoefficientSchedule")
-    rho = spectral_radius(schedule.input_limit.F)
-    if rho > 1.0 - _F_STABILITY_MARGIN:
-        raise ValueError(
-            f"limit F is not exponentially stable (spectral radius {rho:.12g})"
-        )
     limit_result = asymptotic_rate(
         schedule.noise_limit, schedule.input_limit, channel
     )

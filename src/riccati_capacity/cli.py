@@ -26,7 +26,9 @@ from .capacity import (
     optimize_input,
     sweep_kappa,
 )
-from .models import Channel, InputModel, NoiseModel, build_augmented, to_quadruple, validate
+from .models import Channel, InputModel, NoiseModel, joint_system, require_valid, to_quadruple
+# stays importable here because bench/tracing.py patches it at this name
+from .models import validate  # noqa: F401
 from .riccati import are_solve
 from .simulate import empirical_report, sample_paths
 from .systests import feasibility_report
@@ -112,10 +114,8 @@ def _section_get(section, section_name, key):
     return section[key]
 
 
-def _checked(model, label):
-    report = validate(model)
-    if not report.ok:
-        raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
+def _checked(model):
+    require_valid(model)
     return model
 
 
@@ -129,7 +129,7 @@ def _parse_noise(doc):
         K_W=_section_get(s, "noise", "K_W"),
         mu_S1=s.get("mu_S1"),
         K_S1=s.get("K_S1"),
-    ), "noise")
+    ))
 
 
 def _parse_input(doc):
@@ -142,7 +142,7 @@ def _parse_input(doc):
         K_Z=_section_get(s, "input", "K_Z"),
         mu_Xi1=s.get("mu_Xi1"),
         K_Xi1=s.get("K_Xi1"),
-    ), "input")
+    ))
 
 
 def _parse_channel(doc, kappa_override=None):
@@ -150,7 +150,7 @@ def _parse_channel(doc, kappa_override=None):
     kappa = s.get("kappa", 0.0)
     if kappa_override is not None:
         kappa = kappa_override
-    return _checked(Channel(H=_section_get(s, "channel", "H"), kappa=kappa), "channel")
+    return _checked(Channel(H=_section_get(s, "channel", "H"), kappa=kappa))
 
 
 def _parse_kappa_grid(text):
@@ -267,9 +267,8 @@ def _cmd_solve_are(args):
     if isinstance(doc.get("input"), dict) and isinstance(doc.get("channel"), dict):
         input_model = _parse_input(doc)
         channel = _parse_channel(doc, args.kappa_value)
-        augmented = build_augmented(noise, input_model, channel)
-        aug_sol = are_solve(to_quadruple(augmented), tol=args.tol,
-                            max_iter=args.max_iter)
+        aug_sol = are_solve(joint_system(noise, input_model, channel),
+                            tol=args.tol, max_iter=args.max_iter)
         out_doc["augmented"] = _riccati_doc(aug_sol)
         converged = converged and aug_sol.converged
     _write_output(_dumps(out_doc), args.out)
@@ -354,11 +353,11 @@ def _cmd_sweep_kappa(args):
     return 0
 
 
-def _simulate_trace_csv(batch, run, path):
+def _simulate_trace_csv(batch, innovations, path):
     names = ["t"]
     blocks = []
     for label, arr in (("S", batch.S), ("V", batch.V), ("Xi", batch.Xi),
-                       ("X", batch.X), ("Y", batch.Y), ("I", run.innovations)):
+                       ("X", batch.X), ("Y", batch.Y), ("I", innovations)):
         for j in range(arr.shape[2]):
             names.append(f"{label}{j}")
         blocks.append(arr[0])
@@ -405,11 +404,7 @@ def _cmd_simulate(args):
     }
     _write_output(_dumps(out_doc), args.out)
     if args.trace:
-        from .models import build_augmented as _ba
-        from .simulate import kalman_run as _kr
-
-        run = _kr(_ba(noise, input_model, channel), batch)
-        _simulate_trace_csv(batch, run, args.trace)
+        _simulate_trace_csv(batch, report.innovations, args.trace)
     if args.strict and not report.ok:
         print("empirical statistics outside tolerance", file=sys.stderr)
         return 3
@@ -462,13 +457,14 @@ def build_parser():
     _add_common(sub)
     sub.add_argument("--starts", type=int, default=32)
     sub.add_argument("--dims", default=None, help="input dims as 'n_xi,n_z'")
-    sub.set_defaults(handler=_cmd_optimize, max_iter_meaning="optimizer")
+    # here --max-iter caps the L-BFGS iterations of each start
+    sub.set_defaults(handler=_cmd_optimize, max_iter=120)
 
     sub = subs.add_parser("sweep-kappa", help="optimized rate per power budget")
     _add_common(sub)
     sub.add_argument("--starts", type=int, default=32)
     sub.add_argument("--dims", default=None, help="input dims as 'n_xi,n_z'")
-    sub.set_defaults(handler=_cmd_sweep_kappa)
+    sub.set_defaults(handler=_cmd_sweep_kappa, max_iter=120)
 
     sub = subs.add_parser("simulate", help="Monte Carlo comparison report")
     _add_common(sub)
@@ -499,11 +495,6 @@ def main(argv=None):
         return 2 if code not in (0,) else 0
     try:
         args.kappa_value = _single_kappa(args)
-        if args.command == "optimize" or args.command == "sweep-kappa":
-            # a budget of a million Riccati iterations makes no sense as a
-            # per-start search budget; rescale the shared flag's default
-            if args.max_iter == 1_000_000:
-                args.max_iter = 120
         return args.handler(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

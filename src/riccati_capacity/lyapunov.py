@@ -2,7 +2,8 @@
 
 P_{t+1} = F P_t F^T + G K_Z G^T propagates cov(Xi_t); when F is
 exponentially stable the iterates converge to the unique PSD fixed
-point, which is what the steady-state average power formula consumes.
+point. ``input_power`` turns a state covariance into the average power
+tr(Gamma P Gamma^T + D K_Z D^T), at one step or in the steady state.
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,11 @@ import numpy as np
 
 from .linalg import as_matrix, is_psd, is_symmetric, spectral_radius, symmetrize
 
-__all__ = ["LyapunovSolution", "lyap_step", "lyap_solve"]
+__all__ = ["LyapunovSolution", "lyap_step", "lyap_solve", "input_power"]
 
-# accept F only if its spectral radius clears the unit circle by this margin,
-# otherwise the Kronecker system is near-singular and the series diverges anyway
+# F counts as exponentially stable only if its spectral radius clears the
+# unit circle by this margin, otherwise the Kronecker system is
+# near-singular and the series diverges anyway; shared package-wide
 STABILITY_MARGIN = 1e-9
 
 # above this state dimension the n^2 x n^2 Kronecker solve stops being cheap
@@ -64,7 +66,18 @@ def lyap_step(F, G, K_Z, P_t):
         raise ValueError("P_t is not symmetric")
     if not is_psd(P):
         raise ValueError("P_t is not positive semidefinite")
+    return _step(F, G, K_Z, P)
+
+
+def _step(F, G, K_Z, P):
+    # core update; callers guarantee P is symmetric PSD
     return symmetrize(F @ P @ F.T + G @ K_Z @ G.T)
+
+
+def input_power(input, P):
+    """Average power tr(Gamma P Gamma^T + D K_Z D^T) of an input whose state has covariance P."""
+    return float(np.trace(input.Gamma @ P @ input.Gamma.T)
+                 + np.trace(input.D @ input.K_Z @ input.D.T))
 
 
 def _residual(F, Q, P):

@@ -9,13 +9,17 @@ Three user-facing models describe the setup:
 * ``Channel``: the observation map Y_t = H X_t + V_t plus the average
   power budget kappa.
 
-``build_augmented`` stacks input and noise states into one joint system
-whose one-step prediction problem drives every rate formula downstream.
-``SystemQuadruple`` is the thin adapter both the noise model and the
-augmented model present to the shared Riccati engine.
+``JointSystem`` is the one place that knows how input and noise stack
+into the joint system whose one-step prediction problem drives every
+rate formula downstream; ``joint_system`` validates the models and
+builds it, and ``build_augmented`` takes a frozen snapshot of it.
+``SystemQuadruple`` is the thin adapter a noise or augmented model
+presents to the shared Riccati engine. ``require_valid`` is the one
+validate-and-raise boundary of the public entry points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .linalg import (
     is_pd,
     is_psd,
     is_symmetric,
-    solve_spd,
     spectral_radius,
     symmetrize,
 )
@@ -36,9 +39,12 @@ __all__ = [
     "InputModel",
     "Channel",
     "AugmentedModel",
+    "JointSystem",
     "SystemQuadruple",
     "ValidationReport",
     "validate",
+    "require_valid",
+    "joint_system",
     "build_augmented",
     "to_quadruple",
     "memoryless_noise",
@@ -393,15 +399,112 @@ def validate(model):
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
-def _require_valid(model, label):
-    report = validate(model)
-    if not report.ok:
-        detail = "; ".join(report.violations)
-        raise ValueError(f"{label} model invalid: {detail}")
+def require_valid(*models):
+    """Raise ValueError at the first model that fails ``validate``.
+
+    The message names the model ("noise", "input" or "channel") and
+    lists every violation it has.
+    """
+    for model in models:
+        report = validate(model)
+        if not report.ok:
+            label = type(model).__name__.removesuffix("Model").lower()
+            raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
+
+
+def _shapes(noise, input):
+    # every block must fill its slot exactly; numpy would broadcast a smaller one
+    return tuple(a.shape for a in (noise.A, noise.B, noise.C, noise.N, noise.K_W,
+                                   input.F, input.G, input.Gamma, input.D, input.K_Z))
+
+
+class JointSystem:
+    """The joint prediction problem over Theta_t = (Xi_t, S_t), in fixed block slots.
+
+    The slots hold Ahat = blockdiag(F, A), Bhat = blockdiag(G, B),
+    Chat = [H Gamma | C], Dhat = [H D | N] and Khat = blockdiag(K_Z, K_W),
+    with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
+    Rhat = Dhat Khat Dhat^T filled block by block, so the system reads
+    like a SystemQuadruple to the Riccati engine. ``noise_quad`` is the
+    noise-only problem (A, B, C, N, K_W) over views of the noise slots.
+    ``noise`` and ``input`` are the models last written; ``update``
+    rewrites only the side whose model changed, so a drifting schedule
+    or an input search reuses one system. The models are not checked
+    here: ``joint_system`` validates them first.
+    """
+
+    def __init__(self, noise, input, channel):
+        self.shapes = _shapes(noise, input)
+        self.n_xi, self.n_s, self.n_z, self.n_w = input.n_xi, noise.n_s, input.n_z, noise.n_w
+        x, z = self.n_xi, self.n_z
+        m, k, q = x + self.n_s, z + self.n_w, channel.n_y
+        self.m, self.q, self.H = m, q, channel.H
+        self.Ahat, self.Bhat, self.Qhat = np.zeros((m, m)), np.zeros((m, k)), np.zeros((m, m))
+        self.Chat, self.Dhat, self.Shat = np.zeros((q, m)), np.zeros((q, k)), np.zeros((m, q))
+        self.Khat = np.zeros((k, k))
+        self.noise_quad = SimpleNamespace(
+            Ahat=self.Ahat[x:, x:], Bhat=self.Bhat[x:, z:], Chat=self.Chat[:, x:],
+            Dhat=self.Dhat[:, z:], Khat=self.Khat[z:, z:], Qhat=self.Qhat[x:, x:],
+            Shat=self.Shat[x:], Rhat=None, m=self.n_s, q=q,
+        )
+        self.noise = self.input = None
+        self.update(noise, input)
+        self.mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
+        self.K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
+
+    def update(self, noise, input):
+        """Write the models in force now; raises ValueError if a block's shape changed."""
+        if noise is self.noise and input is self.input:
+            return
+        if _shapes(noise, input) != self.shapes:
+            raise ValueError("model dimensions changed mid-schedule")
+        x, z = self.n_xi, self.n_z
+        if noise is not self.noise:
+            self.noise = noise
+            self.Ahat[x:, x:] = noise.A
+            self.Bhat[x:, z:] = noise.B
+            self.Chat[:, x:] = noise.C
+            self.Dhat[:, z:] = noise.N
+            self.Khat[z:, z:] = noise.K_W
+            BK = noise.B @ noise.K_W
+            self.Qhat[x:, x:] = symmetrize(BK @ noise.B.T)
+            self.Shat[x:] = BK @ noise.N.T
+            self.noise_quad.Rhat = noise.R
+        if input is not self.input:
+            self.input = input
+            HD = self.H @ input.D
+            self.Ahat[:x, :x] = input.F
+            self.Bhat[:x, :z] = input.G
+            self.Chat[:, :x] = self.H @ input.Gamma
+            self.Dhat[:, :z] = HD
+            self.Khat[:z, :z] = input.K_Z
+            GK = input.G @ input.K_Z
+            self.Qhat[:x, :x] = symmetrize(GK @ input.G.T)
+            self.Shat[:x] = GK @ HD.T
+            self._R_input = HD @ input.K_Z @ HD.T
+        self.Rhat = symmetrize(self._R_input + self.noise_quad.Rhat)
+
+
+def joint_system(noise, input, channel):
+    """Validate the three models and stack them into a JointSystem.
+
+    Raises
+    ------
+    ValueError
+        If any model fails validation or the dimensions are incompatible;
+        the message names the mismatched axes.
+    """
+    require_valid(noise, input, channel)
+    H = channel.H
+    if H.shape[1] != input.n_x:
+        raise ValueError(f"H has {H.shape[1]} columns but input n_x = {input.n_x}")
+    if H.shape[0] != noise.n_y:
+        raise ValueError(f"H has {H.shape[0]} rows but noise n_y = {noise.n_y}")
+    return JointSystem(noise, input, channel)
 
 
 def build_augmented(noise, input, channel):
-    """Stack input and noise into the joint system driving Y_t.
+    """Frozen snapshot of the joint system driving Y_t.
 
     Parameters
     ----------
@@ -420,32 +523,13 @@ def build_augmented(noise, input, channel):
     Raises
     ------
     ValueError
-        If any model fails validation or the dimensions are incompatible;
-        the message names the mismatched axes.
+        As ``joint_system``.
     """
-    _require_valid(noise, "noise")
-    _require_valid(input, "input")
-    _require_valid(channel, "channel")
-    H = channel.H
-    if H.shape[1] != input.n_x:
-        raise ValueError(
-            f"H has {H.shape[1]} columns but input n_x = {input.n_x}"
-        )
-    if H.shape[0] != noise.n_y:
-        raise ValueError(
-            f"H has {H.shape[0]} rows but noise n_y = {noise.n_y}"
-        )
-    bA = block_diag(input.F, noise.A)
-    bB = block_diag(input.G, noise.B)
-    bC = np.hstack([H @ input.Gamma, noise.C])
-    bD = np.hstack([H @ input.D, noise.N])
-    K_Wbar = block_diag(input.K_Z, noise.K_W)
-    mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
-    K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
+    s = joint_system(noise, input, channel)
     return AugmentedModel(
-        bA=bA, bB=bB, bC=bC, bD=bD, K_Wbar=K_Wbar,
-        mu_Theta1=mu_Theta1, K_Theta1=K_Theta1,
-        n_xi=input.n_xi, n_s=noise.n_s, n_z=input.n_z, n_w=noise.n_w,
+        bA=s.Ahat, bB=s.Bhat, bC=s.Chat, bD=s.Dhat, K_Wbar=s.Khat,
+        mu_Theta1=s.mu_Theta1, K_Theta1=s.K_Theta1,
+        n_xi=s.n_xi, n_s=s.n_s, n_z=s.n_z, n_w=s.n_w,
     )
 
 
@@ -454,7 +538,7 @@ def to_quadruple(source):
 
     A NoiseModel maps to (A, B, C, N, K_W); an AugmentedModel maps to
     (bA, bB, bC, bD, K_Wbar). The denominator base Dhat Khat Dhat^T is
-    asserted positive definite in both cases.
+    checked positive definite in both cases.
     """
     if isinstance(source, NoiseModel):
         quad = SystemQuadruple(source.A, source.B, source.C, source.N, source.K_W)
@@ -464,8 +548,6 @@ def to_quadruple(source):
         raise TypeError(f"cannot build a quadruple from {type(source).__name__}")
     if not is_pd(quad.Rhat):
         raise ValueError("Dhat Khat Dhat^T not positive definite")
-    # touch the factorization once so later steps cannot hit a surprise
-    solve_spd(quad.Rhat, np.eye(quad.q), context="Dhat Khat Dhat^T")
     return quad
 
 

@@ -13,7 +13,10 @@ convergence theory the quantities come from. The gain and closed loop
 are
 
     gain(P) = (Ahat P Chat^T + Shat)(Rhat + Chat P Chat^T)^{-1}
-    closed_loop(P) = Ahat - gain(P) Chat.
+    closed_loop(P) = Ahat - gain(P) Chat,
+
+where Rhat + Chat P Chat^T (``innovations_covariance``) is the
+covariance of the output's one-step prediction error.
 """
 
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ __all__ = [
     "dre_run",
     "are_solve",
     "gain_and_closed_loop",
+    "innovations_covariance",
 ]
 
 # iterates past this magnitude are declared divergent rather than left to overflow
@@ -68,13 +72,22 @@ class RiccatiSolution:
     converged: bool
 
 
+def innovations_covariance(quad, P):
+    """Rhat + Chat P Chat^T: the innovations covariance at prediction-error covariance P."""
+    return quad.Rhat + quad.Chat @ P @ quad.Chat.T
+
+
+def _gain_terms(quad, P):
+    # (Ahat P Chat^T + Shat, gain^T); callers guarantee P is symmetric PSD
+    APC = quad.Ahat @ P @ quad.Chat.T + quad.Shat
+    return APC, solve_spd(innovations_covariance(quad, P), APC.T,
+                          context="Riccati denominator")
+
+
 def _step(quad, P):
     # core update; callers guarantee P is symmetric PSD
-    APC = quad.Ahat @ P @ quad.Chat.T + quad.Shat
-    den = quad.Rhat + quad.Chat @ P @ quad.Chat.T
-    correction = APC @ solve_spd(den, APC.T, context="Riccati denominator")
-    P_next = quad.Ahat @ P @ quad.Ahat.T + quad.Qhat - correction
-    return symmetrize(P_next)
+    APC, gain_T = _gain_terms(quad, P)
+    return symmetrize(quad.Ahat @ P @ quad.Ahat.T + quad.Qhat - APC @ gain_T)
 
 
 def _check_state(quad, P, who):
@@ -134,9 +147,7 @@ def gain_and_closed_loop(quad, P):
     model invariants hold.
     """
     P = _check_state(quad, P, "gain_and_closed_loop")
-    APC = quad.Ahat @ P @ quad.Chat.T + quad.Shat
-    den = quad.Rhat + quad.Chat @ P @ quad.Chat.T
-    gain = solve_spd(den, APC.T, context="Riccati denominator").T
+    gain = _gain_terms(quad, P)[1].T
     closed_loop = quad.Ahat - gain @ quad.Chat
     return gain, closed_loop
 
@@ -152,7 +163,8 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=1_000_000):
 
     Parameters
     ----------
-    quad : SystemQuadruple
+    quad : SystemQuadruple or JointSystem
+        A JointSystem's ``noise_quad`` serves as well.
     init : array_like, optional
         Starting covariance; zero when omitted. Under the detectability
         and stabilizability conditions the limit does not depend on it,

@@ -14,8 +14,10 @@ import numpy as np
 
 from .capacity import CapacityResult
 from .linalg import substream, symmetrize
-from .models import build_augmented, to_quadruple
-from .riccati import dre_run, gain_and_closed_loop
+from .lyapunov import _step as _lyap_core
+from .lyapunov import input_power
+from .models import build_augmented, joint_system, to_quadruple
+from .riccati import dre_run, gain_and_closed_loop, innovations_covariance
 from .systests import psd_sqrt
 
 __all__ = [
@@ -39,10 +41,9 @@ class TrajectoryBatch:
 
     ``horizon`` counts the steps actually stored. When the overflow
     guard trips at step t, arrays are truncated to t - 1 steps and
-    ``saturated_at`` records t; otherwise it is None. ``I`` stays None
-    until innovations are attached (dataclasses.replace) after a filter
-    run. Identical models and master_seed reproduce the batch bit for
-    bit, path by path, regardless of generation order.
+    ``saturated_at`` records t; otherwise it is None. Identical models
+    and master_seed reproduce the batch bit for bit, path by path,
+    regardless of generation order.
     """
 
     noise: object
@@ -56,7 +57,6 @@ class TrajectoryBatch:
     Xi: np.ndarray
     X: np.ndarray
     Y: np.ndarray
-    I: np.ndarray = None
     saturated_at: int = None
 
 
@@ -93,12 +93,17 @@ class CheckRow:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """All checks for one batch; ``ok`` is the conjunction of the rows."""
+    """All checks for one batch; ``ok`` is the conjunction of the rows.
+
+    ``innovations`` are the joint predictor's innovations the checks were
+    computed from, (paths, horizon, n_y).
+    """
 
     rows: tuple
     paths: int
     horizon: int
     ok: bool
+    innovations: np.ndarray = None
 
 
 def _draw_layout(noise, input, horizon):
@@ -140,7 +145,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     if horizon < 1 or paths < 1:
         raise ValueError(f"horizon and paths must be >= 1, got {horizon}, {paths}")
     # runs the full validation including cross-dimension checks
-    build_augmented(noise, input, channel)
+    joint_system(noise, input, channel)
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
@@ -197,7 +202,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     return TrajectoryBatch(
         noise=noise, input=input, channel=channel,
         paths=paths, horizon=stored, master_seed=int(master_seed),
-        S=S, V=V, Xi=Xi, X=X, Y=Y, I=None, saturated_at=saturated_at,
+        S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at,
     )
 
 
@@ -218,7 +223,7 @@ def _filter_batch(quad, K_1, mu_1, obs):
     K_seq = np.empty((horizon, quad.q, quad.q))
     for t in range(horizon):
         P_t = P_seq[t]
-        K_seq[t] = symmetrize(quad.Rhat + C_mat @ P_t @ C_mat.T)
+        K_seq[t] = symmetrize(innovations_covariance(quad, P_t))
         gain, _ = gain_and_closed_loop(quad, P_t)
         innov = obs[:, t] - state @ C_mat.T
         innovations[:, t] = innov
@@ -391,14 +396,12 @@ def empirical_report(batch, analytic, tol_se=3.0):
 
     # exact finite-horizon analytic average power, so the comparison does
     # not confuse the start-up transient with sampling error
-    P_t = symmetrize(batch.input.K_Xi1.copy())
-    F, G, Gamma = batch.input.F, batch.input.G, batch.input.Gamma
-    K_Z, D = batch.input.K_Z, batch.input.D
-    dkd = float(np.trace(D @ K_Z @ D.T))
+    inp = batch.input
+    P_t = symmetrize(inp.K_Xi1)
     power_sum = 0.0
     for _ in range(horizon):
-        power_sum += float(np.trace(Gamma @ P_t @ Gamma.T)) + dkd
-        P_t = symmetrize(F @ P_t @ F.T + G @ K_Z @ G.T)
+        power_sum += input_power(inp, P_t)
+        P_t = _lyap_core(inp.F, inp.G, inp.K_Z, P_t)
     analytic_power = power_sum / horizon
     per_path_power = np.sum(batch.X * batch.X, axis=(1, 2)) / horizon
     emp_power = float(np.mean(per_path_power))
@@ -410,5 +413,5 @@ def empirical_report(batch, analytic, tol_se=3.0):
     rows = tuple(rows)
     return ComparisonReport(
         rows=rows, paths=paths, horizon=horizon,
-        ok=bool(all(r.ok for r in rows)),
+        ok=bool(all(r.ok for r in rows)), innovations=run.innovations,
     )

@@ -14,8 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, is_symmetric, solve_spd, spectral_radius, symmetrize
-from .models import build_augmented, to_quadruple, validate
+from .linalg import PSD_SLACK, as_matrix, is_symmetric, solve_spd, spectral_radius, symmetrize
+from .lyapunov import STABILITY_MARGIN
+from .models import JointSystem, joint_system
+# build_augmented, to_quadruple and validate stay importable here because
+# bench/tracing.py patches them at these names
+from .models import build_augmented, to_quadruple, validate  # noqa: F401
 
 __all__ = [
     "StarredSystem",
@@ -26,17 +30,12 @@ __all__ = [
     "feasibility_report",
 ]
 
-# eigenvalues of a nominally PSD matrix may dip this far below zero
-PSD_CLAMP = 1e-10
-
 # |lambda| >= 1 - RANK_TOL counts as unstable-or-marginal; the unit-circle
 # diagnostic keeps only ||lambda| - 1| <= RANK_TOL
 RANK_TOL = 1e-9
 
 # numerical rank threshold factor: sigma > sigma_max * max(dims) * SV_RTOL
 SV_RTOL = 1e-12
-
-_STABILITY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +84,7 @@ class FeasibilityReport:
         )
 
 
-def psd_sqrt(M, clamp=PSD_CLAMP):
+def psd_sqrt(M, clamp=PSD_SLACK):
     """Symmetric square root of a PSD matrix.
 
     Parameters
@@ -263,62 +262,35 @@ def feasibility_report(noise, input, channel, rank_tol=RANK_TOL, sv_rtol=SV_RTOL
     Apparent non-minimality of either realization is reported as a
     warning only, since the computed quantities stay well defined.
 
+    ``channel`` may also be the JointSystem that ``joint_system`` built
+    from these models; they are then neither validated nor stacked again.
+
     Raises
     ------
     ValueError
         If any of the three models fails validation.
     """
-    for model, label in ((noise, "noise"), (input, "input"), (channel, "channel")):
-        report = validate(model)
-        if not report.ok:
-            raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
-
-    nq = to_quadruple(noise)
-    nstar = starred_system(nq)
-    noise_detectable, w_nd = pbh_test(nq.Ahat, nq.Chat, "detectable", rank_tol, sv_rtol)
-    noise_ctrl_mat = nstar.G_mat @ nstar.B_star_sqrt
-    noise_stabilizable, w_ns = pbh_test(
-        nstar.A_star, noise_ctrl_mat, "stabilizable", rank_tol, sv_rtol
-    )
-    ucc_noise, w_un = pbh_test(
-        nstar.A_star, noise_ctrl_mat, "unit_circle_controllable", rank_tol, sv_rtol
-    )
-
-    augmented = build_augmented(noise, input, channel)
-    aq = to_quadruple(augmented)
-    astar = starred_system(aq)
-    augmented_detectable, w_ad = pbh_test(
-        aq.Ahat, aq.Chat, "detectable", rank_tol, sv_rtol
-    )
-    aug_ctrl_mat = astar.G_mat @ astar.B_star_sqrt
-    augmented_stabilizable, w_as = pbh_test(
-        astar.A_star, aug_ctrl_mat, "stabilizable", rank_tol, sv_rtol
-    )
-    ucc_aug, w_ua = pbh_test(
-        astar.A_star, aug_ctrl_mat, "unit_circle_controllable", rank_tol, sv_rtol
-    )
-
-    input_F_stable = spectral_radius(input.F) <= 1.0 - _STABILITY_MARGIN
+    system = channel if isinstance(channel, JointSystem) else joint_system(noise, input, channel)
+    verdicts, witnesses = {}, {}
+    unit_circle_controllable = True
+    for label, quad in (("noise", system.noise_quad), ("augmented", system)):
+        star = starred_system(quad)
+        ctrl = star.G_mat @ star.B_star_sqrt
+        verdicts[label + "_detectable"], witnesses[label + "_detectable"] = pbh_test(
+            quad.Ahat, quad.Chat, "detectable", rank_tol, sv_rtol)
+        verdicts[label + "_stabilizable"], witnesses[label + "_stabilizable"] = pbh_test(
+            star.A_star, ctrl, "stabilizable", rank_tol, sv_rtol)
+        ucc, witnesses["unit_circle_" + label] = pbh_test(
+            star.A_star, ctrl, "unit_circle_controllable", rank_tol, sv_rtol)
+        unit_circle_controllable = unit_circle_controllable and ucc
 
     warnings = []
     warnings += _minimality_warnings(noise.A, noise.B, noise.C, "noise", sv_rtol)
     warnings += _minimality_warnings(input.F, input.G, input.Gamma, "input", sv_rtol)
-
-    witnesses = {
-        "noise_detectable": w_nd,
-        "noise_stabilizable": w_ns,
-        "augmented_detectable": w_ad,
-        "augmented_stabilizable": w_as,
-        "unit_circle_noise": w_un,
-        "unit_circle_augmented": w_ua,
-    }
     return FeasibilityReport(
-        noise_detectable=noise_detectable,
-        noise_stabilizable=noise_stabilizable,
-        augmented_detectable=augmented_detectable,
-        augmented_stabilizable=augmented_stabilizable,
-        input_F_stable=input_F_stable,
-        unit_circle_controllable=ucc_noise and ucc_aug,
+        **verdicts,
+        input_F_stable=spectral_radius(input.F) <= 1.0 - STABILITY_MARGIN,
+        unit_circle_controllable=unit_circle_controllable,
         witnesses=witnesses,
         warnings=tuple(warnings),
     )

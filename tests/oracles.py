@@ -75,6 +75,37 @@ def joint_output_covariance(A, B, C, D, K_1, K_drive, n):
     return 0.5 * (K + K.T)
 
 
+def joint_output_covariance_tv(A, B, C, D, K_1, K_drive):
+    """Covariance of the stacked outputs of a time-varying linear Gaussian system.
+
+    The model is x_{t+1} = A_t x_t + B_t w_t, y_t = C_t x_t + D_t w_t
+    with x_1 ~ (0, K_1) independent of the independent w_t ~ (0, K_t).
+    A, B, C, D and K_drive are lists of per-step matrices, entry t - 1
+    holding step t; every w_t has the same size. Row block t of the
+    impulse response holds C_t A_{t-1} ... A_1 against x_1,
+    C_t A_{t-1} ... A_{j+1} B_j against w_j for j < t, and D_t against
+    w_t.
+    """
+    n = len(C)
+    ns = K_1.shape[0]
+    ny, nw = D[0].shape
+    M = np.zeros((n * ny, ns + n * nw))
+
+    def cols(j):
+        return slice(ns + j * nw, ns + (j + 1) * nw)
+
+    for t in range(n):
+        rows = slice(t * ny, (t + 1) * ny)
+        M[rows, cols(t)] = D[t]
+        Phi = np.eye(ns)
+        for j in range(t - 1, -1, -1):
+            M[rows, cols(j)] = C[t] @ Phi @ B[j]
+            Phi = Phi @ A[j]
+        M[rows, :ns] = C[t] @ Phi
+    K = M @ scipy.linalg.block_diag(K_1, *K_drive) @ M.T
+    return 0.5 * (K + K.T)
+
+
 def logdet_pd(K):
     sign, ld = np.linalg.slogdet(K)
     if sign <= 0:

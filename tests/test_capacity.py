@@ -8,8 +8,10 @@ from oracles import (
     HALF_LN2_5,
     WF_TWO_MODE,
     joint_output_covariance,
+    joint_output_covariance_tv,
     logdet_pd,
 )
+from scipy.linalg import block_diag
 
 
 def colored_setup():
@@ -85,6 +87,79 @@ def test_chain_rule_on_random_systems(seed):
     ld_V = logdet_pd(K_V)
     assert abs(np.sum(res.trace[:, 1]) - ld_Y) < 1e-8 * max(1.0, abs(ld_Y))
     assert abs(np.sum(res.trace[:, 2]) - ld_V) < 1e-8 * max(1.0, abs(ld_V))
+
+
+def drifting_state_schedule():
+    """Noise with n_s = 2 and an input with n_xi = 1, every block moving with t."""
+    noise_0, inp_0 = random_models(np.random.default_rng(7), n_s=2, n_xi=1,
+                                   rho_A=0.9, rho_F=0.6)
+
+    def noise_at(t):
+        c, s = np.cos(t), np.sin(t)
+        return rc.NoiseModel(
+            A=noise_0.A * (1.0 + 0.2 * c), B=noise_0.B + 0.3 * s,
+            C=noise_0.C * (1.0 + 0.1 * s), N=noise_0.N + 0.2 * c,
+            K_W=noise_0.K_W * (1.0 + 0.5 * s * s), K_S1=noise_0.K_S1,
+        )
+
+    def input_at(t):
+        c, s = np.cos(0.7 * t), np.sin(0.7 * t)
+        return rc.InputModel(
+            F=inp_0.F * (1.0 + 0.3 * c), G=inp_0.G + 0.4 * s,
+            Gamma=inp_0.Gamma * (1.0 - 0.2 * s), D=inp_0.D + 0.3 * c,
+            K_Z=inp_0.K_Z * (1.0 + 0.5 * c * c), K_Xi1=inp_0.K_Xi1,
+        )
+
+    return rc.CoefficientSchedule(noise_at=noise_at, input_at=input_at,
+                                  noise_limit=noise_0, input_limit=inp_0)
+
+
+def test_drifting_noise_and_input_state_match_time_varying_oracle():
+    sched = drifting_state_schedule()
+    ch = unit_channel()
+    n = 20
+    res = rc.finite_n_rate(sched, ch, n)
+    noises = [sched.noise_at(t) for t in range(1, n + 1)]
+    inputs = [sched.input_at(t) for t in range(1, n + 1)]
+    H = ch.H
+    K_Y = joint_output_covariance_tv(
+        [block_diag(i.F, m.A) for m, i in zip(noises, inputs)],
+        [block_diag(i.G, m.B) for m, i in zip(noises, inputs)],
+        [np.hstack([H @ i.Gamma, m.C]) for m, i in zip(noises, inputs)],
+        [np.hstack([H @ i.D, m.N]) for m, i in zip(noises, inputs)],
+        block_diag(inputs[0].K_Xi1, noises[0].K_S1),
+        [block_diag(i.K_Z, m.K_W) for m, i in zip(noises, inputs)],
+    )
+    K_V = joint_output_covariance_tv(
+        [m.A for m in noises], [m.B for m in noises], [m.C for m in noises],
+        [m.N for m in noises], noises[0].K_S1, [m.K_W for m in noises],
+    )
+    ld_Y = logdet_pd(K_Y)
+    ld_V = logdet_pd(K_V)
+    assert abs(np.sum(res.trace[:, 1]) - ld_Y) < 1e-8 * max(1.0, abs(ld_Y))
+    assert abs(np.sum(res.trace[:, 2]) - ld_V) < 1e-8 * max(1.0, abs(ld_V))
+
+
+def test_explicit_schedule_of_fixed_models_reproduces_the_pair():
+    sched = drifting_state_schedule()
+    noise, inp = sched.noise_at(1), sched.input_at(1)
+    fixed = rc.CoefficientSchedule(noise_at=lambda t: noise, input_at=lambda t: inp,
+                                   noise_limit=noise, input_limit=inp)
+    pair = rc.finite_n_rate((noise, inp), unit_channel(), 20)
+    explicit = rc.finite_n_rate(fixed, unit_channel(), 20)
+    assert np.array_equal(explicit.trace, pair.trace)
+
+
+def test_schedule_rejects_a_block_that_changes_shape():
+    noise, inp, ch = colored_setup()
+    wider = rc.NoiseModel(A=[[0.5]], B=[[1.0, 0.0]], C=[[1.0]],
+                          N=[[1.0, 0.0]], K_W=np.eye(2))
+    sched = rc.CoefficientSchedule(
+        noise_at=lambda t: noise if t < 3 else wider, input_at=lambda t: inp,
+        noise_limit=noise, input_limit=inp,
+    )
+    with pytest.raises(ValueError, match="step 3: model dimensions changed"):
+        rc.finite_n_rate(sched, ch, 5)
 
 
 def test_explicit_initial_covariances_enter_step_one():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import riccati_capacity as rc
+import riccati_capacity.cli as cli
+import riccati_capacity.simulate as simulate
 from riccati_capacity.cli import main
 
 from oracles import HALF_LN2, HALF_LN2_5
@@ -194,6 +196,25 @@ def test_sweep_kappa_csv(tmp_path):
     assert all(r[3] == "true" for r in rows)
 
 
+def test_max_iter_reaches_the_optimizer_as_typed(tmp_path, monkeypatch, capsys):
+    # optimize and sweep-kappa default to 120 L-BFGS iterations per start,
+    # and an explicit --max-iter reaches OptimizerConfig.maxiter unchanged
+    seen = []
+
+    def capture(*args):
+        seen.append(args[-1].maxiter)
+        raise RuntimeError("stop once the config is seen")
+
+    monkeypatch.setattr(cli, "optimize_input", capture)
+    monkeypatch.setattr(cli, "sweep_kappa", capture)
+    model = write_model(tmp_path, COLORED)
+    for command in (["optimize"], ["sweep-kappa", "--kappa", "1.0"]):
+        for extra in ([], ["--max-iter", "1000000"]):
+            assert main(command + ["--model", model] + extra) == 3
+    assert seen == [120, 1_000_000, 120, 1_000_000]
+    capsys.readouterr()
+
+
 def test_sweep_kappa_requires_grid(tmp_path, capsys):
     model = write_model(tmp_path, COLORED)
     assert main(["sweep-kappa", "--model", model]) == 2
@@ -214,6 +235,24 @@ def test_simulate_report(tmp_path):
     lines = open(trace).read().splitlines()
     assert lines[0].startswith("t,")
     assert len(lines) == 13
+
+
+def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
+    calls = []
+    original = simulate.kalman_run
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "kalman_run", counting)
+    model = write_model(tmp_path, COLORED)
+    trace = str(tmp_path / "path.csv")
+    assert main(["simulate", "--model", model, "--n", "6", "--paths", "50",
+                 "--out", str(tmp_path / "report.json"), "--trace", trace]) == 0
+    assert len(calls) == 1
+    header = open(trace).read().splitlines()[0].split(",")
+    assert header[-1] == "I0"
 
 
 def test_output_defaults_to_stdout(tmp_path, capsys):
