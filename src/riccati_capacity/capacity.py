@@ -234,7 +234,7 @@ def asymptotic_rate(
     ----------
     noise, input, channel : models
     tol, max_iter : float, int
-        Passed to the fixed-point solvers.
+        Passed to the steady-state solvers (relative tol, doublings).
     Sigma_init, Pi_init : array_like, optional
         Warm starts; harmless because the limits do not depend on the
         initial condition whenever the feasibility tests pass.
@@ -253,17 +253,12 @@ def asymptotic_rate(
         average power has no limit in that case).
     """
     system = joint_system(noise, input, channel)
-    rho_F = spectral_radius(input.F)
-    if rho_F > 1.0 - STABILITY_MARGIN:
-        raise ValueError(
-            f"F is not exponentially stable (spectral radius {rho_F:.12g}); "
-            "the average power diverges"
-        )
+    # first, so an F that is not exponentially stable raises before any other work
+    p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
     feas = feasibility_report(noise, input, system) if with_feasibility else None
     nq = system.noise_quad
     sigma_sol = are_solve(nq, init=Sigma_init, tol=tol, max_iter=max_iter)
     pi_sol = are_solve(system, init=Pi_init, tol=tol, max_iter=max_iter)
-    p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
     K_I = symmetrize(innovations_covariance(system, pi_sol.P_star))
     K_Ihat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     ld = chol_logdet(K_I, context="K_I")
@@ -448,13 +443,12 @@ def _input_from_parts(F, G, Gamma, D, K_Z):
     return InputModel(F=F, G=G, Gamma=Gamma, D=D, K_Z=symmetrize(K_Z))
 
 
-def _project_to_budget(model, kappa, tol=1e-11):
-    """Scale K_Z down so the steady-state power meets the budget exactly.
+def _project_to_budget(model, kappa, power):
+    """Scale K_Z down so the steady-state power ``power`` meets the budget exactly.
 
     Power is linear in K_Z, so multiplying K_Z by kappa/power lands on
     the boundary; inputs already inside the budget are left alone.
     """
-    power = asymptotic_power(model, tol=tol)
     if power <= kappa or power <= 0.0:
         return model, power
     scale = kappa / power
@@ -594,7 +588,9 @@ def optimize_input(noise, channel, dims, config=None):
         K_Z = L @ L.T
         try:
             model = _input_from_parts(F, G, Gamma, D, K_Z)
-            model, _ = _project_to_budget(model, kappa, tol=1e-12)
+            # valid by construction, so the power skips asymptotic_power's checks
+            power = input_power(model, lyap_solve(model.F, model.G, model.K_Z, tol=1e-12).P_star)
+            model, _ = _project_to_budget(model, kappa, power)
             system.update(noise, model)
             pi_sol = are_solve(system, init=warm.get("pi"), tol=cfg.are_tol,
                                max_iter=cfg.are_max_iter)
@@ -615,7 +611,7 @@ def optimize_input(noise, channel, dims, config=None):
     def final_eval(model):
         # exact projection, then a full-tolerance independent evaluation
         try:
-            model, _ = _project_to_budget(model, kappa)
+            model, _ = _project_to_budget(model, kappa, asymptotic_power(model))
             result = asymptotic_rate(noise, model, channel)
         except (ValueError, np.linalg.LinAlgError, RuntimeError):
             return None

@@ -43,6 +43,11 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
+def sup_norm(M):
+    """Largest entry magnitude; 0.0 for an empty matrix."""
+    return float(np.max(np.abs(M), initial=0.0))
+
+
 def spectral_radius(M):
     """Largest eigenvalue magnitude; 0.0 for an empty matrix."""
     M = np.asarray(M, dtype=np.float64)

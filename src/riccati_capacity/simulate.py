@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CapacityResult
-from .linalg import substream, symmetrize
+from .linalg import substream, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented, joint_system, to_quadruple
@@ -176,12 +176,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     saturated_at = None
     stored = 0
     for t in range(horizon):
-        state_sup = 0.0
-        if n_s:
-            state_sup = float(np.max(np.abs(S_now)))
-        if n_xi:
-            state_sup = max(state_sup, float(np.max(np.abs(Xi_now))))
-        if state_sup > overflow_guard:
+        if max(sup_norm(S_now), sup_norm(Xi_now)) > overflow_guard:
             saturated_at = t + 1
             break
         W_t = steps[:, t, :n_w] @ sq_W.T
@@ -290,25 +285,21 @@ def _cov_se(K, paths):
     return np.sqrt((np.outer(d, d) + K * K) / paths)
 
 
-def _sup(M):
-    return float(np.max(np.abs(M))) if np.size(M) else 0.0
-
-
 def _row(name, analytic, empirical, se, tol_se):
     analytic = np.atleast_2d(np.asarray(analytic, dtype=np.float64))
     empirical = np.atleast_2d(np.asarray(empirical, dtype=np.float64))
     se = np.atleast_2d(np.asarray(se, dtype=np.float64))
     dev = empirical - analytic
-    scale = max(_sup(analytic), 1e-300)
+    scale = max(sup_norm(analytic), 1e-300)
     ratios = np.abs(dev) / np.maximum(se, 1e-300)
-    se_ratio = _sup(ratios)
+    se_ratio = sup_norm(ratios)
     return CheckRow(
         name=name,
         analytic=analytic,
         empirical=empirical,
-        deviation=_sup(dev),
-        rel_deviation=_sup(dev) / scale,
-        se=_sup(se),
+        deviation=sup_norm(dev),
+        rel_deviation=sup_norm(dev) / scale,
+        se=sup_norm(se),
         se_ratio=se_ratio,
         tol_se=tol_se,
         ok=bool(se_ratio <= tol_se),

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import riccati_capacity as rc
+
+# property tests replay the same examples on every run and stay cheap
+settings.register_profile("tier1", derandomize=True, max_examples=25, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def scalar_noise(a, k_s1=0.0):

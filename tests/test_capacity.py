@@ -331,6 +331,25 @@ def test_optimize_respects_warm_start_witness():
     assert res.rate_nats >= HALF_LN2_5 - 1e-9
 
 
+def test_candidate_evaluations_are_not_validated_again(monkeypatch):
+    # the models are checked once on entry (noise, input, channel) and in
+    # each final evaluation (asymptotic_power once, asymptotic_rate three
+    # times), never per L-BFGS objective evaluation
+    calls = dict.fromkeys(("validate", "asymptotic_rate", "are_solve"), 0)
+    for module, name in ((rc.models, "validate"), (rc.capacity, "asymptotic_rate"),
+                         (rc.capacity, "are_solve")):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=10)
+    _, res = rc.optimize_input(rc.memoryless_noise([[1.0]]), unit_channel(1.0), (1, 1), cfg)
+    assert calls["are_solve"] > 1 + 2 * calls["asymptotic_rate"]
+    assert calls["validate"] == 3 + 4 * calls["asymptotic_rate"]
+    assert abs(res.rate_nats - HALF_LN2) < 1e-12
+    assert res.power <= 1.0 + 1e-9
+
+
 def test_optimize_infeasible_noise_raises():
     noise = rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]], N=[[1.0]],
                           K_W=[[1.0]])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import riccati_capacity as rc
 from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
@@ -174,3 +178,77 @@ def test_divergent_recursion_reported():
     sol = rc.are_solve(quad, init=[[1.0]], max_iter=10_000)
     assert not sol.converged
     assert not np.isfinite(sol.residual)
+
+
+def test_critical_decay_stops_without_claiming_convergence():
+    # P+ = P / (1 + P) from 1 decays like 1/t to 0 with the closed loop on
+    # the unit circle: the doubling never contracts relative to P
+    quad = rc.to_quadruple(rc.NoiseModel(A=[[1.0]], B=[[0.0]], C=[[1.0]],
+                                         N=[[1.0]], K_W=[[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = rc.are_solve(quad, init=[[1.0]])
+    assert not sol.converged
+    assert sol.iterations <= 64
+    assert np.all(np.isfinite(sol.P_star)) and 0.0 <= sol.P_star[0, 0] < 1e-15
+
+
+# ------------------------------------------------ doubling against the oracle
+
+
+def relative_error(P, ref):
+    return np.max(np.abs(P - ref)) / np.max(np.abs(ref))
+
+
+def near_marginal_quad(b):
+    # predictor loop radius about 1 - b
+    return rc.to_quadruple(rc.NoiseModel(A=[[1.0]], B=[[0.0, b]], C=[[1.0]],
+                                         N=[[1.0, 0.0]], K_W=np.eye(2)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(1, 6), n_xi=st.integers(1, 4),
+       rho_A=st.floats(0.3, 1.3))
+def test_are_solve_matches_schur_oracle_on_random_models(seed, n_s, n_xi, rho_A):
+    noise, inp = random_models(np.random.default_rng(seed), n_s=n_s, n_xi=n_xi, rho_A=rho_A)
+    for quad in (rc.to_quadruple(noise),
+                 rc.to_quadruple(rc.build_augmented(noise, inp, unit_channel()))):
+        sol = rc.are_solve(quad)
+        assert sol.converged
+        assert relative_error(sol.P_star, dare_steady_state(quad)) <= 1e-9
+
+
+@given(exponent=st.floats(1.0, 5.0))
+def test_are_solve_matches_schur_oracle_near_the_unit_circle(exponent):
+    quad = near_marginal_quad(10.0 ** -exponent)
+    sol = rc.are_solve(quad)
+    assert sol.converged
+    assert relative_error(sol.P_star, dare_steady_state(quad)) <= 1e-9
+
+
+def test_near_marginal_converges_in_few_doublings():
+    quad = near_marginal_quad(1e-4)
+    sol = rc.are_solve(quad)
+    assert sol.converged and sol.iterations <= 40
+    assert sol.spectral_radius > 0.9999
+    assert relative_error(sol.P_star, dare_steady_state(quad)) <= 1e-10
+
+
+def test_unstable_joint_system_of_size_80_converges(monkeypatch):
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        noise, inp = random_models(rng, n_s=40, n_xi=40, n_y=2, n_z=2, rho_A=1.3, rho_F=0.9)
+    quad = rc.to_quadruple(rc.build_augmented(noise, inp, rc.Channel(H=np.eye(2), kappa=1.0)))
+    ref = dare_steady_state(quad)
+    sol = rc.are_solve(quad)
+    assert sol.converged and sol.spectral_radius < 1.0
+    assert relative_error(sol.P_star, ref) <= 1e-9
+    # doubling alone leaves a residual about 1e-11 of |P| here; at tol 1e-13
+    # the Newton steps, each one Stein solve, bring it within tolerance
+    stein_solves = []
+    smith = rc.riccati._smith
+    monkeypatch.setattr(rc.riccati, "_smith",
+                        lambda *args: stein_solves.append(1) or smith(*args))
+    sol = rc.are_solve(quad, tol=1e-13)
+    assert sol.converged and 1 <= len(stein_solves) <= 3
+    assert sol.residual <= 1e-12 * np.max(np.abs(sol.P_star))
+    assert relative_error(sol.P_star, ref) <= 1e-9
