@@ -35,7 +35,7 @@ def main():
     print("sampled %d paths of %d steps, saturated_at = %s"
           % (batch.paths, batch.horizon, batch.saturated_at))
 
-    report = empirical_report(batch, analytic, tol_se=3.0)
+    report = empirical_report(batch, analytic)
     print()
     print("%-38s %12s %12s %8s" % ("check", "analytic", "empirical", "dev/SE"))
     for row in report.rows:
@@ -50,7 +50,7 @@ def main():
     # K_I is 1.0 instead of 2.5 and the comparison flags it.
     zero_input = iid_input(K_Z=[[0.0]])
     wrong = asymptotic_rate(noise, zero_input, channel)
-    bad = empirical_report(batch, wrong, tol_se=3.0)
+    bad = empirical_report(batch, wrong)
     flagged = [row.name for row in bad.rows if not row.ok]
     print()
     print("with a wrong analytic K_I = %.1f the flagged rows are:" % wrong.K_I[0, 0])

@@ -21,7 +21,7 @@ import scipy.linalg as sla
 import scipy.optimize
 
 from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetrize
-from .lyapunov import STABILITY_MARGIN, input_power, lyap_solve
+from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, joint_system, require_valid
 from .riccati import _step as _dre_core
@@ -217,7 +217,7 @@ def asymptotic_rate(
     input,
     channel,
     tol=1e-11,
-    max_iter=1_000_000,
+    max_iter=MAX_DOUBLINGS,
     Sigma_init=None,
     Pi_init=None,
     with_feasibility=True,
@@ -233,8 +233,12 @@ def asymptotic_rate(
     Parameters
     ----------
     noise, input, channel : models
-    tol, max_iter : float, int
-        Passed to the steady-state solvers (relative tol, doublings).
+    tol : float
+        Relative stopping tolerance of the Lyapunov and both Riccati
+        solves.
+    max_iter : int
+        Doubling budget of each Riccati solve (see ``are_solve``), not a
+        count of DRE steps; capped at MAX_DOUBLINGS = 64.
     Sigma_init, Pi_init : array_like, optional
         Warm starts; harmless because the limits do not depend on the
         initial condition whenever the feasibility tests pass.
@@ -294,14 +298,15 @@ def asymptotic_rate(
     )
 
 
-def asymptotic_power(input, tol=1e-11):
+def asymptotic_power(input):
     """Steady-state average power of an input realization.
 
-    tr(Gamma P Gamma^T + D K_Z D^T) with P the Lyapunov fixed point.
-    Raises ValueError when F is not exponentially stable.
+    tr(Gamma P Gamma^T + D K_Z D^T) with P the Lyapunov fixed point,
+    solved at ``lyap_solve``'s default tolerance. Raises ValueError when
+    F is not exponentially stable.
     """
     require_valid(input)
-    return input_power(input, lyap_solve(input.F, input.G, input.K_Z, tol=tol).P_star)
+    return input_power(input, lyap_solve(input.F, input.G, input.K_Z).P_star)
 
 
 def _waterfill_powers(gains, kappa, iters=200):
@@ -371,22 +376,27 @@ def waterfilling_oracle(H, R, kappa):
     return rate, p
 
 
+# the search objective adds _PENALTY * max(0, rho - (1 - _PENALTY_MARGIN))^2
+# for each loop radius rho (F, the noise and the joint predictor) near or
+# past the unit circle; its Lyapunov and Riccati solves stop at _SEARCH_TOL
+_PENALTY = 1e4
+_PENALTY_MARGIN = 1e-6
+_SEARCH_TOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class OptimizerConfig:
     """Settings for the input-realization search.
 
-    ``starts`` counts all local searches, structured ones included.
-    ``warm_starts`` passes known-good input models (used by the kappa
-    sweep to chain solutions).
+    ``starts`` counts all local searches, structured ones included, and
+    ``seed`` keys the random ones. ``maxiter`` caps the L-BFGS iterations
+    of each start. ``warm_starts`` passes known-good input models (used
+    by the kappa sweep to chain solutions).
     """
 
     starts: int = 32
     seed: int = 0
     maxiter: int = 120
-    stability_margin: float = 1e-6
-    penalty: float = 1e4
-    are_tol: float = 1e-12
-    are_max_iter: int = 100_000
     warm_starts: tuple = ()
 
 
@@ -560,18 +570,17 @@ def optimize_input(noise, channel, dims, config=None):
         # divergent noise recursion; the candidates are all headed for the
         # feasibility gate anyway
         ld_hat = np.nan
-    margin = cfg.stability_margin
     # the noise predictor loop does not depend on the input, so its margin
     # penalty is a constant; it matters only as an infeasibility signal.
     # A diverged noise recursion gets a flat finite penalty so the search
     # objective stays NaN-free and the feasibility gate does the rejecting
     if sigma_sol.converged and np.isfinite(sigma_sol.spectral_radius):
         base_pen = (
-            cfg.penalty
-            * max(0.0, sigma_sol.spectral_radius - (1.0 - margin)) ** 2
+            _PENALTY
+            * max(0.0, sigma_sol.spectral_radius - (1.0 - _PENALTY_MARGIN)) ** 2
         )
     else:
-        base_pen = cfg.penalty
+        base_pen = _PENALTY
     if not np.isfinite(ld_hat):
         ld_hat = 0.0
 
@@ -581,7 +590,7 @@ def optimize_input(noise, channel, dims, config=None):
             return 1e7
         F, G, Gamma, D, L = space.unpack(theta)
         rho_F = spectral_radius(F)
-        pen = base_pen + cfg.penalty * max(0.0, rho_F - (1.0 - margin)) ** 2
+        pen = base_pen + _PENALTY * max(0.0, rho_F - (1.0 - _PENALTY_MARGIN)) ** 2
         if rho_F > 1.0 - STABILITY_MARGIN:
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
@@ -589,11 +598,11 @@ def optimize_input(noise, channel, dims, config=None):
         try:
             model = _input_from_parts(F, G, Gamma, D, K_Z)
             # valid by construction, so the power skips asymptotic_power's checks
-            power = input_power(model, lyap_solve(model.F, model.G, model.K_Z, tol=1e-12).P_star)
+            power = input_power(model, lyap_solve(model.F, model.G, model.K_Z,
+                                                  tol=_SEARCH_TOL).P_star)
             model, _ = _project_to_budget(model, kappa, power)
             system.update(noise, model)
-            pi_sol = are_solve(system, init=warm.get("pi"), tol=cfg.are_tol,
-                               max_iter=cfg.are_max_iter)
+            pi_sol = are_solve(system, init=warm.get("pi"), tol=_SEARCH_TOL)
             if not np.all(np.isfinite(pi_sol.P_star)):
                 warm["pi"] = None
                 return 1e6 + pen
@@ -603,7 +612,7 @@ def optimize_input(noise, channel, dims, config=None):
         except (np.linalg.LinAlgError, ValueError):
             return 1e6 + pen
         rate = 0.5 * max(0.0, ld - ld_hat)
-        pen += cfg.penalty * max(0.0, pi_sol.spectral_radius - (1.0 - margin)) ** 2
+        pen += _PENALTY * max(0.0, pi_sol.spectral_radius - (1.0 - _PENALTY_MARGIN)) ** 2
         val = -rate + pen
         # finite-difference gradients choke on inf; cap runaway penalties
         return float(val) if np.isfinite(val) else 1e7

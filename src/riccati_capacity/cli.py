@@ -3,8 +3,10 @@
 The parsed argument namespace is the whole run configuration; every
 subcommand reads the same JSON model document and forwards to exactly
 one library operation, so any CLI result can be reproduced from the
-library with the parsed inputs. Results are JSON (CSV for traces and
-sweeps) with numbers at 17 significant digits.
+library with the parsed inputs. Each subcommand declares only the flags
+its handler reads, so a flag it would ignore is a usage error. Results
+are JSON (CSV for traces and sweeps) with numbers at 17 significant
+digits.
 
 Exit codes: 0 success; 2 configuration or validation error (bad file,
 malformed matrix, violated invariant); 3 solver failure, or
@@ -26,6 +28,7 @@ from .capacity import (
     optimize_input,
     sweep_kappa,
 )
+from .lyapunov import MAX_DOUBLINGS
 from .models import Channel, InputModel, NoiseModel, joint_system, require_valid, to_quadruple
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
@@ -414,17 +417,44 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(sub):
-    sub.add_argument("--model", required=True, help="JSON model document")
-    sub.add_argument("--out", default=None, help="output path (stdout when absent)")
-    sub.add_argument("--units", choices=("nats", "bits"), default="nats")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 3 on solver non-convergence")
-    sub.add_argument("--tol", type=float, default=1e-11)
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--kappa", default=None,
-                     help="power budget override, or comma grid for sweep-kappa")
+# each optional flag by its meaning; --n, --trace and --max-iter mean
+# different things to different subcommands, so each has two entries
+_FLAGS = {
+    "units": ("--units", dict(choices=("nats", "bits"), default="nats")),
+    "strict": ("--strict", dict(action="store_true", help="exit 3 on a soft failure: "
+               "solver non-convergence, an infeasible budget or a failed check")),
+    "tol": ("--tol", dict(type=float, default=1e-11,
+                          help="relative stopping tolerance of the steady-state solvers")),
+    "doublings": ("--max-iter", dict(type=int, default=MAX_DOUBLINGS, help="Riccati "
+                  "doubling budget (doubling k reaches DRE step 2^k), at most 64")),
+    "iterations": ("--max-iter", dict(type=int, default=120,
+                                      help="L-BFGS iterations of each start")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "starts": ("--starts", dict(type=int, default=32)),
+    "dims": ("--dims", dict(default=None, help="input dims as 'n_xi,n_z'")),
+    "block": ("--n", dict(type=int, default=100, help="block length")),
+    "horizon": ("--n", dict(type=int, default=50, help="horizon")),
+    "paths": ("--paths", dict(type=int, default=10_000)),
+    "step_trace": ("--trace", dict(default=None, help="per-step CSV path")),
+    "path_trace": ("--trace", dict(default=None, help="first-path CSV trace")),
+}
+
+# (subcommand, help, handler, the optional flags its handler reads)
+_SUBCOMMANDS = (
+    ("check-system", "feasibility report as JSON", _cmd_check_system, ()),
+    ("solve-are", "steady-state Riccati solution", _cmd_solve_are,
+     ("strict", "tol", "doublings")),
+    ("capacity-n", "finite-block average rate", _cmd_capacity_n,
+     ("units", "block", "step_trace")),
+    ("capacity-asym", "asymptotic rate", _cmd_capacity_asym,
+     ("units", "strict", "tol", "doublings")),
+    ("optimize", "search input realizations", _cmd_optimize,
+     ("units", "strict", "seed", "iterations", "starts", "dims")),
+    ("sweep-kappa", "optimized rate per power budget", _cmd_sweep_kappa,
+     ("strict", "seed", "iterations", "starts", "dims")),
+    ("simulate", "Monte Carlo comparison report", _cmd_simulate,
+     ("strict", "seed", "horizon", "paths", "path_trace")),
+)
 
 
 def build_parser():
@@ -434,45 +464,16 @@ def build_parser():
                     "with state-space noise",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("check-system", help="feasibility report as JSON")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_check_system)
-
-    sub = subs.add_parser("solve-are", help="steady-state Riccati solution")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_solve_are)
-
-    sub = subs.add_parser("capacity-n", help="finite-block average rate")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, default=100, help="block length")
-    sub.add_argument("--trace", default=None, help="per-step CSV path")
-    sub.set_defaults(handler=_cmd_capacity_n)
-
-    sub = subs.add_parser("capacity-asym", help="asymptotic rate")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_capacity_asym)
-
-    sub = subs.add_parser("optimize", help="search input realizations")
-    _add_common(sub)
-    sub.add_argument("--starts", type=int, default=32)
-    sub.add_argument("--dims", default=None, help="input dims as 'n_xi,n_z'")
-    # here --max-iter caps the L-BFGS iterations of each start
-    sub.set_defaults(handler=_cmd_optimize, max_iter=120)
-
-    sub = subs.add_parser("sweep-kappa", help="optimized rate per power budget")
-    _add_common(sub)
-    sub.add_argument("--starts", type=int, default=32)
-    sub.add_argument("--dims", default=None, help="input dims as 'n_xi,n_z'")
-    sub.set_defaults(handler=_cmd_sweep_kappa, max_iter=120)
-
-    sub = subs.add_parser("simulate", help="Monte Carlo comparison report")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, default=50, help="horizon")
-    sub.add_argument("--paths", type=int, default=10_000)
-    sub.add_argument("--trace", default=None, help="first-path CSV trace")
-    sub.set_defaults(handler=_cmd_simulate)
-
+    for name, summary, handler, flags in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("--model", required=True, help="JSON model document")
+        sub.add_argument("--out", default=None, help="output path (stdout when absent)")
+        sub.add_argument("--kappa", default=None,
+                         help="power budget override, or comma grid for sweep-kappa")
+        for flag in flags:
+            option, kwargs = _FLAGS[flag]
+            sub.add_argument(option, **kwargs)
+        sub.set_defaults(handler=handler)
     return parser
 
 

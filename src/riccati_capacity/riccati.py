@@ -161,7 +161,7 @@ def _compose(H, A, G, P0):
     return symmetrize(H + A.T @ P0 @ np.linalg.solve(np.eye(len(P0)) + G @ P0, A))
 
 
-def are_solve(quad, init=None, tol=1e-11, max_iter=1_000_000):
+def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
     """Steady state of the generalized Riccati equation.
 
     Structure-preserving doubling (Chu, Fan, Lin & Wang, 2004) on the DRE
@@ -172,8 +172,8 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=1_000_000):
     case (Lin & Xu, 2006). While the residual exceeds ``tol``, up to three
     Newton steps follow, each solving D = A_cl D A_cl^T + dre_step(P) - P.
     A run that stops contracting (A = 1, B = 0 decays like 1/t) ends within
-    64 doublings at its last finite iterate; it and a diverging run return
-    ``converged=False`` instead of raising.
+    ``max_iter`` doublings at its last finite iterate; it and a diverging
+    run return ``converged=False`` instead of raising.
 
     Parameters
     ----------
@@ -187,7 +187,8 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=1_000_000):
         Relative stopping tolerance, against max(|P|, |Qhat|) in
         sup-norm, so solutions P* = 0 are reached too.
     max_iter : int
-        Budget of doublings (capped at 64).
+        Budget of doublings, not of DRE steps: doubling k reaches step
+        2^k. Larger values are capped at MAX_DOUBLINGS = 64.
 
     Returns
     -------

@@ -34,6 +34,9 @@ __all__ = [
 # legitimate, silent overflow to inf is not
 DEFAULT_OVERFLOW_GUARD = 1e12
 
+# a comparison row passes when every entry is within this many standard errors
+TOL_SE = 3.0
+
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
@@ -267,16 +270,13 @@ def kalman_run(augmented, batch):
     )
 
 
-def _cov_over_paths(block):
-    # (paths, d) -> (d, d) sample covariance, mean removed
-    paths = block.shape[0]
-    centered = block - block.mean(axis=0)
-    return centered.T @ centered / max(1, paths - 1)
-
-
-def _cross_cov_over_paths(a, b):
-    paths = a.shape[0]
-    return (a - a.mean(axis=0)).T @ (b - b.mean(axis=0)) / max(1, paths - 1)
+def _cov_over_paths(a, b=None):
+    # (paths, d_a), (paths, d_b) -> (d_a, d_b) sample cross-covariance, means
+    # removed; b defaults to a, and centering a once keeps the product on the
+    # symmetric BLAS kernel
+    centered = a - a.mean(axis=0)
+    other = centered if b is None else b - b.mean(axis=0)
+    return centered.T @ other / max(1, a.shape[0] - 1)
 
 
 def _cov_se(K, paths):
@@ -285,7 +285,7 @@ def _cov_se(K, paths):
     return np.sqrt((np.outer(d, d) + K * K) / paths)
 
 
-def _row(name, analytic, empirical, se, tol_se):
+def _row(name, analytic, empirical, se):
     analytic = np.atleast_2d(np.asarray(analytic, dtype=np.float64))
     empirical = np.atleast_2d(np.asarray(empirical, dtype=np.float64))
     se = np.atleast_2d(np.asarray(se, dtype=np.float64))
@@ -301,22 +301,22 @@ def _row(name, analytic, empirical, se, tol_se):
         rel_deviation=sup_norm(dev) / scale,
         se=sup_norm(se),
         se_ratio=se_ratio,
-        tol_se=tol_se,
-        ok=bool(se_ratio <= tol_se),
+        tol_se=TOL_SE,
+        ok=bool(se_ratio <= TOL_SE),
     )
 
 
-def empirical_report(batch, analytic, tol_se=3.0):
+def empirical_report(batch, analytic):
     """Compare a sampled batch with the analytic predictions.
 
-    Checks, each judged entrywise in standard errors: the joint
-    innovations covariance at the final stored step against K_{I_t} and
-    against the steady state K_I, the noise-predictor innovations
-    covariance against K_{Ihat_t}, the lag-1 innovations
-    cross-covariance against zero, the state-error covariance against
-    Pi_t, and the per-use average power against its exact finite-horizon
-    analytic value (which converges to the steady-state power carried by
-    ``analytic``).
+    Checks, each judged entrywise within TOL_SE (3) standard errors: the
+    joint innovations covariance at the final stored step against K_{I_t}
+    and, from two stored steps on, against the steady state K_I, the
+    noise-predictor innovations covariance against K_{Ihat_t}, the lag-1
+    innovations cross-covariance against zero, the state-error covariance
+    against Pi_t, and the per-use average power against its exact
+    finite-horizon analytic value (which converges to the steady-state
+    power carried by ``analytic``).
 
     Parameters
     ----------
@@ -327,9 +327,8 @@ def empirical_report(batch, analytic, tol_se=3.0):
         is not mistaken for sampling error. The steady-state row widens
         its band by how much the covariance recursion moved on the last
         step, covering an unsettled filter without letting a wrong limit
-        justify itself.
-    tol_se : float
-        Flagging threshold in standard errors.
+        justify itself; one stored step gives no such measure, so a
+        horizon-1 batch has no steady-state row.
 
     Returns
     -------
@@ -349,41 +348,36 @@ def empirical_report(batch, analytic, tol_se=3.0):
     rows = []
     K_I_t = run.K_I_seq[t_last]
     emp_I = _cov_over_paths(run.innovations[:, t_last])
-    rows.append(_row("innovations covariance", K_I_t, emp_I,
-                     _cov_se(K_I_t, paths), tol_se))
+    rows.append(_row("innovations covariance", K_I_t, emp_I, _cov_se(K_I_t, paths)))
 
-    K_I_inf = np.atleast_2d(analytic.K_I)
-    # allowance for an unsettled filter, measured from how much the
-    # recursion itself is still moving; deliberately independent of the
-    # claimed limit so a wrong analytic value cannot widen its own band
     if horizon >= 2:
+        K_I_inf = np.atleast_2d(analytic.K_I)
+        # allowance for an unsettled filter, measured from how much the
+        # recursion itself is still moving; deliberately independent of the
+        # claimed limit so a wrong analytic value cannot widen its own band
         settling = 3.0 * np.abs(K_I_t - run.K_I_seq[t_last - 1])
-    else:
-        settling = np.abs(K_I_t - K_I_inf)
-    se_steady = _cov_se(K_I_inf, paths) + settling / max(tol_se, 1.0)
-    rows.append(_row("steady-state innovations covariance", K_I_inf, emp_I,
-                     se_steady, tol_se))
+        se_steady = _cov_se(K_I_inf, paths) + settling / TOL_SE
+        rows.append(_row("steady-state innovations covariance", K_I_inf, emp_I,
+                         se_steady))
 
     K_hat_t = K_hat_seq[t_last]
     emp_hat = _cov_over_paths(noise_innov[:, t_last])
     rows.append(_row("noise innovations covariance", K_hat_t, emp_hat,
-                     _cov_se(K_hat_t, paths), tol_se))
+                     _cov_se(K_hat_t, paths)))
 
     n_theta = run.state_errors.shape[2]
     if n_theta:
         Pi_t = run.Pi_seq[t_last]
         emp_err = _cov_over_paths(run.state_errors[:, t_last])
-        rows.append(_row("state-error covariance", Pi_t, emp_err,
-                         _cov_se(Pi_t, paths), tol_se))
+        rows.append(_row("state-error covariance", Pi_t, emp_err, _cov_se(Pi_t, paths)))
 
     if horizon >= 2:
-        lag = _cross_cov_over_paths(run.innovations[:, t_last],
-                                    run.innovations[:, t_last - 1])
+        lag = _cov_over_paths(run.innovations[:, t_last], run.innovations[:, t_last - 1])
         d_now = np.diag(run.K_I_seq[t_last])
         d_prev = np.diag(run.K_I_seq[t_last - 1])
         se_lag = np.sqrt(np.outer(d_now, d_prev) / paths)
         rows.append(_row("lag-1 innovations cross-covariance",
-                         np.zeros_like(lag), lag, se_lag, tol_se))
+                         np.zeros_like(lag), lag, se_lag))
 
     # exact finite-horizon analytic average power, so the comparison does
     # not confuse the start-up transient with sampling error
@@ -399,7 +393,7 @@ def empirical_report(batch, analytic, tol_se=3.0):
     se_power = float(np.std(per_path_power, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     if se_power == 0.0:
         se_power = 1e-300 if abs(emp_power - analytic_power) == 0.0 else abs(analytic_power) / paths
-    rows.append(_row("average power", analytic_power, emp_power, se_power, tol_se))
+    rows.append(_row("average power", analytic_power, emp_power, se_power))
 
     rows = tuple(rows)
     return ComparisonReport(

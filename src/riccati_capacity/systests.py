@@ -84,21 +84,20 @@ class FeasibilityReport:
         )
 
 
-def psd_sqrt(M, clamp=PSD_SLACK):
+def psd_sqrt(M):
     """Symmetric square root of a PSD matrix.
 
     Parameters
     ----------
     M : array_like
-        Symmetric matrix with eigenvalues >= -clamp.
-    clamp : float
-        Eigenvalues in [-clamp, 0) are treated as rounding noise and set
-        to zero; anything below -clamp raises.
+        Symmetric matrix with eigenvalues >= -PSD_SLACK (1e-10).
+        Eigenvalues in [-PSD_SLACK, 0) are treated as rounding noise and
+        set to zero; anything below -PSD_SLACK raises.
 
     Returns
     -------
     ndarray
-        Symmetric PSD matrix whose square reproduces M up to the clamp.
+        Symmetric PSD matrix whose square reproduces M up to PSD_SLACK.
     """
     M = as_matrix(M, "M")
     if M.size == 0:
@@ -108,8 +107,8 @@ def psd_sqrt(M, clamp=PSD_SLACK):
     if not is_symmetric(M):
         raise ValueError("matrix not symmetric")
     w, V = np.linalg.eigh(symmetrize(M))
-    if float(w[0]) < -clamp:
-        raise ValueError(f"matrix not PSD: eigenvalue {w[0]:.6g} below -{clamp:g}")
+    if float(w[0]) < -PSD_SLACK:
+        raise ValueError(f"matrix not PSD: eigenvalue {w[0]:.6g} below -{PSD_SLACK:g}")
     w = np.clip(w, 0.0, None)
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
@@ -136,27 +135,25 @@ def starred_system(quad):
     )
 
 
-def _numerical_rank(M, sv_rtol):
-    if M.size == 0:
-        return 0
+def _pbh_ranks(A, V, lams, stacked):
+    # numerical rank of [A - lam I; V] (stacked) or [A - lam I, V] at each
+    # lam, from one batched SVD
+    if len(lams) == 0:
+        return np.zeros(0, dtype=int)
+    shifted = A - lams[:, None, None] * np.eye(A.shape[0])
+    Vs = np.broadcast_to(V.astype(complex), (len(lams),) + V.shape)
+    M = np.concatenate([shifted, Vs], axis=1 if stacked else 2)
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(M.shape) * sv_rtol))
+    return np.sum(s > s[:, :1] * max(M.shape[1:]) * SV_RTOL, axis=1)
 
 
-def _rank_at(A, V, lam, stacked, sv_rtol):
-    m = A.shape[0]
-    shifted = A - lam * np.eye(m)
-    if stacked:
-        M = np.vstack([shifted, V.astype(complex)])
-    else:
-        M = np.hstack([shifted, V.astype(complex)])
-    return _numerical_rank(M, sv_rtol)
-
-
-def pbh_test(A, V, mode, rank_tol=RANK_TOL, sv_rtol=SV_RTOL):
+def pbh_test(A, V, mode):
     """PBH rank test for detectability, stabilizability, or the unit-circle variant.
+
+    Eigenvalues with |lambda| >= 1 - RANK_TOL are tested in the first two
+    modes, those with ||lambda| - 1| <= RANK_TOL in the unit-circle mode.
+    The numerical rank counts singular values above
+    sigma_max * max(dims) * SV_RTOL.
 
     Parameters
     ----------
@@ -167,12 +164,6 @@ def pbh_test(A, V, mode, rank_tol=RANK_TOL, sv_rtol=SV_RTOL):
         with m rows for "stabilizable" and "unit_circle_controllable".
     mode : str
         One of "detectable", "stabilizable", "unit_circle_controllable".
-    rank_tol : float
-        Eigenvalue classification margin: |lambda| >= 1 - rank_tol is
-        tested in the first two modes, ||lambda| - 1| <= rank_tol in the
-        unit-circle mode.
-    sv_rtol : float
-        Relative singular-value threshold for the numerical rank.
 
     Returns
     -------
@@ -202,57 +193,45 @@ def pbh_test(A, V, mode, rank_tol=RANK_TOL, sv_rtol=SV_RTOL):
         raise ValueError(f"unknown mode '{mode}'")
     if m == 0:
         return True, ()
-    witnesses = []
-    ok = True
-    for lam in np.linalg.eigvals(A):
-        modulus = float(np.abs(lam))
-        if mode == "unit_circle_controllable":
-            tested = abs(modulus - 1.0) <= rank_tol
-        else:
-            tested = modulus >= 1.0 - rank_tol
-        entry = {
-            "eigenvalue_re": float(lam.real),
-            "eigenvalue_im": float(lam.imag),
-            "modulus": modulus,
-            "tested": bool(tested),
-            "rank": None,
-            "required": m,
-            "ok": True,
-        }
-        if tested:
-            rank = _rank_at(A, V, lam, stacked, sv_rtol)
-            entry["rank"] = rank
-            entry["ok"] = rank == m
-            ok = ok and entry["ok"]
-        witnesses.append(entry)
-    return ok, tuple(witnesses)
+    lams = np.linalg.eigvals(A)
+    moduli = np.abs(lams)
+    if mode == "unit_circle_controllable":
+        tested = np.abs(moduli - 1.0) <= RANK_TOL
+    else:
+        tested = moduli >= 1.0 - RANK_TOL
+    ranks = np.zeros(m, dtype=int)
+    ranks[tested] = _pbh_ranks(A, V, lams[tested], stacked)
+    witnesses = tuple({
+        "eigenvalue_re": float(lam.real),
+        "eigenvalue_im": float(lam.imag),
+        "modulus": float(modulus),
+        "tested": bool(hit),
+        "rank": int(rank) if hit else None,
+        "required": m,
+        "ok": bool(not hit or rank == m),
+    } for lam, modulus, hit, rank in zip(lams, moduli, tested, ranks))
+    return all(w["ok"] for w in witnesses), witnesses
 
 
-def _minimality_warnings(A, B, C, label, sv_rtol=SV_RTOL):
+def _minimality_warnings(A, B, C, label):
     # full-spectrum PBH: a realization is minimal iff controllable and
     # observable at every eigenvalue, not just the unstable ones
-    warnings = []
     m = A.shape[0]
     if m == 0:
-        return warnings
-    for lam in np.linalg.eigvals(A):
-        if _rank_at(A, B, lam, stacked=False, sv_rtol=sv_rtol) < m:
+        return []
+    lams = np.linalg.eigvals(A)
+    warnings = []
+    for V, stacked, word in ((B, False, "controllable"), (C, True, "observable")):
+        short = np.flatnonzero(_pbh_ranks(A, V, lams, stacked) < m)
+        if short.size:
             warnings.append(
-                f"{label} realization not controllable at eigenvalue "
-                f"{lam:.6g}; it may not be minimal"
+                f"{label} realization not {word} at eigenvalue "
+                f"{lams[short[0]]:.6g}; it may not be minimal"
             )
-            break
-    for lam in np.linalg.eigvals(A):
-        if _rank_at(A, C, lam, stacked=True, sv_rtol=sv_rtol) < m:
-            warnings.append(
-                f"{label} realization not observable at eigenvalue "
-                f"{lam:.6g}; it may not be minimal"
-            )
-            break
     return warnings
 
 
-def feasibility_report(noise, input, channel, rank_tol=RANK_TOL, sv_rtol=SV_RTOL):
+def feasibility_report(noise, input, channel):
     """Run every admissibility test for a (noise, input, channel) triple.
 
     Checks detectability of the noise output pair and the joint output
@@ -260,7 +239,8 @@ def feasibility_report(noise, input, channel, rank_tol=RANK_TOL, sv_rtol=SV_RTOL
     G B_star^{1/2}, and exponential stability of F. Unit-circle
     controllability of both starred pairs is evaluated as a diagnostic.
     Apparent non-minimality of either realization is reported as a
-    warning only, since the computed quantities stay well defined.
+    warning only, since the computed quantities stay well defined. Every
+    rank test uses the module's RANK_TOL and SV_RTOL (see ``pbh_test``).
 
     ``channel`` may also be the JointSystem that ``joint_system`` built
     from these models; they are then neither validated nor stacked again.
@@ -277,16 +257,15 @@ def feasibility_report(noise, input, channel, rank_tol=RANK_TOL, sv_rtol=SV_RTOL
         star = starred_system(quad)
         ctrl = star.G_mat @ star.B_star_sqrt
         verdicts[label + "_detectable"], witnesses[label + "_detectable"] = pbh_test(
-            quad.Ahat, quad.Chat, "detectable", rank_tol, sv_rtol)
+            quad.Ahat, quad.Chat, "detectable")
         verdicts[label + "_stabilizable"], witnesses[label + "_stabilizable"] = pbh_test(
-            star.A_star, ctrl, "stabilizable", rank_tol, sv_rtol)
+            star.A_star, ctrl, "stabilizable")
         ucc, witnesses["unit_circle_" + label] = pbh_test(
-            star.A_star, ctrl, "unit_circle_controllable", rank_tol, sv_rtol)
+            star.A_star, ctrl, "unit_circle_controllable")
         unit_circle_controllable = unit_circle_controllable and ucc
 
-    warnings = []
-    warnings += _minimality_warnings(noise.A, noise.B, noise.C, "noise", sv_rtol)
-    warnings += _minimality_warnings(input.F, input.G, input.Gamma, "input", sv_rtol)
+    warnings = (_minimality_warnings(noise.A, noise.B, noise.C, "noise")
+                + _minimality_warnings(input.F, input.G, input.Gamma, "input"))
     return FeasibilityReport(
         **verdicts,
         input_F_stable=spectral_radius(input.F) <= 1.0 - STABILITY_MARGIN,

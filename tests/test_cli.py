@@ -215,6 +215,24 @@ def test_max_iter_reaches_the_optimizer_as_typed(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity-n", "--tol", "1e-3"],
+    ["check-system", "--strict"],
+    ["simulate", "--max-iter", "5"],
+])
+def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv):
+    model = write_model(tmp_path, COLORED)
+    assert main(argv[:1] + ["--model", model] + argv[1:]) == 2
+    capsys.readouterr()
+
+
+def test_max_iter_defaults_count_doublings_or_lbfgs_iterations():
+    parser = cli.build_parser()
+    assert parser.parse_args(["solve-are", "--model", "m.json"]).max_iter == 64
+    assert parser.parse_args(["capacity-asym", "--model", "m.json"]).max_iter == 64
+    assert parser.parse_args(["optimize", "--model", "m.json"]).max_iter == 120
+
+
 def test_sweep_kappa_requires_grid(tmp_path, capsys):
     model = write_model(tmp_path, COLORED)
     assert main(["sweep-kappa", "--model", model]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_report_accepts_matched_statistics():
     analytic = rc.asymptotic_rate(noise, inp, ch)
     b = rc.sample_paths(noise, inp, ch, horizon=25, paths=20_000,
                         master_seed=6)
-    rep = rc.empirical_report(b, analytic, tol_se=5.0)
+    rep = rc.empirical_report(b, analytic)
     assert rep.ok
     names = [r.name for r in rep.rows]
     assert "innovations covariance" in names
@@ -123,10 +125,24 @@ def test_report_rejects_wrong_analytic_value():
     wrong = rc.asymptotic_rate(noise, zero_inp, ch)
     b = rc.sample_paths(noise, inp, ch, horizon=25, paths=20_000,
                         master_seed=6)
-    rep = rc.empirical_report(b, wrong, tol_se=5.0)
+    rep = rc.empirical_report(b, wrong)
     assert not rep.ok
     bad = {r.name for r in rep.rows if not r.ok}
     assert "steady-state innovations covariance" in bad
+
+
+def test_one_step_batch_cannot_pass_a_wrong_steady_state():
+    # one stored step says nothing about how far the filter is from its
+    # limit, so a claimed K_I 100 times too large must not come out ok
+    noise = scalar_noise(0.9)
+    inp = unit_iid_input()
+    ch = unit_channel()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    wrong = replace(analytic, K_I=100.0 * analytic.K_I)
+    b = rc.sample_paths(noise, inp, ch, horizon=1, paths=20_000, master_seed=2)
+    rep = rc.empirical_report(b, wrong)
+    assert not any(r.ok for r in rep.rows
+                   if r.name == "steady-state innovations covariance")
 
 
 def test_unstable_noise_error_covariance_tracks_dre():
@@ -137,7 +153,7 @@ def test_unstable_noise_error_covariance_tracks_dre():
     b = rc.sample_paths(noise, inp, ch, horizon=30, paths=8000,
                         master_seed=13)
     assert b.saturated_at is None
-    rep = rc.empirical_report(b, analytic, tol_se=5.0)
+    rep = rc.empirical_report(b, analytic)
     by_name = {r.name: r for r in rep.rows}
     # the filter keeps up with the exploding state: errors stay bounded
     assert by_name["state-error covariance"].ok

@@ -166,3 +166,21 @@ def test_stable_dynamics_make_detectability_vacuous(rng):
         assert rep.noise_detectable
         assert rep.augmented_detectable
         assert rep.input_F_stable
+
+
+NOISE_UNCONTROLLABLE_AT_03 = rc.NoiseModel(A=np.diag([0.5, 0.3]), B=[[1.0], [0.0]],
+                                           C=[[1.0, 1.0]], N=[[1.0]], K_W=[[1.0]])
+INPUT_UNOBSERVABLE_AT_02 = rc.InputModel(F=np.diag([0.5, 0.2]), G=[[1.0], [1.0]],
+                                         Gamma=[[1.0, 0.0]], D=[[0.0]], K_Z=[[1.0]])
+
+
+@pytest.mark.parametrize("noise, inp, expected", [
+    (NOISE_UNCONTROLLABLE_AT_03, unit_iid_input(),
+     ("noise realization not controllable at eigenvalue 0.3; it may not be minimal",)),
+    (scalar_noise(0.5), INPUT_UNOBSERVABLE_AT_02,
+     ("input realization not observable at eigenvalue 0.2; it may not be minimal",)),
+    (scalar_noise(0.5), unit_iid_input(), ()),
+])
+def test_minimality_warnings_name_the_first_failing_eigenvalue(noise, inp, expected):
+    rep = rc.feasibility_report(noise, inp, unit_channel())
+    assert rep.warnings == expected
