@@ -26,9 +26,9 @@ from .capacity import (
 )
 from .lyapunov import LyapunovSolution, lyap_solve, lyap_step
 from .models import (
-    AugmentedModel,
     Channel,
     InputModel,
+    JointSystem,
     NoiseModel,
     SystemQuadruple,
     ValidationReport,
@@ -60,7 +60,6 @@ from .systests import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedModel",
     "CapacityResult",
     "Case2Trace",
     "Channel",
@@ -69,6 +68,7 @@ __all__ = [
     "ComparisonReport",
     "FeasibilityReport",
     "InputModel",
+    "JointSystem",
     "KalmanRun",
     "LyapunovSolution",
     "NoiseModel",

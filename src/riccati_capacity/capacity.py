@@ -23,14 +23,14 @@ import scipy.optimize
 from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetrize
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
-from .models import Channel, InputModel, NoiseModel, joint_system, require_valid
+from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
 from .riccati import _step as _dre_core
-from .riccati import are_solve, innovations_covariance
+from .riccati import _check_state, are_solve, innovations_covariance
 from .systests import feasibility_report
-# block_diag, build_augmented, to_quadruple and validate stay importable
-# here because bench/tracing.py patches them at these names
+# block_diag, to_quadruple and validate stay importable here because
+# bench/tracing.py patches them at these names
 from .linalg import block_diag  # noqa: F401
-from .models import build_augmented, to_quadruple, validate  # noqa: F401
+from .models import to_quadruple, validate  # noqa: F401
 
 __all__ = [
     "CapacityResult",
@@ -114,13 +114,6 @@ class Case2Trace:
     limit_result: CapacityResult
 
 
-def _coerce_cov(P, dim, name):
-    P = as_matrix(P, name)
-    if P.shape != (dim, dim):
-        raise ValueError(f"{name} has shape {P.shape}, expected ({dim}, {dim})")
-    return symmetrize(P)
-
-
 def _unpack_models(models):
     if isinstance(models, CoefficientSchedule):
         return models
@@ -144,7 +137,8 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     n : int
         Block length, >= 1.
     Sigma_1, Pi_1 : array_like, optional
-        Initial covariances of the noise-only and joint predictors.
+        Initial covariances of the noise-only and joint predictors,
+        symmetric PSD (else ValueError, as for ``are_solve``'s init).
         Defaults are the model initial laws: K_S1 and
         blockdiag(K_Xi1, K_S1).
 
@@ -167,11 +161,12 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     noise_1 = schedule.noise_at(1)
     input_1 = schedule.input_at(1)
     # validation plus dimension cross-checks happen once, on the step-1 models
-    system = joint_system(noise_1, input_1, channel)
+    system = build_augmented(noise_1, input_1, channel)
     nq = system.noise_quad
     Sigma = (symmetrize(noise_1.K_S1) if Sigma_1 is None
-             else _coerce_cov(Sigma_1, system.n_s, "Sigma_1"))
-    Pi = symmetrize(system.K_Theta1) if Pi_1 is None else _coerce_cov(Pi_1, system.m, "Pi_1")
+             else _check_state(nq, Sigma_1, "finite_n_rate Sigma_1"))
+    Pi = (symmetrize(system.K_Theta1) if Pi_1 is None
+          else _check_state(system, Pi_1, "finite_n_rate Pi_1"))
     P = symmetrize(input_1.K_Xi1)
 
     trace = np.empty((n, 5))
@@ -256,7 +251,7 @@ def asymptotic_rate(
         If a model is invalid or F is not exponentially stable (the
         average power has no limit in that case).
     """
-    system = joint_system(noise, input, channel)
+    system = build_augmented(noise, input, channel)
     # first, so an F that is not exponentially stable raises before any other work
     p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
     feas = feasibility_report(noise, input, system) if with_feasibility else None
@@ -559,7 +554,7 @@ def optimize_input(noise, channel, dims, config=None):
     # validates noise and channel; every candidate input is written into
     # this one system, starting from the all-zero input
     F, G, Gamma, D, L = space.unpack(np.zeros(space.size))
-    system = joint_system(noise, _input_from_parts(F, G, Gamma, D, L), channel)
+    system = build_augmented(noise, _input_from_parts(F, G, Gamma, D, L), channel)
 
     nq = system.noise_quad
     sigma_sol = are_solve(nq)

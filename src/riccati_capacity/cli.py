@@ -29,7 +29,7 @@ from .capacity import (
     sweep_kappa,
 )
 from .lyapunov import MAX_DOUBLINGS
-from .models import Channel, InputModel, NoiseModel, joint_system, require_valid, to_quadruple
+from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid, to_quadruple
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
 from .riccati import are_solve
@@ -270,7 +270,7 @@ def _cmd_solve_are(args):
     if isinstance(doc.get("input"), dict) and isinstance(doc.get("channel"), dict):
         input_model = _parse_input(doc)
         channel = _parse_channel(doc, args.kappa_value)
-        aug_sol = are_solve(joint_system(noise, input_model, channel),
+        aug_sol = are_solve(build_augmented(noise, input_model, channel),
                             tol=args.tol, max_iter=args.max_iter)
         out_doc["augmented"] = _riccati_doc(aug_sol)
         converged = converged and aug_sol.converged

@@ -78,6 +78,14 @@ def input_power(input, P):
                  + np.trace(input.D @ input.K_Z @ input.D.T))
 
 
+def _check_tol(tol):
+    # one rule for every steady-state solver: a relative tolerance in (0, inf)
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def _smith(F, Q, tol):
     # X = F X F^T + Q: X_{k+1} = X_k + F_k X_k F_k^T, F_{k+1} = F_k^2, until an
     # increment is within tol of the sum; callers guarantee rho(F) < 1
@@ -105,7 +113,8 @@ def lyap_solve(F, G, K_Z, tol=1e-11):
         Noise gain and PSD noise covariance.
     tol : float
         Relative stopping tolerance: doubling stops once an increment's
-        sup-norm is at most ``tol`` times that of the partial sum.
+        sup-norm is at most ``tol`` times that of the partial sum;
+        0 < tol < inf, else ValueError.
 
     Returns
     -------
@@ -117,6 +126,7 @@ def lyap_solve(F, G, K_Z, tol=1e-11):
         If F is not exponentially stable; the message carries the
         offending eigenvalue.
     """
+    tol = _check_tol(tol)
     F, G, K_Z = _coerce(F, G, K_Z)
     eigs = np.linalg.eigvals(F)
     if eigs.size and np.max(np.abs(eigs)) > 1.0 - STABILITY_MARGIN:
@@ -126,5 +136,5 @@ def lyap_solve(F, G, K_Z, tol=1e-11):
             f"from eigenvalue {worst:.12g}"
         )
     Q = symmetrize(G @ K_Z @ G.T)
-    P = _smith(F, Q, float(tol))
+    P = _smith(F, Q, tol)
     return LyapunovSolution(P_star=P, residual=sup_norm(F @ P @ F.T + Q - P), method="doubling")

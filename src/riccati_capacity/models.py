@@ -11,11 +11,11 @@ Three user-facing models describe the setup:
 
 ``JointSystem`` is the one place that knows how input and noise stack
 into the joint system whose one-step prediction problem drives every
-rate formula downstream; ``joint_system`` validates the models and
-builds it, and ``build_augmented`` takes a frozen snapshot of it.
-``SystemQuadruple`` is the thin adapter a noise or augmented model
-presents to the shared Riccati engine. ``require_valid`` is the one
-validate-and-raise boundary of the public entry points.
+rate formula downstream; ``build_augmented`` validates the models and
+builds it, and it reads like a quadruple to the shared Riccati engine.
+``SystemQuadruple`` is the thin adapter a noise model presents to that
+engine. ``require_valid`` is the one validate-and-raise boundary of the
+public entry points.
 """
 
 from dataclasses import dataclass
@@ -38,13 +38,11 @@ __all__ = [
     "NoiseModel",
     "InputModel",
     "Channel",
-    "AugmentedModel",
     "JointSystem",
     "SystemQuadruple",
     "ValidationReport",
     "validate",
     "require_valid",
-    "joint_system",
     "build_augmented",
     "to_quadruple",
     "memoryless_noise",
@@ -209,53 +207,12 @@ class Channel:
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedModel:
-    """Joint system over the stacked state Theta_t = (Xi_t, S_t).
-
-    bA = blockdiag(F, A), bB = blockdiag(G, B), bC = [H Gamma | C],
-    bD = [H D | N], K_Wbar = blockdiag(K_Z, K_W). The split sizes are
-    kept so downstream code can slice the input and noise blocks back
-    out of joint quantities.
-    """
-
-    bA: np.ndarray
-    bB: np.ndarray
-    bC: np.ndarray
-    bD: np.ndarray
-    K_Wbar: np.ndarray
-    mu_Theta1: np.ndarray
-    K_Theta1: np.ndarray
-    n_xi: int = 0
-    n_s: int = 0
-    n_z: int = 0
-    n_w: int = 0
-
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "bA", _freeze(as_matrix(self.bA, "bA")))
-        set_(self, "bB", _freeze(as_matrix(self.bB, "bB")))
-        set_(self, "bC", _freeze(as_matrix(self.bC, "bC")))
-        set_(self, "bD", _freeze(as_matrix(self.bD, "bD")))
-        set_(self, "K_Wbar", _freeze(as_matrix(self.K_Wbar, "K_Wbar")))
-        set_(self, "mu_Theta1", _freeze(as_vector(self.mu_Theta1, "mu_Theta1")))
-        set_(self, "K_Theta1", _freeze(as_matrix(self.K_Theta1, "K_Theta1")))
-
-    @property
-    def n_theta(self):
-        return self.bA.shape[0]
-
-    @property
-    def n_y(self):
-        return self.bC.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class SystemQuadruple:
     """Generic (Ahat, Bhat, Chat, Dhat, Khat) tuple for the Riccati engine.
 
-    Instantiated with (A, B, C, N, K_W) for the noise prediction problem
-    and with (bA, bB, bC, bD, K_Wbar) for the joint one. The denominator
-    base Dhat Khat Dhat^T must be positive definite.
+    Instantiated with (A, B, C, N, K_W) for the noise prediction problem;
+    the joint one is a JointSystem. The denominator base Dhat Khat Dhat^T
+    must be positive definite.
     """
 
     Ahat: np.ndarray
@@ -426,11 +383,12 @@ class JointSystem:
     with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
     Rhat = Dhat Khat Dhat^T filled block by block, so the system reads
     like a SystemQuadruple to the Riccati engine. ``noise_quad`` is the
-    noise-only problem (A, B, C, N, K_W) over views of the noise slots.
+    noise-only problem (A, B, C, N, K_W) over views of the noise slots;
+    ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
     or an input search reuses one system. The models are not checked
-    here: ``joint_system`` validates them first.
+    here: ``build_augmented`` validates them first.
     """
 
     def __init__(self, noise, input, channel):
@@ -485,8 +443,21 @@ class JointSystem:
         self.Rhat = symmetrize(self._R_input + self.noise_quad.Rhat)
 
 
-def joint_system(noise, input, channel):
-    """Validate the three models and stack them into a JointSystem.
+def build_augmented(noise, input, channel):
+    """Validate the three models and stack them into the joint system driving Y_t.
+
+    Parameters
+    ----------
+    noise : NoiseModel
+    input : InputModel
+    channel : Channel
+
+    Returns
+    -------
+    JointSystem
+        Ahat = blockdiag(F, A), Bhat = blockdiag(G, B), Chat = [H Gamma | C],
+        Dhat = [H D | N], Khat = blockdiag(K_Z, K_W), initial law
+        mu_Theta1 = (mu_Xi1, mu_S1), K_Theta1 = blockdiag(K_Xi1, K_S1).
 
     Raises
     ------
@@ -503,49 +474,18 @@ def joint_system(noise, input, channel):
     return JointSystem(noise, input, channel)
 
 
-def build_augmented(noise, input, channel):
-    """Frozen snapshot of the joint system driving Y_t.
-
-    Parameters
-    ----------
-    noise : NoiseModel
-    input : InputModel
-    channel : Channel
-
-    Returns
-    -------
-    AugmentedModel
-        Block structure: bA = blockdiag(F, A), bB = blockdiag(G, B),
-        bC = [H Gamma | C], bD = [H D | N], K_Wbar = blockdiag(K_Z, K_W),
-        initial law mu_Theta1 = (mu_Xi1, mu_S1),
-        K_Theta1 = blockdiag(K_Xi1, K_S1).
-
-    Raises
-    ------
-    ValueError
-        As ``joint_system``.
-    """
-    s = joint_system(noise, input, channel)
-    return AugmentedModel(
-        bA=s.Ahat, bB=s.Bhat, bC=s.Chat, bD=s.Dhat, K_Wbar=s.Khat,
-        mu_Theta1=s.mu_Theta1, K_Theta1=s.K_Theta1,
-        n_xi=s.n_xi, n_s=s.n_s, n_z=s.n_z, n_w=s.n_w,
-    )
-
-
 def to_quadruple(source):
-    """Present a noise or augmented model to the Riccati engine.
+    """Present a noise model or a joint system to the Riccati engine.
 
-    A NoiseModel maps to (A, B, C, N, K_W); an AugmentedModel maps to
-    (bA, bB, bC, bD, K_Wbar). The denominator base Dhat Khat Dhat^T is
-    checked positive definite in both cases.
+    A NoiseModel maps to the SystemQuadruple (A, B, C, N, K_W), whose
+    denominator base N K_W N^T is checked positive definite. A JointSystem
+    already reads like a quadruple and is returned unchanged.
     """
-    if isinstance(source, NoiseModel):
-        quad = SystemQuadruple(source.A, source.B, source.C, source.N, source.K_W)
-    elif isinstance(source, AugmentedModel):
-        quad = SystemQuadruple(source.bA, source.bB, source.bC, source.bD, source.K_Wbar)
-    else:
+    if isinstance(source, JointSystem):
+        return source
+    if not isinstance(source, NoiseModel):
         raise TypeError(f"cannot build a quadruple from {type(source).__name__}")
+    quad = SystemQuadruple(source.A, source.B, source.C, source.N, source.K_W)
     if not is_pd(quad.Rhat):
         raise ValueError("Dhat Khat Dhat^T not positive definite")
     return quad

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import is_psd, is_symmetric, solve_spd, spectral_radius, sup_norm, symmetrize
-from .lyapunov import MAX_DOUBLINGS, _smith
+from .lyapunov import MAX_DOUBLINGS, _check_tol, _smith
 
 __all__ = [
     "RiccatiSolution",
@@ -185,7 +185,8 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
         which makes warm starting safe.
     tol : float
         Relative stopping tolerance, against max(|P|, |Qhat|) in
-        sup-norm, so solutions P* = 0 are reached too.
+        sup-norm, so solutions P* = 0 are reached too; 0 < tol < inf,
+        else ValueError.
     max_iter : int
         Budget of doublings, not of DRE steps: doubling k reaches step
         2^k. Larger values are capped at MAX_DOUBLINGS = 64.
@@ -194,9 +195,7 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
     -------
     RiccatiSolution
     """
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _check_tol(tol)
     m = quad.m
     P0 = None if init is None else _check_state(quad, init, "are_solve")
     RinvCS = solve_spd(quad.Rhat, np.hstack([quad.Chat, quad.Shat.T]), context="Rhat")

@@ -16,9 +16,11 @@ from .capacity import CapacityResult
 from .linalg import substream, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
-from .models import build_augmented, joint_system, to_quadruple
-from .riccati import dre_run, gain_and_closed_loop, innovations_covariance
+from .models import build_augmented
+from .riccati import _gain_terms, dre_run, innovations_covariance
 from .systests import psd_sqrt
+# stays importable here because bench/tracing.py patches it at this name
+from .models import to_quadruple  # noqa: F401
 
 __all__ = [
     "TrajectoryBatch",
@@ -148,7 +150,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     if horizon < 1 or paths < 1:
         raise ValueError(f"horizon and paths must be >= 1, got {horizon}, {paths}")
     # runs the full validation including cross-dimension checks
-    joint_system(noise, input, channel)
+    build_augmented(noise, input, channel)
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
@@ -207,9 +209,10 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
 def _filter_batch(quad, K_1, mu_1, obs):
     """Time-varying one-step predictor over a batch of observation paths.
 
-    Returns (innovations, predictions, P_seq, K_seq): the per-path
-    innovations, the per-path one-step state predictions, and the
-    analytic error and innovations covariance schedules.
+    ``quad`` is a JointSystem or its ``noise_quad``. Returns (innovations,
+    predictions, P_seq, K_seq): the per-path innovations, the per-path
+    one-step state predictions, and the analytic error and innovations
+    covariance schedules.
     """
     paths, horizon, _ = obs.shape
     P_seq = dre_run(quad, K_1, horizon)
@@ -222,15 +225,16 @@ def _filter_batch(quad, K_1, mu_1, obs):
     for t in range(horizon):
         P_t = P_seq[t]
         K_seq[t] = symmetrize(innovations_covariance(quad, P_t))
-        gain, _ = gain_and_closed_loop(quad, P_t)
+        # dre_run checked P_1 and keeps every later iterate symmetric PSD
+        gain_T = _gain_terms(quad, P_t)[1]
         innov = obs[:, t] - state @ C_mat.T
         innovations[:, t] = innov
         predictions[:, t] = state
-        state = state @ A_mat.T + innov @ gain.T
+        state = state @ A_mat.T + innov @ gain_T
     return innovations, predictions, np.asarray(P_seq), K_seq
 
 
-def kalman_run(augmented, batch):
+def kalman_run(system, batch):
     """Run the joint one-step predictor on a sampled batch.
 
     The filter uses the time-varying gains of the error-covariance
@@ -240,26 +244,27 @@ def kalman_run(augmented, batch):
 
     Parameters
     ----------
-    augmented : AugmentedModel
-        Must match the models the batch was sampled from.
+    system : JointSystem
+        From ``build_augmented``; filtered as given, so it must match the
+        models the batch was sampled from. Its state split and output
+        size are checked against the batch.
     batch : TrajectoryBatch
 
     Returns
     -------
     KalmanRun
     """
-    if augmented.n_xi != batch.input.n_xi or augmented.n_s != batch.noise.n_s:
+    if system.n_xi != batch.input.n_xi or system.n_s != batch.noise.n_s:
         raise ValueError(
-            f"augmented state split ({augmented.n_xi}, {augmented.n_s}) does not "
+            f"joint state split ({system.n_xi}, {system.n_s}) does not "
             f"match batch models ({batch.input.n_xi}, {batch.noise.n_s})"
         )
-    if augmented.n_y != batch.Y.shape[2]:
+    if system.q != batch.Y.shape[2]:
         raise ValueError(
-            f"augmented n_y = {augmented.n_y} does not match batch ({batch.Y.shape[2]})"
+            f"joint output size q = {system.q} does not match batch ({batch.Y.shape[2]})"
         )
-    quad = to_quadruple(augmented)
     innovations, predictions, Pi_seq, K_I_seq = _filter_batch(
-        quad, augmented.K_Theta1, augmented.mu_Theta1, batch.Y
+        system, system.K_Theta1, system.mu_Theta1, batch.Y
     )
     theta_true = np.concatenate([batch.Xi, batch.S], axis=2)
     return KalmanRun(
@@ -316,7 +321,9 @@ def empirical_report(batch, analytic):
     innovations cross-covariance against zero, the state-error covariance
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
-    power carried by ``analytic``).
+    power carried by ``analytic``). The joint system is built once from
+    the batch's models; the joint predictor runs on it and the noise
+    predictor on its ``noise_quad``.
 
     Parameters
     ----------
@@ -336,11 +343,10 @@ def empirical_report(batch, analytic):
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    augmented = build_augmented(batch.noise, batch.input, batch.channel)
-    run = kalman_run(augmented, batch)
-    noise_quad = to_quadruple(batch.noise)
+    system = build_augmented(batch.noise, batch.input, batch.channel)
+    run = kalman_run(system, batch)
     noise_innov, _, _, K_hat_seq = _filter_batch(
-        noise_quad, batch.noise.K_S1, batch.noise.mu_S1, batch.V
+        system.noise_quad, batch.noise.K_S1, batch.noise.mu_S1, batch.V
     )
     paths, horizon = batch.paths, batch.horizon
     t_last = horizon - 1

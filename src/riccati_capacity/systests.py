@@ -16,10 +16,10 @@ import numpy as np
 
 from .linalg import PSD_SLACK, as_matrix, is_symmetric, solve_spd, spectral_radius, symmetrize
 from .lyapunov import STABILITY_MARGIN
-from .models import JointSystem, joint_system
-# build_augmented, to_quadruple and validate stay importable here because
-# bench/tracing.py patches them at these names
-from .models import build_augmented, to_quadruple, validate  # noqa: F401
+from .models import JointSystem, build_augmented
+# to_quadruple and validate stay importable here because bench/tracing.py
+# patches them at these names
+from .models import to_quadruple, validate  # noqa: F401
 
 __all__ = [
     "StarredSystem",
@@ -137,12 +137,16 @@ def starred_system(quad):
 
 def _pbh_ranks(A, V, lams, stacked):
     # numerical rank of [A - lam I; V] (stacked) or [A - lam I, V] at each
-    # lam, from one batched SVD
+    # lam, from one batched SVD of one stack filled in place
     if len(lams) == 0:
         return np.zeros(0, dtype=int)
-    shifted = A - lams[:, None, None] * np.eye(A.shape[0])
-    Vs = np.broadcast_to(V.astype(complex), (len(lams),) + V.shape)
-    M = np.concatenate([shifted, Vs], axis=1 if stacked else 2)
+    m = A.shape[0]
+    shape = (m + V.shape[0], m) if stacked else (m, m + V.shape[1])
+    M = np.empty((len(lams),) + shape, dtype=complex)
+    M[:, :m, :m] = A
+    (M[:, m:] if stacked else M[:, :, m:])[...] = V
+    diag = np.arange(m)
+    M[:, diag, diag] -= lams[:, None]
     s = np.linalg.svd(M, compute_uv=False)
     return np.sum(s > s[:, :1] * max(M.shape[1:]) * SV_RTOL, axis=1)
 
@@ -242,7 +246,7 @@ def feasibility_report(noise, input, channel):
     warning only, since the computed quantities stay well defined. Every
     rank test uses the module's RANK_TOL and SV_RTOL (see ``pbh_test``).
 
-    ``channel`` may also be the JointSystem that ``joint_system`` built
+    ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
 
     Raises
@@ -250,7 +254,8 @@ def feasibility_report(noise, input, channel):
     ValueError
         If any of the three models fails validation.
     """
-    system = channel if isinstance(channel, JointSystem) else joint_system(noise, input, channel)
+    system = (channel if isinstance(channel, JointSystem)
+              else build_augmented(noise, input, channel))
     verdicts, witnesses = {}, {}
     unit_circle_controllable = True
     for label, quad in (("noise", system.noise_quad), ("augmented", system)):

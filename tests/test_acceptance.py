@@ -84,8 +84,8 @@ def test_03_chain_rule_of_entropies():
             n = int(rng.integers(2, 21))
             res = rc.finite_n_rate((noise, inp), ch, n)
             aug = rc.build_augmented(noise, inp, ch)
-            K_Y = joint_output_covariance(aug.bA, aug.bB, aug.bC, aug.bD,
-                                          aug.K_Theta1, aug.K_Wbar, n)
+            K_Y = joint_output_covariance(aug.Ahat, aug.Bhat, aug.Chat, aug.Dhat,
+                                          aug.K_Theta1, aug.Khat, n)
             K_V = joint_output_covariance(noise.A, noise.B, noise.C,
                                           noise.N, noise.K_S1, noise.K_W, n)
             ld_Y, ld_V = logdet_pd(K_Y), logdet_pd(K_V)

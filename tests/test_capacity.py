@@ -58,8 +58,8 @@ def test_finite_block_matches_joint_covariance_oracle():
     n = 100
     res = rc.finite_n_rate((noise, inp), ch, n)
     aug = rc.build_augmented(noise, inp, ch)
-    K_Y = joint_output_covariance(aug.bA, aug.bB, aug.bC, aug.bD,
-                                  aug.K_Theta1, aug.K_Wbar, n)
+    K_Y = joint_output_covariance(aug.Ahat, aug.Bhat, aug.Chat, aug.Dhat,
+                                  aug.K_Theta1, aug.Khat, n)
     K_V = joint_output_covariance(noise.A, noise.B, noise.C, noise.N,
                                   noise.K_S1, noise.K_W, n)
     sum_ld_I = float(np.sum(res.trace[:, 1]))
@@ -79,8 +79,8 @@ def test_chain_rule_on_random_systems(seed):
     n = int(rng.integers(2, 13))
     res = rc.finite_n_rate((noise, inp), ch, n)
     aug = rc.build_augmented(noise, inp, ch)
-    K_Y = joint_output_covariance(aug.bA, aug.bB, aug.bC, aug.bD,
-                                  aug.K_Theta1, aug.K_Wbar, n)
+    K_Y = joint_output_covariance(aug.Ahat, aug.Bhat, aug.Chat, aug.Dhat,
+                                  aug.K_Theta1, aug.Khat, n)
     K_V = joint_output_covariance(noise.A, noise.B, noise.C, noise.N,
                                   noise.K_S1, noise.K_W, n)
     ld_Y = logdet_pd(K_Y)
@@ -171,6 +171,21 @@ def test_explicit_initial_covariances_enter_step_one():
     assert abs(res.trace[0, 1] - np.log(4.0)) < 1e-14
     assert abs(res.trace[0, 2] - np.log(3.0)) < 1e-14
     assert abs(res.rate_nats - 0.5 * np.log(4.0 / 3.0)) < 1e-14
+
+
+@pytest.mark.parametrize("input_state, kwargs, message", [
+    (False, dict(Sigma_1=[[-0.5]], Pi_1=[[-0.5]]), "not positive semidefinite"),
+    (True, dict(Pi_1=[[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+    (False, dict(Sigma_1=[[-5.0]]), "not positive semidefinite"),
+], ids=["negative", "asymmetric", "far_negative"])
+def test_initial_covariances_must_be_symmetric_psd(input_state, kwargs, message):
+    noise, inp, ch = colored_setup()
+    if input_state:
+        # an inert input state makes the joint state, and so Pi_1, 2 x 2
+        inp = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
+                            K_Z=[[1.0]])
+    with pytest.raises(ValueError, match=message):
+        rc.finite_n_rate((noise, inp), ch, 3, **kwargs)
 
 
 def test_bad_horizon_rejected():

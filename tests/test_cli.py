@@ -8,6 +8,7 @@ import riccati_capacity.cli as cli
 import riccati_capacity.simulate as simulate
 from riccati_capacity.cli import main
 
+from conftest import scalar_noise
 from oracles import HALF_LN2, HALF_LN2_5
 
 
@@ -231,6 +232,17 @@ def test_max_iter_defaults_count_doublings_or_lbfgs_iterations():
     assert parser.parse_args(["solve-are", "--model", "m.json"]).max_iter == 64
     assert parser.parse_args(["capacity-asym", "--model", "m.json"]).max_iter == 64
     assert parser.parse_args(["optimize", "--model", "m.json"]).max_iter == 120
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_tol_outside_zero_to_inf_is_rejected(tmp_path, capsys, tol):
+    with pytest.raises(ValueError, match="tol"):
+        rc.lyap_solve([[0.5]], [[1.0]], [[1.0]], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rc.are_solve(rc.to_quadruple(scalar_noise(0.5)), tol=tol)
+    model = write_model(tmp_path, COLORED)
+    assert main(["capacity-asym", "--model", model, "--tol", repr(tol)]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_sweep_kappa_requires_grid(tmp_path, capsys):

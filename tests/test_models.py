@@ -77,11 +77,17 @@ def test_augmented_blocks_scalar():
     noise = rc.NoiseModel(A=[[1.2]], B=[[1.0]], C=[[1.0]], N=[[1.0]],
                           K_W=[[3.0]])
     aug = rc.build_augmented(noise, inp, unit_channel())
-    assert np.allclose(aug.bA, [[0.5, 0.0], [0.0, 1.2]])
-    assert np.allclose(aug.bC, [[0.7, 1.0]])
-    assert np.allclose(aug.bD, [[1.0, 1.0]])
-    assert np.allclose(aug.K_Wbar, np.diag([2.0, 3.0]))
-    assert aug.n_theta == 2
+    assert np.allclose(aug.Ahat, [[0.5, 0.0], [0.0, 1.2]])
+    assert np.allclose(aug.Chat, [[0.7, 1.0]])
+    assert np.allclose(aug.Dhat, [[1.0, 1.0]])
+    assert np.allclose(aug.Khat, np.diag([2.0, 3.0]))
+    assert aug.m == 2
+
+
+def test_build_augmented_returns_the_joint_system():
+    aug = rc.build_augmented(scalar_noise(0.5), unit_iid_input(), unit_channel())
+    assert isinstance(aug, rc.JointSystem)
+    assert rc.to_quadruple(aug) is aug
 
 
 def test_augmented_initial_covariance_is_block_diagonal():

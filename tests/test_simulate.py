@@ -104,6 +104,28 @@ def test_kalman_run_dimension_mismatch():
 # ----------------------------------------------------------- empirical_report
 
 
+def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
+    noise, inp, ch = colored_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
+    built = {"joint": 0, "quadruple": 0}
+    joint_init = rc.JointSystem.__init__
+    quad_post_init = rc.SystemQuadruple.__post_init__
+
+    def count_joint(self, *args):
+        built["joint"] += 1
+        joint_init(self, *args)
+
+    def count_quadruple(self):
+        built["quadruple"] += 1
+        quad_post_init(self)
+
+    monkeypatch.setattr(rc.JointSystem, "__init__", count_joint)
+    monkeypatch.setattr(rc.SystemQuadruple, "__post_init__", count_quadruple)
+    rc.empirical_report(b, analytic)
+    assert built == {"joint": 1, "quadruple": 0}
+
+
 def test_report_accepts_matched_statistics():
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
