@@ -3,32 +3,31 @@
 Membership in the admissible set requires, on top of a power-feasible
 input: detectability of the noise and joint output pairs, stabilizability
 of the corresponding starred pairs, and exponential stability of the
-input state matrix F. All rank conditions are checked in the
-eigenvector-free PBH form, which works unchanged for unstable state
-matrices. A weaker unit-circle controllability verdict is reported as a
-diagnostic for the marginal regimes where limits exist but depend on the
-initial condition.
+input state matrix F. Every rank condition is the eigenvector-free PBH
+test at the eigenvalues concerned, so unstable A works unchanged;
+detectability is the same test on the dual pair (A^T, C^T). One batched
+Cholesky factorization per pair certifies full rank at all of them at
+once, and an SVD counts the rank only where that certificate fails. A
+weaker unit-circle controllability verdict is a diagnostic for the
+marginal regimes where limits exist but depend on the initial condition.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_SLACK, as_matrix, is_symmetric, solve_spd, spectral_radius, symmetrize
+from .linalg import PSD_SLACK, as_matrix, is_symmetric, solve_spd, symmetrize
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
 # patches them at these names
 from .models import to_quadruple, validate  # noqa: F401
 
-__all__ = [
-    "StarredSystem",
-    "FeasibilityReport",
-    "psd_sqrt",
-    "starred_system",
-    "pbh_test",
-    "feasibility_report",
-]
+__all__ = ["StarredSystem", "FeasibilityReport", "psd_sqrt", "starred_system", "pbh_test",
+           "feasibility_report"]
 
 # |lambda| >= 1 - RANK_TOL counts as unstable-or-marginal; the unit-circle
 # diagnostic keeps only ||lambda| - 1| <= RANK_TOL
@@ -36,6 +35,11 @@ RANK_TOL = 1e-9
 
 # numerical rank threshold factor: sigma > sigma_max * max(dims) * SV_RTOL
 SV_RTOL = 1e-12
+
+# the eigenvalues each test looks at, as a mask over their moduli
+_REGIONS = {"detectable": lambda modulus: modulus >= 1.0 - RANK_TOL,
+            "stabilizable": lambda modulus: modulus >= 1.0 - RANK_TOL,
+            "unit_circle_controllable": lambda modulus: np.abs(modulus - 1.0) <= RANK_TOL}
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +58,24 @@ class StarredSystem:
     B_star_sqrt: np.ndarray
 
 
+class Witnesses(NamedTuple):
+    """One test's evidence per eigenvalue (rank -1 where untested); ``dicts`` as pbh_test's."""
+
+    eigenvalues: np.ndarray
+    tested: np.ndarray
+    ok: np.ndarray
+    rank: np.ndarray
+
+    def dicts(self):
+        lams = self.eigenvalues
+        return tuple({
+            "eigenvalue_re": float(lam.real), "eigenvalue_im": float(lam.imag),
+            "modulus": float(modulus), "tested": bool(hit),
+            "rank": int(rank) if hit else None, "required": len(lams), "ok": bool(ok),
+        } for lam, modulus, hit, ok, rank in zip(lams, np.abs(lams), self.tested, self.ok,
+                                                 self.rank))
+
+
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """Verdicts of the admissibility tests plus per-eigenvalue witnesses.
@@ -61,7 +83,8 @@ class FeasibilityReport:
     ``member_of_P_infinity`` is the conjunction of the five defining
     flags; ``unit_circle_controllable`` is diagnostic only and does not
     enter membership. ``warnings`` collects non-fatal findings such as
-    apparent non-minimality of a realization.
+    apparent non-minimality of a realization. ``witnesses`` turns each
+    test's ``Witnesses`` in ``witness_arrays`` into dicts on first access.
     """
 
     noise_detectable: bool
@@ -70,18 +93,17 @@ class FeasibilityReport:
     augmented_stabilizable: bool
     input_F_stable: bool
     unit_circle_controllable: bool
-    witnesses: dict = field(default_factory=dict)
+    witness_arrays: dict = field(default_factory=dict, repr=False)
     warnings: tuple = ()
 
     @property
     def member_of_P_infinity(self):
-        return (
-            self.noise_detectable
-            and self.noise_stabilizable
-            and self.augmented_detectable
-            and self.augmented_stabilizable
-            and self.input_F_stable
-        )
+        return (self.noise_detectable and self.noise_stabilizable and self.augmented_detectable
+                and self.augmented_stabilizable and self.input_F_stable)
+
+    @cached_property
+    def witnesses(self):
+        return {label: w.dicts() for label, w in self.witness_arrays.items()}
 
 
 def psd_sqrt(M):
@@ -120,35 +142,64 @@ def starred_system(quad):
     B_star = Khat - Khat Dhat^T (Dhat Khat Dhat^T)^{-1} Dhat Khat,
     G_mat = Bhat, with B_star_sqrt = psd_sqrt(B_star).
     """
-    A_star = quad.Ahat - quad.Shat @ solve_spd(
-        quad.Rhat, quad.Chat, context="Dhat Khat Dhat^T"
-    )
+    m = quad.Ahat.shape[0]
     DK = quad.Dhat @ quad.Khat
-    B_star = symmetrize(
-        quad.Khat - DK.T @ solve_spd(quad.Rhat, DK, context="Dhat Khat Dhat^T")
-    )
+    RinvCDK = solve_spd(quad.Rhat, np.hstack([quad.Chat, DK]), context="Dhat Khat Dhat^T")
+    B_star = symmetrize(quad.Khat - DK.T @ RinvCDK[:, m:])
     return StarredSystem(
-        A_star=A_star,
+        A_star=quad.Ahat - quad.Shat @ RinvCDK[:, :m],
         B_star=B_star,
         G_mat=quad.Bhat.copy(),
         B_star_sqrt=psd_sqrt(B_star),
     )
 
 
-def _pbh_ranks(A, V, lams, stacked):
-    # numerical rank of [A - lam I; V] (stacked) or [A - lam I, V] at each
-    # lam, from one batched SVD of one stack filled in place
-    if len(lams) == 0:
-        return np.zeros(0, dtype=int)
-    m = A.shape[0]
-    shape = (m + V.shape[0], m) if stacked else (m, m + V.shape[1])
-    M = np.empty((len(lams),) + shape, dtype=complex)
-    M[:, :m, :m] = A
-    (M[:, m:] if stacked else M[:, :, m:])[...] = V
+def _pbh_ranks(A, V, lams):
+    # numerical rank of M = [A - lam I, V] at each lam. One batched Cholesky factor of
+    # M M^H - delta I, delta = (m + cols(V)) SV_RTOL (|A|_F + |V|_F + sqrt(m) |lam|)^2,
+    # proves sigma_min(M) > sqrt(delta)/2, far above the rank threshold, at every lam in a
+    # quarter of the time of their SVDs (m = 40); only if it fails do the SVDs run.
+    m, lam, modulus = A.shape[0], lams[:, None, None], np.abs(lams)
+    MMh = A @ A.T + V @ V.T - lam.conj() * A - lam * A.T
+    scale = (math.sqrt(np.vdot(A, A)) + math.sqrt(np.vdot(V, V)) + math.sqrt(m) * modulus) ** 2
     diag = np.arange(m)
+    MMh[:, diag, diag] += (modulus ** 2 - (m + V.shape[1]) * SV_RTOL * scale)[:, None]
+    try:
+        np.linalg.cholesky(MMh)
+        return np.full(len(lams), m)
+    except np.linalg.LinAlgError:
+        pass
+    M = np.empty((len(lams), m, m + V.shape[1]), dtype=complex)
+    M[:, :, :m] = A
+    M[:, :, m:] = V
     M[:, diag, diag] -= lams[:, None]
     s = np.linalg.svd(M, compute_uv=False)
     return np.sum(s > s[:, :1] * max(M.shape[1:]) * SV_RTOL, axis=1)
+
+
+class _Pair:
+    """(A, V) in controllability form with its spectrum (``lams``, e.g. eigvals(A) of a
+    dual pair (A^T, C^T)) and PBH ranks computed once for all its tests; a conjugate
+    pair of eigenvalues, adjacent in eigvals' output, shares one."""
+
+    def __init__(self, A, V, lams=None):
+        self.A, self.V = A, V
+        self.lams = np.linalg.eigvals(A) if lams is None else lams
+        self.moduli = np.abs(self.lams)
+        self.rank = np.full(len(self.lams), -1)  # -1 until computed
+
+    def ranks(self, mask=True):
+        want = mask & (self.rank < 0) & (self.lams.imag >= 0)
+        if want.any():
+            self.rank[want] = _pbh_ranks(self.A, self.V, self.lams[want])
+            conj = np.flatnonzero(self.lams.imag < 0)
+            self.rank[conj] = self.rank[conj - 1]
+        return self.rank
+
+    def test(self, mode):
+        tested = _REGIONS[mode](self.moduli)
+        rank = np.where(tested, self.ranks(tested), -1)
+        return Witnesses(self.lams, tested, ~tested | (rank == len(rank)), rank)
 
 
 def pbh_test(A, V, mode):
@@ -157,7 +208,8 @@ def pbh_test(A, V, mode):
     Eigenvalues with |lambda| >= 1 - RANK_TOL are tested in the first two
     modes, those with ||lambda| - 1| <= RANK_TOL in the unit-circle mode.
     The numerical rank counts singular values above
-    sigma_max * max(dims) * SV_RTOL.
+    sigma_max * max(dims) * SV_RTOL; where a Cholesky certificate shows
+    sigma_min far above that threshold, no SVD is taken.
 
     Parameters
     ----------
@@ -172,9 +224,9 @@ def pbh_test(A, V, mode):
     Returns
     -------
     (bool, tuple of dict)
-        The verdict and one witness per eigenvalue of A, recording the
-        eigenvalue, whether it was inside the tested region, and the
-        rank found versus the rank required.
+        The verdict and one witness per eigenvalue of A, in eigvals(A)
+        order, recording the eigenvalue, whether it was inside the tested
+        region, and the rank found versus the rank required.
     """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
@@ -182,56 +234,28 @@ def pbh_test(A, V, mode):
     V = as_matrix(V, "V")
     m = A.shape[0]
     if mode == "detectable":
-        stacked = True
         if V.shape[1] != m:
-            raise ValueError(
-                f"mode 'detectable' needs V with {m} columns, got shape {V.shape}"
-            )
+            raise ValueError(f"mode 'detectable' needs V with {m} columns, got shape {V.shape}")
+        pair = _Pair(A.T, V.T, np.linalg.eigvals(A))
     elif mode in ("stabilizable", "unit_circle_controllable"):
-        stacked = False
         if V.shape[0] != m:
-            raise ValueError(
-                f"mode '{mode}' needs V with {m} rows, got shape {V.shape}"
-            )
+            raise ValueError(f"mode '{mode}' needs V with {m} rows, got shape {V.shape}")
+        pair = _Pair(A, V)
     else:
         raise ValueError(f"unknown mode '{mode}'")
-    if m == 0:
-        return True, ()
-    lams = np.linalg.eigvals(A)
-    moduli = np.abs(lams)
-    if mode == "unit_circle_controllable":
-        tested = np.abs(moduli - 1.0) <= RANK_TOL
-    else:
-        tested = moduli >= 1.0 - RANK_TOL
-    ranks = np.zeros(m, dtype=int)
-    ranks[tested] = _pbh_ranks(A, V, lams[tested], stacked)
-    witnesses = tuple({
-        "eigenvalue_re": float(lam.real),
-        "eigenvalue_im": float(lam.imag),
-        "modulus": float(modulus),
-        "tested": bool(hit),
-        "rank": int(rank) if hit else None,
-        "required": m,
-        "ok": bool(not hit or rank == m),
-    } for lam, modulus, hit, rank in zip(lams, moduli, tested, ranks))
-    return all(w["ok"] for w in witnesses), witnesses
+    witnesses = pair.test(mode)
+    return bool(witnesses.ok.all()), witnesses.dicts()
 
 
-def _minimality_warnings(A, B, C, label):
-    # full-spectrum PBH: a realization is minimal iff controllable and
-    # observable at every eigenvalue, not just the unstable ones
-    m = A.shape[0]
-    if m == 0:
-        return []
-    lams = np.linalg.eigvals(A)
+def _minimality_warnings(label, reach, observe):
+    # a realization is minimal iff controllable and observable at every
+    # eigenvalue, not just the unstable ones
     warnings = []
-    for V, stacked, word in ((B, False, "controllable"), (C, True, "observable")):
-        short = np.flatnonzero(_pbh_ranks(A, V, lams, stacked) < m)
+    for pair, word in ((reach, "controllable"), (observe, "observable")):
+        short = np.flatnonzero(pair.ranks() < len(pair.lams))
         if short.size:
-            warnings.append(
-                f"{label} realization not {word} at eigenvalue "
-                f"{lams[short[0]]:.6g}; it may not be minimal"
-            )
+            warnings.append(f"{label} realization not {word} at eigenvalue "
+                            f"{pair.lams[short[0]]:.6g}; it may not be minimal")
     return warnings
 
 
@@ -243,38 +267,34 @@ def feasibility_report(noise, input, channel):
     G B_star^{1/2}, and exponential stability of F. Unit-circle
     controllability of both starred pairs is evaluated as a diagnostic.
     Apparent non-minimality of either realization is reported as a
-    warning only, since the computed quantities stay well defined. Every
-    rank test uses the module's RANK_TOL and SV_RTOL (see ``pbh_test``).
+    warning only, since the computed quantities stay well defined. The
+    tests of one pair share its eigenvalues and ranks; the witnesses are
+    ``pbh_test``'s.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
-
-    Raises
-    ------
-    ValueError
-        If any of the three models fails validation.
+    Raises ValueError if any of the three models fails validation.
     """
     system = (channel if isinstance(channel, JointSystem)
               else build_augmented(noise, input, channel))
-    verdicts, witnesses = {}, {}
-    unit_circle_controllable = True
-    for label, quad in (("noise", system.noise_quad), ("augmented", system)):
+    nq, arrays, observe = system.noise_quad, {}, {}
+    for label, quad in (("noise", nq), ("augmented", system)):
+        observe[label] = _Pair(quad.Ahat.T, quad.Chat.T, np.linalg.eigvals(quad.Ahat))
         star = starred_system(quad)
-        ctrl = star.G_mat @ star.B_star_sqrt
-        verdicts[label + "_detectable"], witnesses[label + "_detectable"] = pbh_test(
-            quad.Ahat, quad.Chat, "detectable")
-        verdicts[label + "_stabilizable"], witnesses[label + "_stabilizable"] = pbh_test(
-            star.A_star, ctrl, "stabilizable")
-        ucc, witnesses["unit_circle_" + label] = pbh_test(
-            star.A_star, ctrl, "unit_circle_controllable")
-        unit_circle_controllable = unit_circle_controllable and ucc
-
-    warnings = (_minimality_warnings(noise.A, noise.B, noise.C, "noise")
-                + _minimality_warnings(input.F, input.G, input.Gamma, "input"))
+        reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
+        arrays[label + "_detectable"] = observe[label].test("detectable")
+        arrays[label + "_stabilizable"] = reach.test("stabilizable")
+        arrays["unit_circle_" + label] = reach.test("unit_circle_controllable")
+    verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
+    unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
+    warnings = _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe["noise"].lams),
+                                    observe["noise"])
+    radius_F = 0.0
+    if input.n_xi:  # a memoryless input has no realization to check
+        lams_F = np.linalg.eigvals(input.F)
+        radius_F = float(np.max(np.abs(lams_F)))
+        warnings += _minimality_warnings("input", _Pair(input.F, input.G, lams_F),
+                                         _Pair(input.F.T, input.Gamma.T, lams_F))
     return FeasibilityReport(
-        **verdicts,
-        input_F_stable=spectral_radius(input.F) <= 1.0 - STABILITY_MARGIN,
-        unit_circle_controllable=unit_circle_controllable,
-        witnesses=witnesses,
-        warnings=tuple(warnings),
-    )
+        **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
+        unit_circle_controllable=unit_circle, witness_arrays=arrays, warnings=tuple(warnings))

@@ -111,3 +111,35 @@ def logdet_pd(K):
     if sign <= 0:
         raise ValueError("matrix is not positive definite")
     return float(ld)
+
+
+def pbh_rank(A, V, lam, mode):
+    """Numerical rank of the PBH matrix of (A, V) at lam.
+
+    The matrix is [A - lam I; V] in mode "detectable" (V with A's columns)
+    and [A - lam I, V] otherwise; the rank counts singular values above
+    sigma_max * max(dims) * 1e-12, the library's SV_RTOL.
+    """
+    shifted = A - lam * np.eye(A.shape[0])
+    M = np.vstack([shifted, V]) if mode == "detectable" else np.hstack([shifted, V])
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > s[0] * max(M.shape) * 1e-12))
+
+
+def pbh_verdict(A, V, mode):
+    """PBH verdict from one SVD per tested eigenvalue of A.
+
+    Tested are the eigenvalues with |lam| >= 1 - 1e-9, or with
+    ||lam| - 1| <= 1e-9 in mode "unit_circle_controllable" (1e-9 is the
+    library's RANK_TOL); the verdict holds iff the PBH rank is full at each.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    for lam in np.linalg.eigvals(A):
+        if mode == "unit_circle_controllable":
+            tested = abs(abs(lam) - 1.0) <= 1e-9
+        else:
+            tested = abs(lam) >= 1.0 - 1e-9
+        if tested and pbh_rank(A, V, lam, mode) < A.shape[0]:
+            return False
+    return True
