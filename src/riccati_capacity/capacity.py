@@ -328,6 +328,21 @@ def _waterfill_powers(gains, kappa, iters=200):
     return p
 
 
+def _waterfill(H, R, kappa):
+    """Whiten H by the Cholesky factor of R and water-fill kappa over its modes.
+
+    Returns (gains, powers, Vt): the squared singular values of the
+    whitened channel in decreasing order, the power on each, and the
+    right singular vectors as rows. Raises LinAlgError when R is not
+    positive definite.
+    """
+    L = np.linalg.cholesky(symmetrize(R))
+    H_eff = sla.solve_triangular(L, H, lower=True, check_finite=False)
+    _, s, Vt = np.linalg.svd(H_eff, full_matrices=False)
+    gains = s * s
+    return gains, _waterfill_powers(gains, kappa), Vt
+
+
 def waterfilling_oracle(H, R, kappa):
     """Memoryless Gaussian capacity by water-filling, as a reference point.
 
@@ -360,13 +375,9 @@ def waterfilling_oracle(H, R, kappa):
     if kappa < 0:
         raise ValueError(f"kappa negative ({kappa})")
     try:
-        L = np.linalg.cholesky(symmetrize(R))
+        gains, p, _ = _waterfill(H, R, kappa)
     except np.linalg.LinAlgError:
         raise ValueError("R not positive definite") from None
-    H_eff = sla.solve_triangular(L, H, lower=True, check_finite=False)
-    s = np.linalg.svd(H_eff, compute_uv=False)
-    gains = s * s
-    p = _waterfill_powers(gains, kappa)
     rate = 0.5 * float(np.sum(np.log1p(gains * p)))
     return rate, p
 
@@ -377,6 +388,10 @@ def waterfilling_oracle(H, R, kappa):
 _PENALTY = 1e4
 _PENALTY_MARGIN = 1e-6
 _SEARCH_TOL = 1e-12
+
+
+def _margin_penalty(rho):
+    return _PENALTY * max(0.0, rho - (1.0 - _PENALTY_MARGIN)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,10 +470,8 @@ def _project_to_budget(model, kappa, power):
     the boundary; inputs already inside the budget are left alone.
     """
     if power <= kappa or power <= 0.0:
-        return model, power
-    scale = kappa / power
-    scaled = replace(model, K_Z=symmetrize(model.K_Z * scale))
-    return scaled, kappa
+        return model
+    return replace(model, K_Z=symmetrize(model.K_Z * (kappa / power)))
 
 
 def _structured_starts(channel, space, kappa, K_pred):
@@ -478,18 +491,15 @@ def _structured_starts(channel, space, kappa, K_pred):
         # recursion), leaving the flat start to carry the search
         if np.all(np.isfinite(K_pred)):
             try:
-                L = np.linalg.cholesky(K_pred)
-                H_eff = sla.solve_triangular(L, channel.H, lower=True,
-                                             check_finite=False)
-                _, s, Vt = np.linalg.svd(H_eff, full_matrices=False)
-                p = _waterfill_powers(s * s, kappa)
-                depth = min(len(s), n_z)
+                gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                depth = min(len(gains), n_z)
                 D_wf = np.zeros((n_x, n_z))
                 D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
                 starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
                                np.zeros((n_x, n_xi)), D_wf, np.eye(n_z)))
-            except np.linalg.LinAlgError:
-                pass
     return starts
 
 
@@ -570,10 +580,7 @@ def optimize_input(noise, channel, dims, config=None):
     # A diverged noise recursion gets a flat finite penalty so the search
     # objective stays NaN-free and the feasibility gate does the rejecting
     if sigma_sol.converged and np.isfinite(sigma_sol.spectral_radius):
-        base_pen = (
-            _PENALTY
-            * max(0.0, sigma_sol.spectral_radius - (1.0 - _PENALTY_MARGIN)) ** 2
-        )
+        base_pen = _margin_penalty(sigma_sol.spectral_radius)
     else:
         base_pen = _PENALTY
     if not np.isfinite(ld_hat):
@@ -585,7 +592,7 @@ def optimize_input(noise, channel, dims, config=None):
             return 1e7
         F, G, Gamma, D, L = space.unpack(theta)
         rho_F = spectral_radius(F)
-        pen = base_pen + _PENALTY * max(0.0, rho_F - (1.0 - _PENALTY_MARGIN)) ** 2
+        pen = base_pen + _margin_penalty(rho_F)
         if rho_F > 1.0 - STABILITY_MARGIN:
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
@@ -595,7 +602,7 @@ def optimize_input(noise, channel, dims, config=None):
             # valid by construction, so the power skips asymptotic_power's checks
             power = input_power(model, lyap_solve(model.F, model.G, model.K_Z,
                                                   tol=_SEARCH_TOL).P_star)
-            model, _ = _project_to_budget(model, kappa, power)
+            model = _project_to_budget(model, kappa, power)
             system.update(noise, model)
             pi_sol = are_solve(system, init=warm.get("pi"), tol=_SEARCH_TOL)
             if not np.all(np.isfinite(pi_sol.P_star)):
@@ -607,7 +614,7 @@ def optimize_input(noise, channel, dims, config=None):
         except (np.linalg.LinAlgError, ValueError):
             return 1e6 + pen
         rate = 0.5 * max(0.0, ld - ld_hat)
-        pen += _PENALTY * max(0.0, pi_sol.spectral_radius - (1.0 - _PENALTY_MARGIN)) ** 2
+        pen += _margin_penalty(pi_sol.spectral_radius)
         val = -rate + pen
         # finite-difference gradients choke on inf; cap runaway penalties
         return float(val) if np.isfinite(val) else 1e7
@@ -615,7 +622,7 @@ def optimize_input(noise, channel, dims, config=None):
     def final_eval(model):
         # exact projection, then a full-tolerance independent evaluation
         try:
-            model, _ = _project_to_budget(model, kappa, asymptotic_power(model))
+            model = _project_to_budget(model, kappa, asymptotic_power(model))
             result = asymptotic_rate(noise, model, channel)
         except (ValueError, np.linalg.LinAlgError, RuntimeError):
             return None
@@ -632,12 +639,7 @@ def optimize_input(noise, channel, dims, config=None):
                 options={"maxiter": cfg.maxiter, "ftol": 1e-12, "gtol": 1e-7},
             )
             F, G, Gamma, D, L = space.unpack(res.x)
-            try:
-                polished = _input_from_parts(F, G, Gamma, D, L @ L.T)
-            except ValueError:
-                polished = None
-            if polished is not None:
-                outputs.append(final_eval(polished))
+            outputs.append(final_eval(_input_from_parts(F, G, Gamma, D, L @ L.T)))
         return [o for o in outputs if o is not None]
 
     # assemble starts: structured, warm, then seeded random fills

@@ -1,19 +1,25 @@
 """Batch front end: parse a model file, dispatch one subcommand, emit results.
 
-The parsed argument namespace is the whole run configuration; every
-subcommand reads the same JSON model document and forwards to exactly
-one library operation, so any CLI result can be reproduced from the
-library with the parsed inputs. Each subcommand declares only the flags
-its handler reads, so a flag it would ignore is a usage error. Results
-are JSON (CSV for traces and sweeps) with numbers at 17 significant
-digits.
+The parsed argument namespace is the whole run configuration. ``main``
+parses the flags, loads the JSON model document and hands both to the
+subcommand's handler. Every handler has the same shape: it parses the
+model sections it needs, makes its one library operation, writes its
+document through ``_emit`` and returns a soft-failure message (solver
+non-convergence, an infeasible budget, a failed check) or None; ``main``
+turns that message into exit 3 under --strict. The keys of each model
+section are the fields of its model class, so any CLI result can be
+reproduced from the library with the parsed inputs. Each subcommand
+declares only the flags its handler reads, so a flag it would ignore is
+a usage error. Results are JSON (CSV for traces and sweeps) with numbers
+at 17 significant digits.
 
 Exit codes: 0 success; 2 configuration or validation error (bad file,
-malformed matrix, violated invariant); 3 solver failure, or
-non-convergence when --strict is set.
+malformed matrix, violated invariant); 3 solver failure, or a soft
+failure when --strict is set.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,6 +43,8 @@ from .simulate import empirical_report, sample_paths
 from .systests import feasibility_report
 
 __all__ = ["main"]
+
+_NOT_CONVERGED = "solver did not converge"
 
 
 # ---------------------------------------------------------------- output
@@ -82,78 +90,58 @@ def _dumps(obj, indent=0):
     return json.dumps(str(obj))
 
 
-def _write_output(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _csv_cell(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return str(v) if isinstance(v, int) else format(v, ".17g")
+
+
+def _csv(header, rows):
+    """CSV text: ints as written, booleans as true/false, floats at 17 digits."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines)
+
+
+def _emit(doc, path):
+    """Write a document (CSV text, or anything ``_dumps`` takes) to path, or stdout."""
+    text = (doc if isinstance(doc, str) else _dumps(doc)) + "\n"
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------- parsing
 
 
-def _load_document(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _parse(doc, name, cls, **given):
+    """The validated ``cls`` model in section ``name``.
 
-
-def _require_section(doc, name):
+    The section's keys are the dataclass fields of ``cls``: a field
+    without a default is a required key, other keys are ignored. ``given``
+    values that are not None override the section's.
+    """
     section = doc.get(name)
     if section is None:
         raise ValueError(f"model file has no {name} section")
     if not isinstance(section, dict):
         raise ValueError(f"{name} section must be a JSON object")
-    return section
-
-
-def _section_get(section, section_name, key):
-    if key not in section:
-        raise ValueError(f"{section_name} section missing key {key}")
-    return section[key]
-
-
-def _checked(model):
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if field.name in section:
+            kwargs[field.name] = section[field.name]
+        elif field.default is dataclasses.MISSING:
+            raise ValueError(f"{name} section missing key {field.name}")
+    kwargs.update((k, v) for k, v in given.items() if v is not None)
+    model = cls(**kwargs)
     require_valid(model)
     return model
 
 
-def _parse_noise(doc):
-    s = _require_section(doc, "noise")
-    return _checked(NoiseModel(
-        A=_section_get(s, "noise", "A"),
-        B=_section_get(s, "noise", "B"),
-        C=_section_get(s, "noise", "C"),
-        N=_section_get(s, "noise", "N"),
-        K_W=_section_get(s, "noise", "K_W"),
-        mu_S1=s.get("mu_S1"),
-        K_S1=s.get("K_S1"),
-    ))
-
-
-def _parse_input(doc):
-    s = _require_section(doc, "input")
-    return _checked(InputModel(
-        F=_section_get(s, "input", "F"),
-        G=_section_get(s, "input", "G"),
-        Gamma=_section_get(s, "input", "Gamma"),
-        D=_section_get(s, "input", "D"),
-        K_Z=_section_get(s, "input", "K_Z"),
-        mu_Xi1=s.get("mu_Xi1"),
-        K_Xi1=s.get("K_Xi1"),
-    ))
-
-
-def _parse_channel(doc, kappa_override=None):
-    s = _require_section(doc, "channel")
-    kappa = s.get("kappa", 0.0)
-    if kappa_override is not None:
-        kappa = kappa_override
-    return _checked(Channel(H=_section_get(s, "channel", "H"), kappa=kappa))
+def _parse_models(args, doc):
+    return (_parse(doc, "noise", NoiseModel), _parse(doc, "input", InputModel),
+            _parse(doc, "channel", Channel, kappa=args.kappa_value))
 
 
 def _parse_kappa_grid(text):
@@ -173,24 +161,20 @@ def _parse_dims(args, doc):
             raise ValueError(f"--dims expects 'n_xi,n_z', got '{args.dims}'")
         return int(toks[0]), int(toks[1])
     if isinstance(doc.get("input"), dict):
-        model = _parse_input(doc)
+        model = _parse(doc, "input", InputModel)
         return model.n_xi, model.n_z
     return 1, 1
+
+
+def _optimizer_config(args):
+    return OptimizerConfig(starts=args.starts, seed=args.seed, maxiter=args.max_iter)
 
 
 # ---------------------------------------------------------------- documents
 
 
-def _riccati_doc(sol):
-    return {
-        "P_star": sol.P_star,
-        "gain": sol.gain,
-        "closed_loop": sol.closed_loop,
-        "spectral_radius": sol.spectral_radius,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
+def _fields(obj):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _feasibility_doc(report):
@@ -202,8 +186,8 @@ def _feasibility_doc(report):
         "input_F_stable": report.input_F_stable,
         "unit_circle_controllable": report.unit_circle_controllable,
         "member_of_P_infinity": report.member_of_P_infinity,
-        "warnings": list(report.warnings),
-        "witnesses": {k: [dict(w) for w in v] for k, v in report.witnesses.items()},
+        "warnings": report.warnings,
+        "witnesses": report.witnesses,
     }
 
 
@@ -222,196 +206,102 @@ def _capacity_doc(result, units):
     if result.feasibility is not None:
         doc["feasibility"] = _feasibility_doc(result.feasibility)
     if result.diagnostics is not None:
-        doc["diagnostics"] = dict(result.diagnostics)
+        doc["diagnostics"] = result.diagnostics
     return doc
 
 
-def _input_doc(model):
-    return {
-        "F": model.F, "G": model.G, "Gamma": model.Gamma,
-        "D": model.D, "K_Z": model.K_Z,
-    }
-
-
-def _write_trace_csv(trace, path):
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace:
-        cells = [str(int(row[0]))] + [format(v, ".17g") for v in row[1:]]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _solver_converged(result):
+def _solver_failure(result):
     diag = result.diagnostics or {}
-    return bool(diag.get("sigma_converged", True) and diag.get("pi_converged", True))
+    if not (diag.get("sigma_converged", True) and diag.get("pi_converged", True)):
+        return _NOT_CONVERGED
+    return None
 
 
 # ---------------------------------------------------------------- handlers
+# each takes (args, doc) and returns a soft-failure message or None
 
 
-def _cmd_check_system(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    input_model = _parse_input(doc)
-    channel = _parse_channel(doc, args.kappa_value)
-    report = feasibility_report(noise, input_model, channel)
-    _write_output(_dumps(_feasibility_doc(report)), args.out)
-    return 0
+def _cmd_check_system(args, doc):
+    _emit(_feasibility_doc(feasibility_report(*_parse_models(args, doc))), args.out)
 
 
-def _cmd_solve_are(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    quad = to_quadruple(noise)
-    sol = are_solve(quad, tol=args.tol, max_iter=args.max_iter)
-    out_doc = _riccati_doc(sol)
-    converged = sol.converged
+def _cmd_solve_are(args, doc):
+    noise = _parse(doc, "noise", NoiseModel)
+    sols = [are_solve(to_quadruple(noise), tol=args.tol, max_iter=args.max_iter)]
+    out_doc = _fields(sols[0])
     if isinstance(doc.get("input"), dict) and isinstance(doc.get("channel"), dict):
-        input_model = _parse_input(doc)
-        channel = _parse_channel(doc, args.kappa_value)
-        aug_sol = are_solve(build_augmented(noise, input_model, channel),
-                            tol=args.tol, max_iter=args.max_iter)
-        out_doc["augmented"] = _riccati_doc(aug_sol)
-        converged = converged and aug_sol.converged
-    _write_output(_dumps(out_doc), args.out)
-    if args.strict and not converged:
-        print("solver did not converge", file=sys.stderr)
-        return 3
-    return 0
+        system = build_augmented(noise, _parse(doc, "input", InputModel),
+                                 _parse(doc, "channel", Channel, kappa=args.kappa_value))
+        sols.append(are_solve(system, tol=args.tol, max_iter=args.max_iter))
+        out_doc["augmented"] = _fields(sols[1])
+    _emit(out_doc, args.out)
+    return None if all(sol.converged for sol in sols) else _NOT_CONVERGED
 
 
-def _cmd_capacity_n(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    input_model = _parse_input(doc)
-    channel = _parse_channel(doc, args.kappa_value)
+def _cmd_capacity_n(args, doc):
+    noise, input_model, channel = _parse_models(args, doc)
     result = finite_n_rate((noise, input_model), channel, args.n)
-    out_doc = {"n": args.n}
-    out_doc.update(_capacity_doc(result, args.units))
-    _write_output(_dumps(out_doc), args.out)
+    _emit({"n": args.n, **_capacity_doc(result, args.units)}, args.out)
     if args.trace:
-        _write_trace_csv(result.trace, args.trace)
-    return 0
+        rows = ([int(row[0]), *row[1:]] for row in result.trace)
+        _emit(_csv(TRACE_COLUMNS, rows), args.trace)
 
 
-def _cmd_capacity_asym(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    input_model = _parse_input(doc)
-    channel = _parse_channel(doc, args.kappa_value)
-    result = asymptotic_rate(noise, input_model, channel,
-                             tol=args.tol, max_iter=args.max_iter)
-    _write_output(_dumps(_capacity_doc(result, args.units)), args.out)
-    if args.strict and not _solver_converged(result):
-        print("solver did not converge", file=sys.stderr)
-        return 3
-    return 0
+def _cmd_capacity_asym(args, doc):
+    result = asymptotic_rate(*_parse_models(args, doc), tol=args.tol, max_iter=args.max_iter)
+    _emit(_capacity_doc(result, args.units), args.out)
+    return _solver_failure(result)
 
 
-def _cmd_optimize(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    channel = _parse_channel(doc, args.kappa_value)
+def _cmd_optimize(args, doc):
+    noise = _parse(doc, "noise", NoiseModel)
+    channel = _parse(doc, "channel", Channel, kappa=args.kappa_value)
     dims = _parse_dims(args, doc)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed,
-                          maxiter=args.max_iter)
-    model, result = optimize_input(noise, channel, dims, cfg)
-    out_doc = {
-        "kappa": channel.kappa,
-        "dims": list(dims),
-    }
-    out_doc.update(_capacity_doc(result, args.units))
-    out_doc["input"] = _input_doc(model)
-    _write_output(_dumps(out_doc), args.out)
-    if args.strict and not _solver_converged(result):
-        print("solver did not converge", file=sys.stderr)
-        return 3
-    return 0
+    model, result = optimize_input(noise, channel, dims, _optimizer_config(args))
+    out_doc = {"kappa": channel.kappa, "dims": dims, **_capacity_doc(result, args.units)}
+    out_doc["input"] = {name: getattr(model, name) for name in ("F", "G", "Gamma", "D", "K_Z")}
+    _emit(out_doc, args.out)
+    return _solver_failure(result)
 
 
-def _cmd_sweep_kappa(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    channel = _parse_channel(doc)
+def _cmd_sweep_kappa(args, doc):
+    noise = _parse(doc, "noise", NoiseModel)
+    channel = _parse(doc, "channel", Channel)
     if not args.kappa:
         raise ValueError("sweep-kappa requires --kappa with a comma-separated grid")
     grid = _parse_kappa_grid(args.kappa)
     dims = _parse_dims(args, doc)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed,
-                          maxiter=args.max_iter)
-    points = sweep_kappa(noise, channel, grid, dims, cfg)
-    lines = ["kappa,rate_nats,power,feasible"]
-    for p in points:
-        lines.append(",".join([
-            format(p.kappa, ".17g"),
-            format(p.rate_nats, ".17g"),
-            format(p.power, ".17g"),
-            "true" if p.feasible else "false",
-        ]))
-    _write_output("\n".join(lines), args.out)
-    if args.strict and not all(p.feasible for p in points):
-        print("some budgets produced no feasible input", file=sys.stderr)
-        return 3
-    return 0
+    points = sweep_kappa(noise, channel, grid, dims, _optimizer_config(args))
+    _emit(_csv(("kappa", "rate_nats", "power", "feasible"),
+               ((p.kappa, p.rate_nats, p.power, p.feasible) for p in points)), args.out)
+    if not all(p.feasible for p in points):
+        return "some budgets produced no feasible input"
+    return None
 
 
-def _simulate_trace_csv(batch, innovations, path):
-    names = ["t"]
-    blocks = []
-    for label, arr in (("S", batch.S), ("V", batch.V), ("Xi", batch.Xi),
-                       ("X", batch.X), ("Y", batch.Y), ("I", innovations)):
-        for j in range(arr.shape[2]):
-            names.append(f"{label}{j}")
-        blocks.append(arr[0])
-    lines = [",".join(names)]
-    for t in range(batch.horizon):
-        cells = [str(t + 1)]
-        for block in blocks:
-            cells += [format(v, ".17g") for v in block[t]]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _cmd_simulate(args):
-    doc = _load_document(args.model)
-    noise = _parse_noise(doc)
-    input_model = _parse_input(doc)
-    channel = _parse_channel(doc, args.kappa_value)
+def _cmd_simulate(args, doc):
+    noise, input_model, channel = _parse_models(args, doc)
     analytic = asymptotic_rate(noise, input_model, channel)
     batch = sample_paths(noise, input_model, channel,
-                         horizon=args.n, paths=args.paths,
-                         master_seed=args.seed)
+                         horizon=args.n, paths=args.paths, master_seed=args.seed)
     report = empirical_report(batch, analytic)
-    rows = []
-    for row in report.rows:
-        rows.append({
-            "name": row.name,
-            "analytic": row.analytic,
-            "empirical": row.empirical,
-            "deviation": row.deviation,
-            "rel_deviation": row.rel_deviation,
-            "se": row.se,
-            "se_ratio": row.se_ratio,
-            "tol_se": row.tol_se,
-            "ok": row.ok,
-        })
-    out_doc = {
+    _emit({
         "paths": report.paths,
         "horizon": report.horizon,
         "master_seed": batch.master_seed,
         "saturated_at": batch.saturated_at,
         "ok": report.ok,
-        "checks": rows,
-    }
-    _write_output(_dumps(out_doc), args.out)
+        "checks": [_fields(row) for row in report.rows],
+    }, args.out)
     if args.trace:
-        _simulate_trace_csv(batch, report.innovations, args.trace)
-    if args.strict and not report.ok:
-        print("empirical statistics outside tolerance", file=sys.stderr)
-        return 3
-    return 0
+        # the first sampled path, one column per component
+        blocks = {"S": batch.S, "V": batch.V, "Xi": batch.Xi, "X": batch.X,
+                  "Y": batch.Y, "I": report.innovations}
+        header = ["t"] + [f"{label}{j}" for label, arr in blocks.items()
+                          for j in range(arr.shape[2])]
+        path = np.concatenate([arr[0] for arr in blocks.values()], axis=1)
+        _emit(_csv(header, ([t + 1, *row] for t, row in enumerate(path))), args.trace)
+    return None if report.ok else "empirical statistics outside tolerance"
 
 
 # ---------------------------------------------------------------- wiring
@@ -492,17 +382,22 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 2 if code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     try:
         args.kappa_value = _single_kappa(args)
-        return args.handler(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        with open(args.model) as fh:
+            doc = json.load(fh)
+        failure = args.handler(args, doc)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    if failure and getattr(args, "strict", False):
+        print(failure, file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

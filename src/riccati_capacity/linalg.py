@@ -63,12 +63,6 @@ def is_symmetric(M, tol=1e-10):
     return float(np.max(np.abs(M - M.T))) <= tol * scale
 
 
-def min_eigenvalue(M):
-    if M.size == 0:
-        return np.inf
-    return float(np.min(np.linalg.eigvalsh(symmetrize(M))))
-
-
 def is_psd(M, slack=PSD_SLACK):
     """Numerically positive semidefinite: eigenvalues above -slack*scale."""
     if M.size == 0:

@@ -30,7 +30,6 @@ from .linalg import (
     is_pd,
     is_psd,
     is_symmetric,
-    spectral_radius,
     symmetrize,
 )
 
@@ -132,10 +131,6 @@ class NoiseModel:
     def R(self):
         """Output noise covariance N K_W N^T."""
         return symmetrize(self.N @ self.K_W @ self.N.T)
-
-    @property
-    def is_stable(self):
-        return spectral_radius(self.A) < 1.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +295,96 @@ def test_output_defaults_to_stdout(tmp_path, capsys):
     assert main(["capacity-asym", "--model", model]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["rate_nats"] - HALF_LN2) < 1e-10
+
+
+UNSTABLE = dict(COLORED, noise=dict(COLORED["noise"], A=[[2.0]]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["capacity-asym", "--max-iter", "2"], "solver did not converge"),
+    (["sweep-kappa", "--kappa", "1", "--starts", "2", "--max-iter", "5"],
+     "some budgets produced no feasible input"),
+])
+def test_strict_turns_a_soft_failure_into_exit_3(tmp_path, capsys, argv, message):
+    doc = UNSTABLE
+    if argv[0] == "sweep-kappa":
+        # with C = 0 the unstable noise state is not detectable from V
+        doc = dict(UNSTABLE, noise=dict(UNSTABLE["noise"], C=[[0.0]]))
+    model = write_model(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(argv[:1] + ["--model", model, "--out", out] + argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv[:1] + ["--model", model, "--out", out, "--strict"] + argv[1:]) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_strict_simulate_exits_3_when_a_check_fails(tmp_path, monkeypatch, capsys):
+    original = cli.empirical_report
+
+    def failing(batch, analytic):
+        return dataclasses.replace(original(batch, analytic), ok=False)
+
+    monkeypatch.setattr(cli, "empirical_report", failing)
+    model = write_model(tmp_path, COLORED)
+    out = str(tmp_path / "report.json")
+    argv = ["simulate", "--model", model, "--n", "4", "--paths", "40", "--out", out]
+    assert main(argv) == 0
+    assert read_json(out)["ok"] is False
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--strict"]) == 3
+    assert capsys.readouterr().err == "empirical statistics outside tolerance\n"
+
+
+def test_simulate_trace_is_the_first_sampled_path(tmp_path):
+    doc = {"noise": {"A": [[0.6, 0.2], [0.0, -0.3]], "B": [[1.0], [0.5]],
+                     "C": [[1.0, 0.4]], "N": [[1.0]], "K_W": [[1.0]]},
+           "input": {"F": [[0.3]], "G": [[1.0]], "Gamma": [[0.5]], "D": [[1.0]],
+                     "K_Z": [[0.8]]},
+           "channel": {"H": [[1.0]], "kappa": 1.0}}
+    model = write_model(tmp_path, doc)
+    trace = str(tmp_path / "path.csv")
+    assert main(["simulate", "--model", model, "--n", "6", "--paths", "30",
+                 "--seed", "11", "--out", str(tmp_path / "report.json"),
+                 "--trace", trace]) == 0
+    lines = open(trace).read().splitlines()
+    assert lines[0] == "t,S0,S1,V0,Xi0,X0,Y0,I0"
+    cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    noise = rc.NoiseModel(**doc["noise"])
+    inp = rc.InputModel(**doc["input"])
+    channel = rc.Channel(**doc["channel"])
+    batch = rc.sample_paths(noise, inp, channel, horizon=6, paths=30, master_seed=11)
+    innovations = rc.empirical_report(
+        batch, rc.asymptotic_rate(noise, inp, channel)).innovations
+    expected = np.hstack([np.arange(1.0, 7.0)[:, None], batch.S[0], batch.V[0],
+                          batch.Xi[0], batch.X[0], batch.Y[0], innovations[0]])
+    assert np.array_equal(cells, expected)
+
+
+def test_section_keys_are_the_model_fields():
+    noise = dict(COLORED["noise"], K_S1=[[0.5]])
+    extended = dict(noise, mu_S1=None, colour="pink")
+    parsed = [cli._parse({"noise": s}, "noise", rc.NoiseModel) for s in (noise, extended)]
+    for field in dataclasses.fields(rc.NoiseModel):
+        assert np.array_equal(getattr(parsed[0], field.name),
+                              getattr(parsed[1], field.name)), field.name
+    inp = cli._parse({"input": dict(COLORED["input"], K_Xi1=None, note=1)},
+                     "input", rc.InputModel)
+    assert np.array_equal(inp.K_Xi1, np.zeros((1, 1)))
+    assert cli._parse({"channel": {"H": [[1.0]]}}, "channel", rc.Channel).kappa == 0.0
+
+
+def test_module_entry_point_passes_exit_codes_through(tmp_path):
+    src = Path(rc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(model):
+        return subprocess.run(
+            [sys.executable, "-m", "riccati_capacity.cli", "check-system",
+             "--model", model], capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run(write_model(tmp_path, COLORED))
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["member_of_P_infinity"] is True
+    bad = run(write_model(tmp_path, {"noise": {"A": [[0.5]]}}, "bad.json"))
+    assert bad.returncode == 2
+    assert bad.stderr == "error: noise section missing key B\n"
