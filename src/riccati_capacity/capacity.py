@@ -24,8 +24,7 @@ from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetri
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _step as _dre_core
-from .riccati import _check_state, are_solve, innovations_covariance
+from .riccati import _check_state, _predict, are_solve, innovations_covariance
 from .systests import feasibility_report
 # block_diag, to_quadruple and validate stay importable here because
 # bench/tracing.py patches them at these names
@@ -150,9 +149,11 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
 
     Notes
     -----
-    Each per-step rate term is clamped at zero individually, so a
-    transient with the noise predictor ahead of the joint one cannot
-    push the average negative.
+    Each step runs one Riccati prediction step (``riccati._predict``) per
+    DRE, which gives K_{Ihat_t} or K_{I_t}, its log-det and the next
+    covariance from one factorization. Each per-step rate term is clamped
+    at zero individually, so a transient with the noise predictor ahead
+    of the joint one cannot push the average negative.
     """
     n = int(n)
     if n < 1:
@@ -181,8 +182,8 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
             except ValueError as exc:
                 raise ValueError(f"step {t}: {exc}") from None
         try:
-            ld_hat = chol_logdet(innovations_covariance(nq, Sigma), context="K_Ihat")
-            ld = chol_logdet(innovations_covariance(system, Pi), context="K_I")
+            Sigma_next, K_Ihat, ld_hat, _ = _predict(nq, Sigma, context="K_Ihat")
+            Pi_next, K_I, ld, _ = _predict(system, Pi, context="K_I")
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"step {t}: {exc}") from None
         rate_sum += max(0.0, ld - ld_hat)
@@ -190,8 +191,7 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
         power_sum += input_power(input_t, P)
         trace[t - 1] = (t, ld, ld_hat, rate_sum / (2.0 * t), power_sum / t)
         if t < n:
-            Sigma = _dre_core(nq, Sigma)
-            Pi = _dre_core(system, Pi)
+            Sigma, Pi = Sigma_next, Pi_next
             P = _lyap_core(input_t.F, input_t.G, input_t.K_Z, P)
     return CapacityResult(
         rate_nats=rate_sum / (2.0 * n),
@@ -199,8 +199,8 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
         Sigma_star=Sigma,
         Pi_star=Pi,
         P_star=P,
-        K_I=symmetrize(innovations_covariance(system, Pi)),
-        K_Ihat=symmetrize(innovations_covariance(nq, Sigma)),
+        K_I=symmetrize(K_I),
+        K_Ihat=symmetrize(K_Ihat),
         feasibility=None,
         trace=trace,
         diagnostics={"horizon": n},

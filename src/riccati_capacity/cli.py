@@ -119,8 +119,9 @@ def _parse(doc, name, cls, **given):
     """The validated ``cls`` model in section ``name``.
 
     The section's keys are the dataclass fields of ``cls``: a field
-    without a default is a required key, other keys are ignored. ``given``
-    values that are not None override the section's.
+    without a default is a required key, other keys are ignored, and a
+    null value counts as an absent key. ``given`` values that are not
+    None override the section's.
     """
     section = doc.get(name)
     if section is None:
@@ -129,7 +130,7 @@ def _parse(doc, name, cls, **given):
         raise ValueError(f"{name} section must be a JSON object")
     kwargs = {}
     for field in dataclasses.fields(cls):
-        if field.name in section:
+        if section.get(field.name) is not None:
             kwargs[field.name] = section[field.name]
         elif field.default is dataclasses.MISSING:
             raise ValueError(f"{name} section missing key {field.name}")
@@ -387,6 +388,8 @@ def main(argv=None):
         args.kappa_value = _single_kappa(args)
         with open(args.model) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("model file must be a JSON object")
         failure = args.handler(args, doc)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,15 +83,16 @@ def is_pd(M):
     return float(eigs[0]) > M.shape[0] * np.finfo(np.float64).eps * scale
 
 
-def solve_spd(S, B, context="matrix"):
-    """Solve S X = B with S symmetric positive definite, via Cholesky."""
+def solve_spd(S, B, context="matrix", logdet=False):
+    """Solve S X = B, S symmetric positive definite, via Cholesky; ``logdet`` adds log det S."""
     if S.size == 0:
-        return np.zeros_like(B)
+        return (np.zeros_like(B), 0.0) if logdet else np.zeros_like(B)
     try:
         cf = sla.cho_factor(symmetrize(S), lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(f"{context} is not positive definite") from None
-    return sla.cho_solve(cf, B, check_finite=False)
+    X = sla.cho_solve(cf, B, check_finite=False)
+    return (X, 2.0 * float(np.sum(np.log(np.diag(cf[0]))))) if logdet else X
 
 
 def chol_logdet(M, context="covariance"):

@@ -1,21 +1,18 @@
 """Generalized Riccati engine shared by the noise and joint predictors.
 
 One template serves both one-step prediction problems. Writing
-Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T, Rhat = Dhat Khat Dhat^T,
-the difference equation is
+Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T, Rhat = Dhat Khat Dhat^T
+and K = Rhat + Chat P Chat^T, the covariance of the output's one-step
+prediction error (``innovations_covariance``), one prediction step is
 
-    P+ = Ahat P Ahat^T + Qhat
-         - (Ahat P Chat^T + Shat)(Rhat + Chat P Chat^T)^{-1}
-           (Ahat P Chat^T + Shat)^T
+    gain(P) = (Ahat P Chat^T + Shat) K^{-1},  closed_loop(P) = Ahat - gain(P) Chat,
+    P+ = Ahat P Ahat^T + Qhat - gain(P) (Ahat P Chat^T + Shat)^T.
 
-and ``are_solve`` reaches the steady state by structure-preserving
-doubling with a Newton polish. The gain and closed loop are
-
-    gain(P) = (Ahat P Chat^T + Shat)(Rhat + Chat P Chat^T)^{-1}
-    closed_loop(P) = Ahat - gain(P) Chat,
-
-where Rhat + Chat P Chat^T (``innovations_covariance``) is the
-covariance of the output's one-step prediction error.
+``_predict`` forms and factors K once and returns (P+, K, log det K,
+gain^T). It is the only place a DRE step is built: ``dre_step``,
+``dre_run``, ``gain_and_closed_loop``, ``are_solve``'s Newton polish, both
+DREs of ``capacity.finite_n_rate`` and ``simulate``'s Kalman pass call it.
+``are_solve`` reaches the steady state by structure-preserving doubling.
 """
 
 from dataclasses import dataclass
@@ -79,17 +76,14 @@ def innovations_covariance(quad, P):
     return quad.Rhat + quad.Chat @ P @ quad.Chat.T
 
 
-def _gain_terms(quad, P):
-    # (Ahat P Chat^T + Shat, gain^T); callers guarantee P is symmetric PSD
-    APC = quad.Ahat @ P @ quad.Chat.T + quad.Shat
-    return APC, solve_spd(innovations_covariance(quad, P), APC.T,
-                          context="Riccati denominator")
-
-
-def _step(quad, P):
-    # core update; callers guarantee P is symmetric PSD
-    APC, gain_T = _gain_terms(quad, P)
-    return symmetrize(quad.Ahat @ P @ quad.Ahat.T + quad.Qhat - APC @ gain_T)
+def _predict(quad, P, context="Riccati denominator"):
+    # (P+, K, log det K, gain^T) from one factorization of K; callers
+    # guarantee P is symmetric PSD
+    AP = quad.Ahat @ P
+    APC = AP @ quad.Chat.T + quad.Shat
+    K = innovations_covariance(quad, P)
+    gain_T, logdet = solve_spd(K, APC.T, context=context, logdet=True)
+    return symmetrize(AP @ quad.Ahat.T + quad.Qhat - APC @ gain_T), K, logdet, gain_T
 
 
 def _check_state(quad, P, who):
@@ -119,8 +113,7 @@ def dre_step(quad, P_t):
     ndarray
         P_{t+1}, symmetrized.
     """
-    P = _check_state(quad, P_t, "dre_step")
-    return _step(quad, P)
+    return _predict(quad, _check_state(quad, P_t, "dre_step"))[0]
 
 
 def dre_run(quad, P_1, horizon):
@@ -132,11 +125,9 @@ def dre_run(quad, P_1, horizon):
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    P = _check_state(quad, P_1, "dre_run")
-    out = [P.copy()]
+    out = [_check_state(quad, P_1, "dre_run")]
     for _ in range(horizon - 1):
-        P = _step(quad, P)
-        out.append(P)
+        out.append(_predict(quad, out[-1])[0])
     return out
 
 
@@ -148,10 +139,8 @@ def gain_and_closed_loop(quad, P):
     its Cholesky factorization; it is positive definite whenever the
     model invariants hold.
     """
-    P = _check_state(quad, P, "gain_and_closed_loop")
-    gain = _gain_terms(quad, P)[1].T
-    closed_loop = quad.Ahat - gain @ quad.Chat
-    return gain, closed_loop
+    gain = _predict(quad, _check_state(quad, P, "gain_and_closed_loop"))[3].T
+    return gain, quad.Ahat - gain @ quad.Chat
 
 
 def _compose(H, A, G, P0):
@@ -227,14 +216,15 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
         return RiccatiSolution(P, nan[:, :quad.q], nan[:, quad.q:], np.inf, np.inf,
                                iterations, False)
     met = diff <= tol * scale
-    defect = _step(quad, P) - P
-    gain, closed_loop = gain_and_closed_loop(quad, P)
-    for _ in range(_NEWTON_STEPS if met else 0):
-        if sup_norm(defect) <= tol * scale or spectral_radius(closed_loop) >= 1.0:
+    for newton_left in range(_NEWTON_STEPS if met else 0, -1, -1):
+        # one prediction step gives the defect, the gain and the closed loop
+        P_next, _, _, gain_T = _predict(quad, P)
+        defect, gain = P_next - P, gain_T.T
+        closed_loop = quad.Ahat - gain @ quad.Chat
+        if (not newton_left or sup_norm(defect) <= tol * scale
+                or spectral_radius(closed_loop) >= 1.0):
             break
         P = symmetrize(P + _smith(closed_loop, defect, tol))
-        defect = _step(quad, P) - P
-        gain, closed_loop = gain_and_closed_loop(quad, P)
         scale = max(sup_norm(P), q_scale)
         iterations += 1
     residual = sup_norm(defect)

@@ -17,10 +17,11 @@ from .linalg import substream, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented
-from .riccati import _gain_terms, dre_run, innovations_covariance
+from .riccati import _predict
 from .systests import psd_sqrt
-# stays importable here because bench/tracing.py patches it at this name
+# stay importable here because bench/tracing.py patches them at these names
 from .models import to_quadruple  # noqa: F401
+from .riccati import dre_run  # noqa: F401
 
 __all__ = [
     "TrajectoryBatch",
@@ -48,12 +49,14 @@ class TrajectoryBatch:
     guard trips at step t, arrays are truncated to t - 1 steps and
     ``saturated_at`` records t; otherwise it is None. Identical models
     and master_seed reproduce the batch bit for bit, path by path,
-    regardless of generation order.
+    regardless of generation order. ``system`` is the JointSystem built
+    from the three models, which ``empirical_report`` filters on.
     """
 
     noise: object
     input: object
     channel: object
+    system: object
     paths: int
     horizon: int
     master_seed: int
@@ -150,7 +153,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     if horizon < 1 or paths < 1:
         raise ValueError(f"horizon and paths must be >= 1, got {horizon}, {paths}")
     # runs the full validation including cross-dimension checks
-    build_augmented(noise, input, channel)
+    system = build_augmented(noise, input, channel)
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
@@ -200,7 +203,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
         S, V, Xi = S[:, :stored], V[:, :stored], Xi[:, :stored]
         X, Y = X[:, :stored], Y[:, :stored]
     return TrajectoryBatch(
-        noise=noise, input=input, channel=channel,
+        noise=noise, input=input, channel=channel, system=system,
         paths=paths, horizon=stored, master_seed=int(master_seed),
         S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at,
     )
@@ -209,29 +212,33 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
 def _filter_batch(quad, K_1, mu_1, obs):
     """Time-varying one-step predictor over a batch of observation paths.
 
-    ``quad`` is a JointSystem or its ``noise_quad``. Returns (innovations,
-    predictions, P_seq, K_seq): the per-path innovations, the per-path
-    one-step state predictions, and the analytic error and innovations
-    covariance schedules.
+    ``quad`` is a JointSystem or its ``noise_quad``. Each step is one
+    prediction step (``riccati._predict``): it gives the innovations
+    covariance, the gain that advances the paths and the next error
+    covariance. Returns (innovations, predictions, P_seq, K_seq): the
+    per-path innovations and one-step state predictions, and the analytic
+    error and innovations covariance schedules.
     """
     paths, horizon, _ = obs.shape
-    P_seq = dre_run(quad, K_1, horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     m = quad.m
     A_mat, C_mat = quad.Ahat, quad.Chat
+    P = symmetrize(K_1)  # checked when its model was validated
     state = np.broadcast_to(mu_1, (paths, m)).copy()
     innovations = np.empty((paths, horizon, quad.q))
     predictions = np.empty((paths, horizon, m))
+    P_seq = np.empty((horizon, m, m))
     K_seq = np.empty((horizon, quad.q, quad.q))
     for t in range(horizon):
-        P_t = P_seq[t]
-        K_seq[t] = symmetrize(innovations_covariance(quad, P_t))
-        # dre_run checked P_1 and keeps every later iterate symmetric PSD
-        gain_T = _gain_terms(quad, P_t)[1]
+        P_seq[t] = P
+        P, K, _, gain_T = _predict(quad, P)
+        K_seq[t] = symmetrize(K)
         innov = obs[:, t] - state @ C_mat.T
         innovations[:, t] = innov
         predictions[:, t] = state
         state = state @ A_mat.T + innov @ gain_T
-    return innovations, predictions, np.asarray(P_seq), K_seq
+    return innovations, predictions, P_seq, K_seq
 
 
 def kalman_run(system, batch):
@@ -321,9 +328,8 @@ def empirical_report(batch, analytic):
     innovations cross-covariance against zero, the state-error covariance
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
-    power carried by ``analytic``). The joint system is built once from
-    the batch's models; the joint predictor runs on it and the noise
-    predictor on its ``noise_quad``.
+    power carried by ``analytic``). The joint predictor runs on the
+    batch's ``system`` and the noise predictor on its ``noise_quad``.
 
     Parameters
     ----------
@@ -343,10 +349,9 @@ def empirical_report(batch, analytic):
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    system = build_augmented(batch.noise, batch.input, batch.channel)
-    run = kalman_run(system, batch)
+    run = kalman_run(batch.system, batch)
     noise_innov, _, _, K_hat_seq = _filter_batch(
-        system.noise_quad, batch.noise.K_S1, batch.noise.mu_S1, batch.V
+        batch.system.noise_quad, batch.noise.K_S1, batch.noise.mu_S1, batch.V
     )
     paths, horizon = batch.paths, batch.horizon
     t_last = horizon - 1

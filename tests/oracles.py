@@ -106,6 +106,23 @@ def joint_output_covariance_tv(A, B, C, D, K_1, K_drive):
     return 0.5 * (K + K.T)
 
 
+def innovations_covariances(K, ny):
+    """Per-step innovations covariances of stacked outputs with covariance K.
+
+    Entry t - 1 is the Schur complement of the leading (t - 1) ny rows
+    and columns in the leading t ny ones: the covariance of y_t minus its
+    best linear prediction from y_1, ..., y_{t-1}.
+    """
+    out = []
+    for t in range(K.shape[0] // ny):
+        past, now = slice(0, t * ny), slice(t * ny, (t + 1) * ny)
+        S = K[now, now]
+        if t:
+            S = S - K[now, past] @ np.linalg.solve(K[past, past], K[past, now])
+        out.append(0.5 * (S + S.T))
+    return out
+
+
 def logdet_pd(K):
     sign, ld = np.linalg.slogdet(K)
     if sign <= 0:

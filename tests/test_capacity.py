@@ -9,6 +9,7 @@ from oracles import (
     WF_TWO_MODE,
     joint_output_covariance,
     joint_output_covariance_tv,
+    innovations_covariances,
     logdet_pd,
 )
 from scipy.linalg import block_diag
@@ -87,6 +88,44 @@ def test_chain_rule_on_random_systems(seed):
     ld_V = logdet_pd(K_V)
     assert abs(np.sum(res.trace[:, 1]) - ld_Y) < 1e-8 * max(1.0, abs(ld_Y))
     assert abs(np.sum(res.trace[:, 2]) - ld_V) < 1e-8 * max(1.0, abs(ld_V))
+
+
+def assert_close_rel(got, want, rtol=1e-9):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_innovations_covariance_is_a_schur_complement(seed):
+    # pins each K to its step: K_{I_t} and K_{Ihat_t} are the Schur
+    # complements of the past outputs in the joint output covariance
+    rng = np.random.default_rng(300 + seed)
+    noise, inp = random_models(rng, n_s=3, n_xi=2, n_y=2, n_z=2,
+                               rho_A=float(rng.uniform(1.05, 1.4) if seed % 2
+                                           else rng.uniform(0.3, 0.95)))
+    ch = rc.Channel(H=np.eye(2) + 0.3 * rng.normal(size=(2, 2)), kappa=1.0)
+    n = int(rng.integers(2, 13))
+    H = ch.H
+    K_Y = joint_output_covariance(
+        block_diag(inp.F, noise.A), block_diag(inp.G, noise.B),
+        np.hstack([H @ inp.Gamma, noise.C]), np.hstack([H @ inp.D, noise.N]),
+        block_diag(inp.K_Xi1, noise.K_S1), block_diag(inp.K_Z, noise.K_W), n)
+    K_V = joint_output_covariance(noise.A, noise.B, noise.C, noise.N,
+                                  noise.K_S1, noise.K_W, n)
+    schur_Y = innovations_covariances(K_Y, 2)
+    schur_V = innovations_covariances(K_V, 2)
+
+    res = rc.finite_n_rate((noise, inp), ch, n)
+    assert_close_rel(res.K_I, schur_Y[-1])
+    assert_close_rel(res.K_Ihat, schur_V[-1])
+    for t in range(n):
+        assert abs(res.trace[t, 1] - logdet_pd(schur_Y[t])) <= 1e-9
+        assert abs(res.trace[t, 2] - logdet_pd(schur_V[t])) <= 1e-9
+
+    batch = rc.sample_paths(noise, inp, ch, horizon=n, paths=2, master_seed=seed)
+    K_I_seq = rc.kalman_run(rc.build_augmented(noise, inp, ch), batch).K_I_seq
+    assert len(K_I_seq) == n
+    for t in range(n):
+        assert_close_rel(K_I_seq[t], schur_Y[t])
 
 
 def drifting_state_schedule():

@@ -119,6 +119,27 @@ def test_missing_key_exits_2(tmp_path, capsys):
     assert "noise section missing key B" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[1, 2, 3], 3, "x", None])
+def test_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    model = write_model(tmp_path, doc)
+    assert main(["check-system", "--model", model]) == 2
+    assert capsys.readouterr().err == "error: model file must be a JSON object\n"
+
+
+def test_null_required_key_is_a_missing_key(tmp_path, capsys):
+    doc = {"noise": dict(COLORED["noise"], A=None), "input": COLORED["input"],
+           "channel": COLORED["channel"]}
+    assert main(["capacity-asym", "--model", write_model(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: noise section missing key A\n"
+
+
+def test_null_kappa_is_the_default_budget(tmp_path, capsys):
+    doc = dict(COLORED, channel={"H": [[1.0]], "kappa": None})
+    assert cli._parse(doc, "channel", rc.Channel).kappa == 0.0
+    assert main(["check-system", "--model", write_model(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["member_of_P_infinity"] is True
+
+
 def test_invalid_model_value_exits_2(tmp_path, capsys):
     doc = {"noise": dict(COLORED["noise"], K_W=[[0.0]]),
            "input": COLORED["input"], "channel": COLORED["channel"]}

@@ -107,7 +107,6 @@ def test_kalman_run_dimension_mismatch():
 def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     built = {"joint": 0, "quadruple": 0}
     joint_init = rc.JointSystem.__init__
     quad_post_init = rc.SystemQuadruple.__post_init__
@@ -122,6 +121,7 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
 
     monkeypatch.setattr(rc.JointSystem, "__init__", count_joint)
     monkeypatch.setattr(rc.SystemQuadruple, "__post_init__", count_quadruple)
+    b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     rc.empirical_report(b, analytic)
     assert built == {"joint": 1, "quadruple": 0}
 

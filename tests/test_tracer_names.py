@@ -5,6 +5,7 @@ from pathlib import Path
 
 import riccati_capacity
 import riccati_capacity.cli  # noqa: F401  (attribute riccati_capacity.cli)
+from conftest import scalar_noise, unit_channel, unit_iid_input
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -20,3 +21,29 @@ def test_every_traced_name_resolves_on_the_package():
     missing = [f"{module}.{attr}" for module, attr, _, _ in load_tracing().WRAPS
                if not hasattr(getattr(riccati_capacity, module, None), attr)]
     assert missing == []
+
+
+def test_traced_spans_record_calls():
+    # the spans the benchmark expects on horizon and steady_state must see
+    # the library's calls, not only resolve as names
+    rc = riccati_capacity
+    pair = (scalar_noise(0.5), unit_iid_input())
+    schedule = rc.CoefficientSchedule(
+        noise_at=lambda t: scalar_noise(0.5 + 2.0 ** (-t)), input_at=lambda t: pair[1],
+        noise_limit=pair[0], input_limit=pair[1])
+    n = 5
+    tracer = load_tracing().Tracer()
+    tracer.install(rc)
+    try:
+        for models in (pair, schedule):
+            rc.capacity.finite_n_rate(models, unit_channel(), n)
+        # two runs of n steps with two DREs each
+        assert tracer.leaf["riccati.solve_spd"][0] >= 2 * 2 * n
+        rc.capacity.asymptotic_rate(*pair, unit_channel())
+    finally:
+        tracer.remove()
+    totals, _ = tracer.totals()
+    calls = {name: totals.get(name, {"calls": 0})["calls"] for name in (
+        "riccati.solve_spd", "capacity.finite_n_rate", "linalg.block_diag",
+        "riccati.are_solve", "lyapunov.lyap_solve", "systests.feasibility_report")}
+    assert all(calls.values()), calls
