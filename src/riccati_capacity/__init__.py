@@ -30,7 +30,6 @@ from .models import (
     InputModel,
     JointSystem,
     NoiseModel,
-    SystemQuadruple,
     ValidationReport,
     build_augmented,
     iid_input,
@@ -76,7 +75,6 @@ __all__ = [
     "RiccatiSolution",
     "StarredSystem",
     "SweepPoint",
-    "SystemQuadruple",
     "TrajectoryBatch",
     "ValidationReport",
     "are_solve",

@@ -24,7 +24,7 @@ from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetri
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _check_state, _predict, are_solve, innovations_covariance
+from .riccati import _predict, are_solve, innovations_covariance
 from .systests import feasibility_report
 # block_diag, to_quadruple and validate stay importable here because
 # bench/tracing.py patches them at these names
@@ -125,7 +125,7 @@ def _unpack_models(models):
     )
 
 
-def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
+def finite_n_rate(models, channel, n):
     """Average rate and power over a finite block of n channel uses.
 
     Parameters
@@ -135,11 +135,6 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     channel : Channel
     n : int
         Block length, >= 1.
-    Sigma_1, Pi_1 : array_like, optional
-        Initial covariances of the noise-only and joint predictors,
-        symmetric PSD (else ValueError, as for ``are_solve``'s init).
-        Defaults are the model initial laws: K_S1 and
-        blockdiag(K_Xi1, K_S1).
 
     Returns
     -------
@@ -149,6 +144,10 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
 
     Notes
     -----
+    The noise-only and joint predictors start from the step-1 models'
+    initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
+    channel; when the feasibility tests pass, the rate converges to the
+    asymptotic one uniformly over these laws.
     Each step runs one Riccati prediction step (``riccati._predict``) per
     DRE, which gives K_{Ihat_t} or K_{I_t}, its log-det and the next
     covariance from one factorization. Each per-step rate term is clamped
@@ -164,10 +163,7 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     # validation plus dimension cross-checks happen once, on the step-1 models
     system = build_augmented(noise_1, input_1, channel)
     nq = system.noise_quad
-    Sigma = (symmetrize(noise_1.K_S1) if Sigma_1 is None
-             else _check_state(nq, Sigma_1, "finite_n_rate Sigma_1"))
-    Pi = (symmetrize(system.K_Theta1) if Pi_1 is None
-          else _check_state(system, Pi_1, "finite_n_rate Pi_1"))
+    Sigma, Pi = symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1)
     P = symmetrize(input_1.K_Xi1)
 
     trace = np.empty((n, 5))
@@ -207,20 +203,12 @@ def finite_n_rate(models, channel, n, Sigma_1=None, Pi_1=None):
     )
 
 
-def asymptotic_rate(
-    noise,
-    input,
-    channel,
-    tol=1e-11,
-    max_iter=MAX_DOUBLINGS,
-    Sigma_init=None,
-    Pi_init=None,
-    with_feasibility=True,
-):
+def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS,
+                    with_feasibility=True):
     """Steady-state rate and power for fixed models.
 
-    Solves the steady states of both prediction problems and the input
-    Lyapunov equation, then evaluates
+    Solves the steady states of both prediction problems, each from zero,
+    and the input Lyapunov equation, then evaluates
 
         rate = (1/2) max(0, logdet K_I - logdet K_Ihat)
         power = tr(Gamma P Gamma^T + D K_Z D^T).
@@ -234,9 +222,6 @@ def asymptotic_rate(
     max_iter : int
         Doubling budget of each Riccati solve (see ``are_solve``), not a
         count of DRE steps; capped at MAX_DOUBLINGS = 64.
-    Sigma_init, Pi_init : array_like, optional
-        Warm starts; harmless because the limits do not depend on the
-        initial condition whenever the feasibility tests pass.
     with_feasibility : bool
         Attach a full FeasibilityReport (skipping it saves the rank
         tests in hot loops).
@@ -256,8 +241,8 @@ def asymptotic_rate(
     p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
     feas = feasibility_report(noise, input, system) if with_feasibility else None
     nq = system.noise_quad
-    sigma_sol = are_solve(nq, init=Sigma_init, tol=tol, max_iter=max_iter)
-    pi_sol = are_solve(system, init=Pi_init, tol=tol, max_iter=max_iter)
+    sigma_sol = are_solve(nq, tol=tol, max_iter=max_iter)
+    pi_sol = are_solve(system, tol=tol, max_iter=max_iter)
     K_I = symmetrize(innovations_covariance(system, pi_sol.P_star))
     K_Ihat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     ld = chol_logdet(K_I, context="K_I")

@@ -11,11 +11,11 @@ Three user-facing models describe the setup:
 
 ``JointSystem`` is the one place that knows how input and noise stack
 into the joint system whose one-step prediction problem drives every
-rate formula downstream; ``build_augmented`` validates the models and
-builds it, and it reads like a quadruple to the shared Riccati engine.
-``SystemQuadruple`` is the thin adapter a noise model presents to that
-engine. ``require_valid`` is the one validate-and-raise boundary of the
-public entry points.
+rate formula downstream, and the only type the shared Riccati engine
+receives; ``build_augmented`` validates the models and builds it.
+``to_quadruple`` gives a noise model's own prediction problem as the
+joint system with no input. ``require_valid`` is the one
+validate-and-raise boundary of the public entry points.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ __all__ = [
     "InputModel",
     "Channel",
     "JointSystem",
-    "SystemQuadruple",
     "ValidationReport",
     "validate",
     "require_valid",
@@ -201,42 +200,6 @@ class Channel:
         return self.H.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class SystemQuadruple:
-    """Generic (Ahat, Bhat, Chat, Dhat, Khat) tuple for the Riccati engine.
-
-    Instantiated with (A, B, C, N, K_W) for the noise prediction problem;
-    the joint one is a JointSystem. The denominator base Dhat Khat Dhat^T
-    must be positive definite.
-    """
-
-    Ahat: np.ndarray
-    Bhat: np.ndarray
-    Chat: np.ndarray
-    Dhat: np.ndarray
-    Khat: np.ndarray
-
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "Ahat", _freeze(as_matrix(self.Ahat, "Ahat")))
-        set_(self, "Bhat", _freeze(as_matrix(self.Bhat, "Bhat")))
-        set_(self, "Chat", _freeze(as_matrix(self.Chat, "Chat")))
-        set_(self, "Dhat", _freeze(as_matrix(self.Dhat, "Dhat")))
-        set_(self, "Khat", _freeze(as_matrix(self.Khat, "Khat")))
-        # precomputed constant terms reused by every Riccati step
-        set_(self, "Qhat", _freeze(symmetrize(self.Bhat @ self.Khat @ self.Bhat.T)))
-        set_(self, "Shat", _freeze(self.Bhat @ self.Khat @ self.Dhat.T))
-        set_(self, "Rhat", _freeze(symmetrize(self.Dhat @ self.Khat @ self.Dhat.T)))
-
-    @property
-    def m(self):
-        return self.Ahat.shape[0]
-
-    @property
-    def q(self):
-        return self.Chat.shape[0]
-
-
 def _check_finite(violations, name, arr):
     if arr.size and not np.all(np.isfinite(arr)):
         violations.append(f"{name} contains non-finite entries")
@@ -376,10 +339,10 @@ class JointSystem:
     The slots hold Ahat = blockdiag(F, A), Bhat = blockdiag(G, B),
     Chat = [H Gamma | C], Dhat = [H D | N] and Khat = blockdiag(K_Z, K_W),
     with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
-    Rhat = Dhat Khat Dhat^T filled block by block, so the system reads
-    like a SystemQuadruple to the Riccati engine. ``noise_quad`` is the
-    noise-only problem (A, B, C, N, K_W) over views of the noise slots;
-    ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
+    Rhat = Dhat Khat Dhat^T filled block by block; ``update`` is the only
+    code that forms them. ``noise_quad`` is the noise-only problem
+    (A, B, C, N, K_W) over views of the noise slots; ``mu_Theta1`` and
+    ``K_Theta1`` are the initial law of the joint state.
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
     or an input search reuses one system. The models are not checked
@@ -472,18 +435,17 @@ def build_augmented(noise, input, channel):
 def to_quadruple(source):
     """Present a noise model or a joint system to the Riccati engine.
 
-    A NoiseModel maps to the SystemQuadruple (A, B, C, N, K_W), whose
-    denominator base N K_W N^T is checked positive definite. A JointSystem
-    already reads like a quadruple and is returned unchanged.
+    A NoiseModel maps to its own prediction problem (A, B, C, N, K_W): the
+    JointSystem ``build_augmented`` validates and builds from it, an input
+    with no state and no innovations (n_xi = n_z = 0) and a channel with
+    no input columns. A JointSystem is returned unchanged.
     """
     if isinstance(source, JointSystem):
         return source
     if not isinstance(source, NoiseModel):
         raise TypeError(f"cannot build a quadruple from {type(source).__name__}")
-    quad = SystemQuadruple(source.A, source.B, source.C, source.N, source.K_W)
-    if not is_pd(quad.Rhat):
-        raise ValueError("Dhat Khat Dhat^T not positive definite")
-    return quad
+    return build_augmented(source, iid_input(np.zeros((0, 0)), n_x=0),
+                           Channel(H=np.zeros((source.n_y, 0))))
 
 
 def memoryless_noise(K_V):

@@ -35,7 +35,7 @@ __all__ = [
 
 # sampled states beyond this magnitude stop the run; unstable noise is
 # legitimate, silent overflow to inf is not
-DEFAULT_OVERFLOW_GUARD = 1e12
+OVERFLOW_GUARD = 1e12
 
 # a comparison row passes when every entry is within this many standard errors
 TOL_SE = 3.0
@@ -45,8 +45,8 @@ TOL_SE = 3.0
 class TrajectoryBatch:
     """Sampled trajectories, indexed (path, t, component).
 
-    ``horizon`` counts the steps actually stored. When the overflow
-    guard trips at step t, arrays are truncated to t - 1 steps and
+    ``horizon`` counts the steps actually stored. When a sampled state
+    passes OVERFLOW_GUARD at step t, arrays are truncated to t - 1 steps and
     ``saturated_at`` records t; otherwise it is None. Identical models
     and master_seed reproduce the batch bit for bit, path by path,
     regardless of generation order. ``system`` is the JointSystem built
@@ -120,8 +120,7 @@ def _draw_layout(noise, input, horizon):
     return n_s + n_xi + horizon * (n_w + n_z)
 
 
-def sample_paths(noise, input, channel, horizon, paths, master_seed,
-                 overflow_guard=DEFAULT_OVERFLOW_GUARD):
+def sample_paths(noise, input, channel, horizon, paths, master_seed):
     """Sample trajectories of (S, V, Xi, X, Y) from the model recursions.
 
     Parameters
@@ -135,9 +134,6 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
         Path i draws from a counter-based generator keyed on
         (master_seed, i), so the batch is reproducible and paths are
         independent by construction.
-    overflow_guard : float
-        Bound on the sup-norm of the sampled states; exceeding it
-        truncates the batch and records the step (see TrajectoryBatch).
 
     Notes
     -----
@@ -184,7 +180,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed,
     saturated_at = None
     stored = 0
     for t in range(horizon):
-        if max(sup_norm(S_now), sup_norm(Xi_now)) > overflow_guard:
+        if max(sup_norm(S_now), sup_norm(Xi_now)) > OVERFLOW_GUARD:
             saturated_at = t + 1
             break
         W_t = steps[:, t, :n_w] @ sq_W.T
@@ -220,8 +216,6 @@ def _filter_batch(quad, K_1, mu_1, obs):
     error and innovations covariance schedules.
     """
     paths, horizon, _ = obs.shape
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     m = quad.m
     A_mat, C_mat = quad.Ahat, quad.Chat
     P = symmetrize(K_1)  # checked when its model was validated
@@ -270,6 +264,9 @@ def kalman_run(system, batch):
         raise ValueError(
             f"joint output size q = {system.q} does not match batch ({batch.Y.shape[2]})"
         )
+    if batch.horizon == 0:
+        raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
+                         f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
     innovations, predictions, Pi_seq, K_I_seq = _filter_batch(
         system, system.K_Theta1, system.mu_Theta1, batch.Y
     )

@@ -207,3 +207,26 @@ def test_10_rate_invariant_under_state_similarity():
             other = rc.asymptotic_rate(noise, moved, ch, tol=1e-13,
                                        with_feasibility=False)
             assert abs(base.rate_nats - other.rate_nats) <= 1e-10
+
+
+def test_11_finite_block_rate_converges_uniformly_over_initial_laws():
+    with criterion("the finite-block rate converges uniformly over the "
+                   "initial laws of (S_1, Xi_1)"):
+        ch = unit_channel()
+        laws = [(k_s1, k_xi1) for k_s1 in (0.0, 1.0, 10.0) for k_xi1 in (0.0, 4.0)]
+        for a in (0.5, 1.5):
+            def models(k_s1, k_xi1):
+                inp = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]],
+                                    K_Z=[[1.0]], K_Xi1=[[k_xi1]])
+                return scalar_noise(a, k_s1=k_s1), inp
+
+            limit = rc.asymptotic_rate(*models(0.0, 0.0), ch).rate_nats
+            scaled = []
+            for n in (100, 400):
+                rates = np.array([rc.finite_n_rate(models(*law), ch, n).rate_nats
+                                  for law in laws])
+                # the laws matter at finite n ...
+                assert np.ptp(rates) > 1e-3, f"a={a}, n={n}: {rates}"
+                scaled.append(n * np.max(np.abs(rates - limit)))
+            # ... but the worst of them is O(1/n) from the limit
+            assert scaled[1] <= 1.001 * scaled[0], f"a={a}: {scaled}"

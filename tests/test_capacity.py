@@ -202,29 +202,29 @@ def test_schedule_rejects_a_block_that_changes_shape():
 
 
 def test_explicit_initial_covariances_enter_step_one():
-    noise, inp, ch = colored_setup()
+    _, inp, ch = colored_setup()
     # iid input has no xi state, so the augmented state is S alone:
-    # K_I_1 = Pi_1 + 2 and K_Ihat_1 = Sigma_1 + 1 for this model
-    res = rc.finite_n_rate((noise, inp), ch, 1,
-                           Sigma_1=[[2.0]], Pi_1=[[2.0]])
+    # K_I_1 = K_S1 + 2 and K_Ihat_1 = K_S1 + 1 for this model
+    res = rc.finite_n_rate((scalar_noise(0.5, k_s1=2.0), inp), ch, 1)
     assert abs(res.trace[0, 1] - np.log(4.0)) < 1e-14
     assert abs(res.trace[0, 2] - np.log(3.0)) < 1e-14
     assert abs(res.rate_nats - 0.5 * np.log(4.0 / 3.0)) < 1e-14
 
 
-@pytest.mark.parametrize("input_state, kwargs, message", [
-    (False, dict(Sigma_1=[[-0.5]], Pi_1=[[-0.5]]), "not positive semidefinite"),
-    (True, dict(Pi_1=[[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
-    (False, dict(Sigma_1=[[-5.0]]), "not positive semidefinite"),
+@pytest.mark.parametrize("k_s1, k_xi1, message", [
+    (-0.5, None, "not positive semidefinite"),
+    (0.0, [[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+    (-5.0, None, "not positive semidefinite"),
 ], ids=["negative", "asymmetric", "far_negative"])
-def test_initial_covariances_must_be_symmetric_psd(input_state, kwargs, message):
-    noise, inp, ch = colored_setup()
-    if input_state:
-        # an inert input state makes the joint state, and so Pi_1, 2 x 2
-        inp = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
-                            K_Z=[[1.0]])
+def test_initial_covariances_must_be_symmetric_psd(k_s1, k_xi1, message):
+    _, inp, ch = colored_setup()
+    if k_xi1 is not None:
+        # an inert 2-state input carries the 2 x 2 initial law
+        inp = rc.InputModel(F=np.zeros((2, 2)), G=np.zeros((2, 1)),
+                            Gamma=np.zeros((1, 2)), D=[[1.0]], K_Z=[[1.0]],
+                            K_Xi1=k_xi1)
     with pytest.raises(ValueError, match=message):
-        rc.finite_n_rate((noise, inp), ch, 3, **kwargs)
+        rc.finite_n_rate((scalar_noise(0.5, k_s1=k_s1), inp), ch, 3)
 
 
 def test_bad_horizon_rejected():
@@ -270,14 +270,6 @@ def test_unstable_input_state_rejected():
                         K_Z=[[1.0]])
     with pytest.raises(ValueError, match="not exponentially stable"):
         rc.asymptotic_rate(noise, inp, unit_channel())
-
-
-def test_warm_starts_do_not_change_the_limit():
-    noise, inp, ch = colored_setup()
-    base = rc.asymptotic_rate(noise, inp, ch, tol=1e-13)
-    warm = rc.asymptotic_rate(noise, inp, ch, tol=1e-13,
-                              Sigma_init=[[5.0]], Pi_init=[[10.0]])
-    assert abs(base.rate_nats - warm.rate_nats) < 1e-9
 
 
 def test_finite_horizon_approaches_asymptote():

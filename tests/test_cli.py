@@ -293,6 +293,14 @@ def test_simulate_report(tmp_path):
     assert len(lines) == 13
 
 
+def test_simulate_saturated_at_step_one_exits_2(tmp_path, capsys):
+    doc = {**COLORED, "noise": dict(COLORED["noise"], mu_S1=[1e13])}
+    model = write_model(tmp_path, doc)
+    assert main(["simulate", "--model", model, "--n", "5", "--paths", "10"]) == 2
+    assert capsys.readouterr().err == ("error: no step to filter: a sampled state passed "
+                                       "the overflow guard 1e+12 at step 1\n")
+
+
 def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
     calls = []
     original = simulate.kalman_run

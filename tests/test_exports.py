@@ -1,0 +1,20 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import riccati_capacity as rc
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(rc.__path__))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in rc.__all__ if not hasattr(rc, name)]
+    assert not missing, f"riccati_capacity.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_resolve(name):
+    module = importlib.import_module(f"riccati_capacity.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"riccati_capacity.{name}.__all__ names missing attributes: {missing}"

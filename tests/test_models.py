@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import riccati_capacity as rc
-from conftest import scalar_noise, unit_channel, unit_iid_input
+from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
 
 
 def test_scalar_noise_validates_clean():
@@ -112,6 +112,27 @@ def test_noise_quadruple_measurement_covariance():
     assert np.allclose(quad.Dhat @ quad.Khat @ quad.Dhat.T, [[1.0]])
     assert np.allclose(quad.Qhat, [[1.0]])
     assert np.allclose(quad.Shat, [[1.0]])
+
+
+def test_noise_quadruple_is_the_joint_system_with_no_input(rng):
+    noise, _ = random_models(rng, n_s=3, n_y=2)
+    quad = rc.to_quadruple(noise)
+    assert isinstance(quad, rc.JointSystem)
+    assert (quad.n_xi, quad.n_z, quad.m, quad.q) == (0, 0, 3, 2)
+    B, N, K_W = noise.B, noise.N, noise.K_W
+    assert np.allclose(quad.Qhat, B @ K_W @ B.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(quad.Shat, B @ K_W @ N.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(quad.Rhat, N @ K_W @ N.T, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(quad.K_Theta1, noise.K_S1)
+    assert np.array_equal(quad.mu_Theta1, noise.mu_S1)
+
+
+def test_noise_quadruple_validates_the_noise():
+    singular = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[0.0]], K_W=[[1.0]])
+    with pytest.raises(ValueError, match="noise model invalid: R not positive definite"):
+        rc.to_quadruple(singular)
+    with pytest.raises(TypeError, match="cannot build a quadruple from InputModel"):
+        rc.to_quadruple(unit_iid_input())
 
 
 def test_augmented_quadruple_measurement_covariance():

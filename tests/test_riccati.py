@@ -18,8 +18,7 @@ def family_quad(a):
 
 
 def test_step_with_all_state_terms_zero():
-    quad = rc.SystemQuadruple(Ahat=[[0.0]], Bhat=[[0.0]], Chat=[[1.0]],
-                              Dhat=[[1.0]], Khat=[[1.0]])
+    quad = rc.to_quadruple(rc.NoiseModel(A=0.0, B=0.0, C=1.0, N=1.0, K_W=1.0))
     out = rc.dre_step(quad, [[5.0]])
     assert np.allclose(out, [[0.0]])
 

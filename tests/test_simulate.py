@@ -5,6 +5,7 @@ import pytest
 
 import riccati_capacity as rc
 from conftest import scalar_noise, unit_channel, unit_iid_input
+from riccati_capacity.simulate import OVERFLOW_GUARD
 
 
 def colored_setup():
@@ -54,12 +55,21 @@ def test_memoryless_mean_within_clt_bound():
 def test_overflow_guard_truncates():
     noise = scalar_noise(1.5)
     b = rc.sample_paths(noise, unit_iid_input(), unit_channel(),
-                        horizon=80, paths=30, master_seed=5,
-                        overflow_guard=1e3)
-    assert b.saturated_at is not None
-    assert b.horizon < 80
+                        horizon=80, paths=30, master_seed=5)
+    assert b.saturated_at == 68
+    assert b.horizon == 67
     assert b.S.shape[1] == b.horizon
-    assert np.all(np.abs(b.S) <= 1e3)
+    assert np.all(np.abs(b.S) <= OVERFLOW_GUARD)
+
+
+def test_batch_saturated_at_step_one_has_nothing_to_filter():
+    noise = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]],
+                          mu_S1=[1e13])
+    inp, ch = unit_iid_input(), unit_channel()
+    b = rc.sample_paths(noise, inp, ch, horizon=5, paths=10, master_seed=0)
+    assert (b.saturated_at, b.horizon) == (1, 0)
+    with pytest.raises(ValueError, match=r"passed the overflow guard 1e\+12 at step 1"):
+        rc.kalman_run(b.system, b)
 
 
 # ---------------------------------------------------------------- kalman_run
@@ -107,23 +117,18 @@ def test_kalman_run_dimension_mismatch():
 def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    built = {"joint": 0, "quadruple": 0}
+    # every quadruple is a JointSystem, so this count covers them too
+    built = []
     joint_init = rc.JointSystem.__init__
-    quad_post_init = rc.SystemQuadruple.__post_init__
 
     def count_joint(self, *args):
-        built["joint"] += 1
+        built.append(self)
         joint_init(self, *args)
 
-    def count_quadruple(self):
-        built["quadruple"] += 1
-        quad_post_init(self)
-
     monkeypatch.setattr(rc.JointSystem, "__init__", count_joint)
-    monkeypatch.setattr(rc.SystemQuadruple, "__post_init__", count_quadruple)
     b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     rc.empirical_report(b, analytic)
-    assert built == {"joint": 1, "quadruple": 0}
+    assert len(built) == 1
 
 
 def test_report_accepts_matched_statistics():
