@@ -17,8 +17,6 @@ an independent reference for the memoryless special case.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.optimize
 
 from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetrize
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
@@ -322,7 +320,7 @@ def _waterfill(H, R, kappa):
     positive definite.
     """
     L = np.linalg.cholesky(symmetrize(R))
-    H_eff = sla.solve_triangular(L, H, lower=True, check_finite=False)
+    H_eff = np.linalg.solve(L, H)
     _, s, Vt = np.linalg.svd(H_eff, full_matrices=False)
     gains = s * s
     return gains, _waterfill_powers(gains, kappa), Vt
@@ -539,6 +537,11 @@ def optimize_input(noise, channel, dims, config=None):
     so the result is a certified lower bound rather than a proven
     optimum.
     """
+    # the search is the package's only use of scipy, whose import costs
+    # several times the rest of the package's, so it is loaded here;
+    # minimize is looked up at each call
+    import scipy.optimize
+
     cfg = config if config is not None else OptimizerConfig()
     n_xi, n_z = (int(dims[0]), int(dims[1]))
     if n_xi < 0 or n_z < 0:

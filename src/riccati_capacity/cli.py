@@ -228,12 +228,16 @@ def _cmd_check_system(args, doc):
 
 def _cmd_solve_are(args, doc):
     noise = _parse(doc, "noise", NoiseModel)
-    sols = [are_solve(to_quadruple(noise), tol=args.tol, max_iter=args.max_iter)]
-    out_doc = _fields(sols[0])
     if isinstance(doc.get("input"), dict) and isinstance(doc.get("channel"), dict):
+        # the joint system carries the noise's own problem, so no second one is built
         system = build_augmented(noise, _parse(doc, "input", InputModel),
                                  _parse(doc, "channel", Channel, kappa=args.kappa_value))
-        sols.append(are_solve(system, tol=args.tol, max_iter=args.max_iter))
+        problems = (system.noise_quad, system)
+    else:
+        problems = (to_quadruple(noise),)
+    sols = [are_solve(quad, tol=args.tol, max_iter=args.max_iter) for quad in problems]
+    out_doc = _fields(sols[0])
+    if len(sols) > 1:
         out_doc["augmented"] = _fields(sols[1])
     _emit(out_doc, args.out)
     return None if all(sol.converged for sol in sols) else _NOT_CONVERGED

@@ -3,10 +3,13 @@
 Everything here assumes small, dense, double-precision matrices stored
 row-major. Covariance arguments are expected to be symmetric; routines
 that return covariances symmetrize their output to suppress drift.
+
+The helpers need only numpy: a Cholesky factor and its inverse serve
+every positive definite solve, and ``block_diag`` fills its slots
+directly, so importing the package loads no scipy.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 # Eigenvalues of a nominally PSD matrix are allowed to dip this far below
 # zero before the matrix is declared indefinite.
@@ -84,15 +87,20 @@ def is_pd(M):
 
 
 def solve_spd(S, B, context="matrix", logdet=False):
-    """Solve S X = B, S symmetric positive definite, via Cholesky; ``logdet`` adds log det S."""
+    """Solve S X = B, S symmetric positive definite, via Cholesky; ``logdet`` adds log det S.
+
+    numpy has no triangular solve, so with S = L L^T the solution is
+    X = L^-T (L^-1 B) through the inverse of the factor L.
+    """
     if S.size == 0:
         return (np.zeros_like(B), 0.0) if logdet else np.zeros_like(B)
     try:
-        cf = sla.cho_factor(symmetrize(S), lower=True, check_finite=False)
+        L = np.linalg.cholesky(symmetrize(S))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(f"{context} is not positive definite") from None
-    X = sla.cho_solve(cf, B, check_finite=False)
-    return (X, 2.0 * float(np.sum(np.log(np.diag(cf[0]))))) if logdet else X
+    L_inv = np.linalg.inv(L)
+    X = L_inv.T @ (L_inv @ B)
+    return (X, 2.0 * float(np.sum(np.log(np.diag(L))))) if logdet else X
 
 
 def chol_logdet(M, context="covariance"):
@@ -107,7 +115,21 @@ def chol_logdet(M, context="covariance"):
 
 
 def block_diag(*blocks):
-    return sla.block_diag(*blocks)
+    """Blocks of at most two dimensions on the diagonal of a zero matrix.
+
+    The rules are scipy.linalg.block_diag's: a scalar is a 1 x 1 block and a
+    1-D array of length n a 1 x n block; empty blocks keep their rows or
+    columns. No argument gives a (1, 0) array. The dtype is the result
+    type of the blocks.
+    """
+    blocks = [np.atleast_2d(b) for b in (blocks or ([],))]
+    rows, cols = (sum(b.shape[i] for b in blocks) for i in (0, 1))
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def substream(master_seed, index):

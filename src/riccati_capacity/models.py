@@ -346,7 +346,8 @@ class JointSystem:
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
     or an input search reuses one system. The models are not checked
-    here: ``build_augmented`` validates them first.
+    here: ``build_augmented``, or ``to_quadruple`` for a noise alone,
+    validates them first.
     """
 
     def __init__(self, noise, input, channel):
@@ -436,16 +437,18 @@ def to_quadruple(source):
     """Present a noise model or a joint system to the Riccati engine.
 
     A NoiseModel maps to its own prediction problem (A, B, C, N, K_W): the
-    JointSystem ``build_augmented`` validates and builds from it, an input
-    with no state and no innovations (n_xi = n_z = 0) and a channel with
-    no input columns. A JointSystem is returned unchanged.
+    JointSystem of the validated noise, an input with no state and no
+    innovations (n_xi = n_z = 0) and a channel with no input columns. Those
+    two fill no slot and cannot be invalid, so only the noise is validated.
+    A JointSystem is returned unchanged.
     """
     if isinstance(source, JointSystem):
         return source
     if not isinstance(source, NoiseModel):
         raise TypeError(f"cannot build a quadruple from {type(source).__name__}")
-    return build_augmented(source, iid_input(np.zeros((0, 0)), n_x=0),
-                           Channel(H=np.zeros((source.n_y, 0))))
+    require_valid(source)
+    return JointSystem(source, iid_input(np.zeros((0, 0)), n_x=0),
+                       Channel(H=np.zeros((source.n_y, 0))))
 
 
 def memoryless_noise(K_V):

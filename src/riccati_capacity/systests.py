@@ -113,8 +113,10 @@ def psd_sqrt(M):
     ----------
     M : array_like
         Symmetric matrix with eigenvalues >= -PSD_SLACK (1e-10).
-        Eigenvalues in [-PSD_SLACK, 0) are treated as rounding noise and
-        set to zero; anything below -PSD_SLACK raises.
+        Eigenvalues from -PSD_SLACK up to PSD_SLACK times the largest
+        magnitude are treated as rounding noise and set to zero, so a
+        rank-deficient M computed with round-off has a root of its rank;
+        anything below -PSD_SLACK raises.
 
     Returns
     -------
@@ -131,7 +133,10 @@ def psd_sqrt(M):
     w, V = np.linalg.eigh(symmetrize(M))
     if float(w[0]) < -PSD_SLACK:
         raise ValueError(f"matrix not PSD: eigenvalue {w[0]:.6g} below -{PSD_SLACK:g}")
-    w = np.clip(w, 0.0, None)
+    # a zero eigenvalue comes back as round-off of either sign (up to a few
+    # hundred eps of the largest for a Schur complement such as B_star);
+    # clipping only the negative ones would give the root spurious directions
+    w = np.where(w > PSD_SLACK * float(np.max(np.abs(w))), w, 0.0)
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
 

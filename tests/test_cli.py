@@ -56,6 +56,32 @@ def test_solve_are_scalar_family(tmp_path):
     assert abs(doc["augmented"]["P_star"][1][1] - 0.5) < 1e-9
 
 
+def test_solve_are_validates_each_model_no_more_than_check_system(tmp_path, monkeypatch):
+    # one validation per parsed section plus build_augmented's three; the noise
+    # problem is the joint system's own, or to_quadruple's with the noise alone
+    calls = []
+    validate = rc.models.validate
+    monkeypatch.setattr(rc.models, "validate", lambda m: calls.append(m) or validate(m))
+    full = write_model(tmp_path, COLORED)
+    noise_only = write_model(tmp_path, {"noise": COLORED["noise"]}, "noise.json")
+    for command, model, count in (("check-system", full, 6), ("solve-are", full, 6),
+                                  ("solve-are", noise_only, 2)):
+        calls.clear()
+        assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == count, command
+
+
+def test_solve_are_noise_solution_does_not_depend_on_the_other_sections(tmp_path):
+    outs = []
+    for doc in (COLORED, {"noise": COLORED["noise"]}):
+        outs.append(str(tmp_path / f"out{len(outs)}.json"))
+        assert main(["solve-are", "--model", write_model(tmp_path, doc),
+                     "--out", outs[-1]]) == 0
+    full, noise_only = (read_json(p) for p in outs)
+    full.pop("augmented")
+    assert full == noise_only
+
+
 def test_capacity_asym_awgn(tmp_path):
     model = write_model(tmp_path, AWGN)
     out = str(tmp_path / "out.json")

@@ -135,6 +135,15 @@ def test_noise_quadruple_validates_the_noise():
         rc.to_quadruple(unit_iid_input())
 
 
+def test_noise_quadruple_validates_only_the_noise(monkeypatch):
+    calls = []
+    validate = rc.models.validate
+    monkeypatch.setattr(rc.models, "validate", lambda m: calls.append(m) or validate(m))
+    noise = scalar_noise(0.5)
+    rc.to_quadruple(noise)
+    assert calls == [noise]
+
+
 def test_augmented_quadruple_measurement_covariance():
     aug = rc.build_augmented(scalar_noise(0.5), unit_iid_input(),
                              unit_channel())

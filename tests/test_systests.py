@@ -42,6 +42,32 @@ def test_sqrt_rejects_indefinite():
         rc.psd_sqrt([[-1.0]])
 
 
+def test_sqrt_of_a_rank_one_starred_covariance_has_rank_one():
+    # n_w = n_y + 1, so B_star = K_W - K_W N^T R^-1 N K_W has rank one; round-off
+    # eigenvalues of either sign must not give its root or G B_star^1/2 a second direction
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        noise, _ = random_models(rng, n_s=4, n_y=2)
+        star = rc.starred_system(rc.to_quadruple(noise))
+        assert np.linalg.matrix_rank(star.B_star_sqrt) == 1
+        s = np.linalg.svd(star.G_mat @ star.B_star_sqrt, compute_uv=False)
+        assert s[1] <= 1e-13 * s[0]
+        assert np.allclose(star.B_star_sqrt @ star.B_star_sqrt, star.B_star,
+                           atol=1e-12 * np.max(np.abs(star.B_star)))
+
+
+def test_sqrt_of_a_full_rank_covariance_is_unchanged():
+    # the samplers' covariances are full rank: every eigenvalue clears the floor,
+    # so the root is the plain eigen-root bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        noise, input_model = random_models(rng, n_s=3, n_xi=2, n_y=2, n_z=2)
+        for M in (noise.K_W, noise.K_S1, input_model.K_Z, input_model.K_Xi1):
+            w, V = np.linalg.eigh(0.5 * (M + M.T))
+            plain = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+            assert np.array_equal(rc.psd_sqrt(M), 0.5 * (plain + plain.T))
+
+
 # ----------------------------------------------------------- starred system
 
 

@@ -47,3 +47,19 @@ def test_traced_spans_record_calls():
         "riccati.solve_spd", "capacity.finite_n_rate", "linalg.block_diag",
         "riccati.are_solve", "lyapunov.lyap_solve", "systests.feasibility_report")}
     assert all(calls.values()), calls
+
+
+def test_traced_lbfgs_sees_the_minimize_optimize_input_imports():
+    # optimize_input imports scipy.optimize when it runs and looks minimize up
+    # per start, so the tracer's patch on scipy.optimize still records L-BFGS
+    rc = riccati_capacity
+    tracer = load_tracing().Tracer()
+    tracer.install(rc)
+    try:
+        rc.capacity.optimize_input(rc.memoryless_noise([[1.0]]), unit_channel(), (1, 1),
+                                   rc.OptimizerConfig(starts=2, seed=0, maxiter=5))
+    finally:
+        tracer.remove()
+    totals, _ = tracer.totals()
+    assert totals["capacity.lbfgs"]["calls"] >= 1
+    assert tracer.counters["capacity.lbfgs.nfev"] > 0
