@@ -22,8 +22,8 @@ unit = iid_input(K_Z=[[1.0]])
 
 for a in (0.9, 1.2, 1.5, 1.9):
     noise = NoiseModel(A=a, B=1.0, C=1.0, N=1.0, K_W=1.0)
-    rep = feasibility_report(noise, unit, channel)
-    res = asymptotic_rate(noise, unit, channel, with_feasibility=False)
+    res = asymptotic_rate(noise, unit, channel)
+    rep = res.feasibility
     star = starred_system(to_quadruple(noise))
     print("a = %.1f  |A*| = %.2f  member = %s  rate = %.6f nats  Sigma* = %.1e"
           % (a, abs(star.A_star[0, 0]), rep.member_of_P_infinity,
@@ -37,7 +37,7 @@ print("the augmented starred matrix is 1.4. Stabilizability still holds,")
 print("through the square root of the residual covariance factor:")
 noise19 = NoiseModel(A=1.9, B=1.0, C=1.0, N=1.0, K_W=1.0)
 from riccati_capacity import build_augmented
-aug_star = starred_system(to_quadruple(build_augmented(noise19, unit, channel)))
+aug_star = starred_system(build_augmented(noise19, unit, channel))
 print("  augmented A* =", np.round(aug_star.A_star, 6).tolist())
 rep19 = feasibility_report(noise19, unit, channel)
 print("  augmented_stabilizable witness ->",

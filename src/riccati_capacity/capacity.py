@@ -201,12 +201,12 @@ def finite_n_rate(models, channel, n):
     )
 
 
-def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS,
-                    with_feasibility=True):
+def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     """Steady-state rate and power for fixed models.
 
     Solves the steady states of both prediction problems, each from zero,
-    and the input Lyapunov equation, then evaluates
+    and the input Lyapunov equation, runs the feasibility tests, then
+    evaluates
 
         rate = (1/2) max(0, logdet K_I - logdet K_Ihat)
         power = tr(Gamma P Gamma^T + D K_Z D^T).
@@ -220,13 +220,11 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS,
     max_iter : int
         Doubling budget of each Riccati solve (see ``are_solve``), not a
         count of DRE steps; capped at MAX_DOUBLINGS = 64.
-    with_feasibility : bool
-        Attach a full FeasibilityReport (skipping it saves the rank
-        tests in hot loops).
 
     Returns
     -------
     CapacityResult
+        With the FeasibilityReport attached.
 
     Raises
     ------
@@ -237,7 +235,7 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS,
     system = build_augmented(noise, input, channel)
     # first, so an F that is not exponentially stable raises before any other work
     p_sol = lyap_solve(input.F, input.G, input.K_Z, tol=tol)
-    feas = feasibility_report(noise, input, system) if with_feasibility else None
+    feas = feasibility_report(noise, input, system)
     nq = system.noise_quad
     sigma_sol = are_solve(nq, tol=tol, max_iter=max_iter)
     pi_sol = are_solve(system, tol=tol, max_iter=max_iter)
@@ -259,7 +257,7 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS,
         "lyapunov_residual": p_sol.residual,
         "lyapunov_method": p_sol.method,
     }
-    if feas is not None and not feas.member_of_P_infinity:
+    if not feas.member_of_P_infinity:
         # limits may exist but depend on the initial condition in this regime
         diagnostics["initial_condition_dependent"] = True
     return CapacityResult(
@@ -657,8 +655,7 @@ def optimize_input(noise, channel, dims, config=None):
             total += 1
             best_any_rate = max(best_any_rate, result.rate_nats)
             ok = (
-                result.feasibility is not None
-                and result.feasibility.member_of_P_infinity
+                result.feasibility.member_of_P_infinity
                 and result.power <= kappa * (1.0 + 1e-9) + 1e-12
                 and result.diagnostics["sigma_converged"]
                 and result.diagnostics["pi_converged"]

@@ -116,7 +116,7 @@ def _emit(doc, path):
 
 
 def _parse(doc, name, cls, **given):
-    """The validated ``cls`` model in section ``name``.
+    """The ``cls`` model in section ``name``, validated by the library call it goes to.
 
     The section's keys are the dataclass fields of ``cls``: a field
     without a default is a required key, other keys are ignored, and a
@@ -135,9 +135,7 @@ def _parse(doc, name, cls, **given):
         elif field.default is dataclasses.MISSING:
             raise ValueError(f"{name} section missing key {field.name}")
     kwargs.update((k, v) for k, v in given.items() if v is not None)
-    model = cls(**kwargs)
-    require_valid(model)
-    return model
+    return cls(**kwargs)
 
 
 def _parse_models(args, doc):
@@ -162,7 +160,9 @@ def _parse_dims(args, doc):
             raise ValueError(f"--dims expects 'n_xi,n_z', got '{args.dims}'")
         return int(toks[0]), int(toks[1])
     if isinstance(doc.get("input"), dict):
+        # only its dimensions are read, so no library call validates it
         model = _parse(doc, "input", InputModel)
+        require_valid(model)
         return model.n_xi, model.n_z
     return 1, 1
 

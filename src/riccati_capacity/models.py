@@ -16,10 +16,16 @@ receives; ``build_augmented`` validates the models and builds it.
 ``to_quadruple`` gives a noise model's own prediction problem as the
 joint system with no input. ``require_valid`` is the one
 validate-and-raise boundary of the public entry points.
+
+Each state-space model declares its layout once, as class data:
+``_ARRAYS`` gives each array as (name, rows, columns), the dimensions
+named by the model's properties; ``_INITIAL`` the initial law as (state
+dimension, mean, covariance); ``_COVARIANCES`` each covariance with the
+positivity it needs. Coercion (``_coerce``), validation and the slot
+shapes of ``JointSystem`` all read that declaration.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +58,18 @@ def _freeze(arr):
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _coerce(model):
+    """Freeze a model's declared arrays as float64; an absent initial law is zero."""
+    set_ = object.__setattr__
+    for name, _, _ in model._ARRAYS:
+        set_(model, name, _freeze(as_matrix(getattr(model, name), name)))
+    dim, mean, cov = model._INITIAL
+    n = getattr(model, dim)
+    for name, coerce, shape in ((mean, as_vector, (n,)), (cov, as_matrix, (n, n))):
+        value = getattr(model, name)
+        set_(model, name, _freeze(np.zeros(shape) if value is None else coerce(value, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +115,12 @@ class NoiseModel:
     mu_S1: np.ndarray = None
     K_S1: np.ndarray = None
 
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "A", _freeze(as_matrix(self.A, "A")))
-        set_(self, "B", _freeze(as_matrix(self.B, "B")))
-        set_(self, "C", _freeze(as_matrix(self.C, "C")))
-        set_(self, "N", _freeze(as_matrix(self.N, "N")))
-        set_(self, "K_W", _freeze(as_matrix(self.K_W, "K_W")))
-        n_s = self.A.shape[0]
-        if self.mu_S1 is None:
-            set_(self, "mu_S1", _freeze(np.zeros(n_s)))
-        else:
-            set_(self, "mu_S1", _freeze(as_vector(self.mu_S1, "mu_S1")))
-        if self.K_S1 is None:
-            set_(self, "K_S1", _freeze(np.zeros((n_s, n_s))))
-        else:
-            set_(self, "K_S1", _freeze(as_matrix(self.K_S1, "K_S1")))
+    _ARRAYS = (("A", "n_s", "n_s"), ("B", "n_s", "n_w"), ("C", "n_y", "n_s"),
+               ("N", "n_y", "n_w"), ("K_W", "n_w", "n_w"))
+    _INITIAL = ("n_s", "mu_S1", "K_S1")
+    _COVARIANCES = (("K_W", "definite"), ("K_S1", "semidefinite"))
+
+    __post_init__ = _coerce
 
     @property
     def n_s(self):
@@ -150,22 +158,12 @@ class InputModel:
     mu_Xi1: np.ndarray = None
     K_Xi1: np.ndarray = None
 
-    def __post_init__(self):
-        set_ = object.__setattr__
-        set_(self, "F", _freeze(as_matrix(self.F, "F")))
-        set_(self, "G", _freeze(as_matrix(self.G, "G")))
-        set_(self, "Gamma", _freeze(as_matrix(self.Gamma, "Gamma")))
-        set_(self, "D", _freeze(as_matrix(self.D, "D")))
-        set_(self, "K_Z", _freeze(as_matrix(self.K_Z, "K_Z")))
-        n_xi = self.F.shape[0]
-        if self.mu_Xi1 is None:
-            set_(self, "mu_Xi1", _freeze(np.zeros(n_xi)))
-        else:
-            set_(self, "mu_Xi1", _freeze(as_vector(self.mu_Xi1, "mu_Xi1")))
-        if self.K_Xi1 is None:
-            set_(self, "K_Xi1", _freeze(np.zeros((n_xi, n_xi))))
-        else:
-            set_(self, "K_Xi1", _freeze(as_matrix(self.K_Xi1, "K_Xi1")))
+    _ARRAYS = (("F", "n_xi", "n_xi"), ("G", "n_xi", "n_z"), ("Gamma", "n_x", "n_xi"),
+               ("D", "n_x", "n_z"), ("K_Z", "n_z", "n_z"))
+    _INITIAL = ("n_xi", "mu_Xi1", "K_Xi1")
+    _COVARIANCES = (("K_Z", "semidefinite"), ("K_Xi1", "semidefinite"))
+
+    __post_init__ = _coerce
 
     @property
     def n_xi(self):
@@ -205,77 +203,37 @@ def _check_finite(violations, name, arr):
         violations.append(f"{name} contains non-finite entries")
 
 
-def _validate_noise(m):
+_POSITIVE = {"definite": is_pd, "semidefinite": is_psd}
+
+
+def _validate_state_space(m):
+    # shapes and finiteness first; the covariance tests need both
     v = []
-    n_s, n_w, n_y = m.n_s, m.n_w, m.n_y
-    if m.A.shape[0] != m.A.shape[1]:
-        v.append(f"A not square (shape {m.A.shape})")
-    if m.B.shape[0] != n_s:
-        v.append(f"B has {m.B.shape[0]} rows, expected n_s = {n_s}")
-    if m.B.shape[1] != n_w:
-        v.append(f"B has {m.B.shape[1]} columns, expected n_w = {n_w}")
-    if m.C.shape[1] != n_s:
-        v.append(f"C has {m.C.shape[1]} columns, expected n_s = {n_s}")
-    if m.N.shape[0] != n_y:
-        v.append(f"N has {m.N.shape[0]} rows, expected n_y = {n_y}")
-    if m.N.shape[1] != n_w:
-        v.append(f"N has {m.N.shape[1]} columns, expected n_w = {n_w}")
-    if m.K_W.shape[0] != m.K_W.shape[1]:
-        v.append(f"K_W not square (shape {m.K_W.shape})")
-    if m.K_S1.shape != (n_s, n_s):
-        v.append(f"K_S1 has shape {m.K_S1.shape}, expected ({n_s}, {n_s})")
-    if m.mu_S1.shape != (n_s,):
-        v.append(f"mu_S1 has length {m.mu_S1.shape[0]}, expected n_s = {n_s}")
-    for name in ("A", "B", "C", "N", "K_W", "mu_S1", "K_S1"):
+    for name, rows, cols in m._ARRAYS:
+        shape = getattr(m, name).shape
+        for axis, dim, word in ((0, rows, "rows"), (1, cols, "columns")):
+            expected = getattr(m, dim)
+            if shape[axis] != expected:
+                v.append(f"{name} not square (shape {shape})" if rows == cols else
+                         f"{name} has {shape[axis]} {word}, expected {dim} = {expected}")
+    dim, mean, cov = m._INITIAL
+    n = getattr(m, dim)
+    if getattr(m, cov).shape != (n, n):
+        v.append(f"{cov} has shape {getattr(m, cov).shape}, expected ({n}, {n})")
+    if getattr(m, mean).shape != (n,):
+        v.append(f"{mean} has length {getattr(m, mean).shape[0]}, expected {dim} = {n}")
+    for name in (*(array[0] for array in m._ARRAYS), mean, cov):
         _check_finite(v, name, getattr(m, name))
     if v:
         return v
-    if not is_symmetric(m.K_W):
-        v.append("K_W not symmetric")
-    elif not is_pd(m.K_W):
-        v.append("K_W not positive definite")
-    if not is_symmetric(m.K_S1):
-        v.append("K_S1 not symmetric")
-    elif not is_psd(m.K_S1):
-        v.append("K_S1 not positive semidefinite")
-    if is_symmetric(m.K_W) and not is_pd(m.R):
+    for name, positive in m._COVARIANCES:
+        K = getattr(m, name)
+        if not is_symmetric(K):
+            v.append(f"{name} not symmetric")
+        elif not _POSITIVE[positive](K):
+            v.append(f"{name} not positive {positive}")
+    if isinstance(m, NoiseModel) and is_symmetric(m.K_W) and not is_pd(m.R):
         v.append("R not positive definite")
-    return v
-
-
-def _validate_input(m):
-    v = []
-    n_xi, n_z, n_x = m.n_xi, m.n_z, m.n_x
-    if m.F.shape[0] != m.F.shape[1]:
-        v.append(f"F not square (shape {m.F.shape})")
-    if m.G.shape[0] != n_xi:
-        v.append(f"G has {m.G.shape[0]} rows, expected n_xi = {n_xi}")
-    if m.G.shape[1] != n_z:
-        v.append(f"G has {m.G.shape[1]} columns, expected n_z = {n_z}")
-    if m.Gamma.shape[1] != n_xi:
-        v.append(f"Gamma has {m.Gamma.shape[1]} columns, expected n_xi = {n_xi}")
-    if m.D.shape[0] != n_x:
-        v.append(f"D has {m.D.shape[0]} rows, expected n_x = {n_x}")
-    if m.D.shape[1] != n_z:
-        v.append(f"D has {m.D.shape[1]} columns, expected n_z = {n_z}")
-    if m.K_Z.shape[0] != m.K_Z.shape[1]:
-        v.append(f"K_Z not square (shape {m.K_Z.shape})")
-    if m.K_Xi1.shape != (n_xi, n_xi):
-        v.append(f"K_Xi1 has shape {m.K_Xi1.shape}, expected ({n_xi}, {n_xi})")
-    if m.mu_Xi1.shape != (n_xi,):
-        v.append(f"mu_Xi1 has length {m.mu_Xi1.shape[0]}, expected n_xi = {n_xi}")
-    for name in ("F", "G", "Gamma", "D", "K_Z", "mu_Xi1", "K_Xi1"):
-        _check_finite(v, name, getattr(m, name))
-    if v:
-        return v
-    if not is_symmetric(m.K_Z):
-        v.append("K_Z not symmetric")
-    elif not is_psd(m.K_Z):
-        v.append("K_Z not positive semidefinite")
-    if not is_symmetric(m.K_Xi1):
-        v.append("K_Xi1 not symmetric")
-    elif not is_psd(m.K_Xi1):
-        v.append("K_Xi1 not positive semidefinite")
     return v
 
 
@@ -303,10 +261,8 @@ def validate(model):
         lists one human-readable line per failed invariant, naming the
         offending quantity. Violations are data, not exceptions.
     """
-    if isinstance(model, NoiseModel):
-        v = _validate_noise(model)
-    elif isinstance(model, InputModel):
-        v = _validate_input(model)
+    if isinstance(model, (NoiseModel, InputModel)):
+        v = _validate_state_space(model)
     elif isinstance(model, Channel):
         v = _validate_channel(model)
     else:
@@ -329,8 +285,7 @@ def require_valid(*models):
 
 def _shapes(noise, input):
     # every block must fill its slot exactly; numpy would broadcast a smaller one
-    return tuple(a.shape for a in (noise.A, noise.B, noise.C, noise.N, noise.K_W,
-                                   input.F, input.G, input.Gamma, input.D, input.K_Z))
+    return tuple(getattr(m, name).shape for m in (noise, input) for name, _, _ in m._ARRAYS)
 
 
 class JointSystem:
@@ -341,8 +296,11 @@ class JointSystem:
     with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
     Rhat = Dhat Khat Dhat^T filled block by block; ``update`` is the only
     code that forms them. ``noise_quad`` is the noise-only problem
-    (A, B, C, N, K_W) over views of the noise slots; ``mu_Theta1`` and
-    ``K_Theta1`` are the initial law of the joint state.
+    (A, B, C, N, K_W): the JointSystem with no input (n_xi = n_z = 0)
+    whose slots are views of the noise slots, so this system's ``update``
+    writes it too (the view's own ``update`` is not for calling); a system
+    with no input is its own ``noise_quad``.
+    ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
     or an input search reuses one system. The models are not checked
@@ -359,15 +317,24 @@ class JointSystem:
         self.Ahat, self.Bhat, self.Qhat = np.zeros((m, m)), np.zeros((m, k)), np.zeros((m, m))
         self.Chat, self.Dhat, self.Shat = np.zeros((q, m)), np.zeros((q, k)), np.zeros((m, q))
         self.Khat = np.zeros((k, k))
-        self.noise_quad = SimpleNamespace(
-            Ahat=self.Ahat[x:, x:], Bhat=self.Bhat[x:, z:], Chat=self.Chat[:, x:],
-            Dhat=self.Dhat[:, z:], Khat=self.Khat[z:, z:], Qhat=self.Qhat[x:, x:],
-            Shat=self.Shat[x:], Rhat=None, m=self.n_s, q=q,
-        )
         self.noise = self.input = None
+        self.noise_quad = self._noise_view(noise) if x or z else self
         self.update(noise, input)
         self.mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
         self.K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
+
+    def _noise_view(self, noise):
+        # the noise-only JointSystem over views of this system's noise slots
+        x, z = self.n_xi, self.n_z
+        nq = object.__new__(JointSystem)
+        nq.shapes, nq.input = _shapes(noise, _NO_INPUT), _NO_INPUT
+        nq.n_xi, nq.n_s, nq.n_z, nq.n_w = 0, self.n_s, 0, self.n_w
+        nq.m, nq.q, nq.H, nq.noise_quad = self.n_s, self.q, self.H[:, :0], nq
+        nq.Ahat, nq.Bhat, nq.Qhat = self.Ahat[x:, x:], self.Bhat[x:, z:], self.Qhat[x:, x:]
+        nq.Chat, nq.Dhat, nq.Shat = self.Chat[:, x:], self.Dhat[:, z:], self.Shat[x:]
+        nq.Khat = self.Khat[z:, z:]
+        nq.mu_Theta1, nq.K_Theta1 = noise.mu_S1, noise.K_S1
+        return nq
 
     def update(self, noise, input):
         """Write the models in force now; raises ValueError if a block's shape changed."""
@@ -375,20 +342,22 @@ class JointSystem:
             return
         if _shapes(noise, input) != self.shapes:
             raise ValueError("model dimensions changed mid-schedule")
-        x, z = self.n_xi, self.n_z
         if noise is not self.noise:
-            self.noise = noise
-            self.Ahat[x:, x:] = noise.A
-            self.Bhat[x:, z:] = noise.B
-            self.Chat[:, x:] = noise.C
-            self.Dhat[:, z:] = noise.N
-            self.Khat[z:, z:] = noise.K_W
+            # through the noise-only problem, whose slots are this system's noise blocks
+            nq = self.noise_quad
+            self.noise = nq.noise = noise
+            nq.Ahat[...] = noise.A
+            nq.Bhat[...] = noise.B
+            nq.Chat[...] = noise.C
+            nq.Dhat[...] = noise.N
+            nq.Khat[...] = noise.K_W
             BK = noise.B @ noise.K_W
-            self.Qhat[x:, x:] = symmetrize(BK @ noise.B.T)
-            self.Shat[x:] = BK @ noise.N.T
-            self.noise_quad.Rhat = noise.R
+            nq.Qhat[...] = symmetrize(BK @ noise.B.T)
+            nq.Shat[...] = BK @ noise.N.T
+            nq.Rhat = self._R_noise = noise.R
         if input is not self.input:
             self.input = input
+            x, z = self.n_xi, self.n_z
             HD = self.H @ input.D
             self.Ahat[:x, :x] = input.F
             self.Bhat[:x, :z] = input.G
@@ -399,7 +368,7 @@ class JointSystem:
             self.Qhat[:x, :x] = symmetrize(GK @ input.G.T)
             self.Shat[:x] = GK @ HD.T
             self._R_input = HD @ input.K_Z @ HD.T
-        self.Rhat = symmetrize(self._R_input + self.noise_quad.Rhat)
+        self.Rhat = symmetrize(self._R_input + self._R_noise)
 
 
 def build_augmented(noise, input, channel):
@@ -433,22 +402,18 @@ def build_augmented(noise, input, channel):
     return JointSystem(noise, input, channel)
 
 
-def to_quadruple(source):
-    """Present a noise model or a joint system to the Riccati engine.
+def to_quadruple(noise):
+    """A noise model's own prediction problem (A, B, C, N, K_W), for the Riccati engine.
 
-    A NoiseModel maps to its own prediction problem (A, B, C, N, K_W): the
-    JointSystem of the validated noise, an input with no state and no
-    innovations (n_xi = n_z = 0) and a channel with no input columns. Those
-    two fill no slot and cannot be invalid, so only the noise is validated.
-    A JointSystem is returned unchanged.
+    The JointSystem of the validated noise, an input with no state and no
+    innovations (n_xi = n_z = 0) and a channel with no input columns; it is
+    its own ``noise_quad``. Those two fill no slot and cannot be invalid, so
+    only the noise is validated.
     """
-    if isinstance(source, JointSystem):
-        return source
-    if not isinstance(source, NoiseModel):
-        raise TypeError(f"cannot build a quadruple from {type(source).__name__}")
-    require_valid(source)
-    return JointSystem(source, iid_input(np.zeros((0, 0)), n_x=0),
-                       Channel(H=np.zeros((source.n_y, 0))))
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"cannot build a quadruple from {type(noise).__name__}")
+    require_valid(noise)
+    return JointSystem(noise, _NO_INPUT, Channel(H=np.zeros((noise.n_y, 0))))
 
 
 def memoryless_noise(K_V):
@@ -471,3 +436,7 @@ def iid_input(K_Z, n_x=None):
         F=np.zeros((0, 0)), G=np.zeros((0, n_z)),
         Gamma=np.zeros((n_x, 0)), D=np.eye(n_x, n_z), K_Z=K_Z,
     )
+
+
+# the input of a noise-only problem: no state, no innovations, no output
+_NO_INPUT = iid_input(np.zeros((0, 0)), n_x=0)

@@ -1,8 +1,9 @@
 """Generalized Riccati engine shared by the noise and joint predictors.
 
-One template serves both one-step prediction problems, both read from a
-``models.JointSystem``: the joint one is the system, the noise-only one its
-``noise_quad`` or ``to_quadruple(noise)``, the joint system with no input. Writing
+One template serves both one-step prediction problems, and both are a
+``models.JointSystem``: the joint one from ``build_augmented``, the
+noise-only one its ``noise_quad``, the joint system with no input, which
+``to_quadruple(noise)`` also builds. Writing
 Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T, Rhat = Dhat Khat Dhat^T
 and K = Rhat + Chat P Chat^T, the covariance of the output's one-step
 prediction error (``innovations_covariance``), one prediction step is
@@ -107,7 +108,7 @@ def dre_step(quad, P_t):
     Parameters
     ----------
     quad : JointSystem
-        From ``to_quadruple`` or ``build_augmented``, or its ``noise_quad``.
+        The joint problem, or the noise-only one (its ``noise_quad``).
     P_t : array_like
         Current covariance, symmetric PSD, m x m.
 
@@ -170,7 +171,7 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
     Parameters
     ----------
     quad : JointSystem
-        From ``to_quadruple`` or ``build_augmented``, or its ``noise_quad``.
+        The joint problem, or the noise-only one (its ``noise_quad``).
     init : array_like, optional
         Starting covariance; zero when omitted. Under the detectability
         and stabilizability conditions the limit does not depend on it,

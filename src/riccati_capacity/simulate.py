@@ -205,21 +205,21 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     )
 
 
-def _filter_batch(quad, K_1, mu_1, obs):
+def _filter_batch(quad, obs):
     """Time-varying one-step predictor over a batch of observation paths.
 
-    ``quad`` is a JointSystem or its ``noise_quad``. Each step is one
-    prediction step (``riccati._predict``): it gives the innovations
-    covariance, the gain that advances the paths and the next error
-    covariance. Returns (innovations, predictions, P_seq, K_seq): the
-    per-path innovations and one-step state predictions, and the analytic
-    error and innovations covariance schedules.
+    ``quad`` is a JointSystem, started from its initial law (mu_Theta1,
+    K_Theta1). Each step is one prediction step (``riccati._predict``): it
+    gives the innovations covariance, the gain that advances the paths and
+    the next error covariance. Returns (innovations, predictions, P_seq,
+    K_seq): the per-path innovations and one-step state predictions, and
+    the analytic error and innovations covariance schedules.
     """
     paths, horizon, _ = obs.shape
     m = quad.m
     A_mat, C_mat = quad.Ahat, quad.Chat
-    P = symmetrize(K_1)  # checked when its model was validated
-    state = np.broadcast_to(mu_1, (paths, m)).copy()
+    P = symmetrize(quad.K_Theta1)  # checked when its models were validated
+    state = np.broadcast_to(quad.mu_Theta1, (paths, m)).copy()
     innovations = np.empty((paths, horizon, quad.q))
     predictions = np.empty((paths, horizon, m))
     P_seq = np.empty((horizon, m, m))
@@ -235,41 +235,32 @@ def _filter_batch(quad, K_1, mu_1, obs):
     return innovations, predictions, P_seq, K_seq
 
 
-def kalman_run(system, batch):
+def kalman_run(batch):
     """Run the joint one-step predictor on a sampled batch.
 
-    The filter uses the time-varying gains of the error-covariance
+    The filter runs on ``batch.system``, the joint system the batch was
+    sampled from, with the time-varying gains of the error-covariance
     recursion started from the model initial law, so its innovations are
     exactly the quantities whose covariances K_{I_t} the analytic side
     predicts.
 
     Parameters
     ----------
-    system : JointSystem
-        From ``build_augmented``; filtered as given, so it must match the
-        models the batch was sampled from. Its state split and output
-        size are checked against the batch.
     batch : TrajectoryBatch
 
     Returns
     -------
     KalmanRun
+
+    Raises
+    ------
+    ValueError
+        If the batch stored no step (a state passed OVERFLOW_GUARD at step 1).
     """
-    if system.n_xi != batch.input.n_xi or system.n_s != batch.noise.n_s:
-        raise ValueError(
-            f"joint state split ({system.n_xi}, {system.n_s}) does not "
-            f"match batch models ({batch.input.n_xi}, {batch.noise.n_s})"
-        )
-    if system.q != batch.Y.shape[2]:
-        raise ValueError(
-            f"joint output size q = {system.q} does not match batch ({batch.Y.shape[2]})"
-        )
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
-    innovations, predictions, Pi_seq, K_I_seq = _filter_batch(
-        system, system.K_Theta1, system.mu_Theta1, batch.Y
-    )
+    innovations, predictions, Pi_seq, K_I_seq = _filter_batch(batch.system, batch.Y)
     theta_true = np.concatenate([batch.Xi, batch.S], axis=2)
     return KalmanRun(
         innovations=innovations,
@@ -346,10 +337,8 @@ def empirical_report(batch, analytic):
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    run = kalman_run(batch.system, batch)
-    noise_innov, _, _, K_hat_seq = _filter_batch(
-        batch.system.noise_quad, batch.noise.K_S1, batch.noise.mu_S1, batch.V
-    )
+    run = kalman_run(batch)
+    noise_innov, _, _, K_hat_seq = _filter_batch(batch.system.noise_quad, batch.V)
     paths, horizon = batch.paths, batch.horizon
     t_last = horizon - 1
 

@@ -267,14 +267,14 @@ def _minimality_warnings(label, reach, observe):
 def feasibility_report(noise, input, channel):
     """Run every admissibility test for a (noise, input, channel) triple.
 
-    Checks detectability of the noise output pair and the joint output
-    pair, stabilizability of the corresponding starred pairs through
-    G B_star^{1/2}, and exponential stability of F. Unit-circle
-    controllability of both starred pairs is evaluated as a diagnostic.
-    Apparent non-minimality of either realization is reported as a
-    warning only, since the computed quantities stay well defined. The
-    tests of one pair share its eigenvalues and ranks; the witnesses are
-    ``pbh_test``'s.
+    Checks detectability of the noise output pair (the joint system's
+    ``noise_quad``) and the joint output pair, stabilizability of the
+    corresponding starred pairs through G B_star^{1/2}, and exponential
+    stability of F. Unit-circle controllability of both starred pairs is
+    evaluated as a diagnostic. Apparent non-minimality of either
+    realization is reported as a warning only, since the computed
+    quantities stay well defined. The tests of one pair share its
+    eigenvalues and ranks; the witnesses are ``pbh_test``'s.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.

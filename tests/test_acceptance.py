@@ -55,7 +55,7 @@ def test_02_initial_condition_uniformity():
                 assert np.max(np.abs(s.P_star - sols[0].P_star)) <= 1e-8
             aug = rc.build_augmented(scalar_noise(a), unit_iid_input(),
                                      unit_channel())
-            aq = rc.to_quadruple(aug)
+            aq = aug
             m = aq.Ahat.shape[0]
             sols = [rc.are_solve(aq, init=i, tol=1e-12)
                     for i in (None, np.eye(m), 10.0 * np.eye(m))]
@@ -139,7 +139,7 @@ def test_07_monte_carlo_validates_analytic_covariances():
         paths, horizon = 100_000, 30
         batch = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=paths,
                                 master_seed=1234)
-        run = rc.kalman_run(rc.build_augmented(noise, inp, ch), batch)
+        run = rc.kalman_run(batch)
         innov = run.innovations[:, -1, 0]
         var_emp = float(np.var(innov))
         assert abs(var_emp - 2.5) <= 0.03 * 2.5
@@ -192,8 +192,7 @@ def test_10_rate_invariant_under_state_similarity():
             noise, inp = random_models(rng, n_s=2, n_xi=2,
                                        rho_A=float(rng.uniform(0.4, 0.9)),
                                        rho_F=float(rng.uniform(0.3, 0.8)))
-            base = rc.asymptotic_rate(noise, inp, ch, tol=1e-13,
-                                      with_feasibility=False)
+            base = rc.asymptotic_rate(noise, inp, ch, tol=1e-13)
             while True:
                 T = rng.normal(size=(2, 2))
                 if np.linalg.cond(T) < 20.0:
@@ -204,8 +203,7 @@ def test_10_rate_invariant_under_state_similarity():
                 D=inp.D, K_Z=inp.K_Z,
                 mu_Xi1=T @ inp.mu_Xi1, K_Xi1=T @ inp.K_Xi1 @ T.T,
             )
-            other = rc.asymptotic_rate(noise, moved, ch, tol=1e-13,
-                                       with_feasibility=False)
+            other = rc.asymptotic_rate(noise, moved, ch, tol=1e-13)
             assert abs(base.rate_nats - other.rate_nats) <= 1e-10
 
 

@@ -122,7 +122,7 @@ def test_each_innovations_covariance_is_a_schur_complement(seed):
         assert abs(res.trace[t, 2] - logdet_pd(schur_V[t])) <= 1e-9
 
     batch = rc.sample_paths(noise, inp, ch, horizon=n, paths=2, master_seed=seed)
-    K_I_seq = rc.kalman_run(rc.build_augmented(noise, inp, ch), batch).K_I_seq
+    K_I_seq = rc.kalman_run(batch).K_I_seq
     assert len(K_I_seq) == n
     for t in range(n):
         assert_close_rel(K_I_seq[t], schur_Y[t])
@@ -480,8 +480,7 @@ def test_rate_invariant_under_input_state_similarity(seed):
     rng = np.random.default_rng(300 + seed)
     noise, inp = random_models(rng, n_s=2, n_xi=2, rho_A=0.8, rho_F=0.6)
     ch = unit_channel()
-    base = rc.asymptotic_rate(noise, inp, ch, tol=1e-13,
-                              with_feasibility=False)
+    base = rc.asymptotic_rate(noise, inp, ch, tol=1e-13)
     T = random_transform(rng, inp.n_xi)
     Tinv = np.linalg.inv(T)
     transformed = rc.InputModel(
@@ -489,7 +488,6 @@ def test_rate_invariant_under_input_state_similarity(seed):
         D=inp.D, K_Z=inp.K_Z,
         mu_Xi1=T @ inp.mu_Xi1, K_Xi1=T @ inp.K_Xi1 @ T.T,
     )
-    other = rc.asymptotic_rate(noise, transformed, ch, tol=1e-13,
-                               with_feasibility=False)
+    other = rc.asymptotic_rate(noise, transformed, ch, tol=1e-13)
     assert abs(base.rate_nats - other.rate_nats) < 1e-10
     assert abs(base.power - other.power) < 1e-9

@@ -57,15 +57,15 @@ def test_solve_are_scalar_family(tmp_path):
 
 
 def test_solve_are_validates_each_model_no_more_than_check_system(tmp_path, monkeypatch):
-    # one validation per parsed section plus build_augmented's three; the noise
-    # problem is the joint system's own, or to_quadruple's with the noise alone
+    # the library call validates each model once: build_augmented's three, or
+    # to_quadruple's noise alone; the noise problem is the joint system's own
     calls = []
     validate = rc.models.validate
     monkeypatch.setattr(rc.models, "validate", lambda m: calls.append(m) or validate(m))
     full = write_model(tmp_path, COLORED)
     noise_only = write_model(tmp_path, {"noise": COLORED["noise"]}, "noise.json")
-    for command, model, count in (("check-system", full, 6), ("solve-are", full, 6),
-                                  ("solve-are", noise_only, 2)):
+    for command, model, count in (("check-system", full, 3), ("solve-are", full, 3),
+                                  ("solve-are", noise_only, 1)):
         calls.clear()
         assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 0
         assert len(calls) == count, command

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,41 @@ def test_shape_mismatch_reported_by_name():
                       N=[[1.0, 1.0]], K_W=[[1.0]])
     report = rc.validate(m)
     assert any(v.startswith("N has") for v in report.violations)
+
+
+# distinct dimensions, so each message names the one it checks against
+NOISE_ARRAYS = dict(A=np.zeros((2, 2)), B=np.ones((2, 3)), C=np.ones((1, 2)),
+                    N=np.ones((1, 3)), K_W=np.eye(3))  # n_s = 2, n_w = 3, n_y = 1
+INPUT_ARRAYS = dict(F=np.zeros((2, 2)), G=np.ones((2, 3)), Gamma=np.ones((1, 2)),
+                    D=np.ones((1, 3)), K_Z=np.eye(3))  # n_xi = 2, n_z = 3, n_x = 1
+
+
+@pytest.mark.parametrize("cls, arrays, name, value, message", [
+    (rc.NoiseModel, NOISE_ARRAYS, "A", np.zeros((2, 3)), "A not square (shape (2, 3))"),
+    (rc.NoiseModel, NOISE_ARRAYS, "B", np.ones((3, 3)), "B has 3 rows, expected n_s = 2"),
+    (rc.NoiseModel, NOISE_ARRAYS, "B", np.ones((2, 2)), "B has 2 columns, expected n_w = 3"),
+    (rc.NoiseModel, NOISE_ARRAYS, "C", np.ones((1, 3)), "C has 3 columns, expected n_s = 2"),
+    (rc.NoiseModel, NOISE_ARRAYS, "N", np.ones((2, 3)), "N has 2 rows, expected n_y = 1"),
+    (rc.NoiseModel, NOISE_ARRAYS, "N", np.ones((1, 2)), "N has 2 columns, expected n_w = 3"),
+    (rc.NoiseModel, NOISE_ARRAYS, "K_W", np.ones((3, 4)), "K_W not square (shape (3, 4))"),
+    (rc.NoiseModel, NOISE_ARRAYS, "K_S1", np.eye(3), "K_S1 has shape (3, 3), expected (2, 2)"),
+    (rc.NoiseModel, NOISE_ARRAYS, "mu_S1", np.zeros(3), "mu_S1 has length 3, expected n_s = 2"),
+    (rc.InputModel, INPUT_ARRAYS, "F", np.zeros((2, 3)), "F not square (shape (2, 3))"),
+    (rc.InputModel, INPUT_ARRAYS, "G", np.ones((3, 3)), "G has 3 rows, expected n_xi = 2"),
+    (rc.InputModel, INPUT_ARRAYS, "G", np.ones((2, 2)), "G has 2 columns, expected n_z = 3"),
+    (rc.InputModel, INPUT_ARRAYS, "Gamma", np.ones((1, 3)),
+     "Gamma has 3 columns, expected n_xi = 2"),
+    (rc.InputModel, INPUT_ARRAYS, "D", np.ones((2, 3)), "D has 2 rows, expected n_x = 1"),
+    (rc.InputModel, INPUT_ARRAYS, "D", np.ones((1, 2)), "D has 2 columns, expected n_z = 3"),
+    (rc.InputModel, INPUT_ARRAYS, "K_Z", np.ones((3, 4)), "K_Z not square (shape (3, 4))"),
+    (rc.InputModel, INPUT_ARRAYS, "K_Xi1", np.eye(3),
+     "K_Xi1 has shape (3, 3), expected (2, 2)"),
+    (rc.InputModel, INPUT_ARRAYS, "mu_Xi1", np.zeros(3),
+     "mu_Xi1 has length 3, expected n_xi = 2"),
+])
+def test_each_declared_array_has_its_shape_message(cls, arrays, name, value, message):
+    assert rc.validate(cls(**arrays)).ok
+    assert rc.validate(cls(**{**arrays, name: value})).violations == (message,)
 
 
 def test_nonfinite_entries_reported():
@@ -87,7 +124,6 @@ def test_augmented_blocks_scalar():
 def test_build_augmented_returns_the_joint_system():
     aug = rc.build_augmented(scalar_noise(0.5), unit_iid_input(), unit_channel())
     assert isinstance(aug, rc.JointSystem)
-    assert rc.to_quadruple(aug) is aug
 
 
 def test_augmented_initial_covariance_is_block_diagonal():
@@ -127,6 +163,27 @@ def test_noise_quadruple_is_the_joint_system_with_no_input(rng):
     assert np.array_equal(quad.mu_Theta1, noise.mu_S1)
 
 
+def test_noise_problem_is_a_joint_system_over_the_noise_slots(rng):
+    noise, inp = random_models(rng, n_s=2, n_xi=2)
+    system = rc.build_augmented(noise, inp, unit_channel())
+    nq = system.noise_quad
+    assert type(nq) is rc.JointSystem
+    assert (nq.n_xi, nq.n_z, nq.m, nq.q) == (0, 0, 2, 1)
+    assert nq.noise_quad is nq
+    own = rc.to_quadruple(noise)
+    assert own.noise_quad is own
+    for slot in ("Ahat", "Bhat", "Chat", "Dhat", "Khat", "Qhat", "Shat", "Rhat",
+                 "K_Theta1", "mu_Theta1"):
+        assert np.array_equal(getattr(nq, slot), getattr(own, slot)), slot
+    # a new noise model is written once, into the joint slots the views share
+    drifted = replace(noise, A=0.5 * noise.A)
+    system.update(drifted, inp)
+    assert np.shares_memory(nq.Ahat, system.Ahat)
+    assert np.array_equal(nq.Ahat, drifted.A)
+    assert np.array_equal(system.Ahat[2:, 2:], drifted.A)
+    assert nq.noise is drifted
+
+
 def test_noise_quadruple_validates_the_noise():
     singular = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[0.0]], K_W=[[1.0]])
     with pytest.raises(ValueError, match="noise model invalid: R not positive definite"):
@@ -145,17 +202,15 @@ def test_noise_quadruple_validates_only_the_noise(monkeypatch):
 
 
 def test_augmented_quadruple_measurement_covariance():
-    aug = rc.build_augmented(scalar_noise(0.5), unit_iid_input(),
-                             unit_channel())
-    quad = rc.to_quadruple(aug)
+    quad = rc.build_augmented(scalar_noise(0.5), unit_iid_input(),
+                              unit_channel())
     assert np.allclose(quad.Dhat @ quad.Khat @ quad.Dhat.T, [[2.0]])
 
 
 def test_degenerate_input_keeps_R():
     inp = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
                         K_Z=[[0.0]])
-    aug = rc.build_augmented(scalar_noise(0.5), inp, unit_channel())
-    quad = rc.to_quadruple(aug)
+    quad = rc.build_augmented(scalar_noise(0.5), inp, unit_channel())
     assert np.allclose(quad.Dhat @ quad.Khat @ quad.Dhat.T, [[1.0]])
 
 

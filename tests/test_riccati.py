@@ -130,12 +130,11 @@ def test_augmented_scalar_blocks():
     inp = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
                         K_Z=[[1.0]])
     aug = rc.build_augmented(scalar_noise(0.5), inp, unit_channel())
-    sol = rc.are_solve(rc.to_quadruple(aug))
+    sol = rc.are_solve(aug)
     assert sol.converged
     # positive root of pi^2 + 1.5 pi - 1 = 0
     assert abs(sol.P_star[1, 1] - 0.5) < 1e-10
-    quad = rc.to_quadruple(aug)
-    K_I = quad.Chat @ sol.P_star @ quad.Chat.T + quad.Rhat
+    K_I = aug.Chat @ sol.P_star @ aug.Chat.T + aug.Rhat
     assert abs(K_I[0, 0] - 2.5) < 1e-9
 
 
@@ -210,7 +209,7 @@ def near_marginal_quad(b):
 def test_are_solve_matches_schur_oracle_on_random_models(seed, n_s, n_xi, rho_A):
     noise, inp = random_models(np.random.default_rng(seed), n_s=n_s, n_xi=n_xi, rho_A=rho_A)
     for quad in (rc.to_quadruple(noise),
-                 rc.to_quadruple(rc.build_augmented(noise, inp, unit_channel()))):
+                 rc.build_augmented(noise, inp, unit_channel())):
         sol = rc.are_solve(quad)
         assert sol.converged
         assert relative_error(sol.P_star, dare_steady_state(quad)) <= 1e-9
@@ -236,7 +235,7 @@ def test_unstable_joint_system_of_size_80_converges(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(3):
         noise, inp = random_models(rng, n_s=40, n_xi=40, n_y=2, n_z=2, rho_A=1.3, rho_F=0.9)
-    quad = rc.to_quadruple(rc.build_augmented(noise, inp, rc.Channel(H=np.eye(2), kappa=1.0)))
+    quad = rc.build_augmented(noise, inp, rc.Channel(H=np.eye(2), kappa=1.0))
     ref = dare_steady_state(quad)
     sol = rc.are_solve(quad)
     assert sol.converged and sol.spectral_radius < 1.0

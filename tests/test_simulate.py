@@ -69,7 +69,7 @@ def test_batch_saturated_at_step_one_has_nothing_to_filter():
     b = rc.sample_paths(noise, inp, ch, horizon=5, paths=10, master_seed=0)
     assert (b.saturated_at, b.horizon) == (1, 0)
     with pytest.raises(ValueError, match=r"passed the overflow guard 1e\+12 at step 1"):
-        rc.kalman_run(b.system, b)
+        rc.kalman_run(b)
 
 
 # ---------------------------------------------------------------- kalman_run
@@ -80,17 +80,16 @@ def test_memoryless_innovations_are_centered_outputs():
     inp = unit_iid_input()
     ch = unit_channel()
     b = rc.sample_paths(noise, inp, ch, horizon=6, paths=40, master_seed=2)
-    run = rc.kalman_run(rc.build_augmented(noise, inp, ch), b)
+    run = rc.kalman_run(b)
     assert np.allclose(run.innovations, b.Y)
 
 
 def test_innovation_covariance_sequence_matches_dre():
     noise, inp, ch = colored_setup()
     b = rc.sample_paths(noise, inp, ch, horizon=8, paths=10, master_seed=4)
-    run = rc.kalman_run(rc.build_augmented(noise, inp, ch), b)
-    aug = rc.build_augmented(noise, inp, ch)
-    quad = rc.to_quadruple(aug)
-    Pi = aug.K_Theta1.copy()
+    run = rc.kalman_run(b)
+    quad = rc.build_augmented(noise, inp, ch)
+    Pi = quad.K_Theta1.copy()
     for t in range(8):
         K_I = quad.Rhat + quad.Chat @ Pi @ quad.Chat.T
         assert np.allclose(run.K_I_seq[t], K_I)
@@ -99,36 +98,26 @@ def test_innovation_covariance_sequence_matches_dre():
     assert abs(run.K_I_seq[-1][0, 0] - 2.5) < 1e-12
 
 
-def test_kalman_run_dimension_mismatch():
-    noise, inp, ch = colored_setup()
-    b = rc.sample_paths(noise, inp, ch, horizon=4, paths=5, master_seed=0)
-    other = rc.build_augmented(scalar_noise(0.5),
-                               rc.InputModel(F=[[0.5]], G=[[1.0]],
-                                             Gamma=[[1.0]], D=[[0.0]],
-                                             K_Z=[[1.0]]),
-                               ch)
-    with pytest.raises(ValueError):
-        rc.kalman_run(other, b)
-
-
 # ----------------------------------------------------------- empirical_report
 
 
 def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    # every quadruple is a JointSystem, so this count covers them too
+    # systems are built by build_augmented or to_quadruple, at every name
+    # a library module calls them by
     built = []
-    joint_init = rc.JointSystem.__init__
 
-    def count_joint(self, *args):
-        built.append(self)
-        joint_init(self, *args)
+    def counting(name, original):
+        return lambda *args: built.append(name) or original(*args)
 
-    monkeypatch.setattr(rc.JointSystem, "__init__", count_joint)
+    for module in (rc.models, rc.capacity, rc.systests, rc.simulate):
+        for name in ("build_augmented", "to_quadruple"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     rc.empirical_report(b, analytic)
-    assert len(built) == 1
+    assert built == ["build_augmented"]
 
 
 def test_report_accepts_matched_statistics():
