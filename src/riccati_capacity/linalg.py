@@ -132,13 +132,32 @@ def block_diag(*blocks):
     return out
 
 
+def _key(master_seed, index):
+    # the Philox key of substream (master_seed, index)
+    return (int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(index) & 0xFFFFFFFFFFFFFFFF)
+
+
 def substream(master_seed, index):
     """Independent Generator for one substream of a master seed.
 
     Counter-based Philox keyed on (master_seed, index): splitting is
     order-independent, so substreams may be consumed in any order or in
-    parallel without changing their content.
+    parallel without changing their content. A batch sampler builds one
+    generator and re-keys it for each path (``_rekey``), which reads the
+    same stream as a fresh ``substream`` call without its construction.
     """
-    key = np.array([int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-                    int(index) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array(_key(master_seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(generator, master_seed, index):
+    """Move a ``substream`` generator to the start of substream (master_seed, index).
+
+    The key is replaced and the counter, output buffer and cached 32-bit
+    half are cleared, which is the state a fresh Philox with that key has.
+    """
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _key(master_seed, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }

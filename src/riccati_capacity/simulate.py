@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CapacityResult
-from .linalg import substream, sup_norm, symmetrize
+from .linalg import _rekey, substream, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented
@@ -45,12 +45,15 @@ TOL_SE = 3.0
 class TrajectoryBatch:
     """Sampled trajectories, indexed (path, t, component).
 
-    ``horizon`` counts the steps actually stored. When a sampled state
-    passes OVERFLOW_GUARD at step t, arrays are truncated to t - 1 steps and
-    ``saturated_at`` records t; otherwise it is None. Identical models
-    and master_seed reproduce the batch bit for bit, path by path,
-    regardless of generation order. ``system`` is the JointSystem built
-    from the three models, which ``empirical_report`` filters on.
+    The arrays are views over time-major (t, path, component) storage, so
+    they are not C-contiguous; ``batch.Y.transpose(1, 0, 2)`` is the
+    contiguous stored block. ``horizon`` counts the steps actually
+    stored. When a sampled state passes OVERFLOW_GUARD at step t, arrays
+    are truncated to t - 1 steps and ``saturated_at`` records t;
+    otherwise it is None. Identical models and master_seed reproduce the
+    batch bit for bit, path by path, regardless of generation order.
+    ``system`` is the JointSystem built from the three models, which
+    ``empirical_report`` filters on.
     """
 
     noise: object
@@ -74,6 +77,8 @@ class KalmanRun:
 
     ``innovations`` is (paths, horizon, n_y); ``state_errors`` holds
     Theta_t minus its one-step prediction, (paths, horizon, n_theta).
+    Both are (path, t, component) views over time-major storage, like the
+    arrays of a ``TrajectoryBatch``, and are not C-contiguous.
     ``Pi_seq`` and ``K_I_seq`` are the error and innovations covariances
     the filter was built from, one slice per step.
     """
@@ -133,7 +138,9 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     master_seed : int
         Path i draws from a counter-based generator keyed on
         (master_seed, i), so the batch is reproducible and paths are
-        independent by construction.
+        independent by construction. One generator is built per call and
+        re-keyed for each path; it reads exactly the stream
+        ``substream(master_seed, i)`` gives.
 
     Notes
     -----
@@ -141,8 +148,16 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     the Xi_1 standard normals, then (W_t, Z_t) blocks for t = 1..horizon.
     Covariance square roots come from the symmetric eigendecomposition,
     so degenerate (singular) covariances are sampled exactly on their
-    support. Memory grows as paths * horizon * total dimension; at 1e5
-    paths and scalar models this is a few hundred megabytes.
+    support. The returned arrays are (path, t, component) views over
+    time-major storage, so each step reads and writes contiguous blocks;
+    they are not C-contiguous. Memory grows as paths * horizon * total
+    dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X, Y
+    entry of every path and step. At 20,000 paths and 50 steps of a model
+    with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1 that is 24 MB of
+    draws and 48 MB of trajectories; a whole ``riccati-capacity simulate
+    --trace`` call on it, both filter passes included, peaked at 139 MB
+    resident in a fresh interpreter (29 MB before the call; x86-64 Linux,
+    numpy 2.4).
     """
     horizon = int(horizon)
     paths = int(paths)
@@ -155,8 +170,10 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
     per_path = _draw_layout(noise, input, horizon)
     eps = np.empty((paths, per_path))
-    for i in range(paths):
-        eps[i] = substream(master_seed, i).standard_normal(per_path)
+    rng = substream(master_seed, 0)
+    for i, row in enumerate(eps):
+        _rekey(rng, master_seed, i)
+        rng.standard_normal(out=row)
 
     sq_S1 = psd_sqrt(noise.K_S1)
     sq_Xi1 = psd_sqrt(input.K_Xi1)
@@ -165,13 +182,17 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
 
     S_now = noise.mu_S1 + eps[:, :n_s] @ sq_S1.T
     Xi_now = input.mu_Xi1 + eps[:, n_s:n_s + n_xi] @ sq_Xi1.T
-    steps = eps[:, n_s + n_xi:].reshape(paths, horizon, n_w + n_z)
+    # time-major: step t reads one contiguous (paths, n_w + n_z) block; the
+    # copy replaces eps, so the draws are held once
+    steps = np.ascontiguousarray(
+        eps[:, n_s + n_xi:].reshape(paths, horizon, n_w + n_z).transpose(1, 0, 2))
+    del eps
 
-    S = np.empty((paths, horizon, n_s))
-    V = np.empty((paths, horizon, n_y))
-    Xi = np.empty((paths, horizon, n_xi))
-    X = np.empty((paths, horizon, n_x))
-    Y = np.empty((paths, horizon, n_y))
+    S = np.empty((horizon, paths, n_s))
+    V = np.empty((horizon, paths, n_y))
+    Xi = np.empty((horizon, paths, n_xi))
+    X = np.empty((horizon, paths, n_x))
+    Y = np.empty((horizon, paths, n_y))
 
     A_T, B_T, C_T, N_T = noise.A.T, noise.B.T, noise.C.T, noise.N.T
     F_T, G_T, Gamma_T, D_T = input.F.T, input.G.T, input.Gamma.T, input.D.T
@@ -183,21 +204,19 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
         if max(sup_norm(S_now), sup_norm(Xi_now)) > OVERFLOW_GUARD:
             saturated_at = t + 1
             break
-        W_t = steps[:, t, :n_w] @ sq_W.T
-        Z_t = steps[:, t, n_w:] @ sq_Z.T
+        W_t = steps[t, :, :n_w] @ sq_W.T
+        Z_t = steps[t, :, n_w:] @ sq_Z.T
         V_t = S_now @ C_T + W_t @ N_T
         X_t = Xi_now @ Gamma_T + Z_t @ D_T
-        S[:, t] = S_now
-        Xi[:, t] = Xi_now
-        V[:, t] = V_t
-        X[:, t] = X_t
-        Y[:, t] = X_t @ H_T + V_t
+        S[t] = S_now
+        Xi[t] = Xi_now
+        V[t] = V_t
+        X[t] = X_t
+        Y[t] = X_t @ H_T + V_t
         stored = t + 1
         S_now = S_now @ A_T + W_t @ B_T
         Xi_now = Xi_now @ F_T + Z_t @ G_T
-    if stored < horizon:
-        S, V, Xi = S[:, :stored], V[:, :stored], Xi[:, :stored]
-        X, Y = X[:, :stored], Y[:, :stored]
+    S, V, Xi, X, Y = (a[:stored].transpose(1, 0, 2) for a in (S, V, Xi, X, Y))
     return TrajectoryBatch(
         noise=noise, input=input, channel=channel, system=system,
         paths=paths, horizon=stored, master_seed=int(master_seed),
@@ -211,28 +230,30 @@ def _filter_batch(quad, obs):
     ``quad`` is a JointSystem, started from its initial law (mu_Theta1,
     K_Theta1). Each step is one prediction step (``riccati._predict``): it
     gives the innovations covariance, the gain that advances the paths and
-    the next error covariance. Returns (innovations, predictions, P_seq,
-    K_seq): the per-path innovations and one-step state predictions, and
-    the analytic error and innovations covariance schedules.
+    the next error covariance. ``obs`` is indexed (path, t, component).
+    Returns (innovations, predictions, P_seq, K_seq): the per-path
+    innovations and one-step state predictions, (path, t, component) views
+    over time-major storage, and the analytic error and innovations
+    covariance schedules.
     """
     paths, horizon, _ = obs.shape
+    obs = obs.transpose(1, 0, 2)
     m = quad.m
     A_mat, C_mat = quad.Ahat, quad.Chat
     P = symmetrize(quad.K_Theta1)  # checked when its models were validated
     state = np.broadcast_to(quad.mu_Theta1, (paths, m)).copy()
-    innovations = np.empty((paths, horizon, quad.q))
-    predictions = np.empty((paths, horizon, m))
+    innovations = np.empty((horizon, paths, quad.q))
+    predictions = np.empty((horizon, paths, m))
     P_seq = np.empty((horizon, m, m))
     K_seq = np.empty((horizon, quad.q, quad.q))
     for t in range(horizon):
         P_seq[t] = P
         P, K, _, gain_T = _predict(quad, P)
         K_seq[t] = symmetrize(K)
-        innov = obs[:, t] - state @ C_mat.T
-        innovations[:, t] = innov
-        predictions[:, t] = state
+        innov = np.subtract(obs[t], state @ C_mat.T, out=innovations[t])
+        predictions[t] = state
         state = state @ A_mat.T + innov @ gain_T
-    return innovations, predictions, P_seq, K_seq
+    return innovations.transpose(1, 0, 2), predictions.transpose(1, 0, 2), P_seq, K_seq
 
 
 def kalman_run(batch):
@@ -261,10 +282,13 @@ def kalman_run(batch):
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
     innovations, predictions, Pi_seq, K_I_seq = _filter_batch(batch.system, batch.Y)
-    theta_true = np.concatenate([batch.Xi, batch.S], axis=2)
+    # Theta_t = (Xi_t, S_t); the errors overwrite the predictions in place
+    n_xi = batch.Xi.shape[2]
+    np.subtract(batch.Xi, predictions[..., :n_xi], out=predictions[..., :n_xi])
+    np.subtract(batch.S, predictions[..., n_xi:], out=predictions[..., n_xi:])
     return KalmanRun(
         innovations=innovations,
-        state_errors=theta_true - predictions,
+        state_errors=predictions,
         Pi_seq=Pi_seq,
         K_I_seq=K_I_seq,
     )
@@ -385,7 +409,9 @@ def empirical_report(batch, analytic):
         power_sum += input_power(inp, P_t)
         P_t = _lyap_core(inp.F, inp.G, inp.K_Z, P_t)
     analytic_power = power_sum / horizon
-    per_path_power = np.sum(batch.X * batch.X, axis=(1, 2)) / horizon
+    # squares in C order, so each path sums one contiguous run whatever the
+    # layout of batch.X; the summation order sets the last bits
+    per_path_power = np.sum(np.multiply(batch.X, batch.X, order="C"), axis=(1, 2)) / horizon
     emp_power = float(np.mean(per_path_power))
     se_power = float(np.std(per_path_power, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     if se_power == 0.0:

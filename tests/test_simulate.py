@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import riccati_capacity as rc
-from conftest import scalar_noise, unit_channel, unit_iid_input
+from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
+from riccati_capacity.linalg import substream
 from riccati_capacity.simulate import OVERFLOW_GUARD
+from riccati_capacity.systests import psd_sqrt
 
 
 def colored_setup():
@@ -32,6 +34,65 @@ def test_paths_use_independent_substreams():
     b = rc.sample_paths(noise, inp, ch, horizon=5, paths=3, master_seed=0)
     assert not np.allclose(b.V[0], b.V[1])
     assert not np.allclose(b.V[1], b.V[2])
+
+
+def mimo_setup():
+    # n_s = n_xi = n_y = n_x = n_z = 2, n_w = 3, every covariance root non-identity
+    noise, inp = random_models(np.random.default_rng(41), n_s=2, n_xi=2, n_y=2, n_z=2)
+    noise = replace(noise, mu_S1=[0.3, -1.2])
+    inp = replace(inp, mu_Xi1=[0.5, 0.7])
+    return noise, inp, rc.Channel(H=[[1.0, 0.4], [-0.2, 0.8]], kappa=1.0)
+
+
+def test_each_path_reads_its_own_substream_in_the_documented_order():
+    noise, inp, ch = mimo_setup()
+    horizon, seed = 4, 77
+    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=6, master_seed=seed)
+    n_s, n_xi, n_w, n_z = noise.n_s, inp.n_xi, noise.n_w, inp.n_z
+    per_path = n_s + n_xi + horizon * (n_w + n_z)
+    for i in (0, 3, 5):
+        eps = substream(seed, i).standard_normal(per_path)
+        S_1 = noise.mu_S1 + psd_sqrt(noise.K_S1) @ eps[:n_s]
+        Xi_1 = inp.mu_Xi1 + psd_sqrt(inp.K_Xi1) @ eps[n_s:n_s + n_xi]
+        # (W_1, Z_1) is the first step block
+        W_1 = psd_sqrt(noise.K_W) @ eps[n_s + n_xi:n_s + n_xi + n_w]
+        Z_1 = psd_sqrt(inp.K_Z) @ eps[n_s + n_xi + n_w:n_s + n_xi + n_w + n_z]
+        V_1 = noise.C @ S_1 + noise.N @ W_1
+        X_1 = inp.Gamma @ Xi_1 + inp.D @ Z_1
+        Y_1 = ch.H @ X_1 + V_1
+        for name, want in (("S", S_1), ("Xi", Xi_1), ("V", V_1), ("X", X_1), ("Y", Y_1)):
+            assert np.allclose(getattr(b, name)[i, 0], want, rtol=1e-13, atol=1e-13), name
+
+
+def test_batch_rows_do_not_depend_on_the_path_count():
+    noise, inp, ch = mimo_setup()
+    small = rc.sample_paths(noise, inp, ch, horizon=9, paths=7, master_seed=21)
+    large = rc.sample_paths(noise, inp, ch, horizon=9, paths=50, master_seed=21)
+    for name in ("S", "V", "Xi", "X", "Y"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:7])
+
+
+def test_shorter_horizon_is_the_prefix_of_a_saturating_batch():
+    noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
+    short = rc.sample_paths(noise, inp, ch, horizon=67, paths=30, master_seed=5)
+    long = rc.sample_paths(noise, inp, ch, horizon=80, paths=30, master_seed=5)
+    assert short.saturated_at is None and long.saturated_at == 68
+    for name in ("S", "V", "Xi", "X", "Y"):
+        assert np.array_equal(getattr(short, name), getattr(long, name))
+
+
+def test_one_batch_builds_at_most_one_generator(monkeypatch):
+    built = []
+    original = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    noise, inp, ch = colored_setup()
+    rc.sample_paths(noise, inp, ch, horizon=3, paths=500, master_seed=8)
+    assert len(built) <= 1
 
 
 def test_zero_input_sends_noise_only():
@@ -118,6 +179,21 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     rc.empirical_report(b, analytic)
     assert built == ["build_augmented"]
+
+
+def test_report_does_not_depend_on_the_batch_layout():
+    noise, inp, ch = mimo_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    b = rc.sample_paths(noise, inp, ch, horizon=40, paths=3000, master_seed=3)
+    dense = replace(b, **{name: np.ascontiguousarray(getattr(b, name))
+                          for name in ("S", "V", "Xi", "X", "Y")})
+    assert dense.Y.flags.c_contiguous != b.Y.flags.c_contiguous
+    rows, dense_rows = rc.empirical_report(b, analytic).rows, rc.empirical_report(dense, analytic).rows
+    assert [r.name for r in rows] == [r.name for r in dense_rows]
+    for r, d in zip(rows, dense_rows):
+        assert np.array_equal(r.analytic, d.analytic), r.name
+        assert np.array_equal(r.empirical, d.empirical), r.name
+        assert (r.deviation, r.se, r.se_ratio, r.ok) == (d.deviation, d.se, d.se_ratio, d.ok)
 
 
 def test_report_accepts_matched_statistics():
