@@ -285,7 +285,10 @@ def asymptotic_power(input):
     return input_power(input, lyap_solve(input.F, input.G, input.K_Z).P_star)
 
 
-def _waterfill_powers(gains, kappa, iters=200):
+_WATERFILL_ITERS = 200  # bisection steps on the water level
+
+
+def _waterfill_powers(gains, kappa):
     # bisection on the water level mu: sum max(0, mu - 1/g) = kappa
     active = gains > 0.0
     p = np.zeros_like(gains)
@@ -294,7 +297,7 @@ def _waterfill_powers(gains, kappa, iters=200):
     inv = 1.0 / gains[active]
     lo = float(np.min(inv))
     hi = float(np.max(inv)) + kappa
-    for _ in range(iters):
+    for _ in range(_WATERFILL_ITERS):
         mid = 0.5 * (lo + hi)
         if np.sum(np.maximum(0.0, mid - inv)) > kappa:
             hi = mid
@@ -364,8 +367,8 @@ def waterfilling_oracle(H, R, kappa):
 
 
 # the search objective adds _PENALTY * max(0, rho - (1 - _PENALTY_MARGIN))^2
-# for each loop radius rho (F, the noise and the joint predictor) near or
-# past the unit circle; its Lyapunov and Riccati solves stop at _SEARCH_TOL
+# for each loop radius rho (F and the joint predictor) near or past the
+# unit circle; its Lyapunov and Riccati solves stop at _SEARCH_TOL
 _PENALTY = 1e4
 _PENALTY_MARGIN = 1e-6
 _SEARCH_TOL = 1e-12
@@ -458,7 +461,8 @@ def _project_to_budget(model, kappa, power):
 def _structured_starts(channel, space, kappa, K_pred):
     """Deterministic starting points: flat allocation, then water-filling.
 
-    ``K_pred`` is the steady innovations covariance of the noise predictor.
+    ``K_pred``, the noise predictor's steady innovations covariance, is
+    positive definite once the noise side has passed its tests.
     """
     n_xi, n_z, n_x = space.n_xi, space.n_z, space.n_x
     starts = []
@@ -467,20 +471,13 @@ def _structured_starts(channel, space, kappa, K_pred):
         D0 = np.eye(n_x, n_z) * np.sqrt(kappa / max(1, depth))
         starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
                        np.zeros((n_x, n_xi)), D0, np.eye(n_z)))
-        # allocate against the steady prediction-error covariance of the
-        # noise; skipped when that covariance is unusable (divergent noise
-        # recursion), leaving the flat start to carry the search
-        if np.all(np.isfinite(K_pred)):
-            try:
-                gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                depth = min(len(gains), n_z)
-                D_wf = np.zeros((n_x, n_z))
-                D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
-                starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
-                               np.zeros((n_x, n_xi)), D_wf, np.eye(n_z)))
+        # allocate against the steady prediction-error covariance of the noise
+        gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
+        depth = min(len(gains), n_z)
+        D_wf = np.zeros((n_x, n_z))
+        D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
+        starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
+                       np.zeros((n_x, n_xi)), D_wf, np.eye(n_z)))
     return starts
 
 
@@ -521,19 +518,22 @@ def optimize_input(noise, channel, dims, config=None):
     Raises
     ------
     RuntimeError
-        "feasible set not reached" when no candidate passes the
-        feasibility tests, with counts in the message.
+        "feasible set not reached": before any search when the noise
+        side fails (its Riccati solve does not converge, or the noise
+        pair is not detectable or not stabilizable), naming each failure;
+        after it when no candidate passes the feasibility tests.
 
     Notes
     -----
-    Multi-start local search: penalized L-BFGS with finite-difference
-    gradients over (F, G, Gamma, D, L), K_Z = L L^T. Within each
-    evaluation the input is rescaled onto the power boundary whenever it
-    overshoots, so the objective is always a rate the budget allows.
-    Structured starts (flat and water-filling allocations, plus any warm
-    starts) come before seeded random ones; the problem is not convex,
-    so the result is a certified lower bound rather than a proven
-    optimum.
+    The noise-side conditions, which no input can repair, are tested
+    once before the search. Multi-start local search: penalized L-BFGS
+    with finite-difference gradients over (F, G, Gamma, D, L),
+    K_Z = L L^T. Within each evaluation the input is rescaled onto the
+    power boundary whenever it overshoots, so the objective is always a
+    rate the budget allows. Structured starts (flat and water-filling
+    allocations, plus any warm starts) come before seeded random ones;
+    the problem is not convex, so the result is a certified lower bound
+    rather than a proven optimum.
     """
     # the search is the package's only use of scipy, whose import costs
     # several times the rest of the package's, so it is loaded here;
@@ -554,23 +554,21 @@ def optimize_input(noise, channel, dims, config=None):
 
     nq = system.noise_quad
     sigma_sol = are_solve(nq)
-    K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
+    # no input repairs the noise side of P-infinity, so it is decided once,
+    # on the noise-only problem, before any start is built
     try:
-        ld_hat = chol_logdet(K_hat, context="K_Ihat")
-    except np.linalg.LinAlgError:
-        # divergent noise recursion; the candidates are all headed for the
-        # feasibility gate anyway
-        ld_hat = np.nan
-    # the noise predictor loop does not depend on the input, so its margin
-    # penalty is a constant; it matters only as an infeasibility signal.
-    # A diverged noise recursion gets a flat finite penalty so the search
-    # objective stays NaN-free and the feasibility gate does the rejecting
-    if sigma_sol.converged and np.isfinite(sigma_sol.spectral_radius):
-        base_pen = _margin_penalty(sigma_sol.spectral_radius)
-    else:
-        base_pen = _PENALTY
-    if not np.isfinite(ld_hat):
-        ld_hat = 0.0
+        feas = feasibility_report(noise, nq.input, nq)
+        failed = [f"noise pair not {name}" for name in ("detectable", "stabilizable")
+                  if not getattr(feas, "noise_" + name)]
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        failed = [f"noise feasibility tests raised ({exc})"]
+    if not sigma_sol.converged:
+        failed.append("noise Riccati solve not converged")
+    if failed:
+        raise RuntimeError(f"feasible set not reached: {', '.join(failed)}; "
+                           "no input can repair the noise side")
+    K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
+    ld_hat = chol_logdet(K_hat, context="K_Ihat")
 
     def evaluate_theta(theta, warm):
         # penalized negative rate; the candidate is power-projected first
@@ -578,7 +576,7 @@ def optimize_input(noise, channel, dims, config=None):
             return 1e7
         F, G, Gamma, D, L = space.unpack(theta)
         rho_F = spectral_radius(F)
-        pen = base_pen + _margin_penalty(rho_F)
+        pen = _margin_penalty(rho_F)
         if rho_F > 1.0 - STABILITY_MARGIN:
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
@@ -648,12 +646,9 @@ def optimize_input(noise, channel, dims, config=None):
 
     best = None
     total = 0
-    feasible_count = 0
-    best_any_rate = -np.inf
     for theta0, raw_model in items:
         for model, result in run_start(theta0, raw_model):
             total += 1
-            best_any_rate = max(best_any_rate, result.rate_nats)
             ok = (
                 result.feasibility.member_of_P_infinity
                 and result.power <= kappa * (1.0 + 1e-9) + 1e-12
@@ -662,15 +657,12 @@ def optimize_input(noise, channel, dims, config=None):
             )
             if not ok:
                 continue
-            feasible_count += 1
             if best is None or result.rate_nats > best[1].rate_nats:
                 best = (model, result)
     if best is None:
         raise RuntimeError(
             f"feasible set not reached: 0 of {total} evaluated candidates "
-            f"passed the feasibility tests (best unfiltered rate "
-            f"{best_any_rate:.6g}); widen dims, relax kappa, or check the "
-            "noise model"
+            "passed the feasibility tests; widen dims or relax kappa"
         )
     return best
 

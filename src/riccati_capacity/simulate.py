@@ -224,17 +224,17 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     )
 
 
-def _filter_batch(quad, obs):
+def _filter_batch(quad, obs, predictions=None):
     """Time-varying one-step predictor over a batch of observation paths.
 
     ``quad`` is a JointSystem, started from its initial law (mu_Theta1,
     K_Theta1). Each step is one prediction step (``riccati._predict``): it
     gives the innovations covariance, the gain that advances the paths and
-    the next error covariance. ``obs`` is indexed (path, t, component).
-    Returns (innovations, predictions, P_seq, K_seq): the per-path
-    innovations and one-step state predictions, (path, t, component) views
-    over time-major storage, and the analytic error and innovations
-    covariance schedules.
+    the next error covariance. ``obs`` is indexed (path, t, component);
+    ``predictions``, if given, is a (t, path, component) buffer for the
+    one-step state predictions. Returns (innovations, P_seq, K_seq): the
+    per-path innovations, a (path, t, component) view over time-major
+    storage, and the analytic error and innovations covariance schedules.
     """
     paths, horizon, _ = obs.shape
     obs = obs.transpose(1, 0, 2)
@@ -243,7 +243,6 @@ def _filter_batch(quad, obs):
     P = symmetrize(quad.K_Theta1)  # checked when its models were validated
     state = np.broadcast_to(quad.mu_Theta1, (paths, m)).copy()
     innovations = np.empty((horizon, paths, quad.q))
-    predictions = np.empty((horizon, paths, m))
     P_seq = np.empty((horizon, m, m))
     K_seq = np.empty((horizon, quad.q, quad.q))
     for t in range(horizon):
@@ -251,9 +250,10 @@ def _filter_batch(quad, obs):
         P, K, _, gain_T = _predict(quad, P)
         K_seq[t] = symmetrize(K)
         innov = np.subtract(obs[t], state @ C_mat.T, out=innovations[t])
-        predictions[t] = state
+        if predictions is not None:
+            predictions[t] = state
         state = state @ A_mat.T + innov @ gain_T
-    return innovations.transpose(1, 0, 2), predictions.transpose(1, 0, 2), P_seq, K_seq
+    return innovations.transpose(1, 0, 2), P_seq, K_seq
 
 
 def kalman_run(batch):
@@ -281,7 +281,9 @@ def kalman_run(batch):
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
-    innovations, predictions, Pi_seq, K_I_seq = _filter_batch(batch.system, batch.Y)
+    predictions = np.empty((batch.horizon, batch.paths, batch.system.m))
+    innovations, Pi_seq, K_I_seq = _filter_batch(batch.system, batch.Y, predictions)
+    predictions = predictions.transpose(1, 0, 2)
     # Theta_t = (Xi_t, S_t); the errors overwrite the predictions in place
     n_xi = batch.Xi.shape[2]
     np.subtract(batch.Xi, predictions[..., :n_xi], out=predictions[..., :n_xi])
@@ -362,7 +364,7 @@ def empirical_report(batch, analytic):
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
     run = kalman_run(batch)
-    noise_innov, _, _, K_hat_seq = _filter_batch(batch.system.noise_quad, batch.V)
+    noise_innov, _, K_hat_seq = _filter_batch(batch.system.noise_quad, batch.V)
     paths, horizon = batch.paths, batch.horizon
     t_last = horizon - 1
 

@@ -278,6 +278,8 @@ def feasibility_report(noise, input, channel):
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
+    ``asymptotic_rate`` passes its joint system so, and ``optimize_input``
+    the noise-only problem (a ``noise_quad`` with its empty ``input``).
     Raises ValueError if any of the three models fails validation.
     """
     system = (channel if isinstance(channel, JointSystem)

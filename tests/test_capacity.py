@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -396,12 +398,74 @@ def test_candidate_evaluations_are_not_validated_again(monkeypatch):
     assert res.power <= 1.0 + 1e-9
 
 
-def test_optimize_infeasible_noise_raises():
+def count_minimize(monkeypatch):
+    # optimize_input looks scipy.optimize.minimize up at each start
+    import scipy.optimize
+    calls = {"minimize": 0}
+
+    def counted(*args, _f=scipy.optimize.minimize, **kwargs):
+        calls["minimize"] += 1
+        return _f(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    return calls
+
+
+def test_optimize_infeasible_noise_raises(monkeypatch):
+    # an undetectable noise pair is decided before any start is searched
+    calls = count_minimize(monkeypatch)
     noise = rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]], N=[[1.0]],
                           K_W=[[1.0]])
     cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=5)
-    with pytest.raises(RuntimeError, match="feasible set not reached"):
+    with pytest.raises(RuntimeError, match="feasible set not reached: .*not detectable"):
         rc.optimize_input(noise, unit_channel(), (1, 1), cfg)
+    assert calls["minimize"] == 0
+
+
+def gate_population():
+    """Noise models on both sides of the noise-only conditions of P-infinity."""
+    rng = np.random.default_rng(20261018)
+    out = [(scalar_noise(a), unit_channel()) for a in (0.5, 1.5, 2.0, 3.0)]
+    out.append((rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]], N=[[1.0]], K_W=[[1.0]]),
+                unit_channel()))
+    for i, rho in enumerate(np.linspace(0.3, 1.4, 12)):
+        n_y = 1 + i % 2
+        noise, _ = random_models(rng, n_s=2 + i % 2, n_y=n_y, rho_A=rho)
+        channel = rc.Channel(H=np.eye(n_y), kappa=1.0)
+        out.append((noise, channel))
+        # the same draw unobserved: detectable only while A is stable
+        out.append((replace(noise, C=np.zeros_like(noise.C)), channel))
+    return out
+
+
+def test_noise_gate_fires_exactly_when_the_noise_side_fails(monkeypatch):
+    calls = count_minimize(monkeypatch)
+    cfg = rc.OptimizerConfig(starts=1, seed=0, maxiter=1)
+    fired = []
+    for noise, channel in gate_population():
+        n_y = channel.n_x
+        ref = rc.asymptotic_rate(noise, rc.iid_input(np.eye(n_y)), channel)
+        noise_fails = not (ref.feasibility.noise_detectable
+                           and ref.feasibility.noise_stabilizable
+                           and ref.diagnostics["sigma_converged"])
+        calls["minimize"] = 0
+        try:
+            rc.optimize_input(noise, channel, (0, n_y), cfg)
+            gated = False
+        except RuntimeError as exc:
+            gated = calls["minimize"] == 0
+            assert str(exc).startswith("feasible set not reached")
+        assert gated == noise_fails
+        fired.append(gated)
+    # the population covers both verdicts
+    assert 0 < sum(fired) < len(fired)
+
+
+def test_sweep_on_noise_no_input_repairs_searches_nothing(monkeypatch):
+    calls = count_minimize(monkeypatch)
+    points = rc.sweep_kappa(scalar_noise(3.0), unit_channel(), [0.5, 1.0, 2.0], (1, 1))
+    assert [p.feasible for p in points] == [False] * 3
+    assert all(np.isnan(p.rate_nats) for p in points)
+    assert calls["minimize"] == 0
 
 
 # -------------------------------------------------------------- sweep_kappa

@@ -7,14 +7,19 @@ import riccati_capacity
 import riccati_capacity.cli  # noqa: F401  (attribute riccati_capacity.cli)
 from conftest import scalar_noise, unit_channel, unit_iid_input
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench_module("bench_tracing", TRACING)
 
 
 def test_every_traced_name_resolves_on_the_package():
@@ -63,3 +68,23 @@ def test_traced_lbfgs_sees_the_minimize_optimize_input_imports():
     totals, _ = tracer.totals()
     assert totals["capacity.lbfgs"]["calls"] >= 1
     assert tracer.counters["capacity.lbfgs.nfev"] > 0
+
+
+def test_optimize_workload_spans_record_calls(monkeypatch):
+    # every span the benchmark expects on optimize must see a call from a
+    # small sweep; systests.pbh_test is known to record none, since
+    # feasibility_report no longer goes through the public pbh_test
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its references
+    workloads = load_bench_module("bench_workloads", BENCH / "workloads.py")
+    expected = set(workloads.Optimize.expected_spans) - {"systests.pbh_test"}
+    rc = riccati_capacity
+    tracer = load_tracing().Tracer()
+    tracer.install(rc)
+    try:
+        rc.capacity.sweep_kappa(scalar_noise(1.5), unit_channel(), (0.5, 1.0), (1, 1),
+                                rc.OptimizerConfig(starts=1, seed=0, maxiter=3))
+    finally:
+        tracer.remove()
+    totals, _ = tracer.totals()
+    silent = sorted(name for name in expected if totals.get(name, {"calls": 0})["calls"] == 0)
+    assert silent == []
