@@ -224,7 +224,11 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     Returns
     -------
     CapacityResult
-        With the FeasibilityReport attached.
+        With the FeasibilityReport attached. Its diagnostics'
+        ``sigma_converged`` and ``pi_converged`` say that each Riccati
+        solve stopped within tolerance of a fixed point, not that the
+        fixed point is the stabilizing one; ``sigma_spectral_radius``,
+        ``pi_spectral_radius`` and the feasibility report say that.
 
     Raises
     ------
@@ -335,7 +339,7 @@ def waterfilling_oracle(H, R, kappa):
     H : array_like
         Channel matrix, n_y x n_x.
     R : array_like
-        Noise covariance, symmetric positive definite.
+        Noise covariance, n_y x n_y, symmetric positive definite.
     kappa : float
         Power budget, >= 0.
 
@@ -344,6 +348,12 @@ def waterfilling_oracle(H, R, kappa):
     (float, ndarray)
         Rate in nats per use and the per-mode power allocation, ordered
         by decreasing channel gain.
+
+    Raises
+    ------
+    ValueError
+        If H or R has a non-finite entry, R is not square or not positive
+        definite, H's row count is not R's size, or kappa is negative.
 
     Notes
     -----
@@ -355,6 +365,13 @@ def waterfilling_oracle(H, R, kappa):
     """
     H = as_matrix(H, "H")
     R = as_matrix(R, "R")
+    for name, arr in (("H", H), ("R", R)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
+    if R.shape[0] != R.shape[1]:
+        raise ValueError(f"R not square (shape {R.shape})")
+    if H.shape[0] != R.shape[0]:
+        raise ValueError(f"H has {H.shape[0]} rows, expected {R.shape[0]} (the size of R)")
     kappa = float(kappa)
     if kappa < 0:
         raise ValueError(f"kappa negative ({kappa})")
@@ -407,7 +424,7 @@ class SweepPoint:
 
 
 class _ParamSpace:
-    """Packing of (F, G, Gamma, D, L) into one flat vector, K_Z = L L^T."""
+    """The L-BFGS vector theta of an input: F, G, Gamma, D and L flattened, K_Z = L L^T."""
 
     def __init__(self, n_xi, n_z, n_x):
         self.n_xi, self.n_z, self.n_x = n_xi, n_z, n_x
@@ -416,35 +433,32 @@ class _ParamSpace:
         self.splits = np.cumsum(sizes)[:-1]
         self.size = int(np.sum(sizes))
 
-    def unpack(self, theta):
+    def model(self, theta):
         fs, gs, gammas, ds, ls = np.split(np.asarray(theta, dtype=np.float64),
                                           self.splits)
-        F = fs.reshape(self.n_xi, self.n_xi)
-        G = gs.reshape(self.n_xi, self.n_z)
-        Gamma = gammas.reshape(self.n_x, self.n_xi)
-        D = ds.reshape(self.n_x, self.n_z)
         L = np.zeros((self.n_z, self.n_z))
         L[self.tril] = ls
-        return F, G, Gamma, D, L
+        return InputModel(F=fs.reshape(self.n_xi, self.n_xi),
+                          G=gs.reshape(self.n_xi, self.n_z),
+                          Gamma=gammas.reshape(self.n_x, self.n_xi),
+                          D=ds.reshape(self.n_x, self.n_z), K_Z=symmetrize(L @ L.T))
+
+    def theta(self, model):
+        """theta of an input with these dims, None for any other input.
+
+        L is the Cholesky factor of K_Z plus a small jitter, so a
+        rank-deficient K_Z is accepted.
+        """
+        if (model.n_xi, model.n_z, model.n_x) != (self.n_xi, self.n_z, self.n_x):
+            return None
+        n = self.n_z
+        jitter = 1e-12 * (1.0 + float(np.trace(model.K_Z)) / max(n, 1))
+        L = np.linalg.cholesky(symmetrize(model.K_Z) + jitter * np.eye(n))
+        return self.pack(model.F, model.G, model.Gamma, model.D, L)
 
     def pack(self, F, G, Gamma, D, L):
-        return np.concatenate([
-            np.ravel(F), np.ravel(G), np.ravel(Gamma), np.ravel(D),
-            np.asarray(L)[self.tril],
-        ])
-
-
-def _lower_factor(K_Z):
-    # lower-triangular factor of a PSD matrix, tolerant of rank deficiency
-    n = K_Z.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    jitter = 1e-12 * (1.0 + float(np.trace(K_Z)) / n)
-    return np.linalg.cholesky(symmetrize(K_Z) + jitter * np.eye(n))
-
-
-def _input_from_parts(F, G, Gamma, D, K_Z):
-    return InputModel(F=F, G=G, Gamma=Gamma, D=D, K_Z=symmetrize(K_Z))
+        return np.concatenate([np.ravel(F), np.ravel(G), np.ravel(Gamma), np.ravel(D),
+                               L[self.tril]])
 
 
 def _project_to_budget(model, kappa, power):
@@ -465,20 +479,16 @@ def _structured_starts(channel, space, kappa, K_pred):
     positive definite once the noise side has passed its tests.
     """
     n_xi, n_z, n_x = space.n_xi, space.n_z, space.n_x
-    starts = []
-    if n_z > 0 and kappa > 0:
-        depth = min(n_x, n_z)
-        D0 = np.eye(n_x, n_z) * np.sqrt(kappa / max(1, depth))
-        starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
-                       np.zeros((n_x, n_xi)), D0, np.eye(n_z)))
-        # allocate against the steady prediction-error covariance of the noise
-        gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
-        depth = min(len(gains), n_z)
-        D_wf = np.zeros((n_x, n_z))
-        D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
-        starts.append((np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
-                       np.zeros((n_x, n_xi)), D_wf, np.eye(n_z)))
-    return starts
+    if n_z == 0 or kappa <= 0:
+        return []
+    D0 = np.eye(n_x, n_z) * np.sqrt(kappa / max(1, min(n_x, n_z)))
+    # allocate against the steady prediction-error covariance of the noise
+    gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
+    depth = min(len(gains), n_z)
+    D_wf = np.zeros((n_x, n_z))
+    D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
+    return [space.pack(np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
+                       np.zeros((n_x, n_xi)), D, np.eye(n_z)) for D in (D0, D_wf)]
 
 
 def _random_start(space, kappa, rng):
@@ -491,9 +501,8 @@ def _random_start(space, kappa, rng):
     Gamma = 0.5 * rng.standard_normal((n_x, n_xi))
     D = rng.standard_normal((n_x, n_z)) * np.sqrt(max(kappa, 0.1) / max(1, n_z))
     L = np.tril(0.3 * rng.standard_normal((n_z, n_z)))
-    if n_z:
-        L[np.diag_indices(n_z)] = 0.3 + np.abs(np.diag(L))
-    return F, G, Gamma, D, L
+    L[np.diag_indices(n_z)] = 0.3 + np.abs(np.diag(L))
+    return space.pack(F, G, Gamma, D, L)
 
 
 def optimize_input(noise, channel, dims, config=None):
@@ -530,7 +539,9 @@ def optimize_input(noise, channel, dims, config=None):
     with finite-difference gradients over (F, G, Gamma, D, L),
     K_Z = L L^T. Within each evaluation the input is rescaled onto the
     power boundary whenever it overshoots, so the objective is always a
-    rate the budget allows. Structured starts (flat and water-filling
+    rate the budget allows; each evaluation solves the joint ARE from
+    zero at _SEARCH_TOL, so the objective is a function of the
+    parameters alone. Structured starts (flat and water-filling
     allocations, plus any warm starts) come before seeded random ones;
     the problem is not convex, so the result is a certified lower bound
     rather than a proven optimum.
@@ -545,12 +556,10 @@ def optimize_input(noise, channel, dims, config=None):
     if n_xi < 0 or n_z < 0:
         raise ValueError(f"dims must be nonnegative, got {dims}")
     kappa = channel.kappa
-    n_x = channel.n_x
-    space = _ParamSpace(n_xi, n_z, n_x)
+    space = _ParamSpace(n_xi, n_z, channel.n_x)
     # validates noise and channel; every candidate input is written into
     # this one system, starting from the all-zero input
-    F, G, Gamma, D, L = space.unpack(np.zeros(space.size))
-    system = build_augmented(noise, _input_from_parts(F, G, Gamma, D, L), channel)
+    system = build_augmented(noise, space.model(np.zeros(space.size)), channel)
 
     nq = system.noise_quad
     sigma_sol = are_solve(nq)
@@ -570,29 +579,25 @@ def optimize_input(noise, channel, dims, config=None):
     K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     ld_hat = chol_logdet(K_hat, context="K_Ihat")
 
-    def evaluate_theta(theta, warm):
+    def evaluate_theta(theta):
         # penalized negative rate; the candidate is power-projected first
         if not np.all(np.isfinite(theta)):
             return 1e7
-        F, G, Gamma, D, L = space.unpack(theta)
-        rho_F = spectral_radius(F)
+        model = space.model(theta)
+        rho_F = spectral_radius(model.F)
         pen = _margin_penalty(rho_F)
         if rho_F > 1.0 - STABILITY_MARGIN:
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
-        K_Z = L @ L.T
         try:
-            model = _input_from_parts(F, G, Gamma, D, K_Z)
             # valid by construction, so the power skips asymptotic_power's checks
             power = input_power(model, lyap_solve(model.F, model.G, model.K_Z,
                                                   tol=_SEARCH_TOL).P_star)
             model = _project_to_budget(model, kappa, power)
             system.update(noise, model)
-            pi_sol = are_solve(system, init=warm.get("pi"), tol=_SEARCH_TOL)
+            pi_sol = are_solve(system, tol=_SEARCH_TOL)
             if not np.all(np.isfinite(pi_sol.P_star)):
-                warm["pi"] = None
                 return 1e6 + pen
-            warm["pi"] = pi_sol.P_star
             ld = chol_logdet(innovations_covariance(system, pi_sol.P_star),
                              context="K_I")
         except (np.linalg.LinAlgError, ValueError):
@@ -603,51 +608,31 @@ def optimize_input(noise, channel, dims, config=None):
         # finite-difference gradients choke on inf; cap runaway penalties
         return float(val) if np.isfinite(val) else 1e7
 
-    def final_eval(model):
-        # exact projection, then a full-tolerance independent evaluation
-        try:
-            model = _project_to_budget(model, kappa, asymptotic_power(model))
-            result = asymptotic_rate(noise, model, channel)
-        except (ValueError, np.linalg.LinAlgError, RuntimeError):
-            return None
-        return model, result
-
-    def run_start(theta0, raw_model):
-        outputs = []
-        if raw_model is not None:
-            outputs.append(final_eval(raw_model))
-        if theta0 is not None and space.size > 0:
-            warm = {"pi": None}
-            res = scipy.optimize.minimize(
-                evaluate_theta, theta0, args=(warm,), method="L-BFGS-B",
-                options={"maxiter": cfg.maxiter, "ftol": 1e-12, "gtol": 1e-7},
-            )
-            F, G, Gamma, D, L = space.unpack(res.x)
-            outputs.append(final_eval(_input_from_parts(F, G, Gamma, D, L @ L.T)))
-        return [o for o in outputs if o is not None]
-
-    # assemble starts: structured, warm, then seeded random fills
-    items = []
-    for F, G, Gamma, D, L in _structured_starts(channel, space, kappa, K_hat):
-        theta0 = space.pack(F, G, Gamma, D, L)
-        items.append((theta0, _input_from_parts(F, G, Gamma, D, L @ L.T)))
-    for warm_model in cfg.warm_starts:
-        theta0 = space.pack(
-            warm_model.F, warm_model.G, warm_model.Gamma, warm_model.D,
-            _lower_factor(warm_model.K_Z),
-        ) if (warm_model.n_xi == n_xi and warm_model.n_z == n_z
-              and warm_model.n_x == n_x) else None
-        items.append((theta0, warm_model))
-    while len(items) < cfg.starts:
-        rng = substream(cfg.seed, len(items))
-        F, G, Gamma, D, L = _random_start(space, kappa, rng)
-        theta0 = space.pack(F, G, Gamma, D, L)
-        items.append((theta0, None))
+    # (theta, model) per start: structured, warm, then seeded random fills;
+    # a structured or warm start's own model is a candidate too
+    starts = [(theta, space.model(theta))
+              for theta in _structured_starts(channel, space, kappa, K_hat)]
+    starts += [(space.theta(model), model) for model in cfg.warm_starts]
+    while len(starts) < cfg.starts:
+        starts.append((_random_start(space, kappa, substream(cfg.seed, len(starts))), None))
 
     best = None
     total = 0
-    for theta0, raw_model in items:
-        for model, result in run_start(theta0, raw_model):
+    for theta0, model0 in starts:
+        candidates = [] if model0 is None else [model0]
+        if theta0 is not None and space.size > 0:
+            res = scipy.optimize.minimize(
+                evaluate_theta, theta0, method="L-BFGS-B",
+                options={"maxiter": cfg.maxiter, "ftol": 1e-12, "gtol": 1e-7},
+            )
+            candidates.append(space.model(res.x))
+        for model in candidates:
+            # exact projection, then a full-tolerance independent evaluation
+            try:
+                model = _project_to_budget(model, kappa, asymptotic_power(model))
+                result = asymptotic_rate(noise, model, channel)
+            except (ValueError, np.linalg.LinAlgError, RuntimeError):
+                continue
             total += 1
             ok = (
                 result.feasibility.member_of_P_infinity
@@ -655,9 +640,7 @@ def optimize_input(noise, channel, dims, config=None):
                 and result.diagnostics["sigma_converged"]
                 and result.diagnostics["pi_converged"]
             )
-            if not ok:
-                continue
-            if best is None or result.rate_nats > best[1].rate_nats:
+            if ok and (best is None or result.rate_nats > best[1].rate_nats):
                 best = (model, result)
     if best is None:
         raise RuntimeError(

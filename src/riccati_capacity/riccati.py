@@ -62,7 +62,10 @@ class RiccatiSolution:
         Doublings (doubling k reaches DRE step 2^k) plus Newton steps.
     converged : bool
         True iff the change between doublings met ``tol`` and the residual
-        is within 10 ``tol``, both relative to max(|P_star|, |Qhat|).
+        is within 10 ``tol``, both relative to max(|P_star|, |Qhat|). It
+        certifies a fixed point within tolerance, not the stabilizing one:
+        ``spectral_radius`` says which (an undetectable unstable mode gives
+        converged=True at a fixed point with radius >= 1).
     """
 
     P_star: np.ndarray

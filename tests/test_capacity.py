@@ -332,11 +332,32 @@ def test_waterfilling_starves_weak_mode():
     assert rate > 0.0
 
 
+def test_converged_at_a_nonstabilizing_fixed_point_is_visible():
+    # C = 0 hides the unstable mode: the doubling stops at the fixed point
+    # P = 0, whose closed loop is A itself; radius and feasibility flag it
+    noise = rc.NoiseModel(A=1.5, B=1.0, C=0.0, N=1.0, K_W=1.0)
+    sol = rc.are_solve(rc.to_quadruple(noise))
+    assert sol.spectral_radius == pytest.approx(1.5, abs=1e-12)
+    res = rc.asymptotic_rate(noise, unit_iid_input(), unit_channel())
+    assert res.diagnostics["sigma_spectral_radius"] == pytest.approx(1.5, abs=1e-12)
+    assert res.feasibility.noise_detectable is False
+    assert not res.feasibility.member_of_P_infinity
+
+
 def test_waterfilling_rejects_bad_R():
     with pytest.raises(ValueError, match="R not positive definite"):
         rc.waterfilling_oracle([[1.0]], [[0.0]], 1.0)
     with pytest.raises(ValueError, match="kappa negative"):
         rc.waterfilling_oracle([[1.0]], [[1.0]], -1.0)
+    # each malformed matrix is named, before any factorization
+    with pytest.raises(ValueError, match="H has 3 rows, expected 2"):
+        rc.waterfilling_oracle(np.ones((3, 1)), np.eye(2), 1.0)
+    with pytest.raises(ValueError, match=r"R not square \(shape \(1, 2\)\)"):
+        rc.waterfilling_oracle([[1.0]], [[1.0, 0.0]], 1.0)
+    with pytest.raises(ValueError, match="H contains non-finite entries"):
+        rc.waterfilling_oracle([[np.inf]], [[1.0]], 1.0)
+    with pytest.raises(ValueError, match="R contains non-finite entries"):
+        rc.waterfilling_oracle([[1.0]], [[np.nan]], 1.0)
 
 
 # ------------------------------------------------------------ optimize_input
@@ -370,13 +391,42 @@ def test_optimize_colored_noise_beats_iid():
     assert res.feasibility.member_of_P_infinity
 
 
-def test_optimize_respects_warm_start_witness():
+def test_optimize_respects_warm_start_witness(monkeypatch):
     noise, inp, ch = colored_setup()
     cfg = rc.OptimizerConfig(starts=2, seed=3, maxiter=10,
                              warm_starts=(inp,))
     _, res = rc.optimize_input(noise, ch, (1, 1), cfg)
     # the warm start is evaluated as-is, so its rate is a floor
     assert res.rate_nats >= HALF_LN2_5 - 1e-9
+    # a witness of the search's own dims with a rank-deficient K_Z is
+    # factored with a jitter and searched from, and stays a floor
+    calls = count_minimize(monkeypatch)
+    witness = rc.InputModel(F=[[0.5]], G=[[1.0, 0.0]], Gamma=[[0.3]],
+                            D=[[1.0, 0.0]], K_Z=np.diag([0.8, 0.0]))
+    floor = rc.asymptotic_rate(noise, witness, ch)
+    assert floor.power <= 1.0
+    _, res = rc.optimize_input(noise, ch, (1, 2), replace(cfg, warm_starts=(witness,)))
+    assert calls["minimize"] == 3  # the two structured starts and the witness
+    assert res.rate_nats >= floor.rate_nats - 1e-9
+
+
+def same_input(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("F", "G", "Gamma", "D", "K_Z"))
+
+
+def test_optimize_is_deterministic_for_a_fixed_config():
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    (m1, r1), (m2, r2) = (rc.optimize_input(scalar_noise(1.5), unit_channel(), (1, 1), cfg)
+                          for _ in range(2))
+    assert same_input(m1, m2)
+    assert (r1.rate_nats, r1.power) == (r2.rate_nats, r2.power)
+    first, second = (rc.sweep_kappa(scalar_noise(1.5), unit_channel(), [0.5, 1.0], (1, 1), cfg)
+                     for _ in range(2))
+    for p, q in zip(first, second, strict=True):
+        assert (p.kappa, p.rate_nats, p.power, p.feasible) == (q.kappa, q.rate_nats, q.power,
+                                                               q.feasible)
+        assert same_input(p.input, q.input)
 
 
 def test_candidate_evaluations_are_not_validated_again(monkeypatch):
