@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, chol_logdet, spectral_radius, substream, symmetrize
-from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, input_power, lyap_solve
+from .linalg import as_count, as_finite, chol_logdet, spectral_radius, substream, symmetrize
+from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
 from .riccati import _predict, are_solve, innovations_covariance
@@ -152,9 +152,7 @@ def finite_n_rate(models, channel, n):
     at zero individually, so a transient with the noise predictor ahead
     of the joint one cannot push the average negative.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n")
     schedule = _unpack_models(models)
     noise_1 = schedule.noise_at(1)
     input_1 = schedule.input_at(1)
@@ -352,7 +350,7 @@ def waterfilling_oracle(H, R, kappa):
     Raises
     ------
     ValueError
-        If H or R has a non-finite entry, R is not square or not positive
+        If H, R or kappa is not finite, R is not square or not positive
         definite, H's row count is not R's size, or kappa is negative.
 
     Notes
@@ -363,16 +361,15 @@ def waterfilling_oracle(H, R, kappa):
     which is exactly what makes it an independent check on the
     state-space machinery.
     """
-    H = as_matrix(H, "H")
-    R = as_matrix(R, "R")
-    for name, arr in (("H", H), ("R", R)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
+    H = as_finite(H, "H")
+    R = as_finite(R, "R")
     if R.shape[0] != R.shape[1]:
         raise ValueError(f"R not square (shape {R.shape})")
     if H.shape[0] != R.shape[0]:
         raise ValueError(f"H has {H.shape[0]} rows, expected {R.shape[0]} (the size of R)")
     kappa = float(kappa)
+    if not np.isfinite(kappa):
+        raise ValueError("kappa not finite")
     if kappa < 0:
         raise ValueError(f"kappa negative ({kappa})")
     try:
@@ -552,9 +549,7 @@ def optimize_input(noise, channel, dims, config=None):
     import scipy.optimize
 
     cfg = config if config is not None else OptimizerConfig()
-    n_xi, n_z = (int(dims[0]), int(dims[1]))
-    if n_xi < 0 or n_z < 0:
-        raise ValueError(f"dims must be nonnegative, got {dims}")
+    n_xi, n_z = (as_count(d, "dims", minimum=0) for d in dims)
     kappa = channel.kappa
     space = _ParamSpace(n_xi, n_z, channel.n_x)
     # validates noise and channel; every candidate input is written into
@@ -590,9 +585,10 @@ def optimize_input(noise, channel, dims, config=None):
             val = 10.0 + rho_F + pen
             return float(val) if np.isfinite(val) else 1e7
         try:
-            # valid by construction, so the power skips asymptotic_power's checks
-            power = input_power(model, lyap_solve(model.F, model.G, model.K_Z,
-                                                  tol=_SEARCH_TOL).P_star)
+            # valid by construction and rho(F) checked above, so the power
+            # skips lyap_solve's checks and goes to its Smith doubling
+            power = input_power(model, _smith(model.F, symmetrize(
+                model.G @ model.K_Z @ model.G.T), _SEARCH_TOL))
             model = _project_to_budget(model, kappa, power)
             system.update(noise, model)
             pi_sol = are_solve(system, tol=_SEARCH_TOL)
@@ -695,9 +691,7 @@ def case2_rate(schedule, channel, n_max):
         exponentially stable (the schedule then has no meaningful
         limit rate).
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = as_count(n_max, "n_max")
     if not isinstance(schedule, CoefficientSchedule):
         raise TypeError("schedule must be a CoefficientSchedule")
     limit_result = asymptotic_rate(

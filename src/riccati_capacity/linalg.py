@@ -15,6 +15,9 @@ import numpy as np
 # zero before the matrix is declared indefinite.
 PSD_SLACK = 1e-10
 
+# a matrix is symmetric when |M - M^T| <= SYMMETRY_TOL max(1, |M|) entrywise
+SYMMETRY_TOL = 1e-10
+
 
 def as_matrix(x, name="matrix"):
     """Coerce to a dense 2-D float64 array, rejecting ragged input."""
@@ -42,6 +45,40 @@ def as_vector(x, name="vector"):
     return np.ascontiguousarray(np.atleast_1d(arr))
 
 
+def as_finite(x, name):
+    """``as_matrix``, rejecting non-finite entries by name."""
+    arr = as_matrix(x, name)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_covariance(x, n, name):
+    """A caller's n x n covariance, symmetrized; shape, finiteness, symmetry, then PSD checked."""
+    arr = as_matrix(x, name)
+    if arr.shape != (n, n):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({n}, {n})")
+    arr = as_finite(arr, name)
+    if not is_symmetric(arr):
+        raise ValueError(f"{name} is not symmetric")
+    if not is_psd(arr):
+        raise ValueError(f"{name} is not positive semidefinite")
+    return symmetrize(arr)
+
+
+def as_count(x, name, minimum=1):
+    """A count (a horizon, a number of paths) as an int; it must be integral and >= minimum."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return n
+
+
 def symmetrize(M):
     return 0.5 * (M + M.T)
 
@@ -59,20 +96,20 @@ def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def is_symmetric(M, tol=1e-10):
+def is_symmetric(M):
     if M.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(M))))
-    return float(np.max(np.abs(M - M.T))) <= tol * scale
+    return float(np.max(np.abs(M - M.T))) <= SYMMETRY_TOL * scale
 
 
-def is_psd(M, slack=PSD_SLACK):
-    """Numerically positive semidefinite: eigenvalues above -slack*scale."""
+def is_psd(M):
+    """Numerically positive semidefinite: eigenvalues above -PSD_SLACK * scale."""
     if M.size == 0:
         return True
     eigs = np.linalg.eigvalsh(symmetrize(M))
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    return float(eigs[0]) >= -slack * scale
+    return float(eigs[0]) >= -PSD_SLACK * scale
 
 
 def is_pd(M):

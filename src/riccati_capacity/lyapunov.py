@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, is_psd, is_symmetric, sup_norm, symmetrize
+from .linalg import as_covariance, as_finite, sup_norm, symmetrize
 
 __all__ = ["LyapunovSolution", "lyap_step", "lyap_solve", "input_power"]
 
@@ -37,34 +37,23 @@ class LyapunovSolution:
 
 
 def _coerce(F, G, K_Z):
-    F = as_matrix(F, "F")
-    G = as_matrix(G, "G")
-    K_Z = as_matrix(K_Z, "K_Z")
+    F = as_finite(F, "F")
+    G = as_finite(G, "G")
     if F.shape[0] != F.shape[1]:
         raise ValueError(f"F not square (shape {F.shape})")
     if G.shape[0] != F.shape[0]:
         raise ValueError(f"G has {G.shape[0]} rows, expected {F.shape[0]}")
-    if K_Z.shape != (G.shape[1], G.shape[1]):
-        raise ValueError(
-            f"K_Z has shape {K_Z.shape}, expected ({G.shape[1]}, {G.shape[1]})"
-        )
-    return F, G, K_Z
+    return F, G, as_covariance(K_Z, G.shape[1], "K_Z")
 
 
 def lyap_step(F, G, K_Z, P_t):
     """One step of the covariance recursion, symmetrized.
 
-    Returns F P_t F^T + G K_Z G^T.
+    Returns F P_t F^T + G K_Z G^T. F and G must be finite, K_Z and P_t
+    finite, symmetric and PSD, else ValueError.
     """
     F, G, K_Z = _coerce(F, G, K_Z)
-    P = as_matrix(P_t, "P_t")
-    if P.shape != F.shape:
-        raise ValueError(f"P_t has shape {P.shape}, expected {F.shape}")
-    if not is_symmetric(P):
-        raise ValueError("P_t is not symmetric")
-    if not is_psd(P):
-        raise ValueError("P_t is not positive semidefinite")
-    return _step(F, G, K_Z, P)
+    return _step(F, G, K_Z, as_covariance(P_t, F.shape[0], "P_t"))
 
 
 def _step(F, G, K_Z, P):
@@ -110,7 +99,8 @@ def lyap_solve(F, G, K_Z, tol=1e-11):
     F : array_like
         State matrix, spectral radius strictly inside the unit circle.
     G, K_Z : array_like
-        Noise gain and PSD noise covariance.
+        Noise gain and noise covariance; all three finite, K_Z
+        symmetric PSD.
     tol : float
         Relative stopping tolerance: doubling stops once an increment's
         sup-norm is at most ``tol`` times that of the partial sum;
@@ -123,8 +113,8 @@ def lyap_solve(F, G, K_Z, tol=1e-11):
     Raises
     ------
     ValueError
-        If F is not exponentially stable; the message carries the
-        offending eigenvalue.
+        If an input is malformed, or F is not exponentially stable; the
+        message then carries the offending eigenvalue.
     """
     tol = _check_tol(tol)
     F, G, K_Z = _coerce(F, G, K_Z)

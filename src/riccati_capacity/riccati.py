@@ -15,14 +15,15 @@ prediction error (``innovations_covariance``), one prediction step is
 gain^T). It is the only place a DRE step is built: ``dre_step``,
 ``dre_run``, ``gain_and_closed_loop``, ``are_solve``'s Newton polish, both
 DREs of ``capacity.finite_n_rate`` and ``simulate``'s Kalman pass call it.
-``are_solve`` reaches the steady state by structure-preserving doubling.
+``are_solve`` reaches the steady state from zero by structure-preserving
+doubling.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_psd, is_symmetric, solve_spd, spectral_radius, sup_norm, symmetrize
+from .linalg import as_count, as_covariance, solve_spd, spectral_radius, sup_norm, symmetrize
 from .lyapunov import MAX_DOUBLINGS, _check_tol, _smith
 
 __all__ = [
@@ -59,7 +60,8 @@ class RiccatiSolution:
     residual : float
         Sup-norm of dre_step(P_star) - P_star; infinite after divergence.
     iterations : int
-        Doublings (doubling k reaches DRE step 2^k) plus Newton steps.
+        Doublings (doubling k reaches DRE step 2^k from zero) plus Newton
+        steps.
     converged : bool
         True iff the change between doublings met ``tol`` and the residual
         is within 10 ``tol``, both relative to max(|P_star|, |Qhat|). It
@@ -92,19 +94,6 @@ def _predict(quad, P, context="Riccati denominator"):
     return symmetrize(AP @ quad.Ahat.T + quad.Qhat - APC @ gain_T), K, logdet, gain_T
 
 
-def _check_state(quad, P, who):
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim == 0:
-        P = P.reshape(1, 1)
-    if P.shape != (quad.m, quad.m):
-        raise ValueError(f"{who}: P has shape {P.shape}, expected ({quad.m}, {quad.m})")
-    if not is_symmetric(P):
-        raise ValueError(f"{who}: P is not symmetric")
-    if not is_psd(P):
-        raise ValueError(f"{who}: P is not positive semidefinite")
-    return symmetrize(P)
-
-
 def dre_step(quad, P_t):
     """One step of the generalized difference Riccati equation.
 
@@ -120,7 +109,7 @@ def dre_step(quad, P_t):
     ndarray
         P_{t+1}, symmetrized.
     """
-    return _predict(quad, _check_state(quad, P_t, "dre_step"))[0]
+    return _predict(quad, as_covariance(P_t, quad.m, "dre_step: P"))[0]
 
 
 def dre_run(quad, P_1, horizon):
@@ -129,10 +118,8 @@ def dre_run(quad, P_1, horizon):
     Returns a list of length ``horizon`` whose first element is P_1
     itself, so element t is the covariance entering step t.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    out = [_check_state(quad, P_1, "dre_run")]
+    horizon = as_count(horizon, "horizon")
+    out = [as_covariance(P_1, quad.m, "dre_run: P")]
     for _ in range(horizon - 1):
         out.append(_predict(quad, out[-1])[0])
     return out
@@ -146,28 +133,25 @@ def gain_and_closed_loop(quad, P):
     its Cholesky factorization; it is positive definite whenever the
     model invariants hold.
     """
-    gain = _predict(quad, _check_state(quad, P, "gain_and_closed_loop"))[3].T
+    gain = _predict(quad, as_covariance(P, quad.m, "gain_and_closed_loop: P"))[3].T
     return gain, quad.Ahat - gain @ quad.Chat
 
 
-def _compose(H, A, G, P0):
-    # DRE step 2^k from P0 through the doubling triple (A_k, G_k, H_k)
-    if P0 is None:
-        return H
-    return symmetrize(H + A.T @ P0 @ np.linalg.solve(np.eye(len(P0)) + G @ P0, A))
-
-
-def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
+def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
     """Steady state of the generalized Riccati equation.
 
     Structure-preserving doubling (Chu, Fan, Lin & Wang, 2004) on the DRE
     without its cross term, P+ = A_s P (I + G P)^{-1} A_s^T + Q_s, where
     A_s = Ahat - Shat Rhat^{-1} Chat, Q_s = Qhat - Shat Rhat^{-1} Shat^T and
-    G = Chat^T Rhat^{-1} Chat. Doubling k reaches DRE step 2^k from
-    ``init``, converging quadratically, or at rate 1/2 in the critical
-    case (Lin & Xu, 2006). While the residual exceeds ``tol``, up to three
-    Newton steps follow, each solving D = A_cl D A_cl^T + dre_step(P) - P.
-    A run that stops contracting (A = 1, B = 0 decays like 1/t) ends within
+    G = Chat^T Rhat^{-1} Chat. The equation has no initial condition:
+    doubling k is DRE step 2^k from zero, converging quadratically, or at
+    rate 1/2 in the critical case (Lin & Xu, 2006). Under the
+    detectability and stabilizability conditions the DRE reaches the same
+    limit from every initial covariance; ``dre_run`` iterates from a given
+    one. While the residual exceeds ``tol``, up to three Newton steps
+    follow, each solving D = A_cl D A_cl^T + dre_step(P) - P. A run that
+    stops contracting (A = 1, B = [1, 0], C = 0, N = [0, 1], K_W = I: the
+    DRE is P+ = P + 1, so doubling k gives P = 2^k) ends within
     ``max_iter`` doublings at its last finite iterate; it and a diverging
     run return ``converged=False`` instead of raising.
 
@@ -175,10 +159,6 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
     ----------
     quad : JointSystem
         The joint problem, or the noise-only one (its ``noise_quad``).
-    init : array_like, optional
-        Starting covariance; zero when omitted. Under the detectability
-        and stabilizability conditions the limit does not depend on it,
-        which makes warm starting safe.
     tol : float
         Relative stopping tolerance, against max(|P|, |Qhat|) in
         sup-norm, so solutions P* = 0 are reached too; 0 < tol < inf,
@@ -193,28 +173,26 @@ def are_solve(quad, init=None, tol=1e-11, max_iter=MAX_DOUBLINGS):
     """
     tol = _check_tol(tol)
     m = quad.m
-    P0 = None if init is None else _check_state(quad, init, "are_solve")
     RinvCS = solve_spd(quad.Rhat, np.hstack([quad.Chat, quad.Shat.T]), context="Rhat")
-    # the doubling triple in control form: A_0 = A_s^T, G_0 = G, H_0 = Q_s
+    # the doubling triple (A_k, G_k, P_k) in control form: A_0 = A_s^T,
+    # G_0 = G, P_0 = Q_s; P_k is DRE step 2^k from zero
     A = (quad.Ahat - quad.Shat @ RinvCS[:, :m]).T
     G = symmetrize(quad.Chat.T @ RinvCS[:, :m])
-    H = symmetrize(quad.Qhat - quad.Shat @ RinvCS[:, m:])
-    P = _compose(H, A, G, P0)
+    P = symmetrize(quad.Qhat - quad.Shat @ RinvCS[:, m:])
     q_scale = sup_norm(quad.Qhat)
     diff, iterations = np.inf, 0
     # a run that stops contracting keeps its last finite iterate, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         while iterations < min(int(max_iter), MAX_DOUBLINGS) and sup_norm(P) <= _DIVERGENCE_BOUND:
-            WiAG = np.linalg.solve(np.eye(m) + G @ H, np.hstack([A, G]))
+            WiAG = np.linalg.solve(np.eye(m) + G @ P, np.hstack([A, G]))
             A_next = A @ WiAG[:, :m]
             G_next = symmetrize(G + A @ WiAG[:, m:] @ A.T)
-            H_next = symmetrize(H + A.T @ H @ WiAG[:, :m])
-            P_next = _compose(H_next, A_next, G_next, P0)
+            P_next = symmetrize(P + A.T @ P @ WiAG[:, :m])
             iterations += 1
             if not all(np.all(np.isfinite(M)) for M in (A_next, G_next, P_next)):
                 break
             diff = sup_norm(P_next - P)
-            A, G, H, P = A_next, G_next, H_next, P_next
+            A, G, P = A_next, G_next, P_next
             if diff <= tol * max(sup_norm(P), q_scale):
                 break
     scale = max(sup_norm(P), q_scale)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import CapacityResult
-from .linalg import _rekey, substream, sup_norm, symmetrize
+from .linalg import _rekey, as_count, substream, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented
@@ -159,10 +159,8 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     resident in a fresh interpreter (29 MB before the call; x86-64 Linux,
     numpy 2.4).
     """
-    horizon = int(horizon)
-    paths = int(paths)
-    if horizon < 1 or paths < 1:
-        raise ValueError(f"horizon and paths must be >= 1, got {horizon}, {paths}")
+    horizon = as_count(horizon, "horizon")
+    paths = as_count(paths, "paths")
     # runs the full validation including cross-dimension checks
     system = build_augmented(noise, input, channel)
 

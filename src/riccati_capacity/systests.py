@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_SLACK, as_matrix, is_symmetric, solve_spd, symmetrize
+from .linalg import PSD_SLACK, as_finite, is_symmetric, solve_spd, symmetrize
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
@@ -123,7 +123,7 @@ def psd_sqrt(M):
     ndarray
         Symmetric PSD matrix whose square reproduces M up to PSD_SLACK.
     """
-    M = as_matrix(M, "M")
+    M = as_finite(M, "M")
     if M.size == 0:
         return M.copy()
     if M.shape[0] != M.shape[1]:
@@ -233,10 +233,10 @@ def pbh_test(A, V, mode):
         order, recording the eigenvalue, whether it was inside the tested
         region, and the rank found versus the rank required.
     """
-    A = as_matrix(A, "A")
+    A = as_finite(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A not square (shape {A.shape})")
-    V = as_matrix(V, "V")
+    V = as_finite(V, "V")
     m = A.shape[0]
     if mode == "detectable":
         if V.shape[1] != m:

@@ -45,24 +45,17 @@ def test_01_scalar_family_steady_states():
 
 def test_02_initial_condition_uniformity():
     with criterion("steady states do not depend on the initial covariance"):
-        inits_1 = (None, np.eye(1), 10.0 * np.eye(1))
+        # the DRE from 0, I and 10 I ends at the steady state are_solve
+        # reaches from zero, on the noise and on the joint problem
         for a in FAMILY:
-            quad = rc.to_quadruple(scalar_noise(a))
-            sols = [rc.are_solve(quad, init=i, tol=1e-12) for i in inits_1]
-            for s in sols:
-                assert s.converged
-            for s in sols[1:]:
-                assert np.max(np.abs(s.P_star - sols[0].P_star)) <= 1e-8
-            aug = rc.build_augmented(scalar_noise(a), unit_iid_input(),
-                                     unit_channel())
-            aq = aug
-            m = aq.Ahat.shape[0]
-            sols = [rc.are_solve(aq, init=i, tol=1e-12)
-                    for i in (None, np.eye(m), 10.0 * np.eye(m))]
-            for s in sols:
-                assert s.converged
-            for s in sols[1:]:
-                assert np.max(np.abs(s.P_star - sols[0].P_star)) <= 1e-8
+            for quad in (rc.to_quadruple(scalar_noise(a)),
+                         rc.build_augmented(scalar_noise(a), unit_iid_input(),
+                                            unit_channel())):
+                sol = rc.are_solve(quad, tol=1e-12)
+                assert sol.converged
+                for P_1 in (0.0, 1.0, 10.0):
+                    P = rc.dre_run(quad, P_1 * np.eye(quad.m), 300)[-1]
+                    assert np.max(np.abs(P - sol.P_star)) <= 1e-8
 
 
 def test_03_chain_rule_of_entropies():

@@ -235,6 +235,17 @@ def test_bad_horizon_rejected():
         rc.finite_n_rate((noise, inp), ch, 0)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda noise, inp, ch: rc.finite_n_rate((noise, inp), ch, 2.7)),
+    ("n_max", lambda noise, inp, ch: rc.case2_rate(rc.constant_schedule(noise, inp), ch, 4.5)),
+    ("dims", lambda noise, inp, ch: rc.optimize_input(noise, ch, (1.5, 1))),
+    ("dims", lambda noise, inp, ch: rc.optimize_input(noise, ch, (1, np.nan))),
+], ids=["n", "n_max", "dims-n_xi", "dims-n_z"])
+def test_counts_that_are_not_integers_are_named(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(*colored_setup())
+
+
 # ----------------------------------------------------------- asymptotic_rate
 
 
@@ -358,6 +369,12 @@ def test_waterfilling_rejects_bad_R():
         rc.waterfilling_oracle([[np.inf]], [[1.0]], 1.0)
     with pytest.raises(ValueError, match="R contains non-finite entries"):
         rc.waterfilling_oracle([[1.0]], [[np.nan]], 1.0)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf])
+def test_waterfilling_rejects_nonfinite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa not finite"):
+        rc.waterfilling_oracle([[1.0]], [[1.0]], kappa)
 
 
 # ------------------------------------------------------------ optimize_input

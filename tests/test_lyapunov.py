@@ -46,6 +46,25 @@ def test_solve_rejects_marginally_unstable():
         rc.lyap_solve([[1.0 - 1e-12]], [[1.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("F, G, K_Z, message", [
+    ([[0.5]], [[1.0]], [[-1.0]], "K_Z is not positive semidefinite"),
+    ([[0.5]], [[1.0]], [[np.nan]], "K_Z contains non-finite entries"),
+    ([[np.nan]], [[1.0]], [[1.0]], "F contains non-finite entries"),
+    ([[0.5]], [[np.inf]], [[1.0]], "G contains non-finite entries"),
+    ([[0.5, 0.0], [0.0, 0.5]], np.eye(2), [[1.0, 1.0], [0.0, 1.0]], "K_Z is not symmetric"),
+], ids=["indefinite-K_Z", "nan-K_Z", "nan-F", "inf-G", "asymmetric-K_Z"])
+def test_solve_and_step_reject_malformed_inputs(F, G, K_Z, message):
+    with pytest.raises(ValueError, match=message):
+        rc.lyap_solve(F, G, K_Z)
+    with pytest.raises(ValueError, match=message):
+        rc.lyap_step(F, G, K_Z, np.zeros(np.shape(F)))
+
+
+def test_step_names_a_nonfinite_state():
+    with pytest.raises(ValueError, match="P_t contains non-finite entries"):
+        rc.lyap_step([[0.5]], [[1.0]], [[1.0]], [[np.inf]])
+
+
 def test_solve_matches_scipy_random(rng):
     for _ in range(15):
         n = int(rng.integers(1, 5))

@@ -45,6 +45,19 @@ def test_step_rejects_indefinite_P():
         rc.dre_step(family_quad(0.5), [[-1.0]])
 
 
+@pytest.mark.parametrize("call", [
+    lambda quad, P: rc.dre_step(quad, P),
+    lambda quad, P: rc.dre_run(quad, P, 2),
+    lambda quad, P: rc.gain_and_closed_loop(quad, P),
+], ids=["dre_step", "dre_run", "gain_and_closed_loop"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_P_is_named_without_a_warning(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="P contains non-finite entries"):
+            call(family_quad(0.5), [[bad]])
+
+
 def test_step_preserves_psd_random(rng):
     for _ in range(20):
         noise, _ = random_models(rng, rho_A=1.3)
@@ -71,6 +84,12 @@ def test_run_three_steps_frozen_values():
     assert np.allclose(seq[1], [[0.125]])
     # 0.25*0.125 + 1 - 1.0625**2/1.125 = 1/36
     assert abs(seq[2][0, 0] - DRE_THIRD) < 1e-15
+
+
+@pytest.mark.parametrize("horizon", [2.5, np.nan, "2"])
+def test_run_rejects_a_horizon_that_is_not_an_integer(horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        rc.dre_run(family_quad(0.5), [[1.0]], horizon)
 
 
 def test_run_absorbing_zero():
@@ -118,10 +137,12 @@ def test_family_steady_state_is_zero(a):
 
 
 def test_unstable_family_from_large_init():
-    sol = rc.are_solve(family_quad(1.5), init=[[10.0]])
-    assert sol.converged
-    assert abs(sol.P_star[0, 0]) <= 1e-9
-    assert np.allclose(sol.closed_loop, [[0.5]], atol=1e-8)
+    # the DRE from 10 reaches the stabilizing solution are_solve finds from zero
+    quad = family_quad(1.5)
+    assert rc.are_solve(quad).converged
+    P = rc.dre_run(quad, [[10.0]], 300)[-1]
+    assert abs(P[0, 0]) <= 1e-9
+    assert np.allclose(rc.gain_and_closed_loop(quad, P)[1], [[0.5]], atol=1e-8)
 
 
 def test_augmented_scalar_blocks():
@@ -139,9 +160,11 @@ def test_augmented_scalar_blocks():
 
 
 def test_iteration_budget_flags_nonconvergence():
-    sol = rc.are_solve(family_quad(1.9), init=[[10.0]], max_iter=2)
+    quad = near_marginal_quad(1e-4)
+    sol = rc.are_solve(quad, max_iter=2)
     assert not sol.converged
     assert sol.iterations == 2
+    assert rc.are_solve(quad).converged
 
 
 def test_residual_reported_at_fixed_point():
@@ -162,33 +185,35 @@ def test_steady_state_matches_schur_dual(seed):
 
 @pytest.mark.parametrize("a", [0.5, 1.5])
 def test_initial_condition_insensitivity(a):
+    # the DRE from 0, 1 and 10 ends where are_solve's doubling from zero does
     quad = family_quad(a)
-    sols = [rc.are_solve(quad, init=i, tol=1e-13)
-            for i in (None, [[1.0]], [[10.0]])]
-    for s in sols[1:]:
-        assert np.max(np.abs(s.P_star - sols[0].P_star)) < 1e-8
+    P_star = rc.are_solve(quad, tol=1e-13).P_star
+    for P_1 in ([[0.0]], [[1.0]], [[10.0]]):
+        assert np.max(np.abs(rc.dre_run(quad, P_1, 300)[-1] - P_star)) < 1e-8
+
+
+def unobserved_quad(a):
+    # C = 0 hides the state, which unit process noise drives: P+ = a^2 P + 1
+    return rc.to_quadruple(rc.NoiseModel(A=[[a]], B=[[1.0, 0.0]], C=[[0.0]],
+                                         N=[[0.0, 1.0]], K_W=np.eye(2)))
 
 
 def test_divergent_recursion_reported():
     # detectability fails: unstable mode invisible, P grows without bound
-    quad = rc.to_quadruple(rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]],
-                                         N=[[1.0]], K_W=[[1.0]]))
-    sol = rc.are_solve(quad, init=[[1.0]], max_iter=10_000)
+    sol = rc.are_solve(unobserved_quad(1.5), max_iter=10_000)
     assert not sol.converged
     assert not np.isfinite(sol.residual)
 
 
 def test_critical_decay_stops_without_claiming_convergence():
-    # P+ = P / (1 + P) from 1 decays like 1/t to 0 with the closed loop on
-    # the unit circle: the doubling never contracts relative to P
-    quad = rc.to_quadruple(rc.NoiseModel(A=[[1.0]], B=[[0.0]], C=[[1.0]],
-                                         N=[[1.0]], K_W=[[1.0]]))
+    # P+ = P + 1 grows like t with the closed loop on the unit circle: the
+    # doubling never contracts relative to P and stops at step 2^64
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        sol = rc.are_solve(quad, init=[[1.0]])
+        sol = rc.are_solve(unobserved_quad(1.0))
     assert not sol.converged
-    assert sol.iterations <= 64
-    assert np.all(np.isfinite(sol.P_star)) and 0.0 <= sol.P_star[0, 0] < 1e-15
+    assert sol.iterations == 64
+    assert np.all(np.isfinite(sol.P_star)) and sol.P_star[0, 0] == 2.0 ** 64
 
 
 # ------------------------------------------------ doubling against the oracle

@@ -95,6 +95,12 @@ def test_one_batch_builds_at_most_one_generator(monkeypatch):
     assert len(built) <= 1
 
 
+@pytest.mark.parametrize("horizon, paths, name", [(3.9, 2, "horizon"), (3, 2.5, "paths")])
+def test_counts_that_are_not_integers_are_named(horizon, paths, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        rc.sample_paths(*colored_setup(), horizon=horizon, paths=paths, master_seed=0)
+
+
 def test_zero_input_sends_noise_only():
     noise = scalar_noise(0.5)
     inp = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[0.0]],

@@ -42,6 +42,12 @@ def test_sqrt_rejects_indefinite():
         rc.psd_sqrt([[-1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sqrt_names_nonfinite_entries(bad):
+    with pytest.raises(ValueError, match="M contains non-finite entries"):
+        rc.psd_sqrt([[bad]])
+
+
 def test_sqrt_of_a_rank_one_starred_covariance_has_rank_one():
     # n_w = n_y + 1, so B_star = K_W - K_W N^T R^-1 N K_W has rank one; round-off
     # eigenvalues of either sign must not give its root or G B_star^1/2 a second direction
@@ -130,6 +136,16 @@ def test_pbh_witnesses_are_json_friendly():
     import json
     _, wit = rc.pbh_test([[1.2]], [[1.0]], mode="detectable")
     json.dumps([dict(w) for w in wit])
+
+
+@pytest.mark.parametrize("A, V, name", [
+    ([[np.nan]], [[1.0]], "A"),
+    ([[1.5]], [[np.inf]], "V"),
+])
+@pytest.mark.parametrize("mode", MODES)
+def test_pbh_names_nonfinite_entries(A, V, name, mode):
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        rc.pbh_test(A, V, mode)
 
 
 def test_pbh_empty_state():
