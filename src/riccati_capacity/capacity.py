@@ -9,16 +9,18 @@ finite-block rate averages the clamped per-step log-det differences
 
 and the asymptotic rate replaces both recursions by their steady states.
 Average input power follows the companion Lyapunov recursion. The
-optimizer searches over input realizations (F, G, Gamma, D, K_Z) under
-the power budget; a classical water-filling solver is kept alongside as
-an independent reference for the memoryless special case.
+optimizer searches over input realizations in input-normal form, where
+the power budget holds by construction, with adjoint gradients; a
+classical water-filling solver is kept alongside as an independent
+reference for the memoryless special case.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_count, as_finite, chol_logdet, spectral_radius, substream, symmetrize
+from .linalg import (as_count, as_finite, chol_logdet, solve_spd, spectral_radius, substream,
+                     symmetrize)
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
@@ -58,7 +60,8 @@ class CapacityResult:
     For asymptotic computations the matrix fields hold steady states;
     for finite-horizon runs they hold the final-step values, and
     ``trace`` carries the whole history in TRACE_COLUMNS order.
-    ``diagnostics`` is a flat dict of solver convergence data.
+    ``diagnostics`` is a dict of solver convergence data; ``optimize_input``
+    adds its search record under "search".
     """
 
     rate_nats: float
@@ -224,9 +227,9 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     CapacityResult
         With the FeasibilityReport attached. Its diagnostics'
         ``sigma_converged`` and ``pi_converged`` say that each Riccati
-        solve stopped within tolerance of a fixed point, not that the
-        fixed point is the stabilizing one; ``sigma_spectral_radius``,
-        ``pi_spectral_radius`` and the feasibility report say that.
+        solve stopped within tolerance of its stabilizing solution (a
+        fixed point whose closed loop is stable); ``sigma_spectral_radius``
+        and ``pi_spectral_radius`` give those closed loops' radii.
 
     Raises
     ------
@@ -301,6 +304,8 @@ def _waterfill_powers(gains, kappa):
     hi = float(np.max(inv)) + kappa
     for _ in range(_WATERFILL_ITERS):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the level no longer moves
+            break
         if np.sum(np.maximum(0.0, mid - inv)) > kappa:
             hi = mid
         else:
@@ -380,16 +385,10 @@ def waterfilling_oracle(H, R, kappa):
     return rate, p
 
 
-# the search objective adds _PENALTY * max(0, rho - (1 - _PENALTY_MARGIN))^2
-# for each loop radius rho (F and the joint predictor) near or past the
-# unit circle; its Lyapunov and Riccati solves stop at _SEARCH_TOL
-_PENALTY = 1e4
-_PENALTY_MARGIN = 1e-6
+# the search's Riccati and adjoint Stein solves stop at this relative tolerance
 _SEARCH_TOL = 1e-12
-
-
-def _margin_penalty(rho):
-    return _PENALTY * max(0.0, rho - (1.0 - _PENALTY_MARGIN)) ** 2
+# X X^T counts as singular when X's smallest singular value is below _EPS times its largest
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,86 +419,125 @@ class SweepPoint:
     result: CapacityResult = None
 
 
-class _ParamSpace:
-    """The L-BFGS vector theta of an input: F, G, Gamma, D and L flattened, K_Z = L L^T."""
+class _InputNormal:
+    """The L-BFGS vector theta of an input in input-normal form (Mullis & Roberts, 1976).
 
-    def __init__(self, n_xi, n_z, n_x):
-        self.n_xi, self.n_z, self.n_x = n_xi, n_z, n_x
-        self.tril = np.tril_indices(n_z)
-        sizes = [n_xi * n_xi, n_xi * n_z, n_x * n_xi, n_x * n_z, len(self.tril[0])]
-        self.splits = np.cumsum(sizes)[:-1]
-        self.size = int(np.sum(sizes))
+    theta holds X, n_xi x (n_xi + n_z), then Y, n_x x (n_xi + n_z). [F G]
+    is the polar factor (X X^T)^-1/2 X, so F F^T + G G^T = I: with K_Z = I
+    the Lyapunov solution is P = I, and rho(F) <= 1 with equality iff
+    (F, G) is not reachable. [Gamma D] is Y scaled onto
+    |Gamma|_F^2 + |D|_F^2 = kappa, which is then the power. With no
+    innovations (n_z = 0) no state is reachable: X is empty and F = 0.
+    """
+
+    def __init__(self, n_xi, n_z, n_x, kappa):
+        self.n_xi, self.n_z, self.n_x, self.kappa = n_xi, n_z, n_x, kappa
+        self.X_shape = (n_xi, n_xi + n_z if n_z else 0)
+        self.split = n_xi * self.X_shape[1]
+        self.size = self.split + n_x * (n_xi + n_z)
 
     def model(self, theta):
-        fs, gs, gammas, ds, ls = np.split(np.asarray(theta, dtype=np.float64),
-                                          self.splits)
-        L = np.zeros((self.n_z, self.n_z))
-        L[self.tril] = ls
-        return InputModel(F=fs.reshape(self.n_xi, self.n_xi),
-                          G=gs.reshape(self.n_xi, self.n_z),
-                          Gamma=gammas.reshape(self.n_x, self.n_xi),
-                          D=ds.reshape(self.n_x, self.n_z), K_Z=symmetrize(L @ L.T))
+        """The input of theta, and the factors ``gradient`` reuses (None if X X^T is singular)."""
+        n = self.n_xi
+        X = theta[:self.split].reshape(self.X_shape)
+        Y = theta[self.split:].reshape(self.n_x, n + self.n_z)
+        w, U = np.linalg.eigh(X @ X.T)
+        r = np.sqrt(np.maximum(w, 0.0))
+        norm = float(np.linalg.norm(Y)) or 1.0  # the all-zero theta gives Gamma = D = 0
+        if r.size == 0 or r[0] > _EPS * r[-1]:
+            S_isqrt = (U / r) @ U.T
+            FG, factors = S_isqrt @ X, (X, U, r, S_isqrt, Y, norm)
+        else:  # always so when n_z = 0
+            FG, factors = np.zeros((n, n + self.n_z)), None
+        GD = Y * (np.sqrt(self.kappa) / norm)
+        return InputModel(F=FG[:, :n], G=FG[:, n:], Gamma=GD[:, :n], D=GD[:, n:],
+                          K_Z=np.eye(self.n_z)), factors
+
+    def gradient(self, factors, g_F, g_G, g_Gamma, g_D):
+        """d/dtheta from the gradients with respect to F, G, Gamma and D."""
+        X, U, r, S_isqrt, Y, norm = factors
+        # the sphere scaling: its Jacobian projects out the radial direction
+        g_GD = np.hstack([g_Gamma, g_D])
+        u = Y / norm
+        g_Y = np.sqrt(self.kappa) / norm * (g_GD - u * np.sum(u * g_GD))
+        # the polar map; d (X X^T)^-1/2 by Daleckii-Krein on X X^T = U diag(r^2) U^T,
+        # whose divided differences of w^-1/2 are -1 / (r_i r_j (r_i + r_j))
+        g_FG = np.hstack([g_F, g_G])
+        divided = -1.0 / (np.outer(r, r) * (r[:, None] + r[None, :]))
+        C = U @ (divided * (U.T @ g_FG @ X.T @ U)) @ U.T
+        g_X = S_isqrt @ g_FG + (C + C.T) @ X
+        return np.concatenate([g_X.ravel(), g_Y.ravel()])
 
     def theta(self, model):
-        """theta of an input with these dims, None for any other input.
+        """theta of a reachable input with these dims, None for any other input.
 
-        L is the Cholesky factor of K_Z plus a small jitter, so a
-        rank-deficient K_Z is accepted.
+        K_Z = L L^T is absorbed into G and D, and the state change T = R^-1,
+        with P = R R^T the Lyapunov solution, takes it to input-normal form.
         """
         if (model.n_xi, model.n_z, model.n_x) != (self.n_xi, self.n_z, self.n_x):
             return None
-        n = self.n_z
-        jitter = 1e-12 * (1.0 + float(np.trace(model.K_Z)) / max(n, 1))
-        L = np.linalg.cholesky(symmetrize(model.K_Z) + jitter * np.eye(n))
-        return self.pack(model.F, model.G, model.Gamma, model.D, L)
+        w, V = np.linalg.eigh(model.K_Z)
+        L = V * np.sqrt(np.maximum(w, 0.0))
+        G = model.G @ L
+        try:
+            R = np.linalg.cholesky(lyap_solve(model.F, G, np.eye(self.n_z)).P_star)
+        except (ValueError, np.linalg.LinAlgError):  # F not stable, or (F, G) not reachable
+            return None
+        X = np.linalg.solve(R, np.hstack([model.F @ R, G]))
+        return np.concatenate([X.ravel(), np.hstack([model.Gamma @ R, model.D @ L]).ravel()])
 
-    def pack(self, F, G, Gamma, D, L):
-        return np.concatenate([np.ravel(F), np.ravel(G), np.ravel(Gamma), np.ravel(D),
-                               L[self.tril]])
 
+def _logdet_gradient(system, sol, K_inv):
+    """Gradient of log det K_I at the joint ARE solution in the input's F, G, Gamma, D (K_Z = I).
 
-def _project_to_budget(model, kappa, power):
-    """Scale K_Z down so the steady-state power ``power`` meets the budget exactly.
-
-    Power is linear in K_Z, so multiplying K_Z by kappa/power lands on
-    the boundary; inputs already inside the budget are left alone.
+    With gain L and closed loop A_cl at the solution P, the adjoint W
+    solves W = A_cl^T W A_cl + Chat^T K^-1 Chat. The Riccati map is
+    stationary in the gain, so d log det K is tr(K^-1 dK) at fixed P plus
+    tr(W dM), dM the map's change at fixed P and L. Per joint block:
+    Ahat 2 W A_cl P, Chat 2 (K^-1 Chat - L^T W A_cl) P, Qhat W, Shat -2 W L
+    and Rhat K^-1 + L^T W L, chained through F, H Gamma, G G^T, G D^T H^T
+    and H D D^T H^T.
     """
-    if power <= kappa or power <= 0.0:
-        return model
-    return replace(model, K_Z=symmetrize(model.K_Z * (kappa / power)))
+    x = system.n_xi
+    P, L, A_cl, C = sol.P_star, sol.gain, sol.closed_loop, system.Chat
+    W = _smith(A_cl.T, C.T @ K_inv @ C, _SEARCH_TOL)
+    WAP = W @ A_cl @ P
+    g_C = 2.0 * (K_inv @ C @ P - L.T @ WAP)
+    g_S = -2.0 * W[:x] @ L
+    g_R = K_inv + L.T @ W @ L
+    G, HD = system.input.G, system.Dhat[:, :system.n_z]
+    return (2.0 * WAP[:x, :x], 2.0 * W[:x, :x] @ G + g_S @ HD, system.H.T @ g_C[:, :x],
+            system.H.T @ (g_S.T @ G + 2.0 * g_R @ HD))
 
 
-def _structured_starts(channel, space, kappa, K_pred):
-    """Deterministic starting points: flat allocation, then water-filling.
+def _structured_starts(channel, space, K_pred):
+    """Shift-register [F G] (orthonormal rows, reachable), Gamma = 0, a flat or water-filling D.
 
-    ``K_pred``, the noise predictor's steady innovations covariance, is
-    positive definite once the noise side has passed its tests.
+    ``K_pred`` is the noise predictor's steady innovations covariance.
     """
-    n_xi, n_z, n_x = space.n_xi, space.n_z, space.n_x
+    n_xi, n_z, n_x, kappa = space.n_xi, space.n_z, space.n_x, space.kappa
     if n_z == 0 or kappa <= 0:
         return []
+    X = np.eye(n_xi, n_xi + n_z, -1)
+    if n_xi:
+        X[0, n_xi] = 1.0
     D0 = np.eye(n_x, n_z) * np.sqrt(kappa / max(1, min(n_x, n_z)))
     # allocate against the steady prediction-error covariance of the noise
     gains, p, Vt = _waterfill(channel.H, K_pred, kappa)
     depth = min(len(gains), n_z)
     D_wf = np.zeros((n_x, n_z))
     D_wf[:, :depth] = Vt[:depth].T * np.sqrt(p[:depth])
-    return [space.pack(np.zeros((n_xi, n_xi)), np.zeros((n_xi, n_z)),
-                       np.zeros((n_x, n_xi)), D, np.eye(n_z)) for D in (D0, D_wf)]
+    return [np.concatenate([X.ravel(), np.hstack([np.zeros((n_x, n_xi)), D]).ravel()])
+            for D in (D0, D_wf)]
 
 
-def _random_start(space, kappa, rng):
-    n_xi, n_z, n_x = space.n_xi, space.n_z, space.n_x
-    F = rng.standard_normal((n_xi, n_xi))
-    if n_xi:
-        rho = spectral_radius(F)
-        F *= (0.2 + 0.6 * rng.random()) / max(rho, 1e-9)
-    G = 0.5 * rng.standard_normal((n_xi, n_z))
-    Gamma = 0.5 * rng.standard_normal((n_x, n_xi))
-    D = rng.standard_normal((n_x, n_z)) * np.sqrt(max(kappa, 0.1) / max(1, n_z))
-    L = np.tril(0.3 * rng.standard_normal((n_z, n_z)))
-    L[np.diag_indices(n_z)] = 0.3 + np.abs(np.diag(L))
-    return space.pack(F, G, Gamma, D, L)
+def _rejection(result, kappa):
+    # why a candidate's full evaluation fails the search's acceptance, or None;
+    # its noise solve is the one the noise gate passed
+    checks = (("not in P-infinity", result.feasibility.member_of_P_infinity),
+              ("power over budget", result.power <= kappa * (1.0 + 1e-9) + 1e-12),
+              ("joint Riccati solve not converged", result.diagnostics["pi_converged"]))
+    return next((why for why, ok in checks if not ok), None)
 
 
 def optimize_input(noise, channel, dims, config=None):
@@ -519,7 +557,12 @@ def optimize_input(noise, channel, dims, config=None):
     -------
     (InputModel, CapacityResult)
         The best power-feasible candidate found and its independently
-        re-evaluated rate. Deterministic for a fixed config.
+        re-evaluated rate. Deterministic for a fixed config. The result's
+        ``diagnostics["search"]`` holds one record per start: its kind
+        ("structured", "warm" or "random"), the L-BFGS ``nit``, ``nfev``,
+        ``status`` and ``message`` (None when it was not searched from),
+        ``guard_hits`` and its ``candidates``, each with its ``rate`` and
+        the ``rejected`` reason (None when accepted).
 
     Raises
     ------
@@ -532,16 +575,19 @@ def optimize_input(noise, channel, dims, config=None):
     Notes
     -----
     The noise-side conditions, which no input can repair, are tested
-    once before the search. Multi-start local search: penalized L-BFGS
-    with finite-difference gradients over (F, G, Gamma, D, L),
-    K_Z = L L^T. Within each evaluation the input is rescaled onto the
-    power boundary whenever it overshoots, so the objective is always a
-    rate the budget allows; each evaluation solves the joint ARE from
-    zero at _SEARCH_TOL, so the objective is a function of the
-    parameters alone. Structured starts (flat and water-filling
-    allocations, plus any warm starts) come before seeded random ones;
-    the problem is not convex, so the result is a certified lower bound
-    rather than a proven optimum.
+    once before the search. Multi-start L-BFGS runs in input-normal
+    coordinates (``_InputNormal``), where every point is on budget and
+    rho(F) <= 1. The objective, -rate at the joint ARE solution solved
+    from zero at _SEARCH_TOL, gets its exact gradient from one adjoint
+    Stein equation (``_logdet_gradient``). Its one guard gives rate 0
+    and a zero gradient where rho(F) > 1 - STABILITY_MARGIN, X X^T is
+    singular or the joint solve does not converge. Warm starts (each
+    also a candidate as given; searched from when reachable and of the
+    search's dims) and shift-register starts with flat and water-filling
+    D come before seeded random ones. Each candidate is projected onto
+    the budget and evaluated in full by ``asymptotic_rate``. The problem
+    is not convex, so the result is a certified lower bound rather than
+    a proven optimum.
     """
     # the search is the package's only use of scipy, whose import costs
     # several times the rest of the package's, so it is loaded here;
@@ -551,10 +597,10 @@ def optimize_input(noise, channel, dims, config=None):
     cfg = config if config is not None else OptimizerConfig()
     n_xi, n_z = (as_count(d, "dims", minimum=0) for d in dims)
     kappa = channel.kappa
-    space = _ParamSpace(n_xi, n_z, channel.n_x)
+    space = _InputNormal(n_xi, n_z, channel.n_x, kappa)
     # validates noise and channel; every candidate input is written into
     # this one system, starting from the all-zero input
-    system = build_augmented(noise, space.model(np.zeros(space.size)), channel)
+    system = build_augmented(noise, space.model(np.zeros(space.size))[0], channel)
 
     nq = system.noise_quad
     sigma_sol = are_solve(nq)
@@ -574,76 +620,68 @@ def optimize_input(noise, channel, dims, config=None):
     K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
     ld_hat = chol_logdet(K_hat, context="K_Ihat")
 
-    def evaluate_theta(theta):
-        # penalized negative rate; the candidate is power-projected first
-        if not np.all(np.isfinite(theta)):
-            return 1e7
-        model = space.model(theta)
-        rho_F = spectral_radius(model.F)
-        pen = _margin_penalty(rho_F)
-        if rho_F > 1.0 - STABILITY_MARGIN:
-            val = 10.0 + rho_F + pen
-            return float(val) if np.isfinite(val) else 1e7
-        try:
-            # valid by construction and rho(F) checked above, so the power
-            # skips lyap_solve's checks and goes to its Smith doubling
-            power = input_power(model, _smith(model.F, symmetrize(
-                model.G @ model.K_Z @ model.G.T), _SEARCH_TOL))
-            model = _project_to_budget(model, kappa, power)
+    def objective(theta):
+        # (-rate, its gradient); the guard gives rate 0 and a zero gradient and
+        # counts in the record of the start being searched
+        model, factors = space.model(theta)
+        sol = None
+        if factors is not None and spectral_radius(model.F) <= 1.0 - STABILITY_MARGIN:
             system.update(noise, model)
-            pi_sol = are_solve(system, tol=_SEARCH_TOL)
-            if not np.all(np.isfinite(pi_sol.P_star)):
-                return 1e6 + pen
-            ld = chol_logdet(innovations_covariance(system, pi_sol.P_star),
-                             context="K_I")
-        except (np.linalg.LinAlgError, ValueError):
-            return 1e6 + pen
-        rate = 0.5 * max(0.0, ld - ld_hat)
-        pen += _margin_penalty(pi_sol.spectral_radius)
-        val = -rate + pen
-        # finite-difference gradients choke on inf; cap runaway penalties
-        return float(val) if np.isfinite(val) else 1e7
+            sol = are_solve(system, tol=_SEARCH_TOL)
+        if sol is None or not sol.converged:
+            record["guard_hits"] += 1
+            return 0.0, np.zeros(space.size)
+        K_inv, ld = solve_spd(innovations_covariance(system, sol.P_star), np.eye(system.q),
+                              context="K_I", logdet=True)
+        grads = _logdet_gradient(system, sol, K_inv)
+        return -0.5 * (ld - ld_hat), -0.5 * space.gradient(factors, *grads)
 
-    # (theta, model) per start: structured, warm, then seeded random fills;
-    # a structured or warm start's own model is a candidate too
-    starts = [(theta, space.model(theta))
-              for theta in _structured_starts(channel, space, kappa, K_hat)]
-    starts += [(space.theta(model), model) for model in cfg.warm_starts]
+    # (kind, theta, model) per start: structured, warm, then seeded random
+    # fills; a warm start's own model is a candidate too
+    starts = [("structured", theta, None)
+              for theta in _structured_starts(channel, space, K_hat)]
+    starts += [("warm", space.theta(model), model) for model in cfg.warm_starts]
     while len(starts) < cfg.starts:
-        starts.append((_random_start(space, kappa, substream(cfg.seed, len(starts))), None))
+        starts.append(("random", substream(cfg.seed, len(starts)).standard_normal(space.size),
+                       None))
 
-    best = None
-    total = 0
-    for theta0, model0 in starts:
+    best, records = None, []
+    for kind, theta0, model0 in starts:
+        record = dict(kind=kind, nit=None, nfev=None, status=None, message=None, guard_hits=0,
+                      candidates=[])
+        records.append(record)
         candidates = [] if model0 is None else [model0]
         if theta0 is not None and space.size > 0:
             res = scipy.optimize.minimize(
-                evaluate_theta, theta0, method="L-BFGS-B",
+                objective, theta0, jac=True, method="L-BFGS-B",
                 options={"maxiter": cfg.maxiter, "ftol": 1e-12, "gtol": 1e-7},
             )
-            candidates.append(space.model(res.x))
+            record.update(nit=int(res.nit), nfev=int(res.nfev), status=int(res.status),
+                          message=str(res.message))
+            candidates.append(space.model(res.x)[0])
         for model in candidates:
-            # exact projection, then a full-tolerance independent evaluation
+            # power is linear in K_Z: an overshoot is scaled onto the budget,
+            # then the candidate is evaluated independently at full tolerance
             try:
-                model = _project_to_budget(model, kappa, asymptotic_power(model))
+                power = asymptotic_power(model)
+                if power > kappa:
+                    model = replace(model, K_Z=symmetrize(model.K_Z * (kappa / power)))
                 result = asymptotic_rate(noise, model, channel)
-            except (ValueError, np.linalg.LinAlgError, RuntimeError):
-                continue
-            total += 1
-            ok = (
-                result.feasibility.member_of_P_infinity
-                and result.power <= kappa * (1.0 + 1e-9) + 1e-12
-                and result.diagnostics["sigma_converged"]
-                and result.diagnostics["pi_converged"]
-            )
-            if ok and (best is None or result.rate_nats > best[1].rate_nats):
+                reason = _rejection(result, kappa)
+            except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
+                result, reason = None, f"raised: {exc}"
+            record["candidates"].append({"rate": getattr(result, "rate_nats", None),
+                                         "rejected": reason})
+            if reason is None and (best is None or result.rate_nats > best[1].rate_nats):
                 best = (model, result)
     if best is None:
+        total = sum(c["rate"] is not None for r in records for c in r["candidates"])
         raise RuntimeError(
             f"feasible set not reached: 0 of {total} evaluated candidates "
             "passed the feasibility tests; widen dims or relax kappa"
         )
-    return best
+    model, result = best
+    return model, replace(result, diagnostics={**result.diagnostics, "search": records})
 
 
 def sweep_kappa(noise, channel, kappas, dims, config=None):

@@ -55,19 +55,20 @@ class RiccatiSolution:
         Ahat - gain Chat.
     spectral_radius : float
         Largest eigenvalue magnitude of the closed loop. Strictly below
-        one means P_star is the stabilizing solution; values on the unit
-        circle are reported, not rejected.
+        one means P_star is the stabilizing solution; ``converged`` is
+        False otherwise.
     residual : float
         Sup-norm of dre_step(P_star) - P_star; infinite after divergence.
     iterations : int
         Doublings (doubling k reaches DRE step 2^k from zero) plus Newton
         steps.
     converged : bool
-        True iff the change between doublings met ``tol`` and the residual
-        is within 10 ``tol``, both relative to max(|P_star|, |Qhat|). It
-        certifies a fixed point within tolerance, not the stabilizing one:
-        ``spectral_radius`` says which (an undetectable unstable mode gives
-        converged=True at a fixed point with radius >= 1).
+        True iff the change between doublings met ``tol``, the residual is
+        within 10 ``tol``, both relative to max(|P_star|, |Qhat|), and
+        ``spectral_radius`` is below one: P_star is the stabilizing
+        solution within tolerance. A fixed point whose closed loop is not
+        stable (an undetectable unstable mode: A = 1.5, C = 0 stops at
+        P_star = 0 with radius 1.5) is reported with converged=False.
     """
 
     P_star: np.ndarray
@@ -206,8 +207,8 @@ def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
         P_next, _, _, gain_T = _predict(quad, P)
         defect, gain = P_next - P, gain_T.T
         closed_loop = quad.Ahat - gain @ quad.Chat
-        if (not newton_left or sup_norm(defect) <= tol * scale
-                or spectral_radius(closed_loop) >= 1.0):
+        radius = spectral_radius(closed_loop)
+        if not newton_left or sup_norm(defect) <= tol * scale or radius >= 1.0:
             break
         P = symmetrize(P + _smith(closed_loop, defect, tol))
         scale = max(sup_norm(P), q_scale)
@@ -217,8 +218,8 @@ def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
         P_star=P,
         gain=gain,
         closed_loop=closed_loop,
-        spectral_radius=spectral_radius(closed_loop),
+        spectral_radius=radius,
         residual=residual,
         iterations=iterations,
-        converged=met and residual <= 10.0 * tol * scale,
+        converged=met and residual <= 10.0 * tol * scale and radius < 1.0,
     )

@@ -345,12 +345,15 @@ def test_waterfilling_starves_weak_mode():
 
 def test_converged_at_a_nonstabilizing_fixed_point_is_visible():
     # C = 0 hides the unstable mode: the doubling stops at the fixed point
-    # P = 0, whose closed loop is A itself; radius and feasibility flag it
+    # P = 0, whose closed loop is A itself; the verdict, the radius and the
+    # feasibility flags all show it
     noise = rc.NoiseModel(A=1.5, B=1.0, C=0.0, N=1.0, K_W=1.0)
     sol = rc.are_solve(rc.to_quadruple(noise))
     assert sol.spectral_radius == pytest.approx(1.5, abs=1e-12)
+    assert not sol.converged
     res = rc.asymptotic_rate(noise, unit_iid_input(), unit_channel())
     assert res.diagnostics["sigma_spectral_radius"] == pytest.approx(1.5, abs=1e-12)
+    assert res.diagnostics["sigma_converged"] is False
     assert res.feasibility.noise_detectable is False
     assert not res.feasibility.member_of_P_infinity
 
@@ -416,7 +419,8 @@ def test_optimize_respects_warm_start_witness(monkeypatch):
     # the warm start is evaluated as-is, so its rate is a floor
     assert res.rate_nats >= HALF_LN2_5 - 1e-9
     # a witness of the search's own dims with a rank-deficient K_Z is
-    # factored with a jitter and searched from, and stays a floor
+    # converted by Lyapunov balancing (its K_Z factor absorbed into G and
+    # D) and searched from, and stays a floor
     calls = count_minimize(monkeypatch)
     witness = rc.InputModel(F=[[0.5]], G=[[1.0, 0.0]], Gamma=[[0.3]],
                             D=[[1.0, 0.0]], K_Z=np.diag([0.8, 0.0]))
@@ -533,6 +537,107 @@ def test_sweep_on_noise_no_input_repairs_searches_nothing(monkeypatch):
     assert [p.feasible for p in points] == [False] * 3
     assert all(np.isnan(p.rate_nats) for p in points)
     assert calls["minimize"] == 0
+
+
+def test_optimize_edge_dims():
+    # with no innovations nothing reaches the state, so every input of those
+    # dims is the zero signal; with no state either, no start has anything
+    # to search and no candidate is found
+    cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=5)
+    for dims in ((1, 0), (2, 0)):
+        model, res = rc.optimize_input(scalar_noise(1.5), unit_channel(), dims, cfg)
+        assert res.rate_nats == pytest.approx(0.0, abs=1e-12) and res.power == 0.0
+        assert np.all(model.F == 0.0)
+    with pytest.raises(RuntimeError, match="feasible set not reached: 0 of 0"):
+        rc.optimize_input(scalar_noise(1.5), unit_channel(), (0, 0), cfg)
+
+
+def test_an_unreachable_warm_start_is_evaluated_not_searched(monkeypatch):
+    calls = count_minimize(monkeypatch)
+    noise, _, ch = colored_setup()
+    # G = 0: the state is unreachable, and the input is IID with power 1
+    unreachable = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]], K_Z=[[1.0]])
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=10, warm_starts=(unreachable,))
+    _, res = rc.optimize_input(noise, ch, (1, 1), cfg)
+    assert calls["minimize"] == 2  # the two structured starts
+    warm = res.diagnostics["search"][2]
+    assert (warm["kind"], warm["nit"], warm["status"]) == ("warm", None, None)
+    assert [c["rejected"] for c in warm["candidates"]] == [None]
+    assert warm["candidates"][0]["rate"] == pytest.approx(HALF_LN2_5, abs=1e-10)
+
+
+class _Captured(Exception):
+    pass
+
+
+def search_objective(monkeypatch, noise, channel, dims):
+    """The objective optimize_input hands to L-BFGS, caught at the first start."""
+    import scipy.optimize
+    seen = {}
+
+    def capture(fun, x0, **kwargs):
+        seen.update(fun=fun, size=len(x0))
+        raise _Captured
+    monkeypatch.setattr(scipy.optimize, "minimize", capture)
+    with pytest.raises(_Captured):
+        rc.optimize_input(noise, channel, dims, rc.OptimizerConfig(starts=1, seed=0, maxiter=1))
+    return seen["fun"], seen["size"]
+
+
+@pytest.mark.parametrize("seed, n_y, rho_A", [(0, 1, 0.7), (1, 1, 1.3), (2, 2, 0.7),
+                                              (3, 2, 1.3)])
+def test_search_gradient_matches_central_differences(monkeypatch, seed, n_y, rho_A):
+    # the adjoint gradient of -rate in input-normal coordinates, at a random
+    # point, against central differences of the objective's own values
+    rng = np.random.default_rng(seed)
+    noise, _ = random_models(rng, n_s=2, n_y=n_y, rho_A=rho_A)
+    channel = rc.Channel(H=np.eye(n_y), kappa=1.0)
+    h = 1e-5
+    for dims in ((0, n_y), (1, 1), (2, 1), (1, 2)):
+        fun, size = search_objective(monkeypatch, noise, channel, dims)
+        theta = rng.standard_normal(size)
+        value, grad = fun(theta)
+        assert value < 0.0  # a positive rate: the guard did not fire
+        central = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2.0 * h)
+                            for e in np.eye(size)])
+        assert np.max(np.abs(central - grad)) <= 1e-6 * np.max(np.abs(grad)), dims
+
+
+def search_population():
+    """43 seeded problems: scalar noise at three poles, then random noise and dims."""
+    out = [(scalar_noise(a), unit_channel(), (1, 1)) for a in (0.5, 1.2, 1.5)]
+    for s in range(40):
+        n_y = 1 + s % 2
+        noise, _ = random_models(np.random.default_rng(s), n_s=2, n_xi=1, n_y=n_y,
+                                 rho_A=(0.6, 1.2, 1.4)[s % 3])
+        out.append((noise, rc.Channel(H=np.eye(n_y), kappa=(0.5, 1.0, 2.0)[s % 3]),
+                    ((1, 1), (2, 1), (0, n_y), (1, n_y))[s % 4]))
+    return out
+
+
+def test_no_search_start_ends_abnormal_at_iteration_zero():
+    # a line search that fails at nit 0 (status 2) returns its start
+    # unchanged; with finite-difference gradients 5 of the population's 172
+    # runs did. The bench's sweep and two-mode case, then the population.
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    results = [p.result for p in rc.sweep_kappa(scalar_noise(1.5), unit_channel(),
+                                                (0.5, 1.0, 2.0), (1, 1), cfg)]
+    results.append(rc.optimize_input(rc.memoryless_noise(np.eye(2)),
+                                     rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0), (0, 2), cfg)[1])
+    cfg = rc.OptimizerConfig(starts=4, seed=0, maxiter=30)
+    results += [rc.optimize_input(noise, channel, dims, cfg)[1]
+                for noise, channel, dims in search_population()]
+    records = [record for res in results for record in res.diagnostics["search"]]
+    kinds = [r["kind"] for r in results[2].diagnostics["search"]]
+    assert kinds == ["structured"] * 2 + ["warm"] * 2
+    assert len(records) == 3 + 3 + 4 + 3 + 4 * 43
+    assert all(r["nit"] is not None for r in records)
+    assert [r for r in records if r["status"] == 2 and r["nit"] == 0] == []
+    for res in results:
+        # the returned rate is the best accepted candidate of the record
+        accepted = [c["rate"] for r in res.diagnostics["search"] for c in r["candidates"]
+                    if c["rejected"] is None]
+        assert max(accepted) == res.rate_nats
 
 
 # -------------------------------------------------------------- sweep_kappa

@@ -232,6 +232,8 @@ def test_optimize_improves_on_iid(tmp_path):
     assert doc["rate_nats"] >= HALF_LN2_5 - 1e-3
     assert doc["power"] <= 1.0 + 1e-9
     assert "F" in doc["input"]
+    # the search record, one entry per start
+    assert [r["kind"] for r in doc["diagnostics"]["search"]] == ["structured"] * 2 + ["random"] * 2
 
 
 def test_sweep_kappa_csv(tmp_path):

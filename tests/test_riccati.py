@@ -216,6 +216,28 @@ def test_critical_decay_stops_without_claiming_convergence():
     assert np.all(np.isfinite(sol.P_star)) and sol.P_star[0, 0] == 2.0 ** 64
 
 
+def test_converged_requires_a_stable_closed_loop(monkeypatch):
+    # A = 1.5, C = 0 hides the unstable mode: the doubling stops at P = 0 with
+    # residual 0, and the closed loop is A itself
+    radii = []
+
+    def counted(M, _f=rc.riccati.spectral_radius):
+        radii.append(_f(M))
+        return radii[-1]
+    monkeypatch.setattr(rc.riccati, "spectral_radius", counted)
+    sol = rc.are_solve(rc.to_quadruple(rc.NoiseModel(A=1.5, B=1.0, C=0.0, N=1.0, K_W=1.0)))
+    assert np.all(sol.P_star == 0.0) and sol.residual == 0.0
+    assert sol.spectral_radius == pytest.approx(1.5, abs=1e-12) and not sol.converged
+    assert radii == [sol.spectral_radius]  # one radius serves the field and the verdict
+    # the stall at P = 2^64: the residual rounds to 0 and the closed loop is A = 1
+    sol = rc.are_solve(unobserved_quad(1.0))
+    assert (sol.residual, sol.spectral_radius, sol.converged) == (0.0, 1.0, False)
+    # the same hidden state, stable: its fixed point P = 4/3 is the stabilizing one
+    sol = rc.are_solve(unobserved_quad(0.5))
+    assert sol.converged and sol.spectral_radius == pytest.approx(0.5, abs=1e-12)
+    assert sol.P_star[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
 # ------------------------------------------------ doubling against the oracle
 
 
