@@ -155,10 +155,11 @@ def _parse_kappa_grid(text):
 
 def _parse_dims(args, doc):
     if args.dims:
-        toks = args.dims.split(",")
-        if len(toks) != 2:
-            raise ValueError(f"--dims expects 'n_xi,n_z', got '{args.dims}'")
-        return int(toks[0]), int(toks[1])
+        try:
+            n_xi, n_z = (int(tok) for tok in args.dims.split(","))
+        except ValueError:
+            raise ValueError(f"--dims expects 'n_xi,n_z', got '{args.dims}'") from None
+        return n_xi, n_z
     if isinstance(doc.get("input"), dict):
         # only its dimensions are read, so no library call validates it
         model = _parse(doc, "input", InputModel)

@@ -54,7 +54,12 @@ def as_finite(x, name):
 
 
 def as_covariance(x, n, name):
-    """A caller's n x n covariance, symmetrized; shape, finiteness, symmetry, then PSD checked."""
+    """A caller's n x n covariance, symmetrized; shape, finiteness, symmetry, then PSD checked.
+
+    PSD is the package's one rule, ``is_psd`` (eigenvalues down to -PSD_SLACK
+    times the scale), which ``validate`` applies to semidefinite covariances;
+    ``systests.psd_sqrt`` accepts exactly what this accepts.
+    """
     arr = as_matrix(x, name)
     if arr.shape != (n, n):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({n}, {n})")

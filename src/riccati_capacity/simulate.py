@@ -146,9 +146,11 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     -----
     Per path the generator emits, in order: the S_1 standard normals,
     the Xi_1 standard normals, then (W_t, Z_t) blocks for t = 1..horizon.
-    Covariance square roots come from the symmetric eigendecomposition,
-    so degenerate (singular) covariances are sampled exactly on their
-    support. The returned arrays are (path, t, component) views over
+    Covariance square roots come from ``psd_sqrt``, which accepts what
+    ``validate`` accepts and counts eigenvalues up to PSD_SLACK times the
+    largest as zero, so degenerate covariances, singular or with such
+    eigenvalues of either sign, are sampled exactly on their support.
+    The returned arrays are (path, t, component) views over
     time-major storage, so each step reads and writes contiguous blocks;
     they are not C-contiguous. Memory grows as paths * horizon * total
     dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X, Y

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_SLACK, as_finite, is_symmetric, solve_spd, symmetrize
+from .linalg import (PSD_SLACK, as_covariance, as_finite, as_matrix, solve_spd, sup_norm,
+                     symmetrize)
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
@@ -107,56 +108,41 @@ class FeasibilityReport:
 
 
 def psd_sqrt(M):
-    """Symmetric square root of a PSD matrix.
+    """Symmetric square root of a covariance that ``linalg.as_covariance`` accepts.
 
-    Parameters
-    ----------
-    M : array_like
-        Symmetric matrix with eigenvalues >= -PSD_SLACK (1e-10).
-        Eigenvalues from -PSD_SLACK up to PSD_SLACK times the largest
-        magnitude are treated as rounding noise and set to zero, so a
-        rank-deficient M computed with round-off has a root of its rank;
-        anything below -PSD_SLACK raises.
-
-    Returns
-    -------
-    ndarray
-        Symmetric PSD matrix whose square reproduces M up to PSD_SLACK.
+    Eigenvalues up to PSD_SLACK times the largest magnitude are rounding
+    noise and set to zero, so a rank-deficient M computed with round-off
+    has a root of its rank, whose square reproduces M up to PSD_SLACK.
     """
-    M = as_finite(M, "M")
-    if M.size == 0:
-        return M.copy()
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix not square (shape {M.shape})")
-    if not is_symmetric(M):
-        raise ValueError("matrix not symmetric")
-    w, V = np.linalg.eigh(symmetrize(M))
-    if float(w[0]) < -PSD_SLACK:
-        raise ValueError(f"matrix not PSD: eigenvalue {w[0]:.6g} below -{PSD_SLACK:g}")
-    # a zero eigenvalue comes back as round-off of either sign (up to a few
-    # hundred eps of the largest for a Schur complement such as B_star);
-    # clipping only the negative ones would give the root spurious directions
-    w = np.where(w > PSD_SLACK * float(np.max(np.abs(w))), w, 0.0)
+    M = as_matrix(M, "M")
+    w, V = np.linalg.eigh(as_covariance(M, M.shape[0], "M"))
+    # a zero eigenvalue comes back as round-off of either sign; clipping
+    # only the negative ones would give the root spurious directions
+    w = np.where(w > PSD_SLACK * sup_norm(w), w, 0.0)
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
 def starred_system(quad):
     """Build the starred pair for the stabilizability test.
 
-    A_star = Ahat - Bhat Khat Dhat^T (Dhat Khat Dhat^T)^{-1} Chat,
-    B_star = Khat - Khat Dhat^T (Dhat Khat Dhat^T)^{-1} Dhat Khat,
-    G_mat = Bhat, with B_star_sqrt = psd_sqrt(B_star).
+    A_star = Ahat - Bhat Khat Dhat^T Rhat^{-1} Chat, Rhat = Dhat Khat Dhat^T, and
+    G_mat = Bhat. B_star = Khat - Khat Dhat^T Rhat^{-1} Dhat Khat is the Gram
+    product F F^T, F = S Q: S = psd_sqrt(Khat) and Q, from a complete QR of
+    (Dhat S)^T, is an orthonormal basis of the null space of Dhat S (of
+    dimension cols - rows, as Rhat = (Dhat S)(Dhat S)^T is positive
+    definite). So B_star is PSD up to its own round-off, however small next
+    to Khat, and B_star_sqrt = psd_sqrt(B_star).
     """
-    m = quad.Ahat.shape[0]
-    DK = quad.Dhat @ quad.Khat
-    RinvCDK = solve_spd(quad.Rhat, np.hstack([quad.Chat, DK]), context="Dhat Khat Dhat^T")
-    B_star = symmetrize(quad.Khat - DK.T @ RinvCDK[:, m:])
-    return StarredSystem(
-        A_star=quad.Ahat - quad.Shat @ RinvCDK[:, :m],
-        B_star=B_star,
-        G_mat=quad.Bhat.copy(),
-        B_star_sqrt=psd_sqrt(B_star),
-    )
+    # Chat is solved stacked with Dhat Khat; a lone solve rounds A_star's last
+    # bits differently, which moves the witnessed eigenvalues
+    RinvC = solve_spd(quad.Rhat, np.hstack([quad.Chat, quad.Dhat @ quad.Khat]),
+                      context="Dhat Khat Dhat^T")[:, :quad.Ahat.shape[0]]
+    S = psd_sqrt(quad.Khat)
+    DS = quad.Dhat @ S
+    F = S @ np.linalg.qr(DS.T, mode="complete")[0][:, DS.shape[0]:]
+    B_star = F @ F.T
+    return StarredSystem(A_star=quad.Ahat - quad.Shat @ RinvC, B_star=B_star,
+                         G_mat=quad.Bhat.copy(), B_star_sqrt=psd_sqrt(B_star))
 
 
 def _pbh_ranks(A, V, lams):

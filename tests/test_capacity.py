@@ -566,6 +566,50 @@ def test_an_unreachable_warm_start_is_evaluated_not_searched(monkeypatch):
     assert warm["candidates"][0]["rate"] == pytest.approx(HALF_LN2_5, abs=1e-10)
 
 
+def test_a_warm_start_that_raises_is_recorded_and_skipped(monkeypatch):
+    # F = 1.5: the model is valid but not stable, so theta() gives None and the start
+    # is not searched; its own evaluation raises, which the record keeps as the reason
+    calls = count_minimize(monkeypatch)
+    noise, _, ch = colored_setup()
+    unstable = rc.InputModel(F=[[1.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]], K_Z=[[1.0]])
+    assert rc.validate(unstable).ok
+    cfg = rc.OptimizerConfig(starts=4, seed=0, maxiter=10, warm_starts=(unstable,))
+    _, res = rc.optimize_input(noise, ch, (1, 1), cfg)
+    records = res.diagnostics["search"]
+    warm = records[2]
+    assert (warm["kind"], warm["nit"]) == ("warm", None)
+    assert calls["minimize"] == len(records) - 1
+    [candidate] = warm["candidates"]
+    assert candidate["rate"] is None
+    assert candidate["rejected"].startswith("raised: F is not exponentially stable")
+    others = [c["rate"] for r in records if r is not warm for c in r["candidates"]
+              if c["rejected"] is None]
+    assert res.rate_nats == max(others)
+
+
+def noise_in_units(c):
+    # K_W, K_Z and kappa scaled together by c describe the same channel in other units
+    return rc.NoiseModel(A=0.5, B=[[1.0, 1.0]], C=1.0, N=[[1.0, 1.0]],
+                         K_W=c * np.diag([2.0, 3.0]))
+
+
+def test_rate_of_a_channel_in_other_units():
+    # white input through the noise spectrum S_V = 5 |(z + 0.5)/(z - 0.5)|^2
+    z = np.exp(2j * np.pi * (np.arange(100_000) + 0.5) / 100_000)
+    spectral = 0.5 * np.mean(np.log1p(1.0 / (5.0 * np.abs((z + 0.5) / (z - 0.5)) ** 2)))
+    assert spectral == pytest.approx(0.16264384571678, rel=1e-12)
+    for c in (1.0, 1e8):
+        result = rc.asymptotic_rate(noise_in_units(c), rc.iid_input(c), rc.Channel(H=1.0, kappa=c))
+        assert result.rate_nats == pytest.approx(0.16264384571678, rel=1e-12)
+
+
+def test_input_search_in_other_units():
+    cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=20)
+    rates = [rc.optimize_input(noise_in_units(c), rc.Channel(H=1.0, kappa=c), (1, 1), cfg)[1]
+             .rate_nats for c in (1.0, 1e8)]
+    assert rates[1] == pytest.approx(rates[0], rel=1e-9)
+
+
 class _Captured(Exception):
     pass
 

@@ -270,6 +270,62 @@ def test_max_iter_reaches_the_optimizer_as_typed(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def capture_dims(monkeypatch):
+    seen = []
+
+    def capture(noise, channel, dims, config):
+        seen.append(dims)
+        raise RuntimeError("stop once the dims are seen")
+
+    monkeypatch.setattr(cli, "optimize_input", capture)
+    return seen
+
+
+def test_dims_flag_reaches_the_optimizer(tmp_path, monkeypatch, capsys):
+    seen = capture_dims(monkeypatch)
+    assert main(["optimize", "--model", write_model(tmp_path, COLORED), "--dims", "2,1"]) == 3
+    assert seen == [(2, 1)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("dims", ["1,2,3", "1", "a,1", "1.5,1"])
+def test_malformed_dims_exit_2_naming_the_flag(tmp_path, monkeypatch, capsys, dims):
+    seen = capture_dims(monkeypatch)
+    assert main(["optimize", "--model", write_model(tmp_path, COLORED), "--dims", dims]) == 2
+    assert f"--dims expects 'n_xi,n_z', got '{dims}'" in capsys.readouterr().err
+    assert seen == []
+
+
+def test_negative_dims_exit_2(tmp_path, capsys):
+    assert main(["optimize", "--model", write_model(tmp_path, COLORED), "--dims=-1,1"]) == 2
+    assert "dims must be >= 0" in capsys.readouterr().err
+
+
+def test_dims_default_to_the_input_section_or_one_one(tmp_path, monkeypatch, capsys):
+    seen = capture_dims(monkeypatch)
+    wide = {**COLORED, "input": {"F": np.zeros((2, 2)).tolist(), "G": [[1.0], [0.0]],
+                                 "Gamma": [[0.0, 0.0]], "D": [[1.0]], "K_Z": [[1.0]]}}
+    no_input = {key: COLORED[key] for key in ("noise", "channel")}
+    for doc in (wide, no_input):
+        assert main(["optimize", "--model", write_model(tmp_path, doc)]) == 3
+    assert seen == [(2, 1), (1, 1)]
+    capsys.readouterr()
+
+
+def test_channel_in_other_units_passes_its_checks(tmp_path, capsys):
+    # K_W, K_Z and kappa 1e8 times those of a unit-scale channel
+    doc = {"noise": {"A": [[0.5]], "B": [[1.0, 1.0]], "C": [[1.0]], "N": [[1.0, 1.0]],
+                     "K_W": [[2e8, 0.0], [0.0, 3e8]]},
+           "input": {**COLORED["input"], "K_Z": [[1e8]]},
+           "channel": {"H": [[1.0]], "kappa": 1e8}}
+    model, out = write_model(tmp_path, doc), str(tmp_path / "out.json")
+    assert main(["check-system", "--model", model, "--out", out]) == 0
+    assert read_json(out)["member_of_P_infinity"] is True
+    assert main(["capacity-asym", "--model", model, "--out", out]) == 0
+    assert read_json(out)["rate_nats"] == pytest.approx(0.16264384571678, rel=1e-12)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["capacity-n", "--tol", "1e-3"],
     ["check-system", "--strict"],

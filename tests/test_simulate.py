@@ -270,3 +270,15 @@ def test_zero_input_power_is_exactly_zero():
     power_row = next(r for r in rep.rows if r.name == "average power")
     assert power_row.empirical == 0.0
     assert power_row.ok
+
+
+def test_a_validated_degenerate_initial_covariance_is_sampled_on_its_support():
+    # K_S1's eigenvalue -5e-10 is within PSD_SLACK of its scale, so validate accepts it,
+    # and the root counts it as zero: S_1 has no component along the second state
+    noise = rc.NoiseModel(A=0.5 * np.eye(2), B=np.eye(2), C=[[1.0, 0.0]], N=[[1.0, 0.0]],
+                          K_W=np.eye(2), K_S1=np.diag([10.0, -5e-10]))
+    assert rc.validate(noise).ok
+    batch = rc.sample_paths(noise, unit_iid_input(), unit_channel(), horizon=2, paths=50,
+                            master_seed=3)
+    assert np.all(batch.S[:, 0, 1] == 0.0)
+    assert np.all(batch.S[:, 0, 0] != 0.0)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 import riccati_capacity as rc
 from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
 from oracles import pbh_rank, pbh_verdict
+from riccati_capacity.linalg import as_covariance
 
 MODES = ("detectable", "stabilizable", "unit_circle_controllable")
 
@@ -38,7 +42,7 @@ def test_sqrt_small_negative_eigenvalue_clamped():
 
 
 def test_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError, match="not PSD"):
+    with pytest.raises(ValueError, match="M is not positive semidefinite"):
         rc.psd_sqrt([[-1.0]])
 
 
@@ -72,6 +76,22 @@ def test_sqrt_of_a_full_rank_covariance_is_unchanged():
             w, V = np.linalg.eigh(0.5 * (M + M.T))
             plain = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
             assert np.array_equal(rc.psd_sqrt(M), 0.5 * (plain + plain.T))
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 2.0]], [[1.0, 0.5], [0.4, 1.0]], [[-1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+    [[1e10, 0.0], [0.0, -0.5]], [[1e10, 0.0], [0.0, -2.0]], np.diag([10.0, -5e-10]),
+])
+def test_sqrt_accepts_exactly_what_as_covariance_accepts(M):
+    # one PSD rule: psd_sqrt raises where the covariance check raises, with its message
+    try:
+        as_covariance(M, len(M), "M")
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            rc.psd_sqrt(M)
+    else:
+        S = rc.psd_sqrt(M)
+        assert np.allclose(S @ S, M, atol=1e-10 * np.max(np.abs(M)))
 
 
 # ----------------------------------------------------------- starred system
@@ -399,6 +419,44 @@ def test_report_witnesses_are_those_of_pbh_test(noise, inp, channel):
         assert getattr(rep, label + "_detectable") == expected[label + "_detectable"][0]
         assert getattr(rep, label + "_stabilizable") == expected[label + "_stabilizable"][0]
     assert rep.witnesses is rep.witnesses
+
+
+SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e10)
+VERDICTS = ("noise_detectable", "noise_stabilizable", "augmented_detectable",
+            "augmented_stabilizable", "input_F_stable", "unit_circle_controllable")
+
+
+def _verdicts(noise, inp, channel):
+    report = rc.feasibility_report(noise, inp, channel)
+    return tuple(getattr(report, name) for name in VERDICTS)
+
+
+def test_report_verdicts_do_not_depend_on_the_covariance_units():
+    # K_W, K_Z and kappa scaled together by c describe the same channel in other units
+    rng = np.random.default_rng(17)
+    for i in range(20):
+        noise, inp = random_models(rng, n_s=3, n_xi=2, n_y=1 + i % 2, rho_A=1.2)
+        verdicts = [_verdicts(replace(noise, K_W=c * noise.K_W), replace(inp, K_Z=c * inp.K_Z),
+                              rc.Channel(H=np.eye(noise.n_y), kappa=c)) for c in SCALES]
+        assert verdicts == [verdicts[SCALES.index(1.0)]] * len(SCALES)
+
+
+def test_report_verdicts_when_B_star_is_far_smaller_than_K_hat():
+    # K_W = U diag(c, 1, 0.5) U^T and N = U[:, :1]^T: B_star = U diag(0, 1, 0.5) U^T,
+    # a 1/c share of Khat that a Schur complement formed at Khat's scale loses
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        A = rng.normal(size=(3, 3))
+        A *= 1.2 / np.max(np.abs(np.linalg.eigvals(A)))
+        parts = dict(A=A, B=rng.normal(size=(3, 3)), C=rng.normal(size=(1, 3)), N=U[:, :1].T)
+        verdicts = {c: _verdicts(rc.NoiseModel(K_W=U @ np.diag([c, 1.0, 0.5]) @ U.T, **parts),
+                                 rc.iid_input(c), rc.Channel(H=1.0, kappa=c)) for c in SCALES}
+        assert all(verdicts[c] == verdicts[1.0] for c in SCALES if c <= 1e8)
+    # at c = 1e10 the eigenvalues 1 and 0.5 are within PSD_SLACK of K_W's largest,
+    # where the PSD rule cannot tell them from zero (it accepts them with either
+    # sign), so there the report only has to finish
+    as_covariance(U @ np.diag([1e10, -0.5, -0.5]) @ U.T, 3, "K_W")
 
 
 def test_passing_report_takes_no_svd(monkeypatch):

@@ -1,6 +1,7 @@
 """The traced benchmark run patches library names; each must still resolve."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import riccati_capacity
@@ -87,4 +88,31 @@ def test_optimize_workload_spans_record_calls(monkeypatch):
         tracer.remove()
     totals, _ = tracer.totals()
     silent = sorted(name for name in expected if totals.get(name, {"calls": 0})["calls"] == 0)
+    assert silent == []
+
+
+def test_monte_carlo_workload_spans_record_calls(monkeypatch, tmp_path):
+    # every span the benchmark expects on monte_carlo must see a call from a
+    # small in-process simulate run
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its references
+    workloads = load_bench_module("bench_workloads", BENCH / "workloads.py")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "noise": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "N": [[1.0]], "K_W": [[1.0]]},
+        "input": {"F": [[0.3]], "G": [[1.0]], "Gamma": [[0.5]], "D": [[1.0]], "K_Z": [[1.0]]},
+        "channel": {"H": [[1.0]], "kappa": 1.0},
+    }))
+    rc = riccati_capacity
+    tracer = load_tracing().Tracer()
+    tracer.install(rc)
+    try:
+        code = rc.cli.main(["simulate", "--model", str(model), "--n", "5", "--paths", "200",
+                            "--seed", "1", "--out", str(tmp_path / "out.json"),
+                            "--trace", str(tmp_path / "trace.csv")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    totals, _ = tracer.totals()
+    silent = sorted(name for name in workloads.MonteCarlo.expected_spans
+                    if totals.get(name, {"calls": 0})["calls"] == 0)
     assert silent == []
