@@ -90,7 +90,7 @@ def symmetrize(M):
 
 def sup_norm(M):
     """Largest entry magnitude; 0.0 for an empty matrix."""
-    return float(np.max(np.abs(M), initial=0.0))
+    return float(np.abs(M).max()) if M.size else 0.0
 
 
 def spectral_radius(M):
@@ -146,14 +146,8 @@ def solve_spd(S, B, context="matrix", logdet=False):
 
 
 def chol_logdet(M, context="covariance"):
-    """log det of a symmetric PD matrix via its Cholesky factor."""
-    if M.size == 0:
-        return 0.0
-    try:
-        L = np.linalg.cholesky(symmetrize(M))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(f"{context} is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    """log det of a symmetric PD matrix via ``solve_spd``'s Cholesky factor; 0.0 if empty."""
+    return solve_spd(M, M[:, :0], context, logdet=True)[1]
 
 
 def block_diag(*blocks):

@@ -19,6 +19,7 @@ DREs of ``capacity.finite_n_rate`` and ``simulate``'s Kalman pass call it.
 doubling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +191,10 @@ def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
             G_next = symmetrize(G + A @ WiAG[:, m:] @ A.T)
             P_next = symmetrize(P + A.T @ P @ WiAG[:, :m])
             iterations += 1
-            if not all(np.all(np.isfinite(M)) for M in (A_next, G_next, P_next)):
-                break
             diff = sup_norm(P_next - P)
+            # only P leaves the loop; a non-finite A or G makes the next P non-finite
+            if not math.isfinite(diff):
+                break
             A, G, P = A_next, G_next, P_next
             if diff <= tol * max(sup_norm(P), q_scale):
                 break

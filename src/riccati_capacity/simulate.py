@@ -18,7 +18,7 @@ from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented
 from .riccati import _predict
-from .systests import psd_sqrt
+from .systests import _root
 # stay importable here because bench/tracing.py patches them at these names
 from .models import to_quadruple  # noqa: F401
 from .riccati import dre_run  # noqa: F401
@@ -146,9 +146,9 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     -----
     Per path the generator emits, in order: the S_1 standard normals,
     the Xi_1 standard normals, then (W_t, Z_t) blocks for t = 1..horizon.
-    Covariance square roots come from ``psd_sqrt``, which accepts what
-    ``validate`` accepts and counts eigenvalues up to PSD_SLACK times the
-    largest as zero, so degenerate covariances, singular or with such
+    Covariance square roots are ``psd_sqrt``'s without its check, which
+    ``build_augmented`` has made; eigenvalues up to PSD_SLACK times the
+    largest count as zero, so degenerate covariances, singular or with such
     eigenvalues of either sign, are sampled exactly on their support.
     The returned arrays are (path, t, component) views over
     time-major storage, so each step reads and writes contiguous blocks;
@@ -175,10 +175,10 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
         _rekey(rng, master_seed, i)
         rng.standard_normal(out=row)
 
-    sq_S1 = psd_sqrt(noise.K_S1)
-    sq_Xi1 = psd_sqrt(input.K_Xi1)
-    sq_W = psd_sqrt(noise.K_W)
-    sq_Z = psd_sqrt(input.K_Z)
+    sq_S1 = _root(noise.K_S1)
+    sq_Xi1 = _root(input.K_Xi1)
+    sq_W = _root(noise.K_W)
+    sq_Z = _root(input.K_Z)
 
     S_now = noise.mu_S1 + eps[:, :n_s] @ sq_S1.T
     Xi_now = input.mu_Xi1 + eps[:, n_s:n_s + n_xi] @ sq_Xi1.T

@@ -115,7 +115,12 @@ def psd_sqrt(M):
     has a root of its rank, whose square reproduces M up to PSD_SLACK.
     """
     M = as_matrix(M, "M")
-    w, V = np.linalg.eigh(as_covariance(M, M.shape[0], "M"))
+    return _root(as_covariance(M, M.shape[0], "M"))
+
+
+def _root(M):
+    # psd_sqrt without the covariance check, for matrices checked or PSD by construction
+    w, V = np.linalg.eigh(symmetrize(M))
     # a zero eigenvalue comes back as round-off of either sign; clipping
     # only the negative ones would give the root spurious directions
     w = np.where(w > PSD_SLACK * sup_norm(w), w, 0.0)
@@ -133,16 +138,13 @@ def starred_system(quad):
     definite). So B_star is PSD up to its own round-off, however small next
     to Khat, and B_star_sqrt = psd_sqrt(B_star).
     """
-    # Chat is solved stacked with Dhat Khat; a lone solve rounds A_star's last
-    # bits differently, which moves the witnessed eigenvalues
-    RinvC = solve_spd(quad.Rhat, np.hstack([quad.Chat, quad.Dhat @ quad.Khat]),
-                      context="Dhat Khat Dhat^T")[:, :quad.Ahat.shape[0]]
-    S = psd_sqrt(quad.Khat)
+    S = _root(quad.Khat)
     DS = quad.Dhat @ S
     F = S @ np.linalg.qr(DS.T, mode="complete")[0][:, DS.shape[0]:]
     B_star = F @ F.T
-    return StarredSystem(A_star=quad.Ahat - quad.Shat @ RinvC, B_star=B_star,
-                         G_mat=quad.Bhat.copy(), B_star_sqrt=psd_sqrt(B_star))
+    A_star = quad.Ahat - quad.Shat @ solve_spd(quad.Rhat, quad.Chat, context="Dhat Khat Dhat^T")
+    return StarredSystem(A_star=A_star, B_star=B_star, G_mat=quad.Bhat.copy(),
+                         B_star_sqrt=_root(B_star))
 
 
 def _pbh_ranks(A, V, lams):
@@ -270,18 +272,20 @@ def feasibility_report(noise, input, channel):
     """
     system = (channel if isinstance(channel, JointSystem)
               else build_augmented(noise, input, channel))
-    nq, arrays, observe = system.noise_quad, {}, {}
+    nq, arrays, tests = system.noise_quad, {}, {}
     for label, quad in (("noise", nq), ("augmented", system)):
-        observe[label] = _Pair(quad.Ahat.T, quad.Chat.T, np.linalg.eigvals(quad.Ahat))
-        star = starred_system(quad)
-        reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
-        arrays[label + "_detectable"] = observe[label].test("detectable")
-        arrays[label + "_stabilizable"] = reach.test("stabilizable")
-        arrays["unit_circle_" + label] = reach.test("unit_circle_controllable")
+        if quad not in tests:  # a system with no input is its own noise_quad: tested once
+            observe = _Pair(quad.Ahat.T, quad.Chat.T, np.linalg.eigvals(quad.Ahat))
+            star = starred_system(quad)
+            reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
+            tests[quad] = (observe, observe.test("detectable"), reach.test("stabilizable"),
+                           reach.test("unit_circle_controllable"))
+        arrays.update(zip((label + "_detectable", label + "_stabilizable", "unit_circle_" + label),
+                          tests[quad][1:]))
     verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
     unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
-    warnings = _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe["noise"].lams),
-                                    observe["noise"])
+    observe = tests[nq][0]
+    warnings = _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe.lams), observe)
     radius_F = 0.0
     if input.n_xi:  # a memoryless input has no realization to check
         lams_F = np.linalg.eigvals(input.F)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,19 @@ def test_bad_horizon_rejected():
 ], ids=["n", "n_max", "dims-n_xi", "dims-n_z"])
 def test_counts_that_are_not_integers_are_named(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(*colored_setup())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda noise, inp, ch: rc.finite_n_rate((noise, noise), ch, 3),
+     "models must be a CoefficientSchedule or a (NoiseModel, InputModel) pair"),
+    (lambda noise, inp, ch: rc.finite_n_rate(noise, ch, 3),
+     "models must be a CoefficientSchedule or a (NoiseModel, InputModel) pair"),
+    (lambda noise, inp, ch: rc.case2_rate((noise, inp), ch, 4),
+     "schedule must be a CoefficientSchedule"),
+], ids=["finite-n-pair-of-noises", "finite-n-lone-noise", "case2-pair"])
+def test_models_of_the_wrong_type_raise_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(*colored_setup())
 
 

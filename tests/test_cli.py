@@ -152,6 +152,13 @@ def test_model_file_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err == "error: model file must be a JSON object\n"
 
 
+@pytest.mark.parametrize("section", ["noise", "input", "channel"])
+def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section):
+    doc = dict(COLORED, **{section: [[1.0]]})
+    assert main(["capacity-asym", "--model", write_model(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {section} section must be a JSON object\n"
+
+
 def test_null_required_key_is_a_missing_key(tmp_path, capsys):
     doc = {"noise": dict(COLORED["noise"], A=None), "input": COLORED["input"],
            "channel": COLORED["channel"]}
@@ -359,6 +366,26 @@ def test_sweep_kappa_requires_grid(tmp_path, capsys):
     model = write_model(tmp_path, COLORED)
     assert main(["sweep-kappa", "--model", model]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", ["0.5,zap", ",", " , "])
+def test_unparsable_or_empty_kappa_grid_exits_2(tmp_path, capsys, grid):
+    model = write_model(tmp_path, COLORED)
+    assert main(["sweep-kappa", "--model", model, "--kappa", grid]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse kappa grid '{grid}'\n"
+
+
+def test_nonfinite_numbers_are_written_as_strings(tmp_path):
+    # a diverging noise solve (A = 1.5, C = 0, Q_s = 1) has an infinite residual
+    # and radius and a NaN gain; JSON has no literal for them
+    doc = {"noise": {"A": [[1.5]], "B": [[1.0, 0.0]], "C": [[0.0]], "N": [[0.0, 1.0]],
+                     "K_W": np.eye(2).tolist()}}
+    out = tmp_path / "out.json"
+    assert main(["solve-are", "--model", write_model(tmp_path, doc), "--out", str(out)]) == 0
+    result = read_json(out)
+    assert (result["residual"], result["spectral_radius"]) == ("inf", "inf")
+    assert result["gain"] == [["nan"]] and result["converged"] is False
+    assert cli._dumps([-np.inf, np.nan, 1.5]) == '["-inf", "nan", 1.5]'
 
 
 def test_simulate_report(tmp_path):

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import riccati_capacity as rc
 from riccati_capacity.capacity import _waterfill
-from riccati_capacity.linalg import block_diag, solve_spd
+from riccati_capacity.linalg import block_diag, chol_logdet, solve_spd
 from conftest import random_models
 
 
@@ -45,11 +45,25 @@ def test_solve_spd_reads_only_the_symmetric_part(rng):
 def test_solve_spd_names_the_matrix_that_is_not_pd(S):
     with pytest.raises(np.linalg.LinAlgError, match="^Rhat is not positive definite$"):
         solve_spd(np.array(S), np.ones((len(S), 1)), context="Rhat")
+    with pytest.raises(np.linalg.LinAlgError, match="^K_I is not positive definite$"):
+        chol_logdet(np.array(S), context="K_I")
 
 
 def test_solve_spd_of_an_empty_matrix():
     X, logdet = solve_spd(np.zeros((0, 0)), np.zeros((0, 3)), logdet=True)
     assert X.shape == (0, 3) and logdet == 0.0
+    assert chol_logdet(np.zeros((0, 0))) == 0.0
+
+
+def test_chol_logdet_is_the_log_det_of_the_cholesky_factor(rng):
+    # twice the log of the factor's diagonal, read from the symmetric part
+    for m in (1, 2, 5):
+        X = rng.normal(size=(m, m))
+        S = X @ X.T + np.eye(m)
+        skew = 1e-13 * rng.normal(size=(m, m))
+        expected = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(S)))))
+        assert chol_logdet(S + skew - skew.T) == pytest.approx(expected, rel=1e-12)
+        assert chol_logdet(S) == pytest.approx(np.linalg.slogdet(S)[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------- block_diag

@@ -52,7 +52,10 @@ def test_solve_rejects_marginally_unstable():
     ([[np.nan]], [[1.0]], [[1.0]], "F contains non-finite entries"),
     ([[0.5]], [[np.inf]], [[1.0]], "G contains non-finite entries"),
     ([[0.5, 0.0], [0.0, 0.5]], np.eye(2), [[1.0, 1.0], [0.0, 1.0]], "K_Z is not symmetric"),
-], ids=["indefinite-K_Z", "nan-K_Z", "nan-F", "inf-G", "asymmetric-K_Z"])
+    ([[0.5, 0.0]], [[1.0]], [[1.0]], r"F not square \(shape \(1, 2\)\)"),
+    (0.5 * np.eye(2), [[1.0]], [[1.0]], "G has 1 rows, expected 2"),
+], ids=["indefinite-K_Z", "nan-K_Z", "nan-F", "inf-G", "asymmetric-K_Z", "non-square-F",
+        "G-rows"])
 def test_solve_and_step_reject_malformed_inputs(F, G, K_Z, message):
     with pytest.raises(ValueError, match=message):
         rc.lyap_solve(F, G, K_Z)

@@ -87,6 +87,15 @@ def test_negative_kappa_flagged():
     assert any("kappa negative" in v for v in report.violations)
 
 
+def test_nan_kappa_flagged():
+    assert rc.validate(rc.Channel(H=[[1.0]], kappa=np.nan)).violations == ("kappa not finite",)
+
+
+def test_validate_rejects_an_unsupported_type():
+    with pytest.raises(TypeError, match="^cannot validate object of type dict$"):
+        rc.validate({"H": [[1.0]]})
+
+
 def test_K_Z_may_be_singular():
     m = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
                       K_Z=[[0.0]])
@@ -138,6 +147,12 @@ def test_H_dimension_mismatch_message():
     with pytest.raises(ValueError, match="H has 2 columns but input n_x = 1"):
         rc.build_augmented(scalar_noise(0.5), unit_iid_input(),
                            rc.Channel(H=[[1.0, 0.0]], kappa=1.0))
+
+
+def test_H_row_mismatch_message():
+    with pytest.raises(ValueError, match="^H has 2 rows but noise n_y = 1$"):
+        rc.build_augmented(scalar_noise(0.5), unit_iid_input(),
+                           rc.Channel(H=[[1.0], [1.0]], kappa=1.0))
 
 
 # ------------------------------------------------------- quadruple forms

@@ -216,6 +216,20 @@ def test_critical_decay_stops_without_claiming_convergence():
     assert np.all(np.isfinite(sol.P_star)) and sol.P_star[0, 0] == 2.0 ** 64
 
 
+@pytest.mark.parametrize("b, steps", [(1.0, 1), (1e-150, 2)])
+def test_overflowing_doubling_ends_at_the_last_finite_dre_step(b, steps):
+    # A = 1e160 with C = 0: P is DRE step 2^k from zero until A^2 P overflows.
+    # With Q_s = 1 the first doubling overflows P; with Q_s = 1e-300 it
+    # overflows A first and P, at DRE step 2 = 1e20, only at the next one
+    quad = rc.to_quadruple(rc.NoiseModel(A=1e160, B=[[b, 0.0]], C=0.0, N=[[0.0, 1.0]],
+                                         K_W=np.eye(2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = rc.are_solve(quad)
+        steps_from_zero = rc.dre_run(quad, np.zeros((1, 1)), steps + 1)
+    assert sol.P_star == steps_from_zero[steps] and np.isfinite(sol.P_star).all()
+    assert sol.iterations == steps and not sol.converged
+
+
 def test_converged_requires_a_stable_closed_loop(monkeypatch):
     # A = 1.5, C = 0 hides the unstable mode: the doubling stops at P = 0 with
     # residual 0, and the closed loop is A itself

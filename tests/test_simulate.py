@@ -229,6 +229,13 @@ def test_report_rejects_wrong_analytic_value():
     assert "steady-state innovations covariance" in bad
 
 
+def test_report_requires_a_capacity_result():
+    noise, inp, ch = colored_setup()
+    b = rc.sample_paths(noise, inp, ch, horizon=2, paths=3, master_seed=0)
+    with pytest.raises(TypeError, match="^analytic must be a CapacityResult$"):
+        rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch).rate_nats)
+
+
 def test_one_step_batch_cannot_pass_a_wrong_steady_state():
     # one stored step says nothing about how far the filter is from its
     # limit, so a claimed K_I 100 times too large must not come out ok

@@ -119,6 +119,25 @@ def test_starred_wide_N_projects():
     assert np.allclose(star.B_star, np.diag([0.0, 1.0]), atol=1e-12)
 
 
+def test_starred_system_and_sample_paths_make_no_covariance_check(monkeypatch):
+    # their covariances come from models build_augmented has validated, so only
+    # the public psd_sqrt runs the covariance check
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return as_covariance(*args)
+
+    monkeypatch.setattr(rc.systests, "as_covariance", counting)
+    noise, inp = random_models(np.random.default_rng(5), n_s=2, n_xi=2, n_y=1)
+    channel = unit_channel()
+    rc.starred_system(rc.build_augmented(noise, inp, channel))
+    rc.sample_paths(noise, inp, channel, horizon=3, paths=4, master_seed=0)
+    assert calls == []
+    rc.psd_sqrt(np.eye(2))
+    assert calls == ["M"]
+
+
 # ---------------------------------------------------------------- pbh_test
 
 
@@ -165,6 +184,21 @@ def test_pbh_witnesses_are_json_friendly():
 @pytest.mark.parametrize("mode", MODES)
 def test_pbh_names_nonfinite_entries(A, V, name, mode):
     with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        rc.pbh_test(A, V, mode)
+
+
+@pytest.mark.parametrize("A, V, mode, message", [
+    (np.ones((2, 3)), np.ones((1, 3)), "detectable", "A not square (shape (2, 3))"),
+    (np.eye(2), np.ones((1, 3)), "detectable",
+     "mode 'detectable' needs V with 2 columns, got shape (1, 3)"),
+    (np.eye(2), np.ones((3, 1)), "stabilizable",
+     "mode 'stabilizable' needs V with 2 rows, got shape (3, 1)"),
+    (np.eye(2), np.ones((1, 2)), "unit_circle_controllable",
+     "mode 'unit_circle_controllable' needs V with 2 rows, got shape (1, 2)"),
+    (np.eye(2), np.ones((2, 2)), "observable", "unknown mode 'observable'"),
+], ids=["non-square-A", "detectable-V", "stabilizable-V", "unit-circle-V", "unknown-mode"])
+def test_pbh_rejects_malformed_shapes_and_modes(A, V, mode, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         rc.pbh_test(A, V, mode)
 
 
@@ -347,6 +381,31 @@ def test_report_carries_witnesses_for_all_tests():
                 "augmented_detectable", "augmented_stabilizable",
                 "unit_circle_noise", "unit_circle_augmented"):
         assert key in rep.witnesses
+
+
+def test_a_system_with_no_input_is_tested_once(monkeypatch):
+    # the noise-only problem is its own noise_quad: one starred system, and the
+    # augmented verdicts and witnesses are the noise ones
+    built = []
+
+    def counting(**kwargs):
+        built.append(kwargs)
+        return rc.StarredSystem(**kwargs)
+
+    monkeypatch.setattr(rc.systests, "StarredSystem", counting)
+    noise = random_models(np.random.default_rng(7), n_s=3, n_y=2, rho_A=1.2)[0]
+    nq = rc.to_quadruple(noise)
+    rep = rc.feasibility_report(noise, nq.input, nq)
+    assert len(built) == 1
+    for test in ("detectable", "stabilizable"):
+        assert getattr(rep, "augmented_" + test) == getattr(rep, "noise_" + test)
+    for noise_key, joint_key in (("noise_detectable", "augmented_detectable"),
+                                 ("noise_stabilizable", "augmented_stabilizable"),
+                                 ("unit_circle_noise", "unit_circle_augmented")):
+        assert rep.witnesses[joint_key] == rep.witnesses[noise_key]
+    built.clear()
+    rc.feasibility_report(noise, unit_iid_input(), rc.Channel(H=np.ones((2, 1)), kappa=1.0))
+    assert len(built) == 2
 
 
 def test_invalid_model_raises():
