@@ -15,20 +15,20 @@ classical water-filling solver is kept alongside as an independent
 reference for the memoryless special case.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (as_count, as_finite, chol_logdet, solve_spd, spectral_radius, substream,
-                     symmetrize)
+from .linalg import as_count, as_finite, solve_spd, spectral_radius, substream, symmetrize
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _predict, are_solve, innovations_covariance
+from .riccati import _predict, are_solve
 from .systests import feasibility_report
-# block_diag, to_quadruple and validate stay importable here because
-# bench/tracing.py patches them at these names
-from .linalg import block_diag  # noqa: F401
+# block_diag, chol_logdet, to_quadruple and validate stay importable here
+# because bench/tracing.py patches them at these names
+from .linalg import block_diag, chol_logdet  # noqa: F401
 from .models import to_quadruple, validate  # noqa: F401
 
 __all__ = [
@@ -210,7 +210,11 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     evaluates
 
         rate = (1/2) max(0, logdet K_I - logdet K_Ihat)
-        power = tr(Gamma P Gamma^T + D K_Z D^T).
+        power = tr(Gamma P Gamma^T + D K_Z D^T),
+
+    with K_I, K_Ihat and their log dets as each Riccati solution carries
+    them (``RiccatiSolution.innovations`` and ``logdet``); a diverged solve
+    carries them at its last finite iterate.
 
     Parameters
     ----------
@@ -236,6 +240,9 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     ValueError
         If a model is invalid or F is not exponentially stable (the
         average power has no limit in that case).
+    LinAlgError
+        "K_I is not positive definite" (or K_Ihat): a diverged solve whose
+        K at the last finite iterate has no Cholesky factor.
     """
     system = build_augmented(noise, input, channel)
     # first, so an F that is not exponentially stable raises before any other work
@@ -244,39 +251,22 @@ def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
     nq = system.noise_quad
     sigma_sol = are_solve(nq, tol=tol, max_iter=max_iter)
     pi_sol = are_solve(system, tol=tol, max_iter=max_iter)
-    K_I = symmetrize(innovations_covariance(system, pi_sol.P_star))
-    K_Ihat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
-    ld = chol_logdet(K_I, context="K_I")
-    ld_hat = chol_logdet(K_Ihat, context="K_Ihat")
-    rate = 0.5 * max(0.0, ld - ld_hat)
+    for name, sol in (("K_I", pi_sol), ("K_Ihat", sigma_sol)):
+        if math.isnan(sol.logdet):  # a diverged solve whose K has no Cholesky factor
+            raise np.linalg.LinAlgError(f"{name} is not positive definite")
+    rate = 0.5 * max(0.0, pi_sol.logdet - sigma_sol.logdet)
     power = input_power(input, p_sol.P_star)
-    diagnostics = {
-        "sigma_converged": sigma_sol.converged,
-        "sigma_iterations": sigma_sol.iterations,
-        "sigma_residual": sigma_sol.residual,
-        "sigma_spectral_radius": sigma_sol.spectral_radius,
-        "pi_converged": pi_sol.converged,
-        "pi_iterations": pi_sol.iterations,
-        "pi_residual": pi_sol.residual,
-        "pi_spectral_radius": pi_sol.spectral_radius,
-        "lyapunov_residual": p_sol.residual,
-        "lyapunov_method": p_sol.method,
-    }
+    diagnostics = {f"{label}_{key}": getattr(sol, key)
+                   for label, sol in (("sigma", sigma_sol), ("pi", pi_sol))
+                   for key in ("converged", "iterations", "residual", "spectral_radius")}
+    diagnostics.update(lyapunov_residual=p_sol.residual, lyapunov_method=p_sol.method)
     if not feas.member_of_P_infinity:
         # limits may exist but depend on the initial condition in this regime
         diagnostics["initial_condition_dependent"] = True
-    return CapacityResult(
-        rate_nats=rate,
-        power=power,
-        Sigma_star=sigma_sol.P_star,
-        Pi_star=pi_sol.P_star,
-        P_star=p_sol.P_star,
-        K_I=K_I,
-        K_Ihat=K_Ihat,
-        feasibility=feas,
-        trace=None,
-        diagnostics=diagnostics,
-    )
+    return CapacityResult(rate_nats=rate, power=power, Sigma_star=sigma_sol.P_star,
+                          Pi_star=pi_sol.P_star, P_star=p_sol.P_star, K_I=pi_sol.innovations,
+                          K_Ihat=sigma_sol.innovations, feasibility=feas,
+                          diagnostics=diagnostics)
 
 
 def asymptotic_power(input):
@@ -487,7 +477,7 @@ class _InputNormal:
         return np.concatenate([X.ravel(), np.hstack([model.Gamma @ R, model.D @ L]).ravel()])
 
 
-def _logdet_gradient(system, sol, K_inv):
+def _logdet_gradient(system, sol):
     """Gradient of log det K_I at the joint ARE solution in the input's F, G, Gamma, D (K_Z = I).
 
     With gain L and closed loop A_cl at the solution P, the adjoint W
@@ -500,6 +490,7 @@ def _logdet_gradient(system, sol, K_inv):
     """
     x = system.n_xi
     P, L, A_cl, C = sol.P_star, sol.gain, sol.closed_loop, system.Chat
+    K_inv = solve_spd(sol.innovations, np.eye(system.q), context="K_I")
     W = _smith(A_cl.T, C.T @ K_inv @ C, _SEARCH_TOL)
     WAP = W @ A_cl @ P
     g_C = 2.0 * (K_inv @ C @ P - L.T @ WAP)
@@ -606,19 +597,14 @@ def optimize_input(noise, channel, dims, config=None):
     sigma_sol = are_solve(nq)
     # no input repairs the noise side of P-infinity, so it is decided once,
     # on the noise-only problem, before any start is built
-    try:
-        feas = feasibility_report(noise, nq.input, nq)
-        failed = [f"noise pair not {name}" for name in ("detectable", "stabilizable")
-                  if not getattr(feas, "noise_" + name)]
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        failed = [f"noise feasibility tests raised ({exc})"]
+    feas = feasibility_report(noise, nq.input, nq)
+    failed = [f"noise pair not {name}" for name in ("detectable", "stabilizable")
+              if not getattr(feas, "noise_" + name)]
     if not sigma_sol.converged:
         failed.append("noise Riccati solve not converged")
     if failed:
         raise RuntimeError(f"feasible set not reached: {', '.join(failed)}; "
                            "no input can repair the noise side")
-    K_hat = symmetrize(innovations_covariance(nq, sigma_sol.P_star))
-    ld_hat = chol_logdet(K_hat, context="K_Ihat")
 
     def objective(theta):
         # (-rate, its gradient); the guard gives rate 0 and a zero gradient and
@@ -631,15 +617,13 @@ def optimize_input(noise, channel, dims, config=None):
         if sol is None or not sol.converged:
             record["guard_hits"] += 1
             return 0.0, np.zeros(space.size)
-        K_inv, ld = solve_spd(innovations_covariance(system, sol.P_star), np.eye(system.q),
-                              context="K_I", logdet=True)
-        grads = _logdet_gradient(system, sol, K_inv)
-        return -0.5 * (ld - ld_hat), -0.5 * space.gradient(factors, *grads)
+        grads = _logdet_gradient(system, sol)
+        return -0.5 * (sol.logdet - sigma_sol.logdet), -0.5 * space.gradient(factors, *grads)
 
     # (kind, theta, model) per start: structured, warm, then seeded random
     # fills; a warm start's own model is a candidate too
     starts = [("structured", theta, None)
-              for theta in _structured_starts(channel, space, K_hat)]
+              for theta in _structured_starts(channel, space, sigma_sol.innovations)]
     starts += [("warm", space.theta(model), model) for model in cfg.warm_starts]
     while len(starts) < cfg.starts:
         starts.append(("random", substream(cfg.seed, len(starts)).standard_normal(space.size),
@@ -704,14 +688,8 @@ def sweep_kappa(noise, channel, kappas, dims, config=None):
                                      power=float("nan"), feasible=False))
             continue
         warm.append(model)
-        points.append(SweepPoint(
-            kappa=float(kappa),
-            rate_nats=result.rate_nats,
-            power=result.power,
-            feasible=True,
-            input=model,
-            result=result,
-        ))
+        points.append(SweepPoint(kappa=float(kappa), rate_nats=result.rate_nats,
+                                 power=result.power, feasible=True, input=model, result=result))
     return points
 
 
@@ -732,22 +710,10 @@ def case2_rate(schedule, channel, n_max):
     n_max = as_count(n_max, "n_max")
     if not isinstance(schedule, CoefficientSchedule):
         raise TypeError("schedule must be a CoefficientSchedule")
-    limit_result = asymptotic_rate(
-        schedule.noise_limit, schedule.input_limit, channel
-    )
-    full = finite_n_rate(schedule, channel, n_max)
-    grid = []
-    k = 1
-    while k < n_max:
-        grid.append(k)
-        k *= 2
-    grid.append(n_max)
-    rows = []
-    for n in grid:
-        rate_n = full.trace[n - 1, 3]
-        rows.append((n, rate_n, abs(rate_n - limit_result.rate_nats)))
-    return Case2Trace(
-        points=np.asarray(rows, dtype=np.float64),
-        limit_rate=limit_result.rate_nats,
-        limit_result=limit_result,
-    )
+    limit_result = asymptotic_rate(schedule.noise_limit, schedule.input_limit, channel)
+    rates = finite_n_rate(schedule, channel, n_max).trace[:, 3]
+    # the powers of two below n_max, then n_max
+    grid = [2 ** k for k in range((n_max - 1).bit_length())] + [n_max]
+    rows = [(n, rates[n - 1], abs(rates[n - 1] - limit_result.rate_nats)) for n in grid]
+    return Case2Trace(points=np.asarray(rows, dtype=np.float64),
+                      limit_rate=limit_result.rate_nats, limit_result=limit_result)

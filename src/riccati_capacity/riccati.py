@@ -6,20 +6,22 @@ noise-only one its ``noise_quad``, the joint system with no input, which
 ``to_quadruple(noise)`` also builds. Writing
 Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T, Rhat = Dhat Khat Dhat^T
 and K = Rhat + Chat P Chat^T, the covariance of the output's one-step
-prediction error (``innovations_covariance``), one prediction step is
+prediction error (the innovations covariance), one prediction step is
 
     gain(P) = (Ahat P Chat^T + Shat) K^{-1},  closed_loop(P) = Ahat - gain(P) Chat,
     P+ = Ahat P Ahat^T + Qhat - gain(P) (Ahat P Chat^T + Shat)^T.
 
 ``_predict`` forms and factors K once and returns (P+, K, log det K,
-gain^T). It is the only place a DRE step is built: ``dre_step``,
-``dre_run``, ``gain_and_closed_loop``, ``are_solve``'s Newton polish, both
-DREs of ``capacity.finite_n_rate`` and ``simulate``'s Kalman pass call it.
+gain^T). It is the only place a DRE step is built and the only place K
+is formed: ``dre_step``, ``dre_run``, ``gain_and_closed_loop``,
+``are_solve``'s Newton polish and its last step, both DREs of
+``capacity.finite_n_rate`` and ``simulate``'s Kalman pass call it.
 ``are_solve`` reaches the steady state from zero by structure-preserving
-doubling.
+doubling, and its solution keeps K and log det K at P_star.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,6 @@ __all__ = [
     "dre_run",
     "are_solve",
     "gain_and_closed_loop",
-    "innovations_covariance",
 ]
 
 # iterates past this magnitude are declared divergent rather than left to overflow
@@ -70,6 +71,14 @@ class RiccatiSolution:
         solution within tolerance. A fixed point whose closed loop is not
         stable (an undetectable unstable mode: A = 1.5, C = 0 stops at
         P_star = 0 with radius 1.5) is reported with converged=False.
+    innovations : ndarray
+        The innovations covariance K = Rhat + Chat P_star Chat^T, symmetrized.
+    logdet : float
+        log det K, from its Cholesky factor.
+
+    A diverged run (infinite ``residual``) has NaN ``gain`` and
+    ``closed_loop`` and carries K and log det K at its last finite P_star,
+    both NaN where round-off has left that K without a Cholesky factor.
     """
 
     P_star: np.ndarray
@@ -79,11 +88,8 @@ class RiccatiSolution:
     residual: float
     iterations: int
     converged: bool
-
-
-def innovations_covariance(quad, P):
-    """Rhat + Chat P Chat^T: the innovations covariance at prediction-error covariance P."""
-    return quad.Rhat + quad.Chat @ P @ quad.Chat.T
+    innovations: np.ndarray
+    logdet: float
 
 
 def _predict(quad, P, context="Riccati denominator"):
@@ -91,7 +97,7 @@ def _predict(quad, P, context="Riccati denominator"):
     # guarantee P is symmetric PSD
     AP = quad.Ahat @ P
     APC = AP @ quad.Chat.T + quad.Shat
-    K = innovations_covariance(quad, P)
+    K = quad.Rhat + quad.Chat @ P @ quad.Chat.T
     gain_T, logdet = solve_spd(K, APC.T, context=context, logdet=True)
     return symmetrize(AP @ quad.Ahat.T + quad.Qhat - APC @ gain_T), K, logdet, gain_T
 
@@ -200,13 +206,19 @@ def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
                 break
     scale = max(sup_norm(P), q_scale)
     if scale > _DIVERGENCE_BOUND:
-        nan = np.full((m, quad.q + m), np.nan)
-        return RiccatiSolution(P, nan[:, :quad.q], nan[:, quad.q:], np.inf, np.inf,
-                               iterations, False)
+        # K at the last finite P, NaN if round-off has left it indefinite; the
+        # next covariance may overflow and is dropped
+        nan = np.full((m + quad.q, m + quad.q), np.nan)
+        K, logdet = nan[m:, m:], np.nan
+        with np.errstate(over="ignore", invalid="ignore"), suppress(np.linalg.LinAlgError):
+            K, logdet = _predict(quad, P)[1:3]
+            K = symmetrize(K)
+        return RiccatiSolution(P, nan[:m, m:], nan[:m, :m], np.inf, np.inf, iterations, False,
+                               K, logdet)
     met = diff <= tol * scale
     for newton_left in range(_NEWTON_STEPS if met else 0, -1, -1):
-        # one prediction step gives the defect, the gain and the closed loop
-        P_next, _, _, gain_T = _predict(quad, P)
+        # one prediction step gives the defect, the gain, the closed loop and K
+        P_next, K, logdet, gain_T = _predict(quad, P)
         defect, gain = P_next - P, gain_T.T
         closed_loop = quad.Ahat - gain @ quad.Chat
         radius = spectral_radius(closed_loop)
@@ -224,4 +236,6 @@ def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
         residual=residual,
         iterations=iterations,
         converged=met and residual <= 10.0 * tol * scale and radius < 1.0,
+        innovations=symmetrize(K),
+        logdet=logdet,
     )

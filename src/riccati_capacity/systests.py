@@ -37,6 +37,9 @@ RANK_TOL = 1e-9
 # numerical rank threshold factor: sigma > sigma_max * max(dims) * SV_RTOL
 SV_RTOL = 1e-12
 
+# an eigenvalue of a k x k covariance above k _ROUNDOFF times its largest is not round-off
+_ROUNDOFF = 100.0 * np.finfo(np.float64).eps
+
 # the eigenvalues each test looks at, as a mask over their moduli
 _REGIONS = {"detectable": lambda modulus: modulus >= 1.0 - RANK_TOL,
             "stabilizable": lambda modulus: modulus >= 1.0 - RANK_TOL,
@@ -50,13 +53,15 @@ class StarredSystem:
     A_star = Ahat - Shat Rhat^{-1} Chat removes the part of the dynamics
     predictable from the current output; B_star = Khat - Khat Dhat^T
     Rhat^{-1} Dhat Khat is the residual driving-noise covariance, and
-    G_mat = Bhat feeds its square root back into the state.
+    G_mat = Bhat feeds its square root back into the state. ``warnings``
+    names an eigenvalue of Khat above round-off that the rank rule zeroed.
     """
 
     A_star: np.ndarray
     B_star: np.ndarray
     G_mat: np.ndarray
     B_star_sqrt: np.ndarray
+    warnings: tuple = ()
 
 
 class Witnesses(NamedTuple):
@@ -120,9 +125,12 @@ def psd_sqrt(M):
 
 def _root(M):
     # psd_sqrt without the covariance check, for matrices checked or PSD by construction
-    w, V = np.linalg.eigh(symmetrize(M))
-    # a zero eigenvalue comes back as round-off of either sign; clipping
-    # only the negative ones would give the root spurious directions
+    return _eig_root(*np.linalg.eigh(symmetrize(M)))
+
+
+def _eig_root(w, V):
+    # _root from eigh's (w, V); a zero eigenvalue comes back as round-off of either
+    # sign, and clipping only the negative ones would give the root spurious directions
     w = np.where(w > PSD_SLACK * sup_norm(w), w, 0.0)
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
@@ -136,15 +144,22 @@ def starred_system(quad):
     (Dhat S)^T, is an orthonormal basis of the null space of Dhat S (of
     dimension cols - rows, as Rhat = (Dhat S)(Dhat S)^T is positive
     definite). So B_star is PSD up to its own round-off, however small next
-    to Khat, and B_star_sqrt = psd_sqrt(B_star).
+    to Khat, and B_star_sqrt = psd_sqrt(B_star). ``warnings`` names the
+    largest eigenvalue of Khat that S drops though it is above round-off.
     """
-    S = _root(quad.Khat)
+    w, V = np.linalg.eigh(symmetrize(quad.Khat))
+    S = _eig_root(w, V)
+    scale = sup_norm(w)
+    lost = w[(w > _ROUNDOFF * len(w) * scale) & (w <= PSD_SLACK * scale)]
+    warnings = (f"Khat eigenvalue {lost[-1]:.6g} ({lost[-1] / scale:.2g} of its largest) is "
+                "above round-off but taken as zero by the PSD_SLACK rank rule, on which the "
+                "stabilizability verdict then rests",) if lost.size else ()
     DS = quad.Dhat @ S
     F = S @ np.linalg.qr(DS.T, mode="complete")[0][:, DS.shape[0]:]
     B_star = F @ F.T
     A_star = quad.Ahat - quad.Shat @ solve_spd(quad.Rhat, quad.Chat, context="Dhat Khat Dhat^T")
     return StarredSystem(A_star=A_star, B_star=B_star, G_mat=quad.Bhat.copy(),
-                         B_star_sqrt=_root(B_star))
+                         B_star_sqrt=_root(B_star), warnings=warnings)
 
 
 def _pbh_ranks(A, V, lams):
@@ -261,8 +276,9 @@ def feasibility_report(noise, input, channel):
     stability of F. Unit-circle controllability of both starred pairs is
     evaluated as a diagnostic. Apparent non-minimality of either
     realization is reported as a warning only, since the computed
-    quantities stay well defined. The tests of one pair share its
-    eigenvalues and ranks; the witnesses are ``pbh_test``'s.
+    quantities stay well defined, after the starred systems' warnings. The
+    tests of one pair share its eigenvalues and ranks; the witnesses are
+    ``pbh_test``'s.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
@@ -272,11 +288,12 @@ def feasibility_report(noise, input, channel):
     """
     system = (channel if isinstance(channel, JointSystem)
               else build_augmented(noise, input, channel))
-    nq, arrays, tests = system.noise_quad, {}, {}
+    nq, arrays, tests, rank_rule = system.noise_quad, {}, {}, []
     for label, quad in (("noise", nq), ("augmented", system)):
         if quad not in tests:  # a system with no input is its own noise_quad: tested once
             observe = _Pair(quad.Ahat.T, quad.Chat.T, np.linalg.eigvals(quad.Ahat))
             star = starred_system(quad)
+            rank_rule += [f"{label} {text}" for text in star.warnings]
             reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
             tests[quad] = (observe, observe.test("detectable"), reach.test("stabilizable"),
                            reach.test("unit_circle_controllable"))
@@ -285,7 +302,8 @@ def feasibility_report(noise, input, channel):
     verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
     unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
     observe = tests[nq][0]
-    warnings = _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe.lams), observe)
+    warnings = rank_rule + _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe.lams),
+                                                observe)
     radius_F = 0.0
     if input.n_xi:  # a memoryless input has no realization to check
         lams_F = np.linalg.eigvals(input.F)

@@ -62,3 +62,15 @@ def random_models(rng, n_s=2, n_xi=2, n_y=1, n_z=1, rho_A=0.9, rho_F=0.7):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+def diverging_noise(a, theta):
+    """Noise whose unstable mode a the output does not see, so its Riccati solve diverges.
+
+    A = U diag(a, 0.5) U^T, U the rotation by theta, and C = U[:, 1]^T. Once
+    |P| is of order a^2 the round-off in C P C^T is far above Rhat = 1.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    A = [[a * c * c + 0.5 * s * s, (a - 0.5) * c * s],
+         [(a - 0.5) * c * s, a * s * s + 0.5 * c * c]]
+    return rc.NoiseModel(A=A, B=np.eye(2, 3), C=[[-s, c]], N=[[0.0, 0.0, 1.0]], K_W=np.eye(3))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import riccati_capacity as rc
-from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
+from conftest import (diverging_noise, random_models, scalar_noise, unit_channel,
+                      unit_iid_input)
 from oracles import (
     HALF_LN2,
     HALF_LN2_5,
@@ -785,3 +786,53 @@ def test_rate_invariant_under_input_state_similarity(seed):
     other = rc.asymptotic_rate(noise, transformed, ch, tol=1e-13)
     assert abs(base.rate_nats - other.rate_nats) < 1e-10
     assert abs(base.power - other.power) < 1e-9
+
+
+def test_diverged_joint_run_carries_its_innovations_at_the_last_finite_P():
+    # the joint problem of test_converged_at_a_nonstabilizing_fixed_point_is_visible's
+    # model: Q_s = 1/2 > 0 with the unstable mode unseen, so the doubling diverges
+    # and stops at its last finite P
+    noise = rc.NoiseModel(A=1.5, B=1.0, C=0.0, N=1.0, K_W=1.0)
+    system = rc.build_augmented(noise, unit_iid_input(), unit_channel())
+    sol = rc.are_solve(system)
+    assert sol.residual == np.inf and not sol.converged
+    assert np.isfinite(sol.P_star).all() and np.max(np.abs(sol.P_star)) > 1e100
+    K = system.Rhat + system.Chat @ sol.P_star @ system.Chat.T
+    np.testing.assert_array_equal(sol.innovations, 0.5 * (K + K.T))
+    assert sol.logdet == pytest.approx(np.linalg.slogdet(K)[1], rel=1e-12)
+    res = rc.asymptotic_rate(noise, unit_iid_input(), unit_channel())
+    np.testing.assert_array_equal(res.K_I, sol.innovations)
+    assert res.diagnostics["pi_converged"] is False
+
+
+def test_diverged_noise_run_without_a_log_det_raises_in_asymptotic_rate():
+    # the noise solve returns NaN innovations and log det here; asymptotic_rate
+    # raises, naming the matrix without a Cholesky factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="K_Ihat is not positive definite"):
+            rc.asymptotic_rate(diverging_noise(1e60, 1.0), unit_iid_input(), unit_channel())
+
+
+def test_rates_read_the_log_dets_of_the_riccati_solutions(monkeypatch):
+    # asymptotic_rate and the input search take K and log det K from are_solve;
+    # a chol_logdet that raises changes none of their numbers
+    noise, channel = scalar_noise(1.5), unit_channel()
+    noise2, inp2 = random_models(np.random.default_rng(4), n_s=3, n_xi=2, n_y=2, rho_A=1.2)
+    config = rc.OptimizerConfig(starts=2, seed=0, maxiter=5)
+
+    def run():
+        rate = rc.asymptotic_rate(noise2, inp2, rc.Channel(H=np.eye(2), kappa=1.0))
+        _, best = rc.optimize_input(noise, channel, (1, 1), config)
+        sweep = rc.sweep_kappa(noise, channel, (0.5, 2.0), (1, 1), config)
+        return ([rate.rate_nats, rate.K_I, rate.K_Ihat, best.rate_nats, best.K_I]
+                + [p.rate_nats for p in sweep] + [p.power for p in sweep])
+
+    before = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chol_logdet called")
+
+    monkeypatch.setattr(rc.capacity, "chol_logdet", refuse)
+    monkeypatch.setattr(rc.linalg, "chol_logdet", refuse)
+    for old, new in zip(before, run()):
+        np.testing.assert_array_equal(old, new)

@@ -54,6 +54,11 @@ def test_solve_are_scalar_family(tmp_path):
     assert doc["residual"] <= 1e-10
     assert doc["converged"] is True
     assert abs(doc["augmented"]["P_star"][1][1] - 0.5) < 1e-9
+    # K = Rhat + Chat P Chat^T and its log det: 1 for the noise, 2.5 jointly
+    assert doc["innovations"] == [[pytest.approx(1.0, abs=1e-10)]]
+    assert doc["logdet"] == pytest.approx(0.0, abs=1e-10)
+    assert doc["augmented"]["innovations"] == [[pytest.approx(2.5, abs=1e-9)]]
+    assert doc["augmented"]["logdet"] == pytest.approx(2.0 * HALF_LN2_5, abs=1e-9)
 
 
 def test_solve_are_validates_each_model_no_more_than_check_system(tmp_path, monkeypatch):

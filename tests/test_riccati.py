@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import riccati_capacity as rc
-from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
+from conftest import (diverging_noise, random_models, scalar_noise, unit_channel,
+                      unit_iid_input)
 from oracles import DRE_THIRD, dare_steady_state
 
 
@@ -311,3 +312,38 @@ def test_unstable_joint_system_of_size_80_converges(monkeypatch):
     assert sol.converged and 1 <= len(stein_solves) <= 3
     assert sol.residual <= 1e-12 * np.max(np.abs(sol.P_star))
     assert relative_error(sol.P_star, ref) <= 1e-9
+
+
+# ------------------------------------------------- innovations at the solution
+
+
+def innovations_at(quad, P):
+    K = quad.Rhat + quad.Chat @ P @ quad.Chat.T
+    return 0.5 * (K + K.T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solution_carries_the_innovations_covariance_and_its_log_det(seed):
+    noise, inp = random_models(np.random.default_rng(seed), n_s=1 + seed % 4, n_xi=1 + seed % 3,
+                               n_y=1 + seed % 2, rho_A=0.6 + 0.15 * seed)
+    for quad in (rc.to_quadruple(noise),
+                 rc.build_augmented(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))):
+        sol = rc.are_solve(quad)
+        assert sol.converged
+        np.testing.assert_array_equal(sol.innovations, innovations_at(quad, sol.P_star))
+        sign, logdet = np.linalg.slogdet(sol.innovations)
+        assert sign == 1.0 and sol.logdet == pytest.approx(logdet, rel=1e-12)
+
+
+def test_diverged_run_whose_innovations_do_not_factor_returns():
+    quad = rc.to_quadruple(diverging_noise(1e60, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = rc.are_solve(quad)
+        K = innovations_at(quad, sol.P_star)
+    assert not sol.converged and sol.residual == np.inf
+    assert np.isfinite(sol.P_star).all() and np.max(np.abs(sol.P_star)) > 1e100
+    # the K its last finite P gives has no Cholesky factor, so both fields are NaN
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(K)
+    assert np.isnan(sol.innovations).all() and sol.innovations.shape == (1, 1)
+    assert np.isnan(sol.logdet)

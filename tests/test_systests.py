@@ -531,3 +531,43 @@ def test_passing_report_takes_no_svd(monkeypatch):
     bad = rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]], N=[[1.0]], K_W=[[1.0]])
     assert not rc.feasibility_report(bad, inp, unit_channel()).noise_detectable
     assert calls
+
+
+def _hidden_scale_noise(rng, c):
+    # K_W = U diag(c, 1, 0.5) U^T, N = U[:, :1]^T, rho(A) = 1.2
+    U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    A = rng.normal(size=(3, 3))
+    A *= 1.2 / np.max(np.abs(np.linalg.eigvals(A)))
+    return rc.NoiseModel(A=A, B=rng.normal(size=(3, 3)), C=rng.normal(size=(1, 3)),
+                         N=U[:, :1].T, K_W=U @ np.diag([c, 1.0, 0.5]) @ U.T)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_warns_when_the_rank_rule_drops_eigenvalues_above_round_off(seed):
+    # at c = 1e10 the eigenvalues 1 and 0.5 of K_W are within PSD_SLACK of its
+    # largest and are taken as zero; at c = 1e8 they are not
+    for c, warned in ((1e8, False), (1e10, True)):
+        noise = _hidden_scale_noise(np.random.default_rng(seed), c)
+        rep = rc.feasibility_report(noise, rc.iid_input(c), rc.Channel(H=1.0, kappa=c))
+        rule = [w for w in rep.warnings if "PSD_SLACK" in w]
+        assert [w.split(" Khat ")[0] for w in rule] == (["noise", "augmented"] if warned else [])
+        # the message names the largest dropped eigenvalue relative to Khat's largest
+        shares = [float(re.search(r"\((\S+) of its largest\)", w).group(1)) for w in rule]
+        assert all(1e-12 < share <= 1e-10 for share in shares)
+        star = rc.starred_system(rc.to_quadruple(noise))
+        assert len(star.warnings) == warned
+
+
+def test_rank_deficient_K_Z_does_not_warn():
+    # K_Z = v v^T has an exact zero eigenvalue, which eigh returns as round-off
+    # far below the warning's threshold, at any scale of v against K_W = 1
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        v = rng.normal(size=(2, 1)) * 10.0 ** rng.uniform(-4, 4)
+        inp = rc.InputModel(F=[[0.3]], G=[[1.0, 0.5]], Gamma=[[0.5]], D=[[1.0, 0.2]],
+                            K_Z=v @ v.T)
+        system = rc.build_augmented(scalar_noise(1.2), inp, unit_channel())
+        w = np.linalg.eigvalsh(system.Khat)
+        assert abs(w[0]) <= 1e-15 * w[-1]
+        assert rc.starred_system(system).warnings == ()
+        assert rc.feasibility_report(scalar_noise(1.2), inp, unit_channel()).warnings == ()

@@ -25,19 +25,44 @@ The output set:
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
 - the input search's noise-gate message for A = 1.5, B = [1, 0], C = 0,
-  N = [0, 1], K_W = I.
+  N = [0, 1], K_W = I;
+- six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
+  ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
+  in-process on one two-state unstable-noise model file (``CLI_MODEL``):
+  each command's exit code and the bytes of its ``--out`` file.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 DRAWS = 300
+
+# the CLI's model file: unstable noise (eigenvalues 1.2 and 0.6), a
+# one-state input and a scalar channel
+CLI_MODEL = {
+    "noise": {"A": [[1.2, 0.3], [0.0, 0.6]], "B": [[1.0, 0.0], [0.4, 0.0]],
+              "C": [[1.0, 0.5]], "N": [[0.0, 1.0]], "K_W": [[1.0, 0.0], [0.0, 1.0]]},
+    "input": {"F": [[0.3]], "G": [[1.0]], "Gamma": [[0.5]], "D": [[1.0]], "K_Z": [[1.0]]},
+    "channel": {"H": [[1.0]], "kappa": 1.0},
+}
+
+# (name, subcommand and its flags); each also gets --model and --out
+CLI_COMMANDS = (
+    ("check-system", ["check-system"]),
+    ("solve-are", ["solve-are"]),
+    ("capacity-asym", ["capacity-asym"]),
+    ("capacity-n", ["capacity-n", "--n", "50"]),
+    ("simulate", ["simulate", "--n", "20", "--paths", "500", "--seed", "3"]),
+    ("optimize", ["optimize", "--starts", "3", "--max-iter", "10", "--dims", "1,1"]),
+)
 
 
 def _flatten(prefix, obj, out):
@@ -100,6 +125,16 @@ def collect(path):
                                       config))
     gate = rc.NoiseModel(A=1.5, B=[[1.0, 0.0]], C=0.0, N=[[0.0, 1.0]], K_W=np.eye(2))
     _record(out, "noise_gate", lambda: rc.optimize_input(gate, unit, (1, 1), config))
+
+    import riccati_capacity.cli
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp, "model.json")
+        model.write_text(json.dumps(CLI_MODEL))
+        for name, argv in CLI_COMMANDS:
+            result = Path(tmp, name + ".out")
+            out[f"cli.{name}.exit"] = riccati_capacity.cli.main(
+                [*argv, "--model", str(model), "--out", str(result)])
+            out[f"cli.{name}.out"] = result.read_bytes() if result.exists() else None
 
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
