@@ -16,15 +16,16 @@ reference for the memoryless special case.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .linalg import as_count, as_finite, solve_spd, spectral_radius, substream, symmetrize
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
-from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _predict, are_solve
+from .riccati import _chunk_length, _dre_chunk, _predict, _propagate, are_solve
 from .systests import feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -143,17 +144,36 @@ def finite_n_rate(models, channel, n):
         With the per-step trace attached. Matrix fields hold the values
         in force at the final step.
 
+    Raises
+    ------
+    ValueError
+        "step t: model dimensions changed mid-schedule", or an invalid
+        step-1 model.
+    LinAlgError
+        "step t: K_I is not positive definite" (or K_Ihat) at the first
+        step whose innovations covariance has no Cholesky factor.
+
     Notes
     -----
     The noise-only and joint predictors start from the step-1 models'
     initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws.
-    Each step runs one Riccati prediction step (``riccati._predict``) per
-    DRE, which gives K_{Ihat_t} or K_{I_t}, its log-det and the next
-    covariance from one factorization. Each per-step rate term is clamped
-    at zero individually, so a transient with the noise predictor ahead
-    of the joint one cannot push the average negative.
+    The schedule is stepped and written into one joint system, and the
+    slots its steps read are copied only when the models in force change.
+    The steps then go in chunks of ``riccati._chunk_length(m)``: each DRE
+    and the input's Lyapunov recursion (a Riccati map with G = 0) run a
+    chunk by one prefix scan of their step compositions
+    (``riccati._propagate``), and one batched Cholesky factorization gives
+    every K_{Ihat_t} or K_{I_t} of the chunk and its log det. A chunk of
+    one step, or one whose scan fails or leaves a non-finite number, is
+    taken by plain prediction steps (``riccati._predict``), which need no
+    Rhat^{-1} and name the first step whose K does not factor. The scan's
+    round-off differs from the plain steps' in the last digits: at most
+    1e-13 of each trace column's scale over 40 seeded draws up to m = 8
+    and 2000 steps. Each per-step rate term is clamped at zero
+    individually, so a transient with the noise predictor ahead of the
+    joint one cannot push the average negative.
     """
     n = as_count(n, "n")
     schedule = _unpack_models(models)
@@ -161,36 +181,45 @@ def finite_n_rate(models, channel, n):
     input_1 = schedule.input_at(1)
     # validation plus dimension cross-checks happen once, on the step-1 models
     system = build_augmented(noise_1, input_1, channel)
-    nq = system.noise_quad
-    Sigma, Pi = symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1)
-    P = symmetrize(input_1.K_Xi1)
-
-    trace = np.empty((n, 5))
-    rate_sum = 0.0
-    power_sum = 0.0
+    # Sigma, Pi and the input state's P, each entering the next chunk
+    covs = [symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1), symmetrize(input_1.K_Xi1)]
+    chunk = _chunk_length(system.m)
+    # one row per change of the models in force; row 0 carries the models
+    # in force at the end of the chunk before
+    stacks = {name: np.empty((chunk + 1, *np.shape(value)))
+              for name, value in _step_data(system).items()}
+    # log det K_I, log det K_Ihat and the power at each step
+    columns = np.empty((3, n))
+    in_force, count, index = (None, None), 0, []
     for t in range(1, n + 1):
         if t > 1:
-            # rewrites only the blocks of a model that changed, so a
-            # constant pair costs no assembly after step 1
+            # rewrites only the blocks of a model that changed
             try:
                 system.update(schedule.noise_at(t), schedule.input_at(t))
             except ValueError as exc:
                 raise ValueError(f"step {t}: {exc}") from None
-        try:
-            Sigma_next, K_Ihat, ld_hat, _ = _predict(nq, Sigma, context="K_Ihat")
-            Pi_next, K_I, ld, _ = _predict(system, Pi, context="K_I")
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"step {t}: {exc}") from None
-        rate_sum += max(0.0, ld - ld_hat)
-        input_t = system.input
-        power_sum += input_power(input_t, P)
-        trace[t - 1] = (t, ld, ld_hat, rate_sum / (2.0 * t), power_sum / t)
-        if t < n:
-            Sigma, Pi = Sigma_next, Pi_next
-            P = _lyap_core(input_t.F, input_t.G, input_t.K_Z, P)
+        if in_force[0] is not system.noise or in_force[1] is not system.input:
+            in_force = (system.noise, system.input)
+            for name, value in _step_data(system).items():
+                stacks[name][count] = value
+            count += 1
+        index.append(count - 1)
+        if len(index) == chunk or t == n:
+            steps = SimpleNamespace(**{name: stack[:count] for name, stack in stacks.items()})
+            last = _run_chunk(system.n_xi, steps, index, covs, columns[:, t - len(index):t],
+                              t - len(index) + 1)
+            if count > 1:
+                for stack in stacks.values():
+                    stack[0] = stack[count - 1]
+            count, index = 1, []
+    t = np.arange(1.0, n + 1.0)
+    trace = np.column_stack([t, columns[0], columns[1],
+                             np.cumsum(np.maximum(0.0, columns[0] - columns[1])) / (2.0 * t),
+                             np.cumsum(columns[2]) / t])
+    Sigma, Pi, P, K_I, K_Ihat = last
     return CapacityResult(
-        rate_nats=rate_sum / (2.0 * n),
-        power=power_sum / n,
+        rate_nats=float(trace[-1, 3]),
+        power=float(trace[-1, 4]),
         Sigma_star=Sigma,
         Pi_star=Pi,
         P_star=P,
@@ -200,6 +229,70 @@ def finite_n_rate(models, channel, n):
         trace=trace,
         diagnostics={"horizon": n},
     )
+
+
+def _step_data(system):
+    # what a step of finite_n_rate reads: the joint slots, the noise's R
+    # (its other slots are blocks of the joint ones), Gamma and tr(D K_Z D^T)
+    inp = system.input
+    return {"Ahat": system.Ahat, "Chat": system.Chat, "Shat": system.Shat, "Qhat": system.Qhat,
+            "Rhat": system.Rhat, "R_noise": system.noise_quad.Rhat, "Gamma": inp.Gamma,
+            "DKD": np.trace(inp.D @ inp.K_Z @ inp.D.T)}
+
+
+def _noise_slots(joint, x):
+    # the noise-only problem's slots inside the joint ones (JointSystem.noise_quad),
+    # of one system or of a stack
+    return SimpleNamespace(Ahat=joint.Ahat[..., x:, x:], Chat=joint.Chat[..., x:],
+                           Shat=joint.Shat[..., x:, :], Qhat=joint.Qhat[..., x:, x:],
+                           Rhat=joint.R_noise)
+
+
+def _run_chunk(x, steps, index, covs, out, first):
+    """Steps first, first + 1, ... of ``finite_n_rate``; row index[j] of ``steps`` is at step j.
+
+    Writes log det K_I, log det K_Ihat and the power of each step into the
+    rows of ``out``, moves ``covs`` past the chunk and returns Sigma, Pi,
+    P, K_I and K_Ihat at its last step.
+    """
+    if len(index) > 1:
+        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+            last, carried = _scanned_chunk(x, steps, np.asarray(index), covs, out)
+            if np.isfinite(out).all() and all(np.isfinite(c).all() for c in carried):
+                covs[:] = carried
+                return last
+    # plain steps, which raise at the first step that fails
+    Sigma, Pi, P = covs
+    for j, i in enumerate(index):
+        joint = SimpleNamespace(**{name: stack[i] for name, stack in vars(steps).items()})
+        try:
+            Sigma_next, K_Ihat, out[1, j], _ = _predict(_noise_slots(joint, x), Sigma,
+                                                        context="K_Ihat")
+            Pi_next, K_I, out[0, j], _ = _predict(joint, Pi, context="K_I")
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"step {first + j}: {exc}") from None
+        out[2, j] = np.trace(joint.Gamma @ P @ joint.Gamma.T) + joint.DKD
+        last = (Sigma, Pi, P, K_I, K_Ihat)
+        F = joint.Ahat[:x, :x]
+        Sigma, Pi, P = Sigma_next, Pi_next, symmetrize(F @ P @ F.T + joint.Qhat[:x, :x])
+    covs[:] = Sigma, Pi, P
+    return last
+
+
+def _scanned_chunk(x, steps, index, covs, out):
+    # the chunk by prefix scans; the caller checks what it wrote
+    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(_noise_slots(steps, x), index, covs[0], "K_Ihat")
+    Pis, K_I, out[0], Pi = _dre_chunk(steps, index, covs[1], "K_I")
+    # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
+    # map (F^T, 0, G K_Z G^T), and G K_Z G^T is the input's block of Qhat
+    F_T = steps.Ahat[index, :x, :x].swapaxes(-1, -2)
+    after = _propagate([F_T, np.zeros_like(F_T), steps.Qhat[index, :x, :x]], covs[2])
+    Ps = np.concatenate([covs[2][None], after[:-1]])
+    Gamma = steps.Gamma[index]
+    out[2] = np.trace(Gamma @ Ps @ Gamma.swapaxes(-1, -2), axis1=-2, axis2=-1) + steps.DKD[index]
+    # copies, so a result keeps no stack of the chunk alive
+    return ((Sigmas[-1].copy(), Pis[-1].copy(), Ps[-1].copy(), K_I[-1], K_Ihat[-1]),
+            (Sigma, Pi, after[-1]))
 
 
 def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):

@@ -85,7 +85,8 @@ def as_count(x, name, minimum=1):
 
 
 def symmetrize(M):
-    return 0.5 * (M + M.T)
+    """(M + M^T) / 2, of each matrix in a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def sup_norm(M):
@@ -132,7 +133,9 @@ def solve_spd(S, B, context="matrix", logdet=False):
     """Solve S X = B, S symmetric positive definite, via Cholesky; ``logdet`` adds log det S.
 
     numpy has no triangular solve, so with S = L L^T the solution is
-    X = L^-T (L^-1 B) through the inverse of the factor L.
+    X = L^-T (L^-1 B) through the inverse of the factor L. Stacks of
+    (..., k, k) matrices solve and give their log dets together, and raise
+    if any matrix of the stack is not positive definite.
     """
     if S.size == 0:
         return (np.zeros_like(B), 0.0) if logdet else np.zeros_like(B)
@@ -141,8 +144,11 @@ def solve_spd(S, B, context="matrix", logdet=False):
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(f"{context} is not positive definite") from None
     L_inv = np.linalg.inv(L)
-    X = L_inv.T @ (L_inv @ B)
-    return (X, 2.0 * float(np.sum(np.log(np.diag(L))))) if logdet else X
+    X = L_inv.swapaxes(-1, -2) @ (L_inv @ B)
+    if not logdet:
+        return X
+    logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    return X, (logdets if S.ndim > 2 else float(logdets))
 
 
 def chol_logdet(M, context="covariance"):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,128 @@ def test_explicit_schedule_of_fixed_models_reproduces_the_pair():
     pair = rc.finite_n_rate((noise, inp), unit_channel(), 20)
     explicit = rc.finite_n_rate(fixed, unit_channel(), 20)
     assert np.array_equal(explicit.trace, pair.trace)
+
+
+def stepped_reference(schedule, channel, n):
+    """finite_n_rate's trace columns and per-step matrices by a loop of public one-step calls.
+
+    Each step writes its models into the joint system and moves Sigma, Pi
+    and P by ``dre_step`` and ``lyap_step``; K and the power are formed here.
+    Returns the (n, 5) trace and, per step, (Sigma, Pi, P, K_I, K_Ihat)
+    entering it.
+    """
+    noise, inp = schedule.noise_at(1), schedule.input_at(1)
+    system = rc.build_augmented(noise, inp, channel)
+    Sigma, Pi, P = noise.K_S1, system.K_Theta1, inp.K_Xi1
+    columns, matrices = [], []
+    for t in range(1, n + 1):
+        noise, inp = schedule.noise_at(t), schedule.input_at(t)
+        system.update(noise, inp)
+        K_Ihat = noise.R + noise.C @ Sigma @ noise.C.T
+        K_I = system.Rhat + system.Chat @ Pi @ system.Chat.T
+        power = np.trace(inp.Gamma @ P @ inp.Gamma.T) + np.trace(inp.D @ inp.K_Z @ inp.D.T)
+        columns.append((logdet_pd(K_I), logdet_pd(K_Ihat), power))
+        matrices.append((Sigma, Pi, P, K_I, K_Ihat))
+        Sigma, Pi = rc.dre_step(system.noise_quad, Sigma), rc.dre_step(system, Pi)
+        P = rc.lyap_step(inp.F, inp.G, inp.K_Z, P)
+    ld_I, ld_hat, power = np.array(columns).T
+    t = np.arange(1, n + 1)
+    trace = np.column_stack([t, ld_I, ld_hat,
+                             np.cumsum(np.maximum(0.0, ld_I - ld_hat)) / (2 * t),
+                             np.cumsum(power) / t])
+    return trace, matrices
+
+
+def switching_schedule(noise, inp, start):
+    """The pair, with the noise changed at steps start to start+2 and the input one step later."""
+    other_noise, other_inp = replace(noise, A=0.5 * noise.A), replace(inp, D=2.0 * inp.D)
+    return rc.CoefficientSchedule(
+        noise_at=lambda t: other_noise if start <= t < start + 3 else noise,
+        input_at=lambda t: other_inp if start < t <= start + 3 else inp,
+        noise_limit=noise, input_limit=inp)
+
+
+def assert_rel(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+# joint state sizes on both sides of the chunk rule; stable and unstable noise
+@pytest.mark.parametrize("n_s, n_xi, rho_A", [(1, 1, 0.7), (1, 1, 1.4), (2, 2, 1.4), (3, 3, 0.9),
+                                              (6, 6, 1.4)])
+@pytest.mark.parametrize("switching", [False, True], ids=["pair", "switching"])
+def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, switching):
+    noise, inp = random_models(np.random.default_rng(n_s * 10 + int(10 * rho_A)), n_s=n_s,
+                               n_xi=n_xi, n_y=2, n_z=2, rho_A=rho_A)
+    channel = rc.Channel(H=[[1.0, 0.3], [-0.2, 0.8]], kappa=1.0)
+    chunk = rc.riccati._chunk_length(n_s + n_xi)
+    horizons = sorted({max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5})
+    schedule = (switching_schedule(noise, inp, chunk // 2 + 1) if switching
+                else rc.constant_schedule(noise, inp))
+    trace, matrices = stepped_reference(schedule, channel, horizons[-1])
+    for n in horizons:
+        res = rc.finite_n_rate(schedule, channel, n)
+        for column in range(5):
+            assert_rel(res.trace[:, column], trace[:n, column])
+        for got, want in zip((res.Sigma_star, res.Pi_star, res.P_star, res.K_I, res.K_Ihat),
+                             matrices[n - 1]):
+            assert_rel(got, want)
+    if switching:
+        return
+    system = rc.build_augmented(noise, inp, channel)
+    for quad, index in ((system.noise_quad, 0), (system, 1)):
+        for n in horizons:
+            run = rc.dre_run(quad, matrices[0][index], n)
+            assert len(run) == n
+            for got, step in zip(run, matrices):
+                assert_rel(got, step[index])
+
+
+def test_a_step_whose_K_does_not_factor_is_named():
+    # at step 7 the noise is C = 0, N = 0: R = 0 and K_Ihat = 0; every
+    # chunked step before it computes
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    silent = replace(noise, C=[[0.0]], N=np.zeros((1, 2)))
+    schedule = rc.CoefficientSchedule(noise_at=lambda t: silent if t == 7 else noise,
+                                      input_at=lambda t: inp, noise_limit=noise,
+                                      input_limit=inp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^step 7: K_Ihat is not positive definite$"):
+            rc.finite_n_rate(schedule, unit_channel(), 40)
+
+
+def test_a_step_whose_Rhat_does_not_factor_is_taken_as_a_plain_step():
+    # at step 5 the noise has N = 0, so R = 0 has no Cholesky factor and its
+    # step has no cross-term-free form; K = C Sigma C^T is positive definite,
+    # and the chunk goes by plain prediction steps
+    noise, inp = random_models(np.random.default_rng(5), n_s=2, n_xi=1, n_y=1)
+    noiseless = replace(noise, N=np.zeros((1, 2)))
+    schedule = rc.CoefficientSchedule(noise_at=lambda t: noiseless if t == 5 else noise,
+                                      input_at=lambda t: inp, noise_limit=noise,
+                                      input_limit=inp)
+    trace, _ = stepped_reference(schedule, unit_channel(), 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rc.finite_n_rate(schedule, unit_channel(), 30)
+    for column in range(5):
+        assert_rel(res.trace[:, column], trace[:, column])
+
+
+def test_a_chunk_whose_scan_overflows_is_taken_by_plain_steps():
+    # an unstable mode that no noise drives but the output sees: the chunk's
+    # composed maps grow like a^(2L) and overflow for a = 1e3, while each
+    # step's Sigma stays finite
+    noise = rc.NoiseModel(A=np.diag([1e3, 0.5]), B=[[0.0, 0.0], [1.0, 0.0]],
+                          C=[[1.0, 1.0]], N=[[0.0, 1.0]], K_W=np.eye(2), K_S1=np.eye(2))
+    schedule = rc.constant_schedule(noise, unit_iid_input())
+    trace, matrices = stepped_reference(schedule, unit_channel(), 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rc.finite_n_rate(schedule, unit_channel(), 300)
+    for column in range(5):
+        assert_rel(res.trace[:, column], trace[:, column], rtol=1e-9)
+    assert_rel(res.Sigma_star, matrices[-1][0], rtol=1e-9)
 
 
 def test_schedule_rejects_a_block_that_changes_shape():
@@ -811,6 +934,26 @@ def test_diverged_noise_run_without_a_log_det_raises_in_asymptotic_rate():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match="K_Ihat is not positive definite"):
             rc.asymptotic_rate(diverging_noise(1e60, 1.0), unit_iid_input(), unit_channel())
+
+
+def test_solves_that_round_off_leaves_indefinite_return_unconverged():
+    # the unseen unstable mode makes the doubling's P indefinite: the noise
+    # problem's last prediction step then has no positive definite K, and the
+    # joint problem's I + G P is singular; both solves return unconverged
+    # with NaN K, so the input search and the sweep see an unreachable noise side
+    noise = diverging_noise(1e10, 0.3)
+    joint = rc.build_augmented(diverging_noise(1e10, 1.0), unit_iid_input(), unit_channel())
+    config = rc.OptimizerConfig(starts=2, seed=0, maxiter=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quad in (rc.to_quadruple(noise), joint):
+            sol = rc.are_solve(quad)
+            assert not sol.converged and sol.residual == np.inf
+            assert np.isnan(sol.logdet) and np.isnan(sol.innovations).all()
+        with pytest.raises(RuntimeError, match="^feasible set not reached"):
+            rc.optimize_input(noise, unit_channel(), (1, 1), config)
+        [point] = rc.sweep_kappa(noise, unit_channel(), (1.0,), (1, 1), config)
+    assert not point.feasible and np.isnan(point.rate_nats)
 
 
 def test_rates_read_the_log_dets_of_the_riccati_solutions(monkeypatch):

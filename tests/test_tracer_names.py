@@ -37,14 +37,17 @@ def test_traced_spans_record_calls():
     schedule = rc.CoefficientSchedule(
         noise_at=lambda t: scalar_noise(0.5 + 2.0 ** (-t)), input_at=lambda t: pair[1],
         noise_limit=pair[0], input_limit=pair[1])
-    n = 5
     tracer = load_tracing().Tracer()
     tracer.install(rc)
     try:
-        for models in (pair, schedule):
-            rc.capacity.finite_n_rate(models, unit_channel(), n)
-        # two runs of n steps with two DREs each
-        assert tracer.leaf["riccati.solve_spd"][0] >= 2 * 2 * n
+        counts = []
+        for n in (5, 50):
+            before = tracer.leaf["riccati.solve_spd"][0]
+            for models in (pair, schedule):
+                rc.capacity.finite_n_rate(models, unit_channel(), n)
+            counts.append(tracer.leaf["riccati.solve_spd"][0] - before)
+        # a horizon within one chunk factors in batches, not once per DRE step
+        assert counts[0] > 0 and counts[0] == counts[1], counts
         rc.capacity.asymptotic_rate(*pair, unit_channel())
     finally:
         tracer.remove()

@@ -8,8 +8,10 @@ TREE/src and TREE/tests (for ``conftest.random_models``), with one BLAS
 thread, and pickles a flat {name: value} dict. ``diff`` lists every name
 whose value differs, or that only one recording has; arrays and floats
 compare with ``np.array_equal(..., equal_nan=True)``, so "no difference"
-means bit-identical up to the sign of zero. It exits 1 if anything
-differs. ``collect OUT.pkl`` is the step ``record`` runs in the child: it
+means bit-identical up to the sign of zero. A numeric output that differs
+is listed with its largest relative difference, the largest entrywise
+|a - b| over the largest finite |b|. It exits 1 if anything differs.
+``collect OUT.pkl`` is the step ``record`` runs in the child: it
 records from whatever ``riccati_capacity`` the path resolves.
 
 The output set:
@@ -21,6 +23,12 @@ The output set:
   witness arrays;
 - every tenth draw also through ``sample_paths`` (horizon 20, 300 paths,
   seed i), ``empirical_report`` and ``finite_n_rate`` at n = 40;
+- ``finite_n_rate`` at n = 2000 on the drifting schedule A_t = 0.5 + 2^-t
+  (scalar noise B = C = N = K_W = 1, a unit i.i.d. input);
+- one draw with a joint state of 12, above the size from which
+  ``finite_n_rate`` takes plain steps (``random_models(default_rng(7),
+  n_s=6, n_xi=6, n_y=2, rho_A=1.2)``), through ``asymptotic_rate`` and
+  ``finite_n_rate`` at n = 300;
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
@@ -115,6 +123,19 @@ def collect(path):
         _record(out, f"draw{i}.finite_n_rate",
                 lambda: rc.finite_n_rate((noise, inp), channel, 40))
 
+    unit_input = rc.iid_input([[1.0]])
+    drifting = rc.CoefficientSchedule(
+        noise_at=lambda t: rc.NoiseModel(A=0.5 + 2.0 ** -t, B=1.0, C=1.0, N=1.0, K_W=1.0),
+        input_at=lambda t: unit_input, noise_limit=rc.NoiseModel(A=0.5, B=1.0, C=1.0, N=1.0,
+                                                                 K_W=1.0),
+        input_limit=unit_input)
+    _record(out, "drifting.finite_n_rate",
+            lambda: rc.finite_n_rate(drifting, rc.Channel(H=[[1.0]], kappa=1.0), 2000))
+    noise, inp = random_models(np.random.default_rng(7), n_s=6, n_xi=6, n_y=2, rho_A=1.2)
+    channel = rc.Channel(H=np.eye(2), kappa=1.0)
+    _record(out, "large.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
+    _record(out, "large.finite_n_rate", lambda: rc.finite_n_rate((noise, inp), channel, 300))
+
     config = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     scalar = rc.NoiseModel(A=1.5, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.0)
     unit = rc.Channel(H=[[1.0]], kappa=1.0)
@@ -159,6 +180,19 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
+def _relative(a, b):
+    # largest entrywise |a - b| over the largest finite |b|, for numbers or
+    # numeric arrays of one shape; None for anything else
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.shape != b.shape or a.size == 0 or a.dtype == bool or b.dtype == bool
+            or not (np.issubdtype(a.dtype, np.number) and np.issubdtype(b.dtype, np.number))):
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+    scale = np.max(np.abs(b[np.isfinite(b)]), initial=0.0)
+    return float(np.max(gap) / scale) if scale > 0 else float(np.max(gap))
+
+
 def diff(path_a, path_b):
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
@@ -166,7 +200,9 @@ def diff(path_a, path_b):
         b = pickle.load(fh)
     differing = [name for name in a if name in b and not _same(a[name], b[name])]
     for name in differing:
-        print(f"differs: {name}")
+        relative = _relative(a[name], b[name])
+        print(f"differs: {name}" if relative is None else
+              f"differs: {name} (largest relative difference {relative:.3g})")
     for name in sorted(a.keys() - b.keys()):
         print(f"only in {path_a}: {name}")
     for name in sorted(b.keys() - a.keys()):
