@@ -24,6 +24,7 @@ import numpy as np
 
 from .linalg import as_count, as_finite, solve_spd, spectral_radius, substream, symmetrize
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
+from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
 from .riccati import _chunk_length, _dre_chunk, _predict, _propagate, are_solve
 from .systests import feasibility_report
@@ -160,20 +161,21 @@ def finite_n_rate(models, channel, n):
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws.
     The schedule is stepped and written into one joint system, and the
-    slots its steps read are copied only when the models in force change.
+    slots a scan reads are copied only when the models in force change.
     The steps then go in chunks of ``riccati._chunk_length(m)``: each DRE
     and the input's Lyapunov recursion (a Riccati map with G = 0) run a
     chunk by one prefix scan of their step compositions
     (``riccati._propagate``), and one batched Cholesky factorization gives
     every K_{Ihat_t} or K_{I_t} of the chunk and its log det. A chunk of
     one step, or one whose scan fails or leaves a non-finite number, is
-    taken by plain prediction steps (``riccati._predict``), which need no
-    Rhat^{-1} and name the first step whose K does not factor. The scan's
+    taken by plain steps on the joint system (``riccati._predict`` and
+    ``lyapunov._step``), which need no Rhat^{-1} and name the first step
+    whose K does not factor. The scan's
     round-off differs from the plain steps' in the last digits: at most
     1e-13 of each trace column's scale over 40 seeded draws up to m = 8
     and 2000 steps. Each per-step rate term is clamped at zero
     individually, so a transient with the noise predictor ahead of the
-    joint one cannot push the average negative.
+    joint one cannot push the average negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
     schedule = _unpack_models(models)
@@ -184,37 +186,43 @@ def finite_n_rate(models, channel, n):
     # Sigma, Pi and the input state's P, each entering the next chunk
     covs = [symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1), symmetrize(input_1.K_Xi1)]
     chunk = _chunk_length(system.m)
-    # one row per change of the models in force; row 0 carries the models
-    # in force at the end of the chunk before
-    stacks = {name: np.empty((chunk + 1, *np.shape(value)))
-              for name, value in _step_data(system).items()}
+    # the models in force at each change within a chunk and, where chunks
+    # are scanned, copies of what a scan reads of them; row 0 carries the
+    # models in force at the end of the chunk before
+    rows, index = [], []
+    stacks = {part: {name: np.empty((chunk + 1, *np.shape(getattr(model, name)))) for name in names}
+              for part, (model, names) in _step_data(system).items()}
     # log det K_I, log det K_Ihat and the power at each step
     columns = np.empty((3, n))
-    in_force, count, index = (None, None), 0, []
     for t in range(1, n + 1):
         if t > 1:
             # rewrites only the blocks of a model that changed
             try:
                 system.update(schedule.noise_at(t), schedule.input_at(t))
             except ValueError as exc:
+                if index:  # the steps before t go first, so a failure among them is named
+                    _run_chunk(system, rows, stacks, index, covs,
+                               columns[:, t - 1 - len(index):t - 1], t - len(index))
                 raise ValueError(f"step {t}: {exc}") from None
-        if in_force[0] is not system.noise or in_force[1] is not system.input:
-            in_force = (system.noise, system.input)
-            for name, value in _step_data(system).items():
-                stacks[name][count] = value
-            count += 1
-        index.append(count - 1)
+        if not rows or rows[-1][0] is not system.noise or rows[-1][1] is not system.input:
+            if chunk > 1:
+                for part, (model, names) in _step_data(system).items():
+                    for name in names:
+                        stacks[part][name][len(rows)] = getattr(model, name)
+            rows.append((system.noise, system.input))
+        index.append(len(rows) - 1)
         if len(index) == chunk or t == n:
-            steps = SimpleNamespace(**{name: stack[:count] for name, stack in stacks.items()})
-            last = _run_chunk(system.n_xi, steps, index, covs, columns[:, t - len(index):t],
+            last = _run_chunk(system, rows, stacks, index, covs, columns[:, t - len(index):t],
                               t - len(index) + 1)
-            if count > 1:
-                for stack in stacks.values():
-                    stack[0] = stack[count - 1]
-            count, index = 1, []
+            if len(rows) > 1 and chunk > 1:
+                for part in stacks.values():
+                    for stack in part.values():
+                        stack[0] = stack[len(rows) - 1]
+            rows, index = rows[-1:], []
     t = np.arange(1.0, n + 1.0)
+    # fmax clamps a NaN term to 0 as well, as Python's max(0.0, nan) does
     trace = np.column_stack([t, columns[0], columns[1],
-                             np.cumsum(np.maximum(0.0, columns[0] - columns[1])) / (2.0 * t),
+                             np.cumsum(np.fmax(0.0, columns[0] - columns[1])) / (2.0 * t),
                              np.cumsum(columns[2]) / t])
     Sigma, Pi, P, K_I, K_Ihat = last
     return CapacityResult(
@@ -231,65 +239,66 @@ def finite_n_rate(models, channel, n):
     )
 
 
+_SLOTS = ("Ahat", "Chat", "Shat", "Qhat", "Rhat")
+
+
 def _step_data(system):
-    # what a step of finite_n_rate reads: the joint slots, the noise's R
-    # (its other slots are blocks of the joint ones), Gamma and tr(D K_Z D^T)
-    inp = system.input
-    return {"Ahat": system.Ahat, "Chat": system.Chat, "Shat": system.Shat, "Qhat": system.Qhat,
-            "Rhat": system.Rhat, "R_noise": system.noise_quad.Rhat, "Gamma": inp.Gamma,
-            "DKD": np.trace(inp.D @ inp.K_Z @ inp.D.T)}
+    # what a scan of finite_n_rate's steps reads: the slots of both DREs and
+    # the input's Lyapunov step and power
+    return {"joint": (system, _SLOTS), "noise": (system.noise_quad, _SLOTS),
+            "input": (system.input, ("F", "G", "K_Z", "Gamma", "D"))}
 
 
-def _noise_slots(joint, x):
-    # the noise-only problem's slots inside the joint ones (JointSystem.noise_quad),
-    # of one system or of a stack
-    return SimpleNamespace(Ahat=joint.Ahat[..., x:, x:], Chat=joint.Chat[..., x:],
-                           Shat=joint.Shat[..., x:, :], Qhat=joint.Qhat[..., x:, x:],
-                           Rhat=joint.R_noise)
+def _rows(stacks, rows):
+    # a part's slots at the given rows of its stacks
+    return SimpleNamespace(**{name: stack[rows] for name, stack in stacks.items()})
 
 
-def _run_chunk(x, steps, index, covs, out, first):
-    """Steps first, first + 1, ... of ``finite_n_rate``; row index[j] of ``steps`` is at step j.
+def _run_chunk(system, models, stacks, index, covs, out, first):
+    """Steps first, first + 1, ... of ``finite_n_rate``; the pair models[index[j]] is at step j.
 
-    Writes log det K_I, log det K_Ihat and the power of each step into the
-    rows of ``out``, moves ``covs`` past the chunk and returns Sigma, Pi,
-    P, K_I and K_Ihat at its last step.
+    Row i of ``stacks`` holds what a scan reads of models[i]. Writes log
+    det K_I, log det K_Ihat and the power of each step into the rows of
+    ``out``, moves ``covs`` past the chunk and returns Sigma, Pi, P, K_I
+    and K_Ihat at its last step. ``system`` is left holding the models of
+    the last step.
     """
     if len(index) > 1:
         with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-            last, carried = _scanned_chunk(x, steps, np.asarray(index), covs, out)
+            written = {part: _rows(stack, slice(len(models))) for part, stack in stacks.items()}
+            last, carried = _scanned_chunk(written, np.asarray(index), covs, out)
             if np.isfinite(out).all() and all(np.isfinite(c).all() for c in carried):
                 covs[:] = carried
                 return last
-    # plain steps, which raise at the first step that fails
+    # plain steps on the system itself, which raise at the first step that fails
     Sigma, Pi, P = covs
     for j, i in enumerate(index):
-        joint = SimpleNamespace(**{name: stack[i] for name, stack in vars(steps).items()})
+        system.update(*models[i])
         try:
-            Sigma_next, K_Ihat, out[1, j], _ = _predict(_noise_slots(joint, x), Sigma,
-                                                        context="K_Ihat")
-            Pi_next, K_I, out[0, j], _ = _predict(joint, Pi, context="K_I")
+            Sigma_next, K_Ihat, out[1, j], _ = _predict(system.noise_quad, Sigma, context="K_Ihat")
+            Pi_next, K_I, out[0, j], _ = _predict(system, Pi, context="K_I")
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"step {first + j}: {exc}") from None
-        out[2, j] = np.trace(joint.Gamma @ P @ joint.Gamma.T) + joint.DKD
+        inp = system.input
+        out[2, j] = input_power(inp, P)
         last = (Sigma, Pi, P, K_I, K_Ihat)
-        F = joint.Ahat[:x, :x]
-        Sigma, Pi, P = Sigma_next, Pi_next, symmetrize(F @ P @ F.T + joint.Qhat[:x, :x])
+        Sigma, Pi, P = Sigma_next, Pi_next, _lyap_core(inp.F, inp.G, inp.K_Z, P)
     covs[:] = Sigma, Pi, P
     return last
 
 
-def _scanned_chunk(x, steps, index, covs, out):
+def _scanned_chunk(stacks, index, covs, out):
     # the chunk by prefix scans; the caller checks what it wrote
-    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(_noise_slots(steps, x), index, covs[0], "K_Ihat")
-    Pis, K_I, out[0], Pi = _dre_chunk(steps, index, covs[1], "K_I")
+    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(stacks["noise"], index, covs[0], "K_Ihat")
+    Pis, K_I, out[0], Pi = _dre_chunk(stacks["joint"], index, covs[1], "K_I")
     # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
-    # map (F^T, 0, G K_Z G^T), and G K_Z G^T is the input's block of Qhat
-    F_T = steps.Ahat[index, :x, :x].swapaxes(-1, -2)
-    after = _propagate([F_T, np.zeros_like(F_T), steps.Qhat[index, :x, :x]], covs[2])
+    # map (F^T, 0, G K_Z G^T)
+    inp = _rows(vars(stacks["input"]), index)
+    F_T = inp.F.swapaxes(-1, -2)
+    after = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)],
+                       covs[2])
     Ps = np.concatenate([covs[2][None], after[:-1]])
-    Gamma = steps.Gamma[index]
-    out[2] = np.trace(Gamma @ Ps @ Gamma.swapaxes(-1, -2), axis1=-2, axis2=-1) + steps.DKD[index]
+    out[2] = input_power(inp, Ps)
     # copies, so a result keeps no stack of the chunk alive
     return ((Sigmas[-1].copy(), Pis[-1].copy(), Ps[-1].copy(), K_I[-1], K_Ihat[-1]),
             (Sigma, Pi, after[-1]))

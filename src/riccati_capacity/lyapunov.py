@@ -62,9 +62,14 @@ def _step(F, G, K_Z, P):
 
 
 def input_power(input, P):
-    """Average power tr(Gamma P Gamma^T + D K_Z D^T) of an input whose state has covariance P."""
-    return float(np.trace(input.Gamma @ P @ input.Gamma.T)
-                 + np.trace(input.D @ input.K_Z @ input.D.T))
+    """Average power tr(Gamma P Gamma^T + D K_Z D^T) of an input whose state has covariance P.
+
+    Stacked slots and covariances, (..., k, k), give the power of each.
+    """
+    Gamma, D = input.Gamma, input.D
+    power = (np.trace(Gamma @ P @ Gamma.swapaxes(-1, -2), axis1=-2, axis2=-1)
+             + np.trace(D @ input.K_Z @ D.swapaxes(-1, -2), axis1=-2, axis2=-1))
+    return float(power) if power.ndim == 0 else power
 
 
 def _check_tol(tol):

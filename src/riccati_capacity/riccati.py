@@ -12,16 +12,17 @@ prediction error (the innovations covariance), one prediction step is
     P+ = Ahat P Ahat^T + Qhat - gain(P) (Ahat P Chat^T + Shat)^T.
 
 ``_predict`` forms and factors K once and returns (P+, K, log det K,
-gain^T): ``dre_step``, ``gain_and_closed_loop``, ``are_solve``'s Newton
-polish and its last step and ``simulate``'s Kalman pass call it, and
-finite horizons take it where they do not scan. ``_sda_form`` writes
+gain^T): ``dre_step``, ``dre_run``, ``gain_and_closed_loop``,
+``are_solve``'s Newton polish and its last step and ``simulate``'s Kalman
+pass call it, and ``capacity.finite_n_rate`` takes it where it does not
+scan. ``_sda_form`` writes
 the step without its cross term as a triple (A, G, Q), the map
 P -> Q + A^T P (I + G P)^{-1} A, and ``_compose`` composes two such maps
 into one. Composition is associative: ``are_solve`` reaches the steady
 state from zero by structure-preserving doubling, a triple composed with
 itself, and ``_propagate`` runs a finite horizon as a prefix scan of its
-step triples, which ``dre_run`` and both DREs of ``capacity.finite_n_rate``
-use in chunks of ``_chunk_length(m)`` steps. K is formed in ``_predict``
+step triples, which both DREs of ``capacity.finite_n_rate`` use in chunks
+of ``_chunk_length(m)`` steps. K is formed in ``_predict``
 and, for every step of a scanned chunk at once, in ``_dre_chunk``. The
 solution of ``are_solve`` keeps K and log det K at P_star.
 """
@@ -187,7 +188,9 @@ def _chunk_length(m):
     cost per call each, so the chunk shrinks as m grows. Memory is
     O(L m^2). Timed with one BLAS thread over 2000 steps, scans of 512
     steps paid best up to m = 2 and of 64 at m = 8; at m = 10 the best
-    scan only matched plain steps, and at m = 12 it lost.
+    scan only matched plain steps, and at m = 12 it lost. Sizes 3 to 7
+    take the halving rule's lengths untuned; each timed faster than plain
+    steps there.
     """
     return 2 ** (9 - (m - 1) // 2) if m <= 8 else 1
 
@@ -214,26 +217,12 @@ def dre_run(quad, P_1, horizon):
     """Iterate the DRE for a finite horizon.
 
     Returns a list of length ``horizon`` whose first element is P_1
-    itself, so element t is the covariance entering step t. The steps go
-    in chunks of ``_chunk_length(m)``, each by one prefix scan
-    (``_propagate``); a chunk of one step, or one whose scan fails or
-    overflows, goes one ``_predict`` at a time.
+    itself, so element t is the covariance entering step t.
     """
     horizon = as_count(horizon, "horizon")
     out = [as_covariance(P_1, quad.m, "dre_run: P")]
-    chunk = _chunk_length(quad.m)
-    while len(out) < horizon:
-        length = min(chunk, horizon - len(out))
-        if length > 1:
-            with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-                after = _propagate([np.repeat(a[None], length, axis=0) for a in _sda_form(quad)],
-                                   out[-1])
-                if np.isfinite(after).all():
-                    out.extend(after)
-                    continue
-        # one step at a time where the scan does not pay, fails or overflows
-        for _ in range(length):
-            out.append(_predict(quad, out[-1])[0])
+    for _ in range(horizon - 1):
+        out.append(_predict(quad, out[-1])[0])
     return out
 
 

@@ -283,6 +283,67 @@ def test_a_step_whose_K_does_not_factor_is_named():
             rc.finite_n_rate(schedule, unit_channel(), 40)
 
 
+@pytest.mark.parametrize("switching", [False, True], ids=["pair", "switching"])
+def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, switching):
+    # a scan that fails falls back to plain steps with the same numbers, so
+    # only a count of the plain steps shows that the chunks were scanned;
+    # fresh arrays are zero-filled, so a stack row left unwritten has an Rhat
+    # without a Cholesky factor and would fail its chunk's scan
+    noise, inp = random_models(np.random.default_rng(4), n_s=1, n_xi=1, n_y=1)
+    schedule = (switching_schedule(noise, inp, 5) if switching
+                else rc.constant_schedule(noise, inp))
+    calls = []
+    monkeypatch.setattr(rc.capacity, "_predict", lambda *a, **k: calls.append(a))
+    empty = np.empty
+
+    def zero_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(0)
+        return out
+
+    monkeypatch.setattr(np, "empty", zero_empty)
+    n = 3 * rc.riccati._chunk_length(2) + 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rc.finite_n_rate(schedule, unit_channel(), n)
+    assert not calls and np.isfinite(res.trace).all()
+
+
+def test_a_failing_step_is_named_before_a_later_shape_change():
+    # K_Ihat fails at step 7 and the noise changes shape at step 9, both
+    # within one chunk: the earlier step is named
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    silent = replace(noise, C=[[0.0]], N=np.zeros((1, 2)))
+    wider = rc.NoiseModel(A=np.eye(2) * 0.5, B=np.eye(2), C=[[1.0, 0.0]], N=[[0.0, 1.0]],
+                          K_W=np.eye(2))
+    schedule = rc.CoefficientSchedule(
+        noise_at=lambda t: silent if t == 7 else wider if t >= 9 else noise,
+        input_at=lambda t: inp, noise_limit=noise, input_limit=inp)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^step 7: K_Ihat is not positive definite$"):
+        rc.finite_n_rate(schedule, unit_channel(), 40)
+    # without the failing step, the shape change is named
+    schedule = replace(schedule, noise_at=lambda t: wider if t >= 9 else noise)
+    with pytest.raises(ValueError, match="^step 9: model dimensions changed"):
+        rc.finite_n_rate(schedule, unit_channel(), 40)
+
+
+def test_steps_whose_log_dets_are_nan_add_nothing_to_the_rate():
+    # an unstable mode that the noise drives and the output does not see:
+    # Sigma's unseen block overflows and 0 * inf makes both log dets NaN from
+    # step 53 on; each such step's rate term is clamped to 0, as a per-step
+    # max(0.0, nan) does
+    noise = rc.NoiseModel(A=np.diag([1e3, 0.5]), B=np.hstack([np.eye(2), np.zeros((2, 1))]),
+                          C=[[0.0, 1.0]], N=[[0.0, 0.0, 1.0]], K_W=np.eye(3), K_S1=np.eye(2))
+    with np.errstate(all="ignore"):
+        res = rc.finite_n_rate((noise, unit_iid_input()), unit_channel(), 200)
+    log_dets = res.trace[:, 1:3]
+    assert np.isfinite(log_dets[:52]).all() and np.isnan(log_dets[52:]).all()
+    terms = np.maximum(0.0, log_dets[:52, 0] - log_dets[:52, 1])
+    assert res.rate_nats == pytest.approx(terms.sum() / 400, rel=1e-12)
+    assert res.rate_nats == pytest.approx(0.05218266241296324, rel=1e-12)
+
+
 def test_a_step_whose_Rhat_does_not_factor_is_taken_as_a_plain_step():
     # at step 5 the noise has N = 0, so R = 0 has no Cholesky factor and its
     # step has no cross-term-free form; K = C Sigma C^T is positive definite,
