@@ -143,7 +143,10 @@ def finite_n_rate(models, channel, n):
     -------
     CapacityResult
         With the per-step trace attached. Matrix fields hold the values
-        in force at the final step.
+        in force at the final step. ``diagnostics`` holds ``horizon`` (n),
+        ``nan_steps``, the count of steps whose log-det difference is NaN
+        (a covariance overflowed) and so adds 0 to the rate, and
+        ``clamped_steps``, the count whose difference is negative, clamped to 0.
 
     Raises
     ------
@@ -160,69 +163,51 @@ def finite_n_rate(models, channel, n):
     initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws.
-    The schedule is stepped and written into one joint system, and the
-    slots a scan reads are copied only when the models in force change.
-    The steps then go in chunks of ``riccati._chunk_length(m)``: each DRE
-    and the input's Lyapunov recursion (a Riccati map with G = 0) run a
-    chunk by one prefix scan of their step compositions
-    (``riccati._propagate``), and one batched Cholesky factorization gives
+    The steps go in chunks of ``riccati._chunk_length(m)``. A chunk's
+    distinct (noise, input) pairs, told apart by identity, are written in
+    one pass into one stacked joint system (``JointSystem._stacked``), and
+    each DRE and the input's Lyapunov recursion (a Riccati map with G = 0)
+    run the chunk by one prefix scan of their step compositions
+    (``riccati._propagate``); one batched Cholesky factorization gives
     every K_{Ihat_t} or K_{I_t} of the chunk and its log det. A chunk of
     one step, or one whose scan fails or leaves a non-finite number, is
     taken by plain steps on the joint system (``riccati._predict`` and
     ``lyapunov._step``), which need no Rhat^{-1} and name the first step
-    whose K does not factor. The scan's
-    round-off differs from the plain steps' in the last digits: at most
-    1e-13 of each trace column's scale over 40 seeded draws up to m = 8
-    and 2000 steps. Each per-step rate term is clamped at zero
-    individually, so a transient with the noise predictor ahead of the
+    whose K does not factor, before a later step whose models raise
+    ValueError. The scan's round-off differs from the plain steps' in the
+    last digits: at most 1e-13 of each trace column's scale over 40 seeded
+    draws up to m = 8 and 2000 steps. Each per-step rate term is clamped at
+    zero individually, so a transient with the noise predictor ahead of the
     joint one cannot push the average negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
     schedule = _unpack_models(models)
-    noise_1 = schedule.noise_at(1)
-    input_1 = schedule.input_at(1)
+    noise_1, input_1 = schedule.noise_at(1), schedule.input_at(1)
     # validation plus dimension cross-checks happen once, on the step-1 models
     system = build_augmented(noise_1, input_1, channel)
     # Sigma, Pi and the input state's P, each entering the next chunk
     covs = [symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1), symmetrize(input_1.K_Xi1)]
     chunk = _chunk_length(system.m)
-    # the models in force at each change within a chunk and, where chunks
-    # are scanned, copies of what a scan reads of them; row 0 carries the
-    # models in force at the end of the chunk before
-    rows, index = [], []
-    stacks = {part: {name: np.empty((chunk + 1, *np.shape(getattr(model, name)))) for name in names}
-              for part, (model, names) in _step_data(system).items()}
     # log det K_I, log det K_Ihat and the power at each step
     columns = np.empty((3, n))
-    for t in range(1, n + 1):
-        if t > 1:
-            # rewrites only the blocks of a model that changed
+    for first in range(1, n + 1, chunk):
+        # the chunk's distinct pairs in order, and the pair in force at each step
+        pairs, index = {}, []
+        for t in range(first, min(first + chunk, n + 1)):
             try:
-                system.update(schedule.noise_at(t), schedule.input_at(t))
+                pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else (noise_1, input_1)
+                if pair not in pairs:
+                    system._fits(*pair)
             except ValueError as exc:
                 if index:  # the steps before t go first, so a failure among them is named
-                    _run_chunk(system, rows, stacks, index, covs,
-                               columns[:, t - 1 - len(index):t - 1], t - len(index))
+                    _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t - 1], first)
                 raise ValueError(f"step {t}: {exc}") from None
-        if not rows or rows[-1][0] is not system.noise or rows[-1][1] is not system.input:
-            if chunk > 1:
-                for part, (model, names) in _step_data(system).items():
-                    for name in names:
-                        stacks[part][name][len(rows)] = getattr(model, name)
-            rows.append((system.noise, system.input))
-        index.append(len(rows) - 1)
-        if len(index) == chunk or t == n:
-            last = _run_chunk(system, rows, stacks, index, covs, columns[:, t - len(index):t],
-                              t - len(index) + 1)
-            if len(rows) > 1 and chunk > 1:
-                for part in stacks.values():
-                    for stack in part.values():
-                        stack[0] = stack[len(rows) - 1]
-            rows, index = rows[-1:], []
+            index.append(pairs.setdefault(pair, len(pairs)))
+        last = _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t], first)
     t = np.arange(1.0, n + 1.0)
+    terms = columns[0] - columns[1]
     # fmax clamps a NaN term to 0 as well, as Python's max(0.0, nan) does
-    trace = np.column_stack([t, columns[0], columns[1],
-                             np.cumsum(np.fmax(0.0, columns[0] - columns[1])) / (2.0 * t),
+    trace = np.column_stack([t, columns[0], columns[1], np.cumsum(np.fmax(0.0, terms)) / (2.0 * t),
                              np.cumsum(columns[2]) / t])
     Sigma, Pi, P, K_I, K_Ihat = last
     return CapacityResult(
@@ -235,45 +220,29 @@ def finite_n_rate(models, channel, n):
         K_Ihat=symmetrize(K_Ihat),
         feasibility=None,
         trace=trace,
-        diagnostics={"horizon": n},
+        diagnostics={"horizon": n, "nan_steps": int(np.isnan(terms).sum()),
+                     "clamped_steps": int((terms < 0.0).sum())},
     )
 
 
-_SLOTS = ("Ahat", "Chat", "Shat", "Qhat", "Rhat")
+def _run_chunk(system, pairs, index, covs, out, first):
+    """Steps first, first + 1, ... of ``finite_n_rate``; pairs[index[j]] is in force at step j.
 
-
-def _step_data(system):
-    # what a scan of finite_n_rate's steps reads: the slots of both DREs and
-    # the input's Lyapunov step and power
-    return {"joint": (system, _SLOTS), "noise": (system.noise_quad, _SLOTS),
-            "input": (system.input, ("F", "G", "K_Z", "Gamma", "D"))}
-
-
-def _rows(stacks, rows):
-    # a part's slots at the given rows of its stacks
-    return SimpleNamespace(**{name: stack[rows] for name, stack in stacks.items()})
-
-
-def _run_chunk(system, models, stacks, index, covs, out, first):
-    """Steps first, first + 1, ... of ``finite_n_rate``; the pair models[index[j]] is at step j.
-
-    Row i of ``stacks`` holds what a scan reads of models[i]. Writes log
-    det K_I, log det K_Ihat and the power of each step into the rows of
-    ``out``, moves ``covs`` past the chunk and returns Sigma, Pi, P, K_I
-    and K_Ihat at its last step. ``system`` is left holding the models of
-    the last step.
+    Writes log det K_I, log det K_Ihat and the power of each step into the
+    rows of ``out``, moves ``covs`` past the chunk and returns Sigma, Pi, P,
+    K_I and K_Ihat at its last step.
     """
     if len(index) > 1:
+        stacked = system._stacked(pairs)
         with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-            written = {part: _rows(stack, slice(len(models))) for part, stack in stacks.items()}
-            last, carried = _scanned_chunk(written, np.asarray(index), covs, out)
+            last, carried = _scanned_chunk(stacked, np.asarray(index), covs, out)
             if np.isfinite(out).all() and all(np.isfinite(c).all() for c in carried):
                 covs[:] = carried
                 return last
     # plain steps on the system itself, which raise at the first step that fails
     Sigma, Pi, P = covs
     for j, i in enumerate(index):
-        system.update(*models[i])
+        system.update(*pairs[i])
         try:
             Sigma_next, K_Ihat, out[1, j], _ = _predict(system.noise_quad, Sigma, context="K_Ihat")
             Pi_next, K_I, out[0, j], _ = _predict(system, Pi, context="K_I")
@@ -287,13 +256,14 @@ def _run_chunk(system, models, stacks, index, covs, out, first):
     return last
 
 
-def _scanned_chunk(stacks, index, covs, out):
-    # the chunk by prefix scans; the caller checks what it wrote
-    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(stacks["noise"], index, covs[0], "K_Ihat")
-    Pis, K_I, out[0], Pi = _dre_chunk(stacks["joint"], index, covs[1], "K_I")
+def _scanned_chunk(stacked, index, covs, out):
+    # the chunk by prefix scans of the stacked system's pairs; the caller
+    # checks what it wrote
+    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(stacked.noise_quad, index, covs[0], "K_Ihat")
+    Pis, K_I, out[0], Pi = _dre_chunk(stacked, index, covs[1], "K_I")
     # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
     # map (F^T, 0, G K_Z G^T)
-    inp = _rows(vars(stacks["input"]), index)
+    inp = SimpleNamespace(**{name: stack[index] for name, stack in vars(stacked.input).items()})
     F_T = inp.F.swapaxes(-1, -2)
     after = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)],
                        covs[2])

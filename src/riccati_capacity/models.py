@@ -26,6 +26,7 @@ shapes of ``JointSystem`` all read that declaration.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -294,80 +295,105 @@ class JointSystem:
     The slots hold Ahat = blockdiag(F, A), Bhat = blockdiag(G, B),
     Chat = [H Gamma | C], Dhat = [H D | N] and Khat = blockdiag(K_Z, K_W),
     with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
-    Rhat = Dhat Khat Dhat^T filled block by block; ``update`` is the only
-    code that forms them. ``noise_quad`` is the noise-only problem
-    (A, B, C, N, K_W): the JointSystem with no input (n_xi = n_z = 0)
-    whose slots are views of the noise slots, so this system's ``update``
-    writes it too (the view's own ``update`` is not for calling); a system
-    with no input is its own ``noise_quad``.
+    Rhat = Dhat Khat Dhat^T filled block by block; ``_write`` is the only
+    code that forms them, for one pair or a stack of pairs. ``noise_quad``
+    is the noise-only problem (A, B, C, N, K_W): the JointSystem with no
+    input (n_xi = n_z = 0) whose slots are views of the noise slots, so
+    writes to this system fill it too (the view's own ``update`` is not for
+    calling); a system with no input is its own ``noise_quad``.
     ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
-    or an input search reuses one system. The models are not checked
+    or an input search reuses one system; ``_stacked(pairs)`` writes a
+    horizon chunk's pairs at once. The models are not checked
     here: ``build_augmented``, or ``to_quadruple`` for a noise alone,
     validates them first.
     """
 
+    # a property, so that no system refers to itself and each is freed once dropped
+    noise_quad = property(lambda self: self._noise_quad or self)
+
     def __init__(self, noise, input, channel):
         self.shapes = _shapes(noise, input)
         self.n_xi, self.n_s, self.n_z, self.n_w = input.n_xi, noise.n_s, input.n_z, noise.n_w
-        x, z = self.n_xi, self.n_z
-        m, k, q = x + self.n_s, z + self.n_w, channel.n_y
-        self.m, self.q, self.H = m, q, channel.H
-        self.Ahat, self.Bhat, self.Qhat = np.zeros((m, m)), np.zeros((m, k)), np.zeros((m, m))
-        self.Chat, self.Dhat, self.Shat = np.zeros((q, m)), np.zeros((q, k)), np.zeros((m, q))
-        self.Khat = np.zeros((k, k))
+        self.m, self.q, self.H = self.n_xi + self.n_s, channel.n_y, channel.H
         self.noise = self.input = None
-        self.noise_quad = self._noise_view(noise) if x or z else self
+        self._allocate(noise)
         self.update(noise, input)
         self.mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
         self.K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
 
-    def _noise_view(self, noise):
-        # the noise-only JointSystem over views of this system's noise slots
-        x, z = self.n_xi, self.n_z
-        nq = object.__new__(JointSystem)
-        nq.shapes, nq.input = _shapes(noise, _NO_INPUT), _NO_INPUT
-        nq.n_xi, nq.n_s, nq.n_z, nq.n_w = 0, self.n_s, 0, self.n_w
-        nq.m, nq.q, nq.H, nq.noise_quad = self.n_s, self.q, self.H[:, :0], nq
-        nq.Ahat, nq.Bhat, nq.Qhat = self.Ahat[x:, x:], self.Bhat[x:, z:], self.Qhat[x:, x:]
-        nq.Chat, nq.Dhat, nq.Shat = self.Chat[:, x:], self.Dhat[:, z:], self.Shat[x:]
-        nq.Khat = self.Khat[z:, z:]
-        nq.mu_Theta1, nq.K_Theta1 = noise.mu_S1, noise.K_S1
-        return nq
+    def _allocate(self, noise, *lead):
+        # zeroed slots with leading axes ``lead`` and, for a system with an
+        # input, the noise-only JointSystem over views of its noise slots
+        x, z, m, k, q = self.n_xi, self.n_z, self.m, self.n_z + self.n_w, self.q
+        self.Ahat, self.Bhat, self.Qhat, self.Chat, self.Dhat, self.Shat, self.Khat = (
+            np.zeros((*lead, *shape)) for shape in ((m, m), (m, k), (m, m), (q, m), (q, k),
+                                                    (m, q), (k, k)))
+        self._noise_quad = nq = object.__new__(JointSystem) if x or z else None
+        if nq:
+            nq.shapes, nq.input = _shapes(noise, _NO_INPUT), _NO_INPUT
+            nq.n_xi, nq.n_s, nq.n_z, nq.n_w = 0, self.n_s, 0, self.n_w
+            nq.m, nq.q, nq.H, nq._noise_quad = self.n_s, q, self.H[:, :0], None
+            nq.Ahat, nq.Bhat = self.Ahat[..., x:, x:], self.Bhat[..., x:, z:]
+            nq.Qhat, nq.Khat = self.Qhat[..., x:, x:], self.Khat[..., z:, z:]
+            nq.Chat, nq.Dhat = self.Chat[..., x:], self.Dhat[..., z:]
+            nq.Shat = self.Shat[..., x:, :]
+            nq.mu_Theta1, nq.K_Theta1 = noise.mu_S1, noise.K_S1
+
+    def _fits(self, noise, input):
+        if _shapes(noise, input) != self.shapes:
+            raise ValueError("model dimensions changed mid-schedule")
 
     def update(self, noise, input):
         """Write the models in force now; raises ValueError if a block's shape changed."""
         if noise is self.noise and input is self.input:
             return
-        if _shapes(noise, input) != self.shapes:
-            raise ValueError("model dimensions changed mid-schedule")
-        if noise is not self.noise:
+        self._fits(noise, input)
+        self._write(None if noise is self.noise else noise, None if input is self.input else input)
+        self.noise = self.noise_quad.noise = noise
+        self.input = input
+
+    def _stacked(self, pairs):
+        # this layout with a leading axis over (noise, input) pairs that fit it,
+        # written in one pass from ``noise`` and ``input``, the models' arrays stacked
+        stacked = object.__new__(JointSystem)
+        for name in ("shapes", "n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
+            setattr(stacked, name, getattr(self, name))
+        stacked._allocate(pairs[0][0], len(pairs))
+        stacked.noise, stacked.input = (
+            SimpleNamespace(**{name: np.stack([getattr(pair[side], name) for pair in pairs])
+                               for name, _, _ in pairs[0][side]._ARRAYS}) for side in (0, 1))
+        stacked._write(stacked.noise, stacked.input)
+        return stacked
+
+    def _write(self, noise, input):
+        # the blocks of the models given (None: unchanged), each a model or
+        # (L, ...) stacks of its declared arrays for slots with that leading axis
+        if noise is not None:
             # through the noise-only problem, whose slots are this system's noise blocks
             nq = self.noise_quad
-            self.noise = nq.noise = noise
             nq.Ahat[...] = noise.A
             nq.Bhat[...] = noise.B
             nq.Chat[...] = noise.C
             nq.Dhat[...] = noise.N
             nq.Khat[...] = noise.K_W
             BK = noise.B @ noise.K_W
-            nq.Qhat[...] = symmetrize(BK @ noise.B.T)
-            nq.Shat[...] = BK @ noise.N.T
-            nq.Rhat = self._R_noise = noise.R
-        if input is not self.input:
-            self.input = input
+            nq.Qhat[...] = symmetrize(BK @ noise.B.swapaxes(-1, -2))
+            nq.Shat[...] = BK @ noise.N.swapaxes(-1, -2)
+            nq.Rhat = self._R_noise = symmetrize(noise.N @ noise.K_W @ noise.N.swapaxes(-1, -2))
+        if input is not None:
             x, z = self.n_xi, self.n_z
             HD = self.H @ input.D
-            self.Ahat[:x, :x] = input.F
-            self.Bhat[:x, :z] = input.G
-            self.Chat[:, :x] = self.H @ input.Gamma
-            self.Dhat[:, :z] = HD
-            self.Khat[:z, :z] = input.K_Z
+            self.Ahat[..., :x, :x] = input.F
+            self.Bhat[..., :x, :z] = input.G
+            self.Chat[..., :x] = self.H @ input.Gamma
+            self.Dhat[..., :z] = HD
+            self.Khat[..., :z, :z] = input.K_Z
             GK = input.G @ input.K_Z
-            self.Qhat[:x, :x] = symmetrize(GK @ input.G.T)
-            self.Shat[:x] = GK @ HD.T
-            self._R_input = HD @ input.K_Z @ HD.T
+            self.Qhat[..., :x, :x] = symmetrize(GK @ input.G.swapaxes(-1, -2))
+            self.Shat[..., :x, :] = GK @ HD.swapaxes(-1, -2)
+            self._R_input = HD @ input.K_Z @ HD.swapaxes(-1, -2)
         self.Rhat = symmetrize(self._R_input + self._R_noise)
 
 

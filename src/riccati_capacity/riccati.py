@@ -22,9 +22,10 @@ into one. Composition is associative: ``are_solve`` reaches the steady
 state from zero by structure-preserving doubling, a triple composed with
 itself, and ``_propagate`` runs a finite horizon as a prefix scan of its
 step triples, which both DREs of ``capacity.finite_n_rate`` use in chunks
-of ``_chunk_length(m)`` steps. K is formed in ``_predict``
-and, for every step of a scanned chunk at once, in ``_dre_chunk``. The
-solution of ``are_solve`` keeps K and log det K at P_star.
+of ``_chunk_length(m)`` steps, each read from one stacked joint system
+(``JointSystem._stacked``). K is formed in ``_predict`` and, for every step
+of a scanned chunk at once, in ``_dre_chunk``. The solution of
+``are_solve`` keeps K and log det K at P_star.
 """
 
 import math
@@ -167,11 +168,12 @@ def _propagate(steps, P):
 def _dre_chunk(slots, index, P, context):
     """A run of DRE steps from P by one prefix scan, with one batched factorization of its K_t.
 
-    ``slots`` holds (V, ...) stacks of the slots of V systems, and system
-    ``index[j]`` is in force at step j. Returns the covariances entering
-    each step, their innovations covariances K_t = Rhat + Chat P_t Chat^T
-    and log dets, and the covariance after the last step; raises
-    LinAlgError if a Rhat or a K_t is not positive definite.
+    ``slots`` is a stacked JointSystem, or its ``noise_quad``, whose row i
+    holds the slots of pair i, and pair ``index[j]`` is in force at step j.
+    Returns the covariances entering each step, their innovations
+    covariances K_t = Rhat + Chat P_t Chat^T and log dets, and the
+    covariance after the last step; raises LinAlgError if a Rhat or a K_t
+    is not positive definite.
     """
     after = _propagate([a[index] for a in _sda_form(slots)], P)
     entering = np.concatenate([P[None], after[:-1]])

@@ -36,6 +36,13 @@ def test_zero_input_rate_is_zero():
         assert 0.0 <= res.rate_nats <= 1e-12
         assert np.all(res.trace[:, 3] >= 0.0)
         assert res.power == 0.0
+    # with no input the two predictors agree up to round-off; the negative
+    # terms it leaves (55 of 100 steps here) are clamped to 0 and counted
+    noise, _ = random_models(np.random.default_rng(4), n_s=2, n_xi=1, n_y=1)
+    silent = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]], K_Z=[[0.0]])
+    res = rc.finite_n_rate((noise, silent), unit_channel(), 100)
+    assert res.diagnostics["clamped_steps"] == np.count_nonzero(res.trace[:, 1] < res.trace[:, 2])
+    assert 0.0 <= res.rate_nats <= 1e-12
 
 
 def test_single_letter_awgn():
@@ -135,8 +142,12 @@ def test_each_innovations_covariance_is_a_schur_complement(seed):
 
 def drifting_state_schedule():
     """Noise with n_s = 2 and an input with n_xi = 1, every block moving with t."""
-    noise_0, inp_0 = random_models(np.random.default_rng(7), n_s=2, n_xi=1,
-                                   rho_A=0.9, rho_F=0.6)
+    return drifting_schedule(*random_models(np.random.default_rng(7), n_s=2, n_xi=1,
+                                            rho_A=0.9, rho_F=0.6))
+
+
+def drifting_schedule(noise_0, inp_0):
+    """The pair with every block of both models moving at every step."""
 
     def noise_at(t):
         c, s = np.cos(t), np.sin(t)
@@ -233,6 +244,13 @@ def switching_schedule(noise, inp, start):
         noise_limit=noise, input_limit=inp)
 
 
+def schedule_of(kind, noise, inp, start):
+    """The constant pair, the pair switching at ``start`` or the pair drifting at every step."""
+    if kind == "switching":
+        return switching_schedule(noise, inp, start)
+    return drifting_schedule(noise, inp) if kind == "drifting" else rc.constant_schedule(noise, inp)
+
+
 def assert_rel(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
@@ -240,15 +258,14 @@ def assert_rel(got, want, rtol=1e-12):
 # joint state sizes on both sides of the chunk rule; stable and unstable noise
 @pytest.mark.parametrize("n_s, n_xi, rho_A", [(1, 1, 0.7), (1, 1, 1.4), (2, 2, 1.4), (3, 3, 0.9),
                                               (6, 6, 1.4)])
-@pytest.mark.parametrize("switching", [False, True], ids=["pair", "switching"])
-def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, switching):
+@pytest.mark.parametrize("kind", ["pair", "switching", "drifting"])
+def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, kind):
     noise, inp = random_models(np.random.default_rng(n_s * 10 + int(10 * rho_A)), n_s=n_s,
                                n_xi=n_xi, n_y=2, n_z=2, rho_A=rho_A)
     channel = rc.Channel(H=[[1.0, 0.3], [-0.2, 0.8]], kappa=1.0)
     chunk = rc.riccati._chunk_length(n_s + n_xi)
     horizons = sorted({max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5})
-    schedule = (switching_schedule(noise, inp, chunk // 2 + 1) if switching
-                else rc.constant_schedule(noise, inp))
+    schedule = schedule_of(kind, noise, inp, chunk // 2 + 1)
     trace, matrices = stepped_reference(schedule, channel, horizons[-1])
     for n in horizons:
         res = rc.finite_n_rate(schedule, channel, n)
@@ -257,7 +274,7 @@ def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, switching
         for got, want in zip((res.Sigma_star, res.Pi_star, res.P_star, res.K_I, res.K_Ihat),
                              matrices[n - 1]):
             assert_rel(got, want)
-    if switching:
+    if kind != "pair":
         return
     system = rc.build_augmented(noise, inp, channel)
     for quad, index in ((system.noise_quad, 0), (system, 1)):
@@ -283,15 +300,14 @@ def test_a_step_whose_K_does_not_factor_is_named():
             rc.finite_n_rate(schedule, unit_channel(), 40)
 
 
-@pytest.mark.parametrize("switching", [False, True], ids=["pair", "switching"])
-def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, switching):
+@pytest.mark.parametrize("kind", ["pair", "switching", "drifting"])
+def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, kind):
     # a scan that fails falls back to plain steps with the same numbers, so
     # only a count of the plain steps shows that the chunks were scanned;
-    # fresh arrays are zero-filled, so a stack row left unwritten has an Rhat
+    # fresh arrays are zero-filled, so a slot left unwritten has an Rhat
     # without a Cholesky factor and would fail its chunk's scan
     noise, inp = random_models(np.random.default_rng(4), n_s=1, n_xi=1, n_y=1)
-    schedule = (switching_schedule(noise, inp, 5) if switching
-                else rc.constant_schedule(noise, inp))
+    schedule = schedule_of(kind, noise, inp, 5)
     calls = []
     monkeypatch.setattr(rc.capacity, "_predict", lambda *a, **k: calls.append(a))
     empty = np.empty
@@ -342,6 +358,8 @@ def test_steps_whose_log_dets_are_nan_add_nothing_to_the_rate():
     terms = np.maximum(0.0, log_dets[:52, 0] - log_dets[:52, 1])
     assert res.rate_nats == pytest.approx(terms.sum() / 400, rel=1e-12)
     assert res.rate_nats == pytest.approx(0.05218266241296324, rel=1e-12)
+    assert res.diagnostics["nan_steps"] == 148
+    assert res.diagnostics["clamped_steps"] == np.count_nonzero(log_dets[:52, 0] < log_dets[:52, 1])
 
 
 def test_a_step_whose_Rhat_does_not_factor_is_taken_as_a_plain_step():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import riccati_capacity as rc
 from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
@@ -197,6 +198,43 @@ def test_noise_problem_is_a_joint_system_over_the_noise_slots(rng):
     assert np.array_equal(nq.Ahat, drifted.A)
     assert np.array_equal(system.Ahat[2:, 2:], drifted.A)
     assert nq.noise is drifted
+
+
+def formula_slots(noise, inp, H):
+    """The joint slots of one pair from their defining formulas."""
+    Bhat, Khat = block_diag(inp.G, noise.B), block_diag(inp.K_Z, noise.K_W)
+    Dhat = np.hstack([H @ inp.D, noise.N])
+    return {"Ahat": block_diag(inp.F, noise.A), "Bhat": Bhat, "Khat": Khat, "Dhat": Dhat,
+            "Chat": np.hstack([H @ inp.Gamma, noise.C]), "Qhat": Bhat @ Khat @ Bhat.T,
+            "Shat": Bhat @ Khat @ Dhat.T, "Rhat": Dhat @ Khat @ Dhat.T}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["pair", "stack"])
+def test_slots_match_their_formulas(stacked):
+    # a pair written by update, or a stack of pairs written in one pass whose
+    # row i is pair i; either way the noise-only problem is a view of it
+    rng = np.random.default_rng(12)
+    pairs = [random_models(rng, n_s=2, n_xi=3, n_y=2, n_z=2) for _ in range(3)]
+    # then the input alone changes, then the noise alone
+    pairs += [(pairs[2][0], pairs[1][1]), (pairs[0][0], pairs[1][1])]
+    channel = rc.Channel(H=rng.normal(size=(2, 2)), kappa=1.0)
+    system = rc.build_augmented(*pairs[0], channel)
+    if stacked:
+        system = system._stacked(pairs)
+    nq, no_input = system.noise_quad, rc.iid_input(np.zeros((0, 0)), n_x=0)
+    for i, (noise, inp) in enumerate(pairs):
+        if not stacked:
+            system.update(noise, inp)
+        for quad, want in ((system, formula_slots(noise, inp, channel.H)),
+                           (nq, formula_slots(noise, no_input, np.zeros((2, 0))))):
+            for name, slot in want.items():
+                got = getattr(quad, name)[i] if stacked else getattr(quad, name)
+                np.testing.assert_allclose(got, slot, rtol=1e-12, atol=1e-12, err_msg=name)
+        if stacked:
+            for name, _, _ in rc.InputModel._ARRAYS:
+                assert np.array_equal(getattr(system.input, name)[i], getattr(inp, name))
+    for name in ("Ahat", "Bhat", "Chat", "Dhat", "Khat", "Qhat", "Shat"):
+        assert np.shares_memory(getattr(nq, name), getattr(system, name)), name
 
 
 def test_noise_quadruple_validates_the_noise():

@@ -29,6 +29,13 @@ The output set:
   ``finite_n_rate`` takes plain steps (``random_models(default_rng(7),
   n_s=6, n_xi=6, n_y=2, rho_A=1.2)``), through ``asymptotic_rate`` and
   ``finite_n_rate`` at n = 300;
+- ``finite_n_rate`` on schedules that move every block of both models at
+  every step (``drifting``), so no two steps share a pair: a joint state
+  of 4 (``random_models(default_rng(11), n_s=2, n_xi=2, n_y=2)``) over 600
+  steps, across 256-step chunks, and the draw of 12 above over 100 steps;
+- the two "step t:" messages of ``finite_n_rate`` on one chunk where K_Ihat
+  fails at step 7 and the noise changes shape at step 9, with and without
+  the failing step;
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
@@ -102,6 +109,25 @@ def _record(out, name, call):
     return result
 
 
+def drifting(rc, noise, inp):
+    """A schedule around the pair whose every block moves at every step."""
+
+    def noise_at(t):
+        c, s = np.cos(t), np.sin(t)
+        return rc.NoiseModel(A=noise.A * (1.0 + 0.2 * c), B=noise.B + 0.3 * s,
+                             C=noise.C * (1.0 + 0.1 * s), N=noise.N + 0.2 * c,
+                             K_W=noise.K_W * (1.0 + 0.5 * s * s), K_S1=noise.K_S1)
+
+    def input_at(t):
+        c, s = np.cos(0.7 * t), np.sin(0.7 * t)
+        return rc.InputModel(F=inp.F * (1.0 + 0.3 * c), G=inp.G + 0.4 * s,
+                             Gamma=inp.Gamma * (1.0 - 0.2 * s), D=inp.D + 0.3 * c,
+                             K_Z=inp.K_Z * (1.0 + 0.5 * c * c), K_Xi1=inp.K_Xi1)
+
+    return rc.CoefficientSchedule(noise_at=noise_at, input_at=input_at, noise_limit=noise,
+                                  input_limit=inp)
+
+
 def collect(path):
     import riccati_capacity as rc
     from conftest import random_models
@@ -135,6 +161,22 @@ def collect(path):
     channel = rc.Channel(H=np.eye(2), kappa=1.0)
     _record(out, "large.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
     _record(out, "large.finite_n_rate", lambda: rc.finite_n_rate((noise, inp), channel, 300))
+    _record(out, "large.drifting.finite_n_rate",
+            lambda: rc.finite_n_rate(drifting(rc, noise, inp), channel, 100))
+    pair = random_models(np.random.default_rng(11), n_s=2, n_xi=2, n_y=2)
+    _record(out, "drifting4.finite_n_rate",
+            lambda: rc.finite_n_rate(drifting(rc, *pair), channel, 600))
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    silent = dataclasses.replace(noise, C=[[0.0]], N=np.zeros((1, 2)))
+    wider = rc.NoiseModel(A=np.eye(2) * 0.5, B=np.eye(2), C=[[1.0, 0.0]], N=[[0.0, 1.0]],
+                          K_W=np.eye(2))
+    for name, noise_at in (
+            ("failing_K", lambda t: silent if t == 7 else wider if t >= 9 else noise),
+            ("shape_change", lambda t: wider if t >= 9 else noise)):
+        schedule = rc.CoefficientSchedule(noise_at=noise_at, input_at=lambda t: inp,
+                                          noise_limit=noise, input_limit=inp)
+        _record(out, f"step_message.{name}",
+                lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), 40))
 
     config = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     scalar = rc.NoiseModel(A=1.5, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.0)
