@@ -151,8 +151,9 @@ def finite_n_rate(models, channel, n):
     Raises
     ------
     ValueError
-        "step t: model dimensions changed mid-schedule", or an invalid
-        step-1 model.
+        "step t: model dimensions changed mid-schedule", "step t: ..." for a
+        schedule's ValueError at step t (its other errors pass unchanged),
+        or an invalid step-1 model.
     LinAlgError
         "step t: K_I is not positive definite" (or K_Ihat) at the first
         step whose innovations covariance has no Cholesky factor.
@@ -163,21 +164,23 @@ def finite_n_rate(models, channel, n):
     initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws.
-    The steps go in chunks of ``riccati._chunk_length(m)``. A chunk's
-    distinct (noise, input) pairs, told apart by identity, are written in
-    one pass into one stacked joint system (``JointSystem._stacked``), and
-    each DRE and the input's Lyapunov recursion (a Riccati map with G = 0)
-    run the chunk by one prefix scan of their step compositions
-    (``riccati._propagate``); one batched Cholesky factorization gives
-    every K_{Ihat_t} or K_{I_t} of the chunk and its log det. A chunk of
-    one step, or one whose scan fails or leaves a non-finite number, is
-    taken by plain steps on the joint system (``riccati._predict`` and
-    ``lyapunov._step``), which need no Rhat^{-1} and name the first step
-    whose K does not factor, before a later step whose models raise
-    ValueError. The scan's round-off differs from the plain steps' in the
-    last digits: at most 1e-13 of each trace column's scale over 40 seeded
-    draws up to m = 8 and 2000 steps. Each per-step rate term is clamped at
-    zero individually, so a transient with the noise predictor ahead of the
+    The steps go in chunks of ``riccati._chunk_length(m)``; the callbacks run
+    to a chunk's end or to their first raise, after which the steps before
+    it run first. A chunk's distinct (noise, input) pairs, told apart by
+    identity, are stacked into one joint system (``JointSystem._stacked``:
+    the stack is the chunk's shape check), and each DRE and the input's
+    Lyapunov recursion (a Riccati map with G = 0) run the chunk by one
+    prefix scan of their step compositions (``riccati._propagate``); one
+    batched Cholesky factorization gives every K_{Ihat_t} or K_{I_t} of the
+    chunk and its log det. A chunk of one step, or one whose pairs do not
+    stack or whose scan fails or leaves a non-finite number, is taken by
+    plain steps (``JointSystem.update``, then the only shape check,
+    ``riccati._predict`` and ``lyapunov._step``), which need no Rhat^{-1}
+    and name the first step whose blocks changed shape or whose K does not
+    factor. The scan's round-off differs from the plain steps' in the last
+    digits: at most 1e-13 of each trace column's scale over 40 seeded draws
+    up to m = 8 and 2000 steps. Each per-step rate term is clamped at zero
+    individually, so a transient with the noise predictor ahead of the
     joint one cannot push the average negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
@@ -196,12 +199,12 @@ def finite_n_rate(models, channel, n):
         for t in range(first, min(first + chunk, n + 1)):
             try:
                 pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else (noise_1, input_1)
-                if pair not in pairs:
-                    system._fits(*pair)
-            except ValueError as exc:
+            except Exception as exc:
                 if index:  # the steps before t go first, so a failure among them is named
                     _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t - 1], first)
-                raise ValueError(f"step {t}: {exc}") from None
+                if isinstance(exc, ValueError):
+                    raise ValueError(f"step {t}: {exc}") from None
+                raise
             index.append(pairs.setdefault(pair, len(pairs)))
         last = _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t], first)
     t = np.arange(1.0, n + 1.0)
@@ -233,21 +236,21 @@ def _run_chunk(system, pairs, index, covs, out, first):
     K_I and K_Ihat at its last step.
     """
     if len(index) > 1:
-        stacked = system._stacked(pairs)
-        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-            last, carried = _scanned_chunk(stacked, np.asarray(index), covs, out)
+        # pairs that do not stack (the chunk's shape check) or a K that does not factor
+        with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
+            last, carried = _scanned_chunk(system._stacked(pairs), np.asarray(index), covs, out)
             if np.isfinite(out).all() and all(np.isfinite(c).all() for c in carried):
                 covs[:] = carried
                 return last
     # plain steps on the system itself, which raise at the first step that fails
     Sigma, Pi, P = covs
     for j, i in enumerate(index):
-        system.update(*pairs[i])
         try:
+            system.update(*pairs[i])
             Sigma_next, K_Ihat, out[1, j], _ = _predict(system.noise_quad, Sigma, context="K_Ihat")
             Pi_next, K_I, out[0, j], _ = _predict(system, Pi, context="K_I")
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"step {first + j}: {exc}") from None
+        except ValueError as exc:  # a block that changed shape, or a K that does not factor
+            raise type(exc)(f"step {first + j}: {exc}") from None
         inp = system.input
         out[2, j] = input_power(inp, P)
         last = (Sigma, Pi, P, K_I, K_Ihat)

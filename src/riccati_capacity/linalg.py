@@ -20,29 +20,28 @@ SYMMETRY_TOL = 1e-10
 
 
 def as_matrix(x, name="matrix"):
-    """Coerce to a dense 2-D float64 array, rejecting ragged input."""
+    """A fresh C-ordered float64 copy of x as a 2-D array; a scalar is 1 x 1, a 1-D array a row.
+
+    More than two dimensions, or rows of unequal length, are "not rectangular".
+    """
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = np.array(x, dtype=np.float64, order="C", ndmin=2)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not rectangular") from None
-    if arr.dtype == object or arr.ndim > 2:
+    if arr.ndim > 2:
         raise ValueError(f"{name} is not rectangular")
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 def as_vector(x, name="vector"):
-    """Coerce to a dense 1-D float64 array."""
+    """A fresh float64 copy of x as a 1-D array; a scalar has length 1."""
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = np.array(x, dtype=np.float64, ndmin=1)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not rectangular") from None
-    if arr.dtype == object or arr.ndim > 1:
+    if arr.ndim > 1:
         raise ValueError(f"{name} must be one-dimensional")
-    return np.ascontiguousarray(np.atleast_1d(arr))
+    return arr
 
 
 def as_finite(x, name):
@@ -63,7 +62,8 @@ def as_covariance(x, n, name):
     arr = as_matrix(x, name)
     if arr.shape != (n, n):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({n}, {n})")
-    arr = as_finite(arr, name)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
     if not is_symmetric(arr):
         raise ValueError(f"{name} is not symmetric")
     if not is_psd(arr):

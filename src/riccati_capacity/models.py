@@ -56,13 +56,12 @@ __all__ = [
 
 
 def _freeze(arr):
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
 
 def _coerce(model):
-    """Freeze a model's declared arrays as float64; an absent initial law is zero."""
+    """Freeze copies of a model's declared arrays as float64; an absent initial law is zero."""
     set_ = object.__setattr__
     for name, _, _ in model._ARRAYS:
         set_(model, name, _freeze(as_matrix(getattr(model, name), name)))
@@ -305,7 +304,9 @@ class JointSystem:
     ``noise`` and ``input`` are the models last written; ``update``
     rewrites only the side whose model changed, so a drifting schedule
     or an input search reuses one system; ``_stacked(pairs)`` writes a
-    horizon chunk's pairs at once. The models are not checked
+    horizon chunk's pairs at once; either raises ValueError for a pair whose
+    block shapes are not the system's (``_stacked`` checks its first pair,
+    and ``np.stack`` the rest against it). The models are not otherwise checked
     here: ``build_augmented``, or ``to_quadruple`` for a noise alone,
     validates them first.
     """
@@ -317,9 +318,10 @@ class JointSystem:
         self.shapes = _shapes(noise, input)
         self.n_xi, self.n_s, self.n_z, self.n_w = input.n_xi, noise.n_s, input.n_z, noise.n_w
         self.m, self.q, self.H = self.n_xi + self.n_s, channel.n_y, channel.H
-        self.noise = self.input = None
         self._allocate(noise)
-        self.update(noise, input)
+        self._write(noise, input)  # the pair the slots were sized from
+        self.noise = self.noise_quad.noise = noise
+        self.input = input
         self.mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
         self.K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
 
@@ -332,7 +334,7 @@ class JointSystem:
                                                     (m, q), (k, k)))
         self._noise_quad = nq = object.__new__(JointSystem) if x or z else None
         if nq:
-            nq.shapes, nq.input = _shapes(noise, _NO_INPUT), _NO_INPUT
+            nq.input = _NO_INPUT
             nq.n_xi, nq.n_s, nq.n_z, nq.n_w = 0, self.n_s, 0, self.n_w
             nq.m, nq.q, nq.H, nq._noise_quad = self.n_s, q, self.H[:, :0], None
             nq.Ahat, nq.Bhat = self.Ahat[..., x:, x:], self.Bhat[..., x:, z:]
@@ -357,8 +359,9 @@ class JointSystem:
     def _stacked(self, pairs):
         # this layout with a leading axis over (noise, input) pairs that fit it,
         # written in one pass from ``noise`` and ``input``, the models' arrays stacked
+        self._fits(*pairs[0])
         stacked = object.__new__(JointSystem)
-        for name in ("shapes", "n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
+        for name in ("n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
             setattr(stacked, name, getattr(self, name))
         stacked._allocate(pairs[0][0], len(pairs))
         stacked.noise, stacked.input = (

@@ -119,12 +119,6 @@ class ComparisonReport:
     innovations: np.ndarray = None
 
 
-def _draw_layout(noise, input, horizon):
-    n_s, n_xi = noise.n_s, input.n_xi
-    n_w, n_z = noise.n_w, input.n_z
-    return n_s + n_xi + horizon * (n_w + n_z)
-
-
 def sample_paths(noise, input, channel, horizon, paths, master_seed):
     """Sample trajectories of (S, V, Xi, X, Y) from the model recursions.
 
@@ -168,8 +162,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
-    per_path = _draw_layout(noise, input, horizon)
-    eps = np.empty((paths, per_path))
+    eps = np.empty((paths, n_s + n_xi + horizon * (n_w + n_z)))
     rng = substream(master_seed, 0)
     for i, row in enumerate(eps):
         _rekey(rng, master_seed, i)

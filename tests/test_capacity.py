@@ -339,9 +339,26 @@ def test_a_failing_step_is_named_before_a_later_shape_change():
                        match="^step 7: K_Ihat is not positive definite$"):
         rc.finite_n_rate(schedule, unit_channel(), 40)
     # without the failing step, the shape change is named
-    schedule = replace(schedule, noise_at=lambda t: wider if t >= 9 else noise)
+    shape_change = replace(schedule, noise_at=lambda t: wider if t >= 9 else noise)
     with pytest.raises(ValueError, match="^step 9: model dimensions changed"):
-        rc.finite_n_rate(schedule, unit_channel(), 40)
+        rc.finite_n_rate(shape_change, unit_channel(), 40)
+
+    # a callback that raises any error runs the steps before it first
+    def raising_at(step, schedule):
+        def noise_at(t):
+            if t == step:
+                raise TypeError("no model")
+            return schedule.noise_at(t)
+        return replace(schedule, noise_at=noise_at)
+
+    with pytest.raises(ValueError, match="^step 9: model dimensions changed"):
+        rc.finite_n_rate(raising_at(10, shape_change), unit_channel(), 40)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^step 7: K_Ihat is not positive definite$"):
+        rc.finite_n_rate(raising_at(9, schedule), unit_channel(), 40)
+    # with no failure before it, the callback's error passes through unchanged
+    with pytest.raises(TypeError, match="^no model$"):
+        rc.finite_n_rate(raising_at(9, shape_change), unit_channel(), 40)
 
 
 def test_steps_whose_log_dets_are_nan_add_nothing_to_the_rate():
@@ -395,6 +412,17 @@ def test_a_chunk_whose_scan_overflows_is_taken_by_plain_steps():
     assert_rel(res.Sigma_star, matrices[-1][0], rtol=1e-9)
 
 
+def two_state_noise():
+    # n_w = n_y = 1, so scalar blocks broadcast into its slots
+    return rc.NoiseModel(A=np.diag([0.5, 0.3]), B=[[1.0], [0.5]], C=[[1.0, 1.0]], N=[[1.0]],
+                         K_W=[[1.0]])
+
+
+def stateful_input(n_xi):
+    return rc.InputModel(F=0.5 * np.eye(n_xi), G=np.ones((n_xi, 1)),
+                         Gamma=np.ones((1, n_xi)) / n_xi, D=[[1.0]], K_Z=[[1.0]])
+
+
 def test_schedule_rejects_a_block_that_changes_shape():
     noise, inp, ch = colored_setup()
     wider = rc.NoiseModel(A=[[0.5]], B=[[1.0, 0.0]], C=[[1.0]],
@@ -405,6 +433,22 @@ def test_schedule_rejects_a_block_that_changes_shape():
     )
     with pytest.raises(ValueError, match="step 3: model dimensions changed"):
         rc.finite_n_rate(sched, ch, 5)
+
+
+@pytest.mark.parametrize("n_xi", [6, 8], ids=["scanned", "plain"])
+@pytest.mark.parametrize("shrinks", [True, False], ids=["shrinks", "grows"])
+def test_schedule_rejects_a_shape_change_at_a_chunk_start(n_xi, shrinks):
+    # the noise changes shape at the first step of a chunk, so every pair of
+    # that chunk shares the new shapes; scalar blocks would broadcast into the
+    # two-state slots, so only a check against the system's shapes sees them
+    before, after = (two_state_noise(), scalar_noise(0.5))[::1 if shrinks else -1]
+    inp = stateful_input(n_xi)
+    switch = rc.riccati._chunk_length(n_xi + before.n_s) + 1
+    sched = rc.CoefficientSchedule(
+        noise_at=lambda t: before if t < switch else after, input_at=lambda t: inp,
+        noise_limit=before, input_limit=inp)
+    with pytest.raises(ValueError, match=f"^step {switch}: model dimensions changed"):
+        rc.finite_n_rate(sched, unit_channel(), switch + 4)
 
 
 def test_explicit_initial_covariances_enter_step_one():

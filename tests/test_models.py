@@ -34,6 +34,17 @@ def test_ragged_matrix_rejected_at_construction():
                       N=[[1.0]], K_W=[[1.0]])
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("A", np.zeros((1, 1, 1)), "^A is not rectangular$"),
+    ("mu_S1", [[0.0]], "^mu_S1 must be one-dimensional$"),
+    ("mu_S1", [[0.0], [0.0, 1.0]], "^mu_S1 is not rectangular$"),
+], ids=["three_dimensional", "two_dimensional_mean", "ragged_mean"])
+def test_arrays_of_the_wrong_rank_are_rejected_at_construction(name, value, message):
+    arrays = dict(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]])
+    with pytest.raises(ValueError, match=message):
+        rc.NoiseModel(**{**arrays, name: value})
+
+
 def test_shape_mismatch_reported_by_name():
     m = rc.NoiseModel(A=np.eye(2), B=np.ones((2, 1)), C=[[1.0, 0.0]],
                       N=[[1.0, 1.0]], K_W=[[1.0]])
@@ -70,6 +81,9 @@ INPUT_ARRAYS = dict(F=np.zeros((2, 2)), G=np.ones((2, 3)), Gamma=np.ones((1, 2))
      "K_Xi1 has shape (3, 3), expected (2, 2)"),
     (rc.InputModel, INPUT_ARRAYS, "mu_Xi1", np.zeros(3),
      "mu_Xi1 has length 3, expected n_xi = 2"),
+    # a 1-D array is a 1 x n row
+    (rc.NoiseModel, NOISE_ARRAYS, "B", np.ones(3), "B has 1 rows, expected n_s = 2"),
+    (rc.InputModel, INPUT_ARRAYS, "G", np.ones(3), "G has 1 rows, expected n_xi = 2"),
 ])
 def test_each_declared_array_has_its_shape_message(cls, arrays, name, value, message):
     assert rc.validate(cls(**arrays)).ok
@@ -107,6 +121,20 @@ def test_model_arrays_are_frozen():
     m = scalar_noise(0.5)
     with pytest.raises(ValueError):
         m.A[0, 0] = 2.0
+    # each array is the model's own read-only copy; the caller's stay writable
+    arrays = dict(A=np.asfortranarray([[0.5, 0.1], [0.2, 0.3]]), B=np.ones((2, 1)),
+                  C=np.ones((1, 2)), N=np.ones(1), K_W=np.eye(1), mu_S1=np.zeros(2),
+                  K_S1=np.eye(2))
+    m = rc.NoiseModel(**arrays)
+    for name, given in arrays.items():
+        own = getattr(m, name)
+        assert not own.flags.writeable and own.flags.c_contiguous
+        assert given.flags.writeable and not np.shares_memory(own, given)
+        assert np.array_equal(own, np.atleast_2d(given) if name != "mu_S1" else given)
+    assert m.N.shape == (1, 1)
+    H = np.ones((1, 2))
+    channel = rc.Channel(H=H)
+    assert not channel.H.flags.writeable and not np.shares_memory(channel.H, H)
 
 
 def test_default_initial_moments_are_zero():

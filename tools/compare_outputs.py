@@ -35,7 +35,16 @@ The output set:
   steps, across 256-step chunks, and the draw of 12 above over 100 steps;
 - the two "step t:" messages of ``finite_n_rate`` on one chunk where K_Ihat
   fails at step 7 and the noise changes shape at step 9, with and without
-  the failing step;
+  the failing step, and the two where a schedule callback then raises
+  TypeError (at step 10 after the shape change, at step 9 after the failing
+  step);
+- the "step t:" message of a noise that changes shape at the first step of
+  a chunk (two states to one, n_w = n_y = 1, so the scalar blocks would
+  broadcast into the slots), at a joint state of 8 (64-step chunks) and of
+  12 (plain steps);
+- models built from scalars, 1-D rows and Fortran-ordered arrays: each
+  array's values, shape, ``writeable`` and ``c_contiguous`` flags, and
+  whether it shares memory with the caller's array;
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
@@ -170,13 +179,53 @@ def collect(path):
     silent = dataclasses.replace(noise, C=[[0.0]], N=np.zeros((1, 2)))
     wider = rc.NoiseModel(A=np.eye(2) * 0.5, B=np.eye(2), C=[[1.0, 0.0]], N=[[0.0, 1.0]],
                           K_W=np.eye(2))
+
+    def raising_at(step, noise_at):
+        def raising(t):
+            if t == step:
+                raise TypeError("no model")
+            return noise_at(t)
+        return raising
+
+    failing_K = lambda t: silent if t == 7 else wider if t >= 9 else noise  # noqa: E731
+    shape_change = lambda t: wider if t >= 9 else noise  # noqa: E731
     for name, noise_at in (
-            ("failing_K", lambda t: silent if t == 7 else wider if t >= 9 else noise),
-            ("shape_change", lambda t: wider if t >= 9 else noise)):
+            ("failing_K", failing_K), ("shape_change", shape_change),
+            ("type_error_after_shape_change", raising_at(10, shape_change)),
+            ("type_error_after_failing_K", raising_at(9, failing_K))):
         schedule = rc.CoefficientSchedule(noise_at=noise_at, input_at=lambda t: inp,
                                           noise_limit=noise, input_limit=inp)
         _record(out, f"step_message.{name}",
                 lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), 40))
+    two_state = rc.NoiseModel(A=np.diag([0.5, 0.3]), B=[[1.0], [0.5]], C=[[1.0, 1.0]],
+                              N=[[1.0]], K_W=[[1.0]])
+    one_state = rc.NoiseModel(A=0.5, B=1.0, C=1.0, N=1.0, K_W=1.0)
+    for n_xi in (6, 10):
+        inp = rc.InputModel(F=0.5 * np.eye(n_xi), G=np.ones((n_xi, 1)),
+                            Gamma=np.ones((1, n_xi)) / n_xi, D=1.0, K_Z=1.0)
+        switch = rc.riccati._chunk_length(n_xi + 2) + 1
+        schedule = rc.CoefficientSchedule(
+            noise_at=lambda t: two_state if t < switch else one_state, input_at=lambda t: inp,
+            noise_limit=two_state, input_limit=inp)
+        _record(out, f"step_message.chunk_start.m{n_xi + 2}",
+                lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), switch + 4))
+
+    rows = dict(A=np.ones(1), B=np.ones(2), C=np.ones(1), N=np.ones(2), K_W=np.eye(2),
+                mu_S1=np.ones(1), K_S1=np.ones(1))
+    fortran = {name: np.asfortranarray(value) for name, value in (
+        ("A", [[0.5, 0.1], [0.2, 0.3]]), ("B", [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
+        ("C", [[1.0, 0.5]]), ("N", [[0.0, 1.0, 1.0]]), ("K_W", np.eye(3)),
+        ("mu_S1", [1.0, 2.0]), ("K_S1", [[1.0, 0.5], [0.5, 1.0]]))}
+    for name, arrays in (("scalars", dict(A=0.5, B=1.0, C=1.0, N=1.0, K_W=2.0, mu_S1=1.0,
+                                          K_S1=3.0)),
+                         ("rows", rows), ("fortran", fortran)):
+        model = rc.NoiseModel(**arrays)
+        for key, given in arrays.items():
+            own = getattr(model, key)
+            out[f"coerced.{name}.{key}"] = own
+            out[f"coerced.{name}.{key}.shape"] = own.shape
+            out[f"coerced.{name}.{key}.flags"] = (own.flags.writeable, own.flags.c_contiguous,
+                                                  bool(np.shares_memory(own, given)))
 
     config = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     scalar = rc.NoiseModel(A=1.5, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.0)
