@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import as_count, as_finite, solve_spd, spectral_radius, substream, symmetrize
+from .linalg import (as_count, as_finite, is_symmetric, solve_spd, spectral_radius, substream,
+                     symmetrize)
 from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
 from .lyapunov import _step as _lyap_core
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
@@ -355,32 +356,20 @@ def asymptotic_power(input):
     return input_power(input, lyap_solve(input.F, input.G, input.K_Z).P_star)
 
 
-_WATERFILL_ITERS = 200  # bisection steps on the water level
-
-
 def _waterfill_powers(gains, kappa):
-    # bisection on the water level mu: sum max(0, mu - 1/g) = kappa
-    active = gains > 0.0
+    # gains in decreasing order, as np.linalg.svd returns them, so the floors 1/g of the
+    # positive ones increase; the level of the k strongest is (kappa + sum_{i<=k} 1/g_i) / k,
+    # and the k strongest are active for the largest k whose level lies above the k-th floor
     p = np.zeros_like(gains)
-    if kappa <= 0.0 or not np.any(active):
+    inv = 1.0 / gains[gains > 0.0]
+    if kappa <= 0.0 or inv.size == 0:
         return p
-    inv = 1.0 / gains[active]
-    lo = float(np.min(inv))
-    hi = float(np.max(inv)) + kappa
-    for _ in range(_WATERFILL_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: the level no longer moves
-            break
-        if np.sum(np.maximum(0.0, mid - inv)) > kappa:
-            hi = mid
-        else:
-            lo = mid
-    mu = 0.5 * (lo + hi)
-    alloc = np.maximum(0.0, mu - inv)
+    levels = (kappa + np.cumsum(inv)) / np.arange(1.0, inv.size + 1.0)
+    k = 1 + int(np.max(np.flatnonzero(levels > inv), initial=0))
+    alloc = levels[k - 1] - inv[:k]
     total = float(np.sum(alloc))
-    if total > 0.0:
-        alloc *= kappa / total
-    p[active] = alloc
+    # a level far above kappa puts the sum off the budget, or at 0 if the level rounds kappa away
+    p[:k] = alloc * (kappa / total) if total > 0.0 else kappa
     return p
 
 
@@ -420,13 +409,13 @@ def waterfilling_oracle(H, R, kappa):
     Raises
     ------
     ValueError
-        If H, R or kappa is not finite, R is not square or not positive
+        If H, R or kappa is not finite, R is not square, symmetric or positive
         definite, H's row count is not R's size, or kappa is negative.
 
     Notes
     -----
     The channel is whitened by the Cholesky factor of R; the water level
-    over the squared singular values is located by bisection and the
+    over the squared singular values is solved for in closed form and the
     allocation rescaled onto the budget. Valid only for memoryless noise,
     which is exactly what makes it an independent check on the
     state-space machinery.
@@ -442,6 +431,8 @@ def waterfilling_oracle(H, R, kappa):
         raise ValueError("kappa not finite")
     if kappa < 0:
         raise ValueError(f"kappa negative ({kappa})")
+    if not is_symmetric(R):
+        raise ValueError("R not symmetric")
     try:
         gains, p, _ = _waterfill(H, R, kappa)
     except np.linalg.LinAlgError:

@@ -360,6 +360,20 @@ def test_a_failing_step_is_named_before_a_later_shape_change():
     with pytest.raises(TypeError, match="^no model$"):
         rc.finite_n_rate(raising_at(9, shape_change), unit_channel(), 40)
 
+    # a callback's ValueError is named by its step, after the steps before it
+    def ragged_at(step, schedule):
+        def noise_at(t):
+            if t == step:
+                return rc.NoiseModel(A=[[0.5, 0.0], [0.5]], B=1.0, C=1.0, N=1.0, K_W=1.0)
+            return schedule.noise_at(t)
+        return replace(schedule, noise_at=noise_at)
+
+    with pytest.raises(ValueError, match="^step 9: A is not rectangular$"):
+        rc.finite_n_rate(ragged_at(9, shape_change), unit_channel(), 40)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^step 7: K_Ihat is not positive definite$"):
+        rc.finite_n_rate(ragged_at(9, schedule), unit_channel(), 40)
+
 
 def test_steps_whose_log_dets_are_nan_add_nothing_to_the_rate():
     # an unstable mode that the noise drives and the output does not see:
@@ -633,6 +647,9 @@ def test_waterfilling_rejects_bad_R():
         rc.waterfilling_oracle([[np.inf]], [[1.0]], 1.0)
     with pytest.raises(ValueError, match="R contains non-finite entries"):
         rc.waterfilling_oracle([[1.0]], [[np.nan]], 1.0)
+    # a non-symmetric R is named, not symmetrized into another channel's R
+    with pytest.raises(ValueError, match="^R not symmetric$"):
+        rc.waterfilling_oracle(np.eye(2), [[2.0, 0.5], [0.0, 2.0]], 1.0)
 
 
 @pytest.mark.parametrize("kappa", [np.nan, np.inf])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import riccati_capacity as rc
-from riccati_capacity.capacity import _waterfill
+from riccati_capacity.capacity import _waterfill, _waterfill_powers
 from riccati_capacity.linalg import block_diag, chol_logdet, solve_spd
 from conftest import random_models
 
@@ -106,14 +106,61 @@ def test_joint_initial_covariance_matches_scipy(rng, n_xi):
 # ---------------------------------------------------------------- water-filling
 
 
-def closed_form_waterfilling(gains, kappa):
-    # the largest active set k whose water level mu = (kappa + sum_{i<k} 1/g_i) / k
-    # lies above 1/g_k; gains in decreasing order
-    for k in range(len(gains), 0, -1):
-        mu = (kappa + np.sum(1.0 / gains[:k])) / k
-        if mu > 1.0 / gains[k - 1]:
-            return np.concatenate([mu - 1.0 / gains[:k], np.zeros(len(gains) - k)])
-    return np.zeros(len(gains))
+def assert_waterfilling_optimal(gains, kappa, powers, rtol=1e-15):
+    # the optimality conditions, to rtol: the powers sum to kappa, p_i + 1/g_i is
+    # one level mu on the modes with power, and no floor 1/g_i of a mode without
+    # power lies below mu; a zero gain, no budget or no positive gain gets no power
+    assert np.all(powers >= 0.0) and np.all(powers[gains == 0.0] == 0.0)
+    if kappa == 0.0 or not np.any(gains > 0.0):
+        assert np.all(powers == 0.0)
+        return
+    assert abs(np.sum(powers) - kappa) <= rtol * kappa
+    active = powers > 0.0
+    levels = powers[active] + 1.0 / gains[active]
+    mu = np.max(levels)
+    assert mu - np.min(levels) <= rtol * mu
+    assert np.all(1.0 / gains[(gains > 0.0) & ~active] >= mu * (1.0 - rtol))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_waterfill_kernel_meets_the_optimality_conditions(seed):
+    # 1 to 11 gains in decreasing order, as the kernel takes them, a tenth of them
+    # zero: log-normal gains and budgets, and gains log-uniform over 1e-9 to 1e9
+    # with kappa over 1e-6 to 1e6
+    rng = np.random.default_rng(seed)
+    for i in range(1000):
+        n = int(rng.integers(1, 12))
+        if i % 2:
+            gains, kappa = 10.0 ** rng.uniform(-9.0, 9.0, n), 10.0 ** rng.uniform(-6.0, 6.0)
+        else:
+            gains, kappa = np.exp(rng.normal(0.0, 3.0, n)), np.exp(rng.normal(0.0, 2.0))
+        gains[rng.random(n) < 0.1] = 0.0
+        gains = np.sort(gains)[::-1]
+        assert_waterfilling_optimal(gains, kappa, _waterfill_powers(gains, kappa))
+
+
+@pytest.mark.parametrize("gains, kappa, expected", [
+    ([], 1.0, []),
+    ([2.0, 1.0], 0.0, [0.0, 0.0]),
+    ([0.0, 0.0], 1.0, [0.0, 0.0]),
+    ([4.0, 1.0, 0.0], 1.0, [0.875, 0.125, 0.0]),  # level 1.125
+    ([4.0, 0.5], 1.0, [1.0, 0.0]),  # level 1.25 stays below the floor 2
+    # levels near 1e9 and 1e6 that dwarf kappa: the level minus each floor
+    # misses the budget by 5e-2 and 3e-8 until it is rescaled onto kappa
+    ([1.1e-9, 1.05e-9, 0.0], 1e-6, None),
+    ([1e-6, 1e-6 * (1.0 - 1e-9), 1e-6 * (1.0 - 2e-9)], 1e-2, None),
+    # kappa below half an ulp of the floor 1e9 leaves the level on it; the budget
+    # still goes to the strongest mode
+    ([1e-9], 1e-8, [1e-8]),
+    ([1e-9, 1e-12], 1e-8, [1e-8, 0.0]),
+])
+def test_waterfill_kernel_edges(gains, kappa, expected):
+    gains = np.array(gains, dtype=float)
+    powers = _waterfill_powers(gains, kappa)
+    assert powers.shape == gains.shape
+    if expected is not None:
+        assert np.array_equal(powers, expected)
+    assert_waterfilling_optimal(gains, kappa, powers)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -126,9 +173,8 @@ def test_waterfilling_matches_whitening_oracle(seed):
     L = np.linalg.cholesky(R)
     gains = np.linalg.svd(scipy.linalg.solve_triangular(L, H, lower=True),
                           compute_uv=False) ** 2
-    powers = closed_form_waterfilling(gains, kappa)
-    expected = 0.5 * float(np.sum(np.log1p(gains * powers)))
     rate, alloc = rc.waterfilling_oracle(H, R, kappa)
-    assert abs(rate - expected) <= 1e-12 * expected
-    assert np.allclose(alloc, powers, rtol=1e-12, atol=1e-12 * kappa)
     assert np.allclose(_waterfill(H, R, kappa)[0], gains, rtol=1e-12)
+    assert_waterfilling_optimal(gains, kappa, alloc, rtol=1e-12)
+    expected = 0.5 * float(np.sum(np.log1p(gains * alloc)))
+    assert abs(rate - expected) <= 1e-12 * expected

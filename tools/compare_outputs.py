@@ -48,6 +48,13 @@ The output set:
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
+- ``capacity._waterfill_powers`` on ``waterfill_gains(default_rng(321))``:
+  seven edge cases (no gains, zero gains only, kappa = 0, a tie, a level far
+  above kappa, gains of 1e9 and 1e-9 at kappa 1e6 and 1e-6) and 200 seeded
+  descending gain vectors, gains from 1e-9 to 1e9 and kappa from 1e-6 to 1e6;
+- ``waterfilling_oracle`` on ``waterfill_channels(default_rng(322))``: 200
+  seeded (H, R, kappa) draws up to 4 x 4, every third H rank-deficient (a
+  zero H where it has one row or column);
 - the input search's noise-gate message for A = 1.5, B = [1, 0], C = 0,
   N = [0, 1], K_W = I;
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
@@ -68,6 +75,7 @@ from pathlib import Path
 import numpy as np
 
 DRAWS = 300
+WATERFILL_DRAWS = 200
 
 # the CLI's model file: unstable noise (eigenvalues 1.2 and 0.6), a
 # one-state input and a scalar channel
@@ -135,6 +143,45 @@ def drifting(rc, noise, inp):
 
     return rc.CoefficientSchedule(noise_at=noise_at, input_at=input_at, noise_limit=noise,
                                   input_limit=inp)
+
+
+def waterfill_gains(rng):
+    """(gains, kappa) pairs for the water-filling kernel, gains in decreasing order.
+
+    The seven edge cases of the module docstring, then WATERFILL_DRAWS draws
+    of 1 to 11 modes: half with log-normal gains (sigma 3) and kappa (sigma
+    2), half with gains log-uniform over 1e-9 to 1e9 and kappa over 1e-6 to
+    1e6; a tenth of the drawn gains are zero.
+    """
+    cases = [(np.zeros(0), 1.0), (np.zeros(3), 1.0), (np.array([2.0, 1.0]), 0.0),
+             (np.array([1.0, 1.0, 0.5]), 0.5), (np.array([1.1e-9, 1.05e-9, 0.0]), 1e-6),
+             (np.array([1e9, 1e-9]), 1e6), (np.array([1e9, 1e-9]), 1e-6)]
+    for i in range(WATERFILL_DRAWS):
+        n = int(rng.integers(1, 12))
+        if i % 2:
+            gains, kappa = 10.0 ** rng.uniform(-9.0, 9.0, n), 10.0 ** rng.uniform(-6.0, 6.0)
+        else:
+            gains, kappa = np.exp(rng.normal(0.0, 3.0, n)), np.exp(rng.normal(0.0, 2.0))
+        gains[rng.random(n) < 0.1] = 0.0
+        cases.append((np.sort(gains)[::-1], float(kappa)))
+    return cases
+
+
+def waterfill_channels(rng):
+    """WATERFILL_DRAWS (H, R, kappa) draws for ``waterfilling_oracle``.
+
+    H is n_y x n_x with both from 1 to 4, of rank min(n_y, n_x) - 1 on every
+    third draw (H = 0 where that rank is 0); R = A A^T + n_y I with A
+    standard normal; kappa is log-uniform over 1e-2 to 1e2.
+    """
+    cases = []
+    for i in range(WATERFILL_DRAWS):
+        n_y, n_x = (int(n) for n in rng.integers(1, 5, size=2))
+        rank = min(n_y, n_x) - (i % 3 == 0)
+        H = rng.normal(size=(n_y, rank)) @ rng.normal(size=(rank, n_x))
+        A = rng.normal(size=(n_y, n_y))
+        cases.append((H, A @ A.T + n_y * np.eye(n_y), float(10.0 ** rng.uniform(-2.0, 2.0))))
+    return cases
 
 
 def collect(path):
@@ -235,6 +282,10 @@ def collect(path):
             lambda: rc.optimize_input(rc.memoryless_noise(np.eye(2)),
                                       rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0), (0, 2),
                                       config))
+    for i, (gains, kappa) in enumerate(waterfill_gains(np.random.default_rng(321))):
+        _record(out, f"waterfill_powers{i}", lambda: rc.capacity._waterfill_powers(gains, kappa))
+    for i, (H, R, kappa) in enumerate(waterfill_channels(np.random.default_rng(322))):
+        _record(out, f"waterfilling_oracle{i}", lambda: rc.waterfilling_oracle(H, R, kappa))
     gate = rc.NoiseModel(A=1.5, B=[[1.0, 0.0]], C=0.0, N=[[0.0, 1.0]], K_W=np.eye(2))
     _record(out, "noise_gate", lambda: rc.optimize_input(gate, unit, (1, 1), config))
 
