@@ -24,8 +24,8 @@ import numpy as np
 
 from .linalg import (as_count, as_finite, is_symmetric, solve_spd, spectral_radius, substream,
                      symmetrize)
-from .lyapunov import MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power, lyap_solve
-from .lyapunov import _step as _lyap_core
+from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
+                       input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
 from .riccati import _chunk_length, _dre_chunk, _predict, _propagate, are_solve
 from .systests import feasibility_report
@@ -269,16 +269,14 @@ def _scanned_chunk(stacked, index, covs, out):
     # map (F^T, 0, G K_Z G^T)
     inp = SimpleNamespace(**{name: stack[index] for name, stack in vars(stacked.input).items()})
     F_T = inp.F.swapaxes(-1, -2)
-    after = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)],
-                       covs[2])
-    Ps = np.concatenate([covs[2][None], after[:-1]])
-    out[2] = input_power(inp, Ps)
+    Ps = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)], covs[2])
+    out[2] = input_power(inp, Ps[:-1])
     # copies, so a result keeps no stack of the chunk alive
-    return ((Sigmas[-1].copy(), Pis[-1].copy(), Ps[-1].copy(), K_I[-1], K_Ihat[-1]),
-            (Sigma, Pi, after[-1]))
+    return ((Sigmas[-1].copy(), Pis[-1].copy(), Ps[-2].copy(), K_I[-1], K_Ihat[-1]),
+            (Sigma, Pi, Ps[-1]))
 
 
-def asymptotic_rate(noise, input, channel, tol=1e-11, max_iter=MAX_DOUBLINGS):
+def asymptotic_rate(noise, input, channel, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
     """Steady-state rate and power for fixed models.
 
     Solves the steady states of both prediction problems, each from zero,

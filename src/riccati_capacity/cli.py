@@ -34,7 +34,7 @@ from .capacity import (
     optimize_input,
     sweep_kappa,
 )
-from .lyapunov import MAX_DOUBLINGS
+from .lyapunov import DEFAULT_TOL, MAX_DOUBLINGS
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid, to_quadruple
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
@@ -180,17 +180,10 @@ def _fields(obj):
 
 
 def _feasibility_doc(report):
-    return {
-        "noise_detectable": report.noise_detectable,
-        "noise_stabilizable": report.noise_stabilizable,
-        "augmented_detectable": report.augmented_detectable,
-        "augmented_stabilizable": report.augmented_stabilizable,
-        "input_F_stable": report.input_F_stable,
-        "unit_circle_controllable": report.unit_circle_controllable,
-        "member_of_P_infinity": report.member_of_P_infinity,
-        "warnings": report.warnings,
-        "witnesses": report.witnesses,
-    }
+    # the verdicts are the report's bool fields, in their declared order
+    return {**{name: value for name, value in _fields(report).items() if isinstance(value, bool)},
+            "member_of_P_infinity": report.member_of_P_infinity, "warnings": report.warnings,
+            "witnesses": report.witnesses}
 
 
 def _capacity_doc(result, units):
@@ -265,7 +258,7 @@ def _cmd_optimize(args, doc):
     dims = _parse_dims(args, doc)
     model, result = optimize_input(noise, channel, dims, _optimizer_config(args))
     out_doc = {"kappa": channel.kappa, "dims": dims, **_capacity_doc(result, args.units)}
-    out_doc["input"] = {name: getattr(model, name) for name in ("F", "G", "Gamma", "D", "K_Z")}
+    out_doc["input"] = {name: getattr(model, name) for name, _, _ in InputModel._ARRAYS}
     _emit(out_doc, args.out)
     return _solver_failure(result)
 
@@ -319,14 +312,14 @@ _FLAGS = {
     "units": ("--units", dict(choices=("nats", "bits"), default="nats")),
     "strict": ("--strict", dict(action="store_true", help="exit 3 on a soft failure: "
                "solver non-convergence, an infeasible budget or a failed check")),
-    "tol": ("--tol", dict(type=float, default=1e-11,
+    "tol": ("--tol", dict(type=float, default=DEFAULT_TOL,
                           help="relative stopping tolerance of the steady-state solvers")),
     "doublings": ("--max-iter", dict(type=int, default=MAX_DOUBLINGS, help="Riccati "
                   "doubling budget (doubling k reaches DRE step 2^k), at most 64")),
-    "iterations": ("--max-iter", dict(type=int, default=120,
+    "iterations": ("--max-iter", dict(type=int, default=OptimizerConfig.maxiter,
                                       help="L-BFGS iterations of each start")),
     "seed": ("--seed", dict(type=int, default=0)),
-    "starts": ("--starts", dict(type=int, default=32)),
+    "starts": ("--starts", dict(type=int, default=OptimizerConfig.starts)),
     "dims": ("--dims", dict(default=None, help="input dims as 'n_xi,n_z'")),
     "block": ("--n", dict(type=int, default=100, help="block length")),
     "horizon": ("--n", dict(type=int, default=50, help="horizon")),

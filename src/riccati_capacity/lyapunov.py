@@ -22,6 +22,9 @@ STABILITY_MARGIN = 1e-9
 # k doublings make 2^k steps; a run unconverged after 2^64 has stopped contracting
 MAX_DOUBLINGS = 64
 
+# the relative stopping tolerance of every steady-state solver, by default
+DEFAULT_TOL = 1e-11
+
 
 @dataclass(frozen=True, eq=False)
 class LyapunovSolution:
@@ -93,7 +96,7 @@ def _smith(F, Q, tol):
     return X
 
 
-def lyap_solve(F, G, K_Z, tol=1e-11):
+def lyap_solve(F, G, K_Z, tol=DEFAULT_TOL):
     """Unique PSD fixed point of the covariance recursion, by Smith doubling.
 
     k doublings sum 2^k terms of sum_j F^j G K_Z G^T (F^T)^j, so even

@@ -357,16 +357,20 @@ class JointSystem:
         self.input = input
 
     def _stacked(self, pairs):
-        # this layout with a leading axis over (noise, input) pairs that fit it,
-        # written in one pass from ``noise`` and ``input``, the models' arrays stacked
+        # this layout with a leading axis over (noise, input) pairs that fit it, written in
+        # one pass from ``noise`` and ``input``, each distinct model's arrays (by identity)
+        # stacked once and indexed to the pairs
         self._fits(*pairs[0])
         stacked = object.__new__(JointSystem)
         for name in ("n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
             setattr(stacked, name, getattr(self, name))
         stacked._allocate(pairs[0][0], len(pairs))
-        stacked.noise, stacked.input = (
-            SimpleNamespace(**{name: np.stack([getattr(pair[side], name) for pair in pairs])
-                               for name, _, _ in pairs[0][side]._ARRAYS}) for side in (0, 1))
+        for side, models in zip(("noise", "input"), zip(*pairs)):
+            rows = {}
+            index = [rows.setdefault(model, len(rows)) for model in models]
+            setattr(stacked, side, SimpleNamespace(**{
+                name: np.stack([getattr(model, name) for model in rows])[index]
+                for name, _, _ in models[0]._ARRAYS}))
         stacked._write(stacked.noise, stacked.input)
         return stacked
 

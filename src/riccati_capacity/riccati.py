@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_count, as_covariance, solve_spd, spectral_radius, sup_norm, symmetrize
-from .lyapunov import MAX_DOUBLINGS, _check_tol, _smith
+from .lyapunov import DEFAULT_TOL, MAX_DOUBLINGS, _check_tol, _smith
 
 __all__ = [
     "RiccatiSolution",
@@ -149,12 +149,13 @@ def _compose(first, second):
 
 
 def _propagate(steps, P):
-    """The covariances after each step of a run from P, as an (L, m, m) stack.
+    """The run of L steps from P, as an (L + 1, m, m) stack.
 
-    The run's per-step triples, (L, m, m) stacks, are overwritten by their
-    prefix compositions in ceil(log2 L) batched compositions (Hillis-Steele;
-    the temporal parallelization of Sarkka & Garcia-Fernandez, 2021), and
-    each prefix is applied to P.
+    Row j is the covariance entering step j, so row 0 is P and row L the one
+    after the last step. The run's per-step triples, (L, m, m) stacks, are
+    overwritten by their prefix compositions in ceil(log2 L) batched
+    compositions (Hillis-Steele; the temporal parallelization of Sarkka &
+    Garcia-Fernandez, 2021), and each prefix is applied to P.
     """
     A, G, Q = steps
     k = 1
@@ -162,7 +163,7 @@ def _propagate(steps, P):
         A[k:], G[k:], Q[k:] = _compose((A[:-k], G[:-k], Q[:-k]), (A[k:], G[k:], Q[k:]))
         k *= 2
     zero = np.zeros_like(P)
-    return _compose((zero, zero, P), (A, G, Q))[2]
+    return np.concatenate([P[None], _compose((zero, zero, P), (A, G, Q))[2]])
 
 
 def _dre_chunk(slots, index, P, context):
@@ -175,11 +176,10 @@ def _dre_chunk(slots, index, P, context):
     covariance after the last step; raises LinAlgError if a Rhat or a K_t
     is not positive definite.
     """
-    after = _propagate([a[index] for a in _sda_form(slots)], P)
-    entering = np.concatenate([P[None], after[:-1]])
+    run = _propagate([a[index] for a in _sda_form(slots)], P)
     C = slots.Chat[index]
-    K = slots.Rhat[index] + C @ entering @ C.swapaxes(-1, -2)
-    return entering, K, solve_spd(K, K[..., :0], context=context, logdet=True)[1], after[-1]
+    K = slots.Rhat[index] + C @ run[:-1] @ C.swapaxes(-1, -2)
+    return run[:-1], K, solve_spd(K, K[..., :0], context=context, logdet=True)[1], run[-1]
 
 
 def _chunk_length(m):
@@ -254,7 +254,7 @@ def _unfinished(quad, P, iterations):
                            K, logdet)
 
 
-def are_solve(quad, *, tol=1e-11, max_iter=MAX_DOUBLINGS):
+def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
     """Steady state of the generalized Riccati equation.
 
     Structure-preserving doubling (Chu, Fan, Lin & Wang, 2004) on the DRE

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -354,6 +355,26 @@ def test_max_iter_defaults_count_doublings_or_lbfgs_iterations():
     assert parser.parse_args(["solve-are", "--model", "m.json"]).max_iter == 64
     assert parser.parse_args(["capacity-asym", "--model", "m.json"]).max_iter == 64
     assert parser.parse_args(["optimize", "--model", "m.json"]).max_iter == 120
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    tols = {inspect.signature(solver).parameters["tol"].default
+            for solver in (rc.are_solve, rc.asymptotic_rate, rc.lyap_solve)}
+    for name in ("solve-are", "capacity-asym"):
+        assert {parser.parse_args([name, "--model", "m.json"]).tol} == tols
+    config = rc.OptimizerConfig()
+    for name in ("optimize", "sweep-kappa"):
+        args = parser.parse_args([name, "--model", "m.json"])
+        assert (args.starts, args.max_iter) == (config.starts, config.maxiter)
+
+
+def test_check_system_keys_are_the_report_verdicts_then_the_rest(tmp_path):
+    out = tmp_path / "feas.json"
+    assert main(["check-system", "--model", write_model(tmp_path, COLORED),
+                 "--out", str(out)]) == 0
+    verdicts = [f.name for f in dataclasses.fields(rc.FeasibilityReport) if f.type is bool]
+    assert list(read_json(out)) == verdicts + ["member_of_P_infinity", "warnings", "witnesses"]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])

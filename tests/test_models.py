@@ -302,6 +302,26 @@ def test_memoryless_noise_factory():
     assert rc.validate(m).ok
 
 
+def test_a_stack_holds_each_distinct_model_once(monkeypatch):
+    # a drifting chunk: eight noises that share one input, whose arrays are
+    # stacked once and then indexed to the eight pairs
+    inp = unit_iid_input()
+    pairs = [(scalar_noise(0.5 + 2.0 ** -t), inp) for t in range(1, 9)]
+    system = rc.build_augmented(*pairs[0], unit_channel())
+    lengths, stack = [], np.stack
+
+    def counted(arrays, *args, **kwargs):
+        lengths.append(len(arrays))
+        return stack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    stacked = system._stacked(pairs)
+    monkeypatch.undo()
+    assert lengths == [8] * len(rc.NoiseModel._ARRAYS) + [1] * len(rc.InputModel._ARRAYS)
+    for name, _, _ in rc.InputModel._ARRAYS:
+        assert np.array_equal(getattr(stacked.input, name), stack([getattr(inp, name)] * 8))
+
+
 def test_iid_input_factory_shapes():
     m = rc.iid_input(np.eye(2))
     assert m.n_xi == 0

@@ -60,7 +60,9 @@ The output set:
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``):
-  each command's exit code and the bytes of its ``--out`` file.
+  each command's exit code and the bytes of its ``--out`` file;
+- every subcommand's parsed flags when only ``--model`` is given (its
+  handler left out), so a CLI default that drifts from the library's shows.
 """
 
 import dataclasses
@@ -298,6 +300,10 @@ def collect(path):
             out[f"cli.{name}.exit"] = riccati_capacity.cli.main(
                 [*argv, "--model", str(model), "--out", str(result)])
             out[f"cli.{name}.out"] = result.read_bytes() if result.exists() else None
+    for name, *_ in riccati_capacity.cli._SUBCOMMANDS:
+        args = vars(riccati_capacity.cli.build_parser().parse_args([name, "--model", "m.json"]))
+        del args["handler"]
+        _flatten(f"cli.{name}.defaults", args, out)
 
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
