@@ -39,7 +39,7 @@ from .models import Channel, InputModel, NoiseModel, build_augmented, require_va
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
 from .riccati import are_solve
-from .simulate import empirical_report, sample_paths
+from .simulate import _path_blocks, empirical_report, sample_paths
 from .systests import feasibility_report
 
 __all__ = ["main"]
@@ -281,24 +281,37 @@ def _cmd_sweep_kappa(args, doc):
 def _cmd_simulate(args, doc):
     noise, input_model, channel = _parse_models(args, doc)
     analytic = asymptotic_rate(noise, input_model, channel)
-    batch = sample_paths(noise, input_model, channel,
-                         horizon=args.n, paths=args.paths, master_seed=args.seed)
-    report = empirical_report(batch, analytic)
+    # the report takes the paths block by block; of each block only its
+    # saturation step is kept here, and the first sampled path of the first
+    first, saturated = {}, []
+
+    def draw(paths):
+        batch = sample_paths(noise, input_model, channel,
+                             horizon=args.n, paths=paths, master_seed=args.seed)
+        saturated.append(batch.saturated_at)
+        if not first:
+            first.update((label, getattr(batch, label)[0].copy())
+                         for label in ("S", "V", "Xi", "X", "Y"))
+        return batch
+
+    report = empirical_report(map(draw, _path_blocks(noise, input_model, args.n, args.paths)),
+                              analytic)
     _emit({
         "paths": report.paths,
         "horizon": report.horizon,
-        "master_seed": batch.master_seed,
-        "saturated_at": batch.saturated_at,
+        "master_seed": args.seed,
+        "saturated_at": min(filter(None, saturated), default=None),
         "ok": report.ok,
         "checks": [_fields(row) for row in report.rows],
     }, args.out)
     if args.trace:
-        # the first sampled path, one column per component
-        blocks = {"S": batch.S, "V": batch.V, "Xi": batch.Xi, "X": batch.X,
-                  "Y": batch.Y, "I": report.innovations}
-        header = ["t"] + [f"{label}{j}" for label, arr in blocks.items()
-                          for j in range(arr.shape[2])]
-        path = np.concatenate([arr[0] for arr in blocks.values()], axis=1)
+        # the first sampled path, one column per component, up to the
+        # report's horizon (a shorter block truncates the whole batch)
+        columns = {label: arr[:report.horizon] for label, arr in first.items()}
+        columns["I"] = report.innovations[0]
+        header = ["t"] + [f"{label}{j}" for label, arr in columns.items()
+                          for j in range(arr.shape[1])]
+        path = np.concatenate(list(columns.values()), axis=1)
         _emit(_csv(header, ([t + 1, *row] for t, row in enumerate(path))), args.trace)
     return None if report.ok else "empirical statistics outside tolerance"
 

@@ -185,21 +185,27 @@ def substream(master_seed, index):
     Counter-based Philox keyed on (master_seed, index): splitting is
     order-independent, so substreams may be consumed in any order or in
     parallel without changing their content. A batch sampler builds one
-    generator and re-keys it for each path (``_rekey``), which reads the
-    same stream as a fresh ``substream`` call without its construction.
+    generator and re-keys it for each path (``_substreams``), which reads
+    the same stream as a fresh ``substream`` call without its construction.
     """
     key = np.array(_key(master_seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(generator, master_seed, index):
-    """Move a ``substream`` generator to the start of substream (master_seed, index).
+def _substreams(master_seed, indices):
+    """One ``substream`` generator, moved to the start of substream (master_seed, i) for each i.
 
-    The key is replaced and the counter, output buffer and cached 32-bit
-    half are cleared, which is the state a fresh Philox with that key has.
+    Yields the generator once per index, in order. Each move replaces the
+    key and clears the counter, output buffer and cached 32-bit half,
+    which is the state a fresh Philox with that key has; the indices are
+    nonnegative ints, and one state record serves every move.
     """
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _key(master_seed, index)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    generator = substream(master_seed, 0)
+    seed = _key(master_seed, 0)[0]
+    keyed = {"counter": (0, 0, 0, 0), "key": None}
+    record = {"bit_generator": "Philox", "state": keyed, "buffer": (0, 0, 0, 0),
+              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for index in indices:
+        keyed["key"] = (seed, index)
+        generator.bit_generator.state = record
+        yield generator

@@ -8,12 +8,12 @@ Lyapunov quantities. Agreement is judged in standard errors, so the
 tolerance tightens automatically as paths are added.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .capacity import CapacityResult
-from .linalg import _rekey, as_count, substream, sup_norm, symmetrize
+from .linalg import _substreams, as_count, sup_norm, symmetrize
 from .lyapunov import _step as _lyap_core
 from .lyapunov import input_power
 from .models import build_augmented
@@ -40,6 +40,9 @@ OVERFLOW_GUARD = 1e12
 # a comparison row passes when every entry is within this many standard errors
 TOL_SE = 3.0
 
+# bytes of sampled and filtered arrays one block of paths may fill (``_path_blocks``)
+_BLOCK_BYTES = 2**24
+
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
@@ -53,7 +56,7 @@ class TrajectoryBatch:
     otherwise it is None. Identical models and master_seed reproduce the
     batch bit for bit, path by path, regardless of generation order.
     ``system`` is the JointSystem built from the three models, which
-    ``empirical_report`` filters on.
+    ``empirical_report`` filters on. Row i holds path ``first_path + i``.
     """
 
     noise: object
@@ -69,6 +72,7 @@ class TrajectoryBatch:
     X: np.ndarray
     Y: np.ndarray
     saturated_at: int = None
+    first_path: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +112,9 @@ class CheckRow:
 class ComparisonReport:
     """All checks for one batch; ``ok`` is the conjunction of the rows.
 
-    ``innovations`` are the joint predictor's innovations the checks were
-    computed from, (paths, horizon, n_y).
+    ``innovations`` are the joint predictor's innovations, (paths, horizon,
+    n_y), of the batch, or of the first block when the report was given
+    blocks.
     """
 
     rows: tuple
@@ -127,8 +132,10 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     noise, input, channel : models
     horizon : int
         Steps per path, >= 1.
-    paths : int
-        Number of independent paths, >= 1.
+    paths : int or range
+        Number of independent paths, >= 1, drawn as paths 0, 1, ...; or a
+        nonempty range of path indices with step 1, a block of a larger
+        batch whose rows are that batch's rows ``paths``.
     master_seed : int
         Path i draws from a counter-based generator keyed on
         (master_seed, i), so the batch is reproducible and paths are
@@ -148,24 +155,28 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     time-major storage, so each step reads and writes contiguous blocks;
     they are not C-contiguous. Memory grows as paths * horizon * total
     dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X, Y
-    entry of every path and step. At 20,000 paths and 50 steps of a model
-    with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1 that is 24 MB of
-    draws and 48 MB of trajectories; a whole ``riccati-capacity simulate
-    --trace`` call on it, both filter passes included, peaked at 139 MB
-    resident in a fresh interpreter (29 MB before the call; x86-64 Linux,
-    numpy 2.4).
+    entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
+    model with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1.
+    ``riccati-capacity simulate`` therefore samples in blocks of paths
+    (2,995 there) and hands them to ``empirical_report``, so it holds one
+    block plus the O(paths) values the report reads: a ``--trace`` call at
+    that size peaked at 54 MB resident in a fresh interpreter (29 MB before
+    the call), against 132 MB when it sampled the whole batch at once
+    (x86-64 Linux, numpy 2.4).
     """
     horizon = as_count(horizon, "horizon")
-    paths = as_count(paths, "paths")
+    indices = paths if isinstance(paths, range) else range(as_count(paths, "paths"))
+    if indices.step != 1 or indices.start < 0 or not indices:
+        raise ValueError(f"paths must be a nonempty range of path indices with step 1, "
+                         f"got {paths!r}")
+    paths = len(indices)
     # runs the full validation including cross-dimension checks
     system = build_augmented(noise, input, channel)
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
     eps = np.empty((paths, n_s + n_xi + horizon * (n_w + n_z)))
-    rng = substream(master_seed, 0)
-    for i, row in enumerate(eps):
-        _rekey(rng, master_seed, i)
+    for rng, row in zip(_substreams(master_seed, indices), eps):
         rng.standard_normal(out=row)
 
     sq_S1 = _root(noise.K_S1)
@@ -213,40 +224,67 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     return TrajectoryBatch(
         noise=noise, input=input, channel=channel, system=system,
         paths=paths, horizon=stored, master_seed=int(master_seed),
-        S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at,
+        S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at, first_path=indices.start,
     )
 
 
-def _filter_batch(quad, obs, predictions=None):
-    """Time-varying one-step predictor over a batch of observation paths.
+def _path_blocks(noise, input, horizon, paths):
+    """Consecutive ranges of path indices covering ``paths`` paths, for ``sample_paths``.
 
-    ``quad`` is a JointSystem, started from its initial law (mu_Theta1,
-    K_Theta1). Each step is one prediction step (``riccati._predict``): it
-    gives the innovations covariance, the gain that advances the paths and
-    the next error covariance. ``obs`` is indexed (path, t, component);
-    ``predictions``, if given, is a (t, path, component) buffer for the
-    one-step state predictions. Returns (innovations, P_seq, K_seq): the
-    per-path innovations, a (path, t, component) view over time-major
-    storage, and the analytic error and innovations covariance schedules.
+    A block of paths fills, per path and step, the (W_t, Z_t) draws, the
+    S, V, Xi, X, Y entries, the joint filter's state predictions and
+    innovations and the noise filter's innovations; a block holds as many
+    paths as fit _BLOCK_BYTES of those at ``horizon`` steps, at least one.
     """
-    paths, horizon, _ = obs.shape
-    obs = obs.transpose(1, 0, 2)
+    horizon, paths = as_count(horizon, "horizon"), as_count(paths, "paths")
+    width = (noise.n_w + input.n_z + 2 * (noise.n_s + input.n_xi) + input.n_x
+             + 4 * noise.n_y)
+    length = max(1, _BLOCK_BYTES // (8 * horizon * width))
+    return [range(lo, min(lo + length, paths)) for lo in range(0, paths, length)]
+
+
+def _schedule(quad, horizon):
+    """The time-varying one-step predictor of ``quad`` over ``horizon`` steps.
+
+    ``quad`` is a JointSystem, started from its initial law's covariance
+    K_Theta1. Each step is one prediction step (``riccati._predict``).
+    Returns (P_seq, K_seq, gains): the error and innovations covariances
+    entering each step, one slice per step, and each step's gain^T. None
+    of it depends on the paths, so one schedule serves every block.
+    """
     m = quad.m
-    A_mat, C_mat = quad.Ahat, quad.Chat
     P = symmetrize(quad.K_Theta1)  # checked when its models were validated
-    state = np.broadcast_to(quad.mu_Theta1, (paths, m)).copy()
-    innovations = np.empty((horizon, paths, quad.q))
     P_seq = np.empty((horizon, m, m))
     K_seq = np.empty((horizon, quad.q, quad.q))
+    gains = []
     for t in range(horizon):
         P_seq[t] = P
         P, K, _, gain_T = _predict(quad, P)
         K_seq[t] = symmetrize(K)
+        gains.append(gain_T)
+    return P_seq, K_seq, gains
+
+
+def _filter_batch(quad, obs, gains, predictions=None):
+    """Run a predictor schedule (``_schedule``'s gains) over a batch of observation paths.
+
+    ``quad`` is a JointSystem, started from its initial mean mu_Theta1.
+    ``obs`` is indexed (path, t, component); ``predictions``, if given, is
+    a (t, path, component) buffer for the one-step state predictions.
+    Returns the per-path innovations, a (path, t, component) view over
+    time-major storage.
+    """
+    paths, horizon, _ = obs.shape
+    obs = obs.transpose(1, 0, 2)
+    A_mat, C_mat = quad.Ahat, quad.Chat
+    state = np.broadcast_to(quad.mu_Theta1, (paths, quad.m)).copy()
+    innovations = np.empty((horizon, paths, quad.q))
+    for t in range(horizon):
         innov = np.subtract(obs[t], state @ C_mat.T, out=innovations[t])
         if predictions is not None:
             predictions[t] = state
-        state = state @ A_mat.T + innov @ gain_T
-    return innovations.transpose(1, 0, 2), P_seq, K_seq
+        state = state @ A_mat.T + innov @ gains[t]
+    return innovations.transpose(1, 0, 2)
 
 
 def kalman_run(batch):
@@ -274,8 +312,9 @@ def kalman_run(batch):
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
+    Pi_seq, K_I_seq, gains = _schedule(batch.system, batch.horizon)
     predictions = np.empty((batch.horizon, batch.paths, batch.system.m))
-    innovations, Pi_seq, K_I_seq = _filter_batch(batch.system, batch.Y, predictions)
+    innovations = _filter_batch(batch.system, batch.Y, gains, predictions)
     predictions = predictions.transpose(1, 0, 2)
     # Theta_t = (Xi_t, S_t); the errors overwrite the predictions in place
     n_xi = batch.Xi.shape[2]
@@ -325,6 +364,38 @@ def _row(name, analytic, empirical, se):
     )
 
 
+def _reduce(block, horizon, shared):
+    """The per-path values the report reads of one block, over its first ``horizon`` steps.
+
+    Returns copies of the joint innovations at the last two steps (the last
+    twice at horizon 1, where the earlier is not read), the state errors
+    and noise innovations at the last step, and each path's average power,
+    so the block's arrays are freed once the caller drops it. ``shared``
+    holds what does not depend on the paths: the noise predictor's
+    schedule, computed at the first block's horizon (a shorter horizon
+    reads its prefix), the joint schedule of the last block reduced, and
+    the joint innovations of the report's first block.
+    """
+    if block.horizon > horizon:
+        # a shorter batch is the prefix of a longer one
+        block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
+                                                   for name in ("S", "V", "Xi", "X", "Y")})
+    run = kalman_run(block)
+    noise_quad = block.system.noise_quad
+    if "noise" not in shared:
+        shared["noise"] = _schedule(noise_quad, horizon)
+    shared["joint"] = run.Pi_seq, run.K_I_seq
+    if shared.setdefault("first_path", block.first_path) == block.first_path:
+        shared["innovations"] = run.innovations  # the report's first block, drawn again or not
+    noise_innov = _filter_batch(noise_quad, block.V, shared["noise"][2])
+    t = horizon - 1
+    # squares in C order, so each path sums one contiguous run whatever the
+    # layout of block.X; the summation order sets the last bits
+    power = np.sum(np.multiply(block.X, block.X, order="C"), axis=(1, 2)) / horizon
+    return (run.innovations[:, t].copy(), run.innovations[:, t - 1].copy(),
+            run.state_errors[:, t].copy(), noise_innov[:, t].copy(), power)
+
+
 def empirical_report(batch, analytic):
     """Compare a sampled batch with the analytic predictions.
 
@@ -340,7 +411,16 @@ def empirical_report(batch, analytic):
 
     Parameters
     ----------
-    batch : TrajectoryBatch
+    batch : TrajectoryBatch, or an iterable of them
+        One batch, or one batch in blocks: ``sample_paths`` calls with the
+        same models, horizon and master_seed over consecutive ranges of
+        path indices, in order. Each block is filtered and reduced to the
+        values the rows read as it arrives, so a generator of blocks is
+        held one block at a time, and the rows are those of the whole
+        batch, bit for bit. A block that stops at the overflow guard
+        before the blocks read so far truncates the report to its horizon:
+        later blocks are cut to it, and the earlier ones are drawn again
+        at it.
     analytic : CapacityResult
         Supplies the steady-state targets; the time-indexed comparisons
         use the matching difference-equation values so a short horizon
@@ -356,14 +436,36 @@ def empirical_report(batch, analytic):
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    run = kalman_run(batch)
-    noise_innov, _, K_hat_seq = _filter_batch(batch.system.noise_quad, batch.V)
-    paths, horizon = batch.paths, batch.horizon
+    blocks = (batch,) if isinstance(batch, TrajectoryBatch) else batch
+    # per block: the values the rows read, and (noise, input, channel, path
+    # indices, master_seed) to draw it again
+    kept, drawn, shared, horizon = [], [], {}, None
+    for block in blocks:
+        rows_of = range(block.first_path, block.first_path + block.paths)
+        if drawn and rows_of.start != drawn[-1][3].stop:
+            raise ValueError(f"blocks must hold consecutive paths, got {rows_of!r} after "
+                             f"{drawn[-1][3]!r}")
+        drawn.append((block.noise, block.input, block.channel, rows_of, block.master_seed))
+        shorter = horizon is not None and block.horizon < horizon
+        if horizon is None or shorter:
+            horizon = block.horizon
+        values = _reduce(block, horizon, shared)
+        del block  # so that no two blocks are held at once
+        if shorter:
+            kept = [_reduce(sample_paths(*models, horizon, earlier, seed), horizon, shared)
+                    for *models, earlier, seed in drawn[:-1]]
+        kept.append(values)
+    if not kept:
+        raise ValueError("no batch to report on")
+    innov_last, innov_prev, errors, noise_last, per_path_power = (
+        np.concatenate(column) for column in zip(*kept))
+    (Pi_seq, K_I_seq), K_hat_seq = shared["joint"], shared["noise"][1]
+    paths = len(per_path_power)
     t_last = horizon - 1
 
     rows = []
-    K_I_t = run.K_I_seq[t_last]
-    emp_I = _cov_over_paths(run.innovations[:, t_last])
+    K_I_t = K_I_seq[t_last]
+    emp_I = _cov_over_paths(innov_last)
     rows.append(_row("innovations covariance", K_I_t, emp_I, _cov_se(K_I_t, paths)))
 
     if horizon >= 2:
@@ -371,42 +473,38 @@ def empirical_report(batch, analytic):
         # allowance for an unsettled filter, measured from how much the
         # recursion itself is still moving; deliberately independent of the
         # claimed limit so a wrong analytic value cannot widen its own band
-        settling = 3.0 * np.abs(K_I_t - run.K_I_seq[t_last - 1])
+        settling = 3.0 * np.abs(K_I_t - K_I_seq[t_last - 1])
         se_steady = _cov_se(K_I_inf, paths) + settling / TOL_SE
         rows.append(_row("steady-state innovations covariance", K_I_inf, emp_I,
                          se_steady))
 
     K_hat_t = K_hat_seq[t_last]
-    emp_hat = _cov_over_paths(noise_innov[:, t_last])
+    emp_hat = _cov_over_paths(noise_last)
     rows.append(_row("noise innovations covariance", K_hat_t, emp_hat,
                      _cov_se(K_hat_t, paths)))
 
-    n_theta = run.state_errors.shape[2]
-    if n_theta:
-        Pi_t = run.Pi_seq[t_last]
-        emp_err = _cov_over_paths(run.state_errors[:, t_last])
+    if errors.shape[1]:
+        Pi_t = Pi_seq[t_last]
+        emp_err = _cov_over_paths(errors)
         rows.append(_row("state-error covariance", Pi_t, emp_err, _cov_se(Pi_t, paths)))
 
     if horizon >= 2:
-        lag = _cov_over_paths(run.innovations[:, t_last], run.innovations[:, t_last - 1])
-        d_now = np.diag(run.K_I_seq[t_last])
-        d_prev = np.diag(run.K_I_seq[t_last - 1])
+        lag = _cov_over_paths(innov_last, innov_prev)
+        d_now = np.diag(K_I_seq[t_last])
+        d_prev = np.diag(K_I_seq[t_last - 1])
         se_lag = np.sqrt(np.outer(d_now, d_prev) / paths)
         rows.append(_row("lag-1 innovations cross-covariance",
                          np.zeros_like(lag), lag, se_lag))
 
     # exact finite-horizon analytic average power, so the comparison does
     # not confuse the start-up transient with sampling error
-    inp = batch.input
+    inp = drawn[0][1]
     P_t = symmetrize(inp.K_Xi1)
     power_sum = 0.0
     for _ in range(horizon):
         power_sum += input_power(inp, P_t)
         P_t = _lyap_core(inp.F, inp.G, inp.K_Z, P_t)
     analytic_power = power_sum / horizon
-    # squares in C order, so each path sums one contiguous run whatever the
-    # layout of batch.X; the summation order sets the last bits
-    per_path_power = np.sum(np.multiply(batch.X, batch.X, order="C"), axis=(1, 2)) / horizon
     emp_power = float(np.mean(per_path_power))
     se_power = float(np.std(per_path_power, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     if se_power == 0.0:
@@ -416,5 +514,5 @@ def empirical_report(batch, analytic):
     rows = tuple(rows)
     return ComparisonReport(
         rows=rows, paths=paths, horizon=horizon,
-        ok=bool(all(r.ok for r in rows)), innovations=run.innovations,
+        ok=bool(all(r.ok for r in rows)), innovations=shared["innovations"],
     )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import riccati_capacity.cli as cli
 import riccati_capacity.simulate as simulate
 from riccati_capacity.cli import main
 
-from conftest import scalar_noise
+from conftest import random_models, scalar_noise
 from oracles import HALF_LN2, HALF_LN2_5
 
 
@@ -454,6 +455,78 @@ def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     header = open(trace).read().splitlines()[0].split(",")
     assert header[-1] == "I0"
+
+
+# an initial noise state of mean 9.8e11 and deviation 1e10 passes the
+# overflow guard 1e12 at step 1 on about one path in 44
+HOT_START = dict(COLORED, noise=dict(COLORED["noise"], mu_S1=[9.8e11], K_S1=[[1e20]]))
+
+
+@pytest.mark.parametrize("doc, n, seed, saturated", [
+    (COLORED, 12, 21, [None] * 6),
+    # the first block is drawn again at 68 steps, then the first two at 66,
+    # and the last three are cut to 66
+    (dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]])), 80, 14, [70, 69, 67, 68, 68, 70]),
+    # only the sixth block has a path past the guard at step 1
+    (HOT_START, 5, 2, [None] * 5 + [1]),
+], ids=["stable", "saturating", "later-block-at-step-1"])
+def test_simulate_in_blocks_writes_the_whole_batch_bytes(tmp_path, monkeypatch, capsys,
+                                                         doc, n, seed, saturated):
+    model = write_model(tmp_path, doc)
+    drawn = []
+    original = cli.sample_paths
+
+    def recording(*args, **kwargs):
+        batch = original(*args, **kwargs)
+        drawn.append((kwargs["paths"], batch.saturated_at))
+        return batch
+
+    monkeypatch.setattr(cli, "sample_paths", recording)
+    outputs, runs = [], []
+    # the default budget holds all 60 paths in one block, the whole batch;
+    # these scalar models fill 11 floats a path and step, so the second
+    # budget holds 10 paths
+    for budget in (simulate._BLOCK_BYTES, 10 * 8 * n * 11):
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", budget)
+        out, trace = tmp_path / f"{budget}.json", tmp_path / f"{budget}.csv"
+        drawn.clear()
+        code = main(["simulate", "--model", model, "--n", str(n), "--paths", "60",
+                     "--seed", str(seed), "--out", str(out), "--trace", str(trace)])
+        outputs.append([code, capsys.readouterr().err] + [p.read_bytes() for p in (out, trace)
+                                                          if p.exists()])
+        runs.append(list(drawn))
+    assert runs == [[(range(60), min(filter(None, saturated), default=None))],
+                    [(range(lo, lo + 10), s) for lo, s in zip(range(0, 60, 10), saturated)]]
+    assert outputs[1] == outputs[0]
+    if saturated[-1] == 1:
+        assert outputs[0] == [2, "error: no step to filter: a sampled state passed the "
+                                 "overflow guard 1e+12 at step 1\n"]
+    else:
+        assert outputs[0][0] == 0 and len(outputs[0]) == 4
+
+
+def test_simulate_memory_holds_one_block_of_paths(tmp_path):
+    # 20,000 paths x 50 steps of a model the size of the benchmark's (n_s = 2,
+    # n_xi = 1): sampling the whole batch at once peaked at 98 MB of traced
+    # allocations, blocks of paths at 17 MB
+    noise, inp = random_models(np.random.default_rng(5), n_s=2, n_xi=1)
+    doc = {"noise": {"A": noise.A, "B": noise.B, "C": noise.C, "N": noise.N, "K_W": noise.K_W,
+                     "K_S1": noise.K_S1},
+           "input": {"F": inp.F, "G": inp.G, "Gamma": inp.Gamma, "D": inp.D, "K_Z": inp.K_Z,
+                     "K_Xi1": inp.K_Xi1},
+           "channel": {"H": [[1.0]], "kappa": 1.0}}
+    model = write_model(tmp_path, {name: {key: np.asarray(value).tolist()
+                                          for key, value in section.items()}
+                                   for name, section in doc.items()})
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--model", model, "--n", "50", "--paths", "20000",
+                     "--seed", "3", "--out", str(tmp_path / "report.json"),
+                     "--trace", str(tmp_path / "path.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_output_defaults_to_stdout(tmp_path, capsys):

@@ -70,6 +70,19 @@ def test_batch_rows_do_not_depend_on_the_path_count():
     large = rc.sample_paths(noise, inp, ch, horizon=9, paths=50, master_seed=21)
     for name in ("S", "V", "Xi", "X", "Y"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:7])
+    # blocks of 16 paths, the last one of 2
+    for lo in range(0, 50, 16):
+        hi = min(lo + 16, 50)
+        block = rc.sample_paths(noise, inp, ch, horizon=9, paths=range(lo, hi), master_seed=21)
+        assert (block.first_path, block.paths, block.horizon) == (lo, hi - lo, 9)
+        for name in ("S", "V", "Xi", "X", "Y"):
+            assert np.array_equal(getattr(block, name), getattr(large, name)[lo:hi]), (lo, name)
+
+
+@pytest.mark.parametrize("paths", [range(0), range(3, 1), range(0, 6, 2), range(-1, 4)])
+def test_a_block_of_paths_is_a_nonempty_range_with_step_one(paths):
+    with pytest.raises(ValueError, match="^paths must be a nonempty range of path indices"):
+        rc.sample_paths(*colored_setup(), horizon=3, paths=paths, master_seed=0)
 
 
 def test_shorter_horizon_is_the_prefix_of_a_saturating_batch():
@@ -200,6 +213,56 @@ def test_report_does_not_depend_on_the_batch_layout():
         assert np.array_equal(r.analytic, d.analytic), r.name
         assert np.array_equal(r.empirical, d.empirical), r.name
         assert (r.deviation, r.se, r.se_ratio, r.ok) == (d.deviation, d.se, d.se_ratio, d.ok)
+
+
+def assert_same_report(report, whole):
+    assert (report.paths, report.horizon, report.ok) == (whole.paths, whole.horizon, whole.ok)
+    assert [r.name for r in report.rows] == [r.name for r in whole.rows]
+    for r, w in zip(report.rows, whole.rows):
+        assert np.array_equal(r.analytic, w.analytic), r.name
+        assert np.array_equal(r.empirical, w.empirical), r.name
+        assert (r.deviation, r.se, r.se_ratio, r.ok) == (w.deviation, w.se, w.se_ratio, w.ok)
+
+
+def blocks_of(noise, inp, ch, horizon, paths, seed, length):
+    return (rc.sample_paths(noise, inp, ch, horizon, range(lo, min(lo + length, paths)), seed)
+            for lo in range(0, paths, length))
+
+
+def test_report_over_blocks_is_the_whole_batch_report():
+    noise, inp, ch = mimo_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    whole = rc.empirical_report(rc.sample_paths(noise, inp, ch, 12, 100, 3), analytic)
+    report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 100, 3, 30), analytic)
+    assert_same_report(report, whole)
+    # the innovations are those of the first block, paths 0 to 29
+    assert np.array_equal(report.innovations, whole.innovations[:30])
+
+
+def test_a_block_that_stops_earlier_truncates_the_whole_report():
+    # seed 31, blocks of 10 paths: they pass the guard at steps 69, 68, 70,
+    # 69, 69 and 67, so the first block is drawn again at 67 steps, the
+    # third to fifth are cut to them, and the sixth makes all five earlier
+    # blocks be drawn again at 66 steps
+    noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    blocks = list(blocks_of(noise, inp, ch, 80, 60, 31, 10))
+    assert [b.saturated_at for b in blocks] == [69, 68, 70, 69, 69, 67]
+    batch = rc.sample_paths(noise, inp, ch, 80, 60, 31)
+    assert (batch.saturated_at, batch.horizon) == (67, 66)
+    report = rc.empirical_report(iter(blocks), analytic)
+    assert_same_report(report, rc.empirical_report(batch, analytic))
+    assert np.array_equal(report.innovations, rc.kalman_run(batch).innovations[:10])
+
+
+def test_report_blocks_hold_consecutive_paths():
+    noise, inp, ch = colored_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    first, gap = (rc.sample_paths(noise, inp, ch, 3, paths, 0) for paths in (range(5), range(6, 9)))
+    with pytest.raises(ValueError, match=r"^blocks must hold consecutive paths, got range\(6, 9\)"):
+        rc.empirical_report([first, gap], analytic)
+    with pytest.raises(ValueError, match="^no batch to report on$"):
+        rc.empirical_report([], analytic)
 
 
 def test_report_accepts_matched_statistics():

@@ -59,8 +59,13 @@ The output set:
   N = [0, 1], K_W = I;
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
-  in-process on one two-state unstable-noise model file (``CLI_MODEL``):
-  each command's exit code and the bytes of its ``--out`` file;
+  in-process on one two-state unstable-noise model file (``CLI_MODEL``),
+  and two more ``simulate --trace`` runs that sample in several blocks of
+  paths: 7,000 paths x 50 steps on ``CLI_MODEL`` (three blocks), and
+  12,000 paths x 80 steps on scalar noise A = 1.5 (``SATURATING_MODEL``,
+  six blocks), where a later block passes the overflow guard a step before
+  the first: each command's exit code and the bytes of its ``--out`` file
+  and its ``--trace`` file;
 - every subcommand's parsed flags when only ``--model`` is given (its
   handler left out), so a CLI default that drifts from the library's shows.
 """
@@ -88,14 +93,26 @@ CLI_MODEL = {
     "channel": {"H": [[1.0]], "kappa": 1.0},
 }
 
-# (name, subcommand and its flags); each also gets --model and --out
+# scalar noise growing by 1.5 a step: sampled states pass the overflow guard
+# near step 67, in some blocks of paths a step before others
+SATURATING_MODEL = dict(CLI_MODEL, noise={"A": [[1.5]], "B": [[1.0]], "C": [[1.0]],
+                                          "N": [[1.0]], "K_W": [[1.0]]})
+
+# (name, model file, subcommand and its flags); each also gets --model and
+# --out, and a TRACE flag value names a file whose bytes are recorded too
 CLI_COMMANDS = (
-    ("check-system", ["check-system"]),
-    ("solve-are", ["solve-are"]),
-    ("capacity-asym", ["capacity-asym"]),
-    ("capacity-n", ["capacity-n", "--n", "50"]),
-    ("simulate", ["simulate", "--n", "20", "--paths", "500", "--seed", "3"]),
-    ("optimize", ["optimize", "--starts", "3", "--max-iter", "10", "--dims", "1,1"]),
+    ("check-system", CLI_MODEL, ["check-system"]),
+    ("solve-are", CLI_MODEL, ["solve-are"]),
+    ("capacity-asym", CLI_MODEL, ["capacity-asym"]),
+    ("capacity-n", CLI_MODEL, ["capacity-n", "--n", "50"]),
+    ("simulate", CLI_MODEL, ["simulate", "--n", "20", "--paths", "500", "--seed", "3"]),
+    ("optimize", CLI_MODEL, ["optimize", "--starts", "3", "--max-iter", "10", "--dims", "1,1"]),
+    # three blocks of paths
+    ("simulate.blocks", CLI_MODEL,
+     ["simulate", "--n", "50", "--paths", "7000", "--seed", "3", "--trace", "TRACE"]),
+    # six blocks; the fifth passes the guard at step 66, the others at 67
+    ("simulate.saturating", SATURATING_MODEL,
+     ["simulate", "--n", "80", "--paths", "12000", "--seed", "4", "--trace", "TRACE"]),
 )
 
 
@@ -293,13 +310,15 @@ def collect(path):
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:
-        model = Path(tmp, "model.json")
-        model.write_text(json.dumps(CLI_MODEL))
-        for name, argv in CLI_COMMANDS:
-            result = Path(tmp, name + ".out")
+        for name, doc, argv in CLI_COMMANDS:
+            model, result, trace = (Path(tmp, name + suffix) for suffix in (".json", ".out", ".csv"))
+            model.write_text(json.dumps(doc))
+            argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
             out[f"cli.{name}.exit"] = riccati_capacity.cli.main(
                 [*argv, "--model", str(model), "--out", str(result)])
             out[f"cli.{name}.out"] = result.read_bytes() if result.exists() else None
+            if str(trace) in argv:
+                out[f"cli.{name}.trace"] = trace.read_bytes() if trace.exists() else None
     for name, *_ in riccati_capacity.cli._SUBCOMMANDS:
         args = vars(riccati_capacity.cli.build_parser().parse_args([name, "--model", "m.json"]))
         del args["handler"]
