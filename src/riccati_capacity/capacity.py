@@ -303,11 +303,13 @@ def asymptotic_rate(noise, input, channel, tol=DEFAULT_TOL, max_iter=MAX_DOUBLIN
     Returns
     -------
     CapacityResult
-        With the FeasibilityReport attached. Its diagnostics'
-        ``sigma_converged`` and ``pi_converged`` say that each Riccati
-        solve stopped within tolerance of its stabilizing solution (a
-        fixed point whose closed loop is stable); ``sigma_spectral_radius``
-        and ``pi_spectral_radius`` give those closed loops' radii.
+        With the FeasibilityReport attached, whose minimality warnings
+        are computed on the first read of ``warnings`` (its verdicts
+        here). Its diagnostics' ``sigma_converged`` and ``pi_converged``
+        say that each Riccati solve stopped within tolerance of its
+        stabilizing solution (a fixed point whose closed loop is stable);
+        ``sigma_spectral_radius`` and ``pi_spectral_radius`` give those
+        closed loops' radii.
 
     Raises
     ------

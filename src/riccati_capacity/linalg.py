@@ -24,8 +24,14 @@ def as_matrix(x, name="matrix"):
 
     More than two dimensions, or rows of unequal length, are "not rectangular".
     """
+    return _as_2d(x, name, copy=True)
+
+
+def _as_2d(x, name, copy):
+    # as_matrix; copy=None converts x only where it is not a float64 array already, for a
+    # caller that reads the shape and leaves the one copy to the coercion that follows
     try:
-        arr = np.array(x, dtype=np.float64, order="C", ndmin=2)
+        arr = np.array(x, dtype=np.float64, order="C" if copy else "K", ndmin=2, copy=copy)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not rectangular") from None
     if arr.ndim > 2:

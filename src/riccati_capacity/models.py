@@ -31,6 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linalg import (
+    _as_2d,
     as_matrix,
     as_vector,
     block_diag,
@@ -451,7 +452,7 @@ def to_quadruple(noise):
 
 def memoryless_noise(K_V):
     """White Gaussian noise with covariance K_V, phrased as a stateless model."""
-    K_V = as_matrix(K_V, "K_V")
+    K_V = _as_2d(K_V, "K_V", copy=None)  # the model's coercion makes the one copy
     n_y = K_V.shape[0]
     return NoiseModel(
         A=np.zeros((0, 0)), B=np.zeros((0, n_y)),
@@ -461,7 +462,7 @@ def memoryless_noise(K_V):
 
 def iid_input(K_Z, n_x=None):
     """Stateless input X_t = D Z_t with D = I truncated to n_x rows."""
-    K_Z = as_matrix(K_Z, "K_Z")
+    K_Z = _as_2d(K_Z, "K_Z", copy=None)  # the model's coercion makes the one copy
     n_z = K_Z.shape[0]
     if n_x is None:
         n_x = n_z

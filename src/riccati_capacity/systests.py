@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_SLACK, as_covariance, as_finite, as_matrix, solve_spd, sup_norm,
+from .linalg import (PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, sup_norm,
                      symmetrize)
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
@@ -88,9 +88,11 @@ class FeasibilityReport:
 
     ``member_of_P_infinity`` is the conjunction of the five defining
     flags; ``unit_circle_controllable`` is diagnostic only and does not
-    enter membership. ``warnings`` collects non-fatal findings such as
-    apparent non-minimality of a realization. ``witnesses`` turns each
-    test's ``Witnesses`` in ``witness_arrays`` into dicts on first access.
+    enter membership. ``warnings`` collects non-fatal findings: the starred
+    systems' rank-rule warnings, then apparent non-minimality of either
+    realization, computed on first read (the verdicts are not) from the models
+    ``_noise`` and ``_input`` and the noise detectability witnesses.
+    ``witnesses`` turns each test's ``Witnesses`` into dicts on first access.
     """
 
     noise_detectable: bool
@@ -100,7 +102,9 @@ class FeasibilityReport:
     input_F_stable: bool
     unit_circle_controllable: bool
     witness_arrays: dict = field(default_factory=dict, repr=False)
-    warnings: tuple = ()
+    _rank_rule: tuple = ()
+    _noise: object = field(default=None, repr=False)
+    _input: object = field(default=None, repr=False)
 
     @property
     def member_of_P_infinity(self):
@@ -111,6 +115,28 @@ class FeasibilityReport:
     def witnesses(self):
         return {label: w.dicts() for label, w in self.witness_arrays.items()}
 
+    @cached_property
+    def warnings(self):
+        # a realization is minimal iff controllable and observable at every eigenvalue, not
+        # just the unstable ones; the noise's observability pair starts from the spectrum
+        # and ranks of its detectability witnesses
+        noise, input, seen = self._noise, self._input, self.witness_arrays["noise_detectable"]
+        observe = _Pair(noise.A.T, noise.C.T, seen.eigenvalues)
+        observe.rank = seen.rank.copy()
+        pairs = [("noise", _Pair(noise.A, noise.B, seen.eigenvalues), observe)]
+        if input.n_xi:  # a memoryless input has no realization to check
+            lams = np.linalg.eigvals(input.F)
+            pairs.append(("input", _Pair(input.F, input.G, lams),
+                          _Pair(input.F.T, input.Gamma.T, lams)))
+        warnings = list(self._rank_rule)
+        for label, reach, observe in pairs:
+            for pair, word in ((reach, "controllable"), (observe, "observable")):
+                short = np.flatnonzero(pair.ranks() < len(pair.lams))
+                if short.size:
+                    warnings.append(f"{label} realization not {word} at eigenvalue "
+                                    f"{pair.lams[short[0]]:.6g}; it may not be minimal")
+        return tuple(warnings)
+
 
 def psd_sqrt(M):
     """Symmetric square root of a covariance that ``linalg.as_covariance`` accepts.
@@ -119,7 +145,7 @@ def psd_sqrt(M):
     noise and set to zero, so a rank-deficient M computed with round-off
     has a root of its rank, whose square reproduces M up to PSD_SLACK.
     """
-    M = as_matrix(M, "M")
+    M = _as_2d(M, "M", copy=None)  # as_covariance makes the one copy
     return _root(as_covariance(M, M.shape[0], "M"))
 
 
@@ -255,18 +281,6 @@ def pbh_test(A, V, mode):
     return bool(witnesses.ok.all()), witnesses.dicts()
 
 
-def _minimality_warnings(label, reach, observe):
-    # a realization is minimal iff controllable and observable at every
-    # eigenvalue, not just the unstable ones
-    warnings = []
-    for pair, word in ((reach, "controllable"), (observe, "observable")):
-        short = np.flatnonzero(pair.ranks() < len(pair.lams))
-        if short.size:
-            warnings.append(f"{label} realization not {word} at eigenvalue "
-                            f"{pair.lams[short[0]]:.6g}; it may not be minimal")
-    return warnings
-
-
 def feasibility_report(noise, input, channel):
     """Run every admissibility test for a (noise, input, channel) triple.
 
@@ -278,7 +292,9 @@ def feasibility_report(noise, input, channel):
     realization is reported as a warning only, since the computed
     quantities stay well defined, after the starred systems' warnings. The
     tests of one pair share its eigenvalues and ranks; the witnesses are
-    ``pbh_test``'s.
+    ``pbh_test``'s. Every verdict is computed here; the minimality warnings
+    are computed on the first read of the report's ``warnings``, from the
+    models given and the witnesses, never from ``channel``'s slots.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
@@ -295,21 +311,14 @@ def feasibility_report(noise, input, channel):
             star = starred_system(quad)
             rank_rule += [f"{label} {text}" for text in star.warnings]
             reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
-            tests[quad] = (observe, observe.test("detectable"), reach.test("stabilizable"),
+            tests[quad] = (observe.test("detectable"), reach.test("stabilizable"),
                            reach.test("unit_circle_controllable"))
         arrays.update(zip((label + "_detectable", label + "_stabilizable", "unit_circle_" + label),
-                          tests[quad][1:]))
+                          tests[quad]))
     verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
     unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
-    observe = tests[nq][0]
-    warnings = rank_rule + _minimality_warnings("noise", _Pair(nq.Ahat, nq.Bhat, observe.lams),
-                                                observe)
-    radius_F = 0.0
-    if input.n_xi:  # a memoryless input has no realization to check
-        lams_F = np.linalg.eigvals(input.F)
-        radius_F = float(np.max(np.abs(lams_F)))
-        warnings += _minimality_warnings("input", _Pair(input.F, input.G, lams_F),
-                                         _Pair(input.F.T, input.Gamma.T, lams_F))
+    radius_F = float(np.max(np.abs(np.linalg.eigvals(input.F)))) if input.n_xi else 0.0
     return FeasibilityReport(
         **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
-        unit_circle_controllable=unit_circle, witness_arrays=arrays, warnings=tuple(warnings))
+        unit_circle_controllable=unit_circle, witness_arrays=arrays, _rank_rule=tuple(rank_rule),
+        _noise=noise, _input=input)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -74,3 +76,25 @@ def diverging_noise(a, theta):
     A = [[a * c * c + 0.5 * s * s, (a - 0.5) * c * s],
          [(a - 0.5) * c * s, a * s * s + 0.5 * c * c]]
     return rc.NoiseModel(A=A, B=np.eye(2, 3), C=[[-s, c]], N=[[0.0, 0.0, 1.0]], K_W=np.eye(3))
+
+
+def hidden_mode_models(rng, i):
+    """``random_models`` with diagonal A and F, and one mode of each hidden from its pair.
+
+    Draw i has n_s = 2 + i % 3, n_xi = 1 + i % 3, n_y = 1 + i % 2 and rho(A) from 0.6
+    to 1.3. The last mode of A has modulus rho(A); it is zeroed out of B on even draws
+    (uncontrollable) and out of C on odd ones (unobservable, so the detectability test
+    sees it when rho(A) >= 1). F's first mode leaves G or Gamma on the same draws.
+    """
+    rho_A = 0.6 + 0.1 * (i % 8)
+    noise, inp = random_models(rng, n_s=2 + i % 3, n_xi=1 + i % 3, n_y=1 + i % 2, rho_A=rho_A)
+    A = np.diag(rng.uniform(-0.9, 0.9, noise.n_s) * rho_A)
+    A[-1, -1] = rho_A * (-1) ** (i // 2)
+    F = np.diag(rng.uniform(-0.7, 0.7, inp.n_xi))
+    B, C, G, Gamma = (m.copy() for m in (noise.B, noise.C, inp.G, inp.Gamma))
+    if i % 2:
+        C[:, -1], Gamma[:, 0] = 0.0, 0.0
+    else:
+        B[-1], G[0] = 0.0, 0.0
+    return (replace(noise, A=A, B=B, C=C, K_S1=None),
+            replace(inp, F=F, G=G, Gamma=Gamma, K_Xi1=None))

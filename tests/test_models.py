@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +301,25 @@ def test_memoryless_noise_factory():
     assert m.n_s == 0
     assert np.allclose(m.R, [[2.0]])
     assert rc.validate(m).ok
+
+
+@pytest.mark.parametrize("factory, name, slot", [(rc.memoryless_noise, "K_V", "K_W"),
+                                                  (rc.iid_input, "K_Z", "K_Z")])
+def test_factories_copy_the_covariance_once(factory, name, slot):
+    # the model keeps two n x n arrays (the covariance and N or D) and is handed one
+    # identity; a copy of the covariance made only to read its size would be a fourth
+    K = np.eye(300) * 2.0
+    factory(K)
+    tracemalloc.start()
+    model = factory(K)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3.5 * K.nbytes
+    own = getattr(model, slot)
+    assert np.array_equal(own, K) and not np.shares_memory(own, K) and not own.flags.writeable
+    for bad in ([[1.0, 2.0], [3.0]], np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match=f"^{name} is not rectangular$"):
+            factory(bad)
 
 
 def test_a_stack_holds_each_distinct_model_once(monkeypatch):

@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import riccati_capacity as rc
-from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
+from conftest import (hidden_mode_models, random_models, scalar_noise, unit_channel,
+                      unit_iid_input)
 from oracles import pbh_rank, pbh_verdict
 from riccati_capacity.linalg import as_covariance
 
@@ -453,6 +455,111 @@ INPUT_UNOBSERVABLE_AT_02 = rc.InputModel(F=np.diag([0.5, 0.2]), G=[[1.0], [1.0]]
 def test_minimality_warnings_name_the_first_failing_eigenvalue(noise, inp, expected):
     rep = rc.feasibility_report(noise, inp, unit_channel())
     assert rep.warnings == expected
+
+
+def _eager_warnings(noise, inp, channel):
+    # the warnings as the report once computed them with its verdicts: the starred systems'
+    # rank-rule warnings, then every PBH rank of the joint system's noise pairs, starting
+    # from the detectability test's, and of the input's own pairs
+    Pair = rc.systests._Pair
+    system = rc.build_augmented(noise, inp, channel)
+    nq, warnings = system.noise_quad, []
+    for label, quad in (("noise", nq), ("augmented", system)):
+        warnings += [f"{label} {text}" for text in rc.starred_system(quad).warnings]
+    observe = Pair(nq.Ahat.T, nq.Chat.T, np.linalg.eigvals(nq.Ahat))
+    observe.test("detectable")
+    pairs = [("noise", Pair(nq.Ahat, nq.Bhat, observe.lams), observe)]
+    if inp.n_xi:
+        lams = np.linalg.eigvals(inp.F)
+        pairs.append(("input", Pair(inp.F, inp.G, lams), Pair(inp.F.T, inp.Gamma.T, lams)))
+    for label, reach, observe in pairs:
+        for pair, word in ((reach, "controllable"), (observe, "observable")):
+            short = np.flatnonzero(pair.ranks() < len(pair.lams))
+            if short.size:
+                warnings.append(f"{label} realization not {word} at eigenvalue "
+                                f"{pair.lams[short[0]]:.6g}; it may not be minimal")
+    return tuple(warnings)
+
+
+def _warning_cases():
+    yield NOISE_UNCONTROLLABLE_AT_03, unit_iid_input()
+    yield scalar_noise(0.5), INPUT_UNOBSERVABLE_AT_02
+    rng = np.random.default_rng(41)
+    for i in range(24):
+        yield random_models(rng, n_s=1 + i % 4, n_xi=1 + i % 3, n_y=1 + i % 2,
+                            rho_A=0.3 + 0.1 * i)
+    rng = np.random.default_rng(42)
+    for i in range(24):
+        yield hidden_mode_models(rng, i)
+
+
+def test_deferred_warnings_equal_the_eager_ones():
+    hidden = 0
+    for noise, inp in _warning_cases():
+        channel = rc.Channel(H=np.eye(noise.n_y), kappa=1.0)
+        rep = rc.feasibility_report(noise, inp, channel)
+        assert "warnings" not in vars(rep)  # not computed until read
+        assert rep.warnings == _eager_warnings(noise, inp, channel)
+        hidden += any("may not be minimal" in w for w in rep.warnings)
+    assert hidden == 26  # the two named cases and every hidden-mode draw
+
+
+def test_asymptotic_rate_ranks_no_minimality_pair_until_warnings_are_read(monkeypatch):
+    # the minimality pairs are the models' own (A, B), (A^T, C^T), (F, G) and (F^T,
+    # Gamma^T); the verdicts' pairs are built on the joint system's slots and starred
+    # matrices, which share no memory with the models
+    noise, inp = hidden_mode_models(np.random.default_rng(43), 5)
+    calls, ranks = [], rc.systests._pbh_ranks
+
+    def counted(A, V, lams):
+        calls.append(any(np.shares_memory(A, M) for M in (noise.A, inp.F)))
+        return ranks(A, V, lams)
+
+    monkeypatch.setattr(rc.systests, "_pbh_ranks", counted)
+    rep = rc.asymptotic_rate(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0)).feasibility
+    assert calls and not any(calls)
+    verdict_calls = len(calls)
+    warnings = rep.warnings
+    assert any(calls) and "may not be minimal" in warnings[0]
+    read_calls = len(calls)
+    assert rep.warnings is warnings and len(calls) == read_calls > verdict_calls
+
+
+def test_noise_gate_report_reads_its_warnings_after_the_search(monkeypatch):
+    # optimize_input rewrites its joint system for every candidate after the noise gate;
+    # the gate's report reads its warnings from the noise model, not from those slots,
+    # which are scribbled over here once the search has ended
+    reports, report = [], rc.capacity.feasibility_report
+
+    def recorded(noise, inp, channel):
+        reports.append((report(noise, inp, channel), channel))
+        return reports[-1][0]
+
+    monkeypatch.setattr(rc.capacity, "feasibility_report", recorded)
+    noise = NOISE_UNCONTROLLABLE_AT_03
+    rc.optimize_input(noise, unit_channel(), (1, 1), rc.OptimizerConfig(starts=2, seed=0,
+                                                                        maxiter=5))
+    (gate, nq), evaluations = reports[0], reports[1:]
+    assert nq.input.n_xi == 0 and evaluations
+    assert all("warnings" not in vars(rep) for rep, _ in reports)
+    for name in ("Ahat", "Bhat", "Chat", "Dhat", "Khat"):
+        getattr(nq, name)[...] = np.nan
+    expected = ("noise realization not controllable at eigenvalue 0.3; it may not be minimal",)
+    assert gate.warnings == expected
+    assert gate.warnings == rc.feasibility_report(noise, nq.input, rc.to_quadruple(noise)).warnings
+
+
+def test_report_pickles_before_and_after_its_warnings_are_read():
+    noise, inp = hidden_mode_models(np.random.default_rng(44), 7)
+    rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
+    before = pickle.loads(pickle.dumps(rep))
+    warnings = rep.warnings
+    after = pickle.loads(pickle.dumps(rep))
+    assert "warnings" not in vars(before) and vars(after)["warnings"] == warnings
+    for copy in (before, after):
+        assert copy.warnings == warnings and len(warnings) == 2
+        assert copy.member_of_P_infinity == rep.member_of_P_infinity
+        assert copy.witnesses == rep.witnesses
 
 
 PARTLY_OBSERVED_INPUT = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[0.0]], D=[[1.0]],

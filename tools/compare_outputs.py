@@ -23,6 +23,11 @@ The output set:
   witness arrays;
 - every tenth draw also through ``sample_paths`` (horizon 20, 300 paths,
   seed i), ``empirical_report`` and ``finite_n_rate`` at n = 40;
+- 40 non-minimal draws of ``hidden_mode_models(np.random.default_rng(125),
+  i)`` (a mode of A and one of F hidden from B or C and from G or Gamma,
+  rho(A) from 0.6 to 1.3), each with H = I and kappa = 1, through
+  ``feasibility_report`` and ``asymptotic_rate``, so that every one records
+  minimality warnings, which a report computes on their first read;
 - ``finite_n_rate`` at n = 2000 on the drifting schedule A_t = 0.5 + 2^-t
   (scalar noise B = C = N = K_W = 1, a unit i.i.d. input);
 - one draw with a joint state of 12, above the size from which
@@ -82,6 +87,7 @@ from pathlib import Path
 import numpy as np
 
 DRAWS = 300
+HIDDEN_DRAWS = 40
 WATERFILL_DRAWS = 200
 
 # the CLI's model file: unstable noise (eigenvalues 1.2 and 0.6), a
@@ -118,10 +124,15 @@ CLI_COMMANDS = (
 
 def _flatten(prefix, obj, out):
     # leaves are arrays, numbers, strings, None; containers and dataclasses
-    # (models, results, reports) recurse; other objects record their type
+    # (models, results, reports) recurse through their public fields; other
+    # objects record their type. A feasibility report's warnings are computed
+    # on first read, not a field, so they are read and recorded here
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            _flatten(f"{prefix}.{f.name}", getattr(obj, f.name), out)
+        names = [f.name for f in dataclasses.fields(obj) if not f.name.startswith("_")]
+        if type(obj).__name__ == "FeasibilityReport" and "warnings" not in names:
+            names.append("warnings")
+        for name in names:
+            _flatten(f"{prefix}.{name}", getattr(obj, name), out)
     elif isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(f"{prefix}.{key}", value, out)
@@ -205,7 +216,7 @@ def waterfill_channels(rng):
 
 def collect(path):
     import riccati_capacity as rc
-    from conftest import random_models
+    from conftest import hidden_mode_models, random_models
 
     out = {}
     rng = np.random.default_rng(123)
@@ -223,6 +234,14 @@ def collect(path):
             _record(out, f"draw{i}.empirical_report", lambda: rc.empirical_report(batch, result))
         _record(out, f"draw{i}.finite_n_rate",
                 lambda: rc.finite_n_rate((noise, inp), channel, 40))
+
+    rng = np.random.default_rng(125)
+    for i in range(HIDDEN_DRAWS):
+        noise, inp = hidden_mode_models(rng, i)
+        channel = rc.Channel(H=np.eye(noise.n_y), kappa=1.0)
+        _record(out, f"hidden{i}.feasibility_report",
+                lambda: rc.feasibility_report(noise, inp, channel))
+        _record(out, f"hidden{i}.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
 
     unit_input = rc.iid_input([[1.0]])
     drifting = rc.CoefficientSchedule(
