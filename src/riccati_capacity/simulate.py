@@ -48,9 +48,11 @@ _BLOCK_BYTES = 2**24
 class TrajectoryBatch:
     """Sampled trajectories, indexed (path, t, component).
 
-    The arrays are views over time-major (t, path, component) storage, so
-    they are not C-contiguous; ``batch.Y.transpose(1, 0, 2)`` is the
-    contiguous stored block. ``horizon`` counts the steps actually
+    The five arrays are views of one buffer stored (t, component, path),
+    paths innermost: step t holds the rows Xi_t, S_t, X_t, Y_t, V_t in that
+    order, each one contiguous run over the paths, so
+    ``batch.Y.transpose(1, 2, 0)[t]`` is a (n_y, paths) block of rows.
+    They are not C-contiguous. ``horizon`` counts the steps actually
     stored. When a sampled state passes OVERFLOW_GUARD at step t, arrays
     are truncated to t - 1 steps and ``saturated_at`` records t;
     otherwise it is None. Identical models and master_seed reproduce the
@@ -81,16 +83,19 @@ class KalmanRun:
 
     ``innovations`` is (paths, horizon, n_y); ``state_errors`` holds
     Theta_t minus its one-step prediction, (paths, horizon, n_theta).
-    Both are (path, t, component) views over time-major storage, like the
-    arrays of a ``TrajectoryBatch``, and are not C-contiguous.
+    Both are (path, t, component) views over (t, component, path) storage,
+    like the arrays of a ``TrajectoryBatch``, and are not C-contiguous.
     ``Pi_seq`` and ``K_I_seq`` are the error and innovations covariances
-    the filter was built from, one slice per step.
+    the filter was built from, one slice per step, and ``gains`` the
+    predictor's gains L_t, (horizon, n_theta, n_y): the prediction of
+    Theta_{t+1} is Ahat times that of Theta_t plus L_t times innovation t.
     """
 
     innovations: np.ndarray
     state_errors: np.ndarray
     Pi_seq: np.ndarray
     K_I_seq: np.ndarray
+    gains: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +156,28 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     ``build_augmented`` has made; eigenvalues up to PSD_SLACK times the
     largest count as zero, so degenerate covariances, singular or with such
     eigenvalues of either sign, are sampled exactly on their support.
-    The returned arrays are (path, t, component) views over
-    time-major storage, so each step reads and writes contiguous blocks;
-    they are not C-contiguous. Memory grows as paths * horizon * total
-    dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X, Y
-    entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
+    The returned arrays are (path, t, component) views over one
+    (t, component, path) buffer (``TrajectoryBatch``). One step matrix,
+    built per call, maps Theta_t = [Xi_t; S_t] to the rows
+    [X_t; Y_t; V_t; Xi_{t+1}; S_{t+1}], which follow Theta_t in that
+    buffer, and one more maps the step's (W_t, Z_t) draws to the same rows,
+    for every step at once before the first; so a step is one product over
+    all paths and one addition. BLAS rounds a path alone in a product, or
+    in a partial tile of its kernel, otherwise than one in a full tile, so
+    the buffer holds a multiple of 16 paths (``_columns``), the last ones
+    copies of the first: a path's row is then the one it has in any batch.
+    Without that, on x86-64 OpenBLAS 0.3.31, a lone path and the last three
+    paths of a block of 2,995 (of a model with 10 joint states) took other
+    last bits than in a batch of 20,000. Memory grows as paths * horizon *
+    total dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X,
+    Y entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
     model with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1.
     ``riccati-capacity simulate`` therefore samples in blocks of paths
     (2,995 there) and hands them to ``empirical_report``, so it holds one
     block plus the O(paths) values the report reads: a ``--trace`` call at
-    that size peaked at 54 MB resident in a fresh interpreter (29 MB before
-    the call), against 132 MB when it sampled the whole batch at once
-    (x86-64 Linux, numpy 2.4).
+    that size peaked at 53 MB resident in a fresh interpreter (29 MB before
+    the call) and at 18 MB of traced allocations, against 130 and 98 MB
+    when it sampled the whole batch at once (x86-64 Linux, numpy 2.4).
     """
     horizon = as_count(horizon, "horizon")
     indices = paths if isinstance(paths, range) else range(as_count(paths, "paths"))
@@ -175,57 +190,64 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
 
     n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
     n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
-    eps = np.empty((paths, n_s + n_xi + horizon * (n_w + n_z)))
+    m, n = n_xi + n_s, n_xi + n_s + n_x + 2 * n_y
+    columns = _columns(paths)
+    # rows t n to (t + 1) n hold step t's Xi_t, S_t, X_t, Y_t, V_t, and the
+    # last m rows Theta after the last step. Allocated before the draws: the
+    # other way round, the resident peak of a bench-sized simulate call was
+    # about 5 MB higher (glibc malloc, repeated calls)
+    rows = np.empty((horizon * n + m, columns))
+    eps = np.empty((columns, n_s + n_xi + horizon * (n_w + n_z)))
     for rng, row in zip(_substreams(master_seed, indices), eps):
         rng.standard_normal(out=row)
+    eps[paths:] = eps[0]
 
-    sq_S1 = _root(noise.K_S1)
-    sq_Xi1 = _root(input.K_Xi1)
-    sq_W = _root(noise.K_W)
-    sq_Z = _root(input.K_Z)
+    sq_W, sq_Z = _root(noise.K_W), _root(input.K_Z)
+    H, Gamma, C = channel.H, input.Gamma, noise.C
+    NW, DZ = noise.N @ sq_W, input.D @ sq_Z
+    zeros = np.zeros
+    on_state = np.block([[Gamma, zeros((n_x, n_s))],
+                         [H @ Gamma, C],
+                         [zeros((n_y, n_xi)), C],
+                         [input.F, zeros((n_xi, n_s))],
+                         [zeros((n_s, n_xi)), noise.A]])
+    on_draws = np.block([[zeros((n_x, n_w)), DZ],
+                         [NW, H @ DZ],
+                         [NW, zeros((n_y, n_z))],
+                         [zeros((n_xi, n_w)), input.G @ sq_Z],
+                         [noise.B @ sq_W, zeros((n_s, n_z))]])
+    on_start = np.block([[zeros((n_xi, n_s)), _root(input.K_Xi1)],
+                         [_root(noise.K_S1), zeros((n_s, n_xi))]])
 
-    S_now = noise.mu_S1 + eps[:, :n_s] @ sq_S1.T
-    Xi_now = input.mu_Xi1 + eps[:, n_s:n_s + n_xi] @ sq_Xi1.T
-    # time-major: step t reads one contiguous (paths, n_w + n_z) block; the
-    # copy replaces eps, so the draws are held once
-    steps = np.ascontiguousarray(
-        eps[:, n_s + n_xi:].reshape(paths, horizon, n_w + n_z).transpose(1, 0, 2))
+    np.matmul(on_start, eps[:, :m].T, out=rows[:m])
+    rows[:m] += system.mu_Theta1[:, None]
+    # every step's draws enter its rows [X_t; ...; S_{t+1}] before the states do
+    np.matmul(on_draws, eps[:, m:].reshape(columns, horizon, n_w + n_z).transpose(1, 2, 0),
+              out=rows[m:].reshape(horizon, n, columns))
     del eps
 
-    S = np.empty((horizon, paths, n_s))
-    V = np.empty((horizon, paths, n_y))
-    Xi = np.empty((horizon, paths, n_xi))
-    X = np.empty((horizon, paths, n_x))
-    Y = np.empty((horizon, paths, n_y))
-
-    A_T, B_T, C_T, N_T = noise.A.T, noise.B.T, noise.C.T, noise.N.T
-    F_T, G_T, Gamma_T, D_T = input.F.T, input.G.T, input.Gamma.T, input.D.T
-    H_T = channel.H.T
-
     saturated_at = None
-    stored = 0
+    stored = horizon
     for t in range(horizon):
-        if max(sup_norm(S_now), sup_norm(Xi_now)) > OVERFLOW_GUARD:
-            saturated_at = t + 1
+        theta = rows[t * n:t * n + m]
+        if sup_norm(theta) > OVERFLOW_GUARD:
+            saturated_at, stored = t + 1, t
             break
-        W_t = steps[t, :, :n_w] @ sq_W.T
-        Z_t = steps[t, :, n_w:] @ sq_Z.T
-        V_t = S_now @ C_T + W_t @ N_T
-        X_t = Xi_now @ Gamma_T + Z_t @ D_T
-        S[t] = S_now
-        Xi[t] = Xi_now
-        V[t] = V_t
-        X[t] = X_t
-        Y[t] = X_t @ H_T + V_t
-        stored = t + 1
-        S_now = S_now @ A_T + W_t @ B_T
-        Xi_now = Xi_now @ F_T + Z_t @ G_T
-    S, V, Xi, X, Y = (a[:stored].transpose(1, 0, 2) for a in (S, V, Xi, X, Y))
+        after = rows[t * n + m:(t + 1) * n + m]
+        after += on_state @ theta
+    by_step = rows[:horizon * n].reshape(horizon, n, columns)[:stored, :, :paths]
+    Xi, S, X, Y, V = np.split(by_step.transpose(2, 0, 1), np.cumsum([n_xi, n_s, n_x, n_y]), axis=2)
     return TrajectoryBatch(
         noise=noise, input=input, channel=channel, system=system,
         paths=paths, horizon=stored, master_seed=int(master_seed),
         S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at, first_path=indices.start,
     )
+
+
+def _columns(paths):
+    # columns that hold ``paths`` paths: a multiple of 16, so that no path
+    # sits in a partial tile of the BLAS kernel, which rounds it otherwise
+    return -(-paths // 16) * 16
 
 
 def _path_blocks(noise, input, horizon, paths):
@@ -249,42 +271,74 @@ def _schedule(quad, horizon):
     ``quad`` is a JointSystem, started from its initial law's covariance
     K_Theta1. Each step is one prediction step (``riccati._predict``).
     Returns (P_seq, K_seq, gains): the error and innovations covariances
-    entering each step, one slice per step, and each step's gain^T. None
-    of it depends on the paths, so one schedule serves every block.
+    entering each step and the predictor's gains L_t, one slice per step.
+    None of it depends on the paths, so one schedule, or its prefix, serves
+    every block of a report.
     """
     m = quad.m
     P = symmetrize(quad.K_Theta1)  # checked when its models were validated
     P_seq = np.empty((horizon, m, m))
     K_seq = np.empty((horizon, quad.q, quad.q))
-    gains = []
+    gains = np.empty((horizon, m, quad.q))
     for t in range(horizon):
         P_seq[t] = P
         P, K, _, gain_T = _predict(quad, P)
         K_seq[t] = symmetrize(K)
-        gains.append(gain_T)
+        gains[t] = gain_T.T
     return P_seq, K_seq, gains
 
 
-def _filter_batch(quad, obs, gains, predictions=None):
-    """Run a predictor schedule (``_schedule``'s gains) over a batch of observation paths.
+def _filter_batch(quad, obs, gains, predictions=False):
+    """Run a predictor schedule (``_schedule``'s gains or their prefix) over a batch of paths.
 
     ``quad`` is a JointSystem, started from its initial mean mu_Theta1.
-    ``obs`` is indexed (path, t, component); ``predictions``, if given, is
-    a (t, path, component) buffer for the one-step state predictions.
-    Returns the per-path innovations, a (path, t, component) view over
-    time-major storage.
+    ``obs`` is indexed (path, t, component). With the paths innermost, each
+    step maps [s_t; y_t], the state prediction over the observation, to
+    [s_{t+1}; y_t - Chat s_t] by one (m + q)-square matrix, where
+    s_{t+1} = (Ahat - L_t Chat) s_t + L_t y_t, over ``_columns(paths)``
+    columns, the padding ones left at zero (see ``sample_paths``). Returns
+    the innovations and, if ``predictions``, the one-step state predictions
+    s_t, both (path, t, component) views over (t, component, path) storage.
     """
-    paths, horizon, _ = obs.shape
-    obs = obs.transpose(1, 0, 2)
-    A_mat, C_mat = quad.Ahat, quad.Chat
-    state = np.broadcast_to(quad.mu_Theta1, (paths, quad.m)).copy()
-    innovations = np.empty((horizon, paths, quad.q))
-    for t in range(horizon):
-        innov = np.subtract(obs[t], state @ C_mat.T, out=innovations[t])
-        if predictions is not None:
-            predictions[t] = state
-        state = state @ A_mat.T + innov @ gains[t]
-    return innovations.transpose(1, 0, 2)
+    paths, horizon, q = obs.shape
+    m = quad.m
+    columns = _columns(paths)
+    gains = gains[:horizon]
+    steps = np.empty((horizon, m + q, m + q))
+    steps[:, :m, :m] = quad.Ahat - gains @ quad.Chat
+    steps[:, :m, m:] = gains
+    steps[:, m:, :m] = -quad.Chat
+    steps[:, m:, m:] = np.eye(q)
+    innovations = np.empty((horizon, q, columns))
+    states = np.empty((horizon, m, columns)) if predictions else None
+    now, after = np.zeros((m + q, columns)), np.zeros((m + q, columns))
+    now[:m, :paths] = quad.mu_Theta1[:, None]
+    for t, y in enumerate(obs.transpose(1, 2, 0)):
+        if predictions:
+            states[t] = now[:m]
+        now[m:, :paths] = y
+        np.matmul(steps[t], now, out=after)
+        innovations[t] = after[m:]
+        now, after = after, now
+    innovations = innovations[..., :paths].transpose(2, 0, 1)
+    return (innovations, states[..., :paths].transpose(2, 0, 1)) if predictions else innovations
+
+
+def _joint_filter(batch, gains):
+    """The joint predictor's innovations and state errors on ``batch``, from its gains.
+
+    Both are (path, t, component) views over (t, component, path) storage;
+    the errors overwrite the state predictions in place.
+    """
+    if batch.horizon == 0:
+        raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
+                         f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
+    innovations, errors = _filter_batch(batch.system, batch.Y, gains, predictions=True)
+    # Theta_t = (Xi_t, S_t)
+    n_xi = batch.Xi.shape[2]
+    np.subtract(batch.Xi, errors[..., :n_xi], out=errors[..., :n_xi])
+    np.subtract(batch.S, errors[..., n_xi:], out=errors[..., n_xi:])
+    return innovations, errors
 
 
 def kalman_run(batch):
@@ -309,22 +363,14 @@ def kalman_run(batch):
     ValueError
         If the batch stored no step (a state passed OVERFLOW_GUARD at step 1).
     """
-    if batch.horizon == 0:
-        raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
-                         f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
     Pi_seq, K_I_seq, gains = _schedule(batch.system, batch.horizon)
-    predictions = np.empty((batch.horizon, batch.paths, batch.system.m))
-    innovations = _filter_batch(batch.system, batch.Y, gains, predictions)
-    predictions = predictions.transpose(1, 0, 2)
-    # Theta_t = (Xi_t, S_t); the errors overwrite the predictions in place
-    n_xi = batch.Xi.shape[2]
-    np.subtract(batch.Xi, predictions[..., :n_xi], out=predictions[..., :n_xi])
-    np.subtract(batch.S, predictions[..., n_xi:], out=predictions[..., n_xi:])
+    innovations, state_errors = _joint_filter(batch, gains)
     return KalmanRun(
         innovations=innovations,
-        state_errors=predictions,
+        state_errors=state_errors,
         Pi_seq=Pi_seq,
         K_I_seq=K_I_seq,
+        gains=gains,
     )
 
 
@@ -371,29 +417,33 @@ def _reduce(block, horizon, shared):
     twice at horizon 1, where the earlier is not read), the state errors
     and noise innovations at the last step, and each path's average power,
     so the block's arrays are freed once the caller drops it. ``shared``
-    holds what does not depend on the paths: the noise predictor's
-    schedule, computed at the first block's horizon (a shorter horizon
-    reads its prefix), the joint schedule of the last block reduced, and
-    the joint innovations of the report's first block.
+    holds what does not depend on the paths: both predictors' schedules,
+    computed at the first block's horizon (a shorter horizon reads their
+    prefixes), the joint one by the first block's ``kalman_run``, and the
+    joint innovations of the report's first block.
     """
     if block.horizon > horizon:
         # a shorter batch is the prefix of a longer one
         block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
                                                    for name in ("S", "V", "Xi", "X", "Y")})
-    run = kalman_run(block)
+    if "joint" in shared:
+        innovations, errors = _joint_filter(block, shared["joint"][2])
+    else:
+        run = kalman_run(block)
+        shared["joint"] = run.Pi_seq, run.K_I_seq, run.gains
+        innovations, errors = run.innovations, run.state_errors
     noise_quad = block.system.noise_quad
     if "noise" not in shared:
         shared["noise"] = _schedule(noise_quad, horizon)
-    shared["joint"] = run.Pi_seq, run.K_I_seq
     if shared.setdefault("first_path", block.first_path) == block.first_path:
-        shared["innovations"] = run.innovations  # the report's first block, drawn again or not
+        shared["innovations"] = innovations  # the report's first block, drawn again or not
     noise_innov = _filter_batch(noise_quad, block.V, shared["noise"][2])
     t = horizon - 1
     # squares in C order, so each path sums one contiguous run whatever the
     # layout of block.X; the summation order sets the last bits
     power = np.sum(np.multiply(block.X, block.X, order="C"), axis=(1, 2)) / horizon
-    return (run.innovations[:, t].copy(), run.innovations[:, t - 1].copy(),
-            run.state_errors[:, t].copy(), noise_innov[:, t].copy(), power)
+    return (innovations[:, t].copy(), innovations[:, t - 1].copy(),
+            errors[:, t].copy(), noise_innov[:, t].copy(), power)
 
 
 def empirical_report(batch, analytic):
@@ -407,7 +457,9 @@ def empirical_report(batch, analytic):
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
     power carried by ``analytic``). The joint predictor runs on the
-    batch's ``system`` and the noise predictor on its ``noise_quad``.
+    batch's ``system`` and the noise predictor on its ``noise_quad``, each
+    from one schedule per report (the joint one from ``kalman_run`` on the
+    first block), which every block reads.
 
     Parameters
     ----------
@@ -459,7 +511,7 @@ def empirical_report(batch, analytic):
         raise ValueError("no batch to report on")
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))
-    (Pi_seq, K_I_seq), K_hat_seq = shared["joint"], shared["noise"][1]
+    (Pi_seq, K_I_seq, _), K_hat_seq = shared["joint"], shared["noise"][1]
     paths = len(per_path_power)
     t_last = horizon - 1
 

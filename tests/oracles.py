@@ -160,3 +160,18 @@ def pbh_verdict(A, V, mode):
         if tested and pbh_rank(A, V, lam, mode) < A.shape[0]:
             return False
     return True
+
+
+def prediction_error(K, centered, now, past):
+    """Entries ``now`` of a centered sample minus their best linear prediction from ``past``.
+
+    K is the covariance of the stacked vector whose sample, its mean
+    removed, is ``centered``; ``now`` and ``past`` are index lists. The
+    prediction is K[now, past] K[past, past]^-1 centered[past], the
+    regression whose error covariance is the Schur complement of
+    ``innovations_covariances``.
+    """
+    if not len(past):
+        return centered[now]
+    return centered[now] - K[np.ix_(now, past)] @ np.linalg.solve(K[np.ix_(past, past)],
+                                                                   centered[past])

@@ -5,6 +5,7 @@ import pytest
 
 import riccati_capacity as rc
 from conftest import random_models, scalar_noise, unit_channel, unit_iid_input
+from oracles import joint_output_covariance, prediction_error
 from riccati_capacity.linalg import substream
 from riccati_capacity.simulate import OVERFLOW_GUARD
 from riccati_capacity.systests import psd_sqrt
@@ -77,6 +78,81 @@ def test_batch_rows_do_not_depend_on_the_path_count():
         assert (block.first_path, block.paths, block.horizon) == (lo, hi - lo, 9)
         for name in ("S", "V", "Xi", "X", "Y"):
             assert np.array_equal(getattr(block, name), getattr(large, name)[lo:hi]), (lo, name)
+
+
+def unstable_setup():
+    # rho(A) = 1.25: over 36 steps the states grow about 3,000-fold, far below the guard
+    noise, inp = random_models(np.random.default_rng(43), n_s=3, n_xi=2, n_y=2, n_z=2,
+                               rho_A=1.25)
+    noise = replace(noise, mu_S1=[1.0, -0.5, 2.0])
+    return noise, inp, rc.Channel(H=[[0.7, 0.2], [0.1, -1.1]], kappa=1.0)
+
+
+def path_by_plain_loop(noise, inp, ch, horizon, seed, i):
+    """Path i rebuilt from ``substream(seed, i)`` one model equation at a time."""
+    n_s, n_xi, n_w, n_z = noise.n_s, inp.n_xi, noise.n_w, inp.n_z
+    eps = substream(seed, i).standard_normal(n_s + n_xi + horizon * (n_w + n_z))
+    S = noise.mu_S1 + psd_sqrt(noise.K_S1) @ eps[:n_s]
+    Xi = inp.mu_Xi1 + psd_sqrt(inp.K_Xi1) @ eps[n_s:n_s + n_xi]
+    path = {name: [] for name in ("S", "V", "Xi", "X", "Y")}
+    for draws in eps[n_s + n_xi:].reshape(horizon, n_w + n_z):
+        W = psd_sqrt(noise.K_W) @ draws[:n_w]
+        Z = psd_sqrt(inp.K_Z) @ draws[n_w:]
+        V = noise.C @ S + noise.N @ W
+        X = inp.Gamma @ Xi + inp.D @ Z
+        for name, value in (("S", S), ("V", V), ("Xi", Xi), ("X", X), ("Y", ch.H @ X + V)):
+            path[name].append(value)
+        S, Xi = noise.A @ S + noise.B @ W, inp.F @ Xi + inp.G @ Z
+    return {name: np.array(values) for name, values in path.items()}
+
+
+@pytest.mark.parametrize("setup, horizon", [(mimo_setup, 12), (unstable_setup, 36)])
+def test_every_step_of_a_path_follows_the_model_equations(setup, horizon):
+    noise, inp, ch = setup()
+    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=7, master_seed=19)
+    assert b.horizon == horizon
+    for i in (0, 4, 6):
+        want = path_by_plain_loop(noise, inp, ch, horizon, 19, i)
+        # each step against the largest entry of its five vectors
+        scale = np.max([np.abs(value).max(axis=1) for value in want.values()], axis=0)
+        for name, value in want.items():
+            gap = np.abs(getattr(b, name)[i] - value).max(axis=1)
+            assert np.all(gap <= 1e-12 * scale), (i, name, np.max(gap / scale))
+
+
+def test_a_one_path_block_is_its_row_of_the_batch():
+    noise, inp, ch = mimo_setup()
+    large = rc.sample_paths(noise, inp, ch, horizon=9, paths=50, master_seed=21)
+    run = rc.kalman_run(large)
+    for i in (0, 17, 49):
+        block = rc.sample_paths(noise, inp, ch, horizon=9, paths=range(i, i + 1),
+                                master_seed=21)
+        for name in ("S", "V", "Xi", "X", "Y"):
+            assert np.array_equal(getattr(block, name), getattr(large, name)[i:i + 1]), (i, name)
+        one = rc.kalman_run(block)
+        assert np.array_equal(one.innovations, run.innovations[i:i + 1]), i
+        assert np.array_equal(one.state_errors, run.state_errors[i:i + 1]), i
+
+
+@pytest.mark.parametrize("n_s, n_xi, n_y, n_z, paths, blocks", [
+    # the layout before paths went innermost gave other last bits here
+    (12, 1, 1, 1, 64, [(0, 37), (3, 50), (50, 64)]),
+    # a joint state of 10: without whole tiles of 16 paths, BLAS rounds the
+    # last paths of these blocks otherwise than in the batch
+    (6, 4, 2, 3, 256, [(0, 253), (0, 251), (5, 256)]),
+])
+def test_blocks_of_wider_models_are_rows_of_the_batch(n_s, n_xi, n_y, n_z, paths, blocks):
+    noise, inp = random_models(np.random.default_rng(7), n_s=n_s, n_xi=n_xi, n_y=n_y, n_z=n_z)
+    ch = rc.Channel(H=np.eye(n_y), kappa=1.0)
+    large = rc.sample_paths(noise, inp, ch, horizon=3, paths=paths, master_seed=1)
+    run = rc.kalman_run(large)
+    for lo, hi in blocks:
+        block = rc.sample_paths(noise, inp, ch, horizon=3, paths=range(lo, hi), master_seed=1)
+        for name in ("S", "V", "Xi", "X", "Y"):
+            assert np.array_equal(getattr(block, name), getattr(large, name)[lo:hi]), (lo, name)
+        one = rc.kalman_run(block)
+        assert np.array_equal(one.innovations, run.innovations[lo:hi]), lo
+        assert np.array_equal(one.state_errors, run.state_errors[lo:hi]), lo
 
 
 @pytest.mark.parametrize("paths", [range(0), range(3, 1), range(0, 6, 2), range(-1, 4)])
@@ -178,6 +254,41 @@ def test_innovation_covariance_sequence_matches_dre():
     assert abs(run.K_I_seq[-1][0, 0] - 2.5) < 1e-12
 
 
+@pytest.mark.parametrize("setup, horizon", [(mimo_setup, 10), (unstable_setup, 12)])
+def test_innovations_are_the_outputs_less_their_best_linear_prediction(setup, horizon):
+    # z_t = [Y_t; Xi_t; S_t] is the output of x+ = blockdiag(F, A) x + [0 G; B 0] w,
+    # z = [H Gamma, C; I] x + [N, H D; 0] w, x = (Xi, S), w = (W, Z)
+    noise, inp, ch = setup()
+    n_xi, n_s, n_w, n_z, q = inp.n_xi, noise.n_s, noise.n_w, inp.n_z, noise.n_y
+    m = n_xi + n_s
+    A = np.block([[inp.F, np.zeros((n_xi, n_s))], [np.zeros((n_s, n_xi)), noise.A]])
+    B = np.block([[np.zeros((n_xi, n_w)), inp.G], [noise.B, np.zeros((n_s, n_z))]])
+    C = np.block([[ch.H @ inp.Gamma, noise.C], [np.eye(m)]])
+    D = np.block([[noise.N, ch.H @ inp.D], [np.zeros((m, n_w + n_z))]])
+    K_1 = np.block([[inp.K_Xi1, np.zeros((n_xi, n_s))], [np.zeros((n_s, n_xi)), noise.K_S1]])
+    K_drive = np.block([[noise.K_W, np.zeros((n_w, n_z))], [np.zeros((n_z, n_w)), inp.K_Z]])
+    K = joint_output_covariance(A, B, C, D, K_1, K_drive, horizon)
+    means, mean = [], np.concatenate([inp.mu_Xi1, noise.mu_S1])
+    for _ in range(horizon):
+        means.append(C @ mean)
+        mean = A @ mean
+    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=6, master_seed=5)
+    run = rc.kalman_run(b)
+    width = q + m
+    for i in (0, 3, 5):
+        z = np.concatenate([b.Y[i], b.Xi[i], b.S[i]], axis=1) - np.array(means)
+        centered = z.ravel()
+        want = np.array([prediction_error(K, centered, list(range(t * width, t * width + q)),
+                                          [t_ * width + j for t_ in range(t) for j in range(q)])
+                         for t in range(horizon)])
+        got = run.innovations[i]
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), i
+        last = horizon - 1
+        error = prediction_error(K, centered, list(range(last * width + q, (last + 1) * width)),
+                                 [t_ * width + j for t_ in range(last) for j in range(q)])
+        assert np.abs(run.state_errors[i, last] - error).max() <= 1e-10 * np.abs(error).max(), i
+
+
 # ----------------------------------------------------------- empirical_report
 
 
@@ -237,6 +348,15 @@ def test_report_over_blocks_is_the_whole_batch_report():
     assert_same_report(report, whole)
     # the innovations are those of the first block, paths 0 to 29
     assert np.array_equal(report.innovations, whole.innovations[:30])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(seed):
+    noise, inp, ch = mimo_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    whole = rc.empirical_report(rc.sample_paths(noise, inp, ch, 12, 61, seed), analytic)
+    report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 61, seed, 60), analytic)
+    assert_same_report(report, whole)
 
 
 def test_a_block_that_stops_earlier_truncates_the_whole_report():

@@ -23,6 +23,8 @@ The output set:
   witness arrays;
 - every tenth draw also through ``sample_paths`` (horizon 20, 300 paths,
   seed i), ``empirical_report`` and ``finite_n_rate`` at n = 40;
+- draw 10's path 7 sampled alone, as a block of one path, next to row 7 of
+  its 300-path batch, which it should equal bit for bit;
 - 40 non-minimal draws of ``hidden_mode_models(np.random.default_rng(125),
   i)`` (a mode of A and one of F hidden from B or C and from G or Gamma,
   rho(A) from 0.6 to 1.3), each with H = I and kappa = 1, through
@@ -65,12 +67,13 @@ The output set:
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``),
-  and two more ``simulate --trace`` runs that sample in several blocks of
-  paths: 7,000 paths x 50 steps on ``CLI_MODEL`` (three blocks), and
-  12,000 paths x 80 steps on scalar noise A = 1.5 (``SATURATING_MODEL``,
-  six blocks), where a later block passes the overflow guard a step before
-  the first: each command's exit code and the bytes of its ``--out`` file
-  and its ``--trace`` file;
+  and three more ``simulate --trace`` runs that sample in several blocks of
+  paths: 7,000 paths x 50 steps on ``CLI_MODEL`` (three blocks), 2,996
+  paths x 50 steps on ``CLI_MODEL`` (2,995 paths and a last block of one),
+  and 12,000 paths x 80 steps on scalar noise A = 1.5
+  (``SATURATING_MODEL``, six blocks), where a later block passes the
+  overflow guard a step before the first: each command's exit code and the
+  bytes of its ``--out`` file and its ``--trace`` file;
 - every subcommand's parsed flags when only ``--model`` is given (its
   handler left out), so a CLI default that drifts from the library's shows.
 """
@@ -116,6 +119,9 @@ CLI_COMMANDS = (
     # three blocks of paths
     ("simulate.blocks", CLI_MODEL,
      ["simulate", "--n", "50", "--paths", "7000", "--seed", "3", "--trace", "TRACE"]),
+    # a last block of one path
+    ("simulate.one_path_block", CLI_MODEL,
+     ["simulate", "--n", "50", "--paths", "2996", "--seed", "3", "--trace", "TRACE"]),
     # six blocks; the fifth passes the guard at step 66, the others at 67
     ("simulate.saturating", SATURATING_MODEL,
      ["simulate", "--n", "80", "--paths", "12000", "--seed", "4", "--trace", "TRACE"]),
@@ -232,6 +238,11 @@ def collect(path):
                         lambda: rc.sample_paths(noise, inp, channel, 20, 300, i))
         if batch is not None and result is not None:
             _record(out, f"draw{i}.empirical_report", lambda: rc.empirical_report(batch, result))
+        if i == 10 and batch is not None:
+            _record(out, "draw10.one_path_block",
+                    lambda: rc.sample_paths(noise, inp, channel, 20, range(7, 8), i))
+            _flatten("draw10.batch_row7", {name: getattr(batch, name)[7:8]
+                                          for name in ("S", "V", "Xi", "X", "Y")}, out)
         _record(out, f"draw{i}.finite_n_rate",
                 lambda: rc.finite_n_rate((noise, inp), channel, 40))
 
