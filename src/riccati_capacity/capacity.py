@@ -179,7 +179,7 @@ def finite_n_rate(models, channel, n):
     ``riccati._predict`` and ``lyapunov._step``), which need no Rhat^{-1}
     and name the first step whose blocks changed shape or whose K does not
     factor. The scan's round-off differs from the plain steps' in the last
-    digits: at most 1e-13 of each trace column's scale over 40 seeded draws
+    digits: at most 4e-14 of each trace column's scale over 40 seeded draws
     up to m = 8 and 2000 steps. Each per-step rate term is clamped at zero
     individually, so a transient with the noise predictor ahead of the
     joint one cannot push the average negative; a NaN term counts as 0.

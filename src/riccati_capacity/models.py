@@ -57,7 +57,7 @@ __all__ = [
 
 
 def _freeze(arr):
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 

@@ -20,8 +20,9 @@ the step without its cross term as a triple (A, G, Q), the map
 P -> Q + A^T P (I + G P)^{-1} A, and ``_compose`` composes two such maps
 into one. Composition is associative: ``are_solve`` reaches the steady
 state from zero by structure-preserving doubling, a triple composed with
-itself, and ``_propagate`` runs a finite horizon as a prefix scan of its
-step triples, which both DREs of ``capacity.finite_n_rate`` use in chunks
+itself, and ``_propagate`` runs a finite horizon as a work-efficient
+(Brent-Kung) prefix scan of its step triples, fewer than 2L compositions
+for L steps, which both DREs of ``capacity.finite_n_rate`` use in chunks
 of ``_chunk_length(m)`` steps, each read from one stacked joint system
 (``JointSystem._stacked``). K is formed in ``_predict`` and, for every step
 of a scanned chunk at once, in ``_dre_chunk``. The solution of
@@ -153,15 +154,28 @@ def _propagate(steps, P):
 
     Row j is the covariance entering step j, so row 0 is P and row L the one
     after the last step. The run's per-step triples, (L, m, m) stacks, are
-    overwritten by their prefix compositions in ceil(log2 L) batched
-    compositions (Hillis-Steele; the temporal parallelization of Sarkka &
-    Garcia-Fernandez, 2021), and each prefix is applied to P.
+    overwritten by their prefix compositions in place by a Brent-Kung scan
+    (Blelloch, 1990; the temporal parallelization of Sarkka &
+    Garcia-Fernandez, 2021): an up-sweep, for strides k = 1, 2, 4, ... up
+    to L / 2, makes rows 2k - 1, 4k - 1, ... the compositions of rows
+    row - k and row, and a down-sweep, for k halving back to 1, does the
+    same for rows 3k - 1, 5k - 1, .... That is fewer than 2L composed
+    triples in at most 2 log2(L) batched compositions (1,013 in 17 at
+    L = 512), and each prefix is then applied to P in one more. An empty
+    state (m = 0, the Lyapunov recursion of a memoryless input) returns at
+    once.
     """
     A, G, Q = steps
-    k = 1
-    while k < len(A):
-        A[k:], G[k:], Q[k:] = _compose((A[:-k], G[:-k], Q[:-k]), (A[k:], G[k:], Q[k:]))
-        k *= 2
+    L = len(A)
+    if P.size == 0:
+        return np.empty((L + 1, 0, 0))
+    strides = [2 ** i for i in range(L.bit_length() - 1)]  # every k with 2k <= L
+    # the up-sweep's rows 2k - 1, 4k - 1, ..., then the down-sweep's 3k - 1, 5k - 1, ...
+    for k, start in [(k, 2 * k - 1) for k in strides] + [
+            (k, 3 * k - 1) for k in strides[::-1] if 3 * k <= L]:
+        rows, before = slice(start, None, 2 * k), slice(start - k, L - k, 2 * k)
+        A[rows], G[rows], Q[rows] = _compose((A[before], G[before], Q[before]),
+                                             (A[rows], G[rows], Q[rows]))
     zero = np.zeros_like(P)
     return np.concatenate([P[None], _compose((zero, zero, P), (A, G, Q))[2]])
 
@@ -185,14 +199,16 @@ def _dre_chunk(slots, index, P, context):
 def _chunk_length(m):
     """Steps per prefix scan for state size m, a power of two; 1 where scanning does not pay.
 
-    A chunk of L steps costs about log2(L) + 1 batched compositions of
-    O(L m^3) work against L prediction steps of O(m^3) work and a fixed
-    cost per call each, so the chunk shrinks as m grows. Memory is
-    O(L m^2). Timed with one BLAS thread over 2000 steps, scans of 512
-    steps paid best up to m = 2 and of 64 at m = 8; at m = 10 the best
-    scan only matched plain steps, and at m = 12 it lost. Sizes 3 to 7
-    take the halving rule's lengths untuned; each timed faster than plain
-    steps there.
+    A chunk of L steps costs about 2 log2(L) batched compositions of
+    about 3L triples in all, O(L m^3) work, against L prediction steps of
+    O(m^3) work and a fixed cost per call each, so the chunk shrinks as m
+    grows. Memory is O(L m^2), plus the models a chunk's callbacks build.
+    The rule was timed (one BLAS thread, 2000 steps) on a scan of
+    L log2(L) compositions: scans of 512 steps paid best up to m = 2 and of
+    64 at m = 8, and from m = 10 none beat plain steps. On the Brent-Kung
+    scan the best chunk is 1,024 to 2,048 steps up to m = 8, and 512-step
+    scans beat plain steps up to m = 12 (CHANGES.md); the rule is not
+    retuned yet.
     """
     return 2 ** (9 - (m - 1) // 2) if m <= 8 else 1
 

@@ -101,6 +101,61 @@ def test_run_absorbing_zero():
     assert np.allclose(seq[1], [[0.0]])
 
 
+# ------------------------------------------------------------ prefix scan
+
+# every run length up to 70, and both sides of powers of two up to a chunk
+# of 1,024 steps, where the scan's sweeps change their row count
+SCAN_LENGTHS = [*range(1, 71), 127, 128, 129, 511, 512, 513, 1025]
+
+
+def random_psd(rng, shape):
+    X = rng.normal(size=shape)
+    return X @ X.swapaxes(-1, -2) / shape[-1]
+
+
+def stepped_run(A, G, Q, P):
+    # the triples' map P -> Q + A^T P (I + G P)^{-1} A, one step at a time
+    run = [P]
+    for A_t, G_t, Q_t in zip(A, G, Q):
+        P = Q_t + A_t.T @ P @ np.linalg.solve(np.eye(len(P)) + G_t @ P, A_t)
+        run.append(P)
+    return np.array(run)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_propagate_matches_a_loop_of_steps(m):
+    rng = np.random.default_rng(m)
+    for L in SCAN_LENGTHS:
+        A = rng.normal(size=(L, m, m)) * 0.9 / np.sqrt(m)
+        G, Q, P = random_psd(rng, (L, m, m)), random_psd(rng, (L, m, m)), random_psd(rng, (m, m))
+        want = stepped_run(A, G, Q, P)
+        got = rc.riccati._propagate([A, G, Q], P)
+        assert got.shape == (L + 1, m, m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), L
+
+
+@pytest.mark.parametrize("L", [1, 2, 512, 1025])
+def test_propagate_returns_an_empty_state_at_once(monkeypatch, L):
+    calls = []
+    monkeypatch.setattr(rc.riccati, "_compose", lambda *args: calls.append(args))
+    empty = np.zeros((L, 0, 0))
+    run = rc.riccati._propagate([empty, empty.copy(), empty.copy()], np.zeros((0, 0)))
+    assert run.shape == (L + 1, 0, 0) and not calls
+
+
+def test_memoryless_input_power_is_constant_at_every_step():
+    # an input without state has no Lyapunov recursion: each step's power
+    # is tr(D K_Z D^T)
+    K_Z = np.array([[1.3, 0.4], [0.4, 0.7]])
+    D = np.array([[0.8, -0.3], [0.2, 1.1]])
+    inp = rc.InputModel(F=np.zeros((0, 0)), G=np.zeros((0, 2)), Gamma=np.zeros((2, 0)), D=D,
+                        K_Z=K_Z)
+    noise, _ = random_models(np.random.default_rng(5), n_s=2, n_xi=1, n_y=2)
+    res = rc.finite_n_rate((noise, inp), rc.Channel(H=np.eye(2), kappa=1.0), 1100)
+    power = np.trace(D @ K_Z @ D.T)
+    assert np.allclose(res.trace[:, 4], power, rtol=1e-14, atol=0.0)
+
+
 # ------------------------------------------------------- gain / closed loop
 
 

@@ -36,6 +36,11 @@ The output set:
   ``finite_n_rate`` takes plain steps (``random_models(default_rng(7),
   n_s=6, n_xi=6, n_y=2, rho_A=1.2)``), through ``asymptotic_rate`` and
   ``finite_n_rate`` at n = 300;
+- ``finite_n_rate`` at the prefix scan's tree edges: n = 1, 2, 3, 511, 512,
+  513 and 1025 on a constant scalar pair (a one-state noise and a one-state
+  input, joint state 2, 512-step chunks), and n = 63, 64, 65 and 129 on a
+  draw with a joint state of 8 (``random_models(default_rng(13), n_s=4,
+  n_xi=4)``, 64-step chunks);
 - ``finite_n_rate`` on schedules that move every block of both models at
   every step (``drifting``), so no two steps share a pair: a joint state
   of 4 (``random_models(default_rng(11), n_s=2, n_xi=2, n_y=2)``) over 600
@@ -268,6 +273,15 @@ def collect(path):
     _record(out, "large.finite_n_rate", lambda: rc.finite_n_rate((noise, inp), channel, 300))
     _record(out, "large.drifting.finite_n_rate",
             lambda: rc.finite_n_rate(drifting(rc, noise, inp), channel, 100))
+    scalar_pair = (rc.NoiseModel(A=0.9, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.5),
+                   rc.InputModel(F=0.6, G=1.0, Gamma=1.0, D=1.0, K_Z=1.0, K_Xi1=0.3))
+    for n in (1, 2, 3, 511, 512, 513, 1025):
+        _record(out, f"scan_edges.scalar.n{n}.finite_n_rate",
+                lambda: rc.finite_n_rate(scalar_pair, rc.Channel(H=[[1.0]], kappa=1.0), n))
+    pair8 = random_models(np.random.default_rng(13), n_s=4, n_xi=4)
+    for n in (63, 64, 65, 129):
+        _record(out, f"scan_edges.m8.n{n}.finite_n_rate",
+                lambda: rc.finite_n_rate(pair8, rc.Channel(H=[[1.0]], kappa=1.0), n))
     pair = random_models(np.random.default_rng(11), n_s=2, n_xi=2, n_y=2)
     _record(out, "drifting4.finite_n_rate",
             lambda: rc.finite_n_rate(drifting(rc, *pair), channel, 600))
