@@ -27,7 +27,7 @@ from .linalg import (as_count, as_finite, is_symmetric, solve_spd, spectral_radi
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
                        input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _chunk_length, _dre_chunk, _predict, _propagate, are_solve
+from .riccati import _chunk_length, _predict, _propagate, _sda_form, are_solve
 from .systests import feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -155,6 +155,8 @@ def finite_n_rate(models, channel, n):
         "step t: model dimensions changed mid-schedule", "step t: ..." for a
         schedule's ValueError at step t (its other errors pass unchanged),
         or an invalid step-1 model.
+    TypeError
+        "step t: noise_at returned str, not a NoiseModel" (or input_at), t > 1.
     LinAlgError
         "step t: K_I is not positive definite" (or K_Ihat) at the first
         step whose innovations covariance has no Cholesky factor.
@@ -164,64 +166,38 @@ def finite_n_rate(models, channel, n):
     The noise-only and joint predictors start from the step-1 models'
     initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
     channel; when the feasibility tests pass, the rate converges to the
-    asymptotic one uniformly over these laws.
-    The steps go in chunks of ``riccati._chunk_length(m)``; the callbacks run
-    to a chunk's end or to their first raise, after which the steps before
-    it run first. A chunk's distinct (noise, input) pairs, told apart by
-    identity, are stacked into one joint system (``JointSystem._stacked``:
-    the stack is the chunk's shape check), and each DRE and the input's
-    Lyapunov recursion (a Riccati map with G = 0) run the chunk by one
-    prefix scan of their step compositions (``riccati._propagate``); one
-    batched Cholesky factorization gives every K_{Ihat_t} or K_{I_t} of the
-    chunk and its log det. A chunk of one step, or one whose pairs do not
-    stack or whose scan fails or leaves a non-finite number, is taken by
-    plain steps (``JointSystem.update``, then the only shape check,
-    ``riccati._predict`` and ``lyapunov._step``), which need no Rhat^{-1}
-    and name the first step whose blocks changed shape or whose K does not
-    factor. The scan's round-off differs from the plain steps' in the last
-    digits: at most 4e-14 of each trace column's scale over 40 seeded draws
-    up to m = 8 and 2000 steps. Each per-step rate term is clamped at zero
-    individually, so a transient with the noise predictor ahead of the
-    joint one cannot push the average negative; a NaN term counts as 0.
+    asymptotic one uniformly over these laws. Both DREs and the input's
+    Lyapunov recursion run on the finite-horizon engine, ``_runs``, by
+    chunked prefix scans or plain steps. The scan's round-off differs from
+    the plain steps' in the last digits: at most 4e-14 of each trace
+    column's scale over 40 seeded draws up to m = 8 and 2000 steps. Each
+    per-step rate term is clamped at zero individually, so a transient with
+    the noise predictor ahead of the joint one cannot push the average
+    negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
     schedule = _unpack_models(models)
-    noise_1, input_1 = schedule.noise_at(1), schedule.input_at(1)
     # validation plus dimension cross-checks happen once, on the step-1 models
-    system = build_augmented(noise_1, input_1, channel)
-    # Sigma, Pi and the input state's P, each entering the next chunk
-    covs = [symmetrize(noise_1.K_S1), symmetrize(system.K_Theta1), symmetrize(input_1.K_Xi1)]
-    chunk = _chunk_length(system.m)
+    system = build_augmented(schedule.noise_at(1), schedule.input_at(1), channel)
     # log det K_I, log det K_Ihat and the power at each step
     columns = np.empty((3, n))
-    for first in range(1, n + 1, chunk):
-        # the chunk's distinct pairs in order, and the pair in force at each step
-        pairs, index = {}, []
-        for t in range(first, min(first + chunk, n + 1)):
-            try:
-                pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else (noise_1, input_1)
-            except Exception as exc:
-                if index:  # the steps before t go first, so a failure among them is named
-                    _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t - 1], first)
-                if isinstance(exc, ValueError):
-                    raise ValueError(f"step {t}: {exc}") from None
-                raise
-            index.append(pairs.setdefault(pair, len(pairs)))
-        last = _run_chunk(system, [*pairs], index, covs, columns[:, first - 1:t], first)
+    for first, run in _runs(system, schedule, n, ("Sigma", "Pi", "P")):
+        (Sigmas, K_Ihat, logdet_hat), (Pis, K_I, logdet), (Ps, power) = run.values()
+        columns[:, first - 1:first - 1 + len(power)] = logdet, logdet_hat, power
     t = np.arange(1.0, n + 1.0)
     terms = columns[0] - columns[1]
     # fmax clamps a NaN term to 0 as well, as Python's max(0.0, nan) does
     trace = np.column_stack([t, columns[0], columns[1], np.cumsum(np.fmax(0.0, terms)) / (2.0 * t),
                              np.cumsum(columns[2]) / t])
-    Sigma, Pi, P, K_I, K_Ihat = last
     return CapacityResult(
         rate_nats=float(trace[-1, 3]),
         power=float(trace[-1, 4]),
-        Sigma_star=Sigma,
-        Pi_star=Pi,
-        P_star=P,
-        K_I=symmetrize(K_I),
-        K_Ihat=symmetrize(K_Ihat),
+        # copies, so a result keeps no stack of the last chunk alive
+        Sigma_star=Sigmas[-1].copy(),
+        Pi_star=Pis[-1].copy(),
+        P_star=Ps[-1].copy(),
+        K_I=symmetrize(K_I[-1]),
+        K_Ihat=symmetrize(K_Ihat[-1]),
         feasibility=None,
         trace=trace,
         diagnostics={"horizon": n, "nan_steps": int(np.isnan(terms).sum()),
@@ -229,51 +205,97 @@ def finite_n_rate(models, channel, n):
     )
 
 
-def _run_chunk(system, pairs, index, covs, out, first):
-    """Steps first, first + 1, ... of ``finite_n_rate``; pairs[index[j]] is in force at step j.
+def _runs(system, schedule, n, names):
+    """The finite-horizon engine: the recursions ``names`` picks, over steps 1 to n.
 
-    Writes log det K_I, log det K_Ihat and the power of each step into the
-    rows of ``out``, moves ``covs`` past the chunk and returns Sigma, Pi, P,
-    K_I and K_Ihat at its last step.
+    The names are "Sigma" (the noise predictor's DRE), "Pi" (the joint
+    predictor's) and "P" (the input state's Lyapunov recursion), each
+    started from the initial law of ``system``, the joint system of the pair
+    in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk of
+    ``riccati._chunk_length(m)`` steps, its first step and a dict keyed by
+    ``names``: a DRE's run (P_t, K_t, log det K_t) or the Lyapunov
+    recursion's (P_t, power_t), one row per step, P_t entering step t.
+    The callbacks run to a chunk's end or to their first raise, after which
+    the steps before it run first. A chunk's distinct pairs (by identity)
+    are stacked into one joint system, its shape check, and each recursion
+    runs the chunk by one prefix scan (``riccati._propagate``; a Lyapunov
+    step is a Riccati map with G = 0). A chunk of one step, or whose pairs
+    do not stack or whose scan fails or is not finite, goes by plain steps
+    (``riccati._predict``, ``lyapunov._step``), which need no Rhat^{-1} and
+    name the first step that fails.
     """
+    first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
+    covs = {name: symmetrize(first_laws[name]) for name in names}
+    chunk, pair_1 = _chunk_length(system.m), (system.noise, system.input)
+    for first in range(1, n + 1, chunk):
+        # the chunk's distinct pairs in order, and the pair in force at each step
+        pairs, index = {}, []
+        for t in range(first, min(first + chunk, n + 1)):
+            try:
+                pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else pair_1
+                # a pair is checked to hold models where it first enters the chunk
+                if pair not in pairs and not (isinstance(pair[0], NoiseModel)
+                                              and isinstance(pair[1], InputModel)):
+                    for got, kind, side in zip(pair, (NoiseModel, InputModel), ("noise", "input")):
+                        if not isinstance(got, kind):
+                            raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
+                                            f"not a {kind.__name__}")
+            except Exception as exc:
+                if index:
+                    _run_chunk(system, [*pairs], index, covs, first)
+                if isinstance(exc, ValueError):
+                    raise ValueError(f"step {t}: {exc}") from None
+                raise
+            index.append(pairs.setdefault(pair, len(pairs)))
+        yield first, _run_chunk(system, [*pairs], index, covs, first)
+
+
+def _run_chunk(system, pairs, index, covs, first):
+    # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
     if len(index) > 1:
         # pairs that do not stack (the chunk's shape check) or a K that does not factor
         with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
-            last, carried = _scanned_chunk(system._stacked(pairs), np.asarray(index), covs, out)
-            if np.isfinite(out).all() and all(np.isfinite(c).all() for c in carried):
-                covs[:] = carried
-                return last
+            stacked, steps = system._stacked(pairs), np.asarray(index)
+            scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
+            # a run's last stack holds its log dets or powers
+            if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
+                   for after, run in scans.values()):
+                covs.update((name, after) for name, (after, _) in scans.items())
+                return {name: run for name, (_, run) in scans.items()}
     # plain steps on the system itself, which raise at the first step that fails
-    Sigma, Pi, P = covs
+    rows = {name: [] for name in covs}
     for j, i in enumerate(index):
         try:
             system.update(*pairs[i])
-            Sigma_next, K_Ihat, out[1, j], _ = _predict(system.noise_quad, Sigma, context="K_Ihat")
-            Pi_next, K_I, out[0, j], _ = _predict(system, Pi, context="K_I")
+            for name, cov in covs.items():
+                covs[name], row = _advance(system, name, cov)
+                rows[name].append(row)
         except ValueError as exc:  # a block that changed shape, or a K that does not factor
             raise type(exc)(f"step {first + j}: {exc}") from None
-        inp = system.input
-        out[2, j] = input_power(inp, P)
-        last = (Sigma, Pi, P, K_I, K_Ihat)
-        Sigma, Pi, P = Sigma_next, Pi_next, _lyap_core(inp.F, inp.G, inp.K_Z, P)
-    covs[:] = Sigma, Pi, P
-    return last
+    return {name: tuple(map(np.array, zip(*rows[name]))) for name in covs}
 
 
-def _scanned_chunk(stacked, index, covs, out):
-    # the chunk by prefix scans of the stacked system's pairs; the caller
-    # checks what it wrote
-    Sigmas, K_Ihat, out[1], Sigma = _dre_chunk(stacked.noise_quad, index, covs[0], "K_Ihat")
-    Pis, K_I, out[0], Pi = _dre_chunk(stacked, index, covs[1], "K_I")
+def _advance(system, name, cov, index=None):
+    # recursion ``name`` from ``cov``: a plain step on the models last written or, given
+    # ``index``, a prefix scan over a stacked chunk; the covariance after it, and its run
+    inp = system.input
+    if name != "P":
+        quad, context = (system.noise_quad, "K_Ihat") if name == "Sigma" else (system, "K_I")
+        if index is None:
+            after, K, logdet, _ = _predict(quad, cov, context=context)
+            return after, (cov, K, logdet)
+        run = _propagate([a[index] for a in _sda_form(quad)], cov)
+        C = quad.Chat[index]
+        K = quad.Rhat[index] + C @ run[:-1] @ C.swapaxes(-1, -2)
+        return run[-1], (run[:-1], K, solve_spd(K, K[..., :0], context=context, logdet=True)[1])
+    if index is None:
+        return _lyap_core(inp.F, inp.G, inp.K_Z, cov), (cov, input_power(inp, cov))
     # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
     # map (F^T, 0, G K_Z G^T)
-    inp = SimpleNamespace(**{name: stack[index] for name, stack in vars(stacked.input).items()})
+    inp = SimpleNamespace(**{key: stack[index] for key, stack in vars(inp).items()})
     F_T = inp.F.swapaxes(-1, -2)
-    Ps = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)], covs[2])
-    out[2] = input_power(inp, Ps[:-1])
-    # copies, so a result keeps no stack of the chunk alive
-    return ((Sigmas[-1].copy(), Pis[-1].copy(), Ps[-2].copy(), K_I[-1], K_Ihat[-1]),
-            (Sigma, Pi, Ps[-1]))
+    Ps = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)], cov)
+    return Ps[-1], (Ps[:-1], input_power(inp, Ps[:-1]))
 
 
 def asymptotic_rate(noise, input, channel, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):

@@ -12,20 +12,19 @@ prediction error (the innovations covariance), one prediction step is
     P+ = Ahat P Ahat^T + Qhat - gain(P) (Ahat P Chat^T + Shat)^T.
 
 ``_predict`` forms and factors K once and returns (P+, K, log det K,
-gain^T): ``dre_step``, ``dre_run``, ``gain_and_closed_loop``,
-``are_solve``'s Newton polish and its last step and ``simulate``'s Kalman
-pass call it, and ``capacity.finite_n_rate`` takes it where it does not
-scan. ``_sda_form`` writes
-the step without its cross term as a triple (A, G, Q), the map
-P -> Q + A^T P (I + G P)^{-1} A, and ``_compose`` composes two such maps
-into one. Composition is associative: ``are_solve`` reaches the steady
-state from zero by structure-preserving doubling, a triple composed with
-itself, and ``_propagate`` runs a finite horizon as a work-efficient
-(Brent-Kung) prefix scan of its step triples, fewer than 2L compositions
-for L steps, which both DREs of ``capacity.finite_n_rate`` use in chunks
-of ``_chunk_length(m)`` steps, each read from one stacked joint system
-(``JointSystem._stacked``). K is formed in ``_predict`` and, for every step
-of a scanned chunk at once, in ``_dre_chunk``. The solution of
+gain^T): ``dre_step``, ``dre_run`` (the plain-step reference),
+``gain_and_closed_loop`` and ``are_solve``'s Newton polish and its last
+step call it, and so does the finite-horizon engine, ``capacity._runs``,
+where it does not scan. ``_sda_form`` writes the step without its cross
+term as a triple (A, G, Q), the map P -> Q + A^T P (I + G P)^{-1} A, and
+``_compose`` composes two such maps into one. Composition is
+associative: ``are_solve`` reaches the steady state from zero by
+structure-preserving doubling, a triple composed with itself, and
+``_propagate`` runs a finite horizon as a work-efficient (Brent-Kung)
+prefix scan of its step triples, fewer than 2L compositions for L steps,
+which ``capacity._runs`` uses for both DREs and the input's Lyapunov
+recursion in chunks of ``_chunk_length(m)`` steps, each read from one
+stacked joint system (``JointSystem._stacked``). The solution of
 ``are_solve`` keeps K and log det K at P_star.
 """
 
@@ -180,22 +179,6 @@ def _propagate(steps, P):
     return np.concatenate([P[None], _compose((zero, zero, P), (A, G, Q))[2]])
 
 
-def _dre_chunk(slots, index, P, context):
-    """A run of DRE steps from P by one prefix scan, with one batched factorization of its K_t.
-
-    ``slots`` is a stacked JointSystem, or its ``noise_quad``, whose row i
-    holds the slots of pair i, and pair ``index[j]`` is in force at step j.
-    Returns the covariances entering each step, their innovations
-    covariances K_t = Rhat + Chat P_t Chat^T and log dets, and the
-    covariance after the last step; raises LinAlgError if a Rhat or a K_t
-    is not positive definite.
-    """
-    run = _propagate([a[index] for a in _sda_form(slots)], P)
-    C = slots.Chat[index]
-    K = slots.Rhat[index] + C @ run[:-1] @ C.swapaxes(-1, -2)
-    return run[:-1], K, solve_spd(K, K[..., :0], context=context, logdet=True)[1], run[-1]
-
-
 def _chunk_length(m):
     """Steps per prefix scan for state size m, a power of two; 1 where scanning does not pay.
 
@@ -232,10 +215,12 @@ def dre_step(quad, P_t):
 
 
 def dre_run(quad, P_1, horizon):
-    """Iterate the DRE for a finite horizon.
+    """Iterate the DRE for a finite horizon, one prediction step at a time.
 
     Returns a list of length ``horizon`` whose first element is P_1
-    itself, so element t is the covariance entering step t.
+    itself, so element t is the covariance entering step t. It is the
+    plain-step reference that the scanned finite-horizon engine
+    (``capacity._runs``) is tested against.
     """
     horizon = as_count(horizon, "horizon")
     out = [as_covariance(P_1, quad.m, "dre_run: P")]

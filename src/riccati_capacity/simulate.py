@@ -12,12 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import CapacityResult
-from .linalg import _substreams, as_count, sup_norm, symmetrize
-from .lyapunov import _step as _lyap_core
-from .lyapunov import input_power
+from .capacity import CapacityResult, _runs, constant_schedule
+from .linalg import _substreams, as_count, solve_spd, sup_norm, symmetrize
 from .models import build_augmented
-from .riccati import _predict
 from .systests import _root
 # stay importable here because bench/tracing.py patches them at these names
 from .models import to_quadruple  # noqa: F401
@@ -265,31 +262,27 @@ def _path_blocks(noise, input, horizon, paths):
     return [range(lo, min(lo + length, paths)) for lo in range(0, paths, length)]
 
 
-def _schedule(quad, horizon):
-    """The time-varying one-step predictor of ``quad`` over ``horizon`` steps.
+def _run(system, horizon, *names):
+    """The runs of ``capacity._runs`` over ``horizon`` steps of the system's own pair.
 
-    ``quad`` is a JointSystem, started from its initial law's covariance
-    K_Theta1. Each step is one prediction step (``riccati._predict``).
-    Returns (P_seq, K_seq, gains): the error and innovations covariances
-    entering each step and the predictor's gains L_t, one slice per step.
-    None of it depends on the paths, so one schedule, or its prefix, serves
-    every block of a report.
+    One list per name, in their order, of its stacks with the chunks joined.
+    None of it depends on the paths: one run serves every block of a report,
+    and its prefix a shorter horizon (a scan's rows are a shorter scan's).
     """
-    m = quad.m
-    P = symmetrize(quad.K_Theta1)  # checked when its models were validated
-    P_seq = np.empty((horizon, m, m))
-    K_seq = np.empty((horizon, quad.q, quad.q))
-    gains = np.empty((horizon, m, quad.q))
-    for t in range(horizon):
-        P_seq[t] = P
-        P, K, _, gain_T = _predict(quad, P)
-        K_seq[t] = symmetrize(K)
-        gains[t] = gain_T.T
-    return P_seq, K_seq, gains
+    chunks = [run for _, run in _runs(system, constant_schedule(system.noise, system.input),
+                                      horizon, names)]
+    return [[np.concatenate(stacks) for stacks in zip(*(chunk[name] for chunk in chunks))]
+            for name in names]
+
+
+def _with_gains(quad, P_seq, K_seq, _):
+    # a DRE run as its predictor schedule (P_t, K_t, L_t), every gain by one batched solve
+    APC = quad.Ahat @ P_seq @ quad.Chat.T + quad.Shat
+    return P_seq, symmetrize(K_seq), solve_spd(K_seq, APC.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _filter_batch(quad, obs, gains, predictions=False):
-    """Run a predictor schedule (``_schedule``'s gains or their prefix) over a batch of paths.
+    """Run a predictor schedule (``_with_gains``'s gains or their prefix) over a batch of paths.
 
     ``quad`` is a JointSystem, started from its initial mean mu_Theta1.
     ``obs`` is indexed (path, t, component). With the paths innermost, each
@@ -324,31 +317,34 @@ def _filter_batch(quad, obs, gains, predictions=False):
     return (innovations, states[..., :paths].transpose(2, 0, 1)) if predictions else innovations
 
 
-def _joint_filter(batch, gains):
-    """The joint predictor's innovations and state errors on ``batch``, from its gains.
+def _joint_filter(batch, schedule=None):
+    """The joint predictor's schedule (Pi_t, K_I_t, L_t), innovations and state errors on ``batch``.
 
-    Both are (path, t, component) views over (t, component, path) storage;
-    the errors overwrite the state predictions in place.
+    The schedule is run unless given. The innovations and errors are (path,
+    t, component) views over (t, component, path) storage; the errors
+    overwrite the state predictions in place.
     """
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
-    innovations, errors = _filter_batch(batch.system, batch.Y, gains, predictions=True)
+    if schedule is None:
+        schedule = _with_gains(batch.system, *_run(batch.system, batch.horizon, "Pi")[0])
+    innovations, errors = _filter_batch(batch.system, batch.Y, schedule[2], predictions=True)
     # Theta_t = (Xi_t, S_t)
     n_xi = batch.Xi.shape[2]
     np.subtract(batch.Xi, errors[..., :n_xi], out=errors[..., :n_xi])
     np.subtract(batch.S, errors[..., n_xi:], out=errors[..., n_xi:])
-    return innovations, errors
+    return schedule, innovations, errors
 
 
 def kalman_run(batch):
     """Run the joint one-step predictor on a sampled batch.
 
     The filter runs on ``batch.system``, the joint system the batch was
-    sampled from, with the time-varying gains of the error-covariance
-    recursion started from the model initial law, so its innovations are
-    exactly the quantities whose covariances K_{I_t} the analytic side
-    predicts.
+    sampled from, with the time-varying gains of the joint predictor's DRE
+    from the model initial law, run as ``finite_n_rate`` runs it
+    (``capacity._runs``), so its innovations are exactly the quantities
+    whose covariances K_{I_t} the analytic side predicts.
 
     Parameters
     ----------
@@ -363,8 +359,7 @@ def kalman_run(batch):
     ValueError
         If the batch stored no step (a state passed OVERFLOW_GUARD at step 1).
     """
-    Pi_seq, K_I_seq, gains = _schedule(batch.system, batch.horizon)
-    innovations, state_errors = _joint_filter(batch, gains)
+    (Pi_seq, K_I_seq, gains), innovations, state_errors = _joint_filter(batch)
     return KalmanRun(
         innovations=innovations,
         state_errors=state_errors,
@@ -417,24 +412,26 @@ def _reduce(block, horizon, shared):
     twice at horizon 1, where the earlier is not read), the state errors
     and noise innovations at the last step, and each path's average power,
     so the block's arrays are freed once the caller drops it. ``shared``
-    holds what does not depend on the paths: both predictors' schedules,
-    computed at the first block's horizon (a shorter horizon reads their
-    prefixes), the joint one by the first block's ``kalman_run``, and the
-    joint innovations of the report's first block.
+    holds what does not depend on the paths: both predictors' schedules
+    and the analytic power at each step, computed at the first block's
+    horizon (a shorter horizon reads their prefixes), the joint schedule by
+    the first block's ``kalman_run``, and the joint innovations of the
+    report's first block.
     """
     if block.horizon > horizon:
         # a shorter batch is the prefix of a longer one
         block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
                                                    for name in ("S", "V", "Xi", "X", "Y")})
     if "joint" in shared:
-        innovations, errors = _joint_filter(block, shared["joint"][2])
+        _, innovations, errors = _joint_filter(block, shared["joint"])
     else:
         run = kalman_run(block)
         shared["joint"] = run.Pi_seq, run.K_I_seq, run.gains
         innovations, errors = run.innovations, run.state_errors
     noise_quad = block.system.noise_quad
     if "noise" not in shared:
-        shared["noise"] = _schedule(noise_quad, horizon)
+        noise, (_, shared["power"]) = _run(block.system, horizon, "Sigma", "P")
+        shared["noise"] = _with_gains(noise_quad, *noise)
     if shared.setdefault("first_path", block.first_path) == block.first_path:
         shared["innovations"] = innovations  # the report's first block, drawn again or not
     noise_innov = _filter_batch(noise_quad, block.V, shared["noise"][2])
@@ -457,9 +454,10 @@ def empirical_report(batch, analytic):
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
     power carried by ``analytic``). The joint predictor runs on the
-    batch's ``system`` and the noise predictor on its ``noise_quad``, each
-    from one schedule per report (the joint one from ``kalman_run`` on the
-    first block), which every block reads.
+    batch's ``system``, the noise predictor on its ``noise_quad``; both
+    schedules and the analytic power come once per report from
+    ``finite_n_rate``'s engine (the joint one through ``kalman_run`` on the
+    first block), and every block reads them.
 
     Parameters
     ----------
@@ -550,13 +548,7 @@ def empirical_report(batch, analytic):
 
     # exact finite-horizon analytic average power, so the comparison does
     # not confuse the start-up transient with sampling error
-    inp = drawn[0][1]
-    P_t = symmetrize(inp.K_Xi1)
-    power_sum = 0.0
-    for _ in range(horizon):
-        power_sum += input_power(inp, P_t)
-        P_t = _lyap_core(inp.F, inp.G, inp.K_Z, P_t)
-    analytic_power = power_sum / horizon
+    analytic_power = float(np.mean(shared["power"][:horizon]))
     emp_power = float(np.mean(per_path_power))
     se_power = float(np.std(per_path_power, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     if se_power == 0.0:

@@ -465,6 +465,23 @@ def test_schedule_rejects_a_shape_change_at_a_chunk_start(n_xi, shrinks):
         rc.finite_n_rate(sched, unit_channel(), switch + 4)
 
 
+@pytest.mark.parametrize("t", [3, 600])
+@pytest.mark.parametrize("side", ["noise", "input"])
+def test_a_callback_that_returns_no_model_is_named(side, t):
+    # a joint state of 2 takes 512-step chunks, so step 600 is in the second;
+    # only the step-1 models are validated, so each later pair is checked to
+    # be models where it first enters its chunk
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    models = {"noise": noise, "input": inp}
+    at = {name: (lambda s, model=model: model) for name, model in models.items()}
+    at[side] = lambda s: "x" if s == t else models[side]
+    sched = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
+                                   noise_limit=noise, input_limit=inp)
+    kind = type(models[side]).__name__
+    with pytest.raises(TypeError, match=f"^step {t}: {side}_at returned str, not a {kind}$"):
+        rc.finite_n_rate(sched, unit_channel(), 700)
+
+
 def test_explicit_initial_covariances_enter_step_one():
     _, inp, ch = colored_setup()
     # iid input has no xi state, so the augmented state is S alone:

@@ -240,18 +240,67 @@ def test_memoryless_innovations_are_centered_outputs():
     assert np.allclose(run.innovations, b.Y)
 
 
-def test_innovation_covariance_sequence_matches_dre():
-    noise, inp, ch = colored_setup()
-    b = rc.sample_paths(noise, inp, ch, horizon=8, paths=10, master_seed=4)
+SCHEDULE_MODELS = {
+    # the colored scalar noise, whose predictor is deadbeat
+    "deadbeat": lambda: (scalar_noise(0.5), unit_iid_input()),
+    # a joint state of 1 whose predictor still moves at step 512 (closed loop 0.99)
+    "m1": lambda: (rc.NoiseModel(A=0.999, B=[[0.1, 0.0]], C=0.1, N=[[0.0, 1.0]], K_W=np.eye(2)),
+                   unit_iid_input()),
+    # modes at 0.99, so both DREs and the input's Lyapunov recursion still
+    # move at every 64-step chunk edge
+    "m8": lambda: random_models(np.random.default_rng(8), n_s=4, n_xi=4, rho_A=0.99, rho_F=0.99),
+    "m10": lambda: random_models(np.random.default_rng(10), n_s=5, n_xi=5),
+}
+
+
+def dre_schedule(quad, horizon):
+    # (P_t, K_t, L_t) of the one-step predictor of quad by a loop of DRE steps
+    P, rows = quad.K_Theta1, []
+    for _ in range(horizon):
+        K = quad.Rhat + quad.Chat @ P @ quad.Chat.T
+        rows.append((P, K, np.linalg.solve(K, (quad.Ahat @ P @ quad.Chat.T + quad.Shat).T).T))
+        P = rc.dre_step(quad, P)
+    return [np.array(column) for column in zip(*rows)]
+
+
+# horizons on both sides of the scan's chunk edges (512 steps at m = 1, 64 at
+# m = 8) and a joint state of 10, which takes plain steps
+SCHEDULE_CASES = [("deadbeat", 8), ("m1", 511), ("m1", 512), ("m1", 513), ("m8", 63), ("m8", 64),
+                  ("m8", 65), ("m8", 129), ("m10", 12)]
+
+
+@pytest.mark.parametrize("models, horizon", SCHEDULE_CASES,
+                         ids=[f"{models}-n{horizon}" for models, horizon in SCHEDULE_CASES])
+def test_innovation_covariance_sequence_matches_dre(monkeypatch, models, horizon):
+    noise, inp = SCHEDULE_MODELS[models]()
+    ch = unit_channel()
+    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=2, master_seed=4)
+    # the schedules the report builds, joint then noise
+    schedules, with_gains = [], rc.simulate._with_gains
+
+    def recording(*args):
+        schedules.append(with_gains(*args))
+        return schedules[-1]
+
+    monkeypatch.setattr(rc.simulate, "_with_gains", recording)
+    report = rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch))
     run = rc.kalman_run(b)
     quad = rc.build_augmented(noise, inp, ch)
-    Pi = quad.K_Theta1.copy()
-    for t in range(8):
-        K_I = quad.Rhat + quad.Chat @ Pi @ quad.Chat.T
-        assert np.allclose(run.K_I_seq[t], K_I)
-        Pi = rc.dre_step(quad, Pi)
-    # deadbeat filter: the covariance settles to 2.5 after two steps
-    assert abs(run.K_I_seq[-1][0, 0] - 2.5) < 1e-12
+    joint, noise_only = dre_schedule(quad, horizon), dre_schedule(quad.noise_quad, horizon)
+    for got, want in [*zip((run.Pi_seq, run.K_I_seq, run.gains), joint),
+                      *zip(schedules[0], joint), *zip(schedules[1], noise_only)]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the exact average power over the horizon, by a loop of Lyapunov steps
+    P, powers = inp.K_Xi1, []
+    for _ in range(horizon):
+        powers.append(np.trace(inp.Gamma @ P @ inp.Gamma.T + inp.D @ inp.K_Z @ inp.D.T))
+        P = rc.lyap_step(inp.F, inp.G, inp.K_Z, P) if inp.n_xi else P
+    power = next(r for r in report.rows if r.name == "average power").analytic
+    assert abs(power.item() - np.mean(powers)) <= 1e-12 * np.mean(powers)
+    if models == "deadbeat":
+        # the covariance settles to 2.5 after two steps
+        assert abs(run.K_I_seq[-1][0, 0] - 2.5) < 1e-12
 
 
 @pytest.mark.parametrize("setup, horizon", [(mimo_setup, 10), (unstable_setup, 12)])
@@ -309,6 +358,34 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
     rc.empirical_report(b, analytic)
     assert built == ["build_augmented"]
+
+
+@pytest.mark.parametrize("blocks", [1, 7, "truncating"])
+def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
+    # both predictors' DREs and the input's Lyapunov recursion run once per
+    # report, through one kalman_run, however many blocks it reads; the
+    # truncating report draws its earlier blocks again at a shorter horizon
+    if blocks == "truncating":
+        noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
+        batch = blocks_of(noise, inp, ch, 80, 60, 31, 10)
+    else:
+        noise, inp, ch = mimo_setup()
+        batch = blocks_of(noise, inp, ch, 12, 70, 3, 70 // blocks)
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    names, runs, kalman_run = [], rc.simulate._runs, rc.simulate.kalman_run
+
+    def counting_runs(system, schedule, n, picked):
+        names.extend(picked)
+        return runs(system, schedule, n, picked)
+
+    def counting_kalman_run(block):
+        names.append("kalman_run")
+        return kalman_run(block)
+
+    monkeypatch.setattr(rc.simulate, "_runs", counting_runs)
+    monkeypatch.setattr(rc.simulate, "kalman_run", counting_kalman_run)
+    rc.empirical_report(batch, analytic)
+    assert sorted(names) == ["P", "Pi", "Sigma", "kalman_run"]
 
 
 def test_report_does_not_depend_on_the_batch_layout():

@@ -41,6 +41,13 @@ The output set:
   input, joint state 2, 512-step chunks), and n = 63, 64, 65 and 129 on a
   draw with a joint state of 8 (``random_models(default_rng(13), n_s=4,
   n_xi=4)``, 64-step chunks);
+- ``kalman_run``'s three schedules (``Pi_seq``, ``K_I_seq``, ``gains``) and
+  an ``empirical_report`` of 50 paths (seed 5) at the same tree edges, which
+  the Monte Carlo's schedules and analytic power now cross: n = 1, 2, 511,
+  512 and 513 on a joint state of 1 (a scalar noise, A = 0.999, that a
+  unit i.i.d. input leaves without input state), n = 63, 64 and 65 on the
+  draw with a joint state of 8, and n = 30 on the draw of 12, which takes
+  plain steps;
 - ``finite_n_rate`` on schedules that move every block of both models at
   every step (``drifting``), so no two steps share a pair: a joint state
   of 4 (``random_models(default_rng(11), n_s=2, n_xi=2, n_y=2)``) over 600
@@ -260,13 +267,13 @@ def collect(path):
         _record(out, f"hidden{i}.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
 
     unit_input = rc.iid_input([[1.0]])
-    drifting = rc.CoefficientSchedule(
+    drifting_scalar = rc.CoefficientSchedule(
         noise_at=lambda t: rc.NoiseModel(A=0.5 + 2.0 ** -t, B=1.0, C=1.0, N=1.0, K_W=1.0),
         input_at=lambda t: unit_input, noise_limit=rc.NoiseModel(A=0.5, B=1.0, C=1.0, N=1.0,
                                                                  K_W=1.0),
         input_limit=unit_input)
     _record(out, "drifting.finite_n_rate",
-            lambda: rc.finite_n_rate(drifting, rc.Channel(H=[[1.0]], kappa=1.0), 2000))
+            lambda: rc.finite_n_rate(drifting_scalar, rc.Channel(H=[[1.0]], kappa=1.0), 2000))
     noise, inp = random_models(np.random.default_rng(7), n_s=6, n_xi=6, n_y=2, rho_A=1.2)
     channel = rc.Channel(H=np.eye(2), kappa=1.0)
     _record(out, "large.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
@@ -282,6 +289,19 @@ def collect(path):
     for n in (63, 64, 65, 129):
         _record(out, f"scan_edges.m8.n{n}.finite_n_rate",
                 lambda: rc.finite_n_rate(pair8, rc.Channel(H=[[1.0]], kappa=1.0), n))
+    slow = (rc.NoiseModel(A=0.999, B=[[0.1, 0.0]], C=0.1, N=[[0.0, 1.0]], K_W=np.eye(2)),
+            unit_input)
+    for name, models, horizons in (("m1", slow, (1, 2, 511, 512, 513)),
+                                   ("m8", pair8, (63, 64, 65)), ("m12", (noise, inp), (30,))):
+        ch = rc.Channel(H=np.eye(models[0].n_y), kappa=1.0)
+        analytic = rc.asymptotic_rate(*models, ch)
+        for n in horizons:
+            batch = rc.sample_paths(*models, ch, n, 50, 5)
+            _record(out, f"schedule_edges.{name}.n{n}.kalman_run",
+                    lambda: {key: getattr(rc.kalman_run(batch), key)
+                             for key in ("Pi_seq", "K_I_seq", "gains")})
+            _record(out, f"schedule_edges.{name}.n{n}.empirical_report",
+                    lambda: rc.empirical_report(batch, analytic))
     pair = random_models(np.random.default_rng(11), n_s=2, n_xi=2, n_y=2)
     _record(out, "drifting4.finite_n_rate",
             lambda: rc.finite_n_rate(drifting(rc, *pair), channel, 600))
