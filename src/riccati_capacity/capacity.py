@@ -152,11 +152,14 @@ def finite_n_rate(models, channel, n):
     Raises
     ------
     ValueError
-        "step t: model dimensions changed mid-schedule", "step t: ..." for a
-        schedule's ValueError at step t (its other errors pass unchanged),
-        or an invalid step-1 model.
+        "step t: model dimensions changed mid-schedule", "step t: noise_at
+        returned a model with non-finite entries" (or input_at), t > 1, both
+        after the steps before t have run, "step t: ..." for a schedule's
+        ValueError at step t (its other errors pass unchanged), or an invalid
+        step-1 model.
     TypeError
-        "step t: noise_at returned str, not a NoiseModel" (or input_at), t > 1.
+        "step t: noise_at returned str, not a NoiseModel" (or input_at, "not
+        an InputModel"), t > 1.
     LinAlgError
         "step t: K_I is not positive definite" (or K_Ihat) at the first
         step whose innovations covariance has no Cholesky factor.
@@ -182,7 +185,7 @@ def finite_n_rate(models, channel, n):
     # log det K_I, log det K_Ihat and the power at each step
     columns = np.empty((3, n))
     for first, run in _runs(system, schedule, n, ("Sigma", "Pi", "P")):
-        (Sigmas, K_Ihat, logdet_hat), (Pis, K_I, logdet), (Ps, power) = run.values()
+        (Sigmas, K_Ihat, _, logdet_hat), (Pis, K_I, _, logdet), (Ps, power) = run.values()
         columns[:, first - 1:first - 1 + len(power)] = logdet, logdet_hat, power
     t = np.arange(1.0, n + 1.0)
     terms = columns[0] - columns[1]
@@ -196,13 +199,17 @@ def finite_n_rate(models, channel, n):
         Sigma_star=Sigmas[-1].copy(),
         Pi_star=Pis[-1].copy(),
         P_star=Ps[-1].copy(),
-        K_I=symmetrize(K_I[-1]),
-        K_Ihat=symmetrize(K_Ihat[-1]),
+        K_I=K_I[-1].copy(),
+        K_Ihat=K_Ihat[-1].copy(),
         feasibility=None,
         trace=trace,
         diagnostics={"horizon": n, "nan_steps": int(np.isnan(terms).sum()),
                      "clamped_steps": int((terms < 0.0).sum())},
     )
+
+
+# the two sides of a schedule's pair, in its order, with their model types
+_SIDES = (("noise", NoiseModel, "a"), ("input", InputModel, "an"))
 
 
 def _runs(system, schedule, n, names):
@@ -213,16 +220,18 @@ def _runs(system, schedule, n, names):
     started from the initial law of ``system``, the joint system of the pair
     in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk of
     ``riccati._chunk_length(m)`` steps, its first step and a dict keyed by
-    ``names``: a DRE's run (P_t, K_t, log det K_t) or the Lyapunov
-    recursion's (P_t, power_t), one row per step, P_t entering step t.
-    The callbacks run to a chunk's end or to their first raise, after which
-    the steps before it run first. A chunk's distinct pairs (by identity)
-    are stacked into one joint system, its shape check, and each recursion
-    runs the chunk by one prefix scan (``riccati._propagate``; a Lyapunov
-    step is a Riccati map with G = 0). A chunk of one step, or whose pairs
-    do not stack or whose scan fails or is not finite, goes by plain steps
-    (``riccati._predict``, ``lyapunov._step``), which need no Rhat^{-1} and
-    name the first step that fails.
+    ``names``: a DRE's predictor schedule (P_t, K_t, L_t, log det K_t), K_t
+    symmetrized, its gain L_t = (Ahat P_t Chat^T + Shat) K_t^{-1} and log
+    det from its one factorization, or the Lyapunov recursion's (P_t,
+    power_t), one row per step, P_t entering step t. The callbacks run to a
+    chunk's end or to their first raise, after which the steps before it
+    run first. A chunk's distinct pairs (by identity) are stacked into one
+    joint system, its shape check, and each recursion runs the chunk by one
+    prefix scan (``riccati._propagate``; a Lyapunov step is a Riccati map
+    with G = 0). A chunk of one step, or whose pairs do not stack or hold a
+    non-finite entry, or whose scan fails or is not finite, goes by plain
+    steps (``riccati._predict``, ``lyapunov._step``), which need no
+    Rhat^{-1} and name the first step that fails.
     """
     first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
     covs = {name: symmetrize(first_laws[name]) for name in names}
@@ -236,10 +245,10 @@ def _runs(system, schedule, n, names):
                 # a pair is checked to hold models where it first enters the chunk
                 if pair not in pairs and not (isinstance(pair[0], NoiseModel)
                                               and isinstance(pair[1], InputModel)):
-                    for got, kind, side in zip(pair, (NoiseModel, InputModel), ("noise", "input")):
+                    for got, (side, kind, article) in zip(pair, _SIDES):
                         if not isinstance(got, kind):
                             raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
-                                            f"not a {kind.__name__}")
+                                            f"not {article} {kind.__name__}")
             except Exception as exc:
                 if index:
                     _run_chunk(system, [*pairs], index, covs, first)
@@ -250,22 +259,34 @@ def _runs(system, schedule, n, names):
         yield first, _run_chunk(system, [*pairs], index, covs, first)
 
 
+def _finite(arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def _run_chunk(system, pairs, index, covs, first):
     # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
     if len(index) > 1:
         # pairs that do not stack (the chunk's shape check) or a K that does not factor
         with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
             stacked, steps = system._stacked(pairs), np.asarray(index)
-            scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
-            # a run's last stack holds its log dets or powers
-            if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
-                   for after, run in scans.values()):
-                covs.update((name, after) for name, (after, _) in scans.items())
-                return {name: run for name, (_, run) in scans.items()}
+            # only the step-1 models are validated; a non-finite entry of a later one is
+            # named by the plain steps
+            if _finite(a for side in (stacked.noise, stacked.input) for a in vars(side).values()):
+                scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
+                # a run's last stack holds its log dets or powers
+                if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
+                       for after, run in scans.values()):
+                    covs.update((name, after) for name, (after, _) in scans.items())
+                    return {name: run for name, (_, run) in scans.items()}
     # plain steps on the system itself, which raise at the first step that fails
     rows = {name: [] for name in covs}
     for j, i in enumerate(index):
         try:
+            for model, (side, *_) in zip(pairs[i], _SIDES):
+                # a model not yet written is not yet checked
+                if model is not getattr(system, side) and not _finite(
+                        getattr(model, name) for name, _, _ in model._ARRAYS):
+                    raise ValueError(f"{side}_at returned a model with non-finite entries")
             system.update(*pairs[i])
             for name, cov in covs.items():
                 covs[name], row = _advance(system, name, cov)
@@ -282,12 +303,14 @@ def _advance(system, name, cov, index=None):
     if name != "P":
         quad, context = (system.noise_quad, "K_Ihat") if name == "Sigma" else (system, "K_I")
         if index is None:
-            after, K, logdet, _ = _predict(quad, cov, context=context)
-            return after, (cov, K, logdet)
+            after, K, logdet, gain_T = _predict(quad, cov, context=context)
+            return after, (cov, symmetrize(K), gain_T.T, logdet)
         run = _propagate([a[index] for a in _sda_form(quad)], cov)
-        C = quad.Chat[index]
-        K = quad.Rhat[index] + C @ run[:-1] @ C.swapaxes(-1, -2)
-        return run[-1], (run[:-1], K, solve_spd(K, K[..., :0], context=context, logdet=True)[1])
+        Ps, C_T = run[:-1], quad.Chat[index].swapaxes(-1, -2)
+        K = symmetrize(quad.Rhat[index] + quad.Chat[index] @ Ps @ C_T)
+        APC = quad.Ahat[index] @ Ps @ C_T + quad.Shat[index]
+        gain_T, logdet = solve_spd(K, APC.swapaxes(-1, -2), context=context, logdet=True)
+        return run[-1], (Ps, K, gain_T.swapaxes(-1, -2), logdet)
     if index is None:
         return _lyap_core(inp.F, inp.G, inp.K_Z, cov), (cov, input_power(inp, cov))
     # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati

@@ -15,17 +15,19 @@ prediction error (the innovations covariance), one prediction step is
 gain^T): ``dre_step``, ``dre_run`` (the plain-step reference),
 ``gain_and_closed_loop`` and ``are_solve``'s Newton polish and its last
 step call it, and so does the finite-horizon engine, ``capacity._runs``,
-where it does not scan. ``_sda_form`` writes the step without its cross
-term as a triple (A, G, Q), the map P -> Q + A^T P (I + G P)^{-1} A, and
-``_compose`` composes two such maps into one. Composition is
-associative: ``are_solve`` reaches the steady state from zero by
-structure-preserving doubling, a triple composed with itself, and
-``_propagate`` runs a finite horizon as a work-efficient (Brent-Kung)
-prefix scan of its step triples, fewer than 2L compositions for L steps,
-which ``capacity._runs`` uses for both DREs and the input's Lyapunov
-recursion in chunks of ``_chunk_length(m)`` steps, each read from one
-stacked joint system (``JointSystem._stacked``). The solution of
-``are_solve`` keeps K and log det K at P_star.
+where it does not scan, keeping all four. ``_sda_form`` writes the step
+without its cross term as a triple (A, G, Q), the map
+P -> Q + A^T P (I + G P)^{-1} A, and ``_compose`` composes two such maps
+into one. Composition is associative: ``are_solve`` reaches the steady
+state from zero by structure-preserving doubling, a triple composed with
+itself, and ``_propagate`` runs a finite horizon as a work-efficient
+(Brent-Kung) prefix scan of its step triples, fewer than 2L compositions
+for L steps, which ``capacity._runs`` uses for both DREs and the input's
+Lyapunov recursion in chunks of ``_chunk_length(m)`` steps, each read from
+one stacked joint system (``JointSystem._stacked``); a scanned chunk's
+gains and log dets come from one batched factorization of its K_t, as a
+plain step's do from ``_predict``'s. The solution of ``are_solve`` keeps K
+and log det K at P_star.
 """
 
 import math
@@ -193,7 +195,8 @@ def _chunk_length(m):
     scans beat plain steps up to m = 12 (CHANGES.md); the rule is not
     retuned yet.
     """
-    return 2 ** (9 - (m - 1) // 2) if m <= 8 else 1
+    # m = 0 (a memoryless noise with a memoryless input) is clamped to m = 1
+    return 2 ** (9 - max(m - 1, 0) // 2) if m <= 8 else 1
 
 
 def dre_step(quad, P_t):

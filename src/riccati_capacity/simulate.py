@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityResult, _runs, constant_schedule
-from .linalg import _substreams, as_count, solve_spd, sup_norm, symmetrize
+from .linalg import _substreams, as_count, sup_norm
 from .models import build_augmented
 from .systests import _root
 # stay importable here because bench/tracing.py patches them at these names
@@ -275,14 +275,8 @@ def _run(system, horizon, *names):
             for name in names]
 
 
-def _with_gains(quad, P_seq, K_seq, _):
-    # a DRE run as its predictor schedule (P_t, K_t, L_t), every gain by one batched solve
-    APC = quad.Ahat @ P_seq @ quad.Chat.T + quad.Shat
-    return P_seq, symmetrize(K_seq), solve_spd(K_seq, APC.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
 def _filter_batch(quad, obs, gains, predictions=False):
-    """Run a predictor schedule (``_with_gains``'s gains or their prefix) over a batch of paths.
+    """Run a predictor's gains L_t (of a ``_run`` schedule, or their prefix) over a batch of paths.
 
     ``quad`` is a JointSystem, started from its initial mean mu_Theta1.
     ``obs`` is indexed (path, t, component). With the paths innermost, each
@@ -317,24 +311,22 @@ def _filter_batch(quad, obs, gains, predictions=False):
     return (innovations, states[..., :paths].transpose(2, 0, 1)) if predictions else innovations
 
 
-def _joint_filter(batch, schedule=None):
-    """The joint predictor's schedule (Pi_t, K_I_t, L_t), innovations and state errors on ``batch``.
+def _joint_filter(batch, schedule):
+    """The joint predictor's innovations and state errors on ``batch``, by ``schedule``'s gains.
 
-    The schedule is run unless given. The innovations and errors are (path,
-    t, component) views over (t, component, path) storage; the errors
+    ``schedule`` holds (Pi_t, K_I_t, L_t) first. Both results are (path, t,
+    component) views over (t, component, path) storage; the errors
     overwrite the state predictions in place.
     """
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
-    if schedule is None:
-        schedule = _with_gains(batch.system, *_run(batch.system, batch.horizon, "Pi")[0])
     innovations, errors = _filter_batch(batch.system, batch.Y, schedule[2], predictions=True)
     # Theta_t = (Xi_t, S_t)
     n_xi = batch.Xi.shape[2]
     np.subtract(batch.Xi, errors[..., :n_xi], out=errors[..., :n_xi])
     np.subtract(batch.S, errors[..., n_xi:], out=errors[..., n_xi:])
-    return schedule, innovations, errors
+    return innovations, errors
 
 
 def kalman_run(batch):
@@ -342,9 +334,10 @@ def kalman_run(batch):
 
     The filter runs on ``batch.system``, the joint system the batch was
     sampled from, with the time-varying gains of the joint predictor's DRE
-    from the model initial law, run as ``finite_n_rate`` runs it
-    (``capacity._runs``), so its innovations are exactly the quantities
-    whose covariances K_{I_t} the analytic side predicts.
+    from the model initial law, whose schedule (Pi_t, K_{I_t}, L_t) is the
+    run of ``finite_n_rate``'s engine (``capacity._runs``) as it is, so its
+    innovations are exactly the quantities whose covariances K_{I_t} the
+    analytic side predicts.
 
     Parameters
     ----------
@@ -359,14 +352,9 @@ def kalman_run(batch):
     ValueError
         If the batch stored no step (a state passed OVERFLOW_GUARD at step 1).
     """
-    (Pi_seq, K_I_seq, gains), innovations, state_errors = _joint_filter(batch)
-    return KalmanRun(
-        innovations=innovations,
-        state_errors=state_errors,
-        Pi_seq=Pi_seq,
-        K_I_seq=K_I_seq,
-        gains=gains,
-    )
+    schedule = _run(batch.system, batch.horizon, "Pi")[0]
+    # the fields in their order: innovations, state_errors, Pi_seq, K_I_seq, gains
+    return KalmanRun(*_joint_filter(batch, schedule), *schedule[:3])
 
 
 def _cov_over_paths(a, b=None):
@@ -412,29 +400,27 @@ def _reduce(block, horizon, shared):
     twice at horizon 1, where the earlier is not read), the state errors
     and noise innovations at the last step, and each path's average power,
     so the block's arrays are freed once the caller drops it. ``shared``
-    holds what does not depend on the paths: both predictors' schedules
-    and the analytic power at each step, computed at the first block's
-    horizon (a shorter horizon reads their prefixes), the joint schedule by
-    the first block's ``kalman_run``, and the joint innovations of the
-    report's first block.
+    holds what does not depend on the paths: both predictors' schedules,
+    each (P_t, K_t, L_t) first, and the analytic power at each step,
+    computed at the first block's horizon (a shorter horizon reads their
+    prefixes), the joint schedule by the first block's ``kalman_run``, and
+    the joint innovations of the report's first block.
     """
     if block.horizon > horizon:
         # a shorter batch is the prefix of a longer one
         block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
                                                    for name in ("S", "V", "Xi", "X", "Y")})
     if "joint" in shared:
-        _, innovations, errors = _joint_filter(block, shared["joint"])
+        innovations, errors = _joint_filter(block, shared["joint"])
     else:
         run = kalman_run(block)
         shared["joint"] = run.Pi_seq, run.K_I_seq, run.gains
         innovations, errors = run.innovations, run.state_errors
-    noise_quad = block.system.noise_quad
     if "noise" not in shared:
-        noise, (_, shared["power"]) = _run(block.system, horizon, "Sigma", "P")
-        shared["noise"] = _with_gains(noise_quad, *noise)
+        shared["noise"], (_, shared["power"]) = _run(block.system, horizon, "Sigma", "P")
     if shared.setdefault("first_path", block.first_path) == block.first_path:
         shared["innovations"] = innovations  # the report's first block, drawn again or not
-    noise_innov = _filter_batch(noise_quad, block.V, shared["noise"][2])
+    noise_innov = _filter_batch(block.system.noise_quad, block.V, shared["noise"][2])
     t = horizon - 1
     # squares in C order, so each path sums one contiguous run whatever the
     # layout of block.X; the summation order sets the last bits

@@ -374,6 +374,14 @@ def test_a_failing_step_is_named_before_a_later_shape_change():
                        match="^step 7: K_Ihat is not positive definite$"):
         rc.finite_n_rate(ragged_at(9, schedule), unit_channel(), 40)
 
+    # a non-finite model is named by its step, after the steps before it
+    nan_at_9 = non_finite(noise)
+    for named, noise_at in ((7, lambda t: silent if t == 7 else nan_at_9 if t == 9 else noise),
+                            (9, lambda t: nan_at_9 if t == 9 else noise)):
+        error = np.linalg.LinAlgError if named == 7 else ValueError
+        with pytest.raises(error, match=f"^step {named}: "):
+            rc.finite_n_rate(replace(schedule, noise_at=noise_at), unit_channel(), 40)
+
 
 def test_steps_whose_log_dets_are_nan_add_nothing_to_the_rate():
     # an unstable mode that the noise drives and the output does not see:
@@ -465,20 +473,44 @@ def test_schedule_rejects_a_shape_change_at_a_chunk_start(n_xi, shrinks):
         rc.finite_n_rate(sched, unit_channel(), switch + 4)
 
 
-@pytest.mark.parametrize("t", [3, 600])
-@pytest.mark.parametrize("side", ["noise", "input"])
-def test_a_callback_that_returns_no_model_is_named(side, t):
-    # a joint state of 2 takes 512-step chunks, so step 600 is in the second;
+def non_finite(model):
+    # the model with its first declared array (A or F) all NaN
+    name = model._ARRAYS[0][0]
+    return replace(model, **{name: np.full_like(getattr(model, name), np.nan)})
+
+
+# (side, step, what the callback returns there, the input's state size): a
+# joint state of 2 takes 512-step chunks, so step 600 is in the second, and
+# one of 9 takes plain steps
+NO_MODEL_CASES = [
+    *(pytest.param(side, t, "str", 1, id=f"{side}-{t}")
+      for side in ("noise", "input") for t in (3, 600)),
+    *(pytest.param(side, t, "non-finite", 1, id=f"{side}-{t}-non-finite")
+      for side in ("noise", "input") for t in (3, 600)),
+    *(pytest.param(side, 3, "non-finite", 8, id=f"{side}-3-non-finite-plain")
+      for side in ("noise", "input")),
+]
+
+
+@pytest.mark.parametrize("side, t, returned, n_xi", NO_MODEL_CASES)
+def test_a_callback_that_returns_no_model_is_named(side, t, returned, n_xi):
     # only the step-1 models are validated, so each later pair is checked to
-    # be models where it first enters its chunk
-    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    # be models where it first enters its chunk, and to be finite where its
+    # chunk is stacked or where a plain step first writes it
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=n_xi, n_y=1)
     models = {"noise": noise, "input": inp}
+    bad = "x" if returned == "str" else non_finite(models[side])
     at = {name: (lambda s, model=model: model) for name, model in models.items()}
-    at[side] = lambda s: "x" if s == t else models[side]
+    at[side] = lambda s: bad if s == t else models[side]
     sched = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
                                    noise_limit=noise, input_limit=inp)
-    kind = type(models[side]).__name__
-    with pytest.raises(TypeError, match=f"^step {t}: {side}_at returned str, not a {kind}$"):
+    if returned == "str":
+        kind = {"noise": "a NoiseModel", "input": "an InputModel"}[side]
+        error, message = TypeError, f"^step {t}: {side}_at returned str, not {kind}$"
+    else:
+        error = ValueError
+        message = f"^step {t}: {side}_at returned a model with non-finite entries$"
+    with pytest.raises(error, match=message):
         rc.finite_n_rate(sched, unit_channel(), 700)
 
 

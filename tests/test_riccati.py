@@ -143,6 +143,15 @@ def test_propagate_returns_an_empty_state_at_once(monkeypatch, L):
     assert run.shape == (L + 1, 0, 0) and not calls
 
 
+def test_chunk_length_halves_every_two_states():
+    # 512 steps up to m = 2, m = 0 (a memoryless noise with a memoryless
+    # input) included, halving every two states to 64 at m = 8; plain steps
+    # from m = 9 on
+    assert rc.riccati._chunk_length(0) == 512
+    assert [rc.riccati._chunk_length(m) for m in range(1, 11)] == [
+        512, 512, 256, 256, 128, 128, 64, 64, 1, 1]
+
+
 def test_memoryless_input_power_is_constant_at_every_step():
     # an input without state has no Lyapunov recursion: each step's power
     # is tr(D K_Z D^T)

@@ -254,11 +254,12 @@ SCHEDULE_MODELS = {
 
 
 def dre_schedule(quad, horizon):
-    # (P_t, K_t, L_t) of the one-step predictor of quad by a loop of DRE steps
+    # (P_t, K_t, L_t, log det K_t) of the one-step predictor of quad by a loop of DRE steps
     P, rows = quad.K_Theta1, []
     for _ in range(horizon):
         K = quad.Rhat + quad.Chat @ P @ quad.Chat.T
-        rows.append((P, K, np.linalg.solve(K, (quad.Ahat @ P @ quad.Chat.T + quad.Shat).T).T))
+        rows.append((P, K, np.linalg.solve(K, (quad.Ahat @ P @ quad.Chat.T + quad.Shat).T).T,
+                     np.linalg.slogdet(K)[1]))
         P = rc.dre_step(quad, P)
     return [np.array(column) for column in zip(*rows)]
 
@@ -275,18 +276,20 @@ def test_innovation_covariance_sequence_matches_dre(monkeypatch, models, horizon
     noise, inp = SCHEDULE_MODELS[models]()
     ch = unit_channel()
     b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=2, master_seed=4)
-    # the schedules the report builds, joint then noise
-    schedules, with_gains = [], rc.simulate._with_gains
+    # the schedules the report reads, joint (through kalman_run) then noise
+    schedules, engine_run = [], rc.simulate._run
 
-    def recording(*args):
-        schedules.append(with_gains(*args))
-        return schedules[-1]
+    def recording(system, horizon, *names):
+        runs = engine_run(system, horizon, *names)
+        schedules.append(runs[0])
+        return runs
 
-    monkeypatch.setattr(rc.simulate, "_with_gains", recording)
+    monkeypatch.setattr(rc.simulate, "_run", recording)
     report = rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch))
     run = rc.kalman_run(b)
     quad = rc.build_augmented(noise, inp, ch)
     joint, noise_only = dre_schedule(quad, horizon), dre_schedule(quad.noise_quad, horizon)
+    assert len(schedules[0]) == len(schedules[1]) == 4
     for got, want in [*zip((run.Pi_seq, run.K_I_seq, run.gains), joint),
                       *zip(schedules[0], joint), *zip(schedules[1], noise_only)]:
         assert got.shape == want.shape
@@ -301,6 +304,34 @@ def test_innovation_covariance_sequence_matches_dre(monkeypatch, models, horizon
     if models == "deadbeat":
         # the covariance settles to 2.5 after two steps
         assert abs(run.K_I_seq[-1][0, 0] - 2.5) < 1e-12
+
+
+# 512 steps by one scan and a last step by a plain step; a joint state of 10,
+# which takes plain steps only
+@pytest.mark.parametrize("models, horizon", [("m1", 513), ("m10", 12)])
+def test_a_report_factors_each_innovations_covariance_once(monkeypatch, models, horizon):
+    # each K_t of both predictors is factored once, where the engine forms it,
+    # for its log det and its gain; every solve_spd binding of the package is
+    # counted, by the matrices it factors
+    noise, inp = SCHEDULE_MODELS[models]()
+    ch = unit_channel()
+    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=2, master_seed=4)
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    factored = {}
+
+    def counting(solve):
+        def solve_spd(S, B, context="matrix", logdet=False):
+            factored[context] = factored.get(context, 0) + int(np.prod(S.shape[:-2]))
+            return solve(S, B, context, logdet)
+        return solve_spd
+
+    for module in vars(rc).values():
+        if hasattr(module, "solve_spd"):
+            monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
+    rc.empirical_report(b, analytic)
+    # the cross-term-free form of a scanned chunk's steps factors its Rhat
+    factored.pop("Rhat", None)
+    assert factored == {"K_I": horizon, "K_Ihat": horizon}
 
 
 @pytest.mark.parametrize("setup, horizon", [(mimo_setup, 10), (unstable_setup, 12)])

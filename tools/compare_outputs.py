@@ -10,7 +10,12 @@ whose value differs, or that only one recording has; arrays and floats
 compare with ``np.array_equal(..., equal_nan=True)``, so "no difference"
 means bit-identical up to the sign of zero. A numeric output that differs
 is listed with its largest relative difference, the largest entrywise
-|a - b| over the largest finite |b|. It exits 1 if anything differs.
+|a - b| over the largest finite |b|. A ``CheckRow``'s ``deviation``,
+``rel_deviation`` and ``se_ratio`` are differences of near-equal numbers
+(and the lag row's analytic value is 0), so each is also listed with how
+far the row's empirical - analytic moved, over the row's scale
+max(sup|analytic|, sup|empirical|) in either recording. It exits 1 if
+anything differs.
 ``collect OUT.pkl`` is the step ``record`` runs in the child: it
 records from whatever ``riccati_capacity`` the path resolves.
 
@@ -61,6 +66,12 @@ The output set:
   a chunk (two states to one, n_w = n_y = 1, so the scalar blocks would
   broadcast into the slots), at a joint state of 8 (64-step chunks) and of
   12 (plain steps);
+- the "step t:" message of a schedule whose noise (A) or input (F) turns
+  all NaN at step t alone, over 700 steps of ``random_models(default_rng(3),
+  n_s=1, n_y=1)``: t = 3 and 600 at n_xi = 1 (a joint state of 2, 512-step
+  chunks) and t = 3 at n_xi = 8 (a joint state of 9, plain steps);
+- ``finite_n_rate`` over 1,030 steps of a joint state of 0 (a memoryless
+  noise, K_V = 0.5, and a unit i.i.d. input), across chunk edges;
 - models built from scalars, 1-D rows and Fortran-ordered arrays: each
   array's values, shape, ``writeable`` and ``c_contiguous`` flags, and
   whether it shares memory with the caller's array;
@@ -340,6 +351,23 @@ def collect(path):
         _record(out, f"step_message.chunk_start.m{n_xi + 2}",
                 lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), switch + 4))
 
+    for n_xi, steps in ((1, (3, 600)), (8, (3,))):
+        pair = dict(zip(("noise", "input"), random_models(np.random.default_rng(3), n_s=1,
+                                                          n_xi=n_xi, n_y=1)))
+        for side, t in ((side, t) for side in pair for t in steps):
+            good = pair[side]
+            name = good._ARRAYS[0][0]
+            bad = dataclasses.replace(good, **{name: np.full_like(getattr(good, name), np.nan)})
+            at = {key: (lambda s, model=model: model) for key, model in pair.items()}
+            at[side] = lambda s, t=t, bad=bad, good=good: bad if s == t else good
+            schedule = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
+                                              noise_limit=pair["noise"], input_limit=pair["input"])
+            _record(out, f"step_message.non_finite.{side}.m{n_xi + 1}.t{t}",
+                    lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), 700))
+    _record(out, "memoryless.finite_n_rate",
+            lambda: rc.finite_n_rate((rc.memoryless_noise([[0.5]]), unit_input),
+                                     rc.Channel(H=[[1.0]], kappa=1.0), 1030))
+
     rows = dict(A=np.ones(1), B=np.ones(2), C=np.ones(1), N=np.ones(2), K_W=np.eye(2),
                 mu_S1=np.ones(1), K_S1=np.ones(1))
     fortran = {name: np.asfortranarray(value) for name, value in (
@@ -424,6 +452,24 @@ def _relative(a, b):
     return float(np.max(gap) / scale) if scale > 0 else float(np.max(gap))
 
 
+def _row_move(a, b, name):
+    # for a CheckRow's deviation, rel_deviation or se_ratio in recordings a and b: the
+    # largest move of the row's empirical - analytic over max(sup|analytic|, sup|empirical|)
+    # in either recording; None for any other name
+    row, _, field = name.rpartition(".")
+    keys = (f"{row}.analytic", f"{row}.empirical")
+    if field not in ("deviation", "rel_deviation", "se_ratio") or not all(
+            key in a and key in b for key in keys):
+        return None
+    (an_a, emp_a), (an_b, emp_b) = ([np.asarray(rec[key], dtype=np.float64) for key in keys]
+                                    for rec in (a, b))
+    if not an_a.shape == emp_a.shape == an_b.shape == emp_b.shape:
+        return None
+    move = np.max(np.abs((emp_b - an_b) - (emp_a - an_a)), initial=0.0)
+    scale = max(np.max(np.abs(x), initial=0.0) for x in (an_a, emp_a, an_b, emp_b))
+    return float(move / scale) if scale > 0 else float(move)
+
+
 def diff(path_a, path_b):
     with open(path_a, "rb") as fh:
         a = pickle.load(fh)
@@ -431,9 +477,10 @@ def diff(path_a, path_b):
         b = pickle.load(fh)
     differing = [name for name in a if name in b and not _same(a[name], b[name])]
     for name in differing:
-        relative = _relative(a[name], b[name])
-        print(f"differs: {name}" if relative is None else
-              f"differs: {name} (largest relative difference {relative:.3g})")
+        relative, moved = _relative(a[name], b[name]), _row_move(a, b, name)
+        notes = ([] if relative is None else [f"largest relative difference {relative:.3g}"]) + (
+            [] if moved is None else [f"empirical - analytic moved {moved:.3g} of the row's scale"])
+        print(f"differs: {name}" + (f" ({'; '.join(notes)})" if notes else ""))
     for name in sorted(a.keys() - b.keys()):
         print(f"only in {path_a}: {name}")
     for name in sorted(b.keys() - a.keys()):
