@@ -228,10 +228,11 @@ def _runs(system, schedule, n, names):
     run first. A chunk's distinct pairs (by identity) are stacked into one
     joint system, its shape check, and each recursion runs the chunk by one
     prefix scan (``riccati._propagate``; a Lyapunov step is a Riccati map
-    with G = 0). A chunk of one step, or whose pairs do not stack or hold a
-    non-finite entry, or whose scan fails or is not finite, goes by plain
-    steps (``riccati._predict``, ``lyapunov._step``), which need no
-    Rhat^{-1} and name the first step that fails.
+    with G = 0). A chunk of one step, or whose pairs do not stack, or whose
+    scan fails or is not finite, goes by plain steps (``riccati._predict``,
+    ``lyapunov._step``), which need no Rhat^{-1} and name the first step
+    that fails; a non-finite entry of a later model makes the results of
+    every recursion it enters non-finite, so its step is named there.
     """
     first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
     covs = {name: symmetrize(first_laws[name]) for name in names}
@@ -259,33 +260,28 @@ def _runs(system, schedule, n, names):
         yield first, _run_chunk(system, [*pairs], index, covs, first)
 
 
-def _finite(arrays):
-    return all(np.isfinite(a).all() for a in arrays)
-
-
 def _run_chunk(system, pairs, index, covs, first):
     # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
     if len(index) > 1:
         # pairs that do not stack (the chunk's shape check) or a K that does not factor
         with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
             stacked, steps = system._stacked(pairs), np.asarray(index)
-            # only the step-1 models are validated; a non-finite entry of a later one is
-            # named by the plain steps
-            if _finite(a for side in (stacked.noise, stacked.input) for a in vars(side).values()):
-                scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
-                # a run's last stack holds its log dets or powers
-                if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
-                       for after, run in scans.values()):
-                    covs.update((name, after) for name, (after, _) in scans.items())
-                    return {name: run for name, (_, run) in scans.items()}
+            scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
+            # a run's last stack holds its log dets or powers. Only the step-1 models are
+            # validated; a non-finite entry of a later one makes these non-finite, and the
+            # plain steps name it
+            if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
+                   for after, run in scans.values()):
+                covs.update((name, after) for name, (after, _) in scans.items())
+                return {name: run for name, (_, run) in scans.items()}
     # plain steps on the system itself, which raise at the first step that fails
     rows = {name: [] for name in covs}
     for j, i in enumerate(index):
         try:
             for model, (side, *_) in zip(pairs[i], _SIDES):
                 # a model not yet written is not yet checked
-                if model is not getattr(system, side) and not _finite(
-                        getattr(model, name) for name, _, _ in model._ARRAYS):
+                if model is not getattr(system, side) and not all(
+                        np.isfinite(getattr(model, name)).all() for name, _, _ in model._ARRAYS):
                     raise ValueError(f"{side}_at returned a model with non-finite entries")
             system.update(*pairs[i])
             for name, cov in covs.items():

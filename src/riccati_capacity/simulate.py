@@ -377,7 +377,8 @@ def _row(name, analytic, empirical, se):
     empirical = np.atleast_2d(np.asarray(empirical, dtype=np.float64))
     se = np.atleast_2d(np.asarray(se, dtype=np.float64))
     dev = empirical - analytic
-    scale = max(sup_norm(analytic), 1e-300)
+    # the row's own magnitude, so a zero analytic value (the lag row) reads 1, not 1e299
+    scale = max(sup_norm(analytic), sup_norm(empirical))
     ratios = np.abs(dev) / np.maximum(se, 1e-300)
     se_ratio = sup_norm(ratios)
     return CheckRow(
@@ -385,7 +386,7 @@ def _row(name, analytic, empirical, se):
         analytic=analytic,
         empirical=empirical,
         deviation=sup_norm(dev),
-        rel_deviation=sup_norm(dev) / scale,
+        rel_deviation=sup_norm(dev) / scale if scale else 0.0,
         se=sup_norm(se),
         se_ratio=se_ratio,
         tol_se=TOL_SE,
@@ -393,40 +394,29 @@ def _row(name, analytic, empirical, se):
     )
 
 
-def _reduce(block, horizon, shared):
-    """The per-path values the report reads of one block, over its first ``horizon`` steps.
+def _reduce(block, innovations, errors, noise_gains):
+    """The per-path values the report reads of one block, over all its steps.
 
-    Returns copies of the joint innovations at the last two steps (the last
-    twice at horizon 1, where the earlier is not read), the state errors
-    and noise innovations at the last step, and each path's average power,
-    so the block's arrays are freed once the caller drops it. ``shared``
-    holds what does not depend on the paths: both predictors' schedules,
-    each (P_t, K_t, L_t) first, and the analytic power at each step,
-    computed at the first block's horizon (a shorter horizon reads their
-    prefixes), the joint schedule by the first block's ``kalman_run``, and
-    the joint innovations of the report's first block.
+    ``innovations`` and ``errors`` are the block's joint innovations and
+    state errors, and ``noise_gains`` the noise predictor's gains L_t, or
+    their prefix. Returns copies of the joint innovations at the last two
+    steps (the last twice at horizon 1, where the earlier is not read), the
+    state errors and noise innovations at the last step, and each path's
+    average power, so the block's arrays are freed once the caller drops it.
     """
-    if block.horizon > horizon:
-        # a shorter batch is the prefix of a longer one
-        block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
-                                                   for name in ("S", "V", "Xi", "X", "Y")})
-    if "joint" in shared:
-        innovations, errors = _joint_filter(block, shared["joint"])
-    else:
-        run = kalman_run(block)
-        shared["joint"] = run.Pi_seq, run.K_I_seq, run.gains
-        innovations, errors = run.innovations, run.state_errors
-    if "noise" not in shared:
-        shared["noise"], (_, shared["power"]) = _run(block.system, horizon, "Sigma", "P")
-    if shared.setdefault("first_path", block.first_path) == block.first_path:
-        shared["innovations"] = innovations  # the report's first block, drawn again or not
-    noise_innov = _filter_batch(block.system.noise_quad, block.V, shared["noise"][2])
-    t = horizon - 1
+    noise_innov = _filter_batch(block.system.noise_quad, block.V, noise_gains)
+    t = block.horizon - 1
     # squares in C order, so each path sums one contiguous run whatever the
     # layout of block.X; the summation order sets the last bits
-    power = np.sum(np.multiply(block.X, block.X, order="C"), axis=(1, 2)) / horizon
+    power = np.sum(np.multiply(block.X, block.X, order="C"), axis=(1, 2)) / block.horizon
     return (innovations[:, t].copy(), innovations[:, t - 1].copy(),
             errors[:, t].copy(), noise_innov[:, t].copy(), power)
+
+
+def _origin(block):
+    # (noise, input, channel, path indices, master_seed): what draws ``block`` again
+    return (block.noise, block.input, block.channel,
+            range(block.first_path, block.first_path + block.paths), block.master_seed)
 
 
 def empirical_report(batch, analytic):
@@ -440,10 +430,11 @@ def empirical_report(batch, analytic):
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
     power carried by ``analytic``). The joint predictor runs on the
-    batch's ``system``, the noise predictor on its ``noise_quad``; both
-    schedules and the analytic power come once per report from
-    ``finite_n_rate``'s engine (the joint one through ``kalman_run`` on the
-    first block), and every block reads them.
+    batch's ``system``, the noise predictor on its ``noise_quad``. What no
+    path changes comes from the first block, before a second is read: the
+    joint schedule through its ``kalman_run``, and the noise schedule and
+    the analytic power at each step by one run of ``finite_n_rate``'s
+    engine; a shorter horizon reads their prefixes.
 
     Parameters
     ----------
@@ -469,33 +460,44 @@ def empirical_report(batch, analytic):
     Returns
     -------
     ComparisonReport
+        Its ``innovations`` are the first block's, cut to the report's
+        horizon.
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    blocks = (batch,) if isinstance(batch, TrajectoryBatch) else batch
-    # per block: the values the rows read, and (noise, input, channel, path
-    # indices, master_seed) to draw it again
-    kept, drawn, shared, horizon = [], [], {}, None
+    blocks = iter((batch,) if isinstance(batch, TrajectoryBatch) else batch)
+    block = next(blocks, None)
+    if block is None:
+        raise ValueError("no batch to report on")
+    run, horizon = kalman_run(block), block.horizon
+    joint, innovations = (run.Pi_seq, run.K_I_seq, run.gains), run.innovations
+    (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(block.system, horizon, "Sigma", "P")
+    # per block: the values the rows read; and what draws it again
+    kept, drawn = [_reduce(block, innovations, run.state_errors, noise_gains)], [_origin(block)]
+    del block, run  # so that no two blocks are held at once
+
+    def reduce(block):
+        # a shorter batch is the prefix of a longer one
+        block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
+                                                   for name in ("S", "V", "Xi", "X", "Y")})
+        return _reduce(block, *_joint_filter(block, joint), noise_gains)
+
     for block in blocks:
-        rows_of = range(block.first_path, block.first_path + block.paths)
-        if drawn and rows_of.start != drawn[-1][3].stop:
-            raise ValueError(f"blocks must hold consecutive paths, got {rows_of!r} after "
+        origin = _origin(block)
+        if origin[3].start != drawn[-1][3].stop:
+            raise ValueError(f"blocks must hold consecutive paths, got {origin[3]!r} after "
                              f"{drawn[-1][3]!r}")
-        drawn.append((block.noise, block.input, block.channel, rows_of, block.master_seed))
-        shorter = horizon is not None and block.horizon < horizon
-        if horizon is None or shorter:
-            horizon = block.horizon
-        values = _reduce(block, horizon, shared)
-        del block  # so that no two blocks are held at once
+        drawn.append(origin)
+        shorter, horizon = block.horizon < horizon, min(horizon, block.horizon)
+        values = reduce(block)
+        del block
         if shorter:
-            kept = [_reduce(sample_paths(*models, horizon, earlier, seed), horizon, shared)
+            kept = [reduce(sample_paths(*models, horizon, earlier, seed))
                     for *models, earlier, seed in drawn[:-1]]
         kept.append(values)
-    if not kept:
-        raise ValueError("no batch to report on")
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))
-    (Pi_seq, K_I_seq, _), K_hat_seq = shared["joint"], shared["noise"][1]
+    Pi_seq, K_I_seq, _ = joint
     paths = len(per_path_power)
     t_last = horizon - 1
 
@@ -534,7 +536,7 @@ def empirical_report(batch, analytic):
 
     # exact finite-horizon analytic average power, so the comparison does
     # not confuse the start-up transient with sampling error
-    analytic_power = float(np.mean(shared["power"][:horizon]))
+    analytic_power = float(np.mean(power_seq[:horizon]))
     emp_power = float(np.mean(per_path_power))
     se_power = float(np.std(per_path_power, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     if se_power == 0.0:
@@ -544,5 +546,5 @@ def empirical_report(batch, analytic):
     rows = tuple(rows)
     return ComparisonReport(
         rows=rows, paths=paths, horizon=horizon,
-        ok=bool(all(r.ok for r in rows)), innovations=shared["innovations"],
+        ok=bool(all(r.ok for r in rows)), innovations=innovations[:, :horizon],
     )

@@ -41,6 +41,62 @@ def lyap_steady_state(F, G, K_Z):
     return 0.5 * (P + P.T)
 
 
+def _spectrum(A, B, C, D, K, z):
+    # T(z) K T(z)^H at each z, with T(z) = C (zI - A)^-1 B + D
+    T = C @ np.linalg.solve(z[:, None, None] * np.eye(len(A)) - A, B) + D
+    return T @ K @ T.conj().swapaxes(-1, -2)
+
+
+def _unstable_poles(A):
+    # 2 sum log|lam| over the eigenvalues of A outside the unit circle
+    moduli = np.abs(np.linalg.eigvals(A))
+    if np.any(np.abs(moduli - 1.0) < 1e-6):
+        raise ValueError("an eigenvalue lies within 1e-6 of the unit circle")
+    return 2.0 * float(np.sum(np.log(moduli[moduli > 1.0])))
+
+
+def spectral_logdets(noise, input, channel):
+    """log det K_I, log det K_Ihat and the asymptotic rate from the spectra alone.
+
+    With T_V(z) = C (zI - A)^-1 B + N and S_V = T_V K_W T_V^H on the unit
+    circle, S_X the same for the input and S_Y = S_V + H S_X H^T
+    (Kolmogorov-Szego, with the unstable-pole term that the innovations of
+    an unstable model carry):
+
+        log det K_Ihat = (1/2pi) int log det S_V dw + 2 sum_{|lam(A)| > 1} log|lam|
+        log det K_I    = (1/2pi) int log det S_Y dw + 2 sum_{|lam(A)|, |lam(F)| > 1} log|lam|
+        rate           = (log det K_I - log det K_Ihat) / 2,
+
+    so with F stable, rate = (1/4pi) int [log det S_Y - log det S_V] dw. No
+    Riccati or Lyapunov equation is solved; only the models' arrays are
+    read. Each integral is a midpoint sum over [0, pi], since log det S(-w)
+    = log det S(w), on a grid doubled from 64 points until no value moves
+    by 1e-14 of max(1, |value|). Returns (log det K_I, log det K_Ihat,
+    rate, points of the last grid). Raises ValueError for an A or F with
+    an eigenvalue within 1e-6 of the unit circle.
+    """
+    H = channel.H
+    poles_A, poles_F = _unstable_poles(noise.A), _unstable_poles(input.F)
+
+    def values(points):
+        z = np.exp(1j * np.pi * (np.arange(points) + 0.5) / points)
+        S_V = _spectrum(noise.A, noise.B, noise.C, noise.N, noise.K_W, z)
+        S_X = _spectrum(input.F, input.G, input.Gamma, input.D, input.K_Z, z)
+        ld_V = np.linalg.slogdet(S_V)[1]
+        ld_Y = np.linalg.slogdet(S_V + H @ S_X @ H.T)[1]
+        return np.array([ld_Y.mean() + poles_A + poles_F, ld_V.mean() + poles_A,
+                         0.5 * ((ld_Y - ld_V).mean() + poles_F)])
+
+    points, before = 64, values(64)
+    while points < 2**20:
+        points *= 2
+        now = values(points)
+        if np.all(np.abs(now - before) < 1e-14 * np.maximum(1.0, np.abs(now))):
+            return (*map(float, now), points)
+        before = now
+    raise RuntimeError(f"the spectral integrals did not settle on {points} points")
+
+
 def joint_output_covariance(A, B, C, D, K_1, K_drive, n):
     """Covariance of the stacked outputs of a linear Gaussian system.
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import riccati_capacity as rc
 from conftest import (diverging_noise, random_models, scalar_noise, unit_channel,
@@ -16,6 +18,7 @@ from oracles import (
     joint_output_covariance_tv,
     innovations_covariances,
     logdet_pd,
+    spectral_logdets,
 )
 from scipy.linalg import block_diag
 
@@ -473,33 +476,35 @@ def test_schedule_rejects_a_shape_change_at_a_chunk_start(n_xi, shrinks):
         rc.finite_n_rate(sched, unit_channel(), switch + 4)
 
 
-def non_finite(model):
-    # the model with its first declared array (A or F) all NaN
-    name = model._ARRAYS[0][0]
+def non_finite(model, name=None):
+    # the model with its declared array ``name`` (by default the first, A or F) all NaN
+    name = name or model._ARRAYS[0][0]
     return replace(model, **{name: np.full_like(getattr(model, name), np.nan)})
 
 
-# (side, step, what the callback returns there, the input's state size): a
-# joint state of 2 takes 512-step chunks, so step 600 is in the second, and
-# one of 9 takes plain steps
+# (side, step, what the callback returns there: "str", or the model with
+# that declared array all NaN, the input's state size): a joint state of 2
+# takes 512-step chunks, so step 600 is in the second, and one of 9 takes
+# plain steps
+SIDES = (("noise", rc.NoiseModel), ("input", rc.InputModel))
 NO_MODEL_CASES = [
-    *(pytest.param(side, t, "str", 1, id=f"{side}-{t}")
-      for side in ("noise", "input") for t in (3, 600)),
-    *(pytest.param(side, t, "non-finite", 1, id=f"{side}-{t}-non-finite")
-      for side in ("noise", "input") for t in (3, 600)),
-    *(pytest.param(side, 3, "non-finite", 8, id=f"{side}-3-non-finite-plain")
-      for side in ("noise", "input")),
+    *(pytest.param(side, t, "str", 1, id=f"{side}-{t}") for side, _ in SIDES for t in (3, 600)),
+    *(pytest.param(side, t, name, 1, id=f"{side}-{t}-non-finite" + (f"-{name}" if i else ""))
+      for side, kind in SIDES for i, (name, _, _) in enumerate(kind._ARRAYS) for t in (3, 600)),
+    *(pytest.param(side, 3, kind._ARRAYS[0][0], 8, id=f"{side}-3-non-finite-plain")
+      for side, kind in SIDES),
 ]
 
 
 @pytest.mark.parametrize("side, t, returned, n_xi", NO_MODEL_CASES)
 def test_a_callback_that_returns_no_model_is_named(side, t, returned, n_xi):
     # only the step-1 models are validated, so each later pair is checked to
-    # be models where it first enters its chunk, and to be finite where its
-    # chunk is stacked or where a plain step first writes it
+    # be models where it first enters its chunk; a non-finite entry in any
+    # declared array makes a scanned chunk's results non-finite, and the plain
+    # step that first writes its model names it
     noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=n_xi, n_y=1)
     models = {"noise": noise, "input": inp}
-    bad = "x" if returned == "str" else non_finite(models[side])
+    bad = "x" if returned == "str" else non_finite(models[side], returned)
     at = {name: (lambda s, model=model: model) for name, model in models.items()}
     at[side] = lambda s: bad if s == t else models[side]
     sched = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
@@ -590,6 +595,29 @@ def test_colored_noise_closed_form_point():
     assert abs(res.K_Ihat[0, 0] - 1.0) < 1e-10
     assert abs(res.power - 1.0) < 1e-12
     assert res.feasibility.member_of_P_infinity
+
+
+def assert_matches_the_spectra(noise, inp, ch):
+    res = rc.asymptotic_rate(noise, inp, ch)
+    assert res.feasibility.member_of_P_infinity
+    *want, _ = spectral_logdets(noise, inp, ch)
+    got = (logdet_pd(res.K_I), logdet_pd(res.K_Ihat), res.rate_nats)
+    for name, value, reference in zip(("log det K_I", "log det K_Ihat", "rate"), got, want):
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), name
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5])
+def test_scalar_rates_match_the_spectral_integrals(a):
+    assert_matches_the_spectra(scalar_noise(a), unit_iid_input(), unit_channel())
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(1, 4), n_xi=st.integers(1, 3),
+       n_y=st.integers(1, 2), n_z=st.integers(1, 2), rho_A=st.sampled_from([0.6, 0.9, 1.2, 1.5]))
+def test_asymptotic_rates_match_the_spectral_integrals(seed, n_s, n_xi, n_y, n_z, rho_A):
+    # stable and unstable MIMO noise, against Kolmogorov-Szego and the unstable-pole term
+    noise, inp = random_models(np.random.default_rng(seed), n_s=n_s, n_xi=n_xi, n_y=n_y,
+                               n_z=n_z, rho_A=rho_A)
+    assert_matches_the_spectra(noise, inp, rc.Channel(H=np.eye(n_y), kappa=1.0))
 
 
 def test_zero_input_asymptotic_rate_zero():

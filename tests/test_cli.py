@@ -426,6 +426,10 @@ def test_simulate_report(tmp_path):
     assert doc["ok"] is True
     names = {row["name"] for row in doc["checks"]}
     assert "average power" in names
+    # each row's deviation over its own magnitude; the lag row's analytic value is 0
+    assert all(row["rel_deviation"] <= 2.0 for row in doc["checks"])
+    lag = next(row for row in doc["checks"] if row["name"] == "lag-1 innovations cross-covariance")
+    assert lag["rel_deviation"] == 1.0
     lines = open(trace).read().splitlines()
     assert lines[0].startswith("t,")
     assert len(lines) == 13

@@ -87,6 +87,10 @@ The output set:
   zero H where it has one row or column);
 - the input search's noise-gate message for A = 1.5, B = [1, 0], C = 0,
   N = [0, 1], K_W = I;
+- an ``empirical_report`` of 60 paths x 80 steps of the sweep's noise
+  (a unit i.i.d. input, seed 31) read in six blocks of 10 paths, which pass
+  the overflow guard at steps 69, 68, 70, 69, 69 and 67: the first block is
+  drawn again twice, and the report's ``innovations`` are recorded with it;
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``),
@@ -399,6 +403,10 @@ def collect(path):
         _record(out, f"waterfilling_oracle{i}", lambda: rc.waterfilling_oracle(H, R, kappa))
     gate = rc.NoiseModel(A=1.5, B=[[1.0, 0.0]], C=0.0, N=[[0.0, 1.0]], K_W=np.eye(2))
     _record(out, "noise_gate", lambda: rc.optimize_input(gate, unit, (1, 1), config))
+    # the report of a saturating batch in blocks, one of which truncates it
+    _record(out, "blocks.saturating.empirical_report", lambda: rc.empirical_report(
+        (rc.sample_paths(scalar, unit_input, unit, 80, range(lo, lo + 10), 31)
+         for lo in range(0, 60, 10)), rc.asymptotic_rate(scalar, unit_input, unit)))
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:
