@@ -281,14 +281,13 @@ def _cmd_sweep_kappa(args, doc):
 def _cmd_simulate(args, doc):
     noise, input_model, channel = _parse_models(args, doc)
     analytic = asymptotic_rate(noise, input_model, channel)
-    # the report takes the paths block by block; of each block only its
-    # saturation step is kept here, and the first sampled path of the first
-    first, saturated = {}, []
+    # the report takes the paths block by block; of them only the first
+    # sampled path is kept here, for --trace
+    first = {}
 
     def draw(paths):
         batch = sample_paths(noise, input_model, channel,
                              horizon=args.n, paths=paths, master_seed=args.seed)
-        saturated.append(batch.saturated_at)
         if not first:
             first.update((label, getattr(batch, label)[0].copy())
                          for label in ("S", "V", "Xi", "X", "Y"))
@@ -300,7 +299,9 @@ def _cmd_simulate(args, doc):
         "paths": report.paths,
         "horizon": report.horizon,
         "master_seed": args.seed,
-        "saturated_at": min(filter(None, saturated), default=None),
+        # a block stores the steps before the one that passed the guard, so
+        # the report stops one step short of the earliest such step
+        "saturated_at": report.horizon + 1 if report.horizon < args.n else None,
         "ok": report.ok,
         "checks": [_fields(row) for row in report.rows],
     }, args.out)

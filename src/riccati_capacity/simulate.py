@@ -413,12 +413,6 @@ def _reduce(block, innovations, errors, noise_gains):
             errors[:, t].copy(), noise_innov[:, t].copy(), power)
 
 
-def _origin(block):
-    # (noise, input, channel, path indices, master_seed): what draws ``block`` again
-    return (block.noise, block.input, block.channel,
-            range(block.first_path, block.first_path + block.paths), block.master_seed)
-
-
 def empirical_report(batch, analytic):
     """Compare a sampled batch with the analytic predictions.
 
@@ -441,13 +435,17 @@ def empirical_report(batch, analytic):
     batch : TrajectoryBatch, or an iterable of them
         One batch, or one batch in blocks: ``sample_paths`` calls with the
         same models, horizon and master_seed over consecutive ranges of
-        path indices, in order. Each block is filtered and reduced to the
-        values the rows read as it arrives, so a generator of blocks is
-        held one block at a time, and the rows are those of the whole
-        batch, bit for bit. A block that stops at the overflow guard
-        before the blocks read so far truncates the report to its horizon:
-        later blocks are cut to it, and the earlier ones are drawn again
-        at it.
+        path indices, in order. The first block's models and master_seed
+        are the report's one origin, and of each block only its range of
+        path indices is kept; a block that does not start where the one
+        before it ended, or that does not share the origin (the same model
+        objects, an equal seed), raises ValueError. Each block is filtered
+        and reduced to the values the rows read as it arrives, so a
+        generator of blocks is held one block at a time, and the rows are
+        those of the whole batch, bit for bit. A block that stops at the
+        overflow guard before the blocks read so far truncates the report
+        to its horizon: later blocks are cut to it, and the earlier ones
+        are drawn again at it, from the origin.
     analytic : CapacityResult
         Supplies the steady-state targets; the time-indexed comparisons
         use the matching difference-equation values so a short horizon
@@ -469,11 +467,14 @@ def empirical_report(batch, analytic):
     block = next(blocks, None)
     if block is None:
         raise ValueError("no batch to report on")
+    # the report's one origin, which draws every block again from its path indices
+    origin = (block.noise, block.input, block.channel, block.master_seed)
     run, horizon = kalman_run(block), block.horizon
     joint, innovations = (run.Pi_seq, run.K_I_seq, run.gains), run.innovations
     (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(block.system, horizon, "Sigma", "P")
-    # per block: the values the rows read; and what draws it again
-    kept, drawn = [_reduce(block, innovations, run.state_errors, noise_gains)], [_origin(block)]
+    # per block: the values the rows read; and its path indices
+    kept = [_reduce(block, innovations, run.state_errors, noise_gains)]
+    drawn = [range(block.first_path, block.first_path + block.paths)]
     del block, run  # so that no two blocks are held at once
 
     def reduce(block):
@@ -483,17 +484,20 @@ def empirical_report(batch, analytic):
         return _reduce(block, *_joint_filter(block, joint), noise_gains)
 
     for block in blocks:
-        origin = _origin(block)
-        if origin[3].start != drawn[-1][3].stop:
-            raise ValueError(f"blocks must hold consecutive paths, got {origin[3]!r} after "
-                             f"{drawn[-1][3]!r}")
-        drawn.append(origin)
+        indices = range(block.first_path, block.first_path + block.paths)
+        if indices.start != drawn[-1].stop:
+            raise ValueError(f"blocks must hold consecutive paths, got {indices!r} after "
+                             f"{drawn[-1]!r}")
+        # models by identity (they compare so), the seed by value
+        if (block.noise, block.input, block.channel, block.master_seed) != origin:
+            raise ValueError("blocks must share the first block's models and master_seed")
+        drawn.append(indices)
         shorter, horizon = block.horizon < horizon, min(horizon, block.horizon)
         values = reduce(block)
         del block
         if shorter:
-            kept = [reduce(sample_paths(*models, horizon, earlier, seed))
-                    for *models, earlier, seed in drawn[:-1]]
+            *models, seed = origin
+            kept = [reduce(sample_paths(*models, horizon, earlier, seed)) for earlier in drawn[:-1]]
         kept.append(values)
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))
@@ -501,30 +505,22 @@ def empirical_report(batch, analytic):
     paths = len(per_path_power)
     t_last = horizon - 1
 
-    rows = []
-    K_I_t = K_I_seq[t_last]
-    emp_I = _cov_over_paths(innov_last)
-    rows.append(_row("innovations covariance", K_I_t, emp_I, _cov_se(K_I_t, paths)))
+    def covariance_row(name, analytic, values, allowance=0.0):
+        # a last-step sample covariance against ``analytic``, within its standard errors
+        return _row(name, analytic, _cov_over_paths(values), _cov_se(analytic, paths) + allowance)
 
+    K_I_t = K_I_seq[t_last]
+    rows = [covariance_row("innovations covariance", K_I_t, innov_last)]
     if horizon >= 2:
-        K_I_inf = np.atleast_2d(analytic.K_I)
         # allowance for an unsettled filter, measured from how much the
         # recursion itself is still moving; deliberately independent of the
         # claimed limit so a wrong analytic value cannot widen its own band
         settling = 3.0 * np.abs(K_I_t - K_I_seq[t_last - 1])
-        se_steady = _cov_se(K_I_inf, paths) + settling / TOL_SE
-        rows.append(_row("steady-state innovations covariance", K_I_inf, emp_I,
-                         se_steady))
-
-    K_hat_t = K_hat_seq[t_last]
-    emp_hat = _cov_over_paths(noise_last)
-    rows.append(_row("noise innovations covariance", K_hat_t, emp_hat,
-                     _cov_se(K_hat_t, paths)))
-
+        rows.append(covariance_row("steady-state innovations covariance",
+                                   np.atleast_2d(analytic.K_I), innov_last, settling / TOL_SE))
+    rows.append(covariance_row("noise innovations covariance", K_hat_seq[t_last], noise_last))
     if errors.shape[1]:
-        Pi_t = Pi_seq[t_last]
-        emp_err = _cov_over_paths(errors)
-        rows.append(_row("state-error covariance", Pi_t, emp_err, _cov_se(Pi_t, paths)))
+        rows.append(covariance_row("state-error covariance", Pi_seq[t_last], errors))
 
     if horizon >= 2:
         lag = _cov_over_paths(innov_last, innov_prev)

@@ -606,9 +606,19 @@ def assert_matches_the_spectra(noise, inp, ch):
         assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), name
 
 
-@pytest.mark.parametrize("a", [0.5, 1.5])
+@pytest.mark.parametrize("a", [0.5, 1.5, 0.999, 1.001])
 def test_scalar_rates_match_the_spectral_integrals(a):
     assert_matches_the_spectra(scalar_noise(a), unit_iid_input(), unit_channel())
+
+
+@pytest.mark.parametrize("rho_A", [0.999, 1.001])
+@pytest.mark.parametrize("seed", range(6))
+def test_near_marginal_rates_match_the_spectral_integrals(seed, rho_A):
+    # a noise pole 1e-3 inside or outside the unit circle, where the Riccati
+    # solve converges slowest and the oracle needs its finest grid
+    noise, inp = random_models(np.random.default_rng(seed), n_s=1 + seed % 4, n_xi=1 + seed % 3,
+                               n_y=1 + seed % 2, n_z=1 + seed % 2, rho_A=rho_A)
+    assert_matches_the_spectra(noise, inp, rc.Channel(H=np.eye(1 + seed % 2), kappa=1.0))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_s=st.integers(1, 4), n_xi=st.integers(1, 3),

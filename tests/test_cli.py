@@ -507,6 +507,13 @@ def test_simulate_in_blocks_writes_the_whole_batch_bytes(tmp_path, monkeypatch, 
                                  "overflow guard 1e+12 at step 1\n"]
     else:
         assert outputs[0][0] == 0 and len(outputs[0]) == 4
+        # the report stops a step short of the earliest guard step: null
+        # when stable, 67 = 66 + 1 when saturating
+        for _, _, out, _ in outputs:
+            report = json.loads(out)
+            assert report["saturated_at"] == min(filter(None, saturated), default=None)
+            assert report["saturated_at"] == (None if report["horizon"] == n
+                                              else report["horizon"] + 1)
 
 
 def test_simulate_memory_holds_one_block_of_paths(tmp_path):

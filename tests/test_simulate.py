@@ -517,6 +517,22 @@ def test_report_blocks_hold_consecutive_paths():
         rc.empirical_report([], analytic)
 
 
+def test_report_blocks_share_the_first_blocks_models_and_master_seed():
+    # models compare by identity, so a copy of the noise is another origin
+    noise, inp, ch = colored_setup()
+    analytic = rc.asymptotic_rate(noise, inp, ch)
+    first = rc.sample_paths(noise, inp, ch, 3, range(5), 0)
+    for later in (rc.sample_paths(noise, inp, ch, 3, range(5, 9), 1),
+                  rc.sample_paths(replace(noise), inp, ch, 3, range(5, 9), 0)):
+        with pytest.raises(ValueError, match=r"^blocks must share the first block's models "
+                                             r"and master_seed$"):
+            rc.empirical_report([first, later], analytic)
+    # the consecutive-paths check comes first
+    gap = rc.sample_paths(noise, inp, ch, 3, range(6, 9), 1)
+    with pytest.raises(ValueError, match="^blocks must hold consecutive paths"):
+        rc.empirical_report([first, gap], analytic)
+
+
 def test_report_accepts_matched_statistics():
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)

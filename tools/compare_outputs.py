@@ -91,6 +91,10 @@ The output set:
   (a unit i.i.d. input, seed 31) read in six blocks of 10 paths, which pass
   the overflow guard at steps 69, 68, 70, 69, 69 and 67: the first block is
   drawn again twice, and the report's ``innovations`` are recorded with it;
+  the same at seed 6, whose blocks pass it at steps 67, 68, 69, 70, 68 and
+  69, so the first block truncates the report, the later ones are cut and
+  none is drawn again; and the "blocks must share ..." message of a second
+  block of another master_seed (7 after 6);
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``),
@@ -403,10 +407,17 @@ def collect(path):
         _record(out, f"waterfilling_oracle{i}", lambda: rc.waterfilling_oracle(H, R, kappa))
     gate = rc.NoiseModel(A=1.5, B=[[1.0, 0.0]], C=0.0, N=[[0.0, 1.0]], K_W=np.eye(2))
     _record(out, "noise_gate", lambda: rc.optimize_input(gate, unit, (1, 1), config))
-    # the report of a saturating batch in blocks, one of which truncates it
-    _record(out, "blocks.saturating.empirical_report", lambda: rc.empirical_report(
-        (rc.sample_paths(scalar, unit_input, unit, 80, range(lo, lo + 10), 31)
-         for lo in range(0, 60, 10)), rc.asymptotic_rate(scalar, unit_input, unit)))
+    # the reports of a saturating batch in blocks: one of which truncates it,
+    # drawing earlier blocks again; and one whose first block does, so none is
+    scalar_rate = rc.asymptotic_rate(scalar, unit_input, unit)
+    for name, seed in (("blocks.saturating", 31), ("blocks.first_saturating", 6)):
+        _record(out, f"{name}.empirical_report", lambda: rc.empirical_report(
+            (rc.sample_paths(scalar, unit_input, unit, 80, range(lo, lo + 10), seed)
+             for lo in range(0, 60, 10)), scalar_rate))
+    # a later block of another master_seed
+    _record(out, "blocks.other_seed.empirical_report", lambda: rc.empirical_report(
+        [rc.sample_paths(scalar, unit_input, unit, 80, range(10 * k, 10 * k + 10), 6 + k)
+         for k in range(2)], scalar_rate))
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:
