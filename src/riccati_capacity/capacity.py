@@ -27,7 +27,7 @@ from .linalg import (as_count, as_finite, is_symmetric, solve_spd, spectral_radi
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
                        input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _chunk_length, _predict, _propagate, _sda_form, are_solve
+from .riccati import _chunk_length, _chunk_steps, _predict, _propagate, _sda_form, are_solve
 from .systests import feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -171,9 +171,12 @@ def finite_n_rate(models, channel, n):
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws. Both DREs and the input's
     Lyapunov recursion run on the finite-horizon engine, ``_runs``, by
-    chunked prefix scans or plain steps. The scan's round-off differs from
-    the plain steps' in the last digits: at most 4e-14 of each trace
-    column's scale over 40 seeded draws up to m = 8 and 2000 steps. Each
+    chunked prefix scans or plain steps, asking it for no gains. The scan's
+    round-off differs from the plain steps' in the last digits: at most
+    9e-14 of each trace column's scale over 40 seeded draws (m = 2 to 8,
+    rho(A) 0.5 to 1.4, 2,100 steps, so a repeated pair's scan runs to the
+    2,048-step cap at m = 2), where chunks of at most 512 steps read 8.2e-14
+    on the same draws. Each
     per-step rate term is clamped at zero individually, so a transient with
     the noise predictor ahead of the joint one cannot push the average
     negative; a NaN term counts as 0.
@@ -184,7 +187,7 @@ def finite_n_rate(models, channel, n):
     system = build_augmented(schedule.noise_at(1), schedule.input_at(1), channel)
     # log det K_I, log det K_Ihat and the power at each step
     columns = np.empty((3, n))
-    for first, run in _runs(system, schedule, n, ("Sigma", "Pi", "P")):
+    for first, run in _runs(system, schedule, n, ("Sigma", "Pi", "P"), gains=False):
         (Sigmas, K_Ihat, _, logdet_hat), (Pis, K_I, _, logdet), (Ps, power) = run.values()
         columns[:, first - 1:first - 1 + len(power)] = logdet, logdet_hat, power
     t = np.arange(1.0, n + 1.0)
@@ -212,61 +215,70 @@ def finite_n_rate(models, channel, n):
 _SIDES = (("noise", NoiseModel, "a"), ("input", InputModel, "an"))
 
 
-def _runs(system, schedule, n, names):
+def _runs(system, schedule, n, names, gains=True):
     """The finite-horizon engine: the recursions ``names`` picks, over steps 1 to n.
 
     The names are "Sigma" (the noise predictor's DRE), "Pi" (the joint
     predictor's) and "P" (the input state's Lyapunov recursion), each
     started from the initial law of ``system``, the joint system of the pair
-    in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk of
-    ``riccati._chunk_length(m)`` steps, its first step and a dict keyed by
-    ``names``: a DRE's predictor schedule (P_t, K_t, L_t, log det K_t), K_t
-    symmetrized, its gain L_t = (Ahat P_t Chat^T + Shat) K_t^{-1} and log
-    det from its one factorization, or the Lyapunov recursion's (P_t,
-    power_t), one row per step, P_t entering step t. The callbacks run to a
-    chunk's end or to their first raise, after which the steps before it
-    run first. A chunk's distinct pairs (by identity) are stacked into one
-    joint system, its shape check, and each recursion runs the chunk by one
-    prefix scan (``riccati._propagate``; a Lyapunov step is a Riccati map
-    with G = 0). A chunk of one step, or whose pairs do not stack, or whose
-    scan fails or is not finite, goes by plain steps (``riccati._predict``,
-    ``lyapunov._step``), which need no Rhat^{-1} and name the first step
-    that fails; a non-finite entry of a later model makes the results of
-    every recursion it enters non-finite, so its step is named there.
+    in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk,
+    its first step and a dict keyed by ``names``: a DRE's predictor schedule
+    (P_t, K_t, L_t, log det K_t), K_t symmetrized, its gain L_t = (Ahat P_t
+    Chat^T + Shat) K_t^{-1} and log det from its one factorization (L_t None
+    where ``gains`` is false), or the Lyapunov recursion's (P_t, power_t),
+    one row per step, P_t entering step t. A chunk ends before the pair that
+    would be its ``riccati._chunk_length(m)`` + 1st distinct one (by
+    identity), which opens the next, or at ``riccati._chunk_steps(m)``
+    steps, so each callback runs once per step, in step order, and a chunk
+    holds at most ``_chunk_length(m)`` pairs' models (one more, the next
+    chunk's first, while it runs). The callbacks run to a chunk's end or to
+    their first raise, after which the steps before it run first. A chunk's
+    distinct pairs are stacked into one joint system, its shape check, and
+    each recursion runs the chunk by one prefix scan (``riccati._propagate``;
+    a Lyapunov step is a Riccati map with G = 0). A chunk of one step, or
+    whose pairs do not stack, or whose scan fails or is not finite, goes by
+    plain steps (``riccati._predict``, ``lyapunov._step``), which need no
+    Rhat^{-1} and name the first step that fails; a non-finite entry of a
+    later model makes the results of every recursion it enters non-finite,
+    so its step is named there.
     """
     first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
     covs = {name: symmetrize(first_laws[name]) for name in names}
-    chunk, pair_1 = _chunk_length(system.m), (system.noise, system.input)
-    for first in range(1, n + 1, chunk):
-        # the chunk's distinct pairs in order, and the pair in force at each step
-        pairs, index = {}, []
-        for t in range(first, min(first + chunk, n + 1)):
-            try:
-                pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else pair_1
-                # a pair is checked to hold models where it first enters the chunk
-                if pair not in pairs and not (isinstance(pair[0], NoiseModel)
-                                              and isinstance(pair[1], InputModel)):
-                    for got, (side, kind, article) in zip(pair, _SIDES):
-                        if not isinstance(got, kind):
-                            raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
-                                            f"not {article} {kind.__name__}")
-            except Exception as exc:
-                if index:
-                    _run_chunk(system, [*pairs], index, covs, first)
-                if isinstance(exc, ValueError):
-                    raise ValueError(f"step {t}: {exc}") from None
-                raise
-            index.append(pairs.setdefault(pair, len(pairs)))
-        yield first, _run_chunk(system, [*pairs], index, covs, first)
+    pair_1 = (system.noise, system.input)
+    limit, cap = _chunk_length(system.m), _chunk_steps(system.m)
+    # the chunk's distinct pairs in order, and the pair in force at each of its steps
+    pairs, index, first = {}, [], 1
+    for t in range(1, n + 1):
+        try:
+            pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else pair_1
+            # a pair is checked to hold models where it first enters the chunk
+            if pair not in pairs and not (isinstance(pair[0], NoiseModel)
+                                          and isinstance(pair[1], InputModel)):
+                for got, (side, kind, article) in zip(pair, _SIDES):
+                    if not isinstance(got, kind):
+                        raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
+                                        f"not {article} {kind.__name__}")
+        except Exception as exc:
+            if index:
+                _run_chunk(system, [*pairs], index, covs, first, gains)
+            if isinstance(exc, ValueError):
+                raise ValueError(f"step {t}: {exc}") from None
+            raise
+        if len(index) == cap or (pair not in pairs and len(pairs) == limit):
+            yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
+            pairs, index, first = {}, [], t
+        index.append(pairs.setdefault(pair, len(pairs)))
+    yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
 
 
-def _run_chunk(system, pairs, index, covs, first):
+def _run_chunk(system, pairs, index, covs, first, gains):
     # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
     if len(index) > 1:
         # pairs that do not stack (the chunk's shape check) or a K that does not factor
         with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
             stacked, steps = system._stacked(pairs), np.asarray(index)
-            scans = {name: _advance(stacked, name, cov, steps) for name, cov in covs.items()}
+            scans = {name: _advance(stacked, name, cov, gains, steps)
+                     for name, cov in covs.items()}
             # a run's last stack holds its log dets or powers. Only the step-1 models are
             # validated; a non-finite entry of a later one makes these non-finite, and the
             # plain steps name it
@@ -285,28 +297,31 @@ def _run_chunk(system, pairs, index, covs, first):
                     raise ValueError(f"{side}_at returned a model with non-finite entries")
             system.update(*pairs[i])
             for name, cov in covs.items():
-                covs[name], row = _advance(system, name, cov)
+                covs[name], row = _advance(system, name, cov, gains)
                 rows[name].append(row)
         except ValueError as exc:  # a block that changed shape, or a K that does not factor
             raise type(exc)(f"step {first + j}: {exc}") from None
-    return {name: tuple(map(np.array, zip(*rows[name]))) for name in covs}
+    return {name: tuple(None if column[0] is None else np.array(column)
+                        for column in zip(*rows[name])) for name in covs}
 
 
-def _advance(system, name, cov, index=None):
+def _advance(system, name, cov, gains, index=None):
     # recursion ``name`` from ``cov``: a plain step on the models last written or, given
-    # ``index``, a prefix scan over a stacked chunk; the covariance after it, and its run
+    # ``index``, a prefix scan over a stacked chunk; the covariance after it, and its run,
+    # whose gains are None unless ``gains``
     inp = system.input
     if name != "P":
         quad, context = (system.noise_quad, "K_Ihat") if name == "Sigma" else (system, "K_I")
         if index is None:
             after, K, logdet, gain_T = _predict(quad, cov, context=context)
-            return after, (cov, symmetrize(K), gain_T.T, logdet)
+            return after, (cov, symmetrize(K), gain_T.T if gains else None, logdet)
         run = _propagate([a[index] for a in _sda_form(quad)], cov)
         Ps, C_T = run[:-1], quad.Chat[index].swapaxes(-1, -2)
         K = symmetrize(quad.Rhat[index] + quad.Chat[index] @ Ps @ C_T)
-        APC = quad.Ahat[index] @ Ps @ C_T + quad.Shat[index]
+        # the gains solve against (Ahat P_t Chat^T + Shat)^T, log dets alone against nothing
+        APC = quad.Ahat[index] @ Ps @ C_T + quad.Shat[index] if gains else K[..., :0, :]
         gain_T, logdet = solve_spd(K, APC.swapaxes(-1, -2), context=context, logdet=True)
-        return run[-1], (Ps, K, gain_T.swapaxes(-1, -2), logdet)
+        return run[-1], (Ps, K, gain_T.swapaxes(-1, -2) if gains else None, logdet)
     if index is None:
         return _lyap_core(inp.F, inp.G, inp.K_Z, cov), (cov, input_power(inp, cov))
     # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati

@@ -307,9 +307,9 @@ class JointSystem:
     or an input search reuses one system; ``_stacked(pairs)`` writes a
     horizon chunk's pairs at once; either raises ValueError for a pair whose
     block shapes are not the system's (``_stacked`` checks its first pair,
-    and ``np.stack`` the rest against it). The models are not otherwise checked
-    here: ``build_augmented``, or ``to_quadruple`` for a noise alone,
-    validates them first.
+    and ``np.array``, which raises on a ragged stack, the rest against it).
+    The models are not otherwise checked here: ``build_augmented``, or
+    ``to_quadruple`` for a noise alone, validates them first.
     """
 
     # a property, so that no system refers to itself and each is freed once dropped
@@ -360,7 +360,8 @@ class JointSystem:
     def _stacked(self, pairs):
         # this layout with a leading axis over (noise, input) pairs that fit it, written in
         # one pass from ``noise`` and ``input``, each distinct model's arrays (by identity)
-        # stacked once and indexed to the pairs
+        # stacked once, by one np.array (which raises ValueError on a ragged stack, without
+        # np.stack's per-array checks), and indexed to the pairs
         self._fits(*pairs[0])
         stacked = object.__new__(JointSystem)
         for name in ("n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
@@ -370,7 +371,7 @@ class JointSystem:
             rows = {}
             index = [rows.setdefault(model, len(rows)) for model in models]
             setattr(stacked, side, SimpleNamespace(**{
-                name: np.stack([getattr(model, name) for model in rows])[index]
+                name: np.array([getattr(model, name) for model in rows])[index]
                 for name, _, _ in models[0]._ARRAYS}))
         stacked._write(stacked.noise, stacked.input)
         return stacked

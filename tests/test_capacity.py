@@ -1,5 +1,6 @@
 import re
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -267,7 +268,13 @@ def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, kind):
                                n_xi=n_xi, n_y=2, n_z=2, rho_A=rho_A)
     channel = rc.Channel(H=[[1.0, 0.3], [-0.2, 0.8]], kappa=1.0)
     chunk = rc.riccati._chunk_length(n_s + n_xi)
-    horizons = sorted({max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5})
+    # the distinct-pair edge (every step of the drifting kind is a new pair),
+    # and the step cap, the edge of a chunk whose pairs repeat
+    horizons = {max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5}
+    if kind != "drifting":
+        cap = rc.riccati._chunk_steps(n_s + n_xi)
+        horizons |= {max(1, cap - 1), cap, cap + 1}
+    horizons = sorted(horizons)
     schedule = schedule_of(kind, noise, inp, chunk // 2 + 1)
     trace, matrices = stepped_reference(schedule, channel, horizons[-1])
     for n in horizons:
@@ -321,11 +328,54 @@ def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, kind):
         return out
 
     monkeypatch.setattr(np, "empty", zero_empty)
-    n = 3 * rc.riccati._chunk_length(2) + 5
+    # past the step cap, so a repeated pair opens a second chunk too
+    n = rc.riccati._chunk_steps(2) + 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = rc.finite_n_rate(schedule, unit_channel(), n)
     assert not calls and np.isfinite(res.trace).all()
+
+
+def test_each_callback_runs_once_per_step_and_a_chunk_frees_its_models(monkeypatch):
+    # a joint state of 8 ends a chunk at 64 distinct pairs or at 256 steps: the
+    # noise is new at each of steps 2 to 200 and the step-1 noise after them,
+    # so chunks end at the distinct-pair edge (steps 64, 128, 192), each
+    # carrying its 65th pair, already fetched, into the next, then at the step
+    # cap (step 448)
+    noise, inp = random_models(np.random.default_rng(8), n_s=4, n_xi=4)
+    chunk, cap = rc.riccati._chunk_length(8), rc.riccati._chunk_steps(8)
+    n = 3 * chunk + cap + 10
+    calls, made, alive = {"noise": [], "input": []}, [], []
+
+    def noise_at(t):
+        calls["noise"].append(t)
+        # the models made for later steps still alive; the step-1 pair is the system's own
+        alive.append(sum(ref() is not None for ref in made))
+        if not 1 < t <= 200:
+            return noise
+        model = replace(noise, A=noise.A * (1.0 + 0.2 * np.cos(t)))
+        made.append(weakref.ref(model))
+        return model
+
+    def input_at(t):
+        calls["input"].append(t)
+        return inp
+
+    chunks, run_chunk = [], rc.capacity._run_chunk
+
+    def recording(system, pairs, index, covs, first, gains):
+        chunks.append((first, len(index)))
+        return run_chunk(system, pairs, index, covs, first, gains)
+
+    monkeypatch.setattr(rc.capacity, "_run_chunk", recording)
+    schedule = rc.CoefficientSchedule(noise_at=noise_at, input_at=input_at, noise_limit=noise,
+                                      input_limit=inp)
+    res = rc.finite_n_rate(schedule, unit_channel(), n)
+    assert np.isfinite(res.trace).all()
+    assert calls == {"noise": list(range(1, n + 1)), "input": list(range(1, n + 1))}
+    assert chunks == [(1, chunk), (chunk + 1, chunk), (2 * chunk + 1, chunk),
+                      (3 * chunk + 1, cap), (3 * chunk + cap + 1, 10)]
+    assert max(alive) <= chunk
 
 
 def test_a_failing_step_is_named_before_a_later_shape_change():
@@ -468,7 +518,7 @@ def test_schedule_rejects_a_shape_change_at_a_chunk_start(n_xi, shrinks):
     # two-state slots, so only a check against the system's shapes sees them
     before, after = (two_state_noise(), scalar_noise(0.5))[::1 if shrinks else -1]
     inp = stateful_input(n_xi)
-    switch = rc.riccati._chunk_length(n_xi + before.n_s) + 1
+    switch = rc.riccati._chunk_steps(n_xi + before.n_s) + 1
     sched = rc.CoefficientSchedule(
         noise_at=lambda t: before if t < switch else after, input_at=lambda t: inp,
         noise_limit=before, input_limit=inp)
@@ -484,13 +534,17 @@ def non_finite(model, name=None):
 
 # (side, step, what the callback returns there: "str", or the model with
 # that declared array all NaN, the input's state size): a joint state of 2
-# takes 512-step chunks, so step 600 is in the second, and one of 9 takes
-# plain steps
+# holds a repeated pair for up to 2,048 steps, so step 600 is the second
+# distinct pair of the first chunk and step 2100 is in the second chunk, and
+# one of 9 takes plain steps
 SIDES = (("noise", rc.NoiseModel), ("input", rc.InputModel))
+NO_MODEL_STEPS = (3, 600, 2100)
 NO_MODEL_CASES = [
-    *(pytest.param(side, t, "str", 1, id=f"{side}-{t}") for side, _ in SIDES for t in (3, 600)),
+    *(pytest.param(side, t, "str", 1, id=f"{side}-{t}") for side, _ in SIDES
+      for t in NO_MODEL_STEPS),
     *(pytest.param(side, t, name, 1, id=f"{side}-{t}-non-finite" + (f"-{name}" if i else ""))
-      for side, kind in SIDES for i, (name, _, _) in enumerate(kind._ARRAYS) for t in (3, 600)),
+      for side, kind in SIDES for i, (name, _, _) in enumerate(kind._ARRAYS)
+      for t in NO_MODEL_STEPS),
     *(pytest.param(side, 3, kind._ARRAYS[0][0], 8, id=f"{side}-3-non-finite-plain")
       for side, kind in SIDES),
 ]
@@ -516,7 +570,7 @@ def test_a_callback_that_returns_no_model_is_named(side, t, returned, n_xi):
         error = ValueError
         message = f"^step {t}: {side}_at returned a model with non-finite entries$"
     with pytest.raises(error, match=message):
-        rc.finite_n_rate(sched, unit_channel(), 700)
+        rc.finite_n_rate(sched, unit_channel(), max(700, t + 100))
 
 
 def test_explicit_initial_covariances_enter_step_one():

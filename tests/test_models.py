@@ -328,18 +328,20 @@ def test_a_stack_holds_each_distinct_model_once(monkeypatch):
     inp = unit_iid_input()
     pairs = [(scalar_noise(0.5 + 2.0 ** -t), inp) for t in range(1, 9)]
     system = rc.build_augmented(*pairs[0], unit_channel())
-    lengths, stack = [], np.stack
+    lengths, array = [], np.array
 
     def counted(arrays, *args, **kwargs):
-        lengths.append(len(arrays))
-        return stack(arrays, *args, **kwargs)
+        # each declared array is stacked by one np.array over a list of the distinct models'
+        if isinstance(arrays, list):
+            lengths.append(len(arrays))
+        return array(arrays, *args, **kwargs)
 
-    monkeypatch.setattr(np, "stack", counted)
+    monkeypatch.setattr(np, "array", counted)
     stacked = system._stacked(pairs)
     monkeypatch.undo()
     assert lengths == [8] * len(rc.NoiseModel._ARRAYS) + [1] * len(rc.InputModel._ARRAYS)
     for name, _, _ in rc.InputModel._ARRAYS:
-        assert np.array_equal(getattr(stacked.input, name), stack([getattr(inp, name)] * 8))
+        assert np.array_equal(getattr(stacked.input, name), np.stack([getattr(inp, name)] * 8))
 
 
 def test_iid_input_factory_shapes():

@@ -248,7 +248,7 @@ SCHEDULE_MODELS = {
     "m1": lambda: (rc.NoiseModel(A=0.999, B=[[0.1, 0.0]], C=0.1, N=[[0.0, 1.0]], K_W=np.eye(2)),
                    unit_iid_input()),
     # modes at 0.99, so both DREs and the input's Lyapunov recursion still
-    # move at every 64-step chunk edge
+    # move at every 64-step edge and at the 256-step cap
     "m8": lambda: random_models(np.random.default_rng(8), n_s=4, n_xi=4, rho_A=0.99, rho_F=0.99),
     "m10": lambda: random_models(np.random.default_rng(10), n_s=5, n_xi=5),
 }
@@ -265,10 +265,12 @@ def dre_schedule(quad, horizon):
     return [np.array(column) for column in zip(*rows)]
 
 
-# horizons on both sides of the scan's chunk edges (512 steps at m = 1, 64 at
-# m = 8) and a joint state of 10, which takes plain steps
-SCHEDULE_CASES = [("deadbeat", 8), ("m1", 511), ("m1", 512), ("m1", 513), ("m8", 63), ("m8", 64),
-                  ("m8", 65), ("m8", 129), ("m10", 12)]
+# horizons on both sides of the scan's step cap, the chunk edge of a repeated
+# pair (2,048 steps at m = 1, 256 at m = 8), and of its 512- and 64-step
+# chunks before the cap, and a joint state of 10, which takes plain steps
+SCHEDULE_CASES = [("deadbeat", 8), ("m1", 511), ("m1", 512), ("m1", 513), ("m1", 2047),
+                  ("m1", 2048), ("m1", 2049), ("m8", 63), ("m8", 64), ("m8", 65), ("m8", 129),
+                  ("m8", 255), ("m8", 256), ("m8", 257), ("m10", 12)]
 
 
 @pytest.mark.parametrize("models, horizon", SCHEDULE_CASES,

@@ -43,9 +43,11 @@ The output set:
   ``finite_n_rate`` at n = 300;
 - ``finite_n_rate`` at the prefix scan's tree edges: n = 1, 2, 3, 511, 512,
   513 and 1025 on a constant scalar pair (a one-state noise and a one-state
-  input, joint state 2, 512-step chunks), and n = 63, 64, 65 and 129 on a
-  draw with a joint state of 8 (``random_models(default_rng(13), n_s=4,
-  n_xi=4)``, 64-step chunks);
+  input, joint state 2, whose chunks were 512 steps), and n = 63, 64, 65 and
+  129 on a draw with a joint state of 8 (``random_models(default_rng(13),
+  n_s=4, n_xi=4)``, whose chunks were 64 steps); and at the step cap, the
+  chunk edge of a repeated pair: n = 2047, 2048, 2049 and 4097 on the
+  scalar pair (2,048 steps) and n = 255, 256 and 257 on the draw (256);
 - ``kalman_run``'s three schedules (``Pi_seq``, ``K_I_seq``, ``gains``) and
   an ``empirical_report`` of 50 paths (seed 5) at the same tree edges, which
   the Monte Carlo's schedules and analytic power now cross: n = 1, 2, 511,
@@ -62,10 +64,11 @@ The output set:
   the failing step, and the two where a schedule callback then raises
   TypeError (at step 10 after the shape change, at step 9 after the failing
   step);
-- the "step t:" message of a noise that changes shape at the first step of
-  a chunk (two states to one, n_w = n_y = 1, so the scalar blocks would
-  broadcast into the slots), at a joint state of 8 (64-step chunks) and of
-  12 (plain steps);
+- the "step t:" message of a noise that changes shape (two states to one,
+  n_w = n_y = 1, so the scalar blocks would broadcast into the slots) after
+  ``_chunk_length(m)`` steps, at a joint state of 8 (a second distinct pair
+  within the chunk, whose stack is ragged) and of 12 (plain steps), and at
+  step 257, the first after the step cap of a joint state of 8;
 - the "step t:" message of a schedule whose noise (A) or input (F) turns
   all NaN at step t alone, over 700 steps of ``random_models(default_rng(3),
   n_s=1, n_y=1)``: t = 3 and 600 at n_xi = 1 (a joint state of 2, 512-step
@@ -301,11 +304,11 @@ def collect(path):
             lambda: rc.finite_n_rate(drifting(rc, noise, inp), channel, 100))
     scalar_pair = (rc.NoiseModel(A=0.9, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.5),
                    rc.InputModel(F=0.6, G=1.0, Gamma=1.0, D=1.0, K_Z=1.0, K_Xi1=0.3))
-    for n in (1, 2, 3, 511, 512, 513, 1025):
+    for n in (1, 2, 3, 511, 512, 513, 1025, 2047, 2048, 2049, 4097):
         _record(out, f"scan_edges.scalar.n{n}.finite_n_rate",
                 lambda: rc.finite_n_rate(scalar_pair, rc.Channel(H=[[1.0]], kappa=1.0), n))
     pair8 = random_models(np.random.default_rng(13), n_s=4, n_xi=4)
-    for n in (63, 64, 65, 129):
+    for n in (63, 64, 65, 129, 255, 256, 257):
         _record(out, f"scan_edges.m8.n{n}.finite_n_rate",
                 lambda: rc.finite_n_rate(pair8, rc.Channel(H=[[1.0]], kappa=1.0), n))
     slow = (rc.NoiseModel(A=0.999, B=[[0.1, 0.0]], C=0.1, N=[[0.0, 1.0]], K_W=np.eye(2)),
@@ -349,14 +352,17 @@ def collect(path):
     two_state = rc.NoiseModel(A=np.diag([0.5, 0.3]), B=[[1.0], [0.5]], C=[[1.0, 1.0]],
                               N=[[1.0]], K_W=[[1.0]])
     one_state = rc.NoiseModel(A=0.5, B=1.0, C=1.0, N=1.0, K_W=1.0)
-    for n_xi in (6, 10):
+    # the step cap at a joint state of 8 is 256 steps; a literal, so that a tree
+    # without the cap records the same schedule
+    for name, n_xi, switch in (("chunk_start", 6, rc.riccati._chunk_length(8) + 1),
+                               ("chunk_start", 10, rc.riccati._chunk_length(12) + 1),
+                               ("step_cap", 6, 257)):
         inp = rc.InputModel(F=0.5 * np.eye(n_xi), G=np.ones((n_xi, 1)),
                             Gamma=np.ones((1, n_xi)) / n_xi, D=1.0, K_Z=1.0)
-        switch = rc.riccati._chunk_length(n_xi + 2) + 1
         schedule = rc.CoefficientSchedule(
             noise_at=lambda t: two_state if t < switch else one_state, input_at=lambda t: inp,
             noise_limit=two_state, input_limit=inp)
-        _record(out, f"step_message.chunk_start.m{n_xi + 2}",
+        _record(out, f"step_message.{name}.m{n_xi + 2}",
                 lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), switch + 4))
 
     for n_xi, steps in ((1, (3, 600)), (8, (3,))):
