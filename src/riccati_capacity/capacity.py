@@ -175,11 +175,9 @@ def finite_n_rate(models, channel, n):
     round-off differs from the plain steps' in the last digits: at most
     9e-14 of each trace column's scale over 40 seeded draws (m = 2 to 8,
     rho(A) 0.5 to 1.4, 2,100 steps, so a repeated pair's scan runs to the
-    2,048-step cap at m = 2), where chunks of at most 512 steps read 8.2e-14
-    on the same draws. Each
-    per-step rate term is clamped at zero individually, so a transient with
-    the noise predictor ahead of the joint one cannot push the average
-    negative; a NaN term counts as 0.
+    2,048-step cap at m = 2). Each per-step rate term is clamped at zero
+    individually, so a transient with the noise predictor ahead of the
+    joint one cannot push the average negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
     schedule = _unpack_models(models)
@@ -507,10 +505,12 @@ _EPS = np.finfo(np.float64).eps
 class OptimizerConfig:
     """Settings for the input-realization search.
 
-    ``starts`` counts all local searches, structured ones included, and
-    ``seed`` keys the random ones. ``maxiter`` caps the L-BFGS iterations
-    of each start. ``warm_starts`` passes known-good input models (used
-    by the kappa sweep to chain solutions).
+    The structured and warm starts always run, and seeded random starts
+    fill the search up to ``starts`` local searches, so a search with
+    ``starts`` or more of the others runs no random one. ``seed`` keys the
+    random starts. ``maxiter`` caps the L-BFGS iterations of each start.
+    ``warm_starts`` passes known-good input models (used by the kappa
+    sweep to chain solutions).
     """
 
     starts: int = 32
@@ -697,10 +697,11 @@ def optimize_input(noise, channel, dims, config=None):
     singular or the joint solve does not converge. Warm starts (each
     also a candidate as given; searched from when reachable and of the
     search's dims) and shift-register starts with flat and water-filling
-    D come before seeded random ones. Each candidate is projected onto
-    the budget and evaluated in full by ``asymptotic_rate``. The problem
-    is not convex, so the result is a certified lower bound rather than
-    a proven optimum.
+    D always run; seeded random starts follow, up to ``config.starts``
+    starts in all. Each candidate is projected onto the budget and
+    evaluated in full by ``asymptotic_rate``. The problem is not convex,
+    so the result is a certified lower bound rather than a proven
+    optimum.
     """
     # the search is the package's only use of scipy, whose import costs
     # several times the rest of the package's, so it is loaded here;
@@ -795,7 +796,9 @@ def sweep_kappa(noise, channel, kappas, dims, config=None):
 
     Earlier solutions are handed to later budgets as warm starts, which
     keeps the optimized rate monotone in kappa up to solver tolerance.
-    Returns one SweepPoint per budget, in the order given.
+    Every warm start runs, so at later budgets warm starts first replace
+    the random ones and then add to ``config.starts``. Returns one
+    SweepPoint per budget, in the order given.
     """
     cfg = config if config is not None else OptimizerConfig()
     points = []

@@ -10,8 +10,11 @@ turns that message into exit 3 under --strict. The keys of each model
 section are the fields of its model class, so any CLI result can be
 reproduced from the library with the parsed inputs. Each subcommand
 declares only the flags its handler reads, so a flag it would ignore is
-a usage error. Results are JSON (CSV for traces and sweeps) with numbers
-at 17 significant digits.
+a usage error. The power budget bounds only the input search, so only
+``optimize`` (one budget in place of the model file's ``channel.kappa``)
+and ``sweep-kappa`` (the comma-separated grid) take ``--kappa``. Results
+are JSON (CSV for traces and sweeps) with numbers at 17 significant
+digits.
 
 Exit codes: 0 success; 2 configuration or validation error (bad file,
 malformed matrix, violated invariant); 3 solver failure, or a soft
@@ -138,9 +141,9 @@ def _parse(doc, name, cls, **given):
     return cls(**kwargs)
 
 
-def _parse_models(args, doc):
+def _parse_models(doc):
     return (_parse(doc, "noise", NoiseModel), _parse(doc, "input", InputModel),
-            _parse(doc, "channel", Channel, kappa=args.kappa_value))
+            _parse(doc, "channel", Channel))
 
 
 def _parse_kappa_grid(text):
@@ -217,7 +220,7 @@ def _solver_failure(result):
 
 
 def _cmd_check_system(args, doc):
-    _emit(_feasibility_doc(feasibility_report(*_parse_models(args, doc))), args.out)
+    _emit(_feasibility_doc(feasibility_report(*_parse_models(doc))), args.out)
 
 
 def _cmd_solve_are(args, doc):
@@ -225,7 +228,7 @@ def _cmd_solve_are(args, doc):
     if isinstance(doc.get("input"), dict) and isinstance(doc.get("channel"), dict):
         # the joint system carries the noise's own problem, so no second one is built
         system = build_augmented(noise, _parse(doc, "input", InputModel),
-                                 _parse(doc, "channel", Channel, kappa=args.kappa_value))
+                                 _parse(doc, "channel", Channel))
         problems = (system.noise_quad, system)
     else:
         problems = (to_quadruple(noise),)
@@ -238,7 +241,7 @@ def _cmd_solve_are(args, doc):
 
 
 def _cmd_capacity_n(args, doc):
-    noise, input_model, channel = _parse_models(args, doc)
+    noise, input_model, channel = _parse_models(doc)
     result = finite_n_rate((noise, input_model), channel, args.n)
     _emit({"n": args.n, **_capacity_doc(result, args.units)}, args.out)
     if args.trace:
@@ -247,14 +250,14 @@ def _cmd_capacity_n(args, doc):
 
 
 def _cmd_capacity_asym(args, doc):
-    result = asymptotic_rate(*_parse_models(args, doc), tol=args.tol, max_iter=args.max_iter)
+    result = asymptotic_rate(*_parse_models(doc), tol=args.tol, max_iter=args.max_iter)
     _emit(_capacity_doc(result, args.units), args.out)
     return _solver_failure(result)
 
 
 def _cmd_optimize(args, doc):
     noise = _parse(doc, "noise", NoiseModel)
-    channel = _parse(doc, "channel", Channel, kappa=args.kappa_value)
+    channel = _parse(doc, "channel", Channel, kappa=args.kappa)
     dims = _parse_dims(args, doc)
     model, result = optimize_input(noise, channel, dims, _optimizer_config(args))
     out_doc = {"kappa": channel.kappa, "dims": dims, **_capacity_doc(result, args.units)}
@@ -279,7 +282,7 @@ def _cmd_sweep_kappa(args, doc):
 
 
 def _cmd_simulate(args, doc):
-    noise, input_model, channel = _parse_models(args, doc)
+    noise, input_model, channel = _parse_models(doc)
     analytic = asymptotic_rate(noise, input_model, channel)
     # the report takes the paths block by block; of them only the first
     # sampled path is kept here, for --trace
@@ -320,9 +323,12 @@ def _cmd_simulate(args, doc):
 # ---------------------------------------------------------------- wiring
 
 
-# each optional flag by its meaning; --n, --trace and --max-iter mean
-# different things to different subcommands, so each has two entries
+# each optional flag by its meaning; --kappa, --n, --trace and --max-iter
+# mean different things to different subcommands, so each has two entries
 _FLAGS = {
+    "budget": ("--kappa", dict(type=float, default=None,
+                               help="power budget, in place of the model file's")),
+    "grid": ("--kappa", dict(default=None, help="comma-separated grid of power budgets")),
     "units": ("--units", dict(choices=("nats", "bits"), default="nats")),
     "strict": ("--strict", dict(action="store_true", help="exit 3 on a soft failure: "
                "solver non-convergence, an infeasible budget or a failed check")),
@@ -352,9 +358,9 @@ _SUBCOMMANDS = (
     ("capacity-asym", "asymptotic rate", _cmd_capacity_asym,
      ("units", "strict", "tol", "doublings")),
     ("optimize", "search input realizations", _cmd_optimize,
-     ("units", "strict", "seed", "iterations", "starts", "dims")),
+     ("budget", "units", "strict", "seed", "iterations", "starts", "dims")),
     ("sweep-kappa", "optimized rate per power budget", _cmd_sweep_kappa,
-     ("strict", "seed", "iterations", "starts", "dims")),
+     ("grid", "strict", "seed", "iterations", "starts", "dims")),
     ("simulate", "Monte Carlo comparison report", _cmd_simulate,
      ("strict", "seed", "horizon", "paths", "path_trace")),
 )
@@ -371,24 +377,11 @@ def build_parser():
         sub = subs.add_parser(name, help=summary)
         sub.add_argument("--model", required=True, help="JSON model document")
         sub.add_argument("--out", default=None, help="output path (stdout when absent)")
-        sub.add_argument("--kappa", default=None,
-                         help="power budget override, or comma grid for sweep-kappa")
         for flag in flags:
             option, kwargs = _FLAGS[flag]
             sub.add_argument(option, **kwargs)
         sub.set_defaults(handler=handler)
     return parser
-
-
-def _single_kappa(args):
-    # --kappa doubles as a grid for sweep-kappa; everywhere else it must
-    # be one number
-    if args.kappa is None or args.command == "sweep-kappa":
-        return None
-    try:
-        return float(args.kappa)
-    except ValueError:
-        raise ValueError(f"cannot parse --kappa value '{args.kappa}'") from None
 
 
 def main(argv=None):
@@ -397,7 +390,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        args.kappa_value = _single_kappa(args)
         with open(args.model) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):

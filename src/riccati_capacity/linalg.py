@@ -139,7 +139,8 @@ def solve_spd(S, B, context="matrix", logdet=False):
     """Solve S X = B, S symmetric positive definite, via Cholesky; ``logdet`` adds log det S.
 
     numpy has no triangular solve, so with S = L L^T the solution is
-    X = L^-T (L^-1 B) through the inverse of the factor L. Stacks of
+    X = L^-T (L^-1 B) through the inverse of the factor L; a B without
+    columns, as for log dets alone, needs no inverse. Stacks of
     (..., k, k) matrices solve and give their log dets together, and raise
     if any matrix of the stack is not positive definite.
     """
@@ -149,8 +150,11 @@ def solve_spd(S, B, context="matrix", logdet=False):
         L = np.linalg.cholesky(symmetrize(S))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(f"{context} is not positive definite") from None
-    L_inv = np.linalg.inv(L)
-    X = L_inv.swapaxes(-1, -2) @ (L_inv @ B)
+    if B.shape[-1]:
+        L_inv = np.linalg.inv(L)
+        X = L_inv.swapaxes(-1, -2) @ (L_inv @ B)
+    else:
+        X = np.zeros(np.broadcast_shapes(S.shape[:-1], B.shape[:-1]) + (0,))
     if not logdet:
         return X
     logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)

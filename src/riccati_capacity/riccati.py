@@ -191,14 +191,11 @@ def _chunk_length(m):
     O(m^3) work and a fixed cost per call each, so the chunk shrinks as m
     grows. Memory is O(L m^2), plus the models a chunk's callbacks build,
     one per distinct pair: a chunk ends at this many distinct pairs or at
-    ``_chunk_steps(m)`` steps, whichever comes first. The pair count was
-    timed (one BLAS thread, 2000 steps) on a scan of L log2(L)
-    compositions: scans of 512 steps paid best up to m = 2 and of 64 at
-    m = 8, and from m = 10 none beat plain steps. On the Brent-Kung scan
-    the best chunk is 1,024 to 2,048 steps up to m = 8, and 512-step scans
-    beat plain steps up to m = 12 (CHANGES.md); the step cap takes the
-    longer scans where pairs repeat, and the plain steps from m = 9 are
-    not retuned yet.
+    ``_chunk_steps(m)`` steps, whichever comes first. Timed at one BLAS
+    thread over 2,000 steps, the best chunk is 1,024 to 2,048 steps up to
+    m = 8, and 512-step scans beat plain steps up to m = 12 (CHANGES.md);
+    the step cap takes the longer scans where pairs repeat, and the plain
+    steps from m = 9 are not retuned yet.
     """
     # m = 0 (a memoryless noise with a memoryless input) is clamped to m = 1
     return 2 ** (9 - max(m - 1, 0) // 2) if m <= 8 else 1

@@ -583,6 +583,26 @@ def test_explicit_initial_covariances_enter_step_one():
     assert abs(res.rate_nats - 0.5 * np.log(4.0 / 3.0)) < 1e-14
 
 
+@pytest.mark.parametrize("rho_A", [0.7, 1.2, 1.4])
+def test_a_wider_initial_noise_law_does_not_raise_the_rate(rho_A):
+    # S_1 ~ N(0, K_S1 + G G^T) is S_1 ~ N(0, K_S1) plus an independent
+    # N(0, G G^T) that reaches Y^n only through the noise, so by data
+    # processing I(X^n; Y^n), the unclamped sum of the log-det
+    # differences, cannot rise; the rate's uniformity over the initial
+    # laws leans on it
+    def unclamped(noise, inp):
+        trace = rc.finite_n_rate((noise, inp), rc.Channel(H=np.eye(2)), 50).trace
+        return (trace[:, 1] - trace[:, 2]).sum() / (2.0 * 50)
+
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        noise, inp = random_models(rng, n_s=3, n_xi=2, n_y=2, n_z=2, rho_A=rho_A)
+        G = rng.standard_normal((3, 3))
+        rate = unclamped(noise, inp)
+        wider = unclamped(replace(noise, K_S1=noise.K_S1 + G @ G.T), inp)
+        assert wider <= rate + 1e-12 * max(1.0, abs(rate)), (seed, rate, wider)
+
+
 @pytest.mark.parametrize("k_s1, k_xi1, message", [
     (-0.5, None, "not positive semidefinite"),
     (0.0, [[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
@@ -1117,6 +1137,16 @@ def test_sweep_is_monotone_and_on_budget():
     for p in points:
         assert p.feasible
         assert p.power <= p.kappa + 1e-9
+
+
+def test_random_starts_fill_up_to_starts_and_warm_starts_always_run():
+    # two structured starts; each earlier budget's solution is a warm start
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    points = rc.sweep_kappa(scalar_noise(1.5), rc.Channel(H=[[1.0]]), (0.5, 1, 2, 4),
+                            (1, 1), cfg)
+    s, r, w = "structured", "random", "warm"
+    assert [[rec["kind"] for rec in p.result.diagnostics["search"]] for p in points] == [
+        [s, s, r], [s, s, w], [s, s, w, w], [s, s, w, w, w]]
 
 
 # --------------------------------------------------------------- case2_rate

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -195,8 +197,8 @@ def test_bad_subcommand_exits_2(capsys):
 
 def test_bad_kappa_exits_2(tmp_path, capsys):
     model = write_model(tmp_path, COLORED)
-    assert main(["capacity-asym", "--model", model, "--kappa", "zap"]) == 2
-    capsys.readouterr()
+    assert main(["optimize", "--model", model, "--kappa", "zap"]) == 2
+    assert "argument --kappa: invalid float value: 'zap'" in capsys.readouterr().err
 
 
 def test_capacity_n_trace_header(tmp_path):
@@ -351,6 +353,49 @@ def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["check-system", "solve-are", "capacity-n", "capacity-asym",
+                                  "simulate"])
+def test_kappa_is_a_usage_error_where_no_budget_is_read(tmp_path, capsys, name):
+    # only the input search reads a budget; these read the model file's alone
+    model = write_model(tmp_path, COLORED)
+    assert main([name, "--model", model, "--kappa", "1"]) == 2
+    assert "unrecognized arguments: --kappa 1" in capsys.readouterr().err
+
+
+def test_kappa_flag_is_the_budget_of_the_optimizer(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def capture(noise, channel, dims, config):
+        seen.append(channel.kappa)
+        raise RuntimeError("stop once the budget is seen")
+
+    monkeypatch.setattr(cli, "optimize_input", capture)
+    model = write_model(tmp_path, COLORED)
+    for extra in ([], ["--kappa", "0.5"]):
+        assert main(["optimize", "--model", model] + extra) == 3
+    assert seen == [1.0, 0.5]
+    capsys.readouterr()
+
+
+def test_readme_table_lists_the_flags_each_subcommand_declares():
+    # a row's backticked --flags are its further flags, "none" when it has none
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| subcommand ", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in re.findall(r"^\| `([a-z-]+)` *\| ([^|]*) \|", table, flags=re.MULTILINE):
+        name, cell = row
+        flags = set(re.findall(r"`(--[a-z-]+)`", cell))
+        assert flags or cell == "none", row
+        listed[name] = flags
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {name: {option for action in sub._actions for option in action.option_strings
+                       if option.startswith("--")} - {"--help", "--model", "--out"}
+                for name, sub in subparsers.choices.items()}
+    assert listed == declared
+
+
 def test_max_iter_defaults_count_doublings_or_lbfgs_iterations():
     parser = cli.build_parser()
     assert parser.parse_args(["solve-are", "--model", "m.json"]).max_iter == 64
@@ -392,7 +437,8 @@ def test_tol_outside_zero_to_inf_is_rejected(tmp_path, capsys, tol):
 def test_sweep_kappa_requires_grid(tmp_path, capsys):
     model = write_model(tmp_path, COLORED)
     assert main(["sweep-kappa", "--model", model]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: sweep-kappa requires --kappa with a comma-separated grid\n")
 
 
 @pytest.mark.parametrize("grid", ["0.5,zap", ",", " , "])

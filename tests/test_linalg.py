@@ -49,6 +49,16 @@ def test_solve_spd_names_the_matrix_that_is_not_pd(S):
         chol_logdet(np.array(S), context="K_I")
 
 
+@pytest.mark.parametrize("stack, m", [((5,), 1), ((5,), 3), ((), 3)])
+def test_log_dets_alone_are_those_of_a_solve(rng, stack, m):
+    # a right-hand side without columns skips the solve, not the factor
+    S = np.array([random_spd(rng, m) for _ in range(int(np.prod(stack)))]).reshape(stack + (m, m))
+    B = rng.normal(size=S.shape[:-1] + (2,))
+    X, logdets = solve_spd(S, B[..., :0], logdet=True)
+    assert X.shape == B[..., :0].shape
+    assert np.array_equal(logdets, solve_spd(S, B, logdet=True)[1])
+
+
 def test_solve_spd_of_an_empty_matrix():
     X, logdet = solve_spd(np.zeros((0, 0)), np.zeros((0, 3)), logdet=True)
     assert X.shape == (0, 3) and logdet == 0.0

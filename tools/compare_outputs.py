@@ -106,8 +106,12 @@ The output set:
   paths x 50 steps on ``CLI_MODEL`` (2,995 paths and a last block of one),
   and 12,000 paths x 80 steps on scalar noise A = 1.5
   (``SATURATING_MODEL``, six blocks), where a later block passes the
-  overflow guard a step before the first: each command's exit code and the
-  bytes of its ``--out`` file and its ``--trace`` file;
+  overflow guard a step before the first, and three ``--kappa`` runs on
+  ``CLI_MODEL``: ``capacity-n --kappa 1`` (a usage error), ``sweep-kappa``
+  without ``--kappa`` (its grid is required) and ``optimize --kappa 0.5
+  --starts 3 --max-iter 10 --dims 1,1``: each command's exit code and the
+  bytes of its ``--out`` file (None when it writes none) and its
+  ``--trace`` file;
 - every subcommand's parsed flags when only ``--model`` is given (its
   handler left out), so a CLI default that drifts from the library's shows.
 """
@@ -150,6 +154,12 @@ CLI_COMMANDS = (
     ("capacity-n", CLI_MODEL, ["capacity-n", "--n", "50"]),
     ("simulate", CLI_MODEL, ["simulate", "--n", "20", "--paths", "500", "--seed", "3"]),
     ("optimize", CLI_MODEL, ["optimize", "--starts", "3", "--max-iter", "10", "--dims", "1,1"]),
+    # --kappa: a usage error where no budget is read, the grid sweep-kappa
+    # requires, and optimize's budget in place of the model file's
+    ("capacity-n.kappa", CLI_MODEL, ["capacity-n", "--kappa", "1"]),
+    ("sweep-kappa.no_grid", CLI_MODEL, ["sweep-kappa"]),
+    ("optimize.kappa", CLI_MODEL,
+     ["optimize", "--kappa", "0.5", "--starts", "3", "--max-iter", "10", "--dims", "1,1"]),
     # three blocks of paths
     ("simulate.blocks", CLI_MODEL,
      ["simulate", "--n", "50", "--paths", "7000", "--seed", "3", "--trace", "TRACE"]),
