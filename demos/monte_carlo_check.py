@@ -11,7 +11,7 @@ import numpy as np
 
 from riccati_capacity import (
     NoiseModel, Channel, iid_input,
-    asymptotic_rate, sample_paths, empirical_report,
+    asymptotic_rate, build_augmented, sample_paths, empirical_report,
 )
 
 PATHS = 30_000
@@ -29,9 +29,11 @@ def main():
           % (analytic.rate_nats, analytic.K_I[0, 0], analytic.power))
     print()
 
-    # Path i draws from a generator keyed on (MASTER_SEED, i): the batch
-    # is reproducible and paths are independent by construction.
-    batch = sample_paths(noise, input_model, channel, HORIZON, PATHS, MASTER_SEED)
+    # Paths are sampled from the joint system build_augmented validates and
+    # builds. Path i draws from a generator keyed on (MASTER_SEED, i): the
+    # batch is reproducible and paths are independent by construction.
+    system = build_augmented(noise, input_model, channel)
+    batch = sample_paths(system, HORIZON, PATHS, MASTER_SEED)
     print("sampled %d paths of %d steps, saturated_at = %s"
           % (batch.paths, batch.horizon, batch.saturated_at))
 
@@ -59,7 +61,7 @@ def main():
     assert not bad.ok
 
     # Same seed, same batch, bit for bit.
-    again = sample_paths(noise, input_model, channel, HORIZON, PATHS, MASTER_SEED)
+    again = sample_paths(system, HORIZON, PATHS, MASTER_SEED)
     assert np.array_equal(batch.Y, again.Y)
     print()
     print("resampling with the same master seed reproduces Y exactly: True")

@@ -293,7 +293,7 @@ def _run_chunk(system, pairs, index, covs, first, gains):
                 if model is not getattr(system, side) and not all(
                         np.isfinite(getattr(model, name)).all() for name, _, _ in model._ARRAYS):
                     raise ValueError(f"{side}_at returned a model with non-finite entries")
-            system.update(*pairs[i])
+            system._update(*pairs[i])
             for name, cov in covs.items():
                 covs[name], row = _advance(system, name, cov, gains)
                 rows[name].append(row)
@@ -679,6 +679,8 @@ def optimize_input(noise, channel, dims, config=None):
 
     Raises
     ------
+    ValueError
+        If the noise or the channel fails validation.
     RuntimeError
         "feasible set not reached": before any search when the noise
         side fails (its Riccati solve does not converge, or the noise
@@ -710,10 +712,11 @@ def optimize_input(noise, channel, dims, config=None):
 
     cfg = config if config is not None else OptimizerConfig()
     n_xi, n_z = (as_count(d, "dims", minimum=0) for d in dims)
+    require_valid(noise, channel)  # before the space takes the budget's square root
     kappa = channel.kappa
     space = _InputNormal(n_xi, n_z, channel.n_x, kappa)
-    # validates noise and channel; every candidate input is written into
-    # this one system, starting from the all-zero input
+    # every candidate input is written into this one system, starting from
+    # the all-zero input
     system = build_augmented(noise, space.model(np.zeros(space.size))[0], channel)
 
     nq = system.noise_quad
@@ -735,7 +738,7 @@ def optimize_input(noise, channel, dims, config=None):
         model, factors = space.model(theta)
         sol = None
         if factors is not None and spectral_radius(model.F) <= 1.0 - STABILITY_MARGIN:
-            system.update(noise, model)
+            system._update(noise, model)
             sol = are_solve(system, tol=_SEARCH_TOL)
         if sol is None or not sol.converged:
             record["guard_hits"] += 1

@@ -284,20 +284,19 @@ def _cmd_sweep_kappa(args, doc):
 def _cmd_simulate(args, doc):
     noise, input_model, channel = _parse_models(doc)
     analytic = asymptotic_rate(noise, input_model, channel)
-    # the report takes the paths block by block; of them only the first
-    # sampled path is kept here, for --trace
+    # the report takes the paths block by block, all sampled from one
+    # system; of them only the first sampled path is kept here, for --trace
+    system = build_augmented(noise, input_model, channel)
     first = {}
 
     def draw(paths):
-        batch = sample_paths(noise, input_model, channel,
-                             horizon=args.n, paths=paths, master_seed=args.seed)
+        batch = sample_paths(system, horizon=args.n, paths=paths, master_seed=args.seed)
         if not first:
             first.update((label, getattr(batch, label)[0].copy())
                          for label in ("S", "V", "Xi", "X", "Y"))
         return batch
 
-    report = empirical_report(map(draw, _path_blocks(noise, input_model, args.n, args.paths)),
-                              analytic)
+    report = empirical_report(map(draw, _path_blocks(system, args.n, args.paths)), analytic)
     _emit({
         "paths": report.paths,
         "horizon": report.horizon,

@@ -144,8 +144,6 @@ def solve_spd(S, B, context="matrix", logdet=False):
     (..., k, k) matrices solve and give their log dets together, and raise
     if any matrix of the stack is not positive definite.
     """
-    if S.size == 0:
-        return (np.zeros_like(B), 0.0) if logdet else np.zeros_like(B)
     try:
         L = np.linalg.cholesky(symmetrize(S))
     except np.linalg.LinAlgError:

@@ -299,16 +299,17 @@ class JointSystem:
     code that forms them, for one pair or a stack of pairs. ``noise_quad``
     is the noise-only problem (A, B, C, N, K_W): the JointSystem with no
     input (n_xi = n_z = 0) whose slots are views of the noise slots, so
-    writes to this system fill it too (the view's own ``update`` is not for
+    writes to this system fill it too (the view's own ``_update`` is not for
     calling); a system with no input is its own ``noise_quad``.
     ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
-    ``noise`` and ``input`` are the models last written; ``update``
-    rewrites only the side whose model changed, so a drifting schedule
-    or an input search reuses one system; ``_stacked(pairs)`` writes a
+    ``noise`` and ``input`` are the models last written; the private
+    ``_update`` rewrites only the side whose model changed, so a drifting
+    schedule or an input search reuses a system it built (a public caller only
+    reads one, as a ``sample_paths`` batch does); ``_stacked(pairs)`` writes a
     horizon chunk's pairs at once; either raises ValueError for a pair whose
-    block shapes are not the system's (``_stacked`` checks its first pair,
-    and ``np.array``, which raises on a ragged stack, the rest against it).
-    The models are not otherwise checked here: ``build_augmented``, or
+    block shapes are not the system's (``_stacked`` checks its first pair, and
+    ``np.array``, which raises on a ragged stack, the rest against it). The
+    models are not otherwise checked here: ``build_augmented``, or
     ``to_quadruple`` for a noise alone, validates them first.
     """
 
@@ -348,7 +349,7 @@ class JointSystem:
         if _shapes(noise, input) != self.shapes:
             raise ValueError("model dimensions changed mid-schedule")
 
-    def update(self, noise, input):
+    def _update(self, noise, input):
         """Write the models in force now; raises ValueError if a block's shape changed."""
         if noise is self.noise and input is self.input:
             return

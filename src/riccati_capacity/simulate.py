@@ -14,10 +14,10 @@ import numpy as np
 
 from .capacity import CapacityResult, _runs, constant_schedule
 from .linalg import _substreams, as_count, sup_norm
-from .models import build_augmented
+from .models import JointSystem
 from .systests import _root
 # stay importable here because bench/tracing.py patches them at these names
-from .models import to_quadruple  # noqa: F401
+from .models import build_augmented, to_quadruple  # noqa: F401
 from .riccati import dre_run  # noqa: F401
 
 __all__ = [
@@ -54,13 +54,10 @@ class TrajectoryBatch:
     are truncated to t - 1 steps and ``saturated_at`` records t;
     otherwise it is None. Identical models and master_seed reproduce the
     batch bit for bit, path by path, regardless of generation order.
-    ``system`` is the JointSystem built from the three models, which
+    ``system`` is the JointSystem the batch was sampled from, which
     ``empirical_report`` filters on. Row i holds path ``first_path + i``.
     """
 
-    noise: object
-    input: object
-    channel: object
     system: object
     paths: int
     horizon: int
@@ -126,12 +123,14 @@ class ComparisonReport:
     innovations: np.ndarray = None
 
 
-def sample_paths(noise, input, channel, horizon, paths, master_seed):
+def sample_paths(system, horizon, paths, master_seed):
     """Sample trajectories of (S, V, Xi, X, Y) from the model recursions.
 
     Parameters
     ----------
-    noise, input, channel : models
+    system : JointSystem
+        Of the three models, by ``build_augmented``; the batch keeps it.
+        Any other type raises TypeError.
     horizon : int
         Steps per path, >= 1.
     paths : int or range
@@ -170,23 +169,21 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     Y entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
     model with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1.
     ``riccati-capacity simulate`` therefore samples in blocks of paths
-    (2,995 there) and hands them to ``empirical_report``, so it holds one
-    block plus the O(paths) values the report reads: a ``--trace`` call at
-    that size peaked at 53 MB resident in a fresh interpreter (29 MB before
-    the call) and at 18 MB of traced allocations, against 130 and 98 MB
-    when it sampled the whole batch at once (x86-64 Linux, numpy 2.4).
+    (2,995 there), all from one system, and hands them to
+    ``empirical_report``, so it holds one block plus the O(paths) values
+    the report reads.
     """
+    if not isinstance(system, JointSystem):
+        raise TypeError(f"sample_paths takes a JointSystem, got {type(system).__name__}")
     horizon = as_count(horizon, "horizon")
     indices = paths if isinstance(paths, range) else range(as_count(paths, "paths"))
     if indices.step != 1 or indices.start < 0 or not indices:
         raise ValueError(f"paths must be a nonempty range of path indices with step 1, "
                          f"got {paths!r}")
     paths = len(indices)
-    # runs the full validation including cross-dimension checks
-    system = build_augmented(noise, input, channel)
-
-    n_s, n_w, n_y = noise.n_s, noise.n_w, noise.n_y
-    n_xi, n_z, n_x = input.n_xi, input.n_z, input.n_x
+    noise, input = system.noise, system.input
+    n_s, n_w, n_y = system.n_s, system.n_w, system.q
+    n_xi, n_z, n_x = system.n_xi, system.n_z, input.n_x
     m, n = n_xi + n_s, n_xi + n_s + n_x + 2 * n_y
     columns = _columns(paths)
     # rows t n to (t + 1) n hold step t's Xi_t, S_t, X_t, Y_t, V_t, and the
@@ -200,7 +197,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     eps[paths:] = eps[0]
 
     sq_W, sq_Z = _root(noise.K_W), _root(input.K_Z)
-    H, Gamma, C = channel.H, input.Gamma, noise.C
+    H, Gamma, C = system.H, input.Gamma, noise.C
     NW, DZ = noise.N @ sq_W, input.D @ sq_Z
     zeros = np.zeros
     on_state = np.block([[Gamma, zeros((n_x, n_s))],
@@ -235,8 +232,7 @@ def sample_paths(noise, input, channel, horizon, paths, master_seed):
     by_step = rows[:horizon * n].reshape(horizon, n, columns)[:stored, :, :paths]
     Xi, S, X, Y, V = np.split(by_step.transpose(2, 0, 1), np.cumsum([n_xi, n_s, n_x, n_y]), axis=2)
     return TrajectoryBatch(
-        noise=noise, input=input, channel=channel, system=system,
-        paths=paths, horizon=stored, master_seed=int(master_seed),
+        system=system, paths=paths, horizon=stored, master_seed=int(master_seed),
         S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at, first_path=indices.start,
     )
 
@@ -247,7 +243,7 @@ def _columns(paths):
     return -(-paths // 16) * 16
 
 
-def _path_blocks(noise, input, horizon, paths):
+def _path_blocks(system, horizon, paths):
     """Consecutive ranges of path indices covering ``paths`` paths, for ``sample_paths``.
 
     A block of paths fills, per path and step, the (W_t, Z_t) draws, the
@@ -256,8 +252,7 @@ def _path_blocks(noise, input, horizon, paths):
     paths as fit _BLOCK_BYTES of those at ``horizon`` steps, at least one.
     """
     horizon, paths = as_count(horizon, "horizon"), as_count(paths, "paths")
-    width = (noise.n_w + input.n_z + 2 * (noise.n_s + input.n_xi) + input.n_x
-             + 4 * noise.n_y)
+    width = system.n_w + system.n_z + 2 * system.m + system.input.n_x + 4 * system.q
     length = max(1, _BLOCK_BYTES // (8 * horizon * width))
     return [range(lo, min(lo + length, paths)) for lo in range(0, paths, length)]
 
@@ -434,12 +429,12 @@ def empirical_report(batch, analytic):
     ----------
     batch : TrajectoryBatch, or an iterable of them
         One batch, or one batch in blocks: ``sample_paths`` calls with the
-        same models, horizon and master_seed over consecutive ranges of
-        path indices, in order. The first block's models and master_seed
+        same system, horizon and master_seed over consecutive ranges of
+        path indices, in order. The first block's system and master_seed
         are the report's one origin, and of each block only its range of
         path indices is kept; a block that does not start where the one
-        before it ended, or that does not share the origin (the same model
-        objects, an equal seed), raises ValueError. Each block is filtered
+        before it ended, or that does not share the origin (the same system
+        object, an equal seed), raises ValueError. Each block is filtered
         and reduced to the values the rows read as it arrives, so a
         generator of blocks is held one block at a time, and the rows are
         those of the whole batch, bit for bit. A block that stops at the
@@ -468,7 +463,7 @@ def empirical_report(batch, analytic):
     if block is None:
         raise ValueError("no batch to report on")
     # the report's one origin, which draws every block again from its path indices
-    origin = (block.noise, block.input, block.channel, block.master_seed)
+    origin = (block.system, block.master_seed)
     run, horizon = kalman_run(block), block.horizon
     joint, innovations = (run.Pi_seq, run.K_I_seq, run.gains), run.innovations
     (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(block.system, horizon, "Sigma", "P")
@@ -488,16 +483,16 @@ def empirical_report(batch, analytic):
         if indices.start != drawn[-1].stop:
             raise ValueError(f"blocks must hold consecutive paths, got {indices!r} after "
                              f"{drawn[-1]!r}")
-        # models by identity (they compare so), the seed by value
-        if (block.noise, block.input, block.channel, block.master_seed) != origin:
-            raise ValueError("blocks must share the first block's models and master_seed")
+        # the system by identity (it compares so), the seed by value
+        if (block.system, block.master_seed) != origin:
+            raise ValueError("blocks must share the first block's system and master_seed")
         drawn.append(indices)
         shorter, horizon = block.horizon < horizon, min(horizon, block.horizon)
         values = reduce(block)
         del block
         if shorter:
-            *models, seed = origin
-            kept = [reduce(sample_paths(*models, horizon, earlier, seed)) for earlier in drawn[:-1]]
+            system, seed = origin
+            kept = [reduce(sample_paths(system, horizon, earlier, seed)) for earlier in drawn[:-1]]
         kept.append(values)
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, sup_norm,
-                     symmetrize)
+from .linalg import (PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, spectral_radius,
+                     sup_norm, symmetrize)
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
@@ -317,7 +317,7 @@ def feasibility_report(noise, input, channel):
                           tests[quad]))
     verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
     unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
-    radius_F = float(np.max(np.abs(np.linalg.eigvals(input.F)))) if input.n_xi else 0.0
+    radius_F = spectral_radius(input.F)
     return FeasibilityReport(
         **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
         unit_circle_controllable=unit_circle, witness_arrays=arrays, _rank_rule=tuple(rank_rule),

@@ -130,7 +130,8 @@ def test_07_monte_carlo_validates_analytic_covariances():
         noise, inp, ch = scalar_noise(0.5), unit_iid_input(), unit_channel()
         analytic = rc.asymptotic_rate(noise, inp, ch)
         paths, horizon = 100_000, 30
-        batch = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=paths,
+        batch = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon,
+                                paths=paths,
                                 master_seed=1234)
         run = rc.kalman_run(batch)
         innov = run.innovations[:, -1, 0]

@@ -137,7 +137,8 @@ def test_each_innovations_covariance_is_a_schur_complement(seed):
         assert abs(res.trace[t, 1] - logdet_pd(schur_Y[t])) <= 1e-9
         assert abs(res.trace[t, 2] - logdet_pd(schur_V[t])) <= 1e-9
 
-    batch = rc.sample_paths(noise, inp, ch, horizon=n, paths=2, master_seed=seed)
+    batch = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=n, paths=2,
+                            master_seed=seed)
     K_I_seq = rc.kalman_run(batch).K_I_seq
     assert len(K_I_seq) == n
     for t in range(n):
@@ -223,7 +224,7 @@ def stepped_reference(schedule, channel, n):
     columns, matrices = [], []
     for t in range(1, n + 1):
         noise, inp = schedule.noise_at(t), schedule.input_at(t)
-        system.update(noise, inp)
+        system._update(noise, inp)
         K_Ihat = noise.R + noise.C @ Sigma @ noise.C.T
         K_I = system.Rhat + system.Chat @ Pi @ system.Chat.T
         power = np.trace(inp.Gamma @ P @ inp.Gamma.T) + np.trace(inp.D @ inp.K_Z @ inp.D.T)
@@ -649,6 +650,18 @@ def test_models_of_the_wrong_type_raise_type_error(call, message):
         call(*colored_setup())
 
 
+def test_a_channel_without_outputs_carries_nothing_at_every_horizon():
+    # n_y = 0: every innovations covariance is 0 x 0, with log det 0, a
+    # stack of them in a scanned chunk; the input still spends its power
+    noise = rc.NoiseModel(A=0.5, B=1.0, C=np.zeros((0, 1)), N=np.zeros((0, 1)), K_W=1.0)
+    inp, ch = unit_iid_input(), rc.Channel(H=np.zeros((0, 1)), kappa=1.0)
+    assert rc.asymptotic_rate(noise, inp, ch).rate_nats == 0.0
+    for n in (1, 5):
+        res = rc.finite_n_rate((noise, inp), ch, n)
+        assert (res.rate_nats, res.power) == (0.0, 1.0)
+        assert res.K_I.shape == res.K_Ihat.shape == (0, 0)
+
+
 # ----------------------------------------------------------- asymptotic_rate
 
 
@@ -822,6 +835,20 @@ def test_waterfilling_rejects_nonfinite_kappa(kappa):
 # ------------------------------------------------------------ optimize_input
 
 
+@pytest.mark.parametrize("kappa, violation", [(-1.0, r"kappa negative \(-1\.0\)"),
+                                              (np.nan, "kappa not finite")])
+def test_optimize_names_an_invalid_budget_before_the_search(recwarn, kappa, violation):
+    # the search space takes the square root of the budget, so the noise and
+    # then the channel are checked before it, in build_augmented's order
+    cfg = rc.OptimizerConfig(starts=1, seed=0, maxiter=2)
+    with pytest.raises(ValueError, match=f"^channel model invalid: {violation}$"):
+        rc.optimize_input(scalar_noise(1.5), unit_channel(kappa), (1, 1), cfg)
+    bad_noise = rc.NoiseModel(A=1.5, B=1.0, C=1.0, N=1.0, K_W=0.0)
+    with pytest.raises(ValueError, match="^noise model invalid: K_W not positive definite"):
+        rc.optimize_input(bad_noise, unit_channel(kappa), (1, 1), cfg)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_optimize_scalar_awgn_reaches_waterfilling():
     noise = rc.memoryless_noise([[1.0]])
     cfg = rc.OptimizerConfig(starts=4, seed=0, maxiter=30)
@@ -890,7 +917,8 @@ def test_optimize_is_deterministic_for_a_fixed_config():
 
 
 def test_candidate_evaluations_are_not_validated_again(monkeypatch):
-    # the models are checked once on entry (noise, input, channel) and in
+    # the models are checked on entry (noise and channel before the search
+    # space, then noise, input and channel as the system is built) and in
     # each final evaluation (asymptotic_power once, asymptotic_rate three
     # times), never per L-BFGS objective evaluation
     calls = dict.fromkeys(("validate", "asymptotic_rate", "are_solve"), 0)
@@ -903,7 +931,7 @@ def test_candidate_evaluations_are_not_validated_again(monkeypatch):
     cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=10)
     _, res = rc.optimize_input(rc.memoryless_noise([[1.0]]), unit_channel(1.0), (1, 1), cfg)
     assert calls["are_solve"] > 1 + 2 * calls["asymptotic_rate"]
-    assert calls["validate"] == 3 + 4 * calls["asymptotic_rate"]
+    assert calls["validate"] == 5 + 4 * calls["asymptotic_rate"]
     assert abs(res.rate_nats - HALF_LN2) < 1e-12
     assert res.power <= 1.0 + 1e-9
 
@@ -1124,6 +1152,13 @@ def test_no_search_start_ends_abnormal_at_iteration_zero():
 
 
 # -------------------------------------------------------------- sweep_kappa
+
+
+def test_sweep_names_a_negative_budget(recwarn):
+    cfg = rc.OptimizerConfig(starts=1, seed=0, maxiter=2)
+    with pytest.raises(ValueError, match=r"^channel model invalid: kappa negative \(-2\.0\)$"):
+        rc.sweep_kappa(scalar_noise(1.5), unit_channel(), (1.0, -2.0), (1, 1), cfg)
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_sweep_is_monotone_and_on_budget():

@@ -377,6 +377,16 @@ def test_kappa_flag_is_the_budget_of_the_optimizer(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kappa, flags, violation", [
+    (-1.0, [], "kappa negative (-1.0)"), (1.0, ["--kappa", "nan"], "kappa not finite")],
+    ids=["model-file", "flag"])
+def test_optimize_names_an_invalid_budget(tmp_path, capsys, recwarn, kappa, flags, violation):
+    model = write_model(tmp_path, dict(COLORED, channel={"H": [[1.0]], "kappa": kappa}))
+    assert main(["optimize", "--model", model, "--starts", "1", "--max-iter", "2", *flags]) == 2
+    assert capsys.readouterr().err == f"error: channel model invalid: {violation}\n"
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_readme_table_lists_the_flags_each_subcommand_declares():
     # a row's backticked --flags are its further flags, "none" when it has none
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -505,6 +515,33 @@ def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     header = open(trace).read().splitlines()[0].split(",")
     assert header[-1] == "I0"
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 6])
+def test_simulate_builds_two_systems_at_any_block_count(tmp_path, monkeypatch, blocks):
+    # one system for the analytic side and one that every block is sampled
+    # from, each of the three models validated once
+    counts = {"built": 0, "validate": 0, "sampled": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(rc.models.JointSystem, "__init__",
+                        counting("built", rc.models.JointSystem.__init__))
+    # at every name a library module may call it by
+    for module in (rc.models, rc.capacity, rc.systests, rc.simulate, cli):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counting("validate", module.validate))
+    monkeypatch.setattr(cli, "sample_paths", counting("sampled", cli.sample_paths))
+    # these scalar models fill 11 floats a path and step: blocks of 60 // blocks paths
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 60 // blocks * 8 * 12 * 11)
+    model = write_model(tmp_path, COLORED)
+    assert main(["simulate", "--model", model, "--n", "12", "--paths", "60",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert counts == {"built": 2, "validate": 6, "sampled": blocks}
 
 
 # an initial noise state of mean 9.8e11 and deviation 1e10 passes the
@@ -648,7 +685,8 @@ def test_simulate_trace_is_the_first_sampled_path(tmp_path):
     noise = rc.NoiseModel(**doc["noise"])
     inp = rc.InputModel(**doc["input"])
     channel = rc.Channel(**doc["channel"])
-    batch = rc.sample_paths(noise, inp, channel, horizon=6, paths=30, master_seed=11)
+    batch = rc.sample_paths(rc.build_augmented(noise, inp, channel), horizon=6, paths=30,
+                            master_seed=11)
     innovations = rc.empirical_report(
         batch, rc.asymptotic_rate(noise, inp, channel)).innovations
     expected = np.hstack([np.arange(1.0, 7.0)[:, None], batch.S[0], batch.V[0],

@@ -65,6 +65,14 @@ def test_solve_spd_of_an_empty_matrix():
     assert chol_logdet(np.zeros((0, 0))) == 0.0
 
 
+def test_solve_spd_of_a_stack_of_empty_matrices():
+    # one log det per matrix of the stack, as for any other size
+    X, logdets = solve_spd(np.zeros((4, 0, 0)), np.zeros((4, 0, 2)), logdet=True)
+    assert X.shape == (4, 0, 2)
+    assert logdets.shape == (4,) and not logdets.any()
+    assert solve_spd(np.zeros((4, 0, 0)), np.zeros((4, 0, 0))).shape == (4, 0, 0)
+
+
 def test_chol_logdet_is_the_log_det_of_the_cholesky_factor(rng):
     # twice the log of the factor's diagonal, read from the symmetric part
     for m in (1, 2, 5):

@@ -222,7 +222,7 @@ def test_noise_problem_is_a_joint_system_over_the_noise_slots(rng):
         assert np.array_equal(getattr(nq, slot), getattr(own, slot)), slot
     # a new noise model is written once, into the joint slots the views share
     drifted = replace(noise, A=0.5 * noise.A)
-    system.update(drifted, inp)
+    system._update(drifted, inp)
     assert np.shares_memory(nq.Ahat, system.Ahat)
     assert np.array_equal(nq.Ahat, drifted.A)
     assert np.array_equal(system.Ahat[2:, 2:], drifted.A)
@@ -253,7 +253,7 @@ def test_slots_match_their_formulas(stacked):
     nq, no_input = system.noise_quad, rc.iid_input(np.zeros((0, 0)), n_x=0)
     for i, (noise, inp) in enumerate(pairs):
         if not stacked:
-            system.update(noise, inp)
+            system._update(noise, inp)
         for quad, want in ((system, formula_slots(noise, inp, channel.H)),
                            (nq, formula_slots(noise, no_input, np.zeros((2, 0))))):
             for name, slot in want.items():

@@ -1,5 +1,5 @@
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,22 +18,37 @@ def colored_setup():
 
 def test_same_seed_reproduces_batch_exactly():
     noise, inp, ch = colored_setup()
-    b1 = rc.sample_paths(noise, inp, ch, horizon=12, paths=50, master_seed=9)
-    b2 = rc.sample_paths(noise, inp, ch, horizon=12, paths=50, master_seed=9)
+    b1 = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=12, paths=50, master_seed=9)
+    b2 = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=12, paths=50, master_seed=9)
     for name in ("S", "V", "Xi", "X", "Y"):
         assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
 
+def test_sample_paths_takes_the_joint_system():
+    noise, inp, ch = colored_setup()
+    system = rc.build_augmented(noise, inp, ch)
+    assert rc.sample_paths(system, 3, 5, 0).system is system
+    # the batch keeps its system, not copies of the models it holds
+    assert not {"noise", "input", "channel"} & {f.name for f in fields(rc.TrajectoryBatch)}
+    for first in (noise, (noise, inp, ch)):
+        with pytest.raises(TypeError, match="^sample_paths takes a JointSystem, "
+                                            "got (NoiseModel|tuple)$"):
+            rc.sample_paths(first, 3, 5, 0)
+    # the earlier form, the three models first
+    with pytest.raises(TypeError):
+        rc.sample_paths(noise, inp, ch, 3, 5, 0)
+
+
 def test_different_seeds_differ():
     noise, inp, ch = colored_setup()
-    b1 = rc.sample_paths(noise, inp, ch, horizon=5, paths=10, master_seed=1)
-    b2 = rc.sample_paths(noise, inp, ch, horizon=5, paths=10, master_seed=2)
+    b1 = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=5, paths=10, master_seed=1)
+    b2 = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=5, paths=10, master_seed=2)
     assert not np.allclose(b1.V, b2.V)
 
 
 def test_paths_use_independent_substreams():
     noise, inp, ch = colored_setup()
-    b = rc.sample_paths(noise, inp, ch, horizon=5, paths=3, master_seed=0)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=5, paths=3, master_seed=0)
     assert not np.allclose(b.V[0], b.V[1])
     assert not np.allclose(b.V[1], b.V[2])
 
@@ -49,7 +64,8 @@ def mimo_setup():
 def test_each_path_reads_its_own_substream_in_the_documented_order():
     noise, inp, ch = mimo_setup()
     horizon, seed = 4, 77
-    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=6, master_seed=seed)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=6,
+                        master_seed=seed)
     n_s, n_xi, n_w, n_z = noise.n_s, inp.n_xi, noise.n_w, inp.n_z
     per_path = n_s + n_xi + horizon * (n_w + n_z)
     for i in (0, 3, 5):
@@ -68,14 +84,15 @@ def test_each_path_reads_its_own_substream_in_the_documented_order():
 
 def test_batch_rows_do_not_depend_on_the_path_count():
     noise, inp, ch = mimo_setup()
-    small = rc.sample_paths(noise, inp, ch, horizon=9, paths=7, master_seed=21)
-    large = rc.sample_paths(noise, inp, ch, horizon=9, paths=50, master_seed=21)
+    system = rc.build_augmented(noise, inp, ch)
+    small = rc.sample_paths(system, horizon=9, paths=7, master_seed=21)
+    large = rc.sample_paths(system, horizon=9, paths=50, master_seed=21)
     for name in ("S", "V", "Xi", "X", "Y"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:7])
     # blocks of 16 paths, the last one of 2
     for lo in range(0, 50, 16):
         hi = min(lo + 16, 50)
-        block = rc.sample_paths(noise, inp, ch, horizon=9, paths=range(lo, hi), master_seed=21)
+        block = rc.sample_paths(system, horizon=9, paths=range(lo, hi), master_seed=21)
         assert (block.first_path, block.paths, block.horizon) == (lo, hi - lo, 9)
         for name in ("S", "V", "Xi", "X", "Y"):
             assert np.array_equal(getattr(block, name), getattr(large, name)[lo:hi]), (lo, name)
@@ -110,7 +127,8 @@ def path_by_plain_loop(noise, inp, ch, horizon, seed, i):
 @pytest.mark.parametrize("setup, horizon", [(mimo_setup, 12), (unstable_setup, 36)])
 def test_every_step_of_a_path_follows_the_model_equations(setup, horizon):
     noise, inp, ch = setup()
-    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=7, master_seed=19)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=7,
+                        master_seed=19)
     assert b.horizon == horizon
     for i in (0, 4, 6):
         want = path_by_plain_loop(noise, inp, ch, horizon, 19, i)
@@ -123,11 +141,11 @@ def test_every_step_of_a_path_follows_the_model_equations(setup, horizon):
 
 def test_a_one_path_block_is_its_row_of_the_batch():
     noise, inp, ch = mimo_setup()
-    large = rc.sample_paths(noise, inp, ch, horizon=9, paths=50, master_seed=21)
+    system = rc.build_augmented(noise, inp, ch)
+    large = rc.sample_paths(system, horizon=9, paths=50, master_seed=21)
     run = rc.kalman_run(large)
     for i in (0, 17, 49):
-        block = rc.sample_paths(noise, inp, ch, horizon=9, paths=range(i, i + 1),
-                                master_seed=21)
+        block = rc.sample_paths(system, horizon=9, paths=range(i, i + 1), master_seed=21)
         for name in ("S", "V", "Xi", "X", "Y"):
             assert np.array_equal(getattr(block, name), getattr(large, name)[i:i + 1]), (i, name)
         one = rc.kalman_run(block)
@@ -145,10 +163,11 @@ def test_a_one_path_block_is_its_row_of_the_batch():
 def test_blocks_of_wider_models_are_rows_of_the_batch(n_s, n_xi, n_y, n_z, paths, blocks):
     noise, inp = random_models(np.random.default_rng(7), n_s=n_s, n_xi=n_xi, n_y=n_y, n_z=n_z)
     ch = rc.Channel(H=np.eye(n_y), kappa=1.0)
-    large = rc.sample_paths(noise, inp, ch, horizon=3, paths=paths, master_seed=1)
+    system = rc.build_augmented(noise, inp, ch)
+    large = rc.sample_paths(system, horizon=3, paths=paths, master_seed=1)
     run = rc.kalman_run(large)
     for lo, hi in blocks:
-        block = rc.sample_paths(noise, inp, ch, horizon=3, paths=range(lo, hi), master_seed=1)
+        block = rc.sample_paths(system, horizon=3, paths=range(lo, hi), master_seed=1)
         for name in ("S", "V", "Xi", "X", "Y"):
             assert np.array_equal(getattr(block, name), getattr(large, name)[lo:hi]), (lo, name)
         one = rc.kalman_run(block)
@@ -159,13 +178,14 @@ def test_blocks_of_wider_models_are_rows_of_the_batch(n_s, n_xi, n_y, n_z, paths
 @pytest.mark.parametrize("paths", [range(0), range(3, 1), range(0, 6, 2), range(-1, 4)])
 def test_a_block_of_paths_is_a_nonempty_range_with_step_one(paths):
     with pytest.raises(ValueError, match="^paths must be a nonempty range of path indices"):
-        rc.sample_paths(*colored_setup(), horizon=3, paths=paths, master_seed=0)
+        rc.sample_paths(rc.build_augmented(*colored_setup()), horizon=3, paths=paths, master_seed=0)
 
 
 def test_shorter_horizon_is_the_prefix_of_a_saturating_batch():
     noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
-    short = rc.sample_paths(noise, inp, ch, horizon=67, paths=30, master_seed=5)
-    long = rc.sample_paths(noise, inp, ch, horizon=80, paths=30, master_seed=5)
+    system = rc.build_augmented(noise, inp, ch)
+    short = rc.sample_paths(system, horizon=67, paths=30, master_seed=5)
+    long = rc.sample_paths(system, horizon=80, paths=30, master_seed=5)
     assert short.saturated_at is None and long.saturated_at == 68
     for name in ("S", "V", "Xi", "X", "Y"):
         assert np.array_equal(getattr(short, name), getattr(long, name))
@@ -181,21 +201,22 @@ def test_one_batch_builds_at_most_one_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting)
     noise, inp, ch = colored_setup()
-    rc.sample_paths(noise, inp, ch, horizon=3, paths=500, master_seed=8)
+    rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=3, paths=500, master_seed=8)
     assert len(built) <= 1
 
 
 @pytest.mark.parametrize("horizon, paths, name", [(3.9, 2, "horizon"), (3, 2.5, "paths")])
 def test_counts_that_are_not_integers_are_named(horizon, paths, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        rc.sample_paths(*colored_setup(), horizon=horizon, paths=paths, master_seed=0)
+        rc.sample_paths(rc.build_augmented(*colored_setup()), horizon=horizon, paths=paths,
+                        master_seed=0)
 
 
 def test_zero_input_sends_noise_only():
     noise = scalar_noise(0.5)
     inp = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[0.0]],
                         K_Z=[[1.0]])
-    b = rc.sample_paths(noise, inp, unit_channel(), horizon=10, paths=20,
+    b = rc.sample_paths(rc.build_augmented(noise, inp, unit_channel()), horizon=10, paths=20,
                         master_seed=3)
     assert np.array_equal(b.Y, b.V)
     assert np.all(b.X == 0.0)
@@ -203,7 +224,7 @@ def test_zero_input_sends_noise_only():
 
 def test_memoryless_mean_within_clt_bound():
     noise = rc.memoryless_noise([[1.0]])
-    b = rc.sample_paths(noise, unit_iid_input(), unit_channel(),
+    b = rc.sample_paths(rc.build_augmented(noise, unit_iid_input(), unit_channel()),
                         horizon=3, paths=20_000, master_seed=11)
     mean_V = np.mean(b.V[:, 1, 0])
     assert abs(mean_V) <= 4.0 * np.sqrt(1.0 / 20_000)
@@ -211,7 +232,7 @@ def test_memoryless_mean_within_clt_bound():
 
 def test_overflow_guard_truncates():
     noise = scalar_noise(1.5)
-    b = rc.sample_paths(noise, unit_iid_input(), unit_channel(),
+    b = rc.sample_paths(rc.build_augmented(noise, unit_iid_input(), unit_channel()),
                         horizon=80, paths=30, master_seed=5)
     assert b.saturated_at == 68
     assert b.horizon == 67
@@ -223,7 +244,7 @@ def test_batch_saturated_at_step_one_has_nothing_to_filter():
     noise = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]],
                           mu_S1=[1e13])
     inp, ch = unit_iid_input(), unit_channel()
-    b = rc.sample_paths(noise, inp, ch, horizon=5, paths=10, master_seed=0)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=5, paths=10, master_seed=0)
     assert (b.saturated_at, b.horizon) == (1, 0)
     with pytest.raises(ValueError, match=r"passed the overflow guard 1e\+12 at step 1"):
         rc.kalman_run(b)
@@ -232,11 +253,22 @@ def test_batch_saturated_at_step_one_has_nothing_to_filter():
 # ---------------------------------------------------------------- kalman_run
 
 
+def test_a_channel_without_outputs_has_empty_innovations():
+    noise = rc.NoiseModel(A=0.5, B=1.0, C=np.zeros((0, 1)), N=np.zeros((0, 1)), K_W=1.0)
+    inp, ch = unit_iid_input(), rc.Channel(H=np.zeros((0, 1)), kappa=1.0)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=4, paths=5, master_seed=0)
+    run = rc.kalman_run(b)
+    assert run.innovations.shape == (5, 4, 0) and run.K_I_seq.shape == (4, 0, 0)
+    # with no output to read, every prediction of the noise state is its mean, 0
+    assert np.array_equal(run.state_errors, b.S)
+    assert rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch)).paths == 5
+
+
 def test_memoryless_innovations_are_centered_outputs():
     noise = rc.memoryless_noise([[1.0]])
     inp = unit_iid_input()
     ch = unit_channel()
-    b = rc.sample_paths(noise, inp, ch, horizon=6, paths=40, master_seed=2)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=6, paths=40, master_seed=2)
     run = rc.kalman_run(b)
     assert np.allclose(run.innovations, b.Y)
 
@@ -278,7 +310,7 @@ SCHEDULE_CASES = [("deadbeat", 8), ("m1", 511), ("m1", 512), ("m1", 513), ("m1",
 def test_innovation_covariance_sequence_matches_dre(monkeypatch, models, horizon):
     noise, inp = SCHEDULE_MODELS[models]()
     ch = unit_channel()
-    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=2, master_seed=4)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=2, master_seed=4)
     # the schedules the report reads, joint (through kalman_run) then noise
     schedules, engine_run = [], rc.simulate._run
 
@@ -318,7 +350,7 @@ def test_a_report_factors_each_innovations_covariance_once(monkeypatch, models, 
     # counted, by the matrices it factors
     noise, inp = SCHEDULE_MODELS[models]()
     ch = unit_channel()
-    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=2, master_seed=4)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=2, master_seed=4)
     analytic = rc.asymptotic_rate(noise, inp, ch)
     factored = {}
 
@@ -355,7 +387,7 @@ def test_innovations_are_the_outputs_less_their_best_linear_prediction(setup, ho
     for _ in range(horizon):
         means.append(C @ mean)
         mean = A @ mean
-    b = rc.sample_paths(noise, inp, ch, horizon=horizon, paths=6, master_seed=5)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=6, master_seed=5)
     run = rc.kalman_run(b)
     width = q + m
     for i in (0, 3, 5):
@@ -379,7 +411,8 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
     # systems are built by build_augmented or to_quadruple, at every name
-    # a library module calls them by
+    # a library module calls them by: the one the batch is sampled from, and
+    # none in the report
     built = []
 
     def counting(name, original):
@@ -389,7 +422,8 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
         for name in ("build_augmented", "to_quadruple"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    b = rc.sample_paths(noise, inp, ch, horizon=3, paths=20, master_seed=1)
+    b = rc.sample_paths(rc.models.build_augmented(noise, inp, ch), horizon=3, paths=20,
+                        master_seed=1)
     rc.empirical_report(b, analytic)
     assert built == ["build_augmented"]
 
@@ -425,7 +459,7 @@ def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
 def test_report_does_not_depend_on_the_batch_layout():
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(noise, inp, ch, horizon=40, paths=3000, master_seed=3)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=40, paths=3000, master_seed=3)
     dense = replace(b, **{name: np.ascontiguousarray(getattr(b, name))
                           for name in ("S", "V", "Xi", "X", "Y")})
     assert dense.Y.flags.c_contiguous != b.Y.flags.c_contiguous
@@ -447,14 +481,16 @@ def assert_same_report(report, whole):
 
 
 def blocks_of(noise, inp, ch, horizon, paths, seed, length):
-    return (rc.sample_paths(noise, inp, ch, horizon, range(lo, min(lo + length, paths)), seed)
+    system = rc.build_augmented(noise, inp, ch)
+    return (rc.sample_paths(system, horizon, range(lo, min(lo + length, paths)), seed)
             for lo in range(0, paths, length))
 
 
 def test_report_over_blocks_is_the_whole_batch_report():
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    whole = rc.empirical_report(rc.sample_paths(noise, inp, ch, 12, 100, 3), analytic)
+    whole = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 100, 3),
+                                analytic)
     report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 100, 3, 30), analytic)
     assert_same_report(report, whole)
     # the innovations are those of the first block, paths 0 to 29
@@ -465,7 +501,8 @@ def test_report_over_blocks_is_the_whole_batch_report():
 def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(seed):
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    whole = rc.empirical_report(rc.sample_paths(noise, inp, ch, 12, 61, seed), analytic)
+    whole = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 61, seed),
+                                analytic)
     report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 61, seed, 60), analytic)
     assert_same_report(report, whole)
 
@@ -479,7 +516,7 @@ def test_a_block_that_stops_earlier_truncates_the_whole_report():
     analytic = rc.asymptotic_rate(noise, inp, ch)
     blocks = list(blocks_of(noise, inp, ch, 80, 60, 31, 10))
     assert [b.saturated_at for b in blocks] == [69, 68, 70, 69, 69, 67]
-    batch = rc.sample_paths(noise, inp, ch, 80, 60, 31)
+    batch = rc.sample_paths(rc.build_augmented(noise, inp, ch), 80, 60, 31)
     assert (batch.saturated_at, batch.horizon) == (67, 66)
     report = rc.empirical_report(iter(blocks), analytic)
     assert_same_report(report, rc.empirical_report(batch, analytic))
@@ -498,11 +535,13 @@ def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monk
         runs.append(weakref.ref(run))
         return run
 
+    system = rc.build_augmented(noise, inp, ch)
+
     def blocks():
         for lo in range(0, 90, 30):
             if lo:
                 assert [run() for run in runs] == [None], lo
-            yield rc.sample_paths(noise, inp, ch, 12, range(lo, lo + 30), 3)
+            yield rc.sample_paths(system, 12, range(lo, lo + 30), 3)
 
     monkeypatch.setattr(rc.simulate, "kalman_run", watched_kalman_run)
     report = rc.empirical_report(blocks(), analytic)
@@ -512,7 +551,8 @@ def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monk
 def test_report_blocks_hold_consecutive_paths():
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    first, gap = (rc.sample_paths(noise, inp, ch, 3, paths, 0) for paths in (range(5), range(6, 9)))
+    system = rc.build_augmented(noise, inp, ch)
+    first, gap = (rc.sample_paths(system, 3, paths, 0) for paths in (range(5), range(6, 9)))
     with pytest.raises(ValueError, match=r"^blocks must hold consecutive paths, got range\(6, 9\)"):
         rc.empirical_report([first, gap], analytic)
     with pytest.raises(ValueError, match="^no batch to report on$"):
@@ -520,17 +560,20 @@ def test_report_blocks_hold_consecutive_paths():
 
 
 def test_report_blocks_share_the_first_blocks_models_and_master_seed():
-    # models compare by identity, so a copy of the noise is another origin
+    # systems compare by identity, so another system, even of the same
+    # models, is another origin
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    first = rc.sample_paths(noise, inp, ch, 3, range(5), 0)
-    for later in (rc.sample_paths(noise, inp, ch, 3, range(5, 9), 1),
-                  rc.sample_paths(replace(noise), inp, ch, 3, range(5, 9), 0)):
-        with pytest.raises(ValueError, match=r"^blocks must share the first block's models "
+    system = rc.build_augmented(noise, inp, ch)
+    first = rc.sample_paths(system, 3, range(5), 0)
+    for later in (rc.sample_paths(system, 3, range(5, 9), 1),
+                  rc.sample_paths(rc.build_augmented(noise, inp, ch), 3, range(5, 9), 0),
+                  rc.sample_paths(rc.build_augmented(replace(noise), inp, ch), 3, range(5, 9), 0)):
+        with pytest.raises(ValueError, match=r"^blocks must share the first block's system "
                                              r"and master_seed$"):
             rc.empirical_report([first, later], analytic)
     # the consecutive-paths check comes first
-    gap = rc.sample_paths(noise, inp, ch, 3, range(6, 9), 1)
+    gap = rc.sample_paths(system, 3, range(6, 9), 1)
     with pytest.raises(ValueError, match="^blocks must hold consecutive paths"):
         rc.empirical_report([first, gap], analytic)
 
@@ -538,7 +581,7 @@ def test_report_blocks_share_the_first_blocks_models_and_master_seed():
 def test_report_accepts_matched_statistics():
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(noise, inp, ch, horizon=25, paths=20_000,
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=25, paths=20_000,
                         master_seed=6)
     rep = rc.empirical_report(b, analytic)
     assert rep.ok
@@ -554,7 +597,8 @@ def test_a_rows_relative_deviation_is_over_the_rows_own_magnitude():
     # value and its relative deviation 1, not that over 1e-300
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    rep = rc.empirical_report(rc.sample_paths(noise, inp, ch, 12, 400, 8), analytic)
+    rep = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 400, 8),
+                              analytic)
     for r in rep.rows:
         scale = max(np.abs(r.analytic).max(), np.abs(r.empirical).max())
         assert r.rel_deviation == r.deviation / scale <= 2.0, r.name
@@ -568,7 +612,7 @@ def test_report_rejects_wrong_analytic_value():
     zero_inp = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[0.0]],
                              K_Z=[[1.0]])
     wrong = rc.asymptotic_rate(noise, zero_inp, ch)
-    b = rc.sample_paths(noise, inp, ch, horizon=25, paths=20_000,
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=25, paths=20_000,
                         master_seed=6)
     rep = rc.empirical_report(b, wrong)
     assert not rep.ok
@@ -578,7 +622,7 @@ def test_report_rejects_wrong_analytic_value():
 
 def test_report_requires_a_capacity_result():
     noise, inp, ch = colored_setup()
-    b = rc.sample_paths(noise, inp, ch, horizon=2, paths=3, master_seed=0)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=2, paths=3, master_seed=0)
     with pytest.raises(TypeError, match="^analytic must be a CapacityResult$"):
         rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch).rate_nats)
 
@@ -591,7 +635,7 @@ def test_one_step_batch_cannot_pass_a_wrong_steady_state():
     ch = unit_channel()
     analytic = rc.asymptotic_rate(noise, inp, ch)
     wrong = replace(analytic, K_I=100.0 * analytic.K_I)
-    b = rc.sample_paths(noise, inp, ch, horizon=1, paths=20_000, master_seed=2)
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=1, paths=20_000, master_seed=2)
     rep = rc.empirical_report(b, wrong)
     assert not any(r.ok for r in rep.rows
                    if r.name == "steady-state innovations covariance")
@@ -602,7 +646,7 @@ def test_unstable_noise_error_covariance_tracks_dre():
     inp = unit_iid_input()
     ch = unit_channel()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(noise, inp, ch, horizon=30, paths=8000,
+    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=30, paths=8000,
                         master_seed=13)
     assert b.saturated_at is None
     rep = rc.empirical_report(b, analytic)
@@ -618,7 +662,7 @@ def test_zero_input_power_is_exactly_zero():
                              K_Z=[[1.0]])
     ch = unit_channel()
     analytic = rc.asymptotic_rate(noise, zero_inp, ch)
-    b = rc.sample_paths(noise, zero_inp, ch, horizon=10, paths=200,
+    b = rc.sample_paths(rc.build_augmented(noise, zero_inp, ch), horizon=10, paths=200,
                         master_seed=1)
     rep = rc.empirical_report(b, analytic)
     power_row = next(r for r in rep.rows if r.name == "average power")
@@ -632,7 +676,7 @@ def test_a_validated_degenerate_initial_covariance_is_sampled_on_its_support():
     noise = rc.NoiseModel(A=0.5 * np.eye(2), B=np.eye(2), C=[[1.0, 0.0]], N=[[1.0, 0.0]],
                           K_W=np.eye(2), K_S1=np.diag([10.0, -5e-10]))
     assert rc.validate(noise).ok
-    batch = rc.sample_paths(noise, unit_iid_input(), unit_channel(), horizon=2, paths=50,
-                            master_seed=3)
+    batch = rc.sample_paths(rc.build_augmented(noise, unit_iid_input(), unit_channel()),
+                            horizon=2, paths=50, master_seed=3)
     assert np.all(batch.S[:, 0, 1] == 0.0)
     assert np.all(batch.S[:, 0, 0] != 0.0)

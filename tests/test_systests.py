@@ -134,7 +134,7 @@ def test_starred_system_and_sample_paths_make_no_covariance_check(monkeypatch):
     noise, inp = random_models(np.random.default_rng(5), n_s=2, n_xi=2, n_y=1)
     channel = unit_channel()
     rc.starred_system(rc.build_augmented(noise, inp, channel))
-    rc.sample_paths(noise, inp, channel, horizon=3, paths=4, master_seed=0)
+    rc.sample_paths(rc.build_augmented(noise, inp, channel), horizon=3, paths=4, master_seed=0)
     assert calls == []
     rc.psd_sqrt(np.eye(2))
     assert calls == ["M"]

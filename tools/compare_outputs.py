@@ -17,7 +17,11 @@ far the row's empirical - analytic moved, over the row's scale
 max(sup|analytic|, sup|empirical|) in either recording. It exits 1 if
 anything differs.
 ``collect OUT.pkl`` is the step ``record`` runs in the child: it
-records from whatever ``riccati_capacity`` the path resolves.
+records from whatever ``riccati_capacity`` the path resolves. It calls
+that tree's ``sample_paths`` with the three models, or with their
+``JointSystem``, one system for all the blocks of a report, as the tree's
+signature asks; a batch's models are inputs and are not recorded, so the
+names of both kinds of tree match.
 
 The output set:
 
@@ -117,6 +121,8 @@ The output set:
 """
 
 import dataclasses
+import functools
+import inspect
 import json
 import os
 import pickle
@@ -179,6 +185,8 @@ def _flatten(prefix, obj, out):
     # on first read, not a field, so they are read and recorded here
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         names = [f.name for f in dataclasses.fields(obj) if not f.name.startswith("_")]
+        if type(obj).__name__ == "TrajectoryBatch":
+            names = [name for name in names if name not in ("noise", "input", "channel")]
         if type(obj).__name__ == "FeasibilityReport" and "warnings" not in names:
             names.append("warnings")
         for name in names:
@@ -204,6 +212,18 @@ def _record(out, name, call):
         return None
     _flatten(name, result, out)
     return result
+
+
+def sampler(rc, noise, inp, channel):
+    """``sample_paths`` over the three models, less its first arguments, in either signature.
+
+    A tree whose ``sample_paths`` takes a ``JointSystem`` gets one, built on
+    the first call and shared by every later one.
+    """
+    if "system" not in inspect.signature(rc.sample_paths).parameters:
+        return lambda *args: rc.sample_paths(noise, inp, channel, *args)
+    system = functools.cache(lambda: rc.build_augmented(noise, inp, channel))
+    return lambda *args: rc.sample_paths(system(), *args)
 
 
 def drifting(rc, noise, inp):
@@ -278,13 +298,13 @@ def collect(path):
                          lambda: rc.asymptotic_rate(noise, inp, channel))
         if i % 10:
             continue
-        batch = _record(out, f"draw{i}.sample_paths",
-                        lambda: rc.sample_paths(noise, inp, channel, 20, 300, i))
+        sample = sampler(rc, noise, inp, channel)
+        batch = _record(out, f"draw{i}.sample_paths", lambda: sample(20, 300, i))
         if batch is not None and result is not None:
             _record(out, f"draw{i}.empirical_report", lambda: rc.empirical_report(batch, result))
         if i == 10 and batch is not None:
             _record(out, "draw10.one_path_block",
-                    lambda: rc.sample_paths(noise, inp, channel, 20, range(7, 8), i))
+                    lambda: sample(20, range(7, 8), i))
             _flatten("draw10.batch_row7", {name: getattr(batch, name)[7:8]
                                           for name in ("S", "V", "Xi", "X", "Y")}, out)
         _record(out, f"draw{i}.finite_n_rate",
@@ -328,7 +348,7 @@ def collect(path):
         ch = rc.Channel(H=np.eye(models[0].n_y), kappa=1.0)
         analytic = rc.asymptotic_rate(*models, ch)
         for n in horizons:
-            batch = rc.sample_paths(*models, ch, n, 50, 5)
+            batch = sampler(rc, *models, ch)(n, 50, 5)
             _record(out, f"schedule_edges.{name}.n{n}.kalman_run",
                     lambda: {key: getattr(rc.kalman_run(batch), key)
                              for key in ("Pi_seq", "K_I_seq", "gains")})
@@ -426,14 +446,13 @@ def collect(path):
     # the reports of a saturating batch in blocks: one of which truncates it,
     # drawing earlier blocks again; and one whose first block does, so none is
     scalar_rate = rc.asymptotic_rate(scalar, unit_input, unit)
+    sample = sampler(rc, scalar, unit_input, unit)
     for name, seed in (("blocks.saturating", 31), ("blocks.first_saturating", 6)):
         _record(out, f"{name}.empirical_report", lambda: rc.empirical_report(
-            (rc.sample_paths(scalar, unit_input, unit, 80, range(lo, lo + 10), seed)
-             for lo in range(0, 60, 10)), scalar_rate))
+            (sample(80, range(lo, lo + 10), seed) for lo in range(0, 60, 10)), scalar_rate))
     # a later block of another master_seed
     _record(out, "blocks.other_seed.empirical_report", lambda: rc.empirical_report(
-        [rc.sample_paths(scalar, unit_input, unit, 80, range(10 * k, 10 * k + 10), 6 + k)
-         for k in range(2)], scalar_rate))
+        [sample(80, range(10 * k, 10 * k + 10), 6 + k) for k in range(2)], scalar_rate))
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:
