@@ -29,15 +29,13 @@ def main():
           % (analytic.rate_nats, analytic.K_I[0, 0], analytic.power))
     print()
 
-    # Paths are sampled from the joint system build_augmented validates and
-    # builds. Path i draws from a generator keyed on (MASTER_SEED, i): the
-    # batch is reproducible and paths are independent by construction.
+    # The report samples the paths from the joint system build_augmented
+    # validates and builds, in blocks of paths that fit a fixed memory
+    # budget. Path i draws from a generator keyed on (MASTER_SEED, i): the
+    # paths are reproducible and independent by construction.
     system = build_augmented(noise, input_model, channel)
-    batch = sample_paths(system, HORIZON, PATHS, MASTER_SEED)
-    print("sampled %d paths of %d steps, saturated_at = %s"
-          % (batch.paths, batch.horizon, batch.saturated_at))
-
-    report = empirical_report(batch, analytic)
+    report = empirical_report(system, HORIZON, PATHS, MASTER_SEED, analytic)
+    print("compared %d paths of %d steps" % (report.paths, report.horizon))
     print()
     print("%-38s %12s %12s %8s" % ("check", "analytic", "empirical", "dev/SE"))
     for row in report.rows:
@@ -52,7 +50,7 @@ def main():
     # K_I is 1.0 instead of 2.5 and the comparison flags it.
     zero_input = iid_input(K_Z=[[0.0]])
     wrong = asymptotic_rate(noise, zero_input, channel)
-    bad = empirical_report(batch, wrong)
+    bad = empirical_report(system, HORIZON, PATHS, MASTER_SEED, wrong)
     flagged = [row.name for row in bad.rows if not row.ok]
     print()
     print("with a wrong analytic K_I = %.1f the flagged rows are:" % wrong.K_I[0, 0])
@@ -60,12 +58,13 @@ def main():
         print(" ", name)
     assert not bad.ok
 
-    # Same seed, same batch, bit for bit.
-    again = sample_paths(system, HORIZON, PATHS, MASTER_SEED)
-    assert np.array_equal(batch.Y, again.Y)
+    # Same seed, same paths, bit for bit: path 0 sampled alone is the
+    # first row of the whole batch.
+    alone = sample_paths(system, HORIZON, 1, MASTER_SEED)
+    batch = sample_paths(system, HORIZON, PATHS, MASTER_SEED)
+    assert np.array_equal(alone.Y[0], batch.Y[0])
     print()
-    print("resampling with the same master seed reproduces Y exactly: True")
-
+    print("path 0 sampled alone reproduces its row of the batch exactly: True")
 
 if __name__ == "__main__":
     main()

@@ -712,12 +712,15 @@ def optimize_input(noise, channel, dims, config=None):
 
     cfg = config if config is not None else OptimizerConfig()
     n_xi, n_z = (as_count(d, "dims", minimum=0) for d in dims)
-    require_valid(noise, channel)  # before the space takes the budget's square root
-    kappa = channel.kappa
-    space = _InputNormal(n_xi, n_z, channel.n_x, kappa)
+    n_x, kappa = channel.n_x, channel.kappa
     # every candidate input is written into this one system, starting from
-    # the all-zero input
-    system = build_augmented(noise, space.model(np.zeros(space.size))[0], channel)
+    # the all-zero input (``space.model``'s at theta = 0); building it
+    # validates the noise and the channel before the space takes the
+    # budget's square root
+    system = build_augmented(noise, InputModel(
+        F=np.zeros((n_xi, n_xi)), G=np.zeros((n_xi, n_z)), Gamma=np.zeros((n_x, n_xi)),
+        D=np.zeros((n_x, n_z)), K_Z=np.eye(n_z)), channel)
+    space = _InputNormal(n_xi, n_z, n_x, kappa)
 
     nq = system.noise_quad
     sigma_sol = are_solve(nq)

@@ -42,7 +42,7 @@ from .models import Channel, InputModel, NoiseModel, build_augmented, require_va
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
 from .riccati import are_solve
-from .simulate import _path_blocks, empirical_report, sample_paths
+from .simulate import empirical_report, kalman_run, sample_paths
 from .systests import feasibility_report
 
 __all__ = ["main"]
@@ -203,16 +203,13 @@ def _capacity_doc(result, units):
     })
     if result.feasibility is not None:
         doc["feasibility"] = _feasibility_doc(result.feasibility)
-    if result.diagnostics is not None:
-        doc["diagnostics"] = result.diagnostics
+    doc["diagnostics"] = result.diagnostics
     return doc
 
 
 def _solver_failure(result):
-    diag = result.diagnostics or {}
-    if not (diag.get("sigma_converged", True) and diag.get("pi_converged", True)):
-        return _NOT_CONVERGED
-    return None
+    diag = result.diagnostics
+    return None if diag["sigma_converged"] and diag["pi_converged"] else _NOT_CONVERGED
 
 
 # ---------------------------------------------------------------- handlers
@@ -284,19 +281,8 @@ def _cmd_sweep_kappa(args, doc):
 def _cmd_simulate(args, doc):
     noise, input_model, channel = _parse_models(doc)
     analytic = asymptotic_rate(noise, input_model, channel)
-    # the report takes the paths block by block, all sampled from one
-    # system; of them only the first sampled path is kept here, for --trace
     system = build_augmented(noise, input_model, channel)
-    first = {}
-
-    def draw(paths):
-        batch = sample_paths(system, horizon=args.n, paths=paths, master_seed=args.seed)
-        if not first:
-            first.update((label, getattr(batch, label)[0].copy())
-                         for label in ("S", "V", "Xi", "X", "Y"))
-        return batch
-
-    report = empirical_report(map(draw, _path_blocks(system, args.n, args.paths)), analytic)
+    report = empirical_report(system, args.n, args.paths, args.seed, analytic)
     _emit({
         "paths": report.paths,
         "horizon": report.horizon,
@@ -308,10 +294,11 @@ def _cmd_simulate(args, doc):
         "checks": [_fields(row) for row in report.rows],
     }, args.out)
     if args.trace:
-        # the first sampled path, one column per component, up to the
-        # report's horizon (a shorter block truncates the whole batch)
-        columns = {label: arr[:report.horizon] for label, arr in first.items()}
-        columns["I"] = report.innovations[0]
+        # path 0, one column per component, up to the report's horizon;
+        # sampled alone, it holds the rows it has in the report's batch
+        batch = sample_paths(system, report.horizon, 1, args.seed)
+        columns = {label: getattr(batch, label)[0] for label in ("S", "V", "Xi", "X", "Y")}
+        columns["I"] = kalman_run(batch).innovations[0]
         header = ["t"] + [f"{label}{j}" for label, arr in columns.items()
                           for j in range(arr.shape[1])]
         path = np.concatenate(list(columns.values()), axis=1)

@@ -5,7 +5,9 @@ output are sampled exactly from the model recursions; a time-varying
 Kalman predictor run on the sampled outputs then produces empirical
 innovations whose statistics can be held against the Riccati and
 Lyapunov quantities. Agreement is judged in standard errors, so the
-tolerance tightens automatically as paths are added.
+tolerance tightens automatically as paths are added. ``empirical_report``
+samples its paths itself, in blocks whose length a private memory budget
+sets, and keeps of each block only the per-path values its rows read.
 """
 
 from dataclasses import dataclass, replace
@@ -55,7 +57,7 @@ class TrajectoryBatch:
     otherwise it is None. Identical models and master_seed reproduce the
     batch bit for bit, path by path, regardless of generation order.
     ``system`` is the JointSystem the batch was sampled from, which
-    ``empirical_report`` filters on. Row i holds path ``first_path + i``.
+    ``kalman_run`` filters on. Row i holds path ``first_path + i``.
     """
 
     system: object
@@ -109,18 +111,12 @@ class CheckRow:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """All checks for one batch; ``ok`` is the conjunction of the rows.
-
-    ``innovations`` are the joint predictor's innovations, (paths, horizon,
-    n_y), of the batch, or of the first block when the report was given
-    blocks.
-    """
+    """All checks over ``paths`` paths of ``horizon`` steps; ``ok`` is their conjunction."""
 
     rows: tuple
     paths: int
     horizon: int
     ok: bool
-    innovations: np.ndarray = None
 
 
 def sample_paths(system, horizon, paths, master_seed):
@@ -168,10 +164,8 @@ def sample_paths(system, horizon, paths, master_seed):
     total dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X,
     Y entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
     model with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1.
-    ``riccati-capacity simulate`` therefore samples in blocks of paths
-    (2,995 there), all from one system, and hands them to
-    ``empirical_report``, so it holds one block plus the O(paths) values
-    the report reads.
+    ``empirical_report`` therefore samples in blocks of paths (2,995
+    there), and holds one block plus the O(paths) values its rows read.
     """
     if not isinstance(system, JointSystem):
         raise TypeError(f"sample_paths takes a JointSystem, got {type(system).__name__}")
@@ -244,7 +238,7 @@ def _columns(paths):
 
 
 def _path_blocks(system, horizon, paths):
-    """Consecutive ranges of path indices covering ``paths`` paths, for ``sample_paths``.
+    """The blocks ``empirical_report`` samples: consecutive ranges of ``paths`` path indices.
 
     A block of paths fills, per path and step, the (W_t, Z_t) draws, the
     S, V, Xi, X, Y entries, the joint filter's state predictions and
@@ -408,8 +402,8 @@ def _reduce(block, innovations, errors, noise_gains):
             errors[:, t].copy(), noise_innov[:, t].copy(), power)
 
 
-def empirical_report(batch, analytic):
-    """Compare a sampled batch with the analytic predictions.
+def empirical_report(system, horizon, paths, master_seed, analytic):
+    """Sample paths of a joint system and compare them with the analytic predictions.
 
     Checks, each judged entrywise within TOL_SE (3) standard errors: the
     joint innovations covariance at the final stored step against K_{I_t}
@@ -418,29 +412,33 @@ def empirical_report(batch, analytic):
     innovations cross-covariance against zero, the state-error covariance
     against Pi_t, and the per-use average power against its exact
     finite-horizon analytic value (which converges to the steady-state
-    power carried by ``analytic``). The joint predictor runs on the
-    batch's ``system``, the noise predictor on its ``noise_quad``. What no
-    path changes comes from the first block, before a second is read: the
-    joint schedule through its ``kalman_run``, and the noise schedule and
-    the analytic power at each step by one run of ``finite_n_rate``'s
-    engine; a shorter horizon reads their prefixes.
+    power carried by ``analytic``). The joint predictor runs on
+    ``system``, the noise predictor on its ``noise_quad``.
+
+    The paths are those of ``sample_paths(system, horizon, paths,
+    master_seed)``, drawn in blocks of consecutive path indices whose
+    length a private memory budget sets (``_path_blocks``). Each block is
+    filtered and reduced to the per-path values the rows read before the
+    next is drawn, so the rows are those of the whole batch, bit for bit,
+    and a call holds one block at a time. What no path changes comes from
+    the first block: the joint schedule through its ``kalman_run``, and
+    the noise schedule and the analytic power at each step by one run of
+    ``finite_n_rate``'s engine; a shorter horizon reads their prefixes. A
+    block that stops at the overflow guard before the blocks read so far
+    truncates the report to its horizon: later blocks are cut to it, and
+    the earlier ones are drawn again at it.
 
     Parameters
     ----------
-    batch : TrajectoryBatch, or an iterable of them
-        One batch, or one batch in blocks: ``sample_paths`` calls with the
-        same system, horizon and master_seed over consecutive ranges of
-        path indices, in order. The first block's system and master_seed
-        are the report's one origin, and of each block only its range of
-        path indices is kept; a block that does not start where the one
-        before it ended, or that does not share the origin (the same system
-        object, an equal seed), raises ValueError. Each block is filtered
-        and reduced to the values the rows read as it arrives, so a
-        generator of blocks is held one block at a time, and the rows are
-        those of the whole batch, bit for bit. A block that stops at the
-        overflow guard before the blocks read so far truncates the report
-        to its horizon: later blocks are cut to it, and the earlier ones
-        are drawn again at it, from the origin.
+    system : JointSystem
+        Of the three models, by ``build_augmented``. Any other type raises
+        TypeError.
+    horizon : int
+        Steps per path, >= 1.
+    paths : int
+        Number of paths, >= 1, drawn as paths 0, 1, ...
+    master_seed : int
+        As for ``sample_paths``.
     analytic : CapacityResult
         Supplies the steady-state targets; the time-indexed comparisons
         use the matching difference-equation values so a short horizon
@@ -448,56 +446,51 @@ def empirical_report(batch, analytic):
         its band by how much the covariance recursion moved on the last
         step, covering an unsettled filter without letting a wrong limit
         justify itself; one stored step gives no such measure, so a
-        horizon-1 batch has no steady-state row.
+        horizon-1 report has no steady-state row. Any other type raises
+        TypeError.
 
     Returns
     -------
     ComparisonReport
-        Its ``innovations`` are the first block's, cut to the report's
-        horizon.
+
+    Raises
+    ------
+    ValueError
+        If ``horizon`` or ``paths`` is not a count, or no step was stored
+        (a sampled state passed OVERFLOW_GUARD at step 1).
     """
     if not isinstance(analytic, CapacityResult):
         raise TypeError("analytic must be a CapacityResult")
-    blocks = iter((batch,) if isinstance(batch, TrajectoryBatch) else batch)
-    block = next(blocks, None)
-    if block is None:
-        raise ValueError("no batch to report on")
-    # the report's one origin, which draws every block again from its path indices
-    origin = (block.system, block.master_seed)
-    run, horizon = kalman_run(block), block.horizon
-    joint, innovations = (run.Pi_seq, run.K_I_seq, run.gains), run.innovations
-    (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(block.system, horizon, "Sigma", "P")
-    # per block: the values the rows read; and its path indices
-    kept = [_reduce(block, innovations, run.state_errors, noise_gains)]
-    drawn = [range(block.first_path, block.first_path + block.paths)]
+    if not isinstance(system, JointSystem):
+        raise TypeError(f"empirical_report takes a JointSystem, got {type(system).__name__}")
+    blocks = _path_blocks(system, horizon, paths)
+    block = sample_paths(system, horizon, blocks[0], master_seed)
+    run, stored = kalman_run(block), block.horizon
+    joint = (run.Pi_seq, run.K_I_seq, run.gains)
+    (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(system, stored, "Sigma", "P")
+    # per block, the values the rows read
+    kept = [_reduce(block, run.innovations, run.state_errors, noise_gains)]
     del block, run  # so that no two blocks are held at once
 
     def reduce(block):
         # a shorter batch is the prefix of a longer one
-        block = replace(block, horizon=horizon, **{name: getattr(block, name)[:, :horizon]
-                                                   for name in ("S", "V", "Xi", "X", "Y")})
+        block = replace(block, horizon=stored, **{name: getattr(block, name)[:, :stored]
+                                                  for name in ("S", "V", "Xi", "X", "Y")})
         return _reduce(block, *_joint_filter(block, joint), noise_gains)
 
-    for block in blocks:
-        indices = range(block.first_path, block.first_path + block.paths)
-        if indices.start != drawn[-1].stop:
-            raise ValueError(f"blocks must hold consecutive paths, got {indices!r} after "
-                             f"{drawn[-1]!r}")
-        # the system by identity (it compares so), the seed by value
-        if (block.system, block.master_seed) != origin:
-            raise ValueError("blocks must share the first block's system and master_seed")
-        drawn.append(indices)
-        shorter, horizon = block.horizon < horizon, min(horizon, block.horizon)
+    for k, indices in enumerate(blocks[1:], 1):
+        block = sample_paths(system, horizon, indices, master_seed)
+        shorter, stored = block.horizon < stored, min(stored, block.horizon)
         values = reduce(block)
         del block
         if shorter:
-            system, seed = origin
-            kept = [reduce(sample_paths(system, horizon, earlier, seed)) for earlier in drawn[:-1]]
+            kept = [reduce(sample_paths(system, stored, earlier, master_seed))
+                    for earlier in blocks[:k]]
         kept.append(values)
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))
     Pi_seq, K_I_seq, _ = joint
-    paths = len(per_path_power)
+    paths, horizon = len(per_path_power), stored
     t_last = horizon - 1
 
     def covariance_row(name, analytic, values, allowance=0.0):
@@ -535,7 +528,5 @@ def empirical_report(batch, analytic):
     rows.append(_row("average power", analytic_power, emp_power, se_power))
 
     rows = tuple(rows)
-    return ComparisonReport(
-        rows=rows, paths=paths, horizon=horizon,
-        ok=bool(all(r.ok for r in rows)), innovations=innovations[:, :horizon],
-    )
+    return ComparisonReport(rows=rows, paths=paths, horizon=horizon,
+                            ok=bool(all(r.ok for r in rows)))

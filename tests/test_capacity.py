@@ -917,10 +917,10 @@ def test_optimize_is_deterministic_for_a_fixed_config():
 
 
 def test_candidate_evaluations_are_not_validated_again(monkeypatch):
-    # the models are checked on entry (noise and channel before the search
-    # space, then noise, input and channel as the system is built) and in
-    # each final evaluation (asymptotic_power once, asymptotic_rate three
-    # times), never per L-BFGS objective evaluation
+    # the models are checked on entry (noise, the zero input and channel as
+    # the system is built, before the search space) and in each final
+    # evaluation (asymptotic_power once, asymptotic_rate three times), never
+    # per L-BFGS objective evaluation
     calls = dict.fromkeys(("validate", "asymptotic_rate", "are_solve"), 0)
     for module, name in ((rc.models, "validate"), (rc.capacity, "asymptotic_rate"),
                          (rc.capacity, "are_solve")):
@@ -931,7 +931,7 @@ def test_candidate_evaluations_are_not_validated_again(monkeypatch):
     cfg = rc.OptimizerConfig(starts=2, seed=0, maxiter=10)
     _, res = rc.optimize_input(rc.memoryless_noise([[1.0]]), unit_channel(1.0), (1, 1), cfg)
     assert calls["are_solve"] > 1 + 2 * calls["asymptotic_rate"]
-    assert calls["validate"] == 5 + 4 * calls["asymptotic_rate"]
+    assert calls["validate"] == 3 + 4 * calls["asymptotic_rate"]
     assert abs(res.rate_nats - HALF_LN2) < 1e-12
     assert res.power <= 1.0 + 1e-9
 

@@ -500,19 +500,21 @@ def test_simulate_saturated_at_step_one_exits_2(tmp_path, capsys):
 
 
 def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
+    # once over the report's paths, and once over path 0 sampled alone for the trace
     calls = []
     original = simulate.kalman_run
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(batch):
+        calls.append(batch.paths)
+        return original(batch)
 
     monkeypatch.setattr(simulate, "kalman_run", counting)
+    monkeypatch.setattr(cli, "kalman_run", counting)
     model = write_model(tmp_path, COLORED)
     trace = str(tmp_path / "path.csv")
     assert main(["simulate", "--model", model, "--n", "6", "--paths", "50",
                  "--out", str(tmp_path / "report.json"), "--trace", trace]) == 0
-    assert len(calls) == 1
+    assert calls == [50, 1]
     header = open(trace).read().splitlines()[0].split(",")
     assert header[-1] == "I0"
 
@@ -535,7 +537,7 @@ def test_simulate_builds_two_systems_at_any_block_count(tmp_path, monkeypatch, b
     for module in (rc.models, rc.capacity, rc.systests, rc.simulate, cli):
         if hasattr(module, "validate"):
             monkeypatch.setattr(module, "validate", counting("validate", module.validate))
-    monkeypatch.setattr(cli, "sample_paths", counting("sampled", cli.sample_paths))
+    monkeypatch.setattr(simulate, "sample_paths", counting("sampled", simulate.sample_paths))
     # these scalar models fill 11 floats a path and step: blocks of 60 // blocks paths
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 60 // blocks * 8 * 12 * 11)
     model = write_model(tmp_path, COLORED)
@@ -549,26 +551,27 @@ def test_simulate_builds_two_systems_at_any_block_count(tmp_path, monkeypatch, b
 HOT_START = dict(COLORED, noise=dict(COLORED["noise"], mu_S1=[9.8e11], K_S1=[[1e20]]))
 
 
-@pytest.mark.parametrize("doc, n, seed, saturated", [
-    (COLORED, 12, 21, [None] * 6),
+@pytest.mark.parametrize("doc, n, seed, saturated, redrawn", [
+    (COLORED, 12, 21, [None] * 6, {}),
     # the first block is drawn again at 68 steps, then the first two at 66,
     # and the last three are cut to 66
-    (dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]])), 80, 14, [70, 69, 67, 68, 68, 70]),
+    (dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]])), 80, 14, [70, 69, 67, 68, 68, 70],
+     {1: [0], 2: [0, 1]}),
     # only the sixth block has a path past the guard at step 1
-    (HOT_START, 5, 2, [None] * 5 + [1]),
+    (HOT_START, 5, 2, [None] * 5 + [1], {}),
 ], ids=["stable", "saturating", "later-block-at-step-1"])
 def test_simulate_in_blocks_writes_the_whole_batch_bytes(tmp_path, monkeypatch, capsys,
-                                                         doc, n, seed, saturated):
+                                                         doc, n, seed, saturated, redrawn):
     model = write_model(tmp_path, doc)
     drawn = []
-    original = cli.sample_paths
+    original = simulate.sample_paths
 
-    def recording(*args, **kwargs):
-        batch = original(*args, **kwargs)
-        drawn.append((kwargs["paths"], batch.saturated_at))
+    def recording(system, horizon, paths, master_seed):
+        batch = original(system, horizon, paths, master_seed)
+        drawn.append((paths, batch.saturated_at))
         return batch
 
-    monkeypatch.setattr(cli, "sample_paths", recording)
+    monkeypatch.setattr(simulate, "sample_paths", recording)
     outputs, runs = [], []
     # the default budget holds all 60 paths in one block, the whole batch;
     # these scalar models fill 11 floats a path and step, so the second
@@ -582,8 +585,13 @@ def test_simulate_in_blocks_writes_the_whole_batch_bytes(tmp_path, monkeypatch, 
         outputs.append([code, capsys.readouterr().err] + [p.read_bytes() for p in (out, trace)
                                                           if p.exists()])
         runs.append(list(drawn))
-    assert runs == [[(range(60), min(filter(None, saturated), default=None))],
-                    [(range(lo, lo + 10), s) for lo, s in zip(range(0, 60, 10), saturated)]]
+    # block k, then the earlier blocks it makes the report draw again, none
+    # of which passes the guard within the shorter horizon
+    blocked = []
+    for k, s in enumerate(saturated):
+        blocked += [(range(10 * k, 10 * k + 10), s),
+                    *((range(10 * j, 10 * j + 10), None) for j in redrawn.get(k, ()))]
+    assert runs == [[(range(60), min(filter(None, saturated), default=None))], blocked]
     assert outputs[1] == outputs[0]
     if saturated[-1] == 1:
         assert outputs[0] == [2, "error: no step to filter: a sampled state passed the "
@@ -654,8 +662,8 @@ def test_strict_turns_a_soft_failure_into_exit_3(tmp_path, capsys, argv, message
 def test_strict_simulate_exits_3_when_a_check_fails(tmp_path, monkeypatch, capsys):
     original = cli.empirical_report
 
-    def failing(batch, analytic):
-        return dataclasses.replace(original(batch, analytic), ok=False)
+    def failing(*args):
+        return dataclasses.replace(original(*args), ok=False)
 
     monkeypatch.setattr(cli, "empirical_report", failing)
     model = write_model(tmp_path, COLORED)
@@ -687,10 +695,30 @@ def test_simulate_trace_is_the_first_sampled_path(tmp_path):
     channel = rc.Channel(**doc["channel"])
     batch = rc.sample_paths(rc.build_augmented(noise, inp, channel), horizon=6, paths=30,
                             master_seed=11)
-    innovations = rc.empirical_report(
-        batch, rc.asymptotic_rate(noise, inp, channel)).innovations
+    innovations = rc.kalman_run(batch).innovations
     expected = np.hstack([np.arange(1.0, 7.0)[:, None], batch.S[0], batch.V[0],
                           batch.Xi[0], batch.X[0], batch.Y[0], innovations[0]])
+    assert np.array_equal(cells, expected)
+
+
+def test_simulate_trace_is_path_0_of_a_saturating_batch_in_blocks(tmp_path, monkeypatch):
+    # six blocks of 10 paths pass the guard at steps 70, 69, 67, 68, 68 and
+    # 70: the trace is path 0 of the whole batch, up to its 66 steps
+    doc = dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]]))
+    model = write_model(tmp_path, doc)
+    # these scalar models fill 11 floats a path and step
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 10 * 8 * 80 * 11)
+    out, trace = tmp_path / "report.json", tmp_path / "path.csv"
+    assert main(["simulate", "--model", model, "--n", "80", "--paths", "60", "--seed", "14",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    assert read_json(out)["horizon"] == 66
+    cells = np.array([[float(v) for v in line.split(",")]
+                      for line in trace.read_text().splitlines()[1:]])
+    system = rc.build_augmented(*(cli._parse_models(doc)))
+    batch = rc.sample_paths(system, 66, 60, 14)
+    assert batch.saturated_at is None
+    expected = np.hstack([np.arange(1.0, 67.0)[:, None], batch.S[0], batch.V[0], batch.Xi[0],
+                          batch.X[0], batch.Y[0], rc.kalman_run(batch).innovations[0]])
     assert np.array_equal(cells, expected)
 
 

@@ -261,7 +261,7 @@ def test_a_channel_without_outputs_has_empty_innovations():
     assert run.innovations.shape == (5, 4, 0) and run.K_I_seq.shape == (4, 0, 0)
     # with no output to read, every prediction of the noise state is its mean, 0
     assert np.array_equal(run.state_errors, b.S)
-    assert rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch)).paths == 5
+    assert rc.empirical_report(b.system, 4, 5, 0, rc.asymptotic_rate(noise, inp, ch)).paths == 5
 
 
 def test_memoryless_innovations_are_centered_outputs():
@@ -320,7 +320,7 @@ def test_innovation_covariance_sequence_matches_dre(monkeypatch, models, horizon
         return runs
 
     monkeypatch.setattr(rc.simulate, "_run", recording)
-    report = rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch))
+    report = rc.empirical_report(b.system, horizon, 2, 4, rc.asymptotic_rate(noise, inp, ch))
     run = rc.kalman_run(b)
     quad = rc.build_augmented(noise, inp, ch)
     joint, noise_only = dre_schedule(quad, horizon), dre_schedule(quad.noise_quad, horizon)
@@ -350,7 +350,7 @@ def test_a_report_factors_each_innovations_covariance_once(monkeypatch, models, 
     # counted, by the matrices it factors
     noise, inp = SCHEDULE_MODELS[models]()
     ch = unit_channel()
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=horizon, paths=2, master_seed=4)
+    system = rc.build_augmented(noise, inp, ch)
     analytic = rc.asymptotic_rate(noise, inp, ch)
     factored = {}
 
@@ -363,7 +363,7 @@ def test_a_report_factors_each_innovations_covariance_once(monkeypatch, models, 
     for module in vars(rc).values():
         if hasattr(module, "solve_spd"):
             monkeypatch.setattr(module, "solve_spd", counting(module.solve_spd))
-    rc.empirical_report(b, analytic)
+    rc.empirical_report(system, horizon, 2, 4, analytic)
     # the cross-term-free form of a scanned chunk's steps factors its Rhat
     factored.pop("Rhat", None)
     assert factored == {"K_I": horizon, "K_Ihat": horizon}
@@ -411,7 +411,7 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
     # systems are built by build_augmented or to_quadruple, at every name
-    # a library module calls them by: the one the batch is sampled from, and
+    # a library module calls them by: the one the report samples from, and
     # none in the report
     built = []
 
@@ -422,9 +422,7 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
         for name in ("build_augmented", "to_quadruple"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    b = rc.sample_paths(rc.models.build_augmented(noise, inp, ch), horizon=3, paths=20,
-                        master_seed=1)
-    rc.empirical_report(b, analytic)
+    rc.empirical_report(rc.models.build_augmented(noise, inp, ch), 3, 20, 1, analytic)
     assert built == ["build_augmented"]
 
 
@@ -435,10 +433,12 @@ def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
     # truncating report draws its earlier blocks again at a shorter horizon
     if blocks == "truncating":
         noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
-        batch = blocks_of(noise, inp, ch, 80, 60, 31, 10)
+        horizon, paths, seed, length = 80, 60, 31, 10
     else:
         noise, inp, ch = mimo_setup()
-        batch = blocks_of(noise, inp, ch, 12, 70, 3, 70 // blocks)
+        horizon, paths, seed, length = 12, 70, 3, 70 // blocks
+    system = rc.build_augmented(noise, inp, ch)
+    in_blocks(monkeypatch, system, horizon, paths, length)
     analytic = rc.asymptotic_rate(noise, inp, ch)
     names, runs, kalman_run = [], rc.simulate._runs, rc.simulate.kalman_run
 
@@ -452,23 +452,28 @@ def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
 
     monkeypatch.setattr(rc.simulate, "_runs", counting_runs)
     monkeypatch.setattr(rc.simulate, "kalman_run", counting_kalman_run)
-    rc.empirical_report(batch, analytic)
+    rc.empirical_report(system, horizon, paths, seed, analytic)
     assert sorted(names) == ["P", "Pi", "Sigma", "kalman_run"]
 
 
 def test_report_does_not_depend_on_the_batch_layout():
+    # the report reduces each block it samples by kalman_run and _reduce,
+    # which take a caller's batch, so their values must not depend on its layout
     noise, inp, ch = mimo_setup()
-    analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=40, paths=3000, master_seed=3)
+    system = rc.build_augmented(noise, inp, ch)
+    b = rc.sample_paths(system, horizon=40, paths=3000, master_seed=3)
     dense = replace(b, **{name: np.ascontiguousarray(getattr(b, name))
                           for name in ("S", "V", "Xi", "X", "Y")})
     assert dense.Y.flags.c_contiguous != b.Y.flags.c_contiguous
-    rows, dense_rows = rc.empirical_report(b, analytic).rows, rc.empirical_report(dense, analytic).rows
-    assert [r.name for r in rows] == [r.name for r in dense_rows]
-    for r, d in zip(rows, dense_rows):
-        assert np.array_equal(r.analytic, d.analytic), r.name
-        assert np.array_equal(r.empirical, d.empirical), r.name
-        assert (r.deviation, r.se, r.se_ratio, r.ok) == (d.deviation, d.se, d.se_ratio, d.ok)
+    noise_gains = rc.simulate._run(system, 40, "Sigma")[0][2]
+    values = []
+    for batch in (b, dense):
+        run = rc.kalman_run(batch)
+        values.append((run.innovations, run.state_errors,
+                       *rc.simulate._reduce(batch, run.innovations, run.state_errors, noise_gains)))
+    assert len(values[0]) == 7
+    for i, (got, want) in enumerate(zip(*values)):
+        assert np.array_equal(got, want), i
 
 
 def assert_same_report(report, whole):
@@ -480,47 +485,61 @@ def assert_same_report(report, whole):
         assert (r.deviation, r.se, r.se_ratio, r.ok) == (w.deviation, w.se, w.se_ratio, w.ok)
 
 
-def blocks_of(noise, inp, ch, horizon, paths, seed, length):
-    system = rc.build_augmented(noise, inp, ch)
-    return (rc.sample_paths(system, horizon, range(lo, min(lo + length, paths)), seed)
-            for lo in range(0, paths, length))
+def in_blocks(monkeypatch, system, horizon, paths, length):
+    # a block budget of ``length`` paths of ``horizon`` steps: each path and
+    # step of a block fills this many floats (``simulate._path_blocks``)
+    width = system.n_w + system.n_z + 2 * system.m + system.input.n_x + 4 * system.q
+    monkeypatch.setattr(rc.simulate, "_BLOCK_BYTES", length * 8 * horizon * width)
+    assert rc.simulate._path_blocks(system, horizon, paths) == [
+        range(lo, min(lo + length, paths)) for lo in range(0, paths, length)]
 
 
-def test_report_over_blocks_is_the_whole_batch_report():
+def test_report_over_blocks_is_the_whole_batch_report(monkeypatch):
     noise, inp, ch = mimo_setup()
+    system = rc.build_augmented(noise, inp, ch)
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    whole = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 100, 3),
-                                analytic)
-    report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 100, 3, 30), analytic)
-    assert_same_report(report, whole)
-    # the innovations are those of the first block, paths 0 to 29
-    assert np.array_equal(report.innovations, whole.innovations[:30])
+    # the default budget holds all 100 paths in one block, the whole batch
+    whole = rc.empirical_report(system, 12, 100, 3, analytic)
+    in_blocks(monkeypatch, system, 12, 100, 30)
+    assert_same_report(rc.empirical_report(system, 12, 100, 3, analytic), whole)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(seed):
+def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(monkeypatch, seed):
     noise, inp, ch = mimo_setup()
+    system = rc.build_augmented(noise, inp, ch)
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    whole = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 61, seed),
-                                analytic)
-    report = rc.empirical_report(blocks_of(noise, inp, ch, 12, 61, seed, 60), analytic)
-    assert_same_report(report, whole)
+    whole = rc.empirical_report(system, 12, 61, seed, analytic)
+    in_blocks(monkeypatch, system, 12, 61, 60)
+    assert_same_report(rc.empirical_report(system, 12, 61, seed, analytic), whole)
 
 
-def test_a_block_that_stops_earlier_truncates_the_whole_report():
+def test_a_block_that_stops_earlier_truncates_the_whole_report(monkeypatch):
     # seed 31, blocks of 10 paths: they pass the guard at steps 69, 68, 70,
     # 69, 69 and 67, so the first block is drawn again at 67 steps, the
     # third to fifth are cut to them, and the sixth makes all five earlier
     # blocks be drawn again at 66 steps
     noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
+    system = rc.build_augmented(noise, inp, ch)
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    blocks = list(blocks_of(noise, inp, ch, 80, 60, 31, 10))
-    assert [b.saturated_at for b in blocks] == [69, 68, 70, 69, 69, 67]
-    batch = rc.sample_paths(rc.build_augmented(noise, inp, ch), 80, 60, 31)
+    blocks = [range(lo, lo + 10) for lo in range(0, 60, 10)]
+    assert [rc.sample_paths(system, 80, b, 31).saturated_at for b in blocks] == [
+        69, 68, 70, 69, 69, 67]
+    batch = rc.sample_paths(system, 80, 60, 31)
     assert (batch.saturated_at, batch.horizon) == (67, 66)
-    report = rc.empirical_report(iter(blocks), analytic)
-    assert_same_report(report, rc.empirical_report(batch, analytic))
-    assert np.array_equal(report.innovations, rc.kalman_run(batch).innovations[:10])
+    # the default budget holds all 60 paths in one block, the whole batch
+    whole = rc.empirical_report(system, 80, 60, 31, analytic)
+    drawn, sample_paths = [], rc.simulate.sample_paths
+
+    def recording(system, horizon, paths, master_seed):
+        drawn.append((paths, horizon))
+        return sample_paths(system, horizon, paths, master_seed)
+
+    monkeypatch.setattr(rc.simulate, "sample_paths", recording)
+    in_blocks(monkeypatch, system, 80, 60, 10)
+    assert_same_report(rc.empirical_report(system, 80, 60, 31, analytic), whole)
+    assert drawn == [(blocks[0], 80), (blocks[1], 80), (blocks[0], 67),
+                     *((b, 80) for b in blocks[2:]), *((b, 66) for b in blocks[:5])]
 
 
 def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monkeypatch):
@@ -528,62 +547,58 @@ def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monk
     # errors, 3.6 MB at the benchmark's size, beside every later block
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    runs, kalman_run = [], rc.simulate.kalman_run
+    runs, kalman_run, sample_paths = [], rc.simulate.kalman_run, rc.simulate.sample_paths
 
     def watched_kalman_run(block):
         run = kalman_run(block)
         runs.append(weakref.ref(run))
         return run
 
+    def watched_sample_paths(system, horizon, paths, master_seed):
+        if paths.start:
+            assert [run() for run in runs] == [None], paths
+        return sample_paths(system, horizon, paths, master_seed)
+
     system = rc.build_augmented(noise, inp, ch)
-
-    def blocks():
-        for lo in range(0, 90, 30):
-            if lo:
-                assert [run() for run in runs] == [None], lo
-            yield rc.sample_paths(system, 12, range(lo, lo + 30), 3)
-
     monkeypatch.setattr(rc.simulate, "kalman_run", watched_kalman_run)
-    report = rc.empirical_report(blocks(), analytic)
+    monkeypatch.setattr(rc.simulate, "sample_paths", watched_sample_paths)
+    in_blocks(monkeypatch, system, 12, 90, 30)
+    report = rc.empirical_report(system, 12, 90, 3, analytic)
     assert report.paths == 90 and len(runs) == 1
 
 
-def test_report_blocks_hold_consecutive_paths():
+def test_report_checks_its_arguments_before_it_samples(monkeypatch):
     noise, inp, ch = colored_setup()
-    analytic = rc.asymptotic_rate(noise, inp, ch)
     system = rc.build_augmented(noise, inp, ch)
-    first, gap = (rc.sample_paths(system, 3, paths, 0) for paths in (range(5), range(6, 9)))
-    with pytest.raises(ValueError, match=r"^blocks must hold consecutive paths, got range\(6, 9\)"):
-        rc.empirical_report([first, gap], analytic)
-    with pytest.raises(ValueError, match="^no batch to report on$"):
-        rc.empirical_report([], analytic)
-
-
-def test_report_blocks_share_the_first_blocks_models_and_master_seed():
-    # systems compare by identity, so another system, even of the same
-    # models, is another origin
-    noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    system = rc.build_augmented(noise, inp, ch)
-    first = rc.sample_paths(system, 3, range(5), 0)
-    for later in (rc.sample_paths(system, 3, range(5, 9), 1),
-                  rc.sample_paths(rc.build_augmented(noise, inp, ch), 3, range(5, 9), 0),
-                  rc.sample_paths(rc.build_augmented(replace(noise), inp, ch), 3, range(5, 9), 0)):
-        with pytest.raises(ValueError, match=r"^blocks must share the first block's system "
-                                             r"and master_seed$"):
-            rc.empirical_report([first, later], analytic)
-    # the consecutive-paths check comes first
-    gap = rc.sample_paths(system, 3, range(6, 9), 1)
-    with pytest.raises(ValueError, match="^blocks must hold consecutive paths"):
-        rc.empirical_report([first, gap], analytic)
+    batch = rc.sample_paths(system, 3, 5, 0)
+    sampled = []
+    monkeypatch.setattr(rc.simulate, "sample_paths", lambda *args: sampled.append(args))
+    # the analytic side first, then the system, then the counts
+    with pytest.raises(TypeError, match="^analytic must be a CapacityResult$"):
+        rc.empirical_report(noise, 0, 0, 0, analytic.rate_nats)
+    for first in (noise, (noise, inp, ch), batch):
+        with pytest.raises(TypeError, match="^empirical_report takes a JointSystem, "
+                                            "got (NoiseModel|tuple|TrajectoryBatch)$"):
+            rc.empirical_report(first, 3, 5, 0, analytic)
+    # the earlier form, a batch and the analytic result
+    with pytest.raises(TypeError):
+        rc.empirical_report(batch, analytic)
+    for horizon, paths, message in ((0, 5, "^horizon must be >= 1, got 0$"),
+                                    (2.5, 5, r"^horizon must be an integer, got 2\.5$"),
+                                    (3, 0, "^paths must be >= 1, got 0$"),
+                                    (3, range(5), r"^paths must be an integer, got range\(0, 5\)$")):
+        with pytest.raises(ValueError, match=message):
+            rc.empirical_report(system, horizon, paths, 0, analytic)
+    assert sampled == []
+    # the report keeps no paths of its own
+    assert [f.name for f in fields(rc.ComparisonReport)] == ["rows", "paths", "horizon", "ok"]
 
 
 def test_report_accepts_matched_statistics():
     noise, inp, ch = colored_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=25, paths=20_000,
-                        master_seed=6)
-    rep = rc.empirical_report(b, analytic)
+    rep = rc.empirical_report(rc.build_augmented(noise, inp, ch), 25, 20_000, 6, analytic)
     assert rep.ok
     names = [r.name for r in rep.rows]
     assert "innovations covariance" in names
@@ -597,8 +612,7 @@ def test_a_rows_relative_deviation_is_over_the_rows_own_magnitude():
     # value and its relative deviation 1, not that over 1e-300
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    rep = rc.empirical_report(rc.sample_paths(rc.build_augmented(noise, inp, ch), 12, 400, 8),
-                              analytic)
+    rep = rc.empirical_report(rc.build_augmented(noise, inp, ch), 12, 400, 8, analytic)
     for r in rep.rows:
         scale = max(np.abs(r.analytic).max(), np.abs(r.empirical).max())
         assert r.rel_deviation == r.deviation / scale <= 2.0, r.name
@@ -612,9 +626,7 @@ def test_report_rejects_wrong_analytic_value():
     zero_inp = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[0.0]],
                              K_Z=[[1.0]])
     wrong = rc.asymptotic_rate(noise, zero_inp, ch)
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=25, paths=20_000,
-                        master_seed=6)
-    rep = rc.empirical_report(b, wrong)
+    rep = rc.empirical_report(rc.build_augmented(noise, inp, ch), 25, 20_000, 6, wrong)
     assert not rep.ok
     bad = {r.name for r in rep.rows if not r.ok}
     assert "steady-state innovations covariance" in bad
@@ -622,9 +634,9 @@ def test_report_rejects_wrong_analytic_value():
 
 def test_report_requires_a_capacity_result():
     noise, inp, ch = colored_setup()
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=2, paths=3, master_seed=0)
+    system = rc.build_augmented(noise, inp, ch)
     with pytest.raises(TypeError, match="^analytic must be a CapacityResult$"):
-        rc.empirical_report(b, rc.asymptotic_rate(noise, inp, ch).rate_nats)
+        rc.empirical_report(system, 2, 3, 0, rc.asymptotic_rate(noise, inp, ch).rate_nats)
 
 
 def test_one_step_batch_cannot_pass_a_wrong_steady_state():
@@ -635,8 +647,7 @@ def test_one_step_batch_cannot_pass_a_wrong_steady_state():
     ch = unit_channel()
     analytic = rc.asymptotic_rate(noise, inp, ch)
     wrong = replace(analytic, K_I=100.0 * analytic.K_I)
-    b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=1, paths=20_000, master_seed=2)
-    rep = rc.empirical_report(b, wrong)
+    rep = rc.empirical_report(rc.build_augmented(noise, inp, ch), 1, 20_000, 2, wrong)
     assert not any(r.ok for r in rep.rows
                    if r.name == "steady-state innovations covariance")
 
@@ -649,7 +660,7 @@ def test_unstable_noise_error_covariance_tracks_dre():
     b = rc.sample_paths(rc.build_augmented(noise, inp, ch), horizon=30, paths=8000,
                         master_seed=13)
     assert b.saturated_at is None
-    rep = rc.empirical_report(b, analytic)
+    rep = rc.empirical_report(b.system, 30, 8000, 13, analytic)
     by_name = {r.name: r for r in rep.rows}
     # the filter keeps up with the exploding state: errors stay bounded
     assert by_name["state-error covariance"].ok
@@ -662,9 +673,7 @@ def test_zero_input_power_is_exactly_zero():
                              K_Z=[[1.0]])
     ch = unit_channel()
     analytic = rc.asymptotic_rate(noise, zero_inp, ch)
-    b = rc.sample_paths(rc.build_augmented(noise, zero_inp, ch), horizon=10, paths=200,
-                        master_seed=1)
-    rep = rc.empirical_report(b, analytic)
+    rep = rc.empirical_report(rc.build_augmented(noise, zero_inp, ch), 10, 200, 1, analytic)
     power_row = next(r for r in rep.rows if r.name == "average power")
     assert power_row.empirical == 0.0
     assert power_row.ok

@@ -21,7 +21,9 @@ records from whatever ``riccati_capacity`` the path resolves. It calls
 that tree's ``sample_paths`` with the three models, or with their
 ``JointSystem``, one system for all the blocks of a report, as the tree's
 signature asks; a batch's models are inputs and are not recorded, so the
-names of both kinds of tree match.
+names of both kinds of tree match. Likewise it calls ``empirical_report``
+with a sampled batch or its blocks, or, where the report samples its own
+paths, with the system, horizon, paths and seed (``reporter``).
 
 The output set:
 
@@ -96,12 +98,12 @@ The output set:
   N = [0, 1], K_W = I;
 - an ``empirical_report`` of 60 paths x 80 steps of the sweep's noise
   (a unit i.i.d. input, seed 31) read in six blocks of 10 paths, which pass
-  the overflow guard at steps 69, 68, 70, 69, 69 and 67: the first block is
-  drawn again twice, and the report's ``innovations`` are recorded with it;
-  the same at seed 6, whose blocks pass it at steps 67, 68, 69, 70, 68 and
-  69, so the first block truncates the report, the later ones are cut and
-  none is drawn again; and the "blocks must share ..." message of a second
-  block of another master_seed (7 after 6);
+  the overflow guard at steps 69, 68, 70, 69, 69 and 67, so the first block
+  is drawn again twice; the same at seed 6, whose blocks pass it at steps
+  67, 68, 69, 70, 68 and 69, so the first block truncates the report, the
+  later ones are cut and none is drawn again; and, on a tree whose report
+  takes blocks, the message of a second block of another master_seed (7
+  after 6);
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``),
@@ -226,6 +228,41 @@ def sampler(rc, noise, inp, channel):
     return lambda *args: rc.sample_paths(system(), *args)
 
 
+def _ranges(paths, length):
+    # consecutive blocks of ``length`` path indices, ``paths`` in all
+    return [range(lo, min(lo + length, paths)) for lo in range(0, paths, length)]
+
+
+def reporter(rc, noise, inp, channel):
+    """``empirical_report`` over the three models, as (horizon, paths, seed, analytic, length).
+
+    ``length`` paths a block, or None for the tree's own blocks. A tree
+    whose report takes a batch gets the batch ``sampler`` draws, or a
+    generator of its blocks; a tree whose report samples its own paths
+    gets the system, with its ``simulate._path_blocks`` replaced for the
+    call where ``length`` is given.
+    """
+    if "system" not in inspect.signature(rc.empirical_report).parameters:
+        sample = sampler(rc, noise, inp, channel)
+
+        def report(horizon, paths, seed, analytic, length=None):
+            batch = (sample(horizon, paths, seed) if length is None else
+                     (sample(horizon, block, seed) for block in _ranges(paths, length)))
+            return rc.empirical_report(batch, analytic)
+        return report
+    system = functools.cache(lambda: rc.build_augmented(noise, inp, channel))
+
+    def report(horizon, paths, seed, analytic, length=None):
+        blocks = rc.simulate._path_blocks
+        if length is not None:
+            rc.simulate._path_blocks = lambda system, horizon, paths: _ranges(paths, length)
+        try:
+            return rc.empirical_report(system(), horizon, paths, seed, analytic)
+        finally:
+            rc.simulate._path_blocks = blocks
+    return report
+
+
 def drifting(rc, noise, inp):
     """A schedule around the pair whose every block moves at every step."""
 
@@ -301,7 +338,8 @@ def collect(path):
         sample = sampler(rc, noise, inp, channel)
         batch = _record(out, f"draw{i}.sample_paths", lambda: sample(20, 300, i))
         if batch is not None and result is not None:
-            _record(out, f"draw{i}.empirical_report", lambda: rc.empirical_report(batch, result))
+            report = reporter(rc, noise, inp, channel)
+            _record(out, f"draw{i}.empirical_report", lambda: report(20, 300, i, result))
         if i == 10 and batch is not None:
             _record(out, "draw10.one_path_block",
                     lambda: sample(20, range(7, 8), i))
@@ -347,13 +385,14 @@ def collect(path):
                                    ("m8", pair8, (63, 64, 65)), ("m12", (noise, inp), (30,))):
         ch = rc.Channel(H=np.eye(models[0].n_y), kappa=1.0)
         analytic = rc.asymptotic_rate(*models, ch)
+        report = reporter(rc, *models, ch)
         for n in horizons:
             batch = sampler(rc, *models, ch)(n, 50, 5)
             _record(out, f"schedule_edges.{name}.n{n}.kalman_run",
                     lambda: {key: getattr(rc.kalman_run(batch), key)
                              for key in ("Pi_seq", "K_I_seq", "gains")})
             _record(out, f"schedule_edges.{name}.n{n}.empirical_report",
-                    lambda: rc.empirical_report(batch, analytic))
+                    lambda: report(n, 50, 5, analytic))
     pair = random_models(np.random.default_rng(11), n_s=2, n_xi=2, n_y=2)
     _record(out, "drifting4.finite_n_rate",
             lambda: rc.finite_n_rate(drifting(rc, *pair), channel, 600))
@@ -446,13 +485,14 @@ def collect(path):
     # the reports of a saturating batch in blocks: one of which truncates it,
     # drawing earlier blocks again; and one whose first block does, so none is
     scalar_rate = rc.asymptotic_rate(scalar, unit_input, unit)
-    sample = sampler(rc, scalar, unit_input, unit)
+    report = reporter(rc, scalar, unit_input, unit)
     for name, seed in (("blocks.saturating", 31), ("blocks.first_saturating", 6)):
-        _record(out, f"{name}.empirical_report", lambda: rc.empirical_report(
-            (sample(80, range(lo, lo + 10), seed) for lo in range(0, 60, 10)), scalar_rate))
-    # a later block of another master_seed
-    _record(out, "blocks.other_seed.empirical_report", lambda: rc.empirical_report(
-        [sample(80, range(10 * k, 10 * k + 10), 6 + k) for k in range(2)], scalar_rate))
+        _record(out, f"{name}.empirical_report", lambda: report(80, 60, seed, scalar_rate, 10))
+    if "system" not in inspect.signature(rc.empirical_report).parameters:
+        # a later block of another master_seed, which only a report given blocks can meet
+        sample = sampler(rc, scalar, unit_input, unit)
+        _record(out, "blocks.other_seed.empirical_report", lambda: rc.empirical_report(
+            [sample(80, range(10 * k, 10 * k + 10), 6 + k) for k in range(2)], scalar_rate))
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:
