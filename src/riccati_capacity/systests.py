@@ -5,7 +5,9 @@ input: detectability of the noise and joint output pairs, stabilizability
 of the corresponding starred pairs, and exponential stability of the
 input state matrix F. Every rank condition is the eigenvector-free PBH
 test at the eigenvalues concerned, so unstable A works unchanged;
-detectability is the same test on the dual pair (A^T, C^T). One batched
+detectability is the same test on the dual pair (A^T, C^T). The joint
+state matrix Ahat = blockdiag(F, A) is never decomposed: its spectrum is
+eig(F) followed by eig(A), each computed once per report. One batched
 Cholesky factorization per pair certifies full rank at all of them at
 once, and an SVD counts the rank only where that certificate fails. A
 weaker unit-circle controllability verdict is a diagnostic for the
@@ -19,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, spectral_radius,
-                     sup_norm, symmetrize)
+from .linalg import PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, sup_norm, symmetrize
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
@@ -91,7 +92,8 @@ class FeasibilityReport:
     enter membership. ``warnings`` collects non-fatal findings: the starred
     systems' rank-rule warnings, then apparent non-minimality of either
     realization, computed on first read (the verdicts are not) from the models
-    ``_noise`` and ``_input`` and the noise detectability witnesses.
+    ``_noise`` and ``_input``, the noise detectability witnesses and the eig(F)
+    that leads the joint detectability witnesses.
     ``witnesses`` turns each test's ``Witnesses`` into dicts on first access.
     """
 
@@ -125,7 +127,8 @@ class FeasibilityReport:
         observe.rank = seen.rank.copy()
         pairs = [("noise", _Pair(noise.A, noise.B, seen.eigenvalues), observe)]
         if input.n_xi:  # a memoryless input has no realization to check
-            lams = np.linalg.eigvals(input.F)
+            # eig(F), as the joint detectability witnesses list it ahead of eig(A)
+            lams = self.witness_arrays["augmented_detectable"].eigenvalues[:input.n_xi]
             pairs.append(("input", _Pair(input.F, input.G, lams),
                           _Pair(input.F.T, input.Gamma.T, lams)))
         warnings = list(self._rank_rule)
@@ -214,7 +217,8 @@ def _pbh_ranks(A, V, lams):
 class _Pair:
     """(A, V) in controllability form with its spectrum (``lams``, e.g. eigvals(A) of a
     dual pair (A^T, C^T)) and PBH ranks computed once for all its tests; a conjugate
-    pair of eigenvalues, adjacent in eigvals' output, shares one."""
+    pair of eigenvalues, adjacent in eigvals' output, shares one. A spectrum joined
+    from the eigvals of diagonal blocks, part after part, keeps every pair adjacent."""
 
     def __init__(self, A, V, lams=None):
         self.A, self.V = A, V
@@ -291,10 +295,16 @@ def feasibility_report(noise, input, channel):
     evaluated as a diagnostic. Apparent non-minimality of either
     realization is reported as a warning only, since the computed
     quantities stay well defined, after the starred systems' warnings. The
-    tests of one pair share its eigenvalues and ranks; the witnesses are
-    ``pbh_test``'s. Every verdict is computed here; the minimality warnings
-    are computed on the first read of the report's ``warnings``, from the
-    models given and the witnesses, never from ``channel``'s slots.
+    tests of one pair share its eigenvalues and ranks. The spectrum of the
+    joint Ahat = blockdiag(F, A) is eig(F) followed by eig(A): the report
+    computes eig(F) and eig(A) once each and never decomposes Ahat, so the
+    joint detectability witnesses list eig(F) then eig(A), where
+    ``pbh_test(Ahat, Chat, "detectable")`` lists the same eigenvalues, up to
+    round-off, in eigvals(Ahat) order. The other witnesses are
+    ``pbh_test``'s, and F's spectral radius comes from the same eig(F).
+    Every verdict is computed here; the minimality warnings are computed on
+    the first read of the report's ``warnings``, from the models given and
+    the witnesses, never from ``channel``'s slots.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
@@ -305,9 +315,12 @@ def feasibility_report(noise, input, channel):
     system = (channel if isinstance(channel, JointSystem)
               else build_augmented(noise, input, channel))
     nq, arrays, tests, rank_rule = system.noise_quad, {}, {}, []
-    for label, quad in (("noise", nq), ("augmented", system)):
+    eig_F = np.linalg.eigvals(input.F) if input.n_xi else np.empty(0)
+    eig_A = np.linalg.eigvals(nq.Ahat)
+    for label, quad, lams in (("noise", nq, eig_A),
+                              ("augmented", system, np.concatenate([eig_F, eig_A]))):
         if quad not in tests:  # a system with no input is its own noise_quad: tested once
-            observe = _Pair(quad.Ahat.T, quad.Chat.T, np.linalg.eigvals(quad.Ahat))
+            observe = _Pair(quad.Ahat.T, quad.Chat.T, lams)
             star = starred_system(quad)
             rank_rule += [f"{label} {text}" for text in star.warnings]
             reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
@@ -317,7 +330,7 @@ def feasibility_report(noise, input, channel):
                           tests[quad]))
     verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
     unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
-    radius_F = spectral_radius(input.F)
+    radius_F = float(np.abs(eig_F).max(initial=0.0))
     return FeasibilityReport(
         **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
         unit_circle_controllable=unit_circle, witness_arrays=arrays, _rank_rule=tuple(rank_rule),

@@ -576,6 +576,22 @@ def _report_cases():
         yield noise, inp, unit_channel()
 
 
+def _assert_same_witnesses_up_to_order(got, expected):
+    # the report lists the joint spectrum as eig(F) then eig(A), pbh_test in eigvals(Ahat)
+    # order: matched by sorting on (re, im), each eigenvalue agrees to 1e-14 of the
+    # spectrum's largest modulus and carries the same evidence
+    def by_eigenvalue(witnesses):
+        return sorted(witnesses, key=lambda w: (w["eigenvalue_re"], w["eigenvalue_im"]))
+
+    scale = max(w["modulus"] for w in expected)
+    assert len(got) == len(expected)
+    for a, b in zip(by_eigenvalue(got), by_eigenvalue(expected)):
+        assert (abs(complex(a["eigenvalue_re"], a["eigenvalue_im"])
+                    - complex(b["eigenvalue_re"], b["eigenvalue_im"])) <= 1e-14 * scale)
+        assert [a[k] for k in ("tested", "ok", "rank", "required")] == \
+            [b[k] for k in ("tested", "ok", "rank", "required")]
+
+
 @pytest.mark.parametrize("noise, inp, channel", list(_report_cases()))
 def test_report_witnesses_are_those_of_pbh_test(noise, inp, channel):
     rep = rc.feasibility_report(noise, inp, channel)
@@ -589,11 +605,60 @@ def test_report_witnesses_are_those_of_pbh_test(noise, inp, channel):
             "unit_circle_" + label: rc.pbh_test(star.A_star, ctrl, "unit_circle_controllable"),
         }
         for key, (ok, wit) in expected.items():
-            assert rep.witnesses[key] == wit
+            if key == "augmented_detectable":
+                _assert_same_witnesses_up_to_order(rep.witnesses[key], wit)
+            else:
+                assert rep.witnesses[key] == wit
             assert all(w["ok"] for w in wit) == ok
         assert getattr(rep, label + "_detectable") == expected[label + "_detectable"][0]
         assert getattr(rep, label + "_stabilizable") == expected[label + "_stabilizable"][0]
     assert rep.witnesses is rep.witnesses
+
+
+def test_joint_spectrum_is_eig_F_then_eig_A():
+    rng = np.random.default_rng(17)
+    for i in range(12):
+        noise, inp = random_models(rng, n_s=1 + i % 5, n_xi=1 + i % 3, n_y=1 + i % 2,
+                                   rho_A=0.6 + 0.1 * i)
+        rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
+        lams = rep.witness_arrays["augmented_detectable"].eigenvalues
+        expected = np.concatenate([np.linalg.eigvals(inp.F), np.linalg.eigvals(noise.A)])
+        assert lams.dtype == expected.dtype and lams.tobytes() == expected.tobytes()
+
+
+def test_report_and_rate_decompose_each_state_matrix_once(monkeypatch):
+    # the report takes eig(F), eig(A) and the two starred matrices' spectra, never the joint
+    # Ahat's, and its minimality warnings reuse that eig(F); asymptotic_rate adds
+    # lyap_solve's eig(F) and each Riccati solve's closed loop
+    noise, inp = hidden_mode_models(np.random.default_rng(3), 10)
+    channel = rc.Channel(H=np.eye(noise.n_y), kappa=1.0)
+    system = rc.build_augmented(noise, inp, channel)
+    calls, newton = [], []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M, _f=np.linalg.eigvals:
+                        calls.append(np.shape(M)) or _f(M))
+    monkeypatch.setattr(rc.riccati, "_smith", lambda *args, _f=rc.riccati._smith:
+                        newton.append(1) or _f(*args))
+    rep = rc.feasibility_report(noise, inp, system)
+    assert calls == [(2, 2), (3, 3), (3, 3), (5, 5)]
+    calls.clear()
+    assert "input realization not controllable" in rep.warnings[-1] and calls == []
+    rc.asymptotic_rate(noise, inp, channel)
+    assert len(calls) == 7 and not newton
+
+
+def test_joint_detectability_repeats_the_noise_test_under_a_stable_F():
+    # eig(F) lies inside the disc, so the joint test sees exactly the noise test's eigenvalues
+    rng = np.random.default_rng(126)
+    cases = [random_models(rng, n_s=1 + i % 5, n_xi=1 + i % 3, n_y=1 + i % 2,
+                           rho_A=0.6 + 0.9 * (i % 10) / 9) for i in range(400)]
+    rng = np.random.default_rng(125)
+    cases += [hidden_mode_models(rng, i) for i in range(40)]
+    for noise, inp in cases:
+        rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
+        joint, alone = (rep.witness_arrays[key] for key in ("augmented_detectable",
+                                                            "noise_detectable"))
+        assert np.array_equal(joint.eigenvalues[joint.tested], alone.eigenvalues[alone.tested])
+        assert rep.augmented_detectable == rep.noise_detectable
 
 
 SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e10)

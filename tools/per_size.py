@@ -1,0 +1,171 @@
+"""Per-size timings of the steady-state layers, and a comparison of two timing files.
+
+    python tools/per_size.py run --label L [--sizes 2 4 8 20 40 80]
+    python tools/per_size.py compare A.json B.json
+
+``run`` times four calls of the ``riccati_capacity`` in this tree's
+``src`` at each joint state size m (even, default 2, 4, 8, 20, 40 and
+80), on ``random_models(np.random.default_rng(m // 2), n_s=m // 2,
+n_xi=m // 2, n_y=2, n_z=2, rho_A=1.2)`` from ``tests/conftest.py``, with
+H = I and kappa = 1:
+
+- ``are_solve`` on the built joint system;
+- ``lyap_solve`` of the input (F, G, K_Z);
+- ``feasibility_report`` given the built joint system;
+- ``asymptotic_rate`` from the models, building its own system.
+
+BLAS is pinned to one thread before numpy loads. Each call is first run
+in doubling batches until one batch takes ``MIN_BATCH_S``, which also
+warms it up; ``REPEATS`` batches of that size are then timed. Co-tenant
+load on a shared host slows such work by up to about 2x, in phases of
+seconds, so a reference kernel of small dense solves (best of 3, numpy
+only) is timed before and after each batch, and the batch's per-call
+time is rescaled by ``REF_NOMINAL_S`` over the mean of the two, as the
+benchmark does. The per-call median and quartiles
+(``statistics.quantiles``, inclusive) of the rescaled times are kept in
+milliseconds, next to the median of the raw ones. The result goes to
+``BENCH_per_size_<L>.json`` in the working directory, with the core
+count, the BLAS thread settings, the numpy and Python versions and the
+git revision of this tree ("-dirty" if tracked files differ from it,
+"unknown" outside a checkout). The default grid takes about 10 s.
+
+``compare`` prints, for every (call, m) cell in both files, the medians,
+their ratio B / A and whether the two interquartile ranges overlap. The
+quartiles are those of one run: on a shared 2-core host, two runs of the
+same code still differ by up to about 10% in a cell after the rescaling,
+so a per-size claim rests on a ratio seen in repeated runs of each side.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+SIZES = (2, 4, 8, 20, 40, 80)
+REPEATS = 9
+MIN_BATCH_S = 0.02
+# seconds the reference kernel takes on an idle core of a 2-vCPU x86-64 VM; only a scale
+REF_NOMINAL_S = 0.0020
+
+
+def _revision():
+    git = ["git", "-C", str(ROOT)]
+    try:
+        rev = subprocess.run(git + ["rev-parse", "--short=7", "HEAD"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        dirty = subprocess.run(git + ["diff-index", "--quiet", "HEAD", "--"]).returncode
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return rev + ("-dirty" if dirty else "")
+
+
+def _reference_s(np):
+    M = np.arange(36.0).reshape(6, 6) / 36.0
+    S = M @ M.T + 6.0 * np.eye(6)
+    best = float("inf")
+    for _ in range(3):
+        P = np.eye(6)
+        start = time.perf_counter()
+        for _ in range(100):
+            P = 0.5 * (M @ P @ M.T / 40.0 + S)
+            L = np.linalg.cholesky(P)
+            P = np.linalg.solve(L.T, np.linalg.solve(L, S))
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _time(call, reference):
+    number = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        if time.perf_counter() - start >= MIN_BATCH_S:
+            break
+        number *= 2
+    raw_ms, per_call_ms = [], []
+    for _ in range(REPEATS):
+        before = reference()
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        raw_ms.append(1e3 * (time.perf_counter() - start) / number)
+        per_call_ms.append(raw_ms[-1] * 2.0 * REF_NOMINAL_S / (before + reference()))
+    q1, median, q3 = statistics.quantiles(per_call_ms, n=4, method="inclusive")
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3,
+            "raw_median_ms": statistics.median(raw_ms), "calls_per_batch": number}
+
+
+def run(label, sizes):
+    for var in BLAS_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import numpy as np
+
+    import riccati_capacity as rc
+    from conftest import random_models
+
+    cells = {}
+    for m in sizes:
+        noise, inp = random_models(np.random.default_rng(m // 2), n_s=m // 2, n_xi=m // 2,
+                                   n_y=2, n_z=2, rho_A=1.2)
+        channel = rc.Channel(H=np.eye(2), kappa=1.0)
+        system = rc.build_augmented(noise, inp, channel)
+        calls = {"are_solve": lambda: rc.are_solve(system),
+                 "lyap_solve": lambda: rc.lyap_solve(inp.F, inp.G, inp.K_Z),
+                 "feasibility_report": lambda: rc.feasibility_report(noise, inp, system),
+                 "asymptotic_rate": lambda: rc.asymptotic_rate(noise, inp, channel)}
+        for name, call in calls.items():
+            cells.setdefault(name, {})[str(m)] = cell = _time(call, lambda: _reference_s(np))
+            print(f"# {name:<20} m = {m:<3} {cell['median_ms']:9.3f} ms", flush=True)
+    record = {"label": label, "revision": _revision(), "cores": os.cpu_count(),
+              "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
+              "numpy": np.__version__, "python": platform.python_version(),
+              "repeats": REPEATS, "min_batch_s": MIN_BATCH_S, "ref_nominal_s": REF_NOMINAL_S,
+              "cells": cells}
+    path = Path(f"BENCH_per_size_{label}.json")
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"# wrote {path}")
+
+
+def compare(path_a, path_b):
+    a, b = (json.loads(Path(p).read_text())["cells"] for p in (path_a, path_b))
+    print(f"{'call':<20} {'m':>3} {'A ms':>9} {'B ms':>9} {'B/A':>6}  quartiles")
+    for name, sizes in a.items():
+        for m, x in sizes.items():
+            y = b.get(name, {}).get(m)
+            if y is None:
+                continue
+            overlap = y["q1_ms"] <= x["q3_ms"] and x["q1_ms"] <= y["q3_ms"]
+            print(f"{name:<20} {m:>3} {x['median_ms']:9.3f} {y['median_ms']:9.3f} "
+                  f"{y['median_ms'] / x['median_ms']:6.3f}  {'overlap' if overlap else 'apart'}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    timing = commands.add_parser("run", help="time every call at every size")
+    timing.add_argument("--label", required=True)
+    timing.add_argument("--sizes", type=int, nargs="+", default=SIZES)
+    diff = commands.add_parser("compare", help="ratios of two timing files")
+    diff.add_argument("a")
+    diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        compare(args.a, args.b)
+    elif any(m < 2 or m % 2 for m in args.sizes):
+        parser.error(f"--sizes takes even joint state sizes of 2 or more, got {args.sizes}")
+    else:
+        run(args.label, args.sizes)
+
+
+if __name__ == "__main__":
+    main()
