@@ -15,6 +15,7 @@ from .capacity import (
     CoefficientSchedule,
     OptimizerConfig,
     SweepPoint,
+    TRACE_COLUMNS,
     asymptotic_power,
     asymptotic_rate,
     case2_rate,
@@ -24,7 +25,7 @@ from .capacity import (
     sweep_kappa,
     waterfilling_oracle,
 )
-from .lyapunov import LyapunovSolution, lyap_solve, lyap_step
+from .lyapunov import LyapunovSolution, input_power, lyap_solve, lyap_step
 from .models import (
     Channel,
     InputModel,
@@ -34,6 +35,7 @@ from .models import (
     build_augmented,
     iid_input,
     memoryless_noise,
+    require_valid,
     to_quadruple,
     validate,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "RiccatiSolution",
     "StarredSystem",
     "SweepPoint",
+    "TRACE_COLUMNS",
     "TrajectoryBatch",
     "ValidationReport",
     "are_solve",
@@ -90,6 +93,7 @@ __all__ = [
     "finite_n_rate",
     "gain_and_closed_loop",
     "iid_input",
+    "input_power",
     "kalman_run",
     "lyap_solve",
     "lyap_step",
@@ -97,6 +101,7 @@ __all__ = [
     "optimize_input",
     "pbh_test",
     "psd_sqrt",
+    "require_valid",
     "sample_paths",
     "starred_system",
     "sweep_kappa",

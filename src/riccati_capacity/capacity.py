@@ -618,7 +618,7 @@ def _logdet_gradient(system, sol):
     g_C = 2.0 * (K_inv @ C @ P - L.T @ WAP)
     g_S = -2.0 * W[:x] @ L
     g_R = K_inv + L.T @ W @ L
-    G, HD = system.input.G, system.Dhat[:, :system.n_z]
+    G, HD = system.input.G, system.H @ system.input.D
     return (2.0 * WAP[:x, :x], 2.0 * W[:x, :x] @ G + g_S @ HD, system.H.T @ g_C[:, :x],
             system.H.T @ (g_S.T @ G + 2.0 * g_R @ HD))
 

@@ -12,7 +12,8 @@ Three user-facing models describe the setup:
 ``JointSystem`` is the one place that knows how input and noise stack
 into the joint system whose one-step prediction problem drives every
 rate formula downstream, and the only type the shared Riccati engine
-receives; ``build_augmented`` validates the models and builds it.
+receives, which stores only what that engine reads and forms the rest from
+its models; ``build_augmented`` validates the models and builds it.
 ``to_quadruple`` gives a noise model's own prediction problem as the
 joint system with no input. ``require_valid`` is the one
 validate-and-raise boundary of the public entry points.
@@ -292,58 +293,61 @@ def _shapes(noise, input):
 class JointSystem:
     """The joint prediction problem over Theta_t = (Xi_t, S_t), in fixed block slots.
 
-    The slots hold Ahat = blockdiag(F, A), Bhat = blockdiag(G, B),
-    Chat = [H Gamma | C], Dhat = [H D | N] and Khat = blockdiag(K_Z, K_W),
-    with Qhat = Bhat Khat Bhat^T, Shat = Bhat Khat Dhat^T and
-    Rhat = Dhat Khat Dhat^T filled block by block; ``_write`` is the only
-    code that forms them, for one pair or a stack of pairs. ``noise_quad``
-    is the noise-only problem (A, B, C, N, K_W): the JointSystem with no
-    input (n_xi = n_z = 0) whose slots are views of the noise slots, so
-    writes to this system fill it too (the view's own ``_update`` is not for
-    calling); a system with no input is its own ``noise_quad``.
-    ``mu_Theta1`` and ``K_Theta1`` are the initial law of the joint state.
-    ``noise`` and ``input`` are the models last written; the private
-    ``_update`` rewrites only the side whose model changed, so a drifting
-    schedule or an input search reuses a system it built (a public caller only
-    reads one, as a ``sample_paths`` batch does); ``_stacked(pairs)`` writes a
-    horizon chunk's pairs at once; either raises ValueError for a pair whose
-    block shapes are not the system's (``_stacked`` checks its first pair, and
-    ``np.array``, which raises on a ragged stack, the rest against it). The
-    models are not otherwise checked here: ``build_augmented``, or
-    ``to_quadruple`` for a noise alone, validates them first.
+    The slots hold the Riccati problem the engine reads, Ahat =
+    blockdiag(F, A), Chat = [H Gamma | C], Qhat = Bhat Khat Bhat^T,
+    Shat = Bhat Khat Dhat^T and Rhat = Dhat Khat Dhat^T, filled block by
+    block; ``_write`` is the only code that forms them, for one pair or a
+    stack of pairs. Bhat = blockdiag(G, B), Dhat = [H D | N], Khat =
+    blockdiag(K_Z, K_W) and the joint initial law, mu_Theta1 = (mu_Xi1,
+    mu_S1) and K_Theta1 = blockdiag(K_Xi1, K_S1), are read-only properties
+    formed afresh on each read from ``noise``, ``input`` and ``H``.
+    ``noise_quad`` is the noise-only problem (A, B, C, N, K_W): the
+    JointSystem with no input (n_xi = n_z = 0) whose slots are views of the
+    noise slots, so writes to this system fill it too (the view's own
+    ``_update`` is not for calling); a system with no input is its own
+    ``noise_quad``. ``noise`` and ``input`` are the models last written;
+    the private ``_update`` rewrites only the side whose model changed, so
+    a drifting schedule or an input search reuses a system it built (a
+    public caller only reads one, as a ``sample_paths`` batch does);
+    ``_stacked(pairs)`` writes the slots of a horizon chunk's pairs at
+    once; either raises ValueError for a pair whose block shapes are not
+    the system's (``_stacked`` checks its first pair, and ``np.array``,
+    which raises on a ragged stack, the rest against it). The models are
+    not otherwise checked here: ``build_augmented``, or ``to_quadruple``
+    for a noise alone, validates them first.
     """
 
     # a property, so that no system refers to itself and each is freed once dropped
     noise_quad = property(lambda self: self._noise_quad or self)
+    # the rest of the realization and the initial law, formed from the models last written
+    Bhat = property(lambda self: block_diag(self.input.G, self.noise.B))
+    Dhat = property(lambda self: np.hstack([self.H @ self.input.D, self.noise.N]))
+    Khat = property(lambda self: block_diag(self.input.K_Z, self.noise.K_W))
+    mu_Theta1 = property(lambda self: np.concatenate([self.input.mu_Xi1, self.noise.mu_S1]))
+    K_Theta1 = property(lambda self: block_diag(self.input.K_Xi1, self.noise.K_S1))
 
     def __init__(self, noise, input, channel):
         self.shapes = _shapes(noise, input)
         self.n_xi, self.n_s, self.n_z, self.n_w = input.n_xi, noise.n_s, input.n_z, noise.n_w
         self.m, self.q, self.H = self.n_xi + self.n_s, channel.n_y, channel.H
-        self._allocate(noise)
+        self._allocate()
         self._write(noise, input)  # the pair the slots were sized from
         self.noise = self.noise_quad.noise = noise
         self.input = input
-        self.mu_Theta1 = np.concatenate([input.mu_Xi1, noise.mu_S1])
-        self.K_Theta1 = block_diag(input.K_Xi1, noise.K_S1)
 
-    def _allocate(self, noise, *lead):
+    def _allocate(self, *lead):
         # zeroed slots with leading axes ``lead`` and, for a system with an
         # input, the noise-only JointSystem over views of its noise slots
-        x, z, m, k, q = self.n_xi, self.n_z, self.m, self.n_z + self.n_w, self.q
-        self.Ahat, self.Bhat, self.Qhat, self.Chat, self.Dhat, self.Shat, self.Khat = (
-            np.zeros((*lead, *shape)) for shape in ((m, m), (m, k), (m, m), (q, m), (q, k),
-                                                    (m, q), (k, k)))
-        self._noise_quad = nq = object.__new__(JointSystem) if x or z else None
+        x, m, q = self.n_xi, self.m, self.q
+        self.Ahat, self.Qhat, self.Chat, self.Shat = (
+            np.zeros((*lead, *shape)) for shape in ((m, m), (m, m), (q, m), (m, q)))
+        self._noise_quad = nq = object.__new__(JointSystem) if x or self.n_z else None
         if nq:
             nq.input = _NO_INPUT
             nq.n_xi, nq.n_s, nq.n_z, nq.n_w = 0, self.n_s, 0, self.n_w
             nq.m, nq.q, nq.H, nq._noise_quad = self.n_s, q, self.H[:, :0], None
-            nq.Ahat, nq.Bhat = self.Ahat[..., x:, x:], self.Bhat[..., x:, z:]
-            nq.Qhat, nq.Khat = self.Qhat[..., x:, x:], self.Khat[..., z:, z:]
-            nq.Chat, nq.Dhat = self.Chat[..., x:], self.Dhat[..., z:]
-            nq.Shat = self.Shat[..., x:, :]
-            nq.mu_Theta1, nq.K_Theta1 = noise.mu_S1, noise.K_S1
+            nq.Ahat, nq.Qhat = self.Ahat[..., x:, x:], self.Qhat[..., x:, x:]
+            nq.Chat, nq.Shat = self.Chat[..., x:], self.Shat[..., x:, :]
 
     def _fits(self, noise, input):
         if _shapes(noise, input) != self.shapes:
@@ -359,15 +363,15 @@ class JointSystem:
         self.input = input
 
     def _stacked(self, pairs):
-        # this layout with a leading axis over (noise, input) pairs that fit it, written in
-        # one pass from ``noise`` and ``input``, each distinct model's arrays (by identity)
-        # stacked once, by one np.array (which raises ValueError on a ragged stack, without
-        # np.stack's per-array checks), and indexed to the pairs
+        # this layout's slots with a leading axis over (noise, input) pairs that fit it (its
+        # properties read one pair), written in one pass from ``noise`` and ``input``, each
+        # distinct model's arrays (by identity) stacked once, by one np.array (which raises
+        # ValueError on a ragged stack, without np.stack's checks), and indexed to the pairs
         self._fits(*pairs[0])
         stacked = object.__new__(JointSystem)
         for name in ("n_xi", "n_s", "n_z", "n_w", "m", "q", "H"):
             setattr(stacked, name, getattr(self, name))
-        stacked._allocate(pairs[0][0], len(pairs))
+        stacked._allocate(len(pairs))
         for side, models in zip(("noise", "input"), zip(*pairs)):
             rows = {}
             index = [rows.setdefault(model, len(rows)) for model in models]
@@ -384,22 +388,16 @@ class JointSystem:
             # through the noise-only problem, whose slots are this system's noise blocks
             nq = self.noise_quad
             nq.Ahat[...] = noise.A
-            nq.Bhat[...] = noise.B
             nq.Chat[...] = noise.C
-            nq.Dhat[...] = noise.N
-            nq.Khat[...] = noise.K_W
             BK = noise.B @ noise.K_W
             nq.Qhat[...] = symmetrize(BK @ noise.B.swapaxes(-1, -2))
             nq.Shat[...] = BK @ noise.N.swapaxes(-1, -2)
             nq.Rhat = self._R_noise = symmetrize(noise.N @ noise.K_W @ noise.N.swapaxes(-1, -2))
         if input is not None:
-            x, z = self.n_xi, self.n_z
+            x = self.n_xi
             HD = self.H @ input.D
             self.Ahat[..., :x, :x] = input.F
-            self.Bhat[..., :x, :z] = input.G
             self.Chat[..., :x] = self.H @ input.Gamma
-            self.Dhat[..., :z] = HD
-            self.Khat[..., :z, :z] = input.K_Z
             GK = input.G @ input.K_Z
             self.Qhat[..., :x, :x] = symmetrize(GK @ input.G.swapaxes(-1, -2))
             self.Shat[..., :x, :] = GK @ HD.swapaxes(-1, -2)

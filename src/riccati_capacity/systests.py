@@ -168,13 +168,14 @@ def starred_system(quad):
     """Build the starred pair for the stabilizability test.
 
     A_star = Ahat - Bhat Khat Dhat^T Rhat^{-1} Chat, Rhat = Dhat Khat Dhat^T, and
-    G_mat = Bhat. B_star = Khat - Khat Dhat^T Rhat^{-1} Dhat Khat is the Gram
-    product F F^T, F = S Q: S = psd_sqrt(Khat) and Q, from a complete QR of
-    (Dhat S)^T, is an orthonormal basis of the null space of Dhat S (of
-    dimension cols - rows, as Rhat = (Dhat S)(Dhat S)^T is positive
-    definite). So B_star is PSD up to its own round-off, however small next
-    to Khat, and B_star_sqrt = psd_sqrt(B_star). ``warnings`` names the
-    largest eigenvalue of Khat that S drops though it is above round-off.
+    G_mat = Bhat, which the system forms afresh on each read. B_star =
+    Khat - Khat Dhat^T Rhat^{-1} Dhat Khat is the Gram product F F^T, F = S Q:
+    S = psd_sqrt(Khat) and Q, from a complete QR of (Dhat S)^T, is an
+    orthonormal basis of the null space of Dhat S (of dimension cols - rows,
+    as Rhat = (Dhat S)(Dhat S)^T is positive definite). So B_star is PSD up
+    to its own round-off, however small next to Khat, and B_star_sqrt =
+    psd_sqrt(B_star). ``warnings`` names the largest eigenvalue of Khat
+    that S drops though it is above round-off.
     """
     w, V = np.linalg.eigh(symmetrize(quad.Khat))
     S = _eig_root(w, V)
@@ -187,7 +188,7 @@ def starred_system(quad):
     F = S @ np.linalg.qr(DS.T, mode="complete")[0][:, DS.shape[0]:]
     B_star = F @ F.T
     A_star = quad.Ahat - quad.Shat @ solve_spd(quad.Rhat, quad.Chat, context="Dhat Khat Dhat^T")
-    return StarredSystem(A_star=A_star, B_star=B_star, G_mat=quad.Bhat.copy(),
+    return StarredSystem(A_star=A_star, B_star=B_star, G_mat=quad.Bhat,
                          B_star_sqrt=_root(B_star), warnings=warnings)
 
 
@@ -310,10 +311,14 @@ def feasibility_report(noise, input, channel):
     from these models; they are then neither validated nor stacked again.
     ``asymptotic_rate`` passes its joint system so, and ``optimize_input``
     the noise-only problem (a ``noise_quad`` with its empty ``input``).
-    Raises ValueError if any of the three models fails validation.
+    Raises ValueError if any of the three models fails validation, or if
+    ``channel`` is a JointSystem whose ``noise`` or ``input`` is not the
+    model given.
     """
     system = (channel if isinstance(channel, JointSystem)
               else build_augmented(noise, input, channel))
+    if system.noise is not noise or system.input is not input:
+        raise ValueError("channel is a JointSystem built from other models than noise and input")
     nq, arrays, tests, rank_rule = system.noise_quad, {}, {}, []
     eig_F = np.linalg.eigvals(input.F) if input.n_xi else np.empty(0)
     eig_A = np.linalg.eigvals(nq.Ahat)

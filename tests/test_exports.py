@@ -18,3 +18,12 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"riccati_capacity.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"riccati_capacity.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_library_export_reaches_the_package():
+    # as the same object; cli's one export is the console script's entry point
+    for name in sorted(set(SUBMODULES) - {"cli"}):
+        module = importlib.import_module(f"riccati_capacity.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert attr in rc.__all__, f"riccati_capacity.{name}.{attr} not in the package"
+            assert getattr(rc, attr) is getattr(module, attr), f"{name}.{attr}"

@@ -419,6 +419,18 @@ def test_a_system_with_no_input_is_tested_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_report_rejects_a_joint_system_of_other_models():
+    # the verdicts rank the system's pairs, the input's stability and warnings
+    # read the models: the two must be one realization
+    noise = scalar_noise(1.5)
+    inp = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]], K_Z=[[1.0]])
+    system = rc.build_augmented(noise, inp, unit_channel())
+    for other in ((noise, replace(inp, F=[[1.2]])), (scalar_noise(1.5), inp)):
+        with pytest.raises(ValueError, match="built from other models than noise and input"):
+            rc.feasibility_report(*other, system)
+    assert rc.feasibility_report(noise, inp, system).input_F_stable
+
+
 def test_invalid_model_raises():
     bad = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[0.0]],
                         K_W=[[1.0]])

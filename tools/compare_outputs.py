@@ -17,13 +17,9 @@ far the row's empirical - analytic moved, over the row's scale
 max(sup|analytic|, sup|empirical|) in either recording. It exits 1 if
 anything differs.
 ``collect OUT.pkl`` is the step ``record`` runs in the child: it
-records from whatever ``riccati_capacity`` the path resolves. It calls
-that tree's ``sample_paths`` with the three models, or with their
-``JointSystem``, one system for all the blocks of a report, as the tree's
-signature asks; a batch's models are inputs and are not recorded, so the
-names of both kinds of tree match. Likewise it calls ``empirical_report``
-with a sampled batch or its blocks, or, where the report samples its own
-paths, with the system, horizon, paths and seed (``reporter``).
+records from whatever ``riccati_capacity`` the path resolves. It gives
+``sample_paths`` and ``empirical_report`` the models' ``JointSystem``, one
+system per set of models (``sampler``, ``reporter``).
 
 The output set:
 
@@ -101,9 +97,7 @@ The output set:
   the overflow guard at steps 69, 68, 70, 69, 69 and 67, so the first block
   is drawn again twice; the same at seed 6, whose blocks pass it at steps
   67, 68, 69, 70, 68 and 69, so the first block truncates the report, the
-  later ones are cut and none is drawn again; and, on a tree whose report
-  takes blocks, the message of a second block of another master_seed (7
-  after 6);
+  later ones are cut and none is drawn again;
 - six CLI commands (``CLI_COMMANDS``: ``check-system``, ``solve-are``,
   ``capacity-asym``, ``capacity-n``, ``simulate`` and ``optimize``) run
   in-process on one two-state unstable-noise model file (``CLI_MODEL``),
@@ -124,7 +118,6 @@ The output set:
 
 import dataclasses
 import functools
-import inspect
 import json
 import os
 import pickle
@@ -217,13 +210,10 @@ def _record(out, name, call):
 
 
 def sampler(rc, noise, inp, channel):
-    """``sample_paths`` over the three models, less its first arguments, in either signature.
+    """``sample_paths`` on the models' ``JointSystem``, less its first argument.
 
-    A tree whose ``sample_paths`` takes a ``JointSystem`` gets one, built on
-    the first call and shared by every later one.
+    The system is built on the first call and shared by every later one.
     """
-    if "system" not in inspect.signature(rc.sample_paths).parameters:
-        return lambda *args: rc.sample_paths(noise, inp, channel, *args)
     system = functools.cache(lambda: rc.build_augmented(noise, inp, channel))
     return lambda *args: rc.sample_paths(system(), *args)
 
@@ -234,22 +224,12 @@ def _ranges(paths, length):
 
 
 def reporter(rc, noise, inp, channel):
-    """``empirical_report`` over the three models, as (horizon, paths, seed, analytic, length).
+    """``empirical_report`` on the models' system, as (horizon, paths, seed, analytic, length).
 
-    ``length`` paths a block, or None for the tree's own blocks. A tree
-    whose report takes a batch gets the batch ``sampler`` draws, or a
-    generator of its blocks; a tree whose report samples its own paths
-    gets the system, with its ``simulate._path_blocks`` replaced for the
-    call where ``length`` is given.
+    ``length`` paths a block, or None for the report's own blocks; where
+    it is given, ``simulate._path_blocks`` is replaced for the call. The
+    system is built on the first call and shared by every later one.
     """
-    if "system" not in inspect.signature(rc.empirical_report).parameters:
-        sample = sampler(rc, noise, inp, channel)
-
-        def report(horizon, paths, seed, analytic, length=None):
-            batch = (sample(horizon, paths, seed) if length is None else
-                     (sample(horizon, block, seed) for block in _ranges(paths, length)))
-            return rc.empirical_report(batch, analytic)
-        return report
     system = functools.cache(lambda: rc.build_augmented(noise, inp, channel))
 
     def report(horizon, paths, seed, analytic, length=None):
@@ -488,11 +468,6 @@ def collect(path):
     report = reporter(rc, scalar, unit_input, unit)
     for name, seed in (("blocks.saturating", 31), ("blocks.first_saturating", 6)):
         _record(out, f"{name}.empirical_report", lambda: report(80, 60, seed, scalar_rate, 10))
-    if "system" not in inspect.signature(rc.empirical_report).parameters:
-        # a later block of another master_seed, which only a report given blocks can meet
-        sample = sampler(rc, scalar, unit_input, unit)
-        _record(out, "blocks.other_seed.empirical_report", lambda: rc.empirical_report(
-            [sample(80, range(10 * k, 10 * k + 10), 6 + k) for k in range(2)], scalar_rate))
 
     import riccati_capacity.cli
     with tempfile.TemporaryDirectory() as tmp:

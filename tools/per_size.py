@@ -1,7 +1,7 @@
-"""Per-size timings of the steady-state layers, and a comparison of two timing files.
+"""Per-size timings of the steady-state layers, and a comparison of two sides' timings.
 
     python tools/per_size.py run --label L [--sizes 2 4 8 20 40 80]
-    python tools/per_size.py compare A.json B.json
+    python tools/per_size.py compare --a A.json [A.json ...] --b B.json [B.json ...]
 
 ``run`` times four calls of the ``riccati_capacity`` in this tree's
 ``src`` at each joint state size m (even, default 2, 4, 8, 20, 40 and
@@ -29,11 +29,15 @@ count, the BLAS thread settings, the numpy and Python versions and the
 git revision of this tree ("-dirty" if tracked files differ from it,
 "unknown" outside a checkout). The default grid takes about 10 s.
 
-``compare`` prints, for every (call, m) cell in both files, the medians,
-their ratio B / A and whether the two interquartile ranges overlap. The
-quartiles are those of one run: on a shared 2-core host, two runs of the
-same code still differ by up to about 10% in a cell after the rescaling,
-so a per-size claim rests on a ratio seen in repeated runs of each side.
+``compare`` takes one or more runs of each side, A and B, and pools each
+(call, m) cell that every run has: the median of the runs' medians, and
+the range from the least first quartile to the greatest third quartile.
+It prints, for every cell of both sides, the pooled medians, their ratio
+B / A and whether the two pooled ranges overlap. One run's quartiles are
+narrower than the spread between runs: on a shared 2-core host, two runs
+of the same code still differ by up to about 10% in a cell after the
+rescaling, and one run a side reads such cells "apart". Three runs a
+side, alternating, give the overlap test that spread.
 """
 
 import argparse
@@ -136,17 +140,25 @@ def run(label, sizes):
     print(f"# wrote {path}")
 
 
-def compare(path_a, path_b):
-    a, b = (json.loads(Path(p).read_text())["cells"] for p in (path_a, path_b))
+def _pooled(paths):
+    # (median of the medians, least q1, greatest q3) of each cell every run has
+    runs = [json.loads(Path(p).read_text())["cells"] for p in paths]
+    return {(name, m): (statistics.median(run[name][m]["median_ms"] for run in runs),
+                        min(run[name][m]["q1_ms"] for run in runs),
+                        max(run[name][m]["q3_ms"] for run in runs))
+            for name, sizes in runs[0].items() for m in sizes
+            if all(m in run.get(name, {}) for run in runs)}
+
+
+def compare(paths_a, paths_b):
+    a, b = _pooled(paths_a), _pooled(paths_b)
     print(f"{'call':<20} {'m':>3} {'A ms':>9} {'B ms':>9} {'B/A':>6}  quartiles")
-    for name, sizes in a.items():
-        for m, x in sizes.items():
-            y = b.get(name, {}).get(m)
-            if y is None:
-                continue
-            overlap = y["q1_ms"] <= x["q3_ms"] and x["q1_ms"] <= y["q3_ms"]
-            print(f"{name:<20} {m:>3} {x['median_ms']:9.3f} {y['median_ms']:9.3f} "
-                  f"{y['median_ms'] / x['median_ms']:6.3f}  {'overlap' if overlap else 'apart'}")
+    for (name, m), (x, x1, x3) in a.items():
+        if (name, m) not in b:
+            continue
+        y, y1, y3 = b[name, m]
+        print(f"{name:<20} {m:>3} {x:9.3f} {y:9.3f} {y / x:6.3f}  "
+              f"{'overlap' if y1 <= x3 and x1 <= y3 else 'apart'}")
 
 
 def main(argv=None):
@@ -155,9 +167,9 @@ def main(argv=None):
     timing = commands.add_parser("run", help="time every call at every size")
     timing.add_argument("--label", required=True)
     timing.add_argument("--sizes", type=int, nargs="+", default=SIZES)
-    diff = commands.add_parser("compare", help="ratios of two timing files")
-    diff.add_argument("a")
-    diff.add_argument("b")
+    diff = commands.add_parser("compare", help="ratios of two sides' pooled timing files")
+    diff.add_argument("--a", nargs="+", required=True, metavar="A.json")
+    diff.add_argument("--b", nargs="+", required=True, metavar="B.json")
     args = parser.parse_args(argv)
     if args.command == "compare":
         compare(args.a, args.b)
