@@ -86,6 +86,14 @@ class CoefficientSchedule:
     ``noise_at(t)`` and ``input_at(t)`` return the models in force at
     step t (1-based); the limits are what they converge to. Supplying
     callbacks rather than stored arrays keeps long horizons cheap.
+
+    The engine groups steps by model identity, not by value: a callback
+    that returns the same model object over a stretch of constant
+    coefficients gets one long scan for it, while a new object, even one
+    with equal arrays, is a new pair. A new model per step costs one
+    construction: about 6 us for a scalar ``NoiseModel``, next to about
+    6 us of engine work per step of a scalar drifting schedule (2,000
+    steps, one BLAS thread, 2-core x86-64 VM).
     """
 
     noise_at: object

@@ -22,14 +22,19 @@ SYMMETRY_TOL = 1e-10
 def as_matrix(x, name="matrix"):
     """A fresh C-ordered float64 copy of x as a 2-D array; a scalar is 1 x 1, a 1-D array a row.
 
-    More than two dimensions, or rows of unequal length, are "not rectangular".
+    More than two dimensions, or rows of unequal length, are "not rectangular";
+    complex entries, which a float64 conversion would cut to their real
+    part, are refused.
     """
     return _as_2d(x, name, copy=True)
 
 
 def _as_2d(x, name, copy):
     # as_matrix; copy=None converts x only where it is not a float64 array already, for a
-    # caller that reads the shape and leaves the one copy to the coercion that follows
+    # caller that reads the shape and leaves the one copy to the coercion that follows; a
+    # float or an int, the common scalars, hold no complex entry
+    if not isinstance(x, (float, int)):
+        _refuse_complex(x, name)
     try:
         arr = np.array(x, dtype=np.float64, order="C" if copy else "K", ndmin=2, copy=copy)
     except (TypeError, ValueError):
@@ -39,8 +44,27 @@ def _as_2d(x, name, copy):
     return arr
 
 
+def _refuse_complex(x, name):
+    # raise if x is or holds a complex number, which a float64 conversion would cut to its
+    # real part; an array answers by its dtype, and a sequence is converted for its dtype (a
+    # ragged one is left to the conversion that names it)
+    dtype = getattr(x, "dtype", None)
+    if dtype is None:
+        try:
+            dtype = np.asarray(x).dtype
+        except ValueError:
+            return
+    if dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
+
+
 def as_vector(x, name="vector"):
-    """A fresh float64 copy of x as a 1-D array; a scalar has length 1."""
+    """A fresh float64 copy of x as a 1-D array; a scalar has length 1.
+
+    Complex entries are refused, as by ``as_matrix``.
+    """
+    if not isinstance(x, (float, int)):
+        _refuse_complex(x, name)
     try:
         arr = np.array(x, dtype=np.float64, ndmin=1)
     except (TypeError, ValueError):

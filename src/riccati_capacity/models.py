@@ -22,7 +22,7 @@ Each state-space model declares its layout once, as class data:
 ``_ARRAYS`` gives each array as (name, rows, columns), the dimensions
 named by the model's properties; ``_INITIAL`` the initial law as (state
 dimension, mean, covariance); ``_COVARIANCES`` each covariance with the
-positivity it needs. Coercion (``_coerce``), validation and the slot
+positivity it needs. Construction (``_store``), validation and the slot
 shapes of ``JointSystem`` all read that declaration.
 """
 
@@ -31,16 +31,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import (
-    _as_2d,
-    as_matrix,
-    as_vector,
-    block_diag,
-    is_pd,
-    is_psd,
-    is_symmetric,
-    symmetrize,
-)
+from .linalg import _as_2d, as_vector, is_pd, is_psd, is_symmetric, symmetrize
+# block_diag stays importable here because bench/tracing.py patches it at this name
+from .linalg import block_diag  # noqa: F401
 
 __all__ = [
     "NoiseModel",
@@ -57,21 +50,28 @@ __all__ = [
 ]
 
 
-def _freeze(arr):
-    arr.setflags(write=False)
-    return arr
+def _store(model, *values):
+    """Write a model's fields, in declaration order, as fresh read-only float64 arrays.
 
-
-def _coerce(model):
-    """Freeze copies of a model's declared arrays as float64; an absent initial law is zero."""
-    set_ = object.__setattr__
-    for name, _, _ in model._ARRAYS:
-        set_(model, name, _freeze(as_matrix(getattr(model, name), name)))
+    The values are the declared arrays (``_ARRAYS``), then the initial mean
+    and covariance (``_INITIAL``); each is converted once, and an absent
+    initial law is zero. The models are frozen, so each array goes straight
+    into the instance's ``__dict__``. Every construction and every
+    ``dataclasses.replace`` runs this, a drifting schedule once per step, so
+    ``setflags`` gets its first parameter, ``write``, by position, which
+    skips the keyword's parsing.
+    """
+    fields = model.__dict__
+    for (name, _, _), x in zip(model._ARRAYS, values):
+        fields[name] = arr = _as_2d(x, name, True)
+        arr.setflags(False)
     dim, mean, cov = model._INITIAL
     n = getattr(model, dim)
-    for name, coerce, shape in ((mean, as_vector, (n,)), (cov, as_matrix, (n, n))):
-        value = getattr(model, name)
-        set_(model, name, _freeze(np.zeros(shape) if value is None else coerce(value, name)))
+    mu, K = values[-2:]
+    fields[mean] = mu = np.zeros(n) if mu is None else as_vector(mu, mean)
+    mu.setflags(False)
+    fields[cov] = K = np.zeros((n, n)) if K is None else _as_2d(K, cov, True)
+    K.setflags(False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +85,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NoiseModel:
     """Hidden-state Gaussian noise realization.
 
@@ -122,7 +122,8 @@ class NoiseModel:
     _INITIAL = ("n_s", "mu_S1", "K_S1")
     _COVARIANCES = (("K_W", "definite"), ("K_S1", "semidefinite"))
 
-    __post_init__ = _coerce
+    def __init__(self, A, B, C, N, K_W, mu_S1=None, K_S1=None):
+        _store(self, A, B, C, N, K_W, mu_S1, K_S1)
 
     @property
     def n_s(self):
@@ -142,7 +143,7 @@ class NoiseModel:
         return symmetrize(self.N @ self.K_W @ self.N.T)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class InputModel:
     """Channel-input realization with state Xi_t and white innovations Z_t.
 
@@ -165,7 +166,8 @@ class InputModel:
     _INITIAL = ("n_xi", "mu_Xi1", "K_Xi1")
     _COVARIANCES = (("K_Z", "semidefinite"), ("K_Xi1", "semidefinite"))
 
-    __post_init__ = _coerce
+    def __init__(self, F, G, Gamma, D, K_Z, mu_Xi1=None, K_Xi1=None):
+        _store(self, F, G, Gamma, D, K_Z, mu_Xi1, K_Xi1)
 
     @property
     def n_xi(self):
@@ -180,16 +182,18 @@ class InputModel:
         return self.Gamma.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Channel:
     """Observation map Y_t = H X_t + V_t with power budget kappa."""
 
     H: np.ndarray
     kappa: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "H", _freeze(as_matrix(self.H, "H")))
-        object.__setattr__(self, "kappa", float(self.kappa))
+    def __init__(self, H, kappa=0.0):
+        fields = self.__dict__
+        fields["H"] = H = _as_2d(H, "H", True)
+        H.setflags(False)
+        fields["kappa"] = float(kappa)
 
     @property
     def n_y(self):
@@ -285,6 +289,15 @@ def require_valid(*models):
             raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
 
 
+def _diag2(top, bottom):
+    # blockdiag(top, bottom) of two float64 matrices, either of which may be empty
+    (r, c), (m, n) = top.shape, bottom.shape
+    out = np.zeros((r + m, c + n))
+    out[:r, :c] = top
+    out[r:, c:] = bottom
+    return out
+
+
 def _shapes(noise, input):
     # every block must fill its slot exactly; numpy would broadcast a smaller one
     return tuple(getattr(m, name).shape for m in (noise, input) for name, _, _ in m._ARRAYS)
@@ -320,11 +333,11 @@ class JointSystem:
     # a property, so that no system refers to itself and each is freed once dropped
     noise_quad = property(lambda self: self._noise_quad or self)
     # the rest of the realization and the initial law, formed from the models last written
-    Bhat = property(lambda self: block_diag(self.input.G, self.noise.B))
+    Bhat = property(lambda self: _diag2(self.input.G, self.noise.B))
     Dhat = property(lambda self: np.hstack([self.H @ self.input.D, self.noise.N]))
-    Khat = property(lambda self: block_diag(self.input.K_Z, self.noise.K_W))
+    Khat = property(lambda self: _diag2(self.input.K_Z, self.noise.K_W))
     mu_Theta1 = property(lambda self: np.concatenate([self.input.mu_Xi1, self.noise.mu_S1]))
-    K_Theta1 = property(lambda self: block_diag(self.input.K_Xi1, self.noise.K_S1))
+    K_Theta1 = property(lambda self: _diag2(self.input.K_Xi1, self.noise.K_S1))
 
     def __init__(self, noise, input, channel):
         self.shapes = _shapes(noise, input)

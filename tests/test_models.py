@@ -1,5 +1,6 @@
+import inspect
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,199 @@ def test_default_initial_moments_are_zero():
     m = rc.NoiseModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]])
     assert np.array_equal(m.mu_S1, np.zeros(1))
     assert np.array_equal(m.K_S1, np.zeros((1, 1)))
+
+
+# ------------------------------------------------- construction contract
+
+# one small model of each class, its fields in declaration order: a joint
+# state of two, so an initial law has a shape of its own
+MODEL_FIELDS = {
+    rc.NoiseModel: dict(A=[[0.5, 0.1], [0.0, 0.3]], B=[[1.0], [0.5]], C=[[1.0, 0.0]],
+                        N=[[1.0]], K_W=[[2.0]], mu_S1=[1.0, -1.0],
+                        K_S1=[[1.0, 0.2], [0.2, 1.0]]),
+    rc.InputModel: dict(F=[[0.2, 0.0], [0.1, 0.4]], G=[[1.0], [0.0]], Gamma=[[0.5, 1.0]],
+                        D=[[1.0]], K_Z=[[1.5]], mu_Xi1=[0.5, 0.0],
+                        K_Xi1=[[2.0, 0.0], [0.0, 1.0]]),
+    rc.Channel: dict(H=[[1.0, 0.5]], kappa=2.0),
+}
+MODELS = list(MODEL_FIELDS)
+# every array field: (class, name), the initial means being the one-dimensional ones
+MATRICES = [(cls, f.name) for cls in MODELS for f in fields(cls)
+            if f.name != "kappa" and not f.name.startswith("mu_")]
+MEANS = [(rc.NoiseModel, "mu_S1"), (rc.InputModel, "mu_Xi1")]
+
+
+def _assert_same_fields(a, b):
+    for f in fields(type(a)):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y) and np.array_equal(x, y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+
+
+@pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    given = MODEL_FIELDS[cls]
+    # the constructor takes the fields, in their order, with their defaults
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == [f.name for f in fields(cls)] == list(given)
+    assert [p.default for p in parameters.values()] == [
+        inspect.Parameter.empty if f.default is MISSING else f.default for f in fields(cls)]
+    _assert_same_fields(cls(*given.values()), cls(**given))
+
+
+@pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.__name__)
+def test_replace_converts_a_changed_field(cls):
+    model = cls(**MODEL_FIELDS[cls])
+    name = fields(cls)[0].name
+    changed = replace(model, **{name: [[7, 8]] if cls is rc.Channel else 3})
+    own = getattr(changed, name)
+    assert own.dtype == np.float64 and not own.flags.writeable
+    assert np.array_equal(own, [[7.0, 8.0]] if cls is rc.Channel else [[3.0]])
+    for f in fields(cls)[1:]:
+        kept, before = getattr(changed, f.name), getattr(model, f.name)
+        assert np.array_equal(kept, before)
+        if isinstance(kept, np.ndarray):
+            assert not kept.flags.writeable and not np.shares_memory(kept, before)
+    if cls is rc.Channel:
+        kappa = replace(model, kappa=3).kappa
+        assert kappa == 3.0 and type(kappa) is float
+
+
+@pytest.mark.parametrize("cls", MODELS, ids=lambda cls: cls.__name__)
+def test_models_are_frozen(cls):
+    model = cls(**MODEL_FIELDS[cls])
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, f.name, getattr(model, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(model, f.name)
+    with pytest.raises(FrozenInstanceError):
+        model.other = 1.0
+
+
+# (given, the matrix it becomes); the ndarrays are the caller's, to be copied
+INPUTS = {
+    "float": (2.5, [[2.5]]),
+    "numpy_float": (np.float64(2.5), [[2.5]]),
+    "int": (3, [[3.0]]),
+    "bool": (True, [[1.0]]),
+    "list": ([[1, 2], [3, 4]], [[1.0, 2.0], [3.0, 4.0]]),
+    "row": (np.array([1.0, 2.0]), [[1.0, 2.0]]),
+    "int_array": (np.array([[1, 2]]), [[1.0, 2.0]]),
+    "bool_array": (np.array([[True, False]]), [[1.0, 0.0]]),
+    "float32_array": (np.array([[0.5]], dtype=np.float32), [[0.5]]),
+    "fortran": (np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 2.0], [3.0, 4.0]]),
+    "column_view": (np.arange(6.0).reshape(3, 2)[:, 1:], [[1.0], [3.0], [5.0]]),
+}
+
+
+def _assert_own_copy(own, given, expected, kind):
+    assert own.dtype == np.float64 and own.flags.c_contiguous and not own.flags.writeable, kind
+    assert own.shape == np.shape(expected) and np.array_equal(own, expected), kind
+    if isinstance(given, np.ndarray):
+        assert given.flags.writeable and not np.shares_memory(own, given), kind
+
+
+@pytest.mark.parametrize("cls, name", MATRICES, ids=lambda x: getattr(x, "__name__", x))
+def test_each_matrix_field_is_a_fresh_read_only_float64_copy(cls, name):
+    for kind, (given, expected) in INPUTS.items():
+        model = cls(**{**MODEL_FIELDS[cls], name: given})
+        _assert_own_copy(getattr(model, name), given, expected, kind)
+
+
+VECTOR_INPUTS = {"float": (1.5, [1.5]), "int": (2, [2.0]), "bool": (False, [0.0]),
+                 "list": ([1, 2], [1.0, 2.0]), "bool_array": (np.array([True, False]), [1.0, 0.0]),
+                 "strided": (np.arange(4.0)[::2], [0.0, 2.0])}
+
+
+@pytest.mark.parametrize("cls, name", MEANS, ids=lambda x: getattr(x, "__name__", x))
+def test_each_initial_mean_is_a_fresh_read_only_float64_vector(cls, name):
+    for kind, (given, expected) in VECTOR_INPUTS.items():
+        model = cls(**{**MODEL_FIELDS[cls], name: given})
+        _assert_own_copy(getattr(model, name), given, expected, kind)
+
+
+@pytest.mark.parametrize("factory, n", [
+    (lambda: rc.NoiseModel(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), N=1.0,
+                           K_W=1.0), 2),
+    (lambda: rc.memoryless_noise([[1.0]]), 0),
+    (lambda: rc.InputModel(F=np.eye(3), G=np.ones((3, 1)), Gamma=np.ones((1, 3)), D=1.0,
+                           K_Z=1.0), 3),
+    (lambda: rc.iid_input([[1.0]]), 0),
+], ids=["noise", "memoryless_noise", "input", "iid_input"])
+def test_an_absent_initial_law_is_read_only_zeros(factory, n):
+    model, other = factory(), factory()
+    names = [f.name for f in fields(model)][-2:]
+    for name, shape in zip(names, [(n,), (n, n)]):
+        own = getattr(model, name)
+        assert own.shape == shape and own.dtype == np.float64 and not own.any()
+        assert own.flags.c_contiguous and not own.flags.writeable
+        assert own is not getattr(other, name)
+
+
+@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], np.zeros((1, 1, 1)), [[[1.0]]]],
+                         ids=["ragged", "three_dimensional", "nested_list"])
+@pytest.mark.parametrize("cls, name", MATRICES, ids=lambda x: getattr(x, "__name__", x))
+def test_each_matrix_field_names_a_bad_shape(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} is not rectangular$"):
+        cls(**{**MODEL_FIELDS[cls], name: value})
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[0.0]], "{} must be one-dimensional"),
+    (np.zeros((2, 1)), "{} must be one-dimensional"),
+    ([[0.0], [0.0, 1.0]], "{} is not rectangular"),
+], ids=["nested_list", "column", "ragged"])
+@pytest.mark.parametrize("cls, name", MEANS, ids=lambda x: getattr(x, "__name__", x))
+def test_each_initial_mean_names_a_bad_shape(cls, name, value, message):
+    with pytest.raises(ValueError, match=f"^{message.format(name)}$"):
+        cls(**{**MODEL_FIELDS[cls], name: value})
+
+
+def test_model_reprs_list_their_fields():
+    assert repr(rc.NoiseModel(A=0.5, B=1, C=True, N=[2.0], K_W=[[1.0]])) == (
+        "NoiseModel(A=array([[0.5]]), B=array([[1.]]), C=array([[1.]]), N=array([[2.]]), "
+        "K_W=array([[1.]]), mu_S1=array([0.]), K_S1=array([[0.]]))")
+    assert repr(rc.iid_input(2.0)) == (
+        "InputModel(F=array([], shape=(0, 0), dtype=float64), "
+        "G=array([], shape=(0, 1), dtype=float64), "
+        "Gamma=array([], shape=(1, 0), dtype=float64), D=array([[1.]]), K_Z=array([[2.]]), "
+        "mu_Xi1=array([], dtype=float64), K_Xi1=array([], shape=(0, 0), dtype=float64))")
+    assert repr(rc.Channel(H=[[1.0, 0.5]], kappa=2)) == (
+        "Channel(H=array([[1. , 0.5]]), kappa=2.0)")
+
+
+COMPLEX = {
+    "array": np.array([[1.0 + 2.0j]]),
+    "real_valued_array": np.array([[1.0 + 0.0j]]),
+    "zero_dimensional": np.array(1.0 + 2.0j),
+    "python_scalar": 1.0 + 2.0j,
+    "numpy_scalar": np.complex64(1.0 + 2.0j),
+    "list": [[1.0, 2.0j]],
+    "list_of_numpy_scalars": [[np.complex128(1.0 + 2.0j)]],
+}
+
+
+@pytest.mark.parametrize("kind", COMPLEX)
+def test_complex_entries_are_refused_by_name(kind):
+    # a float64 conversion would keep only the real part, which validate cannot see
+    for cls, name in MATRICES + MEANS:
+        with pytest.raises(ValueError, match=f"^{name} has complex entries$"):
+            cls(**{**MODEL_FIELDS[cls], name: COMPLEX[kind]})
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda x: rc.memoryless_noise(x), "K_V"),
+    (lambda x: rc.iid_input(x), "K_Z"),
+    (lambda x: rc.psd_sqrt(x), "M"),
+    (lambda x: rc.lyap_solve(x, [[1.0]], [[1.0]]), "F"),
+    (lambda x: rc.lyap_solve([[0.5]], [[1.0]], x), "K_Z"),
+], ids=["memoryless_noise", "iid_input", "psd_sqrt", "lyap_solve_F", "lyap_solve_K_Z"])
+def test_the_shared_converter_refuses_complex_entries(call, name):
+    for value in (COMPLEX["array"], COMPLEX["python_scalar"]):
+        with pytest.raises(ValueError, match=f"^{name} has complex entries$"):
+            call(value)
 
 
 # ------------------------------------------------------- augmented assembly

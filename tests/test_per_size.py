@@ -4,7 +4,8 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "per_size.py"
-CALLS = ("are_solve", "lyap_solve", "feasibility_report", "asymptotic_rate")
+CALLS = ("are_solve", "lyap_solve", "feasibility_report", "asymptotic_rate", "NoiseModel",
+         "InputModel", "finite_n_rate", "finite_n_rate_drift")
 
 
 def test_per_size_writes_every_cell_and_compares_two_files(tmp_path):

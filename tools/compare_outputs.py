@@ -77,9 +77,16 @@ The output set:
   chunks) and t = 3 at n_xi = 8 (a joint state of 9, plain steps);
 - ``finite_n_rate`` over 1,030 steps of a joint state of 0 (a memoryless
   noise, K_V = 0.5, and a unit i.i.d. input), across chunk edges;
-- models built from scalars, 1-D rows and Fortran-ordered arrays: each
-  array's values, shape, ``writeable`` and ``c_contiguous`` flags, and
-  whether it shares memory with the caller's array;
+- models built from scalars, 1-D rows and Fortran-ordered arrays, and
+  (``COERCED``) each of ``NoiseModel``, ``InputModel`` and ``Channel`` from
+  integers, bools, integer and bool arrays, with their initial laws left
+  out, and through one ``dataclasses.replace``: each field's values,
+  shape, ``writeable`` and ``c_contiguous`` flags, and whether it shares
+  memory with the caller's array (a ``kappa``, its value and type name);
+- every construction error by field (``construction_errors``): a ragged
+  list, a three-dimensional array, a two-dimensional initial mean, and a
+  complex array, Python complex scalar and list of complex entries, each
+  recorded as its message (or the model's ``repr`` if none is raised);
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
@@ -171,6 +178,80 @@ CLI_COMMANDS = (
     ("simulate.saturating", SATURATING_MODEL,
      ["simulate", "--n", "80", "--paths", "12000", "--seed", "4", "--trace", "TRACE"]),
 )
+
+
+# (model class, fields) built from integers, bools, and integer and bool arrays, and
+# with the initial law left out; the names follow coerced.scalars, .rows and .fortran
+COERCED = {
+    "noise_ints": ("NoiseModel", dict(A=[[1, 0], [0, 0]], B=np.array([[1], [2]]), C=[[1, 1]],
+                                      N=1, K_W=2, mu_S1=[1, 2], K_S1=np.eye(2, dtype=int))),
+    "noise_bools": ("NoiseModel", dict(A=False, B=True, C=np.array([[True]]), N=True,
+                                       K_W=True, mu_S1=np.array([True]), K_S1=False)),
+    "noise_default_law": ("NoiseModel", dict(A=np.eye(3) / 2, B=np.ones((3, 1)),
+                                             C=np.ones((2, 3)), N=np.ones((2, 1)), K_W=1.0)),
+    "memoryless_default_law": ("NoiseModel", dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)),
+                                                  C=np.zeros((1, 0)), N=1.0, K_W=0.5)),
+    "input_scalars": ("InputModel", dict(F=0.5, G=1.0, Gamma=0.7, D=1.0, K_Z=2.0, mu_Xi1=0.1,
+                                         K_Xi1=3.0)),
+    "input_rows": ("InputModel", dict(F=np.ones(1), G=np.ones(2), Gamma=np.ones(1),
+                                      D=np.ones(2), K_Z=np.eye(2), mu_Xi1=np.ones(1),
+                                      K_Xi1=np.ones(1))),
+    "input_fortran": ("InputModel", {name: np.asfortranarray(value) for name, value in (
+        ("F", [[0.5, 0.1], [0.2, 0.3]]), ("G", [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
+        ("Gamma", [[1.0, 0.5]]), ("D", [[0.0, 1.0, 1.0]]), ("K_Z", np.eye(3)),
+        ("mu_Xi1", [1.0, 2.0]), ("K_Xi1", [[1.0, 0.5], [0.5, 1.0]]))}),
+    "input_ints": ("InputModel", dict(F=[[0]], G=[[1, 2]], Gamma=np.array([[3]]), D=[[1, 0]],
+                                      K_Z=np.eye(2, dtype=int), mu_Xi1=[4], K_Xi1=5)),
+    "input_bools": ("InputModel", dict(F=True, G=np.array([[False, True]]), Gamma=False,
+                                       D=[[True, True]], K_Z=np.eye(2, dtype=bool))),
+    "input_default_law": ("InputModel", dict(F=np.eye(2) / 4, G=np.ones((2, 1)),
+                                             Gamma=np.ones((1, 2)), D=1.0, K_Z=1.0)),
+    "iid_default_law": ("InputModel", dict(F=np.zeros((0, 0)), G=np.zeros((0, 2)),
+                                           Gamma=np.zeros((2, 0)), D=np.eye(2), K_Z=np.eye(2))),
+    "channel_scalars": ("Channel", dict(H=2.0, kappa=1.5)),
+    "channel_row": ("Channel", dict(H=np.ones(3), kappa=1)),
+    "channel_fortran": ("Channel", dict(H=np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]),
+                                        kappa=np.float32(0.5))),
+    "channel_ints": ("Channel", dict(H=[[1, 2]], kappa=True)),
+    "channel_bools": ("Channel", dict(H=np.array([[True, False]]))),
+}
+# (model class, fields, changes) for dataclasses.replace, which converts each changed field
+REPLACED = {
+    "replaced_noise": ("NoiseModel", COERCED["noise_default_law"][1],
+                       dict(A=np.asfortranarray(np.eye(3) / 3), K_S1=2)),
+    "replaced_input": ("InputModel", COERCED["input_scalars"][1], dict(K_Z=[[4]], mu_Xi1=1)),
+    "replaced_channel": ("Channel", COERCED["channel_row"][1], dict(H=[[1, 2, 3]], kappa=2)),
+}
+
+
+def construction_errors():
+    """(class, field, value label, fields) for every field of each model and each bad value."""
+    valid = {"NoiseModel": dict(A=0.5, B=1.0, C=1.0, N=1.0, K_W=1.0, mu_S1=0.0, K_S1=0.0),
+             "InputModel": dict(F=0.5, G=1.0, Gamma=1.0, D=1.0, K_Z=1.0, mu_Xi1=0.0,
+                                K_Xi1=0.0),
+             "Channel": dict(H=1.0)}
+    bad = {"ragged": [[1.0, 2.0], [3.0]], "three_dimensional": np.zeros((1, 1, 1)),
+           "two_dimensional": [[0.0]], "complex_array": np.array([[1.0 + 2.0j]]),
+           "complex_scalar": 1.0 + 2.0j, "complex_list": [[1.0, 2.0j]]}
+    for cls, arrays in valid.items():
+        for name in arrays:
+            for label, value in bad.items():
+                if label != "two_dimensional" or name.startswith("mu_"):
+                    yield cls, name, label, {**arrays, name: value}
+
+
+def _coerced(out, name, model, given):
+    # each field of a built model, and whether it shares memory with the value given for it
+    for field in dataclasses.fields(model):
+        key = field.name
+        own = getattr(model, key)
+        if not isinstance(own, np.ndarray):
+            out[f"coerced.{name}.{key}"] = (own, type(own).__name__)
+            continue
+        out[f"coerced.{name}.{key}"] = own
+        out[f"coerced.{name}.{key}.shape"] = own.shape
+        out[f"coerced.{name}.{key}.flags"] = (own.flags.writeable, own.flags.c_contiguous,
+                                              bool(np.shares_memory(own, given.get(key))))
 
 
 def _flatten(prefix, obj, out):
@@ -437,16 +518,18 @@ def collect(path):
         ("A", [[0.5, 0.1], [0.2, 0.3]]), ("B", [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
         ("C", [[1.0, 0.5]]), ("N", [[0.0, 1.0, 1.0]]), ("K_W", np.eye(3)),
         ("mu_S1", [1.0, 2.0]), ("K_S1", [[1.0, 0.5], [0.5, 1.0]]))}
+    models = {"NoiseModel": rc.NoiseModel, "InputModel": rc.InputModel, "Channel": rc.Channel}
     for name, arrays in (("scalars", dict(A=0.5, B=1.0, C=1.0, N=1.0, K_W=2.0, mu_S1=1.0,
                                           K_S1=3.0)),
                          ("rows", rows), ("fortran", fortran)):
-        model = rc.NoiseModel(**arrays)
-        for key, given in arrays.items():
-            own = getattr(model, key)
-            out[f"coerced.{name}.{key}"] = own
-            out[f"coerced.{name}.{key}.shape"] = own.shape
-            out[f"coerced.{name}.{key}.flags"] = (own.flags.writeable, own.flags.c_contiguous,
-                                                  bool(np.shares_memory(own, given)))
+        _coerced(out, name, rc.NoiseModel(**arrays), arrays)
+    for name, (cls, arrays) in COERCED.items():
+        _coerced(out, name, models[cls](**arrays), arrays)
+    for name, (cls, arrays, changes) in REPLACED.items():
+        _coerced(out, name, dataclasses.replace(models[cls](**arrays), **changes), changes)
+    for cls, name, value, arrays in construction_errors():
+        _record(out, f"construction_error.{cls}.{name}.{value}",
+                lambda: repr(models[cls](**arrays)))
 
     config = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     scalar = rc.NoiseModel(A=1.5, B=1.0, C=1.0, N=1.0, K_W=1.0, K_S1=0.0)

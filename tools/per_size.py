@@ -1,9 +1,9 @@
-"""Per-size timings of the steady-state layers, and a comparison of two sides' timings.
+"""Per-size timings of the library's layers, and a comparison of two sides' timings.
 
     python tools/per_size.py run --label L [--sizes 2 4 8 20 40 80]
     python tools/per_size.py compare --a A.json [A.json ...] --b B.json [B.json ...]
 
-``run`` times four calls of the ``riccati_capacity`` in this tree's
+``run`` times eight calls of the ``riccati_capacity`` in this tree's
 ``src`` at each joint state size m (even, default 2, 4, 8, 20, 40 and
 80), on ``random_models(np.random.default_rng(m // 2), n_s=m // 2,
 n_xi=m // 2, n_y=2, n_z=2, rho_A=1.2)`` from ``tests/conftest.py``, with
@@ -12,7 +12,13 @@ H = I and kappa = 1:
 - ``are_solve`` on the built joint system;
 - ``lyap_solve`` of the input (F, G, K_Z);
 - ``feasibility_report`` given the built joint system;
-- ``asymptotic_rate`` from the models, building its own system.
+- ``asymptotic_rate`` from the models, building its own system;
+- ``NoiseModel`` and ``InputModel``: building each model from its own
+  fields, as keywords;
+- ``finite_n_rate`` over ``HORIZON`` (2,000) steps of the constant pair;
+- ``finite_n_rate_drift``: the same on a drifting schedule, whose noise
+  callback builds a new ``NoiseModel`` at every step t, with A scaled by
+  1 + 2^-t, and whose input is the pair's.
 
 BLAS is pinned to one thread before numpy loads. Each call is first run
 in doubling batches until one batch takes ``MIN_BATCH_S``, which also
@@ -27,7 +33,9 @@ milliseconds, next to the median of the raw ones. The result goes to
 ``BENCH_per_size_<L>.json`` in the working directory, with the core
 count, the BLAS thread settings, the numpy and Python versions and the
 git revision of this tree ("-dirty" if tracked files differ from it,
-"unknown" outside a checkout). The default grid takes about 10 s.
+"unknown" outside a checkout). The default grid takes about 40 s, most
+of it in the two ``finite_n_rate`` calls at m of 20 and more, where a
+joint state of 9 or more goes by plain steps.
 
 ``compare`` takes one or more runs of each side, A and B, and pools each
 (call, m) cell that every run has: the median of the runs' medians, and
@@ -41,6 +49,7 @@ side, alternating, give the overlap test that spread.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -54,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SIZES = (2, 4, 8, 20, 40, 80)
+HORIZON = 2000
 REPEATS = 9
 MIN_BATCH_S = 0.02
 # seconds the reference kernel takes on an idle core of a 2-vCPU x86-64 VM; only a scale
@@ -123,10 +133,20 @@ def run(label, sizes):
                                    n_y=2, n_z=2, rho_A=1.2)
         channel = rc.Channel(H=np.eye(2), kappa=1.0)
         system = rc.build_augmented(noise, inp, channel)
+        noise_fields, input_fields = (
+            {field.name: getattr(model, field.name) for field in dataclasses.fields(model)}
+            for model in (noise, inp))
+        drifting = rc.CoefficientSchedule(
+            noise_at=lambda t: rc.NoiseModel(**{**noise_fields, "A": noise.A * (1.0 + 2.0 ** -t)}),
+            input_at=lambda t: inp, noise_limit=noise, input_limit=inp)
         calls = {"are_solve": lambda: rc.are_solve(system),
                  "lyap_solve": lambda: rc.lyap_solve(inp.F, inp.G, inp.K_Z),
                  "feasibility_report": lambda: rc.feasibility_report(noise, inp, system),
-                 "asymptotic_rate": lambda: rc.asymptotic_rate(noise, inp, channel)}
+                 "asymptotic_rate": lambda: rc.asymptotic_rate(noise, inp, channel),
+                 "NoiseModel": lambda: rc.NoiseModel(**noise_fields),
+                 "InputModel": lambda: rc.InputModel(**input_fields),
+                 "finite_n_rate": lambda: rc.finite_n_rate((noise, inp), channel, HORIZON),
+                 "finite_n_rate_drift": lambda: rc.finite_n_rate(drifting, channel, HORIZON)}
         for name, call in calls.items():
             cells.setdefault(name, {})[str(m)] = cell = _time(call, lambda: _reference_s(np))
             print(f"# {name:<20} m = {m:<3} {cell['median_ms']:9.3f} ms", flush=True)
