@@ -46,15 +46,13 @@ def _as_2d(x, name, copy):
 
 def _refuse_complex(x, name):
     # raise if x is or holds a complex number, which a float64 conversion would cut to its
-    # real part; an array answers by its dtype, and a sequence is converted for its dtype (a
-    # ragged one is left to the conversion that names it)
-    dtype = getattr(x, "dtype", None)
-    if dtype is None:
-        try:
-            dtype = np.asarray(x).dtype
-        except ValueError:
-            return
-    if dtype.kind == "c":
+    # real part; an array is read as it is and a sequence converted, and one that does not
+    # convert is left to the conversion that follows, which names it
+    try:
+        kind = np.asarray(x).dtype.kind
+    except (TypeError, ValueError):
+        return
+    if kind == "c":
         raise ValueError(f"{name} has complex entries")
 
 
