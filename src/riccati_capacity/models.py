@@ -63,14 +63,14 @@ def _store(model, *values):
     """
     fields = model.__dict__
     for (name, _, _), x in zip(model._ARRAYS, values):
-        fields[name] = arr = _as_2d(x, name, True)
+        fields[name] = arr = _as_2d(x, name, copy=True)
         arr.setflags(False)
     dim, mean, cov = model._INITIAL
     n = getattr(model, dim)
     mu, K = values[-2:]
     fields[mean] = mu = np.zeros(n) if mu is None else as_vector(mu, mean)
     mu.setflags(False)
-    fields[cov] = K = np.zeros((n, n)) if K is None else _as_2d(K, cov, True)
+    fields[cov] = K = np.zeros((n, n)) if K is None else _as_2d(K, cov, copy=True)
     K.setflags(False)
 
 
@@ -191,7 +191,7 @@ class Channel:
 
     def __init__(self, H, kappa=0.0):
         fields = self.__dict__
-        fields["H"] = H = _as_2d(H, "H", True)
+        fields["H"] = H = _as_2d(H, "H", copy=True)
         H.setflags(False)
         fields["kappa"] = float(kappa)
 

@@ -159,7 +159,7 @@ MODEL_FIELDS = {
     rc.Channel: dict(H=[[1.0, 0.5]], kappa=2.0),
 }
 MODELS = list(MODEL_FIELDS)
-# every array field: (class, name), the initial means being the one-dimensional ones
+# (class, name) of every two-dimensional field, and of the one-dimensional initial means
 MATRICES = [(cls, f.name) for cls in MODELS for f in fields(cls)
             if f.name != "kappa" and not f.name.startswith("mu_")]
 MEANS = [(rc.NoiseModel, "mu_S1"), (rc.InputModel, "mu_Xi1")]
