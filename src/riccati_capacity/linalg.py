@@ -34,7 +34,7 @@ def _as_2d(x, name, copy):
     # caller that reads the shape and leaves the one copy to the coercion that follows; a
     # float or an int, the common scalars, hold no complex entry
     if not isinstance(x, (float, int)):
-        _refuse_complex(x, name)
+        x = _real(x, name)
     try:
         arr = np.array(x, dtype=np.float64, order="C" if copy else "K", ndmin=2, copy=copy)
     except (TypeError, ValueError):
@@ -44,16 +44,17 @@ def _as_2d(x, name, copy):
     return arr
 
 
-def _refuse_complex(x, name):
-    # raise if x is or holds a complex number, which a float64 conversion would cut to its
-    # real part; an array is read as it is and a sequence converted, and one that does not
-    # convert is left to the conversion that follows, which names it
+def _real(x, name):
+    # x as an array (an array as it is, a sequence converted once), refused if it holds a
+    # complex number, which a float64 conversion would cut to its real part; x itself if it
+    # does not convert, for the float64 conversion that follows to name
     try:
-        kind = np.asarray(x).dtype.kind
+        arr = np.asarray(x)
     except (TypeError, ValueError):
-        return
-    if kind == "c":
+        return x
+    if arr.dtype.kind == "c":
         raise ValueError(f"{name} has complex entries")
+    return arr
 
 
 def as_vector(x, name="vector"):
@@ -62,7 +63,7 @@ def as_vector(x, name="vector"):
     Complex entries are refused, as by ``as_matrix``.
     """
     if not isinstance(x, (float, int)):
-        _refuse_complex(x, name)
+        x = _real(x, name)
     try:
         arr = np.array(x, dtype=np.float64, ndmin=1)
     except (TypeError, ValueError):
