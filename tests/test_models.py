@@ -326,9 +326,9 @@ def test_complex_entries_are_refused_by_name(kind):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda x: rc.memoryless_noise(x), "K_V"),
-    (lambda x: rc.iid_input(x), "K_Z"),
-    (lambda x: rc.psd_sqrt(x), "M"),
+    (rc.memoryless_noise, "K_V"),
+    (rc.iid_input, "K_Z"),
+    (rc.psd_sqrt, "M"),
     (lambda x: rc.lyap_solve(x, [[1.0]], [[1.0]]), "F"),
     (lambda x: rc.lyap_solve([[0.5]], [[1.0]], x), "K_Z"),
 ], ids=["memoryless_noise", "iid_input", "psd_sqrt", "lyap_solve_F", "lyap_solve_K_Z"])
