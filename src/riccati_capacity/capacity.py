@@ -8,11 +8,14 @@ finite-block rate averages the clamped per-step log-det differences
     (1/2n) sum_t max(0, logdet K_{I_t} - logdet K_{Ihat_t})
 
 and the asymptotic rate replaces both recursions by their steady states.
-Average input power follows the companion Lyapunov recursion. The
-optimizer searches over input realizations in input-normal form, where
-the power budget holds by construction, with adjoint gradients; a
-classical water-filling solver is kept alongside as an independent
-reference for the memoryless special case.
+Average input power follows the companion Lyapunov recursion. Where
+water-filling over frequency has full support, the optimizer builds the
+capacity-achieving input in closed form, as the stable spectral factor
+of the water-filling input spectrum; elsewhere it searches over input
+realizations in input-normal form, where the power budget holds by
+construction, with adjoint gradients. A classical water-filling solver
+is kept alongside as an independent reference for the memoryless
+special case.
 """
 
 import math
@@ -22,13 +25,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import (as_count, as_finite, is_symmetric, solve_spd, spectral_radius, substream,
-                     symmetrize)
+from .linalg import (as_count, as_finite, is_psd, is_symmetric, solve_spd, spectral_radius,
+                     substream, sup_norm, symmetrize)
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
                        input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _chunk_length, _chunk_steps, _predict, _propagate, _sda_form, are_solve
-from .systests import feasibility_report
+from .riccati import (_chunk_length, _chunk_steps, _compose, _predict, _propagate, _sda_form,
+                      are_solve)
+from .systests import RANK_TOL, feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
 from .linalg import block_diag, chol_logdet  # noqa: F401
@@ -513,12 +517,14 @@ _EPS = np.finfo(np.float64).eps
 class OptimizerConfig:
     """Settings for the input-realization search.
 
-    The structured and warm starts always run, and seeded random starts
-    fill the search up to ``starts`` local searches, so a search with
-    ``starts`` or more of the others runs no random one. ``seed`` keys the
-    random starts. ``maxiter`` caps the L-BFGS iterations of each start.
-    ``warm_starts`` passes known-good input models (used by the kappa
-    sweep to chain solutions).
+    Whenever the search runs, the structured and warm starts run, and
+    seeded random starts fill it up to ``starts`` local searches, so a
+    search with ``starts`` or more of the others runs no random one.
+    ``seed`` keys the random starts. ``maxiter`` caps the L-BFGS
+    iterations of each start. ``warm_starts`` passes known-good input
+    models (used by the kappa sweep to chain solutions). None of these
+    applies where ``optimize_input`` takes the closed-form input, which
+    runs no start.
     """
 
     starts: int = 32
@@ -661,8 +667,111 @@ def _rejection(result, kappa):
     return next((why for why, ok in checks if not ok), None)
 
 
+def _evaluate(model, noise, channel):
+    # (model, result, rejection reason or None) of a candidate: power is linear in K_Z,
+    # so an overshoot is scaled onto the budget, then the candidate is evaluated
+    # independently at full tolerance
+    kappa = channel.kappa
+    try:
+        power = asymptotic_power(model)
+        if power > kappa:
+            model = replace(model, K_Z=symmetrize(model.K_Z * (kappa / power)))
+        result = asymptotic_rate(noise, model, channel)
+        return model, result, _rejection(result, kappa)
+    except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
+        return model, None, f"raised: {exc}"
+
+
+def _noise_spectrum(noise):
+    """(R0, Az, Mz, Cz) with S_V(z) = R0 + Cz (zI - Az)^-1 Mz + (.)^* and Az stable.
+
+    An ordered real Schur form and one Sylvester solve split A into a
+    stable block A1 and an antistable one A2, whose part of the transfer
+    function, C2 (zI - A2)^-1 B2, is anticausal in At = A2^-1: with
+    bt = At B2 and t0 = N - C2 bt, the noise is t0 W_t plus a causal sum
+    over A1 and an anticausal one over At. R0 is its lag-0 covariance, from
+    the Lyapunov solutions Pi1 of (A1, B1 K_W B1^T) and Pit of (At, bt K_W
+    bt^T) less bt K_W bt^T, and the positive lags are Cz Az^(k-1) Mz. Callers
+    keep every eigenvalue of A off the unit circle.
+    """
+    import scipy.linalg
+
+    K = noise.K_W
+    T, Z, n1 = scipy.linalg.schur(noise.A, output="real", sort="iuc")
+    T12 = T[:n1, n1:]
+    Y = scipy.linalg.solve_sylvester(T[:n1, :n1], -T[n1:, n1:], -T12) if T12.size else T12
+    # the state change V = Z [[I, Y], [0, I]] makes A block diagonal
+    B = Z.T @ noise.B
+    B[:n1] -= Y @ B[n1:]
+    C = noise.C @ Z
+    C[:, n1:] += C[:, :n1] @ Y
+    A1, B1, C1, C2 = T[:n1, :n1], B[:n1], C[:, :n1], C[:, n1:]
+    At = np.linalg.inv(T[n1:, n1:])
+    bt = At @ B[n1:]
+    t0 = noise.N - C2 @ bt
+    bKb = bt @ K @ bt.T
+    Pi1, Pit = _smith(A1, B1 @ K @ B1.T, _SEARCH_TOL), _smith(At, bKb, _SEARCH_TOL) - bKb
+    R0 = t0 @ K @ t0.T + C1 @ Pi1 @ C1.T + C2 @ Pit @ C2.T
+    KbA = K @ bt.T @ At.T
+    Az = np.block([[A1, -B1 @ KbA], [np.zeros((len(At), n1)), At.T]])
+    Mz = np.vstack([A1 @ Pi1 @ C1.T + B1 @ K @ t0.T, C2.T])
+    Cz = np.hstack([C1, C2 @ Pit @ At.T - t0 @ KbA])
+    return symmetrize(R0), Az, Mz, Cz
+
+
+def _waterfilling_input(noise, channel):
+    """The capacity-achieving input when water-filling has full support, else None.
+
+    Applies to a square, invertible H with at least one input and a noise
+    whose A has no eigenvalue within RANK_TOL of the unit circle. The
+    water-filling input spectrum Phi_X = nu I - (H^T S_V^-1 H)^-1 is
+    H^-1 Psi H^-T with Psi = nu H H^T - S_V, at the level nu = (kappa + tr(H^-1 R0 H^-T)) / n_x that spends kappa
+    when Phi_X is positive at every frequency ("full support"). With
+    Psi(z) = R + Cz (zI - Az)^-1 M + (.)^*, R = nu H H^T - R0 and M = -Mz
+    (``_noise_spectrum``), its stable spectral factor solves the Faurre DARE
+    P = Az P Az^T + (M - Az P Cz^T)(R - Cz P Cz^T)^-1 (.)^T from P = 0
+    (Anderson & Moore, Optimal Filtering, ch. 9), here by ``riccati._compose``
+    doubling on X = -P. Full support is certified when the doubling meets
+    its stop rule within MAX_DOUBLINGS, K = R - Cz P Cz^T has a Cholesky
+    factor, P is PSD and Az - L Cz is stable, L = (M - Az P Cz^T) K^-1. The
+    input is then F = Az, G = L, Gamma = H^-1 Cz, D = H^-1 and K_Z = K, with
+    n_s states; a memoryless noise gives D = H^-1 and K_Z = R. Any other
+    outcome, partial support included, returns None.
+    """
+    H = channel.H
+    if H.shape[0] != H.shape[1] or not H.size or np.any(
+            np.abs(np.abs(np.linalg.eigvals(noise.A)) - 1.0) <= RANK_TOL):
+        return None
+    try:
+        H_inv = np.linalg.inv(H)
+        R0, Az, Mz, Cz = _noise_spectrum(noise)
+        nu = (channel.kappa + np.trace(H_inv @ R0 @ H_inv.T)) / channel.n_x
+        R, M, m = nu * (H @ H.T) - R0, -Mz, len(Az)
+        # the triple ((Az - M R^-1 Cz)^T, Cz^T R^-1 Cz, -M R^-1 M^T) of the DARE in X = -P
+        RinvCM = solve_spd(R, np.hstack([Cz, M.T]), context="R")
+        A, G = (Az - M @ RinvCM[:, :m]).T, symmetrize(Cz.T @ RinvCM[:, :m])
+        X = symmetrize(-M @ RinvCM[:, m:])
+        q_scale = sup_norm(X)
+        with np.errstate(all="ignore"):
+            for _ in range(MAX_DOUBLINGS):
+                A, G, X_next = _compose((A, G, X), (A, G, X))
+                diff, X = sup_norm(X_next - X), X_next
+                if diff <= _SEARCH_TOL * max(sup_norm(X), q_scale):
+                    break
+            else:  # a NaN diff meets no stop rule either
+                return None
+        P = -X
+        K = symmetrize(R - Cz @ P @ Cz.T)
+        L = solve_spd(K, (M - Az @ P @ Cz.T).T, context="K").T
+    except np.linalg.LinAlgError:  # a singular H or A2, an R or K without a Cholesky factor
+        return None
+    if not (is_psd(P) and spectral_radius(Az - L @ Cz) < 1.0):
+        return None
+    return InputModel(F=Az, G=L, Gamma=H_inv @ Cz, D=H_inv, K_Z=K)
+
+
 def optimize_input(noise, channel, dims, config=None):
-    """Search for a high-rate input realization under the power budget.
+    """The capacity-achieving input in closed form, or a search for a high-rate one.
 
     Parameters
     ----------
@@ -683,7 +792,10 @@ def optimize_input(noise, channel, dims, config=None):
         ("structured", "warm" or "random"), the L-BFGS ``nit``, ``nfev``,
         ``status`` and ``message`` (None when it was not searched from),
         ``guard_hits`` and its ``candidates``, each with its ``rate`` and
-        the ``rejected`` reason (None when accepted).
+        the ``rejected`` reason (None when accepted). A closed-form input
+        has one record of kind "waterfilling", with ``nit``, ``nfev``,
+        ``status`` and ``message`` None, no guard hits and its one
+        accepted candidate.
 
     Raises
     ------
@@ -698,7 +810,14 @@ def optimize_input(noise, channel, dims, config=None):
     Notes
     -----
     The noise-side conditions, which no input can repair, are tested
-    once before the search. Multi-start L-BFGS runs in input-normal
+    once before the search. Then, if ``dims`` is exactly (n_s, n_x), the
+    closed-form input is tried (``_waterfilling_input``: a square,
+    invertible H, no eigenvalue of A within RANK_TOL of the unit circle,
+    and full water-filling support, which it certifies). A factor it
+    returns is projected onto the budget and evaluated in full like any
+    candidate, and if accepted it is returned, capacity itself, with no
+    start run. Otherwise, a declined or rejected factor included, the
+    search runs. Multi-start L-BFGS runs in input-normal
     coordinates (``_InputNormal``), where every point is on budget and
     rho(F) <= 1. The objective, -rate at the joint ARE solution solved
     from zero at _SEARCH_TOL, gets its exact gradient from one adjoint
@@ -707,11 +826,11 @@ def optimize_input(noise, channel, dims, config=None):
     singular or the joint solve does not converge. Warm starts (each
     also a candidate as given; searched from when reachable and of the
     search's dims) and shift-register starts with flat and water-filling
-    D always run; seeded random starts follow, up to ``config.starts``
-    starts in all. Each candidate is projected onto the budget and
-    evaluated in full by ``asymptotic_rate``. The problem is not convex,
-    so the result is a certified lower bound rather than a proven
-    optimum.
+    D always run in a search; seeded random starts follow, up to
+    ``config.starts`` starts in all. Each candidate is projected onto the
+    budget and evaluated in full by ``asymptotic_rate``. The problem is
+    not convex, so a searched result is a certified lower bound rather
+    than a proven optimum.
     """
     # the search is the package's only use of scipy, whose import costs
     # several times the rest of the package's, so it is loaded here;
@@ -742,6 +861,18 @@ def optimize_input(noise, channel, dims, config=None):
     if failed:
         raise RuntimeError(f"feasible set not reached: {', '.join(failed)}; "
                            "no input can repair the noise side")
+    # with full water-filling support the capacity-achieving input has n_s states and
+    # n_x innovations, and is built in closed form where exactly those dims are asked
+    if (n_xi, n_z) == (noise.n_s, n_x):
+        model = _waterfilling_input(noise, channel)
+        if model is not None:
+            model, result, reason = _evaluate(model, noise, channel)
+            if reason is None:
+                record = dict(kind="waterfilling", nit=None, nfev=None, status=None, message=None,
+                              guard_hits=0, candidates=[{"rate": result.rate_nats,
+                                                         "rejected": None}])
+                return model, replace(result, diagnostics={**result.diagnostics,
+                                                           "search": [record]})
 
     def objective(theta):
         # (-rate, its gradient); the guard gives rate 0 and a zero gradient and
@@ -781,16 +912,7 @@ def optimize_input(noise, channel, dims, config=None):
                           message=str(res.message))
             candidates.append(space.model(res.x)[0])
         for model in candidates:
-            # power is linear in K_Z: an overshoot is scaled onto the budget,
-            # then the candidate is evaluated independently at full tolerance
-            try:
-                power = asymptotic_power(model)
-                if power > kappa:
-                    model = replace(model, K_Z=symmetrize(model.K_Z * (kappa / power)))
-                result = asymptotic_rate(noise, model, channel)
-                reason = _rejection(result, kappa)
-            except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
-                result, reason = None, f"raised: {exc}"
+            model, result, reason = _evaluate(model, noise, channel)
             record["candidates"].append({"rate": getattr(result, "rate_nats", None),
                                          "rejected": reason})
             if reason is None and (best is None or result.rate_nats > best[1].rate_nats):
@@ -810,9 +932,12 @@ def sweep_kappa(noise, channel, kappas, dims, config=None):
 
     Earlier solutions are handed to later budgets as warm starts, which
     keeps the optimized rate monotone in kappa up to solver tolerance.
-    Every warm start runs, so at later budgets warm starts first replace
-    the random ones and then add to ``config.starts``. Returns one
-    SweepPoint per budget, in the order given.
+    Every warm start runs in a search, so at later budgets warm starts
+    first replace the random ones and then add to ``config.starts``. A
+    budget at which ``optimize_input`` takes the closed-form input (full
+    water-filling support, dims (n_s, n_x)) runs no start, warm ones
+    included; its input still warm-starts the later budgets that search.
+    Returns one SweepPoint per budget, in the order given.
     """
     cfg = config if config is not None else OptimizerConfig()
     points = []

@@ -34,7 +34,7 @@ def _as_2d(x, name, copy):
     # caller that reads the shape and leaves the one copy to the coercion that follows; a
     # float or an int, the common scalars, hold no complex entry
     if not isinstance(x, (float, int)):
-        x = _real(x, name)
+        x, copy = _real(x, name, copy)
     try:
         arr = np.array(x, dtype=np.float64, order="C" if copy else "K", ndmin=2, copy=copy)
     except (TypeError, ValueError):
@@ -44,17 +44,19 @@ def _as_2d(x, name, copy):
     return arr
 
 
-def _real(x, name):
-    # x as an array (an array as it is, a sequence converted once), refused if it holds a
-    # complex number, which a float64 conversion would cut to its real part; x itself if it
-    # does not convert, for the float64 conversion that follows to name
+def _real(x, name, copy):
+    # (x as an array, the copy flag left for its float64 conversion), refused if it holds a
+    # complex number, which a float64 conversion would cut to its real part. An array stays
+    # as it is; a list or a tuple is converted once, into a new C-ordered array that is
+    # already the fresh copy, so the conversion copies it only to cast it (copy=None). x
+    # itself if it does not convert, for the float64 conversion that follows to name
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError):
-        return x
+        return x, copy
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} has complex entries")
-    return arr
+    return arr, None if isinstance(x, (list, tuple)) else copy
 
 
 def as_vector(x, name="vector"):
@@ -62,10 +64,11 @@ def as_vector(x, name="vector"):
 
     Complex entries are refused, as by ``as_matrix``.
     """
+    copy = True
     if not isinstance(x, (float, int)):
-        x = _real(x, name)
+        x, copy = _real(x, name, copy)
     try:
-        arr = np.array(x, dtype=np.float64, ndmin=1)
+        arr = np.array(x, dtype=np.float64, ndmin=1, copy=copy)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not rectangular") from None
     if arr.ndim > 1:

@@ -19,6 +19,8 @@ from oracles import (
     joint_output_covariance_tv,
     innovations_covariances,
     logdet_pd,
+    noise_modes,
+    spectral_capacity,
     spectral_logdets,
 )
 from scipy.linalg import block_diag
@@ -902,7 +904,8 @@ def same_input(a, b):
                for name in ("F", "G", "Gamma", "D", "K_Z"))
 
 
-def test_optimize_is_deterministic_for_a_fixed_config():
+def test_optimize_is_deterministic_for_a_fixed_config(monkeypatch):
+    search_only(monkeypatch)
     cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     (m1, r1), (m2, r2) = (rc.optimize_input(scalar_noise(1.5), unit_channel(), (1, 1), cfg)
                           for _ in range(2))
@@ -934,6 +937,11 @@ def test_candidate_evaluations_are_not_validated_again(monkeypatch):
     assert calls["validate"] == 3 + 4 * calls["asymptotic_rate"]
     assert abs(res.rate_nats - HALF_LN2) < 1e-12
     assert res.power <= 1.0 + 1e-9
+
+
+def search_only(monkeypatch):
+    # the closed-form input patched out, so a full-support subject is searched as before it
+    monkeypatch.setattr(rc.capacity, "_waterfilling_input", lambda *a: None)
 
 
 def count_minimize(monkeypatch):
@@ -1126,10 +1134,11 @@ def search_population():
     return out
 
 
-def test_no_search_start_ends_abnormal_at_iteration_zero():
+def test_no_search_start_ends_abnormal_at_iteration_zero(monkeypatch):
     # a line search that fails at nit 0 (status 2) returns its start
     # unchanged; with finite-difference gradients 5 of the population's 172
     # runs did. The bench's sweep and two-mode case, then the population.
+    search_only(monkeypatch)
     cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     results = [p.result for p in rc.sweep_kappa(scalar_noise(1.5), unit_channel(),
                                                 (0.5, 1.0, 2.0), (1, 1), cfg)]
@@ -1149,6 +1158,119 @@ def test_no_search_start_ends_abnormal_at_iteration_zero():
         accepted = [c["rate"] for r in res.diagnostics["search"] for c in r["candidates"]
                     if c["rejected"] is None]
         assert max(accepted) == res.rate_nats
+
+
+# ----------------------------------------------------- the closed-form input
+
+# midpoints of the half circle for the water-filling oracle; the draws' poles keep
+# at least 0.1 from the unit circle, so a full-support rate converges far below 1e-9
+WF_GRID = 4096
+
+
+def waterfilling_draw(seed, n_y, kind):
+    """A noise, an invertible n_y x n_y H and the oracle's full-support threshold.
+
+    ``kind`` is "memoryless" (n_s = 0), "stable" or "antistable" (n_s = n_y, every
+    eigenvalue of A of modulus 0.2 to 0.9, or 1.15 to 1.6) or "mixed" (n_s = 2, one
+    of each); each eigenvalue has a random sign, and A is similar to their diagonal.
+    The threshold is the smallest budget at which the oracle's water level clears
+    every noise mode: n_y max lambda - mean_w tr(H^-1 S_V H^-T).
+    """
+    rng = np.random.default_rng(seed)
+    inside, outside = rng.uniform(0.2, 0.9, n_y), rng.uniform(1.15, 1.6, n_y)
+    moduli = {"memoryless": [], "stable": inside, "antistable": outside,
+              "mixed": [inside[0], outside[0]]}[kind]
+    n_s, n_w = len(moduli), n_y + 1
+    S = np.eye(n_s) + 0.3 * rng.normal(size=(n_s, n_s))
+    A = S @ np.diag(moduli * rng.choice([-1.0, 1.0], n_s)) @ np.linalg.inv(S)
+    L = 0.4 * rng.normal(size=(n_w, n_w))
+    noise = rc.NoiseModel(A=A.reshape(n_s, n_s), B=rng.normal(size=(n_s, n_w)),
+                          C=rng.normal(size=(n_y, n_s)),
+                          N=rng.normal(size=(n_y, n_w)) + np.eye(n_y, n_w),
+                          K_W=L @ L.T + np.eye(n_w))
+    H = np.eye(n_y) + 0.3 * rng.normal(size=(n_y, n_y))
+    modes = noise_modes(noise, H, WF_GRID)
+    threshold = n_y * modes.max() - modes.sum(axis=1).mean()
+    # scalar white noise has none: every positive budget has full support
+    return noise, H, threshold if threshold > 1e-12 * modes.max() else 0.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_y=st.integers(1, 2),
+       kind=st.sampled_from(["memoryless", "stable", "mixed", "antistable"]),
+       factor=st.sampled_from([0.5, 0.8, 1.25, 2.0]))
+def test_closed_form_input_reaches_the_spectral_capacity(seed, n_y, kind, factor):
+    # budgets 20% or more off the threshold, where the grid's verdict is safe
+    noise, H, threshold = waterfilling_draw(seed, n_y, kind)
+    kappa = factor * threshold if threshold > 0.0 else factor
+    channel = rc.Channel(H=H, kappa=kappa)
+    rate, _, full = spectral_capacity(noise, H, kappa, WF_GRID)
+    model = rc.capacity._waterfilling_input(noise, channel)
+    assert (model is not None) == full
+    if model is not None:
+        assert (model.n_xi, model.n_z) == (noise.n_s, n_y)
+        res = rc.asymptotic_rate(noise, model, channel)
+        assert res.feasibility.member_of_P_infinity
+        assert res.power <= kappa * (1.0 + 1e-9)
+        assert abs(res.rate_nats - rate) <= 1e-9 * rate
+
+
+def test_scalar_full_support_starts_above_its_threshold():
+    # S_V = |z - 0.5|^2 / |z - 1.5|^2 peaks at 1 (w = 0) and averages 7/15, so the
+    # water level kappa + 7/15 clears it from kappa = 1 - 7/15 = 0.5333 on
+    noise, H = scalar_noise(1.5), np.eye(1)
+    modes = noise_modes(noise, H, WF_GRID)
+    assert modes.max() - modes.mean() == pytest.approx(1.0 - 7.0 / 15.0, abs=1e-6)
+    for kappa, full in ((0.5, False), (0.6, True)):
+        assert spectral_capacity(noise, H, kappa, WF_GRID)[2] is full
+        model = rc.capacity._waterfilling_input(noise, unit_channel(kappa))
+        assert (model is not None) is full
+
+
+def test_full_support_inputs_skip_the_search(monkeypatch):
+    # the bench's sweep searches only below the threshold, and its two-mode case not at all
+    calls = count_minimize(monkeypatch)
+    optimize, per_call = rc.capacity.optimize_input, []
+
+    def counted(*args):
+        before = calls["minimize"]
+        out = optimize(*args)
+        per_call.append(calls["minimize"] - before)
+        return out
+    monkeypatch.setattr(rc.capacity, "optimize_input", counted)
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    points = rc.sweep_kappa(scalar_noise(1.5), unit_channel(), (0.5, 1.0, 2.0), (1, 1), cfg)
+    _, two_mode = rc.capacity.optimize_input(rc.memoryless_noise(np.eye(2)),
+                                             rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0),
+                                             (0, 2), cfg)
+    assert per_call == [3, 0, 0, 0]
+    for res in [p.result for p in points[1:]] + [two_mode]:
+        assert res.diagnostics["search"] == [
+            dict(kind="waterfilling", nit=None, nfev=None, status=None, message=None,
+                 guard_hits=0, candidates=[{"rate": res.rate_nats, "rejected": None}])]
+    # a non-square H, or dims other than (n_s, n_x), searches as before
+    per_call.clear()
+    rc.capacity.optimize_input(rc.memoryless_noise(np.eye(2)),
+                               rc.Channel(H=[[1.0], [2.0]], kappa=1.0), (0, 1), cfg)
+    for dims in ((2, 1), (1, 2), (0, 1)):
+        rc.capacity.optimize_input(scalar_noise(1.5), unit_channel(), dims, cfg)
+    assert per_call == [3] * 4
+
+
+@pytest.mark.parametrize("noise, channel, dims", [
+    (scalar_noise(1.5), unit_channel(1.0), (1, 1)),
+    (scalar_noise(1.5), unit_channel(2.0), (1, 1)),
+    (rc.memoryless_noise(np.eye(2)), rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0), (0, 2))])
+def test_closed_form_rates_equal_the_searched_ones(monkeypatch, noise, channel, dims):
+    # the bench's full-support problems: the closed form against the search it replaces
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    _, closed = rc.optimize_input(noise, channel, dims, cfg)
+    search_only(monkeypatch)
+    _, searched = rc.optimize_input(noise, channel, dims, cfg)
+    rate, _, full = spectral_capacity(noise, channel.H, channel.kappa, WF_GRID)
+    assert full and closed.diagnostics["search"][0]["kind"] == "waterfilling"
+    assert abs(closed.rate_nats - searched.rate_nats) <= 1e-9
+    assert abs(closed.rate_nats - rate) <= 1e-9
+    assert closed.power <= channel.kappa + 1e-9
 
 
 # -------------------------------------------------------------- sweep_kappa
@@ -1174,8 +1296,9 @@ def test_sweep_is_monotone_and_on_budget():
         assert p.power <= p.kappa + 1e-9
 
 
-def test_random_starts_fill_up_to_starts_and_warm_starts_always_run():
+def test_random_starts_fill_up_to_starts_and_warm_starts_always_run(monkeypatch):
     # two structured starts; each earlier budget's solution is a warm start
+    search_only(monkeypatch)
     cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
     points = rc.sweep_kappa(scalar_noise(1.5), rc.Channel(H=[[1.0]]), (0.5, 1, 2, 4),
                             (1, 1), cfg)
@@ -1305,6 +1428,7 @@ def test_solves_that_round_off_leaves_indefinite_return_unconverged():
 def test_rates_read_the_log_dets_of_the_riccati_solutions(monkeypatch):
     # asymptotic_rate and the input search take K and log det K from are_solve;
     # a chol_logdet that raises changes none of their numbers
+    search_only(monkeypatch)
     noise, channel = scalar_noise(1.5), unit_channel()
     noise2, inp2 = random_models(np.random.default_rng(4), n_s=3, n_xi=2, n_y=2, rho_A=1.2)
     config = rc.OptimizerConfig(starts=2, seed=0, maxiter=5)

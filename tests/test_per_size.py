@@ -26,6 +26,16 @@ def test_per_size_writes_every_cell_and_compares_two_files(tmp_path):
     table = _compare([path], [path])
     assert len(table) == 1 + len(CALLS)
     assert all(line.split()[-2:] == ["1.000", "overlap"] for line in table[1:])
+    # each side's median with its unit, to three decimals: microseconds below 1 ms,
+    # which a model's construction always is
+    units = {}
+    for line in table[1:]:
+        name, _, value, unit, value_b, unit_b, *_ = line.split()
+        median = record["cells"][name]["2"]["median_ms"]
+        assert (value, unit) == (value_b, unit_b) == (
+            (f"{median * 1e3:.3f}", "us") if median < 1.0 else (f"{median:.3f}", "ms"))
+        units[name] = unit
+    assert units["NoiseModel"] == units["InputModel"] == "us"
 
 
 def _compare(a, b):
@@ -50,8 +60,8 @@ def test_compare_pools_the_runs_of_each_side(tmp_path):
     a = runs("a", [(1.00, 0.99, 1.01), (1.10, 1.09, 1.11), (1.04, 1.03, 1.05)])
     b = runs("b", [(1.08, 1.07, 1.09), (1.02, 1.015, 1.025), (1.12, 1.11, 1.13)])
     # one run a side: the runs' spread puts unchanged code "apart"
-    assert _compare(a[:1], b[:1])[1].split() == ["are_solve", "2", "1.000", "1.080", "1.080",
-                                                 "apart"]
+    assert _compare(a[:1], b[:1])[1].split() == ["are_solve", "2", "1.000", "ms", "1.080", "ms",
+                                                 "1.080", "apart"]
     # three: the median of the medians, over the widest quartile range
     assert _compare(a, b)[1:] == [
-        f"{'are_solve':<20} {'2':>3} {1.04:9.3f} {1.08:9.3f} {1.08 / 1.04:6.3f}  overlap"]
+        f"{'are_solve':<20} {'2':>3} {1.04:9.3f} ms {1.08:9.3f} ms {1.08 / 1.04:6.3f}  overlap"]

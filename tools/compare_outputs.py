@@ -90,6 +90,10 @@ The output set:
 - the benchmark's sweep (scalar noise a = 1.5, kappa 0.5, 1, 2, dims
   (1, 1), three starts, seed 0, 15 iterations) and its two-mode
   water-filling case;
+- ``optimize_input`` with the sweep's config on a mixed A (eigenvalues 0.5
+  and 1.4) through a 2 x 2 H, dims (2, 2), at kappa = 40, where water-filling
+  has full support and the closed-form input is taken, and at kappa = 8,
+  where it has not and the search runs;
 - ``capacity._waterfill_powers`` on ``waterfill_gains(default_rng(321))``:
   seven edge cases (no gains, zero gains only, kappa = 0, a tie, a level far
   above kappa, gains of 1e9 and 1e-9 at kappa 1e6 and 1e-6) and 200 seeded
@@ -539,6 +543,15 @@ def collect(path):
             lambda: rc.optimize_input(rc.memoryless_noise(np.eye(2)),
                                       rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0), (0, 2),
                                       config))
+    # a mixed A (eigenvalues 0.5 and 1.4) seen through a 2 x 2 H; full water-filling
+    # support starts near kappa = 29.8, so 40 takes the closed-form input and 8 searches
+    mixed = rc.NoiseModel(A=[[0.5, 0.3], [0.0, 1.4]], B=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]],
+                          C=[[1.0, 0.5], [0.3, 1.0]], N=[[1.0, 0.0, 0.2], [0.0, 1.0, 0.3]],
+                          K_W=np.eye(3))
+    for support, kappa in (("full", 40.0), ("partial", 8.0)):
+        _record(out, f"mixed_2x2.{support}",
+                lambda: rc.optimize_input(mixed, rc.Channel(H=[[1.0, 0.2], [0.1, 0.8]],
+                                                            kappa=kappa), (2, 2), config))
     for i, (gains, kappa) in enumerate(waterfill_gains(np.random.default_rng(321))):
         _record(out, f"waterfill_powers{i}", lambda: rc.capacity._waterfill_powers(gains, kappa))
     for i, (H, R, kappa) in enumerate(waterfill_channels(np.random.default_rng(322))):

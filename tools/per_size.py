@@ -40,7 +40,8 @@ joint state of 9 or more goes by plain steps.
 ``compare`` takes one or more runs of each side, A and B, and pools each
 (call, m) cell that every run has: the median of the runs' medians, and
 the range from the least first quartile to the greatest third quartile.
-It prints, for every cell of both sides, the pooled medians, their ratio
+It prints, for every cell of both sides, the pooled medians (in us below
+1 ms, else in ms, each with three decimals and its unit), their ratio
 B / A and whether the two pooled ranges overlap. One run's quartiles are
 narrower than the spread between runs: on a shared 2-core host, two runs
 of the same code still differ by up to about 10% in a cell after the
@@ -170,14 +171,20 @@ def _pooled(paths):
             if all(m in run.get(name, {}) for run in runs)}
 
 
+def _duration(ms):
+    # a pooled median with its unit, microseconds below a millisecond, so a cell of a few
+    # microseconds keeps three digits
+    return f"{ms * 1e3:9.3f} us" if ms < 1.0 else f"{ms:9.3f} ms"
+
+
 def compare(paths_a, paths_b):
     a, b = _pooled(paths_a), _pooled(paths_b)
-    print(f"{'call':<20} {'m':>3} {'A ms':>9} {'B ms':>9} {'B/A':>6}  quartiles")
+    print(f"{'call':<20} {'m':>3} {'A':>12} {'B':>12} {'B/A':>6}  quartiles")
     for (name, m), (x, x1, x3) in a.items():
         if (name, m) not in b:
             continue
         y, y1, y3 = b[name, m]
-        print(f"{name:<20} {m:>3} {x:9.3f} {y:9.3f} {y / x:6.3f}  "
+        print(f"{name:<20} {m:>3} {_duration(x)} {_duration(y)} {y / x:6.3f}  "
               f"{'overlap' if y1 <= x3 and x1 <= y3 else 'apart'}")
 
 
