@@ -26,12 +26,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .linalg import (as_count, as_finite, is_psd, is_symmetric, solve_spd, spectral_radius,
-                     substream, sup_norm, symmetrize)
+                     substream, symmetrize)
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
                        input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import (_chunk_length, _chunk_steps, _compose, _predict, _propagate, _sda_form,
-                      are_solve)
+from .riccati import _chunk_length, _chunk_steps, _predict, _propagate, _sda_form, are_solve
 from .systests import RANK_TOL, feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -730,13 +729,15 @@ def _waterfilling_input(noise, channel):
     Psi(z) = R + Cz (zI - Az)^-1 M + (.)^*, R = nu H H^T - R0 and M = -Mz
     (``_noise_spectrum``), its stable spectral factor solves the Faurre DARE
     P = Az P Az^T + (M - Az P Cz^T)(R - Cz P Cz^T)^-1 (.)^T from P = 0
-    (Anderson & Moore, Optimal Filtering, ch. 9), here by ``riccati._compose``
-    doubling on X = -P. Full support is certified when the doubling meets
-    its stop rule within MAX_DOUBLINGS, K = R - Cz P Cz^T has a Cholesky
-    factor, P is PSD and Az - L Cz is stable, L = (M - Az P Cz^T) K^-1. The
-    input is then F = Az, G = L, Gamma = H^-1 Cz, D = H^-1 and K_Z = K, with
-    n_s states; a memoryless noise gives D = H^-1 and K_Z = R. Any other
-    outcome, partial support included, returns None.
+    (Anderson & Moore, Optimal Filtering, ch. 9). In X = -P it is the
+    filtering DARE of ``are_solve`` with Ahat = Az, Chat = Cz, Qhat = 0,
+    Shat = M and Rhat = R, whose gain is L = (M - Az P Cz^T) K^-1 and whose
+    innovations covariance is K = R - Cz P Cz^T. Full support is certified
+    when that solve converges (its stop rule, a Cholesky factor of K and a
+    stable Az - L Cz) and P is PSD. The input is then F = Az, G = L,
+    Gamma = H^-1 Cz, D = H^-1 and K_Z = K, with n_s states; a memoryless
+    noise gives D = H^-1 and K_Z = R. Any other outcome, partial support
+    included, returns None.
     """
     H = channel.H
     if H.shape[0] != H.shape[1] or not H.size or np.any(
@@ -746,28 +747,14 @@ def _waterfilling_input(noise, channel):
         H_inv = np.linalg.inv(H)
         R0, Az, Mz, Cz = _noise_spectrum(noise)
         nu = (channel.kappa + np.trace(H_inv @ R0 @ H_inv.T)) / channel.n_x
-        R, M, m = nu * (H @ H.T) - R0, -Mz, len(Az)
-        # the triple ((Az - M R^-1 Cz)^T, Cz^T R^-1 Cz, -M R^-1 M^T) of the DARE in X = -P
-        RinvCM = solve_spd(R, np.hstack([Cz, M.T]), context="R")
-        A, G = (Az - M @ RinvCM[:, :m]).T, symmetrize(Cz.T @ RinvCM[:, :m])
-        X = symmetrize(-M @ RinvCM[:, m:])
-        q_scale = sup_norm(X)
-        with np.errstate(all="ignore"):
-            for _ in range(MAX_DOUBLINGS):
-                A, G, X_next = _compose((A, G, X), (A, G, X))
-                diff, X = sup_norm(X_next - X), X_next
-                if diff <= _SEARCH_TOL * max(sup_norm(X), q_scale):
-                    break
-            else:  # a NaN diff meets no stop rule either
-                return None
-        P = -X
-        K = symmetrize(R - Cz @ P @ Cz.T)
-        L = solve_spd(K, (M - Az @ P @ Cz.T).T, context="K").T
-    except np.linalg.LinAlgError:  # a singular H or A2, an R or K without a Cholesky factor
+        m, q = Cz.shape[1], len(H)
+        sol = are_solve(SimpleNamespace(Ahat=Az, Chat=Cz, Qhat=np.zeros((m, m)), Shat=-Mz,
+                                        Rhat=nu * (H @ H.T) - R0, m=m, q=q), tol=_SEARCH_TOL)
+    except np.linalg.LinAlgError:  # a singular H or A2, an R without a Cholesky factor
         return None
-    if not (is_psd(P) and spectral_radius(Az - L @ Cz) < 1.0):
+    if not (sol.converged and is_psd(-sol.P_star)):
         return None
-    return InputModel(F=Az, G=L, Gamma=H_inv @ Cz, D=H_inv, K_Z=K)
+    return InputModel(F=Az, G=sol.gain, Gamma=H_inv @ Cz, D=H_inv, K_Z=sol.innovations)
 
 
 def optimize_input(noise, channel, dims, config=None):

@@ -293,7 +293,10 @@ def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
     Parameters
     ----------
     quad : JointSystem
-        The joint problem, or the noise-only one (its ``noise_quad``).
+        The joint problem, or the noise-only one (its ``noise_quad``). Only
+        the slots Ahat, Chat, Qhat, Shat, Rhat, m and q are read, so any
+        object with them will do: ``capacity._waterfilling_input`` passes
+        its spectral-factor DARE as one.
     tol : float
         Relative stopping tolerance, against max(|P|, |Qhat|) in
         sup-norm, so solutions P* = 0 are reached too; 0 < tol < inf,

@@ -1273,6 +1273,48 @@ def test_closed_form_rates_equal_the_searched_ones(monkeypatch, noise, channel, 
     assert closed.power <= channel.kappa + 1e-9
 
 
+def spy_are_solve(monkeypatch):
+    # each capacity.are_solve call's tol and solution (None where it raised)
+    calls, solve = [], rc.capacity.are_solve
+
+    def spied(quad, **kwargs):
+        calls.append([kwargs.get("tol"), None])
+        calls[-1][1] = solve(quad, **kwargs)
+        return calls[-1][1]
+    monkeypatch.setattr(rc.capacity, "are_solve", spied)
+    return calls
+
+
+def test_closed_form_input_solves_its_dare_by_are_solve(monkeypatch):
+    # the bench's sweep budgets at a = 1.5 (0.5 declined, 1 and 2 taken) and its
+    # two-mode case: one are_solve call each, whose gain and innovations are G and K_Z
+    calls = spy_are_solve(monkeypatch)
+    problems = [(scalar_noise(1.5), unit_channel(kappa)) for kappa in (0.5, 1.0, 2.0)]
+    problems.append((rc.memoryless_noise(np.eye(2)), rc.Channel(H=np.diag([1.0, 2.0]),
+                                                                 kappa=1.0)))
+    for (noise, channel), accepted in zip(problems, (False, True, True, True)):
+        calls.clear()
+        model = rc.capacity._waterfilling_input(noise, channel)
+        assert len(calls) == 1 and calls[0][0] == rc.capacity._SEARCH_TOL
+        sol = calls[0][1]
+        assert sol.converged is accepted and (model is not None) is accepted
+        if accepted:
+            assert np.array_equal(model.G, sol.gain)
+            assert np.array_equal(model.K_Z, sol.innovations)
+
+
+@pytest.mark.parametrize("noise, channel, solves", [
+    (rc.memoryless_noise(np.eye(2)), rc.Channel(H=[[1.0, 2.0], [0.5, 1.0]], kappa=1.0), 0),
+    (scalar_noise(1.0 + 5e-10), unit_channel(1.0), 0),
+    # nu = 5.1 leaves R = diag(-4.9, 5) without a Cholesky factor, inside are_solve
+    (rc.memoryless_noise(np.diag([10.0, 0.1])), rc.Channel(H=np.eye(2), kappa=0.1), 1)],
+    ids=["singular H", "pole near the unit circle", "R not positive definite"])
+def test_closed_form_input_declines_without_raising(monkeypatch, noise, channel, solves):
+    calls = spy_are_solve(monkeypatch)
+    assert rc.capacity._waterfilling_input(noise, channel) is None
+    assert [sol for _, sol in calls] == [None] * solves
+
+
 # -------------------------------------------------------------- sweep_kappa
 
 

@@ -1,11 +1,18 @@
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
 import riccati_capacity as rc
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(rc.__path__))
+
+
+def test_package_exports_are_unique():
+    # the package star-imports its modules, so a name two modules export
+    # would silently shadow the earlier module's
+    assert [name for name, count in Counter(rc.__all__).items() if count > 1] == []
 
 
 def test_package_exports_resolve():

@@ -94,6 +94,12 @@ The output set:
   and 1.4) through a 2 x 2 H, dims (2, 2), at kappa = 40, where water-filling
   has full support and the closed-form input is taken, and at kappa = 8,
   where it has not and the search runs;
+- ``capacity._waterfilling_input`` on 60 draws of
+  ``random_models(np.random.default_rng(800 + i), n_s=1+i%3, n_xi=1,
+  n_y=n_z=1+i%3, rho_A=(0.6, 0.95, 1.3, 1.6)[i%4])``, each through
+  H = I + 0.3 N, N drawn next from the same generator, at kappa = 0.3, 3,
+  30 and 300: the factor's F, G, Gamma, D and K_Z, or None where it
+  declines;
 - ``capacity._waterfill_powers`` on ``waterfill_gains(default_rng(321))``:
   seven edge cases (no gains, zero gains only, kappa = 0, a tie, a level far
   above kappa, gains of 1e9 and 1e-9 at kappa 1e6 and 1e-6) and 200 seeded
@@ -142,6 +148,7 @@ import numpy as np
 DRAWS = 300
 HIDDEN_DRAWS = 40
 WATERFILL_DRAWS = 200
+CLOSED_FORM_DRAWS = 60
 
 # the CLI's model file: unstable noise (eigenvalues 1.2 and 0.6), a
 # one-state input and a scalar channel
@@ -386,6 +393,12 @@ def waterfill_channels(rng):
     return cases
 
 
+def _factor(rc, noise, channel):
+    # the closed-form input's five arrays, or None where it declines
+    model = rc.capacity._waterfilling_input(noise, channel)
+    return None if model is None else (model.F, model.G, model.Gamma, model.D, model.K_Z)
+
+
 def collect(path):
     import riccati_capacity as rc
     from conftest import hidden_mode_models, random_models
@@ -552,6 +565,14 @@ def collect(path):
         _record(out, f"mixed_2x2.{support}",
                 lambda: rc.optimize_input(mixed, rc.Channel(H=[[1.0, 0.2], [0.1, 0.8]],
                                                             kappa=kappa), (2, 2), config))
+    for i in range(CLOSED_FORM_DRAWS):
+        rng = np.random.default_rng(800 + i)
+        noise, _ = random_models(rng, n_s=1 + i % 3, n_xi=1, n_y=1 + i % 3, n_z=1 + i % 3,
+                                 rho_A=(0.6, 0.95, 1.3, 1.6)[i % 4])
+        H = np.eye(noise.n_y) + 0.3 * rng.normal(size=(noise.n_y, noise.n_y))
+        for kappa in (0.3, 3.0, 30.0, 300.0):
+            _record(out, f"closed_form{i}.kappa{kappa:g}",
+                    lambda: _factor(rc, noise, rc.Channel(H=H, kappa=kappa)))
     for i, (gains, kappa) in enumerate(waterfill_gains(np.random.default_rng(321))):
         _record(out, f"waterfill_powers{i}", lambda: rc.capacity._waterfill_powers(gains, kappa))
     for i, (H, R, kappa) in enumerate(waterfill_channels(np.random.default_rng(322))):
