@@ -521,7 +521,10 @@ class OptimizerConfig:
     search with ``starts`` or more of the others runs no random one.
     ``seed`` keys the random starts. ``maxiter`` caps the L-BFGS
     iterations of each start. ``warm_starts`` passes known-good input
-    models (used by the kappa sweep to chain solutions). None of these
+    models (used by the kappa sweep to chain solutions). A start counts
+    towards ``starts`` even when it repeats an earlier one and is not
+    searched again, as the second shift-register start does whenever the
+    channel has one input. None of these
     applies where ``optimize_input`` takes the closed-form input, which
     runs no start.
     """
@@ -778,11 +781,12 @@ def optimize_input(noise, channel, dims, config=None):
         ``diagnostics["search"]`` holds one record per start: its kind
         ("structured", "warm" or "random"), the L-BFGS ``nit``, ``nfev``,
         ``status`` and ``message`` (None when it was not searched from),
-        ``guard_hits`` and its ``candidates``, each with its ``rate`` and
-        the ``rejected`` reason (None when accepted). A closed-form input
-        has one record of kind "waterfilling", with ``nit``, ``nfev``,
-        ``status`` and ``message`` None, no guard hits and its one
-        accepted candidate.
+        ``guard_hits``, ``repeats`` (the index of the earlier record whose
+        search and candidates it copies, or None) and its ``candidates``,
+        each with its ``rate`` and the ``rejected`` reason (None when
+        accepted). A closed-form input has one record of kind
+        "waterfilling", with ``nit``, ``nfev``, ``status``, ``message`` and
+        ``repeats`` None, no guard hits and its one accepted candidate.
 
     Raises
     ------
@@ -814,7 +818,12 @@ def optimize_input(noise, channel, dims, config=None):
     also a candidate as given; searched from when reachable and of the
     search's dims) and shift-register starts with flat and water-filling
     D always run in a search; seeded random starts follow, up to
-    ``config.starts`` starts in all. Each candidate is projected onto the
+    ``config.starts`` starts in all. With one channel input (n_x = 1)
+    the two shift-register starts coincide: the whitened channel's one
+    mode takes all of kappa, so the water-filling D is the flat one. A
+    start without a model of its own whose theta an earlier start had is
+    not searched again; its record copies that start's, with ``repeats``
+    naming it. Each candidate is projected onto the
     budget and evaluated in full by ``asymptotic_rate``. The problem is
     not convex, so a searched result is a certified lower bound rather
     than a proven optimum.
@@ -856,8 +865,8 @@ def optimize_input(noise, channel, dims, config=None):
             model, result, reason = _evaluate(model, noise, channel)
             if reason is None:
                 record = dict(kind="waterfilling", nit=None, nfev=None, status=None, message=None,
-                              guard_hits=0, candidates=[{"rate": result.rate_nats,
-                                                         "rejected": None}])
+                              guard_hits=0, repeats=None,
+                              candidates=[{"rate": result.rate_nats, "rejected": None}])
                 return model, replace(result, diagnostics={**result.diagnostics,
                                                            "search": [record]})
 
@@ -884,11 +893,22 @@ def optimize_input(noise, channel, dims, config=None):
         starts.append(("random", substream(cfg.seed, len(starts)).standard_normal(space.size),
                        None))
 
-    best, records = None, []
-    for kind, theta0, model0 in starts:
+    # the search is a deterministic function of theta0, so a start without a model
+    # of its own whose theta0 an earlier one had (the flat and water-filling
+    # shift-register starts coincide when n_x = 1) takes that start's record
+    # instead of being searched and evaluated again; ``best`` moves only on a
+    # strictly higher rate, so the result is the same
+    best, records, searched = None, [], {}
+    for i, (kind, theta0, model0) in enumerate(starts):
         record = dict(kind=kind, nit=None, nfev=None, status=None, message=None, guard_hits=0,
-                      candidates=[])
+                      repeats=None, candidates=[])
         records.append(record)
+        if model0 is None and space.size > 0:
+            first = searched.setdefault(theta0.tobytes(), i)
+            if first != i:
+                record.update(records[first], kind=kind, repeats=first,
+                              candidates=[dict(c) for c in records[first]["candidates"]])
+                continue
         candidates = [] if model0 is None else [model0]
         if theta0 is not None and space.size > 0:
             res = scipy.optimize.minimize(

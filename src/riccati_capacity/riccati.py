@@ -313,10 +313,11 @@ def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
     # the doubling triple (A_k, G_k, P_k): P_k is DRE step 2^k from zero
     A, G, P = _sda_form(quad)
     q_scale = sup_norm(quad.Qhat)
-    diff, iterations = np.inf, 0
+    # p_norm is sup_norm(P) of the current iterate, computed once per doubling
+    p_norm, diff, iterations = sup_norm(P), np.inf, 0
     # a run that stops contracting keeps its last finite iterate, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        while iterations < min(int(max_iter), MAX_DOUBLINGS) and sup_norm(P) <= _DIVERGENCE_BOUND:
+        while iterations < min(int(max_iter), MAX_DOUBLINGS) and p_norm <= _DIVERGENCE_BOUND:
             try:
                 A_next, G_next, P_next = _compose((A, G, P), (A, G, P))
             except np.linalg.LinAlgError:  # I + G P singular: round-off has made P indefinite
@@ -327,9 +328,10 @@ def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
             if not math.isfinite(diff):
                 break
             A, G, P = A_next, G_next, P_next
-            if diff <= tol * max(sup_norm(P), q_scale):
+            p_norm = sup_norm(P)
+            if diff <= tol * max(p_norm, q_scale):
                 break
-    scale = max(sup_norm(P), q_scale)
+    scale = max(p_norm, q_scale)
     if scale > _DIVERGENCE_BOUND:
         return _unfinished(quad, P, iterations)
     met = diff <= tol * scale

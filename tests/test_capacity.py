@@ -895,7 +895,8 @@ def test_optimize_respects_warm_start_witness(monkeypatch):
     floor = rc.asymptotic_rate(noise, witness, ch)
     assert floor.power <= 1.0
     _, res = rc.optimize_input(noise, ch, (1, 2), replace(cfg, warm_starts=(witness,)))
-    assert calls["minimize"] == 3  # the two structured starts and the witness
+    # the witness and one structured start: with n_x = 1 the two structured starts coincide
+    assert calls["minimize"] == 2
     assert res.rate_nats >= floor.rate_nats - 1e-9
 
 
@@ -1034,7 +1035,7 @@ def test_an_unreachable_warm_start_is_evaluated_not_searched(monkeypatch):
     unreachable = rc.InputModel(F=[[0.5]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]], K_Z=[[1.0]])
     cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=10, warm_starts=(unreachable,))
     _, res = rc.optimize_input(noise, ch, (1, 1), cfg)
-    assert calls["minimize"] == 2  # the two structured starts
+    assert calls["minimize"] == 1  # the structured start, which n_x = 1 makes one start twice
     warm = res.diagnostics["search"][2]
     assert (warm["kind"], warm["nit"], warm["status"]) == ("warm", None, None)
     assert [c["rejected"] for c in warm["candidates"]] == [None]
@@ -1053,13 +1054,50 @@ def test_a_warm_start_that_raises_is_recorded_and_skipped(monkeypatch):
     records = res.diagnostics["search"]
     warm = records[2]
     assert (warm["kind"], warm["nit"]) == ("warm", None)
-    assert calls["minimize"] == len(records) - 1
+    # structured, structured, warm, random: the second structured start repeats the
+    # first (n_x = 1) and the warm one is not searched, so two distinct starts are
+    assert [r["repeats"] for r in records] == [None, 0, None, None]
+    assert calls["minimize"] == 2
     [candidate] = warm["candidates"]
     assert candidate["rate"] is None
     assert candidate["rejected"].startswith("raised: F is not exponentially stable")
     others = [c["rate"] for r in records if r is not warm for c in r["candidates"]
               if c["rejected"] is None]
     assert res.rate_nats == max(others)
+
+
+def test_a_start_that_repeats_an_earlier_one_is_searched_once(monkeypatch):
+    # the bench sweep's searched budget: with n_x = 1 the flat and water-filling
+    # shift-register starts are one theta0, searched once, its record copied
+    calls = count_minimize(monkeypatch)
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    _, res = rc.optimize_input(scalar_noise(1.5), unit_channel(0.5), (1, 1), cfg)
+    records = res.diagnostics["search"]
+    assert calls["minimize"] == 2
+    assert [r["kind"] for r in records] == ["structured", "structured", "random"]
+    assert records[1] == {**records[0], "kind": "structured", "repeats": 0}
+    assert records[1]["candidates"][0] is not records[0]["candidates"][0]
+    assert [r["repeats"] for r in records] == [None, 0, None]
+    # H = diag(1, 2) gives the two structured starts different D: all three are searched
+    calls["minimize"] = 0
+    _, res = rc.optimize_input(rc.memoryless_noise(np.eye(2)),
+                               rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0), (1, 2), cfg)
+    assert calls["minimize"] == 3
+    assert [r["repeats"] for r in res.diagnostics["search"]] == [None] * 3
+    # dims (1, 0) has one coordinate (Gamma), so its random starts differ and are searched;
+    # dims (0, 0) has none, so nothing is searched or keyed, though every theta0 is empty
+    calls["minimize"] = 0
+    _, res = rc.optimize_input(scalar_noise(1.5), unit_channel(), (1, 0), cfg)
+    assert calls["minimize"] == 3
+    assert [r["repeats"] for r in res.diagnostics["search"]] == [None] * 3
+    calls["minimize"] = 0
+    zero = rc.InputModel(F=np.zeros((0, 0)), G=np.zeros((0, 0)), Gamma=np.zeros((1, 0)),
+                         D=np.zeros((1, 0)), K_Z=np.zeros((0, 0)))
+    _, res = rc.optimize_input(scalar_noise(1.5), unit_channel(), (0, 0),
+                               replace(cfg, warm_starts=(zero,)))
+    assert calls["minimize"] == 0
+    assert [(r["kind"], r["repeats"], len(r["candidates"])) for r in res.diagnostics["search"]] \
+        == [("warm", None, 1), ("random", None, 0), ("random", None, 0)]
 
 
 def noise_in_units(c):
@@ -1242,18 +1280,21 @@ def test_full_support_inputs_skip_the_search(monkeypatch):
     _, two_mode = rc.capacity.optimize_input(rc.memoryless_noise(np.eye(2)),
                                              rc.Channel(H=np.diag([1.0, 2.0]), kappa=1.0),
                                              (0, 2), cfg)
-    assert per_call == [3, 0, 0, 0]
+    # 2 at kappa = 0.5: of its three starts, the two structured ones coincide (n_x = 1)
+    assert per_call == [2, 0, 0, 0]
     for res in [p.result for p in points[1:]] + [two_mode]:
         assert res.diagnostics["search"] == [
             dict(kind="waterfilling", nit=None, nfev=None, status=None, message=None,
-                 guard_hits=0, candidates=[{"rate": res.rate_nats, "rejected": None}])]
+                 guard_hits=0, repeats=None,
+                 candidates=[{"rate": res.rate_nats, "rejected": None}])]
     # a non-square H, or dims other than (n_s, n_x), searches as before
     per_call.clear()
     rc.capacity.optimize_input(rc.memoryless_noise(np.eye(2)),
                                rc.Channel(H=[[1.0], [2.0]], kappa=1.0), (0, 1), cfg)
     for dims in ((2, 1), (1, 2), (0, 1)):
         rc.capacity.optimize_input(scalar_noise(1.5), unit_channel(), dims, cfg)
-    assert per_call == [3] * 4
+    # every case here has n_x = 1, so its two structured starts are searched once
+    assert per_call == [2] * 4
 
 
 @pytest.mark.parametrize("noise, channel, dims", [
