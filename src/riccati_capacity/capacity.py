@@ -30,7 +30,7 @@ from .linalg import (as_count, as_finite, is_psd, is_symmetric, solve_spd, spect
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
                        input_power, lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _chunk_length, _chunk_steps, _predict, _propagate, _sda_form, are_solve
+from .riccati import _chunk_steps, _predict, _propagate, _sda_form, are_solve
 from .systests import RANK_TOL, feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -95,8 +95,9 @@ class CoefficientSchedule:
     coefficients gets one long scan for it, while a new object, even one
     with equal arrays, is a new pair. A new model per step costs one
     construction: about 6 us for a scalar ``NoiseModel``, next to about
-    6 us of engine work per step of a scalar drifting schedule (2,000
-    steps, one BLAS thread, 2-core x86-64 VM).
+    4 us of engine work per step of a scalar drifting schedule, whose
+    2,000 steps are one scan (models prebuilt, one BLAS thread, 2-core
+    x86-64 VM).
     """
 
     noise_at: object
@@ -185,9 +186,10 @@ def finite_n_rate(models, channel, n):
     chunked prefix scans or plain steps, asking it for no gains. The scan's
     round-off differs from the plain steps' in the last digits: at most
     9e-14 of each trace column's scale over 40 seeded draws (m = 2 to 8,
-    rho(A) 0.5 to 1.4, 2,100 steps, so a repeated pair's scan runs to the
-    2,048-step cap at m = 2). Each per-step rate term is clamped at zero
-    individually, so a transient with the noise predictor ahead of the
+    rho(A) 0.5 to 1.4, 2,100 steps, so a scan runs to the 2,048-step cap
+    at m = 2), and at most 1.3e-14 on the same draws with every block of
+    both models moving at every step. Each per-step rate term is clamped at
+    zero individually, so a transient with the noise predictor ahead of the
     joint one cannot push the average negative; a NaN term counts as 0.
     """
     n = as_count(n, "n")
@@ -235,26 +237,25 @@ def _runs(system, schedule, n, names, gains=True):
     (P_t, K_t, L_t, log det K_t), K_t symmetrized, its gain L_t = (Ahat P_t
     Chat^T + Shat) K_t^{-1} and log det from its one factorization (L_t None
     where ``gains`` is false), or the Lyapunov recursion's (P_t, power_t),
-    one row per step, P_t entering step t. A chunk ends before the pair that
-    would be its ``riccati._chunk_length(m)`` + 1st distinct one (by
-    identity), which opens the next, or at ``riccati._chunk_steps(m)``
-    steps, so each callback runs once per step, in step order, and a chunk
-    holds at most ``_chunk_length(m)`` pairs' models (one more, the next
-    chunk's first, while it runs). The callbacks run to a chunk's end or to
-    their first raise, after which the steps before it run first. A chunk's
-    distinct pairs are stacked into one joint system, its shape check, and
-    each recursion runs the chunk by one prefix scan (``riccati._propagate``;
-    a Lyapunov step is a Riccati map with G = 0). A chunk of one step, or
-    whose pairs do not stack, or whose scan fails or is not finite, goes by
-    plain steps (``riccati._predict``, ``lyapunov._step``), which need no
-    Rhat^{-1} and name the first step that fails; a non-finite entry of a
-    later model makes the results of every recursion it enters non-finite,
-    so its step is named there.
+    one row per step, P_t entering step t. A chunk ends at
+    ``riccati._chunk_steps(m)`` steps, so each callback runs once per step,
+    in step order, and a chunk holds the models of its distinct pairs (by
+    identity) until it ends, with the next chunk's first pair while it runs.
+    The callbacks run to a chunk's end or to their first raise, after which
+    the steps before it run first. A chunk's distinct pairs are stacked into
+    one joint system, its shape check, and each recursion runs the chunk by
+    one prefix scan (``riccati._propagate``; a Lyapunov step is a Riccati
+    map with G = 0). A chunk of one step, or whose pairs do not stack, or
+    whose scan fails or is not finite, goes by plain steps
+    (``riccati._predict``, ``lyapunov._step``), which need no Rhat^{-1} and
+    name the first step that fails; a non-finite entry of a later model
+    makes the results of every recursion it enters non-finite, so its step
+    is named there.
     """
     first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
     covs = {name: symmetrize(first_laws[name]) for name in names}
     pair_1 = (system.noise, system.input)
-    limit, cap = _chunk_length(system.m), _chunk_steps(system.m)
+    cap = _chunk_steps(system.m)
     # the chunk's distinct pairs in order, and the pair in force at each of its steps
     pairs, index, first = {}, [], 1
     for t in range(1, n + 1):
@@ -273,7 +274,7 @@ def _runs(system, schedule, n, names, gains=True):
             if isinstance(exc, ValueError):
                 raise ValueError(f"step {t}: {exc}") from None
             raise
-        if len(index) == cap or (pair not in pairs and len(pairs) == limit):
+        if len(index) == cap:
             yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
             pairs, index, first = {}, [], t
         index.append(pairs.setdefault(pair, len(pairs)))
@@ -432,9 +433,10 @@ def _waterfill_powers(gains, kappa):
     levels = (kappa + np.cumsum(inv)) / np.arange(1.0, inv.size + 1.0)
     k = 1 + int(np.max(np.flatnonzero(levels > inv), initial=0))
     alloc = levels[k - 1] - inv[:k]
-    total = float(np.sum(alloc))
-    # a level far above kappa puts the sum off the budget, or at 0 if the level rounds kappa away
-    p[:k] = alloc * (kappa / total) if total > 0.0 else kappa
+    # a level far above kappa puts the sum off the budget, and one mode takes kappa itself
+    # (its alloc is off kappa by round-off, or 0 if the level rounds kappa away); with
+    # k > 1 the k-th level lies above the k-th floor, so every alloc is positive
+    p[:k] = alloc * (kappa / float(np.sum(alloc))) if k > 1 else kappa
     return p
 
 

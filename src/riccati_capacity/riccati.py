@@ -23,13 +23,12 @@ state from zero by structure-preserving doubling, a triple composed with
 itself, and ``_propagate`` runs a finite horizon as a work-efficient
 (Brent-Kung) prefix scan of its step triples, fewer than 2L compositions
 for L steps, which ``capacity._runs`` uses for both DREs and the input's
-Lyapunov recursion in chunks of at most ``_chunk_length(m)`` distinct
-(noise, input) pairs and ``_chunk_steps(m)`` steps, each read from one
-stacked joint system (``JointSystem._stacked``); a scanned chunk's gains
-and log dets come from one batched factorization of its K_t, as a plain
-step's do from ``_predict``'s, and where no caller reads the gains its K_t
-are factored for their log dets alone. The solution of ``are_solve`` keeps K
-and log det K at P_star.
+Lyapunov recursion in chunks of at most ``_chunk_steps(m)`` steps, each
+read from one stacked joint system (``JointSystem._stacked``); a scanned
+chunk's gains and log dets come from one batched factorization of its
+K_t, as a plain step's do from ``_predict``'s, and where no caller reads
+the gains its K_t are factored for their log dets alone. The solution of
+``are_solve`` keeps K and log det K at P_star.
 """
 
 import math
@@ -183,33 +182,22 @@ def _propagate(steps, P):
     return np.concatenate([P[None], _compose((zero, zero, P), (A, G, Q))[2]])
 
 
-def _chunk_length(m):
-    """Distinct (noise, input) pairs per prefix scan at state size m; 1 where scans do not pay.
+def _chunk_steps(m):
+    """Steps per prefix scan at joint state size m; 1 (plain steps) where scans do not pay.
 
     A chunk of L steps costs about 2 log2(L) batched compositions of
     about 3L triples in all, O(L m^3) work, against L prediction steps of
     O(m^3) work and a fixed cost per call each, so the chunk shrinks as m
-    grows. Memory is O(L m^2), plus the models a chunk's callbacks build,
-    one per distinct pair: a chunk ends at this many distinct pairs or at
-    ``_chunk_steps(m)`` steps, whichever comes first. Timed at one BLAS
-    thread over 2,000 steps, the best chunk is 1,024 to 2,048 steps up to
-    m = 8, and 512-step scans beat plain steps up to m = 12 (CHANGES.md);
-    the step cap takes the longer scans where pairs repeat, and the plain
-    steps from m = 9 are not retuned yet.
+    grows: 2,048 steps up to m = 2, halving every two states to 256 at
+    m = 8. Memory is O(L m^2), plus the models a chunk's callbacks build,
+    one per distinct (noise, input) pair, which the chunk holds until it
+    ends. Timed at one BLAS thread over 2,000 steps, the best chunk is
+    1,024 to 2,048 steps up to m = 8, and 512-step scans beat plain steps
+    up to m = 12 (CHANGES.md); the plain steps from m = 9 are not retuned
+    yet.
     """
     # m = 0 (a memoryless noise with a memoryless input) is clamped to m = 1
-    return 2 ** (9 - max(m - 1, 0) // 2) if m <= 8 else 1
-
-
-def _chunk_steps(m):
-    """Steps per prefix scan at most: 4 ``_chunk_length(m)``, or 1 (plain steps) from m = 9.
-
-    A run of repeated pairs holds one model per distinct pair, so a constant
-    pair is one scan of up to 2,048 steps at m <= 2 (256 at m = 7 and 8),
-    and a drifting one ends its chunk at ``_chunk_length(m)`` pairs first.
-    """
-    chunk = _chunk_length(m)
-    return 4 * chunk if chunk > 1 else 1
+    return 2 ** (11 - max(m - 1, 0) // 2) if m <= 8 else 1
 
 
 def dre_step(quad, P_t):

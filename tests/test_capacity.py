@@ -270,15 +270,11 @@ def test_chunked_horizon_matches_a_loop_of_dre_steps(n_s, n_xi, rho_A, kind):
     noise, inp = random_models(np.random.default_rng(n_s * 10 + int(10 * rho_A)), n_s=n_s,
                                n_xi=n_xi, n_y=2, n_z=2, rho_A=rho_A)
     channel = rc.Channel(H=[[1.0, 0.3], [-0.2, 0.8]], kappa=1.0)
-    chunk = rc.riccati._chunk_length(n_s + n_xi)
-    # the distinct-pair edge (every step of the drifting kind is a new pair),
-    # and the step cap, the edge of a chunk whose pairs repeat
-    horizons = {max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 5}
-    if kind != "drifting":
-        cap = rc.riccati._chunk_steps(n_s + n_xi)
-        horizons |= {max(1, cap - 1), cap, cap + 1}
-    horizons = sorted(horizons)
-    schedule = schedule_of(kind, noise, inp, chunk // 2 + 1)
+    # the step cap, where every chunk ends whether its pairs repeat or drift,
+    # and a horizon of three chunks
+    cap = rc.riccati._chunk_steps(n_s + n_xi)
+    horizons = sorted({max(1, cap - 1), cap, cap + 1, 2 * cap + 5})
+    schedule = schedule_of(kind, noise, inp, cap // 2 + 1)
     trace, matrices = stepped_reference(schedule, channel, horizons[-1])
     for n in horizons:
         res = rc.finite_n_rate(schedule, channel, n)
@@ -340,21 +336,20 @@ def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, kind):
 
 
 def test_each_callback_runs_once_per_step_and_a_chunk_frees_its_models(monkeypatch):
-    # a joint state of 8 ends a chunk at 64 distinct pairs or at 256 steps: the
-    # noise is new at each of steps 2 to 200 and the step-1 noise after them,
-    # so chunks end at the distinct-pair edge (steps 64, 128, 192), each
-    # carrying its 65th pair, already fetched, into the next, then at the step
-    # cap (step 448)
+    # a joint state of 8 ends a chunk at 256 steps, whatever its pairs: the
+    # noise is new at each of steps 2 to 300 and the step-1 noise after them,
+    # so chunks end at steps 256 and 512, each carrying its 257th pair,
+    # already fetched, into the next
     noise, inp = random_models(np.random.default_rng(8), n_s=4, n_xi=4)
-    chunk, cap = rc.riccati._chunk_length(8), rc.riccati._chunk_steps(8)
-    n = 3 * chunk + cap + 10
+    cap = rc.riccati._chunk_steps(8)
+    n = 2 * cap + 10
     calls, made, alive = {"noise": [], "input": []}, [], []
 
     def noise_at(t):
         calls["noise"].append(t)
         # the models made for later steps still alive; the step-1 pair is the system's own
         alive.append(sum(ref() is not None for ref in made))
-        if not 1 < t <= 200:
+        if not 1 < t <= 300:
             return noise
         model = replace(noise, A=noise.A * (1.0 + 0.2 * np.cos(t)))
         made.append(weakref.ref(model))
@@ -376,9 +371,25 @@ def test_each_callback_runs_once_per_step_and_a_chunk_frees_its_models(monkeypat
     res = rc.finite_n_rate(schedule, unit_channel(), n)
     assert np.isfinite(res.trace).all()
     assert calls == {"noise": list(range(1, n + 1)), "input": list(range(1, n + 1))}
-    assert chunks == [(1, chunk), (chunk + 1, chunk), (2 * chunk + 1, chunk),
-                      (3 * chunk + 1, cap), (3 * chunk + cap + 1, 10)]
-    assert max(alive) <= chunk
+    assert chunks == [(1, cap), (cap + 1, cap), (2 * cap + 1, 10)]
+    # the first chunk holds the models of steps 2 to 256 until it ends; when
+    # step 258 is fetched only step 257's, the second chunk's first, is alive
+    assert max(alive) == alive[cap] == cap - 1 and alive[cap + 1] == 1
+
+
+def test_a_drifting_schedule_is_stacked_as_one_chunk(monkeypatch):
+    # every step of A_t = 0.5 + 2^-t is a new pair; at a joint state of 1 a
+    # chunk runs 2,048 steps, so 2,000 steps are one stacked chunk
+    stacks, stacked = [], rc.models.JointSystem._stacked
+
+    def counting(self, pairs):
+        stacks.append(len(pairs))
+        return stacked(self, pairs)
+
+    monkeypatch.setattr(rc.models.JointSystem, "_stacked", counting)
+    res = rc.finite_n_rate(geometric_schedule(), unit_channel(), 2000)
+    assert np.isfinite(res.trace).all()
+    assert stacks == [2000]
 
 
 def test_a_failing_step_is_named_before_a_later_shape_change():
@@ -1098,6 +1109,20 @@ def test_a_start_that_repeats_an_earlier_one_is_searched_once(monkeypatch):
     assert calls["minimize"] == 0
     assert [(r["kind"], r["repeats"], len(r["candidates"])) for r in res.diagnostics["search"]] \
         == [("warm", None, 1), ("random", None, 0), ("random", None, 0)]
+
+
+def test_one_input_structured_starts_are_one_start_at_every_budget(monkeypatch):
+    # with n_x = 1 the water-filling D is sqrt(kappa) itself, so at a budget where
+    # the level minus the floor, (kappa + 1) - 1, rounds off kappa the two
+    # shift-register starts are still byte-equal and the second repeats the first
+    calls = count_minimize(monkeypatch)
+    cfg = rc.OptimizerConfig(starts=3, seed=0, maxiter=15)
+    assert (0.46 + 1.0) - 1.0 != 0.46
+    _, res = rc.optimize_input(scalar_noise(1.5), unit_channel(0.46), (1, 1), cfg)
+    records = res.diagnostics["search"]
+    assert [r["kind"] for r in records] == ["structured", "structured", "random"]
+    assert [r["repeats"] for r in records] == [None, 0, None]
+    assert calls["minimize"] == 2
 
 
 def noise_in_units(c):

@@ -181,6 +181,15 @@ def test_waterfill_kernel_edges(gains, kappa, expected):
     assert_waterfilling_optimal(gains, kappa, powers)
 
 
+def test_one_active_mode_takes_the_budget_exactly():
+    # one mode's level minus its floor, (kappa + 1/g) - 1/g, is off kappa by round-off
+    # on some draws; the mode takes kappa itself, so sqrt(p) is sqrt(kappa) to the bit
+    rng = np.random.default_rng(0)
+    for kappa, g in rng.uniform(0.01, 10.0, size=(10_000, 2)):
+        assert _waterfill_powers(np.array([g]), kappa)[0] == kappa
+        assert np.array_equal(_waterfill_powers(np.array([g, 1e-12]), kappa), [kappa, 0.0])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_waterfilling_matches_whitening_oracle(seed):
     rng = np.random.default_rng(seed)

@@ -143,16 +143,12 @@ def test_propagate_returns_an_empty_state_at_once(monkeypatch, L):
     assert run.shape == (L + 1, 0, 0) and not calls
 
 
-def test_chunk_length_halves_every_two_states():
-    # a chunk holds 512 distinct pairs up to m = 2, m = 0 (a memoryless noise
-    # with a memoryless input) included, halving every two states to 64 at
-    # m = 8, and at most four times as many steps; plain steps from m = 9 on
-    assert rc.riccati._chunk_length(0) == 512
-    assert [rc.riccati._chunk_length(m) for m in range(1, 13)] == [
-        512, 512, 256, 256, 128, 128, 64, 64, 1, 1, 1, 1]
-    assert rc.riccati._chunk_steps(0) == 2048
-    assert [rc.riccati._chunk_steps(m) for m in range(1, 13)] == [
-        2048, 2048, 1024, 1024, 512, 512, 256, 256, 1, 1, 1, 1]
+def test_chunk_steps_halve_every_two_states():
+    # a chunk runs 2,048 steps up to m = 2, m = 0 (a memoryless noise with a
+    # memoryless input) included, halving every two states to 256 at m = 8;
+    # plain steps from m = 9 on
+    assert [rc.riccati._chunk_steps(m) for m in range(13)] == [
+        2048, 2048, 2048, 1024, 1024, 512, 512, 256, 256, 1, 1, 1, 1]
 
 
 def test_memoryless_input_power_is_constant_at_every_step():

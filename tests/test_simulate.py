@@ -297,9 +297,9 @@ def dre_schedule(quad, horizon):
     return [np.array(column) for column in zip(*rows)]
 
 
-# horizons on both sides of the scan's step cap, the chunk edge of a repeated
-# pair (2,048 steps at m = 1, 256 at m = 8), and of its 512- and 64-step
-# chunks before the cap, and a joint state of 10, which takes plain steps
+# horizons on both sides of the scan's step cap, where every chunk ends
+# (2,048 steps at m = 1, 256 at m = 8), and of the scan's tree edges below
+# it, and a joint state of 10, which takes plain steps
 SCHEDULE_CASES = [("deadbeat", 8), ("m1", 511), ("m1", 512), ("m1", 513), ("m1", 2047),
                   ("m1", 2048), ("m1", 2049), ("m8", 63), ("m8", 64), ("m8", 65), ("m8", 129),
                   ("m8", 255), ("m8", 256), ("m8", 257), ("m10", 12)]

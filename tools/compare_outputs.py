@@ -47,9 +47,9 @@ The output set:
   513 and 1025 on a constant scalar pair (a one-state noise and a one-state
   input, joint state 2, whose chunks were 512 steps), and n = 63, 64, 65 and
   129 on a draw with a joint state of 8 (``random_models(default_rng(13),
-  n_s=4, n_xi=4)``, whose chunks were 64 steps); and at the step cap, the
-  chunk edge of a repeated pair: n = 2047, 2048, 2049 and 4097 on the
-  scalar pair (2,048 steps) and n = 255, 256 and 257 on the draw (256);
+  n_s=4, n_xi=4)``, whose chunks were 64 steps); and at the step cap, where
+  every chunk ends: n = 2047, 2048, 2049 and 4097 on the scalar pair (2,048
+  steps) and n = 255, 256 and 257 on the draw (256);
 - ``kalman_run``'s three schedules (``Pi_seq``, ``K_I_seq``, ``gains``) and
   an ``empirical_report`` of 50 paths (seed 5) at the same tree edges, which
   the Monte Carlo's schedules and analytic power now cross: n = 1, 2, 511,
@@ -60,23 +60,24 @@ The output set:
 - ``finite_n_rate`` on schedules that move every block of both models at
   every step (``drifting``), so no two steps share a pair: a joint state
   of 4 (``random_models(default_rng(11), n_s=2, n_xi=2, n_y=2)``) over 600
-  steps, across 256-step chunks, and the draw of 12 above over 100 steps;
+  steps, within one 1,024-step chunk, and the draw of 12 above over 100
+  steps;
 - the two "step t:" messages of ``finite_n_rate`` on one chunk where K_Ihat
   fails at step 7 and the noise changes shape at step 9, with and without
   the failing step, and the two where a schedule callback then raises
   TypeError (at step 10 after the shape change, at step 9 after the failing
   step);
 - the "step t:" message of a noise that changes shape (two states to one,
-  n_w = n_y = 1, so the scalar blocks would broadcast into the slots) after
-  ``_chunk_length(m)`` steps, at a joint state of 8 (a second distinct pair
-  within the chunk, whose stack is ragged) and of 12 (plain steps), and at
-  step 257, the first after the step cap of a joint state of 8;
+  n_w = n_y = 1, so the scalar blocks would broadcast into the slots) at
+  step 65 of a joint state of 8 (a second distinct pair within the chunk,
+  whose stack is ragged) and step 2 of a joint state of 12 (plain steps),
+  and at step 257, the first after the step cap of a joint state of 8;
 - the "step t:" message of a schedule whose noise (A) or input (F) turns
   all NaN at step t alone, over 700 steps of ``random_models(default_rng(3),
-  n_s=1, n_y=1)``: t = 3 and 600 at n_xi = 1 (a joint state of 2, 512-step
-  chunks) and t = 3 at n_xi = 8 (a joint state of 9, plain steps);
+  n_s=1, n_y=1)``: t = 3 and 600 at n_xi = 1 (a joint state of 2, one
+  chunk) and t = 3 at n_xi = 8 (a joint state of 9, plain steps);
 - ``finite_n_rate`` over 1,030 steps of a joint state of 0 (a memoryless
-  noise, K_V = 0.5, and a unit i.i.d. input), across chunk edges;
+  noise, K_V = 0.5, and a unit i.i.d. input), within one chunk;
 - models built from scalars, 1-D rows and Fortran-ordered arrays, and
   (``COERCED``) each of ``NoiseModel``, ``InputModel`` and ``Channel`` from
   integers, bools, integer and bool arrays, with their initial laws left
@@ -499,10 +500,10 @@ def collect(path):
     two_state = rc.NoiseModel(A=np.diag([0.5, 0.3]), B=[[1.0], [0.5]], C=[[1.0, 1.0]],
                               N=[[1.0]], K_W=[[1.0]])
     one_state = rc.NoiseModel(A=0.5, B=1.0, C=1.0, N=1.0, K_W=1.0)
-    # the step cap at a joint state of 8 is 256 steps; a literal, so that a tree
-    # without the cap records the same schedule
-    for name, n_xi, switch in (("chunk_start", 6, rc.riccati._chunk_length(8) + 1),
-                               ("chunk_start", 10, rc.riccati._chunk_length(12) + 1),
+    # literals, so that the schedules do not depend on the chunk rule: the shape changes
+    # within a chunk at a joint state of 8 (step 65), in plain steps at 12 (step 2), and
+    # at 257, the first step after the step cap of a joint state of 8
+    for name, n_xi, switch in (("chunk_start", 6, 65), ("chunk_start", 10, 2),
                                ("step_cap", 6, 257)):
         inp = rc.InputModel(F=0.5 * np.eye(n_xi), G=np.ones((n_xi, 1)),
                             Gamma=np.ones((1, n_xi)) / n_xi, D=1.0, K_Z=1.0)
