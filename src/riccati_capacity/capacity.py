@@ -8,9 +8,11 @@ finite-block rate averages the clamped per-step log-det differences
     (1/2n) sum_t max(0, logdet K_{I_t} - logdet K_{Ihat_t})
 
 and the asymptotic rate replaces both recursions by their steady states.
-Average input power follows the companion Lyapunov recursion. Where
-water-filling over frequency has full support, the optimizer builds the
-capacity-achieving input in closed form, as the stable spectral factor
+Average input power follows the companion Lyapunov recursion. Over a
+finite block, all three recursions run on the finite-horizon engine of
+``riccati`` (``riccati._runs``), which reads a ``CoefficientSchedule``.
+Where water-filling over frequency has full support, the optimizer builds
+the capacity-achieving input in closed form, as the stable spectral factor
 of the water-filling input spectrum; elsewhere it searches over input
 realizations in input-normal form, where the power budget holds by
 construction, with adjoint gradients. A classical water-filling solver
@@ -19,7 +21,6 @@ special case.
 """
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -27,10 +28,10 @@ import numpy as np
 
 from .linalg import (as_count, as_finite, is_psd, is_symmetric, solve_spd, spectral_radius,
                      substream, symmetrize)
-from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, _step as _lyap_core,
-                       input_power, lyap_solve)
+from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power,
+                       lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _chunk_steps, _predict, _propagate, _sda_form, are_solve
+from .riccati import _runs, are_solve
 from .systests import RANK_TOL, feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -90,14 +91,14 @@ class CoefficientSchedule:
     step t (1-based); the limits are what they converge to. Supplying
     callbacks rather than stored arrays keeps long horizons cheap.
 
-    The engine groups steps by model identity, not by value: a callback
-    that returns the same model object over a stretch of constant
-    coefficients gets one long scan for it, while a new object, even one
-    with equal arrays, is a new pair. A new model per step costs one
-    construction: about 6 us for a scalar ``NoiseModel``, next to about
-    4 us of engine work per step of a scalar drifting schedule, whose
-    2,000 steps are one scan (models prebuilt, one BLAS thread, 2-core
-    x86-64 VM).
+    The finite-horizon engine (``riccati._runs``) groups steps by model
+    identity, not by value: a callback that returns the same model object
+    over a stretch of constant coefficients gets one long scan for it,
+    while a new object, even one with equal arrays, is a new pair. A new
+    model per step costs one construction: about 6 us for a scalar
+    ``NoiseModel``, next to about 4 us of engine work per step of a scalar
+    drifting schedule, whose 2,000 steps are one scan (models prebuilt, one
+    BLAS thread, 2-core x86-64 VM).
     """
 
     noise_at: object
@@ -170,8 +171,9 @@ def finite_n_rate(models, channel, n):
         ValueError at step t (its other errors pass unchanged), or an invalid
         step-1 model.
     TypeError
-        "step t: noise_at returned str, not a NoiseModel" (or input_at, "not
-        an InputModel"), t > 1.
+        "step t: noise_at returned ndarray, not a NoiseModel", naming the
+        type returned (or input_at, "not an InputModel"), t > 1, after the
+        steps before t have run.
     LinAlgError
         "step t: K_I is not positive definite" (or K_Ihat) at the first
         step whose innovations covariance has no Cholesky factor.
@@ -182,11 +184,11 @@ def finite_n_rate(models, channel, n):
     initial laws, K_S1 and blockdiag(K_Xi1, K_S1), so both describe one
     channel; when the feasibility tests pass, the rate converges to the
     asymptotic one uniformly over these laws. Both DREs and the input's
-    Lyapunov recursion run on the finite-horizon engine, ``_runs``, by
-    chunked prefix scans or plain steps, asking it for no gains. The scan's
-    round-off differs from the plain steps' in the last digits: at most
-    9e-14 of each trace column's scale over 40 seeded draws (m = 2 to 8,
-    rho(A) 0.5 to 1.4, 2,100 steps, so a scan runs to the 2,048-step cap
+    Lyapunov recursion run on the finite-horizon engine, ``riccati._runs``,
+    by chunked prefix scans or plain steps, asking it for no gains. The
+    scan's round-off differs from the plain steps' in the last digits: at
+    most 9e-14 of each trace column's scale over 40 seeded draws (m = 2 to
+    8, rho(A) 0.5 to 1.4, 2,100 steps, so a scan runs to the 2,048-step cap
     at m = 2), and at most 1.3e-14 on the same draws with every block of
     both models moving at every step. Each per-step rate term is clamped at
     zero individually, so a transient with the noise predictor ahead of the
@@ -220,126 +222,6 @@ def finite_n_rate(models, channel, n):
         diagnostics={"horizon": n, "nan_steps": int(np.isnan(terms).sum()),
                      "clamped_steps": int((terms < 0.0).sum())},
     )
-
-
-# the two sides of a schedule's pair, in its order, with their model types
-_SIDES = (("noise", NoiseModel, "a"), ("input", InputModel, "an"))
-
-
-def _runs(system, schedule, n, names, gains=True):
-    """The finite-horizon engine: the recursions ``names`` picks, over steps 1 to n.
-
-    The names are "Sigma" (the noise predictor's DRE), "Pi" (the joint
-    predictor's) and "P" (the input state's Lyapunov recursion), each
-    started from the initial law of ``system``, the joint system of the pair
-    in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk,
-    its first step and a dict keyed by ``names``: a DRE's predictor schedule
-    (P_t, K_t, L_t, log det K_t), K_t symmetrized, its gain L_t = (Ahat P_t
-    Chat^T + Shat) K_t^{-1} and log det from its one factorization (L_t None
-    where ``gains`` is false), or the Lyapunov recursion's (P_t, power_t),
-    one row per step, P_t entering step t. A chunk ends at
-    ``riccati._chunk_steps(m)`` steps, so each callback runs once per step,
-    in step order, and a chunk holds the models of its distinct pairs (by
-    identity) until it ends, with the next chunk's first pair while it runs.
-    The callbacks run to a chunk's end or to their first raise, after which
-    the steps before it run first. A chunk's distinct pairs are stacked into
-    one joint system, its shape check, and each recursion runs the chunk by
-    one prefix scan (``riccati._propagate``; a Lyapunov step is a Riccati
-    map with G = 0). A chunk of one step, or whose pairs do not stack, or
-    whose scan fails or is not finite, goes by plain steps
-    (``riccati._predict``, ``lyapunov._step``), which need no Rhat^{-1} and
-    name the first step that fails; a non-finite entry of a later model
-    makes the results of every recursion it enters non-finite, so its step
-    is named there.
-    """
-    first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
-    covs = {name: symmetrize(first_laws[name]) for name in names}
-    pair_1 = (system.noise, system.input)
-    cap = _chunk_steps(system.m)
-    # the chunk's distinct pairs in order, and the pair in force at each of its steps
-    pairs, index, first = {}, [], 1
-    for t in range(1, n + 1):
-        try:
-            pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else pair_1
-            # a pair is checked to hold models where it first enters the chunk
-            if pair not in pairs and not (isinstance(pair[0], NoiseModel)
-                                          and isinstance(pair[1], InputModel)):
-                for got, (side, kind, article) in zip(pair, _SIDES):
-                    if not isinstance(got, kind):
-                        raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
-                                        f"not {article} {kind.__name__}")
-        except Exception as exc:
-            if index:
-                _run_chunk(system, [*pairs], index, covs, first, gains)
-            if isinstance(exc, ValueError):
-                raise ValueError(f"step {t}: {exc}") from None
-            raise
-        if len(index) == cap:
-            yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
-            pairs, index, first = {}, [], t
-        index.append(pairs.setdefault(pair, len(pairs)))
-    yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
-
-
-def _run_chunk(system, pairs, index, covs, first, gains):
-    # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
-    if len(index) > 1:
-        # pairs that do not stack (the chunk's shape check) or a K that does not factor
-        with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
-            stacked, steps = system._stacked(pairs), np.asarray(index)
-            scans = {name: _advance(stacked, name, cov, gains, steps)
-                     for name, cov in covs.items()}
-            # a run's last stack holds its log dets or powers. Only the step-1 models are
-            # validated; a non-finite entry of a later one makes these non-finite, and the
-            # plain steps name it
-            if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
-                   for after, run in scans.values()):
-                covs.update((name, after) for name, (after, _) in scans.items())
-                return {name: run for name, (_, run) in scans.items()}
-    # plain steps on the system itself, which raise at the first step that fails
-    rows = {name: [] for name in covs}
-    for j, i in enumerate(index):
-        try:
-            for model, (side, *_) in zip(pairs[i], _SIDES):
-                # a model not yet written is not yet checked
-                if model is not getattr(system, side) and not all(
-                        np.isfinite(getattr(model, name)).all() for name, _, _ in model._ARRAYS):
-                    raise ValueError(f"{side}_at returned a model with non-finite entries")
-            system._update(*pairs[i])
-            for name, cov in covs.items():
-                covs[name], row = _advance(system, name, cov, gains)
-                rows[name].append(row)
-        except ValueError as exc:  # a block that changed shape, or a K that does not factor
-            raise type(exc)(f"step {first + j}: {exc}") from None
-    return {name: tuple(None if column[0] is None else np.array(column)
-                        for column in zip(*rows[name])) for name in covs}
-
-
-def _advance(system, name, cov, gains, index=None):
-    # recursion ``name`` from ``cov``: a plain step on the models last written or, given
-    # ``index``, a prefix scan over a stacked chunk; the covariance after it, and its run,
-    # whose gains are None unless ``gains``
-    inp = system.input
-    if name != "P":
-        quad, context = (system.noise_quad, "K_Ihat") if name == "Sigma" else (system, "K_I")
-        if index is None:
-            after, K, logdet, gain_T = _predict(quad, cov, context=context)
-            return after, (cov, symmetrize(K), gain_T.T if gains else None, logdet)
-        run = _propagate([a[index] for a in _sda_form(quad)], cov)
-        Ps, C_T = run[:-1], quad.Chat[index].swapaxes(-1, -2)
-        K = symmetrize(quad.Rhat[index] + quad.Chat[index] @ Ps @ C_T)
-        # the gains solve against (Ahat P_t Chat^T + Shat)^T, log dets alone against nothing
-        APC = quad.Ahat[index] @ Ps @ C_T + quad.Shat[index] if gains else K[..., :0, :]
-        gain_T, logdet = solve_spd(K, APC.swapaxes(-1, -2), context=context, logdet=True)
-        return run[-1], (Ps, K, gain_T.swapaxes(-1, -2) if gains else None, logdet)
-    if index is None:
-        return _lyap_core(inp.F, inp.G, inp.K_Z, cov), (cov, input_power(inp, cov))
-    # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
-    # map (F^T, 0, G K_Z G^T)
-    inp = SimpleNamespace(**{key: stack[index] for key, stack in vars(inp).items()})
-    F_T = inp.F.swapaxes(-1, -2)
-    Ps = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)], cov)
-    return Ps[-1], (Ps[:-1], input_power(inp, Ps[:-1]))
 
 
 def asymptotic_rate(noise, input, channel, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):

@@ -381,12 +381,12 @@ def main(argv=None):
         if not isinstance(doc, dict):
             raise ValueError("model file must be a JSON object")
         failure = args.handler(args, doc)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # ahead of ValueError, its base
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     if failure and getattr(args, "strict", False):
         print(failure, file=sys.stderr)
         return 3

@@ -5,8 +5,9 @@ row-major. Covariance arguments are expected to be symmetric; routines
 that return covariances symmetrize their output to suppress drift.
 
 The helpers need only numpy: a Cholesky factor and its inverse serve
-every positive definite solve, and ``block_diag`` fills its slots
-directly, so importing the package loads no scipy.
+every positive definite solve, one symmetric eigendecomposition every PSD
+square root (``_root``), and ``block_diag`` fills its slots directly, so
+importing the package loads no scipy.
 """
 
 import numpy as np
@@ -148,6 +149,19 @@ def is_psd(M):
     eigs = np.linalg.eigvalsh(symmetrize(M))
     scale = max(1.0, float(np.max(np.abs(eigs))))
     return float(eigs[0]) >= -PSD_SLACK * scale
+
+
+def _root(M):
+    # systests.psd_sqrt without the covariance check, for matrices checked or PSD by
+    # construction
+    return _eig_root(*np.linalg.eigh(symmetrize(M)))
+
+
+def _eig_root(w, V):
+    # _root from eigh's (w, V); a zero eigenvalue comes back as round-off of either
+    # sign, and clipping only the negative ones would give the root spurious directions
+    w = np.where(w > PSD_SLACK * sup_norm(w), w, 0.0)
+    return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
 def is_pd(M):

@@ -14,31 +14,38 @@ prediction error (the innovations covariance), one prediction step is
 ``_predict`` forms and factors K once and returns (P+, K, log det K,
 gain^T): ``dre_step``, ``dre_run`` (the plain-step reference),
 ``gain_and_closed_loop`` and ``are_solve``'s Newton polish and its last
-step call it, and so does the finite-horizon engine, ``capacity._runs``,
-where it does not scan, keeping all four. ``_sda_form`` writes the step
-without its cross term as a triple (A, G, Q), the map
-P -> Q + A^T P (I + G P)^{-1} A, and ``_compose`` composes two such maps
-into one. Composition is associative: ``are_solve`` reaches the steady
-state from zero by structure-preserving doubling, a triple composed with
-itself, and ``_propagate`` runs a finite horizon as a work-efficient
-(Brent-Kung) prefix scan of its step triples, fewer than 2L compositions
-for L steps, which ``capacity._runs`` uses for both DREs and the input's
-Lyapunov recursion in chunks of at most ``_chunk_steps(m)`` steps, each
-read from one stacked joint system (``JointSystem._stacked``); a scanned
-chunk's gains and log dets come from one batched factorization of its
-K_t, as a plain step's do from ``_predict``'s, and where no caller reads
-the gains its K_t are factored for their log dets alone. The solution of
-``are_solve`` keeps K and log det K at P_star.
+step call it, and so does the finite-horizon engine where it does not
+scan, keeping all four. ``_sda_form`` writes the step without its cross
+term as a triple (A, G, Q), the map P -> Q + A^T P (I + G P)^{-1} A, and
+``_compose`` composes two such maps into one. Composition is
+associative: ``are_solve`` reaches the steady state from zero by
+structure-preserving doubling, a triple composed with itself, and
+``_propagate`` runs a finite horizon as a work-efficient (Brent-Kung)
+prefix scan of its step triples, fewer than 2L compositions for L steps.
+
+The finite-horizon engine, ``_runs``, lives here too: it runs both DREs
+and the input's Lyapunov recursion (a Riccati map with G = 0) over a
+schedule's steps, in chunks of ``_chunk_steps(m)`` steps (``_run_chunk``),
+each read from one stacked joint system (``JointSystem._stacked``) and
+scanned by ``_propagate``, or taken by plain steps (``_advance``) that name
+the step that fails ("step t: ..."). A scanned chunk's gains and log dets
+come from one batched factorization of its K_t, as a plain step's do from
+``_predict``'s, and where no caller reads the gains its K_t are factored
+for their log dets alone. The solution of ``are_solve`` keeps K and log
+det K at P_star.
 """
 
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .linalg import as_count, as_covariance, solve_spd, spectral_radius, sup_norm, symmetrize
-from .lyapunov import DEFAULT_TOL, MAX_DOUBLINGS, _check_tol, _smith
+from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, _check_tol, _smith, _step as _lyap_core,
+                       input_power)
+from .models import InputModel, NoiseModel
 
 __all__ = [
     "RiccatiSolution",
@@ -200,6 +207,127 @@ def _chunk_steps(m):
     return 2 ** (11 - max(m - 1, 0) // 2) if m <= 8 else 1
 
 
+# the two sides of a schedule's pair, in its order, with their model types
+_SIDES = (("noise", NoiseModel, "a"), ("input", InputModel, "an"))
+
+
+def _runs(system, schedule, n, names, gains=True):
+    """The finite-horizon engine: the recursions ``names`` picks, over steps 1 to n.
+
+    The names are "Sigma" (the noise predictor's DRE), "Pi" (the joint
+    predictor's) and "P" (the input state's Lyapunov recursion), each
+    started from the initial law of ``system``, the joint system of the pair
+    in force at step 1; ``schedule``'s pairs follow it. Yields, per chunk,
+    its first step and a dict keyed by ``names``: a DRE's predictor schedule
+    (P_t, K_t, L_t, log det K_t), K_t symmetrized, its gain L_t = (Ahat P_t
+    Chat^T + Shat) K_t^{-1} and log det from its one factorization (L_t None
+    where ``gains`` is false), or the Lyapunov recursion's (P_t, power_t),
+    one row per step, P_t entering step t. A chunk ends at
+    ``_chunk_steps(m)`` steps, so each callback runs once per step, in step
+    order, and a chunk holds the models of its distinct pairs (by identity)
+    until it ends, with the next chunk's first pair while it runs. Each
+    step's pair must be a NoiseModel and an InputModel ("step t: noise_at
+    returned ndarray, not a NoiseModel", TypeError). The callbacks run to a
+    chunk's end or to their first raise or wrong type, after which the
+    steps before it run first. A chunk's distinct pairs are stacked into one
+    joint system, its shape check, and each recursion runs the chunk by one
+    prefix scan (``_propagate``; a Lyapunov step is a Riccati map with
+    G = 0). A chunk of one step, or whose pairs do not stack, or whose scan
+    fails or is not finite, goes by plain steps (``_predict``,
+    ``lyapunov._step``), which need no Rhat^{-1} and name the first step
+    that fails; a non-finite entry of a later model makes the results of
+    every recursion it enters non-finite, so its step is named there.
+    """
+    first_laws = {"Sigma": system.noise.K_S1, "Pi": system.K_Theta1, "P": system.input.K_Xi1}
+    covs = {name: symmetrize(first_laws[name]) for name in names}
+    pair_1 = (system.noise, system.input)
+    cap = _chunk_steps(system.m)
+    # the chunk's distinct pairs in order, and the pair in force at each of its steps
+    pairs, index, first = {}, [], 1
+    for t in range(1, n + 1):
+        try:
+            pair = (schedule.noise_at(t), schedule.input_at(t)) if t > 1 else pair_1
+            # checked before it is hashed, so an unhashable return is named too
+            if not (isinstance(pair[0], NoiseModel) and isinstance(pair[1], InputModel)):
+                for got, (side, kind, article) in zip(pair, _SIDES):
+                    if not isinstance(got, kind):
+                        raise TypeError(f"step {t}: {side}_at returned {type(got).__name__}, "
+                                        f"not {article} {kind.__name__}")
+        except Exception as exc:
+            if index:
+                _run_chunk(system, [*pairs], index, covs, first, gains)
+            if isinstance(exc, ValueError):
+                raise ValueError(f"step {t}: {exc}") from None
+            raise
+        if len(index) == cap:
+            yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
+            pairs, index, first = {}, [], t
+        index.append(pairs.setdefault(pair, len(pairs)))
+    yield first, _run_chunk(system, [*pairs], index, covs, first, gains)
+
+
+def _run_chunk(system, pairs, index, covs, first, gains):
+    # the runs from step first, pairs[index[j]] in force at step first + j; moves covs past them
+    if len(index) > 1:
+        # pairs that do not stack (the chunk's shape check) or a K that does not factor
+        with np.errstate(all="ignore"), suppress(ValueError):  # LinAlgError included
+            stacked, steps = system._stacked(pairs), np.asarray(index)
+            scans = {name: _advance(stacked, name, cov, gains, steps)
+                     for name, cov in covs.items()}
+            # a run's last stack holds its log dets or powers. Only the step-1 models are
+            # validated; a non-finite entry of a later one makes these non-finite, and the
+            # plain steps name it
+            if all(np.isfinite(after).all() and np.isfinite(run[-1]).all()
+                   for after, run in scans.values()):
+                covs.update((name, after) for name, (after, _) in scans.items())
+                return {name: run for name, (_, run) in scans.items()}
+    # plain steps on the system itself, which raise at the first step that fails
+    rows = {name: [] for name in covs}
+    for j, i in enumerate(index):
+        try:
+            for model, (side, *_) in zip(pairs[i], _SIDES):
+                # a model not yet written is not yet checked
+                if model is not getattr(system, side) and not all(
+                        np.isfinite(getattr(model, name)).all() for name, _, _ in model._ARRAYS):
+                    raise ValueError(f"{side}_at returned a model with non-finite entries")
+            system._update(*pairs[i])
+            for name, cov in covs.items():
+                covs[name], row = _advance(system, name, cov, gains)
+                rows[name].append(row)
+        except ValueError as exc:  # a block that changed shape, or a K that does not factor
+            raise type(exc)(f"step {first + j}: {exc}") from None
+    return {name: tuple(None if column[0] is None else np.array(column)
+                        for column in zip(*rows[name])) for name in covs}
+
+
+def _advance(system, name, cov, gains, index=None):
+    # recursion ``name`` from ``cov``: a plain step on the models last written or, given
+    # ``index``, a prefix scan over a stacked chunk; the covariance after it, and its run,
+    # whose gains are None unless ``gains``
+    inp = system.input
+    if name != "P":
+        quad, context = (system.noise_quad, "K_Ihat") if name == "Sigma" else (system, "K_I")
+        if index is None:
+            after, K, logdet, gain_T = _predict(quad, cov, context=context)
+            return after, (cov, symmetrize(K), gain_T.T if gains else None, logdet)
+        run = _propagate([a[index] for a in _sda_form(quad)], cov)
+        Ps, C_T = run[:-1], quad.Chat[index].swapaxes(-1, -2)
+        K = symmetrize(quad.Rhat[index] + quad.Chat[index] @ Ps @ C_T)
+        # the gains solve against (Ahat P_t Chat^T + Shat)^T, log dets alone against nothing
+        APC = quad.Ahat[index] @ Ps @ C_T + quad.Shat[index] if gains else K[..., :0, :]
+        gain_T, logdet = solve_spd(K, APC.swapaxes(-1, -2), context=context, logdet=True)
+        return run[-1], (Ps, K, gain_T.swapaxes(-1, -2) if gains else None, logdet)
+    if index is None:
+        return _lyap_core(inp.F, inp.G, inp.K_Z, cov), (cov, input_power(inp, cov))
+    # the input state's Lyapunov step P -> F P F^T + G K_Z G^T is the Riccati
+    # map (F^T, 0, G K_Z G^T)
+    inp = SimpleNamespace(**{key: stack[index] for key, stack in vars(inp).items()})
+    F_T = inp.F.swapaxes(-1, -2)
+    Ps = _propagate([F_T, np.zeros_like(F_T), inp.G @ inp.K_Z @ inp.G.swapaxes(-1, -2)], cov)
+    return Ps[-1], (Ps[:-1], input_power(inp, Ps[:-1]))
+
+
+
 def dre_step(quad, P_t):
     """One step of the generalized difference Riccati equation.
 
@@ -224,7 +352,7 @@ def dre_run(quad, P_1, horizon):
     Returns a list of length ``horizon`` whose first element is P_1
     itself, so element t is the covariance entering step t. It is the
     plain-step reference that the scanned finite-horizon engine
-    (``capacity._runs``) is tested against.
+    (``_runs``) is tested against.
     """
     horizon = as_count(horizon, "horizon")
     out = [as_covariance(P_1, quad.m, "dre_run: P")]

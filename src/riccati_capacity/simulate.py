@@ -8,16 +8,19 @@ Lyapunov quantities. Agreement is judged in standard errors, so the
 tolerance tightens automatically as paths are added. ``empirical_report``
 samples its paths itself, in blocks whose length a private memory budget
 sets, and keeps of each block only the per-path values its rows read.
+The predictor schedules and the analytic power come from ``riccati``'s
+finite-horizon engine (``riccati._runs``), the sampler's covariance roots
+from ``linalg._root``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityResult, _runs, constant_schedule
-from .linalg import _substreams, as_count, sup_norm
+from .capacity import CapacityResult, constant_schedule
+from .linalg import _root, _substreams, as_count, sup_norm
 from .models import JointSystem
-from .systests import _root
+from .riccati import _runs
 # stay importable here because bench/tracing.py patches them at these names
 from .models import build_augmented, to_quadruple  # noqa: F401
 from .riccati import dre_run  # noqa: F401
@@ -252,7 +255,7 @@ def _path_blocks(system, horizon, paths):
 
 
 def _run(system, horizon, *names):
-    """The runs of ``capacity._runs`` over ``horizon`` steps of the system's own pair.
+    """The runs of ``riccati._runs`` over ``horizon`` steps of the system's own pair.
 
     One list per name, in their order, of its stacks with the chunks joined.
     None of it depends on the paths: one run serves every block of a report,
@@ -324,7 +327,7 @@ def kalman_run(batch):
     The filter runs on ``batch.system``, the joint system the batch was
     sampled from, with the time-varying gains of the joint predictor's DRE
     from the model initial law, whose schedule (Pi_t, K_{I_t}, L_t) is the
-    run of ``finite_n_rate``'s engine (``capacity._runs``) as it is, so its
+    run of ``finite_n_rate``'s engine (``riccati._runs``) as it is, so its
     innovations are exactly the quantities whose covariances K_{I_t} the
     analytic side predicts.
 
@@ -423,10 +426,12 @@ def empirical_report(system, horizon, paths, master_seed, analytic):
     and a call holds one block at a time. What no path changes comes from
     the first block: the joint schedule through its ``kalman_run``, and
     the noise schedule and the analytic power at each step by one run of
-    ``finite_n_rate``'s engine; a shorter horizon reads their prefixes. A
-    block that stops at the overflow guard before the blocks read so far
-    truncates the report to its horizon: later blocks are cut to it, and
-    the earlier ones are drawn again at it.
+    ``finite_n_rate``'s engine; a shorter horizon reads their prefixes.
+    Each later block is drawn at the report's horizon so far, since a
+    shorter batch is the prefix of a longer one. A block that stops at the
+    overflow guard before that horizon truncates the report to its own: the
+    later blocks are drawn at it, and the earlier ones are drawn again at
+    it.
 
     Parameters
     ----------
@@ -472,20 +477,16 @@ def empirical_report(system, horizon, paths, master_seed, analytic):
     kept = [_reduce(block, run.innovations, run.state_errors, noise_gains)]
     del block, run  # so that no two blocks are held at once
 
-    def reduce(block):
-        # a shorter batch is the prefix of a longer one
-        block = replace(block, horizon=stored, **{name: getattr(block, name)[:, :stored]
-                                                  for name in ("S", "V", "Xi", "X", "Y")})
-        return _reduce(block, *_joint_filter(block, joint), noise_gains)
+    def reduce(indices):
+        # the block's values at the report's horizon so far, and the horizon it stored
+        block = sample_paths(system, stored, indices, master_seed)
+        return _reduce(block, *_joint_filter(block, joint), noise_gains), block.horizon
 
     for k, indices in enumerate(blocks[1:], 1):
-        block = sample_paths(system, horizon, indices, master_seed)
-        shorter, stored = block.horizon < stored, min(stored, block.horizon)
-        values = reduce(block)
-        del block
-        if shorter:
-            kept = [reduce(sample_paths(system, stored, earlier, master_seed))
-                    for earlier in blocks[:k]]
+        values, drawn = reduce(indices)
+        if drawn < stored:
+            stored = drawn
+            kept = [reduce(earlier)[0] for earlier in blocks[:k]]
         kept.append(values)
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PSD_SLACK, _as_2d, as_covariance, as_finite, solve_spd, sup_norm, symmetrize
+from .linalg import (PSD_SLACK, _as_2d, _eig_root, _root, as_covariance, as_finite, solve_spd,
+                     sup_norm, symmetrize)
 from .lyapunov import STABILITY_MARGIN
 from .models import JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
@@ -150,18 +151,6 @@ def psd_sqrt(M):
     """
     M = _as_2d(M, "M", copy=None)  # as_covariance makes the one copy
     return _root(as_covariance(M, M.shape[0], "M"))
-
-
-def _root(M):
-    # psd_sqrt without the covariance check, for matrices checked or PSD by construction
-    return _eig_root(*np.linalg.eigh(symmetrize(M)))
-
-
-def _eig_root(w, V):
-    # _root from eigh's (w, V); a zero eigenvalue comes back as round-off of either
-    # sign, and clipping only the negative ones would give the root spurious directions
-    w = np.where(w > PSD_SLACK * sup_norm(w), w, 0.0)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
 def starred_system(quad):

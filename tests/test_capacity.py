@@ -318,7 +318,7 @@ def test_finite_chunks_are_scanned_without_plain_steps(monkeypatch, kind):
     noise, inp = random_models(np.random.default_rng(4), n_s=1, n_xi=1, n_y=1)
     schedule = schedule_of(kind, noise, inp, 5)
     calls = []
-    monkeypatch.setattr(rc.capacity, "_predict", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(rc.riccati, "_predict", lambda *a, **k: calls.append(a))
     empty = np.empty
 
     def zero_empty(*args, **kwargs):
@@ -359,13 +359,13 @@ def test_each_callback_runs_once_per_step_and_a_chunk_frees_its_models(monkeypat
         calls["input"].append(t)
         return inp
 
-    chunks, run_chunk = [], rc.capacity._run_chunk
+    chunks, run_chunk = [], rc.riccati._run_chunk
 
     def recording(system, pairs, index, covs, first, gains):
         chunks.append((first, len(index)))
         return run_chunk(system, pairs, index, covs, first, gains)
 
-    monkeypatch.setattr(rc.capacity, "_run_chunk", recording)
+    monkeypatch.setattr(rc.riccati, "_run_chunk", recording)
     schedule = rc.CoefficientSchedule(noise_at=noise_at, input_at=input_at, noise_limit=noise,
                                       input_limit=inp)
     res = rc.finite_n_rate(schedule, unit_channel(), n)
@@ -546,16 +546,20 @@ def non_finite(model, name=None):
     return replace(model, **{name: np.full_like(getattr(model, name), np.nan)})
 
 
-# (side, step, what the callback returns there: "str", or the model with
+# (side, step, what the callback returns there: a str, an ndarray or a list
+# (unhashable, so named before the pair is grouped), or the model with
 # that declared array all NaN, the input's state size): a joint state of 2
 # holds a repeated pair for up to 2,048 steps, so step 600 is the second
 # distinct pair of the first chunk and step 2100 is in the second chunk, and
 # one of 9 takes plain steps
 SIDES = (("noise", rc.NoiseModel), ("input", rc.InputModel))
 NO_MODEL_STEPS = (3, 600, 2100)
+NOT_MODELS = {"str": "x", "ndarray": np.eye(1), "list": [[1.0]]}
 NO_MODEL_CASES = [
     *(pytest.param(side, t, "str", 1, id=f"{side}-{t}") for side, _ in SIDES
       for t in NO_MODEL_STEPS),
+    *(pytest.param(side, t, returned, 1, id=f"{side}-{t}-{returned}") for side, _ in SIDES
+      for t in NO_MODEL_STEPS for returned in ("ndarray", "list")),
     *(pytest.param(side, t, name, 1, id=f"{side}-{t}-non-finite" + (f"-{name}" if i else ""))
       for side, kind in SIDES for i, (name, _, _) in enumerate(kind._ARRAYS)
       for t in NO_MODEL_STEPS),
@@ -572,14 +576,14 @@ def test_a_callback_that_returns_no_model_is_named(side, t, returned, n_xi):
     # step that first writes its model names it
     noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=n_xi, n_y=1)
     models = {"noise": noise, "input": inp}
-    bad = "x" if returned == "str" else non_finite(models[side], returned)
+    bad = NOT_MODELS[returned] if returned in NOT_MODELS else non_finite(models[side], returned)
     at = {name: (lambda s, model=model: model) for name, model in models.items()}
     at[side] = lambda s: bad if s == t else models[side]
     sched = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
                                    noise_limit=noise, input_limit=inp)
-    if returned == "str":
+    if returned in NOT_MODELS:
         kind = {"noise": "a NoiseModel", "input": "an InputModel"}[side]
-        error, message = TypeError, f"^step {t}: {side}_at returned str, not {kind}$"
+        error, message = TypeError, f"^step {t}: {side}_at returned {returned}, not {kind}$"
     else:
         error = ValueError
         message = f"^step {t}: {side}_at returned a model with non-finite entries$"

@@ -553,10 +553,12 @@ HOT_START = dict(COLORED, noise=dict(COLORED["noise"], mu_S1=[9.8e11], K_S1=[[1e
 
 @pytest.mark.parametrize("doc, n, seed, saturated, redrawn", [
     (COLORED, 12, 21, [None] * 6, {}),
-    # the first block is drawn again at 68 steps, then the first two at 66,
-    # and the last three are cut to 66
-    (dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]])), 80, 14, [70, 69, 67, 68, 68, 70],
-     {1: [0], 2: [0, 1]}),
+    # each block after the first is drawn at the report's horizon so far: the
+    # first block is drawn again at 68 steps, then the first two at 66, and the
+    # last three, drawn at 66, stop short of the steps 68, 68 and 70 where
+    # they pass the guard at 80
+    (dict(COLORED, noise=dict(COLORED["noise"], A=[[1.5]])), 80, 14,
+     [70, 69, 67, None, None, None], {1: [0], 2: [0, 1]}),
     # only the sixth block has a path past the guard at step 1
     (HOT_START, 5, 2, [None] * 5 + [1], {}),
 ], ids=["stable", "saturating", "later-block-at-step-1"])
@@ -674,6 +676,24 @@ def test_strict_simulate_exits_3_when_a_check_fails(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == ""
     assert main(argv + ["--strict"]) == 3
     assert capsys.readouterr().err == "empirical statistics outside tolerance\n"
+
+
+@pytest.mark.parametrize("command, function", [("capacity-n", "finite_n_rate"),
+                                               ("capacity-asym", "asymptotic_rate")])
+def test_a_library_linalg_error_exits_3_and_an_invalid_model_exits_2(tmp_path, monkeypatch,
+                                                                      capsys, command, function):
+    # LinAlgError is a ValueError, which exits 2; a solver failure exits 3
+    flags = ["--n", "10"] if command == "capacity-n" else []
+    invalid = dict(COLORED, noise=dict(COLORED["noise"], K_W=[[0.0]]))
+    assert main([command, "--model", write_model(tmp_path, invalid, "invalid.json")] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: noise model invalid: K_W not positive")
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("step 7: K_I is not positive definite")
+
+    monkeypatch.setattr(cli, function, failing)
+    assert main([command, "--model", write_model(tmp_path, COLORED)] + flags) == 3
+    assert capsys.readouterr().err == "solver error: step 7: K_I is not positive definite\n"
 
 
 def test_simulate_trace_is_the_first_sampled_path(tmp_path):

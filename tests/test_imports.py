@@ -1,9 +1,10 @@
-"""Importing the package and running the CLI's numpy-only commands loads no scipy.
+"""The package's imports: its numpy-only commands load no scipy, and its layers hold.
 
-Each case runs in a fresh interpreter, since this test process has scipy
-loaded already (the oracles use it).
+Each scipy case runs in a fresh interpreter, since this test process has
+scipy loaded already (the oracles use it).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -60,3 +61,19 @@ print(result.rate_nats, "scipy.optimize" in sys.modules)
     rate, loaded = run_fresh(script).split()
     assert abs(float(rate) - HALF_LN2) < 1e-9
     assert loaded == "True"
+
+
+# the modules whose private names other modules may import: the numerical kernels
+KERNELS = {"linalg", "lyapunov", "riccati"}
+
+
+def test_private_names_are_imported_only_from_the_kernel_modules():
+    # one module owns each decision; a private name reached across the others
+    # means two modules know it
+    crossings = []
+    for path in sorted((SRC / "riccati_capacity").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module not in KERNELS:
+                crossings += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert not crossings

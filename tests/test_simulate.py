@@ -516,9 +516,10 @@ def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(monk
 
 def test_a_block_that_stops_earlier_truncates_the_whole_report(monkeypatch):
     # seed 31, blocks of 10 paths: they pass the guard at steps 69, 68, 70,
-    # 69, 69 and 67, so the first block is drawn again at 67 steps, the
-    # third to fifth are cut to them, and the sixth makes all five earlier
-    # blocks be drawn again at 66 steps
+    # 69, 69 and 67. Each block after the first is drawn at the report's
+    # horizon so far, so the second at 68 steps, which makes the first be
+    # drawn again at 67, the third to sixth at 67, and the sixth makes all
+    # five earlier blocks be drawn again at 66 steps
     noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
     system = rc.build_augmented(noise, inp, ch)
     analytic = rc.asymptotic_rate(noise, inp, ch)
@@ -538,8 +539,8 @@ def test_a_block_that_stops_earlier_truncates_the_whole_report(monkeypatch):
     monkeypatch.setattr(rc.simulate, "sample_paths", recording)
     in_blocks(monkeypatch, system, 80, 60, 10)
     assert_same_report(rc.empirical_report(system, 80, 60, 31, analytic), whole)
-    assert drawn == [(blocks[0], 80), (blocks[1], 80), (blocks[0], 67),
-                     *((b, 80) for b in blocks[2:]), *((b, 66) for b in blocks[:5])]
+    assert drawn == [(blocks[0], 80), (blocks[1], 68), (blocks[0], 67),
+                     *((b, 67) for b in blocks[2:]), *((b, 66) for b in blocks[:5])]
 
 
 def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monkeypatch):

@@ -62,8 +62,10 @@ def test_traced_spans_record_calls():
             for models in (pair, schedule):
                 rc.capacity.finite_n_rate(models, unit_channel(), n)
             counts.append(tracer.leaf["riccati.solve_spd"][0] - before)
-        # a horizon within one chunk factors in batches, not once per DRE step
-        assert counts[0] > 0 and counts[0] == counts[1], counts
+        # a horizon within one chunk factors in batches, not once per DRE step:
+        # per call, each DRE's Rhat stack for its step triples and its K_t
+        # stack, all through riccati.solve_spd: 8 per constant/drifting pair
+        assert counts == [8, 8], counts
         rc.capacity.asymptotic_rate(*pair, unit_channel())
     finally:
         tracer.remove()

@@ -76,6 +76,9 @@ The output set:
   all NaN at step t alone, over 700 steps of ``random_models(default_rng(3),
   n_s=1, n_y=1)``: t = 3 and 600 at n_xi = 1 (a joint state of 2, one
   chunk) and t = 3 at n_xi = 8 (a joint state of 9, plain steps);
+- the "step t:" message of a schedule whose noise_at returns an ``ndarray``
+  and of one whose input_at returns a ``list`` at step 3, over 40 steps of
+  ``random_models(default_rng(3), n_s=1, n_xi=1, n_y=1)``;
 - ``finite_n_rate`` over 1,030 steps of a joint state of 0 (a memoryless
   noise, K_V = 0.5, and a unit i.i.d. input), within one chunk;
 - models built from scalars, 1-D rows and Fortran-ordered arrays, and
@@ -526,6 +529,15 @@ def collect(path):
                                               noise_limit=pair["noise"], input_limit=pair["input"])
             _record(out, f"step_message.non_finite.{side}.m{n_xi + 1}.t{t}",
                     lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), 700))
+    # a schedule callback that returns an unhashable non-model at step 3
+    noise, inp = random_models(np.random.default_rng(3), n_s=1, n_xi=1, n_y=1)
+    for side, returned in (("noise", np.eye(1)), ("input", [[1.0]])):
+        at = {"noise": lambda s: noise, "input": lambda s: inp}
+        at[side] = lambda s, good=at[side], returned=returned: returned if s == 3 else good(s)
+        schedule = rc.CoefficientSchedule(noise_at=at["noise"], input_at=at["input"],
+                                          noise_limit=noise, input_limit=inp)
+        _record(out, f"step_message.not_a_model.{side}.{type(returned).__name__}",
+                lambda: rc.finite_n_rate(schedule, rc.Channel(H=[[1.0]], kappa=1.0), 40))
     _record(out, "memoryless.finite_n_rate",
             lambda: rc.finite_n_rate((rc.memoryless_noise([[0.5]]), unit_input),
                                      rc.Channel(H=[[1.0]], kappa=1.0), 1030))
