@@ -31,9 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import _as_2d, as_vector, is_pd, is_psd, is_symmetric, symmetrize
-# block_diag stays importable here because bench/tracing.py patches it at this name
-from .linalg import block_diag  # noqa: F401
+from .linalg import _as_2d, as_vector, block_diag, is_pd, is_psd, is_symmetric, symmetrize
 
 __all__ = [
     "NoiseModel",
@@ -232,13 +230,15 @@ def _validate_state_space(m):
         _check_finite(v, name, getattr(m, name))
     if v:
         return v
+    symmetric = {}
     for name, positive in m._COVARIANCES:
         K = getattr(m, name)
-        if not is_symmetric(K):
+        symmetric[name] = is_symmetric(K)
+        if not symmetric[name]:
             v.append(f"{name} not symmetric")
         elif not _POSITIVE[positive](K):
             v.append(f"{name} not positive {positive}")
-    if isinstance(m, NoiseModel) and is_symmetric(m.K_W) and not is_pd(m.R):
+    if isinstance(m, NoiseModel) and symmetric["K_W"] and not is_pd(m.R):
         v.append("R not positive definite")
     return v
 
@@ -289,15 +289,6 @@ def require_valid(*models):
             raise ValueError(f"{label} model invalid: " + "; ".join(report.violations))
 
 
-def _diag2(top, bottom):
-    # blockdiag(top, bottom) of two float64 matrices, either of which may be empty
-    (r, c), (m, n) = top.shape, bottom.shape
-    out = np.zeros((r + m, c + n))
-    out[:r, :c] = top
-    out[r:, c:] = bottom
-    return out
-
-
 def _shapes(noise, input):
     # every block must fill its slot exactly; numpy would broadcast a smaller one
     return tuple(getattr(m, name).shape for m in (noise, input) for name, _, _ in m._ARRAYS)
@@ -313,7 +304,8 @@ class JointSystem:
     stack of pairs. Bhat = blockdiag(G, B), Dhat = [H D | N], Khat =
     blockdiag(K_Z, K_W) and the joint initial law, mu_Theta1 = (mu_Xi1,
     mu_S1) and K_Theta1 = blockdiag(K_Xi1, K_S1), are read-only properties
-    formed afresh on each read from ``noise``, ``input`` and ``H``.
+    formed afresh on each read from ``noise``, ``input`` and ``H``, each
+    block diagonal by ``linalg.block_diag``.
     ``noise_quad`` is the noise-only problem (A, B, C, N, K_W): the
     JointSystem with no input (n_xi = n_z = 0) whose slots are views of the
     noise slots, so writes to this system fill it too (the view's own
@@ -333,11 +325,11 @@ class JointSystem:
     # a property, so that no system refers to itself and each is freed once dropped
     noise_quad = property(lambda self: self._noise_quad or self)
     # the rest of the realization and the initial law, formed from the models last written
-    Bhat = property(lambda self: _diag2(self.input.G, self.noise.B))
+    Bhat = property(lambda self: block_diag(self.input.G, self.noise.B))
     Dhat = property(lambda self: np.hstack([self.H @ self.input.D, self.noise.N]))
-    Khat = property(lambda self: _diag2(self.input.K_Z, self.noise.K_W))
+    Khat = property(lambda self: block_diag(self.input.K_Z, self.noise.K_W))
     mu_Theta1 = property(lambda self: np.concatenate([self.input.mu_Xi1, self.noise.mu_S1]))
-    K_Theta1 = property(lambda self: _diag2(self.input.K_Xi1, self.noise.K_S1))
+    K_Theta1 = property(lambda self: block_diag(self.input.K_Xi1, self.noise.K_S1))
 
     def __init__(self, noise, input, channel):
         self.shapes = _shapes(noise, input)

@@ -155,7 +155,9 @@ def sample_paths(system, horizon, paths, master_seed):
     (t, component, path) buffer (``TrajectoryBatch``). One step matrix,
     built per call, maps Theta_t = [Xi_t; S_t] to the rows
     [X_t; Y_t; V_t; Xi_{t+1}; S_{t+1}], which follow Theta_t in that
-    buffer, and one more maps the step's (W_t, Z_t) draws to the same rows,
+    buffer; its Y_t row is the system's Chat = [H Gamma | C] and its
+    Xi_{t+1} and S_{t+1} rows its Ahat = blockdiag(F, A), as the system
+    holds them. One more maps the step's (W_t, Z_t) draws to the same rows,
     for every step at once before the first; so a step is one product over
     all paths and one addition. BLAS rounds a path alone in a product, or
     in a partial tile of its kernel, otherwise than one in a full tile, so
@@ -194,16 +196,14 @@ def sample_paths(system, horizon, paths, master_seed):
     eps[paths:] = eps[0]
 
     sq_W, sq_Z = _root(noise.K_W), _root(input.K_Z)
-    H, Gamma, C = system.H, input.Gamma, noise.C
     NW, DZ = noise.N @ sq_W, input.D @ sq_Z
     zeros = np.zeros
-    on_state = np.block([[Gamma, zeros((n_x, n_s))],
-                         [H @ Gamma, C],
-                         [zeros((n_y, n_xi)), C],
-                         [input.F, zeros((n_xi, n_s))],
-                         [zeros((n_s, n_xi)), noise.A]])
+    on_state = np.block([[input.Gamma, zeros((n_x, n_s))],
+                         [system.Chat],
+                         [zeros((n_y, n_xi)), noise.C],
+                         [system.Ahat]])
     on_draws = np.block([[zeros((n_x, n_w)), DZ],
-                         [NW, H @ DZ],
+                         [NW, system.H @ DZ],
                          [NW, zeros((n_y, n_z))],
                          [zeros((n_xi, n_w)), input.G @ sq_Z],
                          [noise.B @ sq_W, zeros((n_s, n_z))]])

@@ -113,6 +113,19 @@ def test_validate_rejects_an_unsupported_type():
         rc.validate({"H": [[1.0]]})
 
 
+def test_validation_tests_each_covariance_for_symmetry_once(monkeypatch):
+    # the R check reads K_W's symmetry from the covariance loop
+    calls = []
+    is_symmetric = rc.models.is_symmetric
+    monkeypatch.setattr(rc.models, "is_symmetric",
+                        lambda K: calls.append(K.shape) or is_symmetric(K))
+    noise, inp = random_models(np.random.default_rng(1), n_s=4, n_xi=3, n_y=2)
+    for model, shapes in ((noise, [(3, 3), (4, 4)]), (inp, [(1, 1), (3, 3)])):
+        calls.clear()
+        assert rc.validate(model).ok
+        assert calls == shapes
+
+
 def test_K_Z_may_be_singular():
     m = rc.InputModel(F=[[0.0]], G=[[0.0]], Gamma=[[0.0]], D=[[1.0]],
                       K_Z=[[0.0]])

@@ -764,3 +764,34 @@ def test_rank_deficient_K_Z_does_not_warn():
         assert abs(w[0]) <= 1e-15 * w[-1]
         assert rc.starred_system(system).warnings == ()
         assert rc.feasibility_report(scalar_noise(1.2), inp, unit_channel()).warnings == ()
+
+
+def _in_new_state_units(noise, T):
+    # the same noise in the state T S: in exact arithmetic, its rate and verdicts are unchanged
+    Ti = np.linalg.inv(T)
+    return replace(noise, A=T @ noise.A @ Ti, B=T @ noise.B, C=noise.C @ Ti,
+                   K_S1=T @ noise.K_S1 @ T.T, mu_S1=T @ noise.mu_S1)
+
+
+def _units_case():
+    noise, inp = random_models(np.random.default_rng(5000), n_s=3, n_xi=2, n_y=2, n_z=2,
+                               rho_A=0.6)
+    channel = rc.Channel(H=np.eye(2), kappa=1.0)
+    scaled = _in_new_state_units(noise, np.diag([1e4, 1.0, 1e-4]))
+    return [rc.asymptotic_rate(n, inp, channel) for n in (noise, scaled)]
+
+
+def test_a_change_of_noise_state_units_keeps_the_rate_and_the_solves():
+    drawn, scaled = _units_case()
+    assert scaled.rate_nats == pytest.approx(drawn.rate_nats, rel=1e-12, abs=0)
+    for key in ("sigma_converged", "pi_converged"):
+        assert drawn.diagnostics[key] and scaled.diagnostics[key]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the PBH ranks of the rescaled noise "
+                   "read noise_stabilizable and augmented_stabilizable False")
+def test_a_change_of_noise_state_units_keeps_the_verdicts():
+    drawn, scaled = _units_case()
+    assert drawn.feasibility.member_of_P_infinity
+    assert [getattr(scaled.feasibility, v) for v in VERDICTS] == [
+        getattr(drawn.feasibility, v) for v in VERDICTS]

@@ -70,12 +70,9 @@ def test_traced_spans_record_calls():
     finally:
         tracer.remove()
     totals, _ = tracer.totals()
-    # linalg.block_diag, which horizon still expects, is known to record none, since the
-    # joint system forms its block diagonals (Bhat, Khat, K_Theta1) without it
     calls = {name: totals.get(name, {"calls": 0})["calls"] for name in (
         "riccati.solve_spd", "capacity.finite_n_rate", "linalg.block_diag",
         "riccati.are_solve", "lyapunov.lyap_solve", "systests.feasibility_report")}
-    assert calls.pop("linalg.block_diag") == 0
     assert all(calls.values()), calls
 
 

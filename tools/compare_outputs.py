@@ -37,6 +37,12 @@ The output set:
   rho(A) from 0.6 to 1.3), each with H = I and kappa = 1, through
   ``feasibility_report`` and ``asymptotic_rate``, so that every one records
   minimality warnings, which a report computes on their first read;
+- the derived blocks ``Bhat``, ``Dhat``, ``Khat``, ``mu_Theta1`` and
+  ``K_Theta1`` of four systems over ``random_models(default_rng(17), n_s=2,
+  n_xi=2, n_y=2, n_z=2)`` with nonzero initial means, through a 2 x 2 H: the
+  joint system with its input states, the one with a memoryless input
+  (``iid_input(I)``), that system's ``noise_quad`` and ``to_quadruple`` of
+  the noise;
 - ``finite_n_rate`` at n = 2000 on the drifting schedule A_t = 0.5 + 2^-t
   (scalar noise B = C = N = K_W = 1, a unit i.i.d. input);
 - one draw with a joint state of 12, above the size from which
@@ -437,6 +443,20 @@ def collect(path):
         _record(out, f"hidden{i}.feasibility_report",
                 lambda: rc.feasibility_report(noise, inp, channel))
         _record(out, f"hidden{i}.asymptotic_rate", lambda: rc.asymptotic_rate(noise, inp, channel))
+
+    # the derived blocks of a joint system with input states, of one with a memoryless
+    # input, of that system's noise_quad and of to_quadruple(noise)
+    noise, inp = random_models(np.random.default_rng(17), n_s=2, n_xi=2, n_y=2, n_z=2)
+    noise = dataclasses.replace(noise, mu_S1=[0.5, -1.0])
+    inp = dataclasses.replace(inp, mu_Xi1=[2.0, 0.25])
+    channel = rc.Channel(H=[[1.0, 0.3], [0.2, 0.9]], kappa=1.0)
+    systems = {"input_states": rc.build_augmented(noise, inp, channel),
+               "memoryless_input": rc.build_augmented(noise, rc.iid_input(np.eye(2)), channel)}
+    systems["noise_quad"] = systems["memoryless_input"].noise_quad
+    systems["to_quadruple"] = rc.to_quadruple(noise)
+    for name, system in systems.items():
+        _flatten(f"derived_blocks.{name}", {key: getattr(system, key) for key in (
+            "Bhat", "Dhat", "Khat", "mu_Theta1", "K_Theta1")}, out)
 
     unit_input = rc.iid_input([[1.0]])
     drifting_scalar = rc.CoefficientSchedule(
