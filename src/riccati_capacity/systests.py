@@ -12,6 +12,9 @@ Cholesky factorization per pair certifies full rank at all of them at
 once, and an SVD counts the rank only where that certificate fails. A
 weaker unit-circle controllability verdict is a diagnostic for the
 marginal regimes where limits exist but depend on the initial condition.
+Where the noise pair passes its tests and F is stable, the joint tests
+provably pass, and a report ranks the joint pairs only if its witnesses
+are read.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 from .linalg import (PSD_SLACK, _as_2d, _eig_root, _root, as_covariance, as_finite, solve_spd,
                      sup_norm, symmetrize)
 from .lyapunov import STABILITY_MARGIN
-from .models import JointSystem, build_augmented
+from .models import Channel, JointSystem, build_augmented
 # to_quadruple and validate stay importable here because bench/tracing.py
 # patches them at these names
 from .models import to_quadruple, validate  # noqa: F401
@@ -93,9 +96,22 @@ class FeasibilityReport:
     enter membership. ``warnings`` collects non-fatal findings: the starred
     systems' rank-rule warnings, then apparent non-minimality of either
     realization, computed on first read (the verdicts are not) from the models
-    ``_noise`` and ``_input``, the noise detectability witnesses and the eig(F)
-    that leads the joint detectability witnesses.
-    ``witnesses`` turns each test's ``Witnesses`` into dicts on first access.
+    ``_noise`` and ``_input``, the noise detectability witnesses and eig(F).
+    ``witness_arrays`` holds each test's ``Witnesses``, and ``witnesses``
+    turns them into dicts, both on first access.
+
+    Where the joint verdicts follow from the noise verdicts, the noise pair
+    detectable and stabilizable and rho(F) < 1 - RANK_TOL (then, at every
+    |lambda| >= 1 - RANK_TOL, the Rosenbrock ranks obey rank M_joint(lambda)
+    >= n_xi + rank M_noise(lambda) and rank [Ahat - lambda I; Chat] = n_xi +
+    rank [A - lambda I; C]; see ``feasibility_report``), the report ran no
+    joint test and set the joint verdicts True. It keeps the channel's H in
+    ``_H``, and on the first read of ``witness_arrays`` or ``warnings``
+    rebuilds the joint system from ``_noise``, ``_input`` and ``_H`` and
+    forms its starred system, from which the first read of
+    ``witness_arrays`` ranks the three joint witnesses and the first read of
+    ``warnings`` takes its rank-rule warning. The joint system is rebuilt,
+    not kept, because the one the report was given may be rewritten later.
     """
 
     noise_detectable: bool
@@ -104,15 +120,30 @@ class FeasibilityReport:
     augmented_stabilizable: bool
     input_F_stable: bool
     unit_circle_controllable: bool
-    witness_arrays: dict = field(default_factory=dict, repr=False)
+    _arrays: dict = field(default_factory=dict, repr=False)
     _rank_rule: tuple = ()
     _noise: object = field(default=None, repr=False)
     _input: object = field(default=None, repr=False)
+    _eig_F: object = field(default=None, repr=False)
+    _H: object = field(default=None, repr=False)  # set when the joint tests are deferred
 
     @property
     def member_of_P_infinity(self):
         return (self.noise_detectable and self.noise_stabilizable and self.augmented_detectable
                 and self.augmented_stabilizable and self.input_F_stable)
+
+    @cached_property
+    def _joint(self):
+        # the deferred joint system, rebuilt from the models and H, and its starred system
+        system = JointSystem(self._noise, self._input, Channel(H=self._H))
+        return system, starred_system(system)
+
+    @cached_property
+    def witness_arrays(self):
+        if self._H is None:
+            return self._arrays
+        lams = np.concatenate([self._eig_F, self._arrays["noise_detectable"].eigenvalues])
+        return {**self._arrays, **_labelled("augmented", _witnesses(*self._joint, lams))}
 
     @cached_property
     def witnesses(self):
@@ -123,16 +154,16 @@ class FeasibilityReport:
         # a realization is minimal iff controllable and observable at every eigenvalue, not
         # just the unstable ones; the noise's observability pair starts from the spectrum
         # and ranks of its detectability witnesses
-        noise, input, seen = self._noise, self._input, self.witness_arrays["noise_detectable"]
+        noise, input, seen = self._noise, self._input, self._arrays["noise_detectable"]
         observe = _Pair(noise.A.T, noise.C.T, seen.eigenvalues)
         observe.rank = seen.rank.copy()
         pairs = [("noise", _Pair(noise.A, noise.B, seen.eigenvalues), observe)]
         if input.n_xi:  # a memoryless input has no realization to check
-            # eig(F), as the joint detectability witnesses list it ahead of eig(A)
-            lams = self.witness_arrays["augmented_detectable"].eigenvalues[:input.n_xi]
-            pairs.append(("input", _Pair(input.F, input.G, lams),
-                          _Pair(input.F.T, input.Gamma.T, lams)))
+            pairs.append(("input", _Pair(input.F, input.G, self._eig_F),
+                          _Pair(input.F.T, input.Gamma.T, self._eig_F)))
         warnings = list(self._rank_rule)
+        if self._H is not None:
+            warnings += _rule_warnings("augmented", self._joint[1])
         for label, reach, observe in pairs:
             for pair, word in ((reach, "controllable"), (observe, "observable")):
                 short = np.flatnonzero(pair.ranks() < len(pair.lams))
@@ -275,6 +306,25 @@ def pbh_test(A, V, mode):
     return bool(witnesses.ok.all()), witnesses.dicts()
 
 
+def _witnesses(quad, star, lams):
+    # the detectability witnesses of (quad.Ahat, quad.Chat) at lams, its spectrum, then the
+    # stabilizability and unit-circle witnesses of its starred system ``star``
+    observe = _Pair(quad.Ahat.T, quad.Chat.T, lams)
+    reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
+    return (observe.test("detectable"), reach.test("stabilizable"),
+            reach.test("unit_circle_controllable"))
+
+
+def _labelled(label, tests):
+    # one system's witnesses as the report keys them
+    return dict(zip((label + "_detectable", label + "_stabilizable", "unit_circle_" + label),
+                    tests))
+
+
+def _rule_warnings(label, star):
+    return [f"{label} {text}" for text in star.warnings]
+
+
 def feasibility_report(noise, input, channel):
     """Run every admissibility test for a (noise, input, channel) triple.
 
@@ -292,8 +342,26 @@ def feasibility_report(noise, input, channel):
     ``pbh_test(Ahat, Chat, "detectable")`` lists the same eigenvalues, up to
     round-off, in eigvals(Ahat) order. The other witnesses are
     ``pbh_test``'s, and F's spectral radius comes from the same eig(F).
-    Every verdict is computed here; the minimality warnings are computed on
-    the first read of the report's ``warnings``, from the models given and
+
+    The joint verdicts often follow from the noise verdicts. With Rhat
+    positive definite, the Rosenbrock matrix M(lambda) = [[Ahat - lambda I,
+    Bhat Khat^{1/2}], [Chat, Dhat Khat^{1/2}]] of either system has rank
+    q + rank [A_star - lambda I, G B_star^{1/2}]. Where F - lambda I is
+    invertible, eliminating the input block gives rank M_joint(lambda) =
+    n_xi + rank [[A - lambda I, 0, B K_W^{1/2}], [C, H T_X(lambda) K_Z^{1/2},
+    N K_W^{1/2}]], T_X(lambda) = D + Gamma (lambda I - F)^{-1} G, which is at
+    least n_xi + rank M_noise(lambda); the same elimination gives
+    rank [Ahat - lambda I; Chat] = n_xi + rank [A - lambda I; C]. So when
+    the noise pair is detectable and stabilizable and rho(F) < 1 - RANK_TOL,
+    every lambda the joint tests look at (|lambda| >= 1 - RANK_TOL, the
+    unit-circle band included) passes them: the report then sets
+    ``augmented_detectable``, ``augmented_stabilizable`` and the joint half
+    of ``unit_circle_controllable`` True without running them, and ranks the
+    joint witnesses, by the same code, on the first read of
+    ``witness_arrays`` (``witnesses`` reads it), and forms the joint starred
+    system's rank-rule warning on the first read of ``warnings``. Any other
+    report runs every test here. Either way, the minimality warnings are
+    computed on the first read of ``warnings``, from the models given and
     the witnesses, never from ``channel``'s slots.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
@@ -308,24 +376,27 @@ def feasibility_report(noise, input, channel):
               else build_augmented(noise, input, channel))
     if system.noise is not noise or system.input is not input:
         raise ValueError("channel is a JointSystem built from other models than noise and input")
-    nq, arrays, tests, rank_rule = system.noise_quad, {}, {}, []
+    nq = system.noise_quad
     eig_F = np.linalg.eigvals(input.F) if input.n_xi else np.empty(0)
     eig_A = np.linalg.eigvals(nq.Ahat)
-    for label, quad, lams in (("noise", nq, eig_A),
-                              ("augmented", system, np.concatenate([eig_F, eig_A]))):
-        if quad not in tests:  # a system with no input is its own noise_quad: tested once
-            observe = _Pair(quad.Ahat.T, quad.Chat.T, lams)
-            star = starred_system(quad)
-            rank_rule += [f"{label} {text}" for text in star.warnings]
-            reach = _Pair(star.A_star, star.G_mat @ star.B_star_sqrt)
-            tests[quad] = (observe.test("detectable"), reach.test("stabilizable"),
-                           reach.test("unit_circle_controllable"))
-        arrays.update(zip((label + "_detectable", label + "_stabilizable", "unit_circle_" + label),
-                          tests[quad]))
-    verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
-    unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
+    star = starred_system(nq)
+    tests, rank_rule = _witnesses(nq, star, eig_A), _rule_warnings("noise", star)
+    arrays = _labelled("noise", tests)
+    noise_ok = all(w.ok.all() for w in tests[:2])
     radius_F = float(np.abs(eig_F).max(initial=0.0))
+    deferred = system is not nq and noise_ok and radius_F < 1.0 - RANK_TOL
+    if not deferred:
+        if system is not nq:  # a system with no input is its own noise_quad: tested once
+            star = starred_system(system)
+            rank_rule += _rule_warnings("augmented", star)
+            tests = _witnesses(system, star, np.concatenate([eig_F, eig_A]))
+        arrays.update(_labelled("augmented", tests))
+    verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
+    if deferred:
+        verdicts.update(augmented_detectable=True, augmented_stabilizable=True,
+                        unit_circle_augmented=True)
+    unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
     return FeasibilityReport(
         **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
-        unit_circle_controllable=unit_circle, witness_arrays=arrays, _rank_rule=tuple(rank_rule),
-        _noise=noise, _input=input)
+        unit_circle_controllable=unit_circle, _arrays=arrays, _rank_rule=tuple(rank_rule),
+        _noise=noise, _input=input, _eig_F=eig_F, _H=system.H if deferred else None)

@@ -415,8 +415,10 @@ def test_a_system_with_no_input_is_tested_once(monkeypatch):
                                  ("unit_circle_noise", "unit_circle_augmented")):
         assert rep.witnesses[joint_key] == rep.witnesses[noise_key]
     built.clear()
-    rc.feasibility_report(noise, unit_iid_input(), rc.Channel(H=np.ones((2, 1)), kappa=1.0))
-    assert len(built) == 2
+    # with an input the joint system has a starred system of its own; this noise passes its
+    # tests, so the report forms that one on the first read of its witnesses
+    rep = rc.feasibility_report(noise, unit_iid_input(), rc.Channel(H=np.ones((2, 1)), kappa=1.0))
+    assert len(built) == 1 and rep.witnesses and len(built) == 2
 
 
 def test_report_rejects_a_joint_system_of_other_models():
@@ -639,9 +641,10 @@ def test_joint_spectrum_is_eig_F_then_eig_A():
 
 
 def test_report_and_rate_decompose_each_state_matrix_once(monkeypatch):
-    # the report takes eig(F), eig(A) and the two starred matrices' spectra, never the joint
-    # Ahat's, and its minimality warnings reuse that eig(F); asymptotic_rate adds
-    # lyap_solve's eig(F) and each Riccati solve's closed loop
+    # the report takes eig(F), eig(A) and the noise's starred matrix's spectrum, never the
+    # joint Ahat's; this noise passes its tests under a stable F, so the joint starred
+    # matrix's spectrum waits for the witnesses, and the minimality warnings reuse that
+    # eig(F); asymptotic_rate adds lyap_solve's eig(F) and each Riccati solve's closed loop
     noise, inp = hidden_mode_models(np.random.default_rng(3), 10)
     channel = rc.Channel(H=np.eye(noise.n_y), kappa=1.0)
     system = rc.build_augmented(noise, inp, channel)
@@ -651,26 +654,96 @@ def test_report_and_rate_decompose_each_state_matrix_once(monkeypatch):
     monkeypatch.setattr(rc.riccati, "_smith", lambda *args, _f=rc.riccati._smith:
                         newton.append(1) or _f(*args))
     rep = rc.feasibility_report(noise, inp, system)
-    assert calls == [(2, 2), (3, 3), (3, 3), (5, 5)]
+    assert calls == [(2, 2), (3, 3), (3, 3)]
     calls.clear()
     assert "input realization not controllable" in rep.warnings[-1] and calls == []
+    assert rep.witnesses and calls == [(5, 5)]
+    calls.clear()
     rc.asymptotic_rate(noise, inp, channel)
-    assert len(calls) == 7 and not newton
+    assert len(calls) == 6 and not newton
 
 
-def test_joint_detectability_repeats_the_noise_test_under_a_stable_F():
-    # eig(F) lies inside the disc, so the joint test sees exactly the noise test's eigenvalues
+def _stable_F_cases():
     rng = np.random.default_rng(126)
     cases = [random_models(rng, n_s=1 + i % 5, n_xi=1 + i % 3, n_y=1 + i % 2,
                            rho_A=0.6 + 0.9 * (i % 10) / 9) for i in range(400)]
     rng = np.random.default_rng(125)
-    cases += [hidden_mode_models(rng, i) for i in range(40)]
-    for noise, inp in cases:
+    return cases + [hidden_mode_models(rng, i) for i in range(40)]
+
+
+def test_joint_detectability_repeats_the_noise_test_under_a_stable_F():
+    # eig(F) lies inside the disc, so the joint test sees exactly the noise test's eigenvalues
+    for noise, inp in _stable_F_cases():
         rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
         joint, alone = (rep.witness_arrays[key] for key in ("augmented_detectable",
                                                             "noise_detectable"))
         assert np.array_equal(joint.eigenvalues[joint.tested], alone.eigenvalues[alone.tested])
         assert rep.augmented_detectable == rep.noise_detectable
+
+
+def test_derived_joint_verdicts_are_those_of_the_joint_witnesses():
+    # a report whose noise passes its tests under a stable F sets the joint verdicts True
+    # without ranking the joint pairs; the witnesses, ranked on first read, agree
+    derived = 0
+    for noise, inp in _stable_F_cases():
+        rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
+        deferred = rep._H is not None
+        assert deferred == (rep.noise_detectable and rep.noise_stabilizable)
+        if deferred:
+            derived += 1
+            arrays = rep.witness_arrays
+            assert rep.augmented_detectable == arrays["augmented_detectable"].ok.all()
+            assert rep.augmented_stabilizable == arrays["augmented_stabilizable"].ok.all()
+            assert rep.unit_circle_controllable == (arrays["unit_circle_noise"].ok.all()
+                                                    and arrays["unit_circle_augmented"].ok.all())
+    assert derived >= 400
+
+
+def _counted_report(monkeypatch, noise, inp):
+    # the report, and the shapes of the eigvals calls and the starred systems made so far
+    eigvals, starred = [], []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M, _f=np.linalg.eigvals:
+                        eigvals.append(np.shape(M)) or _f(M))
+    monkeypatch.setattr(rc.systests, "starred_system", lambda quad, _f=rc.starred_system:
+                        starred.append(quad.m) or _f(quad))
+    rep = rc.feasibility_report(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))
+    return rep, eigvals, starred
+
+
+@pytest.mark.parametrize("first", ["witnesses", "witness_arrays", "warnings"])
+def test_a_derived_report_ranks_the_joint_pairs_on_first_read(monkeypatch, first):
+    noise, inp = random_models(np.random.default_rng(8), n_s=3, n_xi=2, n_y=2, rho_A=1.2)
+    rep, eigvals, starred = _counted_report(monkeypatch, noise, inp)
+    assert rep.member_of_P_infinity and rep._H is not None
+    assert eigvals == [(2, 2), (3, 3), (3, 3)] and starred == [3]  # eig F, eig A, eig A*_n
+    getattr(rep, first)
+    # the joint starred system, and its spectrum unless only the warnings were read
+    assert starred == [3, 5] and eigvals[3:] == ([] if first == "warnings" else [(5, 5)])
+    getattr(rep, first)
+    assert starred == [3, 5] and len(eigvals) == 3 + (first != "warnings")
+    rep.witnesses, rep.warnings
+    assert starred == [3, 5] and eigvals[3:] == [(5, 5)]
+    assert len(rep.witnesses) == 6 and rep.witness_arrays is rep.witness_arrays
+
+
+def _eager_cases():
+    undetectable = rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[0.0]], N=[[1.0]], K_W=[[1.0]])
+    unstabilizable = rc.NoiseModel(A=[[1.5]], B=[[0.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]])
+    inp = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]], K_Z=[[1.0]])
+    yield pytest.param(undetectable, inp, id="undetectable-noise")
+    yield pytest.param(unstabilizable, inp, id="unstabilizable-noise")
+    for rho_F, where in ((1.0 - 1e-10, "in-the-band"), (1.0, "on-the-circle"), (1.5, "outside")):
+        yield pytest.param(scalar_noise(1.2), replace(inp, F=[[rho_F]]), id=f"F-{where}")
+
+
+@pytest.mark.parametrize("noise, inp", list(_eager_cases()))
+def test_a_failing_noise_test_or_an_F_in_the_band_runs_the_joint_tests(monkeypatch, noise, inp):
+    rep, eigvals, starred = _counted_report(monkeypatch, noise, inp)
+    assert rep._H is None
+    assert eigvals == [(1, 1)] * 3 + [(2, 2)] and starred == [1, 2]
+    assert "warnings" not in vars(rep)
+    rep.witnesses, rep.warnings
+    assert len(eigvals) == 4 and starred == [1, 2]
 
 
 SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e10)

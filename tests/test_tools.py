@@ -73,3 +73,22 @@ def test_diff_lists_a_one_ulp_move_and_one_sided_names(tmp_path, capsys, moved):
     assert lines[0].startswith("differs: moved (largest relative difference ")
     assert lines[1:] == [f"only in {path_a}: gone", f"only in {path_b}: new",
                          "1 of 4 outputs identical"]
+
+
+
+def test_a_report_is_recorded_with_its_witness_arrays_and_warnings():
+    # both are computed on first read, not fields, and are recorded all the same
+    import riccati_capacity as rc
+    noise = rc.NoiseModel(A=np.diag([1.5, 0.3]), B=[[1.0], [0.0]], C=[[1.0, 1.0]], N=[[1.0]],
+                          K_W=[[1.0]])
+    inp = rc.InputModel(F=[[0.5]], G=[[1.0]], Gamma=[[1.0]], D=[[1.0]], K_Z=[[1.0]])
+    out = {}
+    compare_outputs._flatten("rep", rc.feasibility_report(noise, inp, rc.Channel(H=1.0)), out)
+    labels = [f"{side}_{test}" for side in ("noise", "augmented")
+              for test in ("detectable", "stabilizable")]
+    labels += ["unit_circle_noise", "unit_circle_augmented"]
+    for label in labels:  # each Witnesses' four arrays
+        assert [out[f"rep.witness_arrays.{label}[{i}]"].size for i in range(4)] == \
+            [3 if "augmented" in label else 2] * 4
+    assert out["rep.warnings[0]"] == ("noise realization not controllable at eigenvalue 0.3; "
+                                      "it may not be minimal")

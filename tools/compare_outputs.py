@@ -278,14 +278,15 @@ def _coerced(out, name, model, given):
 def _flatten(prefix, obj, out):
     # leaves are arrays, numbers, strings, None; containers and dataclasses
     # (models, results, reports) recurse through their public fields; other
-    # objects record their type. A feasibility report's warnings are computed
-    # on first read, not a field, so they are read and recorded here
+    # objects record their type. A feasibility report's witness arrays and
+    # warnings are computed on first read, not fields, so they are read and
+    # recorded here
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         names = [f.name for f in dataclasses.fields(obj) if not f.name.startswith("_")]
         if type(obj).__name__ == "TrajectoryBatch":
             names = [name for name in names if name not in ("noise", "input", "channel")]
-        if type(obj).__name__ == "FeasibilityReport" and "warnings" not in names:
-            names.append("warnings")
+        if type(obj).__name__ == "FeasibilityReport":
+            names += [name for name in ("witness_arrays", "warnings") if name not in names]
         for name in names:
             _flatten(f"{prefix}.{name}", getattr(obj, name), out)
     elif isinstance(obj, dict):
