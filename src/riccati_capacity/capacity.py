@@ -32,7 +32,7 @@ from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, inp
                        lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
 from .riccati import _runs, are_solve
-from .systests import RANK_TOL, feasibility_report
+from .systests import feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
 from .linalg import block_diag, chol_logdet  # noqa: F401
@@ -609,7 +609,7 @@ def _waterfilling_input(noise, channel):
     """The capacity-achieving input when water-filling has full support, else None.
 
     Applies to a square, invertible H with at least one input and a noise
-    whose A has no eigenvalue within RANK_TOL of the unit circle. The
+    whose A has no eigenvalue within STABILITY_MARGIN of the unit circle. The
     water-filling input spectrum Phi_X = nu I - (H^T S_V^-1 H)^-1 is
     H^-1 Psi H^-T with Psi = nu H H^T - S_V, at the level nu = (kappa + tr(H^-1 R0 H^-T)) / n_x that spends kappa
     when Phi_X is positive at every frequency ("full support"). With
@@ -628,7 +628,7 @@ def _waterfilling_input(noise, channel):
     """
     H = channel.H
     if H.shape[0] != H.shape[1] or not H.size or np.any(
-            np.abs(np.abs(np.linalg.eigvals(noise.A)) - 1.0) <= RANK_TOL):
+            np.abs(np.abs(np.linalg.eigvals(noise.A)) - 1.0) <= STABILITY_MARGIN):
         return None
     try:
         H_inv = np.linalg.inv(H)
@@ -687,7 +687,7 @@ def optimize_input(noise, channel, dims, config=None):
     The noise-side conditions, which no input can repair, are tested
     once before the search. Then, if ``dims`` is exactly (n_s, n_x), the
     closed-form input is tried (``_waterfilling_input``: a square,
-    invertible H, no eigenvalue of A within RANK_TOL of the unit circle,
+    invertible H, no eigenvalue of A within STABILITY_MARGIN of the unit circle,
     and full water-filling support, which it certifies). A factor it
     returns is projected onto the budget and evaluated in full like any
     candidate, and if accepted it is returned, capacity itself, with no
@@ -697,7 +697,7 @@ def optimize_input(noise, channel, dims, config=None):
     rho(F) <= 1. The objective, -rate at the joint ARE solution solved
     from zero at _SEARCH_TOL, gets its exact gradient from one adjoint
     Stein equation (``_logdet_gradient``). Its one guard gives rate 0
-    and a zero gradient where rho(F) > 1 - STABILITY_MARGIN, X X^T is
+    and a zero gradient where rho(F) >= 1 - STABILITY_MARGIN, X X^T is
     singular or the joint solve does not converge. Warm starts (each
     also a candidate as given; searched from when reachable and of the
     search's dims) and shift-register starts with flat and water-filling
@@ -712,11 +712,6 @@ def optimize_input(noise, channel, dims, config=None):
     not convex, so a searched result is a certified lower bound rather
     than a proven optimum.
     """
-    # the search is the package's only use of scipy, whose import costs
-    # several times the rest of the package's, so it is loaded here;
-    # minimize is looked up at each call
-    import scipy.optimize
-
     cfg = config if config is not None else OptimizerConfig()
     n_xi, n_z = (as_count(d, "dims", minimum=0) for d in dims)
     n_x, kappa = channel.n_x, channel.kappa
@@ -753,13 +748,16 @@ def optimize_input(noise, channel, dims, config=None):
                               candidates=[{"rate": result.rate_nats, "rejected": None}])
                 return model, replace(result, diagnostics={**result.diagnostics,
                                                            "search": [record]})
+    # scipy.optimize costs several times the rest of the package to import, so
+    # only a search loads it; minimize is looked up at each call
+    import scipy.optimize
 
     def objective(theta):
         # (-rate, its gradient); the guard gives rate 0 and a zero gradient and
         # counts in the record of the start being searched
         model, factors = space.model(theta)
         sol = None
-        if factors is not None and spectral_radius(model.F) <= 1.0 - STABILITY_MARGIN:
+        if factors is not None and spectral_radius(model.F) < 1.0 - STABILITY_MARGIN:
             system._update(noise, model)
             sol = are_solve(system, tol=_SEARCH_TOL)
         if sol is None or not sol.converged:

@@ -43,7 +43,7 @@ from .models import Channel, InputModel, NoiseModel, build_augmented, require_va
 from .models import validate  # noqa: F401
 from .riccati import are_solve
 from .simulate import empirical_report, kalman_run, sample_paths
-from .systests import feasibility_report
+from .systests import VERDICTS, feasibility_report
 
 __all__ = ["main"]
 
@@ -183,8 +183,7 @@ def _fields(obj):
 
 
 def _feasibility_doc(report):
-    # the verdicts are the report's bool fields, in their declared order
-    return {**{name: value for name, value in _fields(report).items() if isinstance(value, bool)},
+    return {**{name: getattr(report, name) for name in VERDICTS},
             "member_of_P_infinity": report.member_of_P_infinity, "warnings": report.warnings,
             "witnesses": report.witnesses}
 

@@ -12,9 +12,9 @@ Cholesky factorization per pair certifies full rank at all of them at
 once, and an SVD counts the rank only where that certificate fails. A
 weaker unit-circle controllability verdict is a diagnostic for the
 marginal regimes where limits exist but depend on the initial condition.
-Where the noise pair passes its tests and F is stable, the joint tests
-provably pass, and a report ranks the joint pairs only if its witnesses
-are read.
+Membership rests on the noise pair's tests and F alone, under which the
+joint tests provably pass; a report ranks the joint pairs only when a joint
+verdict of a non-member, the witnesses or the warnings are read.
 """
 
 import math
@@ -35,9 +35,9 @@ from .models import to_quadruple, validate  # noqa: F401
 __all__ = ["StarredSystem", "FeasibilityReport", "psd_sqrt", "starred_system", "pbh_test",
            "feasibility_report"]
 
-# |lambda| >= 1 - RANK_TOL counts as unstable-or-marginal; the unit-circle
-# diagnostic keeps only ||lambda| - 1| <= RANK_TOL
-RANK_TOL = 1e-9
+# a report's verdicts, in the order its documents list them
+VERDICTS = ("noise_detectable", "noise_stabilizable", "augmented_detectable",
+            "augmented_stabilizable", "input_F_stable", "unit_circle_controllable")
 
 # numerical rank threshold factor: sigma > sigma_max * max(dims) * SV_RTOL
 SV_RTOL = 1e-12
@@ -45,10 +45,11 @@ SV_RTOL = 1e-12
 # an eigenvalue of a k x k covariance above k _ROUNDOFF times its largest is not round-off
 _ROUNDOFF = 100.0 * np.finfo(np.float64).eps
 
-# the eigenvalues each test looks at, as a mask over their moduli
-_REGIONS = {"detectable": lambda modulus: modulus >= 1.0 - RANK_TOL,
-            "stabilizable": lambda modulus: modulus >= 1.0 - RANK_TOL,
-            "unit_circle_controllable": lambda modulus: np.abs(modulus - 1.0) <= RANK_TOL}
+# the eigenvalues each test looks at, as a mask over their moduli: every one not
+# counted stable (|lambda| < 1 - STABILITY_MARGIN), or those in the unit-circle band
+_REGIONS = {"detectable": lambda modulus: modulus >= 1.0 - STABILITY_MARGIN,
+            "stabilizable": lambda modulus: modulus >= 1.0 - STABILITY_MARGIN,
+            "unit_circle_controllable": lambda modulus: np.abs(modulus - 1.0) <= STABILITY_MARGIN}
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,57 +92,57 @@ class Witnesses(NamedTuple):
 class FeasibilityReport:
     """Verdicts of the admissibility tests plus per-eigenvalue witnesses.
 
-    ``member_of_P_infinity`` is the conjunction of the five defining
-    flags; ``unit_circle_controllable`` is diagnostic only and does not
-    enter membership. ``warnings`` collects non-fatal findings: the starred
+    ``VERDICTS`` names the six verdicts. ``member_of_P_infinity`` is
+    ``noise_detectable and noise_stabilizable and input_F_stable``, the last
+    being rho(F) < 1 - STABILITY_MARGIN: these imply the joint pair's
+    detectability and its starred pair's stabilizability and unit-circle
+    controllability (see ``feasibility_report``). So ``augmented_detectable``,
+    ``augmented_stabilizable`` and ``unit_circle_controllable`` (both starred
+    pairs; a diagnostic outside membership) are True for a member and
+    otherwise ranked on first read. The joint pairs are ranked only on the
+    first read of such a verdict, of ``witness_arrays`` (each test's
+    ``Witnesses``; ``witnesses`` turns them into dicts) or of ``warnings``,
+    on the joint system rebuilt from the models ``_noise`` and ``_input``
+    and the channel's ``_H``: the system the report was given may be
+    rewritten later. ``warnings`` collects non-fatal findings: the starred
     systems' rank-rule warnings, then apparent non-minimality of either
-    realization, computed on first read (the verdicts are not) from the models
-    ``_noise`` and ``_input``, the noise detectability witnesses and eig(F).
-    ``witness_arrays`` holds each test's ``Witnesses``, and ``witnesses``
-    turns them into dicts, both on first access.
-
-    Where the joint verdicts follow from the noise verdicts, the noise pair
-    detectable and stabilizable and rho(F) < 1 - RANK_TOL (then, at every
-    |lambda| >= 1 - RANK_TOL, the Rosenbrock ranks obey rank M_joint(lambda)
-    >= n_xi + rank M_noise(lambda) and rank [Ahat - lambda I; Chat] = n_xi +
-    rank [A - lambda I; C]; see ``feasibility_report``), the report ran no
-    joint test and set the joint verdicts True. It keeps the channel's H in
-    ``_H``, and on the first read of ``witness_arrays`` or ``warnings``
-    rebuilds the joint system from ``_noise``, ``_input`` and ``_H`` and
-    forms its starred system, from which the first read of
-    ``witness_arrays`` ranks the three joint witnesses and the first read of
-    ``warnings`` takes its rank-rule warning. The joint system is rebuilt,
-    not kept, because the one the report was given may be rewritten later.
+    realization, from the models, the noise detectability witnesses and
+    eig(F).
     """
 
     noise_detectable: bool
     noise_stabilizable: bool
-    augmented_detectable: bool
-    augmented_stabilizable: bool
     input_F_stable: bool
-    unit_circle_controllable: bool
-    _arrays: dict = field(default_factory=dict, repr=False)
-    _rank_rule: tuple = ()
-    _noise: object = field(default=None, repr=False)
-    _input: object = field(default=None, repr=False)
-    _eig_F: object = field(default=None, repr=False)
-    _H: object = field(default=None, repr=False)  # set when the joint tests are deferred
+    _arrays: dict = field(repr=False)  # the noise pair's witnesses
+    _rank_rule: tuple = field(repr=False)  # the noise starred system's warnings
+    _noise: object = field(repr=False)
+    _input: object = field(repr=False)
+    _eig_F: np.ndarray = field(repr=False)
+    _H: np.ndarray = field(repr=False)
 
     @property
     def member_of_P_infinity(self):
-        return (self.noise_detectable and self.noise_stabilizable and self.augmented_detectable
-                and self.augmented_stabilizable and self.input_F_stable)
+        return self.noise_detectable and self.noise_stabilizable and self.input_F_stable
+
+    def _joint_verdict(self, label):
+        return self.member_of_P_infinity or bool(self.witness_arrays[label].ok.all())
+
+    augmented_detectable = cached_property(
+        lambda self: self._joint_verdict("augmented_detectable"))
+    augmented_stabilizable = cached_property(
+        lambda self: self._joint_verdict("augmented_stabilizable"))
+    unit_circle_controllable = cached_property(
+        lambda self: bool(self._arrays["unit_circle_noise"].ok.all())
+        and self._joint_verdict("unit_circle_augmented"))
 
     @cached_property
     def _joint(self):
-        # the deferred joint system, rebuilt from the models and H, and its starred system
+        # the joint system, rebuilt from the models and H, and its starred system
         system = JointSystem(self._noise, self._input, Channel(H=self._H))
         return system, starred_system(system)
 
     @cached_property
     def witness_arrays(self):
-        if self._H is None:
-            return self._arrays
         lams = np.concatenate([self._eig_F, self._arrays["noise_detectable"].eigenvalues])
         return {**self._arrays, **_labelled("augmented", _witnesses(*self._joint, lams))}
 
@@ -162,7 +163,7 @@ class FeasibilityReport:
             pairs.append(("input", _Pair(input.F, input.G, self._eig_F),
                           _Pair(input.F.T, input.Gamma.T, self._eig_F)))
         warnings = list(self._rank_rule)
-        if self._H is not None:
+        if input.n_xi or input.n_z:  # a system with no input is its own noise_quad
             warnings += _rule_warnings("augmented", self._joint[1])
         for label, reach, observe in pairs:
             for pair, word in ((reach, "controllable"), (observe, "observable")):
@@ -264,8 +265,9 @@ class _Pair:
 def pbh_test(A, V, mode):
     """PBH rank test for detectability, stabilizability, or the unit-circle variant.
 
-    Eigenvalues with |lambda| >= 1 - RANK_TOL are tested in the first two
-    modes, those with ||lambda| - 1| <= RANK_TOL in the unit-circle mode.
+    Eigenvalues with |lambda| >= 1 - STABILITY_MARGIN are tested in the
+    first two modes, those with ||lambda| - 1| <= STABILITY_MARGIN in the
+    unit-circle mode.
     The numerical rank counts singular values above
     sigma_max * max(dims) * SV_RTOL; where a Cholesky certificate shows
     sigma_min far above that threshold, no SVD is taken.
@@ -326,43 +328,35 @@ def _rule_warnings(label, star):
 
 
 def feasibility_report(noise, input, channel):
-    """Run every admissibility test for a (noise, input, channel) triple.
+    """Run the admissibility tests for a (noise, input, channel) triple.
 
-    Checks detectability of the noise output pair (the joint system's
-    ``noise_quad``) and the joint output pair, stabilizability of the
-    corresponding starred pairs through G B_star^{1/2}, and exponential
-    stability of F. Unit-circle controllability of both starred pairs is
-    evaluated as a diagnostic. Apparent non-minimality of either
-    realization is reported as a warning only, since the computed
-    quantities stay well defined, after the starred systems' warnings. The
-    tests of one pair share its eigenvalues and ranks. The spectrum of the
-    joint Ahat = blockdiag(F, A) is eig(F) followed by eig(A): the report
-    computes eig(F) and eig(A) once each and never decomposes Ahat, so the
-    joint detectability witnesses list eig(F) then eig(A), where
+    Membership needs only the noise tests and F: the report computes eig(F),
+    eig(A) and the noise's starred system, and tests detectability of the
+    noise output pair (the joint system's ``noise_quad``), stabilizability
+    and unit-circle controllability of its starred pair through
+    G B_star^{1/2}, and exponential stability of F, rho(F) < 1 -
+    STABILITY_MARGIN. The joint verdicts, witnesses and warnings follow on
+    first read (``FeasibilityReport``). Apparent non-minimality of either
+    realization is reported as a warning only, since the computed quantities
+    stay well defined, after the starred systems' warnings. The tests of one
+    pair share its eigenvalues and ranks. The spectrum of the joint Ahat =
+    blockdiag(F, A) is eig(F) followed by eig(A), never decomposed again, so
+    the joint detectability witnesses list eig(F) then eig(A), where
     ``pbh_test(Ahat, Chat, "detectable")`` lists the same eigenvalues, up to
-    round-off, in eigvals(Ahat) order. The other witnesses are
-    ``pbh_test``'s, and F's spectral radius comes from the same eig(F).
+    round-off, in eigvals(Ahat) order. The other witnesses are ``pbh_test``'s.
 
-    The joint verdicts often follow from the noise verdicts. With Rhat
-    positive definite, the Rosenbrock matrix M(lambda) = [[Ahat - lambda I,
-    Bhat Khat^{1/2}], [Chat, Dhat Khat^{1/2}]] of either system has rank
-    q + rank [A_star - lambda I, G B_star^{1/2}]. Where F - lambda I is
-    invertible, eliminating the input block gives rank M_joint(lambda) =
-    n_xi + rank [[A - lambda I, 0, B K_W^{1/2}], [C, H T_X(lambda) K_Z^{1/2},
-    N K_W^{1/2}]], T_X(lambda) = D + Gamma (lambda I - F)^{-1} G, which is at
-    least n_xi + rank M_noise(lambda); the same elimination gives
-    rank [Ahat - lambda I; Chat] = n_xi + rank [A - lambda I; C]. So when
-    the noise pair is detectable and stabilizable and rho(F) < 1 - RANK_TOL,
-    every lambda the joint tests look at (|lambda| >= 1 - RANK_TOL, the
-    unit-circle band included) passes them: the report then sets
-    ``augmented_detectable``, ``augmented_stabilizable`` and the joint half
-    of ``unit_circle_controllable`` True without running them, and ranks the
-    joint witnesses, by the same code, on the first read of
-    ``witness_arrays`` (``witnesses`` reads it), and forms the joint starred
-    system's rank-rule warning on the first read of ``warnings``. Any other
-    report runs every test here. Either way, the minimality warnings are
-    computed on the first read of ``warnings``, from the models given and
-    the witnesses, never from ``channel``'s slots.
+    Why a member's joint tests pass: with Rhat positive definite, the
+    Rosenbrock matrix M(lambda) = [[Ahat - lambda I, Bhat Khat^{1/2}], [Chat,
+    Dhat Khat^{1/2}]] of either system has rank q + rank [A_star - lambda I,
+    G B_star^{1/2}]. Where F - lambda I is invertible, eliminating the input
+    block gives rank M_joint(lambda) = n_xi + rank [[A - lambda I, 0,
+    B K_W^{1/2}], [C, H T_X(lambda) K_Z^{1/2}, N K_W^{1/2}]], T_X(lambda) =
+    D + Gamma (lambda I - F)^{-1} G, which is at least n_xi + rank
+    M_noise(lambda); the same elimination gives rank [Ahat - lambda I; Chat]
+    = n_xi + rank [A - lambda I; C]. With rho(F) < 1 - STABILITY_MARGIN, that
+    holds at every lambda the joint tests look at (|lambda| >= 1 -
+    STABILITY_MARGIN, the unit-circle band included), so a noise pair that
+    passes its tests makes every joint test pass.
 
     ``channel`` may also be the JointSystem that ``build_augmented`` built
     from these models; they are then neither validated nor stacked again.
@@ -378,25 +372,10 @@ def feasibility_report(noise, input, channel):
         raise ValueError("channel is a JointSystem built from other models than noise and input")
     nq = system.noise_quad
     eig_F = np.linalg.eigvals(input.F) if input.n_xi else np.empty(0)
-    eig_A = np.linalg.eigvals(nq.Ahat)
     star = starred_system(nq)
-    tests, rank_rule = _witnesses(nq, star, eig_A), _rule_warnings("noise", star)
-    arrays = _labelled("noise", tests)
-    noise_ok = all(w.ok.all() for w in tests[:2])
-    radius_F = float(np.abs(eig_F).max(initial=0.0))
-    deferred = system is not nq and noise_ok and radius_F < 1.0 - RANK_TOL
-    if not deferred:
-        if system is not nq:  # a system with no input is its own noise_quad: tested once
-            star = starred_system(system)
-            rank_rule += _rule_warnings("augmented", star)
-            tests = _witnesses(system, star, np.concatenate([eig_F, eig_A]))
-        arrays.update(_labelled("augmented", tests))
-    verdicts = {label: bool(w.ok.all()) for label, w in arrays.items()}
-    if deferred:
-        verdicts.update(augmented_detectable=True, augmented_stabilizable=True,
-                        unit_circle_augmented=True)
-    unit_circle = all([verdicts.pop("unit_circle_noise"), verdicts.pop("unit_circle_augmented")])
+    tests = _witnesses(nq, star, np.linalg.eigvals(nq.Ahat))
     return FeasibilityReport(
-        **verdicts, input_F_stable=radius_F <= 1.0 - STABILITY_MARGIN,
-        unit_circle_controllable=unit_circle, _arrays=arrays, _rank_rule=tuple(rank_rule),
-        _noise=noise, _input=input, _eig_F=eig_F, _H=system.H if deferred else None)
+        noise_detectable=bool(tests[0].ok.all()), noise_stabilizable=bool(tests[1].ok.all()),
+        input_F_stable=float(np.abs(eig_F).max(initial=0.0)) < 1.0 - STABILITY_MARGIN,
+        _arrays=_labelled("noise", tests), _rank_rule=tuple(_rule_warnings("noise", star)),
+        _noise=noise, _input=input, _eig_F=eig_F, _H=system.H)

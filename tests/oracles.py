@@ -240,7 +240,7 @@ def pbh_verdict(A, V, mode):
 
     Tested are the eigenvalues with |lam| >= 1 - 1e-9, or with
     ||lam| - 1| <= 1e-9 in mode "unit_circle_controllable" (1e-9 is the
-    library's RANK_TOL); the verdict holds iff the PBH rank is full at each.
+    library's STABILITY_MARGIN); the verdict holds iff the PBH rank is full at each.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))

@@ -429,7 +429,9 @@ def test_check_system_keys_are_the_report_verdicts_then_the_rest(tmp_path):
     out = tmp_path / "feas.json"
     assert main(["check-system", "--model", write_model(tmp_path, COLORED),
                  "--out", str(out)]) == 0
-    verdicts = [f.name for f in dataclasses.fields(rc.FeasibilityReport) if f.type is bool]
+    verdicts = ["noise_detectable", "noise_stabilizable", "augmented_detectable",
+                "augmented_stabilizable", "input_F_stable", "unit_circle_controllable"]
+    assert list(rc.systests.VERDICTS) == verdicts
     assert list(read_json(out)) == verdicts + ["member_of_P_infinity", "warnings", "witnesses"]
 
 

@@ -49,18 +49,35 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_optimize_input_loads_scipy_when_it_runs():
+    # unstable scalar noise at kappa = 0.5: water-filling lacks full support, so it searches
     script = """
 import sys
 import riccati_capacity as rc
 assert "scipy" not in sys.modules
+noise = rc.NoiseModel(A=[[1.5]], B=[[1.0]], C=[[1.0]], N=[[1.0]], K_W=[[1.0]])
+_, result = rc.optimize_input(noise, rc.Channel(H=[[1.0]], kappa=0.5), (1, 1),
+                              rc.OptimizerConfig(starts=2, seed=0, maxiter=10))
+print(result.diagnostics["search"][0]["kind"], "scipy.optimize" in sys.modules)
+"""
+    kind, loaded = run_fresh(script).split()
+    assert kind != "waterfilling"
+    assert loaded == "True"
+
+
+def test_a_closed_form_input_loads_no_optimizer():
+    # the memoryless channel's capacity is water-filling's closed form, found with no search
+    script = """
+import sys
+import riccati_capacity as rc
 noise = rc.memoryless_noise([[1.0]])
 _, result = rc.optimize_input(noise, rc.Channel(H=[[1.0]], kappa=1.0), (0, 1),
                               rc.OptimizerConfig(starts=2, seed=0, maxiter=10))
-print(result.rate_nats, "scipy.optimize" in sys.modules)
+print(result.rate_nats, result.diagnostics["search"][0]["kind"],
+      "scipy.optimize" in sys.modules)
 """
-    rate, loaded = run_fresh(script).split()
+    rate, kind, loaded = run_fresh(script).split()
     assert abs(float(rate) - HALF_LN2) < 1e-9
-    assert loaded == "True"
+    assert (kind, loaded) == ("waterfilling", "False")
 
 
 # the modules whose private names other modules may import: the numerical kernels

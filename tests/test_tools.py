@@ -77,7 +77,8 @@ def test_diff_lists_a_one_ulp_move_and_one_sided_names(tmp_path, capsys, moved):
 
 
 def test_a_report_is_recorded_with_its_witness_arrays_and_warnings():
-    # both are computed on first read, not fields, and are recorded all the same
+    # these, and the joint verdicts, are computed on first read, not fields, and are
+    # recorded all the same, each verdict by name
     import riccati_capacity as rc
     noise = rc.NoiseModel(A=np.diag([1.5, 0.3]), B=[[1.0], [0.0]], C=[[1.0, 1.0]], N=[[1.0]],
                           K_W=[[1.0]])
@@ -92,3 +93,6 @@ def test_a_report_is_recorded_with_its_witness_arrays_and_warnings():
             [3 if "augmented" in label else 2] * 4
     assert out["rep.warnings[0]"] == ("noise realization not controllable at eigenvalue 0.3; "
                                       "it may not be minimal")
+    assert {name: out[f"rep.{name}"] for name in rc.systests.VERDICTS} == {
+        "noise_detectable": True, "noise_stabilizable": True, "augmented_detectable": True,
+        "augmented_stabilizable": True, "input_F_stable": True, "unit_circle_controllable": True}

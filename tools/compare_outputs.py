@@ -159,6 +159,10 @@ DRAWS = 300
 HIDDEN_DRAWS = 40
 WATERFILL_DRAWS = 200
 CLOSED_FORM_DRAWS = 60
+# a feasibility report's six verdicts, its witness arrays and its warnings
+REPORT_OUTPUTS = ("noise_detectable", "noise_stabilizable", "augmented_detectable",
+                  "augmented_stabilizable", "input_F_stable", "unit_circle_controllable",
+                  "witness_arrays", "warnings")
 
 # the CLI's model file: unstable noise (eigenvalues 1.2 and 0.6), a
 # one-state input and a scalar channel
@@ -278,15 +282,15 @@ def _coerced(out, name, model, given):
 def _flatten(prefix, obj, out):
     # leaves are arrays, numbers, strings, None; containers and dataclasses
     # (models, results, reports) recurse through their public fields; other
-    # objects record their type. A feasibility report's witness arrays and
-    # warnings are computed on first read, not fields, so they are read and
-    # recorded here
+    # objects record their type. A feasibility report's joint verdicts,
+    # witness arrays and warnings may be computed on first read, not fields,
+    # so REPORT_OUTPUTS are read and recorded by name, from either tree
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         names = [f.name for f in dataclasses.fields(obj) if not f.name.startswith("_")]
         if type(obj).__name__ == "TrajectoryBatch":
             names = [name for name in names if name not in ("noise", "input", "channel")]
         if type(obj).__name__ == "FeasibilityReport":
-            names += [name for name in ("witness_arrays", "warnings") if name not in names]
+            names += [name for name in REPORT_OUTPUTS if name not in names]
         for name in names:
             _flatten(f"{prefix}.{name}", getattr(obj, name), out)
     elif isinstance(obj, dict):
