@@ -31,7 +31,7 @@ from .linalg import (as_count, as_finite, is_psd, is_symmetric, solve_spd, spect
 from .lyapunov import (DEFAULT_TOL, MAX_DOUBLINGS, STABILITY_MARGIN, _smith, input_power,
                        lyap_solve)
 from .models import Channel, InputModel, NoiseModel, build_augmented, require_valid
-from .riccati import _runs, are_solve
+from .riccati import _adjoint, _runs, are_solve
 from .systests import feasibility_report
 # block_diag, chol_logdet, to_quadruple and validate stay importable here
 # because bench/tracing.py patches them at these names
@@ -390,7 +390,7 @@ def waterfilling_oracle(H, R, kappa):
     return rate, p
 
 
-# the search's Riccati and adjoint Stein solves stop at this relative tolerance
+# the search's and the closed form's solves stop at this relative tolerance
 _SEARCH_TOL = 1e-12
 # X X^T counts as singular when X's smallest singular value is below _EPS times its largest
 _EPS = np.finfo(np.float64).eps
@@ -503,9 +503,11 @@ def _logdet_gradient(system, sol):
     """Gradient of log det K_I at the joint ARE solution in the input's F, G, Gamma, D (K_Z = I).
 
     With gain L and closed loop A_cl at the solution P, the adjoint W
-    solves W = A_cl^T W A_cl + Chat^T K^-1 Chat. The Riccati map is
-    stationary in the gain, so d log det K is tr(K^-1 dK) at fixed P plus
-    tr(W dM), dM the map's change at fixed P and L. Per joint block:
+    solves W = A_cl^T W A_cl + Chat^T K^-1 Chat; ``riccati._adjoint`` reads
+    it from the solution's dual iterate, so no Stein equation is iterated.
+    The Riccati map is stationary in the gain, so d log det K is
+    tr(K^-1 dK) at fixed P plus tr(W dM), dM the map's change at fixed P
+    and L. Per joint block:
     Ahat 2 W A_cl P, Chat 2 (K^-1 Chat - L^T W A_cl) P, Qhat W, Shat -2 W L
     and Rhat K^-1 + L^T W L, chained through F, H Gamma, G G^T, G D^T H^T
     and H D D^T H^T.
@@ -513,7 +515,7 @@ def _logdet_gradient(system, sol):
     x = system.n_xi
     P, L, A_cl, C = sol.P_star, sol.gain, sol.closed_loop, system.Chat
     K_inv = solve_spd(sol.innovations, np.eye(system.q), context="K_I")
-    W = _smith(A_cl.T, C.T @ K_inv @ C, _SEARCH_TOL)
+    W = _adjoint(sol)
     WAP = W @ A_cl @ P
     g_C = 2.0 * (K_inv @ C @ P - L.T @ WAP)
     g_S = -2.0 * W[:x] @ L
@@ -624,7 +626,13 @@ def _waterfilling_input(noise, channel):
     stable Az - L Cz) and P is PSD. The input is then F = Az, G = L,
     Gamma = H^-1 Cz, D = H^-1 and K_Z = K, with n_s states; a memoryless
     noise gives D = H^-1 and K_Z = R. Any other outcome, partial support
-    included, returns None.
+    included, returns None. Before the DARE, the whitened noise spectrum
+    Phi = H^-1 S_V H^-T is evaluated at w = 0 and pi (z = 1 and -1, where
+    Cz (zI - Az)^-1 Mz is real): support is partial, and None is returned
+    without the DARE, if an eigenvalue of Phi there reaches nu. That test
+    is exact for a memoryless noise, whose Phi is constant; a spectrum that
+    peaks inside (0, pi) is still declined by the DARE, which runs its
+    whole doubling budget.
     """
     H = channel.H
     if H.shape[0] != H.shape[1] or not H.size or np.any(
@@ -635,6 +643,11 @@ def _waterfilling_input(noise, channel):
         R0, Az, Mz, Cz = _noise_spectrum(noise)
         nu = (channel.kappa + np.trace(H_inv @ R0 @ H_inv.T)) / channel.n_x
         m, q = Cz.shape[1], len(H)
+        # partial support shows without the DARE where the whitened spectrum reaches nu
+        # at w = 0 or pi, z = 1 or -1, where it is real
+        T = Cz @ np.linalg.solve(np.array([np.eye(m) - Az, -np.eye(m) - Az]), Mz)
+        if np.linalg.eigvalsh(H_inv @ (R0 + T + T.swapaxes(1, 2)) @ H_inv.T).max() >= nu:
+            return None
         sol = are_solve(SimpleNamespace(Ahat=Az, Chat=Cz, Qhat=np.zeros((m, m)), Shat=-Mz,
                                         Rhat=nu * (H @ H.T) - R0, m=m, q=q), tol=_SEARCH_TOL)
     except np.linalg.LinAlgError:  # a singular H or A2, an R without a Cholesky factor
@@ -696,7 +709,9 @@ def optimize_input(noise, channel, dims, config=None):
     coordinates (``_InputNormal``), where every point is on budget and
     rho(F) <= 1. The objective, -rate at the joint ARE solution solved
     from zero at _SEARCH_TOL, gets its exact gradient from one adjoint
-    Stein equation (``_logdet_gradient``). Its one guard gives rate 0
+    Stein equation (``_logdet_gradient``), whose solution the joint
+    solve's dual iterate gives by one solve (``riccati._adjoint``), so an
+    evaluation runs one doubling loop. Its one guard gives rate 0
     and a zero gradient where rho(F) >= 1 - STABILITY_MARGIN, X X^T is
     singular or the joint solve does not converge. Warm starts (each
     also a candidate as given; searched from when reachable and of the

@@ -32,7 +32,9 @@ the step that fails ("step t: ..."). A scanned chunk's gains and log dets
 come from one batched factorization of its K_t, as a plain step's do from
 ``_predict``'s, and where no caller reads the gains its K_t are factored
 for their log dets alone. The solution of ``are_solve`` keeps K and log
-det K at P_star.
+det K at P_star, and the doubling's last G iterate, the dual DARE's
+solution, from which ``_adjoint`` forms the adjoint that the input
+search's gradient reads (``capacity._logdet_gradient``).
 """
 
 import math
@@ -94,10 +96,15 @@ class RiccatiSolution:
         The innovations covariance K = Rhat + Chat P_star Chat^T, symmetrized.
     logdet : float
         log det K, from its Cholesky factor.
+    dual : ndarray
+        The doubling's last G iterate: within the solve's tolerance, the
+        stabilizing solution Y of the dual DARE (see ``are_solve``), from
+        which ``_adjoint`` reads the adjoint of the closed loop.
 
-    A diverged run (infinite ``residual``) has NaN ``gain`` and
-    ``closed_loop`` and carries K and log det K at its last finite P_star,
-    both NaN where round-off has left that K without a Cholesky factor.
+    A diverged run (infinite ``residual``) has NaN ``gain``,
+    ``closed_loop`` and ``dual`` and carries K and log det K at its last
+    finite P_star, both NaN where round-off has left that K without a
+    Cholesky factor.
     So does a run that round-off has left with an indefinite P_star: a
     doubling whose I + G P is singular stops at its last iterate, and a
     P_star whose K has no Cholesky factor has no prediction step.
@@ -112,6 +119,7 @@ class RiccatiSolution:
     converged: bool
     innovations: np.ndarray
     logdet: float
+    dual: np.ndarray
 
 
 def _predict(quad, P, context="Riccati denominator"):
@@ -384,7 +392,7 @@ def _unfinished(quad, P, iterations):
         K, logdet = _predict(quad, P)[1:3]
         K = symmetrize(K)
     return RiccatiSolution(P, nan[:m, m:], nan[:m, :m], np.inf, np.inf, iterations, False,
-                           K, logdet)
+                           K, logdet, nan[:m, :m])
 
 
 def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
@@ -405,6 +413,15 @@ def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
     ``max_iter`` doublings at its last finite iterate; it, a diverging run
     and one that round-off leaves with an indefinite P (an unstable mode
     the output does not see) return ``converged=False`` instead of raising.
+
+    The doubling's G iterate converges, at the rate of its P iterate, to
+    the stabilizing solution Y of the dual DARE
+    Y = A_s^T Y (I + Q_s Y)^{-1} A_s + G (Chu, Fan, Lin & Wang, 2004; Lin &
+    Xu, 2006), and the solution keeps the last one as ``dual``, at no cost.
+    W = (I + Y P_star)^{-1} Y then solves the adjoint Stein equation
+    W = A_cl^T W A_cl + Chat^T K^{-1} Chat of the closed loop A_cl, whose
+    solution is unique since A_cl is stable, so ``_adjoint`` gives W by one
+    m x m solve where a Stein solver would run a second doubling loop.
 
     Parameters
     ----------
@@ -476,4 +493,16 @@ def are_solve(quad, *, tol=DEFAULT_TOL, max_iter=MAX_DOUBLINGS):
         converged=met and residual <= 10.0 * tol * scale and radius < 1.0,
         innovations=symmetrize(K),
         logdet=logdet,
+        dual=G,
     )
+
+
+def _adjoint(sol):
+    """The adjoint W = A_cl^T W A_cl + Chat^T K^-1 Chat of a solution, from its dual iterate.
+
+    W = (I + Y P_star)^-1 Y, Y the solution's ``dual``: one m x m solve. It
+    is within the solve's tolerance of the Stein equation's solution
+    wherever the solve converged, and NaN where its run was unfinished.
+    """
+    Y = sol.dual
+    return symmetrize(np.linalg.solve(np.eye(len(Y)) + Y @ sol.P_star, Y))

@@ -1189,6 +1189,18 @@ def test_search_gradient_matches_central_differences(monkeypatch, seed, n_y, rho
         assert np.max(np.abs(central - grad)) <= 1e-6 * np.max(np.abs(grad)), dims
 
 
+def test_search_objective_solves_no_stein_equation(monkeypatch):
+    # the adjoint comes from the joint solve's dual iterate: the only Stein solves
+    # of a searched call are the two of the closed-form attempt's noise spectrum
+    stein, smith = [], rc.capacity._smith
+    monkeypatch.setattr(rc.capacity, "_smith", lambda *args: stein.append(1) or smith(*args))
+    _, result = rc.optimize_input(scalar_noise(1.5), unit_channel(0.5), (1, 1),
+                                  rc.OptimizerConfig(starts=2, seed=0, maxiter=10))
+    records = result.diagnostics["search"]
+    assert sum(r["nfev"] - r["guard_hits"] for r in records if r["repeats"] is None) > 0
+    assert len(stein) == 2
+
+
 def search_population():
     """43 seeded problems: scalar noise at three poles, then random noise and dims."""
     out = [(scalar_noise(a), unit_channel(), (1, 1)) for a in (0.5, 1.2, 1.5)]
@@ -1356,8 +1368,9 @@ def spy_are_solve(monkeypatch):
 
 
 def test_closed_form_input_solves_its_dare_by_are_solve(monkeypatch):
-    # the bench's sweep budgets at a = 1.5 (0.5 declined, 1 and 2 taken) and its
-    # two-mode case: one are_solve call each, whose gain and innovations are G and K_Z
+    # the bench's sweep budgets at a = 1.5 (1 and 2 taken; 0.5 declined at w = 0, where
+    # S_V = 1 tops nu = 0.9667, with no are_solve call) and its two-mode case: one
+    # are_solve call each taken, whose gain and innovations are G and K_Z
     calls = spy_are_solve(monkeypatch)
     problems = [(scalar_noise(1.5), unit_channel(kappa)) for kappa in (0.5, 1.0, 2.0)]
     problems.append((rc.memoryless_noise(np.eye(2)), rc.Channel(H=np.diag([1.0, 2.0]),
@@ -1365,20 +1378,49 @@ def test_closed_form_input_solves_its_dare_by_are_solve(monkeypatch):
     for (noise, channel), accepted in zip(problems, (False, True, True, True)):
         calls.clear()
         model = rc.capacity._waterfilling_input(noise, channel)
-        assert len(calls) == 1 and calls[0][0] == rc.capacity._SEARCH_TOL
-        sol = calls[0][1]
-        assert sol.converged is accepted and (model is not None) is accepted
+        assert len(calls) == accepted and (model is not None) is accepted
         if accepted:
+            tol, sol = calls[0]
+            assert tol == rc.capacity._SEARCH_TOL and sol.converged
             assert np.array_equal(model.G, sol.gain)
             assert np.array_equal(model.K_Z, sol.innovations)
+
+
+def resonant_noise(white=None):
+    """Poles at +-0.8j: S_V peaks at 13.65 inside (0, pi), 1.61 at w = 0 and pi, mean 3.78.
+
+    ``white`` adds a second output, white noise of that variance.
+    """
+    B, C, N = np.eye(2, 4), [[1.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]]
+    if white is not None:
+        C, N = C + [[0.0, 0.0]], N + [[0.0, 0.0, 0.0, np.sqrt(white)]]
+    return rc.NoiseModel(A=[[0.0, -0.8], [0.8, 0.0]], B=B, C=C, N=N, K_W=np.eye(4))
+
+
+def test_closed_form_input_declines_an_interior_peak_by_its_dare(monkeypatch):
+    # nu = 4.78 clears S_V at w = 0 and pi but not at its peak, so support is partial
+    # and only the DARE can tell: one are_solve call, which does not converge
+    noise, kappa = resonant_noise(), 1.0
+    modes = noise_modes(noise, np.eye(1), WF_GRID)
+    assert modes[[0, -1]].max() < kappa + modes.mean() < modes.max()
+    assert not spectral_capacity(noise, np.eye(1), kappa, WF_GRID)[2]
+    calls = spy_are_solve(monkeypatch)
+    assert rc.capacity._waterfilling_input(noise, unit_channel(kappa)) is None
+    assert len(calls) == 1 and not calls[0][1].converged
 
 
 @pytest.mark.parametrize("noise, channel, solves", [
     (rc.memoryless_noise(np.eye(2)), rc.Channel(H=[[1.0, 2.0], [0.5, 1.0]], kappa=1.0), 0),
     (scalar_noise(1.0 + 5e-10), unit_channel(1.0), 0),
-    # nu = 5.1 leaves R = diag(-4.9, 5) without a Cholesky factor, inside are_solve
-    (rc.memoryless_noise(np.diag([10.0, 0.1])), rc.Channel(H=np.eye(2), kappa=0.1), 1)],
-    ids=["singular H", "pole near the unit circle", "R not positive definite"])
+    # S_V = |z + 0.5|^2 / |z + 1.5|^2 peaks at 1 at w = pi, above nu = 0.9667
+    (scalar_noise(-1.5), unit_channel(0.5), 0),
+    # nu = 5.1 lies below the noise's 10 at every frequency, so no are_solve call is made
+    (rc.memoryless_noise(np.diag([10.0, 0.1])), rc.Channel(H=np.eye(2), kappa=0.1), 0),
+    # nu = 1.945 clears both outputs at w = 0 and pi, but R = nu I - R0 = diag(-1.83, 1.94)
+    # has no Cholesky factor, inside are_solve
+    (resonant_noise(white=0.01), rc.Channel(H=np.eye(2), kappa=0.1), 1)],
+    ids=["singular H", "pole near the unit circle", "peak at w = pi", "R not positive definite",
+         "R not positive definite past w = 0 and pi"])
 def test_closed_form_input_declines_without_raising(monkeypatch, noise, channel, solves):
     calls = spy_are_solve(monkeypatch)
     assert rc.capacity._waterfilling_input(noise, channel) is None

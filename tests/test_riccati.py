@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import riccati_capacity as rc
 from conftest import (diverging_noise, random_models, scalar_noise, unit_channel,
                       unit_iid_input)
-from oracles import DRE_THIRD, dare_steady_state
+from oracles import DRE_THIRD, dare_steady_state, lyap_steady_state
 
 
 def family_quad(a):
@@ -410,3 +410,42 @@ def test_diverged_run_whose_innovations_do_not_factor_returns():
         np.linalg.cholesky(K)
     assert np.isnan(sol.innovations).all() and sol.innovations.shape == (1, 1)
     assert np.isnan(sol.logdet)
+
+
+# ------------------------------------------------------ the adjoint from the dual
+
+
+def oracle_adjoint(quad):
+    # W = A_cl^T W A_cl + Chat^T K^-1 Chat at scipy's stabilizing solution, by scipy's Stein solver
+    P = dare_steady_state(quad)
+    K = quad.Rhat + quad.Chat @ P @ quad.Chat.T
+    gain = np.linalg.solve(K, (quad.Ahat @ P @ quad.Chat.T + quad.Shat).T).T
+    return lyap_steady_state((quad.Ahat - gain @ quad.Chat).T, quad.Chat.T, np.linalg.inv(K))
+
+
+def adjoint_population():
+    """Noise-only and joint problems at rho(A) 0.6, 1.0005 and 1.3, and near-marginal ones."""
+    out = []
+    for seed in range(9):
+        noise, inp = random_models(np.random.default_rng(seed), n_s=2 + seed % 3,
+                                   n_xi=1 + seed % 2, n_y=1 + seed % 2,
+                                   rho_A=(0.6, 1.0005, 1.3)[seed % 3])
+        out += [rc.to_quadruple(noise),
+                rc.build_augmented(noise, inp, rc.Channel(H=np.eye(noise.n_y), kappa=1.0))]
+    # the predictor loop at about 1 - 1e-3, alone and with an input whose second mode
+    # G does not reach
+    noise = near_marginal_quad(1e-3).noise
+    unreached = rc.InputModel(F=np.diag([0.5, -0.3]), G=[[1.0], [0.0]], Gamma=[[1.0, 1.0]],
+                              D=[[0.5]], K_Z=[[1.0]])
+    return out + [rc.to_quadruple(noise), rc.build_augmented(noise, unreached, unit_channel())]
+
+
+def test_adjoint_from_the_dual_iterate_matches_the_stein_oracle():
+    for quad in adjoint_population():
+        sol = rc.are_solve(quad, tol=1e-12)
+        assert sol.converged
+        assert relative_error(rc.riccati._adjoint(sol), oracle_adjoint(quad)) <= 1e-9
+    # an unfinished run has no dual iterate
+    sol = rc.are_solve(unobserved_quad(1.5), max_iter=10_000)
+    assert sol.residual == np.inf
+    assert sol.dual.shape == (1, 1) and np.isnan(sol.dual).all()

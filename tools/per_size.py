@@ -3,13 +3,17 @@
     python tools/per_size.py run --label L [--sizes 2 4 8 20 40 80]
     python tools/per_size.py compare --a A.json [A.json ...] --b B.json [B.json ...]
 
-``run`` times eight calls of the ``riccati_capacity`` in this tree's
+``run`` times nine calls of the ``riccati_capacity`` in this tree's
 ``src`` at each joint state size m (even, default 2, 4, 8, 20, 40 and
 80), on ``random_models(np.random.default_rng(m // 2), n_s=m // 2,
 n_xi=m // 2, n_y=2, n_z=2, rho_A=1.2)`` from ``tests/conftest.py``, with
 H = I and kappa = 1:
 
 - ``are_solve`` on the built joint system;
+- ``objective``: one objective and gradient of the input search on the
+  built joint system, ``are_solve`` at the search's tolerance
+  (``capacity._SEARCH_TOL``) and the adjoint gradient
+  (``capacity._logdet_gradient``);
 - ``lyap_solve`` of the input (F, G, K_Z);
 - ``feasibility_report`` given the built joint system;
 - ``asymptotic_rate`` from the models, building its own system;
@@ -141,6 +145,8 @@ def run(label, sizes):
             noise_at=lambda t: rc.NoiseModel(**{**noise_fields, "A": noise.A * (1.0 + 2.0 ** -t)}),
             input_at=lambda t: inp, noise_limit=noise, input_limit=inp)
         calls = {"are_solve": lambda: rc.are_solve(system),
+                 "objective": lambda: rc.capacity._logdet_gradient(
+                     system, rc.are_solve(system, tol=rc.capacity._SEARCH_TOL)),
                  "lyap_solve": lambda: rc.lyap_solve(inp.F, inp.G, inp.K_Z),
                  "feasibility_report": lambda: rc.feasibility_report(noise, inp, system),
                  "asymptotic_rate": lambda: rc.asymptotic_rate(noise, inp, channel),
