@@ -42,7 +42,8 @@ from .models import Channel, InputModel, NoiseModel, build_augmented, require_va
 # stays importable here because bench/tracing.py patches it at this name
 from .models import validate  # noqa: F401
 from .riccati import are_solve
-from .simulate import empirical_report, kalman_run, sample_paths
+from . import simulate
+from .simulate import empirical_report, sample_paths
 from .systests import VERDICTS, feasibility_report
 
 __all__ = ["main"]
@@ -297,7 +298,8 @@ def _cmd_simulate(args, doc):
         # sampled alone, it holds the rows it has in the report's batch
         batch = sample_paths(system, report.horizon, 1, args.seed)
         columns = {label: getattr(batch, label)[0] for label in ("S", "V", "Xi", "X", "Y")}
-        columns["I"] = kalman_run(batch).innovations[0]
+        # through the module, where the benchmark's tracer wraps it
+        columns["I"] = simulate.kalman_run(batch).innovations[0]
         header = ["t"] + [f"{label}{j}" for label, arr in columns.items()
                           for j in range(arr.shape[1])]
         path = np.concatenate(list(columns.values()), axis=1)

@@ -380,6 +380,8 @@ class JointSystem:
         for side, models in zip(("noise", "input"), zip(*pairs)):
             rows = {}
             index = [rows.setdefault(model, len(rows)) for model in models]
+            # one index array per side; with every model distinct the stack is in pair order
+            index = slice(None) if len(rows) == len(models) else np.asarray(index)
             setattr(stacked, side, SimpleNamespace(**{
                 name: np.array([getattr(model, name) for model in rows])[index]
                 for name, _, _ in models[0]._ARRAYS}))

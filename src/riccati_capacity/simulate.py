@@ -7,7 +7,8 @@ innovations whose statistics can be held against the Riccati and
 Lyapunov quantities. Agreement is judged in standard errors, so the
 tolerance tightens automatically as paths are added. ``empirical_report``
 samples its paths itself, in blocks whose length a private memory budget
-sets, and keeps of each block only the per-path values its rows read.
+sets, and reduces each block in one pass over its steps, sampling and
+filtering each step and keeping only the per-path values its rows read.
 The predictor schedules and the analytic power come from ``riccati``'s
 finite-horizon engine (``riccati._runs``), the sampler's covariance roots
 from ``linalg._root``.
@@ -152,14 +153,15 @@ def sample_paths(system, horizon, paths, master_seed):
     largest count as zero, so degenerate covariances, singular or with such
     eigenvalues of either sign, are sampled exactly on their support.
     The returned arrays are (path, t, component) views over one
-    (t, component, path) buffer (``TrajectoryBatch``). One step matrix,
-    built per call, maps Theta_t = [Xi_t; S_t] to the rows
-    [X_t; Y_t; V_t; Xi_{t+1}; S_{t+1}], which follow Theta_t in that
-    buffer; its Y_t row is the system's Chat = [H Gamma | C] and its
-    Xi_{t+1} and S_{t+1} rows its Ahat = blockdiag(F, A), as the system
-    holds them. One more maps the step's (W_t, Z_t) draws to the same rows,
-    for every step at once before the first; so a step is one product over
-    all paths and one addition. BLAS rounds a path alone in a product, or
+    (t, component, path) buffer (``TrajectoryBatch``), filled step by step
+    by the sampler's per-step kernel (``_sample``), which
+    ``empirical_report`` runs too: step t's rows
+    [X_t; Y_t; V_t; Xi_{t+1}; S_{t+1}], which follow Theta_t = [Xi_t; S_t]
+    in that buffer, are one product of the step's (W_t, Z_t) draws over
+    all paths plus one of Theta_t. The two maps (``_sampler``) take the
+    Y_t row from the system's Chat = [H Gamma | C] and the Xi_{t+1} and
+    S_{t+1} rows from its Ahat = blockdiag(F, A), as the system holds them.
+    BLAS rounds a path alone in a product, or
     in a partial tile of its kernel, otherwise than one in a full tile, so
     the buffer holds a multiple of 16 paths (``_columns``), the last ones
     copies of the first: a path's row is then the one it has in any batch.
@@ -169,8 +171,8 @@ def sample_paths(system, horizon, paths, master_seed):
     total dimension: 8 bytes for each (W_t, Z_t) draw and each S, V, Xi, X,
     Y entry of every path and step, 72 MB at 20,000 paths and 50 steps of a
     model with n_s = n_w = 2 and n_y = n_xi = n_z = n_x = 1.
-    ``empirical_report`` therefore samples in blocks of paths (2,995
-    there), and holds one block plus the O(paths) values its rows read.
+    ``empirical_report`` stores no batch: it runs the same kernel over
+    blocks of paths and keeps only what its rows read.
     """
     if not isinstance(system, JointSystem):
         raise TypeError(f"sample_paths takes a JointSystem, got {type(system).__name__}")
@@ -179,59 +181,92 @@ def sample_paths(system, horizon, paths, master_seed):
     if indices.step != 1 or indices.start < 0 or not indices:
         raise ValueError(f"paths must be a nonempty range of path indices with step 1, "
                          f"got {paths!r}")
-    paths = len(indices)
-    noise, input = system.noise, system.input
-    n_s, n_w, n_y = system.n_s, system.n_w, system.q
-    n_xi, n_z, n_x = system.n_xi, system.n_z, input.n_x
-    m, n = n_xi + n_s, n_xi + n_s + n_x + 2 * n_y
+    paths, m, n = len(indices), system.m, _step_rows(system)
     columns = _columns(paths)
     # rows t n to (t + 1) n hold step t's Xi_t, S_t, X_t, Y_t, V_t, and the
     # last m rows Theta after the last step. Allocated before the draws: the
     # other way round, the resident peak of a bench-sized simulate call was
     # about 5 MB higher (glibc malloc, repeated calls)
     rows = np.empty((horizon * n + m, columns))
-    eps = np.empty((columns, n_s + n_xi + horizon * (n_w + n_z)))
-    for rng, row in zip(_substreams(master_seed, indices), eps):
-        rng.standard_normal(out=row)
-    eps[paths:] = eps[0]
+    stored = sum(1 for _ in _sample(system, _sampler(system), horizon, indices, master_seed,
+                                    rows[:m], lambda t: rows[m + t * n:m + (t + 1) * n]))
+    by_step = rows[:horizon * n].reshape(horizon, n, columns)[:stored, :, :paths]
+    Xi, S, X, Y, V = np.split(by_step.transpose(2, 0, 1),
+                              np.cumsum([system.n_xi, system.n_s, system.input.n_x, system.q]),
+                              axis=2)
+    return TrajectoryBatch(
+        system=system, paths=paths, horizon=stored, master_seed=int(master_seed),
+        S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=stored + 1 if stored < horizon else None,
+        first_path=indices.start,
+    )
 
+
+def _step_rows(system):
+    # rows of a step in the sampler's buffer: Xi_t, S_t, X_t, Y_t, V_t
+    return system.m + system.input.n_x + 2 * system.q
+
+
+def _sampler(system):
+    """The maps of the sampler's per-step kernel, built once per sampled batch or report.
+
+    Returns (on_start, on_draws, on_state): Theta_1 less its mean from the
+    S_1 and Xi_1 draws, and step t's rows [X_t; Y_t; V_t; Xi_{t+1}; S_{t+1}]
+    from its (W_t, Z_t) draws and from Theta_t = [Xi_t; S_t].
+    """
+    noise, input = system.noise, system.input
+    n_s, n_w, n_y = system.n_s, system.n_w, system.q
+    n_xi, n_z, n_x = system.n_xi, system.n_z, input.n_x
     sq_W, sq_Z = _root(noise.K_W), _root(input.K_Z)
     NW, DZ = noise.N @ sq_W, input.D @ sq_Z
     zeros = np.zeros
-    on_state = np.block([[input.Gamma, zeros((n_x, n_s))],
-                         [system.Chat],
-                         [zeros((n_y, n_xi)), noise.C],
-                         [system.Ahat]])
+    on_start = np.block([[zeros((n_xi, n_s)), _root(input.K_Xi1)],
+                         [_root(noise.K_S1), zeros((n_s, n_xi))]])
     on_draws = np.block([[zeros((n_x, n_w)), DZ],
                          [NW, system.H @ DZ],
                          [NW, zeros((n_y, n_z))],
                          [zeros((n_xi, n_w)), input.G @ sq_Z],
                          [noise.B @ sq_W, zeros((n_s, n_z))]])
-    on_start = np.block([[zeros((n_xi, n_s)), _root(input.K_Xi1)],
-                         [_root(noise.K_S1), zeros((n_s, n_xi))]])
+    on_state = np.block([[input.Gamma, zeros((n_x, n_s))],
+                         [system.Chat],
+                         [zeros((n_y, n_xi)), noise.C],
+                         [system.Ahat]])
+    return on_start, on_draws, on_state
 
-    np.matmul(on_start, eps[:, :m].T, out=rows[:m])
-    rows[:m] += system.mu_Theta1[:, None]
-    # every step's draws enter its rows [X_t; ...; S_{t+1}] before the states do
-    np.matmul(on_draws, eps[:, m:].reshape(columns, horizon, n_w + n_z).transpose(1, 2, 0),
-              out=rows[m:].reshape(horizon, n, columns))
-    del eps
 
-    saturated_at = None
-    stored = horizon
+def _sample(system, maps, horizon, indices, master_seed, start, rows_at):
+    """The sampler's per-step kernel over the paths ``indices``, a generator.
+
+    ``maps`` is ``_sampler(system)``'s. Every path's normals are drawn
+    first, in ``sample_paths``' order, one path per column; the columns
+    are ``start``'s, ``_columns`` of the paths, the last ones copies of the
+    first path. Theta_1 goes into ``start``, an (m, columns) array, and
+    step t's rows [X_t; Y_t; V_t; Theta_{t+1}] into ``rows_at(t)``, a
+    C-contiguous (n_x + 2 n_y + m, columns) array, by two updates: the
+    step's draws mapped by ``on_draws`` (one product per step, which rounds
+    as a product batched over every step would), then Theta_t mapped by
+    ``on_state``. Yields (Theta_t, rows) after each step, and stops before
+    a step whose Theta_t has an entry past OVERFLOW_GUARD, so the count of
+    yields is the steps stored.
+    """
+    on_start, on_draws, on_state = maps
+    m, paths, columns = system.m, len(indices), start.shape[1]
+    width = system.n_w + system.n_z
+    eps = np.empty((columns, m + horizon * width))
+    for rng, row in zip(_substreams(master_seed, indices), eps):
+        rng.standard_normal(out=row)
+    eps[paths:] = eps[0]
+    np.matmul(on_start, eps[:, :m].T, out=start)
+    start += system.mu_Theta1[:, None]
+    draws = eps[:, m:].reshape(columns, horizon, width).transpose(1, 2, 0)
+    theta = start
     for t in range(horizon):
-        theta = rows[t * n:t * n + m]
         if sup_norm(theta) > OVERFLOW_GUARD:
-            saturated_at, stored = t + 1, t
-            break
-        after = rows[t * n + m:(t + 1) * n + m]
-        after += on_state @ theta
-    by_step = rows[:horizon * n].reshape(horizon, n, columns)[:stored, :, :paths]
-    Xi, S, X, Y, V = np.split(by_step.transpose(2, 0, 1), np.cumsum([n_xi, n_s, n_x, n_y]), axis=2)
-    return TrajectoryBatch(
-        system=system, paths=paths, horizon=stored, master_seed=int(master_seed),
-        S=S, V=V, Xi=Xi, X=X, Y=Y, saturated_at=saturated_at, first_path=indices.start,
-    )
+            return
+        rows = rows_at(t)
+        np.matmul(on_draws, draws[t], out=rows)
+        rows += on_state @ theta
+        yield theta, rows
+        theta = rows[len(rows) - m:]
 
 
 def _columns(paths):
@@ -243,10 +278,14 @@ def _columns(paths):
 def _path_blocks(system, horizon, paths):
     """The blocks ``empirical_report`` samples: consecutive ranges of ``paths`` path indices.
 
-    A block of paths fills, per path and step, the (W_t, Z_t) draws, the
-    S, V, Xi, X, Y entries, the joint filter's state predictions and
-    innovations and the noise filter's innovations; a block holds as many
-    paths as fit _BLOCK_BYTES of those at ``horizon`` steps, at least one.
+    The budget counts, per path and step, what a stored block would fill:
+    the (W_t, Z_t) draws, the S, V, Xi, X, Y entries, the joint filter's
+    state predictions and innovations and the noise filter's innovations.
+    A block holds as many paths as fit _BLOCK_BYTES of those at ``horizon``
+    steps, at least one. The report's one pass over a block's steps
+    (``_block_values``) holds less: per path and step only the draws and
+    the X_t entries, and per path the rows of two steps and the two
+    predictors' buffers.
     """
     horizon, paths = as_count(horizon, "horizon"), as_count(paths, "paths")
     width = system.n_w + system.n_z + 2 * system.m + system.input.n_x + 4 * system.q
@@ -267,40 +306,38 @@ def _run(system, horizon, *names):
             for name in names]
 
 
-def _filter_batch(quad, obs, gains, predictions=False):
-    """Run a predictor's gains L_t (of a ``_run`` schedule, or their prefix) over a batch of paths.
+def _predictor_steps(quad, gains):
+    """A predictor's step matrices for gains L_t (of a ``_run`` schedule, or their prefix).
 
-    ``quad`` is a JointSystem, started from its initial mean mu_Theta1.
-    ``obs`` is indexed (path, t, component). With the paths innermost, each
-    step maps [s_t; y_t], the state prediction over the observation, to
+    ``quad`` is a JointSystem. With the paths innermost, step t maps
+    [s_t; y_t], the state prediction over the observation, to
     [s_{t+1}; y_t - Chat s_t] by one (m + q)-square matrix, where
-    s_{t+1} = (Ahat - L_t Chat) s_t + L_t y_t, over ``_columns(paths)``
-    columns, the padding ones left at zero (see ``sample_paths``). Returns
-    the innovations and, if ``predictions``, the one-step state predictions
-    s_t, both (path, t, component) views over (t, component, path) storage.
+    s_{t+1} = (Ahat - L_t Chat) s_t + L_t y_t.
     """
-    paths, horizon, q = obs.shape
-    m = quad.m
-    columns = _columns(paths)
-    gains = gains[:horizon]
-    steps = np.empty((horizon, m + q, m + q))
+    m, q = quad.m, quad.q
+    steps = np.empty((len(gains), m + q, m + q))
     steps[:, :m, :m] = quad.Ahat - gains @ quad.Chat
     steps[:, :m, m:] = gains
     steps[:, m:, :m] = -quad.Chat
     steps[:, m:, m:] = np.eye(q)
-    innovations = np.empty((horizon, q, columns))
-    states = np.empty((horizon, m, columns)) if predictions else None
-    now, after = np.zeros((m + q, columns)), np.zeros((m + q, columns))
-    now[:m, :paths] = quad.mu_Theta1[:, None]
-    for t, y in enumerate(obs.transpose(1, 2, 0)):
-        if predictions:
-            states[t] = now[:m]
-        now[m:, :paths] = y
-        np.matmul(steps[t], now, out=after)
-        innovations[t] = after[m:]
-        now, after = after, now
-    innovations = innovations[..., :paths].transpose(2, 0, 1)
-    return (innovations, states[..., :paths].transpose(2, 0, 1)) if predictions else innovations
+    return steps
+
+
+def _predictor(quad, paths):
+    # a predictor's two (m + q, columns) buffers over ``paths`` paths, the first holding
+    # the initial mean mu_Theta1 over ``_columns(paths)`` columns, the padding ones zero
+    buffers = np.zeros((2, quad.m + quad.q, _columns(paths)))
+    buffers[0, :quad.m, :paths] = quad.mu_Theta1[:, None]
+    return buffers
+
+
+def _filter_step(step, buffers, t, y):
+    # step t of a predictor: with s_t above in buffers[t % 2], the observations y, (q,
+    # paths), go below it, and ``step`` maps them to [s_{t+1}; y_t - Chat s_t] in the
+    # other buffer, which is returned
+    now, after = buffers[t % 2], buffers[1 - t % 2]
+    now[len(now) - len(y):, :y.shape[1]] = y
+    return np.matmul(step, now, out=after)
 
 
 def _joint_filter(batch, schedule):
@@ -313,7 +350,15 @@ def _joint_filter(batch, schedule):
     if batch.horizon == 0:
         raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
                          f"{OVERFLOW_GUARD:g} at step {batch.saturated_at}")
-    innovations, errors = _filter_batch(batch.system, batch.Y, schedule[2], predictions=True)
+    system, paths, horizon = batch.system, batch.paths, batch.horizon
+    m, columns = system.m, _columns(paths)
+    steps, buffers = _predictor_steps(system, schedule[2][:horizon]), _predictor(system, paths)
+    innovations = np.empty((horizon, system.q, columns))
+    errors = np.empty((horizon, m, columns))
+    for t, y in enumerate(batch.Y.transpose(1, 2, 0)):
+        errors[t] = buffers[t % 2][:m]
+        innovations[t] = _filter_step(steps[t], buffers, t, y)[m:]
+    innovations, errors = (a[..., :paths].transpose(2, 0, 1) for a in (innovations, errors))
     # Theta_t = (Xi_t, S_t)
     n_xi = batch.Xi.shape[2]
     np.subtract(batch.Xi, errors[..., :n_xi], out=errors[..., :n_xi])
@@ -386,23 +431,49 @@ def _row(name, analytic, empirical, se):
     )
 
 
-def _reduce(block, innovations, errors, noise_gains):
-    """The per-path values the report reads of one block, over all its steps.
+def _block_values(system, plan, horizon, indices, master_seed):
+    """The values the report's rows read of the paths ``indices``, and the steps they stored.
 
-    ``innovations`` and ``errors`` are the block's joint innovations and
-    state errors, and ``noise_gains`` the noise predictor's gains L_t, or
-    their prefix. Returns copies of the joint innovations at the last two
-    steps (the last twice at horizon 1, where the earlier is not read), the
-    state errors and noise innovations at the last step, and each path's
-    average power, so the block's arrays are freed once the caller drops it.
+    ``plan`` holds ``_sampler(system)``'s maps and the joint and noise
+    predictors' step matrices (``_predictor_steps`` of their ``_run``
+    gains, over ``horizon`` steps or more). One pass over the steps samples
+    each by the sampler's kernel (``_sample``, at most ``horizon`` steps),
+    advances the joint predictor on its Y_t rows and the noise predictor
+    on its V_t rows over the same columns, and keeps the X_t rows. Returns
+    copies of the joint innovations at the last two stored steps (the last
+    twice at one step, where the earlier is not read), the state errors
+    and noise innovations at the last, and each path's average power:
+    those of ``kalman_run`` and of the noise predictor on the paths of
+    ``sample_paths(system, horizon, indices, master_seed)``, bit for bit.
     """
-    noise_innov = _filter_batch(block.system.noise_quad, block.V, noise_gains)
-    t = block.horizon - 1
-    # squares in C order, so each path sums one contiguous run whatever the
-    # layout of block.X; the summation order sets the last bits
-    power = np.sum(np.multiply(block.X, block.X, order="C"), axis=(1, 2)) / block.horizon
-    return (innovations[:, t].copy(), innovations[:, t - 1].copy(),
-            errors[:, t].copy(), noise_innov[:, t].copy(), power)
+    maps, joint_steps, noise_steps = plan
+    m, q, n_x = system.m, system.q, system.input.n_x
+    paths, columns = len(indices), _columns(len(indices))
+    start, rows = np.empty((m, columns)), np.empty((2, _step_rows(system), columns))
+    joint, noise = _predictor(system, paths), _predictor(system.noise_quad, paths)
+    X, innovations = np.empty((horizon, n_x, columns)), np.empty((2, q, columns))
+    stored = 0
+    for t, (theta, step) in enumerate(_sample(system, maps, horizon, indices, master_seed,
+                                              start, lambda t: rows[t % 2])):
+        X[t] = step[:n_x]
+        innovations[t % 2] = _filter_step(joint_steps[t], joint, t,
+                                          step[n_x:n_x + q, :paths])[m:]
+        _filter_step(noise_steps[t], noise, t, step[n_x + q:n_x + 2 * q, :paths])
+        stored = t + 1
+    if stored == 0:
+        raise ValueError(f"no step to filter: a sampled state passed the overflow guard "
+                         f"{OVERFLOW_GUARD:g} at step 1")
+    t = stored - 1
+    # theta and the predictions in joint[t % 2] are step t's: no later step overwrote them
+    last, earlier = (innovations[i % 2] for i in (t, max(t - 1, 0)))
+    errors = theta[:, :paths] - joint[t % 2][:m, :paths]
+    by_path = X[:stored, :, :paths].transpose(2, 0, 1)
+    # squares in C order, so each path sums one contiguous run; the summation
+    # order sets the last bits
+    power = np.sum(np.multiply(by_path, by_path, order="C"), axis=(1, 2)) / stored
+    # each (paths, component) in C order, which the report's column means read in that order
+    return (last[:, :paths].T.copy(), earlier[:, :paths].T.copy(), errors.T.copy(),
+            noise[stored % 2][system.noise_quad.m:, :paths].T.copy(), power), stored
 
 
 def empirical_report(system, horizon, paths, master_seed, analytic):
@@ -421,17 +492,20 @@ def empirical_report(system, horizon, paths, master_seed, analytic):
     The paths are those of ``sample_paths(system, horizon, paths,
     master_seed)``, drawn in blocks of consecutive path indices whose
     length a private memory budget sets (``_path_blocks``). Each block is
-    filtered and reduced to the per-path values the rows read before the
-    next is drawn, so the rows are those of the whole batch, bit for bit,
-    and a call holds one block at a time. What no path changes comes from
-    the first block: the joint schedule through its ``kalman_run``, and
-    the noise schedule and the analytic power at each step by one run of
-    ``finite_n_rate``'s engine; a shorter horizon reads their prefixes.
-    Each later block is drawn at the report's horizon so far, since a
-    shorter batch is the prefix of a longer one. A block that stops at the
-    overflow guard before that horizon truncates the report to its own: the
-    later blocks are drawn at it, and the earlier ones are drawn again at
-    it.
+    reduced in one pass over its steps (``_block_values``): the sampler's
+    per-step kernel forms a step's rows, both predictors advance on them
+    over the same columns, and only the X_t rows and the per-path values
+    the rows read are kept. The rows are those of the whole batch, bit for
+    bit, and a call holds one block's draws at a time. What no path
+    changes is built once per report: the sampler's maps, the joint
+    schedule (Pi_t, K_{I_t}, L_t) by one run of ``finite_n_rate``'s engine
+    (``_run``), then the noise schedule and the analytic power at each
+    step by one more, each at ``horizon`` steps, and both predictors' step
+    matrices; a shorter horizon reads their prefixes. Each later block is
+    drawn at the report's horizon so far, since a shorter batch is the
+    prefix of a longer one. A block that stops at the overflow guard
+    before that horizon truncates the report to its own: the later blocks
+    are drawn at it, and the earlier ones are drawn again at it.
 
     Parameters
     ----------
@@ -468,29 +542,23 @@ def empirical_report(system, horizon, paths, master_seed, analytic):
         raise TypeError("analytic must be a CapacityResult")
     if not isinstance(system, JointSystem):
         raise TypeError(f"empirical_report takes a JointSystem, got {type(system).__name__}")
+    horizon = as_count(horizon, "horizon")
     blocks = _path_blocks(system, horizon, paths)
-    block = sample_paths(system, horizon, blocks[0], master_seed)
-    run, stored = kalman_run(block), block.horizon
-    joint = (run.Pi_seq, run.K_I_seq, run.gains)
-    (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(system, stored, "Sigma", "P")
+    (Pi_seq, K_I_seq, joint_gains, _), = _run(system, horizon, "Pi")
+    (_, K_hat_seq, noise_gains, _), (_, power_seq) = _run(system, horizon, "Sigma", "P")
+    plan = (_sampler(system), _predictor_steps(system, joint_gains),
+            _predictor_steps(system.noise_quad, noise_gains))
     # per block, the values the rows read
-    kept = [_reduce(block, run.innovations, run.state_errors, noise_gains)]
-    del block, run  # so that no two blocks are held at once
-
-    def reduce(indices):
-        # the block's values at the report's horizon so far, and the horizon it stored
-        block = sample_paths(system, stored, indices, master_seed)
-        return _reduce(block, *_joint_filter(block, joint), noise_gains), block.horizon
-
-    for k, indices in enumerate(blocks[1:], 1):
-        values, drawn = reduce(indices)
+    stored, kept = horizon, []
+    for k, indices in enumerate(blocks):
+        values, drawn = _block_values(system, plan, stored, indices, master_seed)
         if drawn < stored:
             stored = drawn
-            kept = [reduce(earlier)[0] for earlier in blocks[:k]]
+            kept = [_block_values(system, plan, stored, earlier, master_seed)[0]
+                    for earlier in blocks[:k]]
         kept.append(values)
     innov_last, innov_prev, errors, noise_last, per_path_power = (
         np.concatenate(column) for column in zip(*kept))
-    Pi_seq, K_I_seq, _ = joint
     paths, horizon = len(per_path_power), stored
     t_last = horizon - 1
 

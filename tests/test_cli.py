@@ -502,16 +502,21 @@ def test_simulate_saturated_at_step_one_exits_2(tmp_path, capsys):
 
 
 def test_simulate_trace_runs_the_kalman_pass_once(tmp_path, monkeypatch):
-    # once over the report's paths, and once over path 0 sampled alone for the trace
+    # once over the report's paths, in its one pass per block, and once over
+    # path 0 sampled alone for the trace, by simulate.kalman_run
     calls = []
-    original = simulate.kalman_run
+    block_values, kalman_run = simulate._block_values, simulate.kalman_run
+
+    def counting_blocks(system, plan, horizon, indices, master_seed):
+        calls.append(len(indices))
+        return block_values(system, plan, horizon, indices, master_seed)
 
     def counting(batch):
         calls.append(batch.paths)
-        return original(batch)
+        return kalman_run(batch)
 
+    monkeypatch.setattr(simulate, "_block_values", counting_blocks)
     monkeypatch.setattr(simulate, "kalman_run", counting)
-    monkeypatch.setattr(cli, "kalman_run", counting)
     model = write_model(tmp_path, COLORED)
     trace = str(tmp_path / "path.csv")
     assert main(["simulate", "--model", model, "--n", "6", "--paths", "50",
@@ -539,7 +544,7 @@ def test_simulate_builds_two_systems_at_any_block_count(tmp_path, monkeypatch, b
     for module in (rc.models, rc.capacity, rc.systests, rc.simulate, cli):
         if hasattr(module, "validate"):
             monkeypatch.setattr(module, "validate", counting("validate", module.validate))
-    monkeypatch.setattr(simulate, "sample_paths", counting("sampled", simulate.sample_paths))
+    monkeypatch.setattr(simulate, "_block_values", counting("sampled", simulate._block_values))
     # these scalar models fill 11 floats a path and step: blocks of 60 // blocks paths
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 60 // blocks * 8 * 12 * 11)
     model = write_model(tmp_path, COLORED)
@@ -568,14 +573,19 @@ def test_simulate_in_blocks_writes_the_whole_batch_bytes(tmp_path, monkeypatch, 
                                                          doc, n, seed, saturated, redrawn):
     model = write_model(tmp_path, doc)
     drawn = []
-    original = simulate.sample_paths
+    original = simulate._block_values
 
-    def recording(system, horizon, paths, master_seed):
-        batch = original(system, horizon, paths, master_seed)
-        drawn.append((paths, batch.saturated_at))
-        return batch
+    def recording(system, plan, horizon, indices, master_seed):
+        # each block the report draws, with the step its sampled state passed the guard at
+        try:
+            values, stored = original(system, plan, horizon, indices, master_seed)
+        except ValueError:  # no step stored: the guard was passed at step 1
+            drawn.append((indices, 1))
+            raise
+        drawn.append((indices, stored + 1 if stored < horizon else None))
+        return values, stored
 
-    monkeypatch.setattr(simulate, "sample_paths", recording)
+    monkeypatch.setattr(simulate, "_block_values", recording)
     outputs, runs = [], []
     # the default budget holds all 60 paths in one block, the whole batch;
     # these scalar models fill 11 floats a path and step, so the second

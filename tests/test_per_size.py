@@ -5,7 +5,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "per_size.py"
 CALLS = ("are_solve", "objective", "lyap_solve", "feasibility_report", "asymptotic_rate",
-         "NoiseModel", "InputModel", "finite_n_rate", "finite_n_rate_drift")
+         "NoiseModel", "InputModel", "finite_n_rate", "finite_n_rate_drift", "empirical_report")
 
 
 def test_per_size_writes_every_cell_and_compares_two_files(tmp_path):

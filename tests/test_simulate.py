@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -429,8 +429,8 @@ def test_report_builds_one_joint_system_and_no_quadruple(monkeypatch):
 @pytest.mark.parametrize("blocks", [1, 7, "truncating"])
 def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
     # both predictors' DREs and the input's Lyapunov recursion run once per
-    # report, through one kalman_run, however many blocks it reads; the
-    # truncating report draws its earlier blocks again at a shorter horizon
+    # report, however many blocks it reads; the truncating report draws its
+    # earlier blocks again at a shorter horizon
     if blocks == "truncating":
         noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
         horizon, paths, seed, length = 80, 60, 31, 10
@@ -440,38 +440,29 @@ def test_a_report_runs_each_recursion_once(monkeypatch, blocks):
     system = rc.build_augmented(noise, inp, ch)
     in_blocks(monkeypatch, system, horizon, paths, length)
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    names, runs, kalman_run = [], rc.simulate._runs, rc.simulate.kalman_run
+    names, runs = [], rc.simulate._runs
 
     def counting_runs(system, schedule, n, picked):
         names.extend(picked)
         return runs(system, schedule, n, picked)
 
-    def counting_kalman_run(block):
-        names.append("kalman_run")
-        return kalman_run(block)
-
     monkeypatch.setattr(rc.simulate, "_runs", counting_runs)
-    monkeypatch.setattr(rc.simulate, "kalman_run", counting_kalman_run)
     rc.empirical_report(system, horizon, paths, seed, analytic)
-    assert sorted(names) == ["P", "Pi", "Sigma", "kalman_run"]
+    assert sorted(names) == ["P", "Pi", "Sigma"]
 
 
 def test_report_does_not_depend_on_the_batch_layout():
-    # the report reduces each block it samples by kalman_run and _reduce,
-    # which take a caller's batch, so their values must not depend on its layout
+    # kalman_run takes a caller's batch, so its values must not depend on its layout
     noise, inp, ch = mimo_setup()
     system = rc.build_augmented(noise, inp, ch)
     b = rc.sample_paths(system, horizon=40, paths=3000, master_seed=3)
     dense = replace(b, **{name: np.ascontiguousarray(getattr(b, name))
                           for name in ("S", "V", "Xi", "X", "Y")})
     assert dense.Y.flags.c_contiguous != b.Y.flags.c_contiguous
-    noise_gains = rc.simulate._run(system, 40, "Sigma")[0][2]
     values = []
     for batch in (b, dense):
         run = rc.kalman_run(batch)
-        values.append((run.innovations, run.state_errors,
-                       *rc.simulate._reduce(batch, run.innovations, run.state_errors, noise_gains)))
-    assert len(values[0]) == 7
+        values.append((run.innovations, run.state_errors))
     for i, (got, want) in enumerate(zip(*values)):
         assert np.array_equal(got, want), i
 
@@ -504,6 +495,53 @@ def test_report_over_blocks_is_the_whole_batch_report(monkeypatch):
     assert_same_report(rc.empirical_report(system, 12, 100, 3, analytic), whole)
 
 
+@pytest.mark.parametrize("case", ["mimo-blocks", "truncating"])
+def test_report_rows_are_the_statistics_of_the_whole_batch(monkeypatch, case):
+    # the report reduces each block in one pass of its own; its rows must be
+    # the statistics of the whole batch, built here from sample_paths,
+    # kalman_run and a plain loop of the noise predictor over batch.V
+    if case == "truncating":
+        # blocks of 10 paths that pass the guard at steps 69, 68, 70, 69, 69 and 67
+        noise, inp, ch = scalar_noise(1.5), unit_iid_input(), unit_channel()
+        horizon, paths, seed, length = 80, 60, 31, 10
+    else:
+        noise, inp, ch = mimo_setup()
+        horizon, paths, seed, length = 12, 100, 3, 30
+    system = rc.build_augmented(noise, inp, ch)
+    in_blocks(monkeypatch, system, horizon, paths, length)
+    report = rc.empirical_report(system, horizon, paths, seed, rc.asymptotic_rate(noise, inp, ch))
+    batch = rc.sample_paths(system, horizon, paths, seed)
+    run, h = rc.kalman_run(batch), batch.horizon
+    assert report.horizon == h == (66 if case == "truncating" else horizon)
+    _, K_hat_seq, gains, _ = rc.simulate._run(system, h, "Sigma")[0]
+    # the noise predictor in closed-loop form, s+ = (A - L_t C) s + L_t v: the
+    # truncating paths' last outputs are near 7e11, so another form of the same
+    # predictor, A s + L_t (v - C s), moves their innovations by about 6e-5
+    s = np.tile(noise.mu_S1, (paths, 1))
+    for t in range(h):
+        noise_innovation = batch.V[:, t] - s @ noise.C.T
+        s = s @ (noise.A - gains[t] @ noise.C).T + batch.V[:, t] @ gains[t].T
+
+    def cov(a, b):
+        return (a - a.mean(axis=0)).T @ (b - b.mean(axis=0)) / (len(a) - 1)
+
+    last, earlier = run.innovations[:, -1], run.innovations[:, -2]
+    errors = run.state_errors[:, -1]
+    want = {"innovations covariance": (run.K_I_seq[-1], cov(last, last)),
+            "steady-state innovations covariance": (None, cov(last, last)),
+            "noise innovations covariance": (K_hat_seq[-1],
+                                             cov(noise_innovation, noise_innovation)),
+            "state-error covariance": (run.Pi_seq[-1], cov(errors, errors)),
+            "lag-1 innovations cross-covariance": (None, cov(last, earlier)),
+            "average power": (None, np.mean(np.sum(batch.X ** 2, axis=(1, 2)) / h))}
+    rows = {row.name: row for row in report.rows}
+    assert set(rows) == set(want)
+    for name, (analytic, empirical) in want.items():
+        for got, value in ((rows[name].analytic, analytic), (rows[name].empirical, empirical)):
+            if value is not None:
+                assert np.abs(got - value).max() <= 1e-12 * np.abs(value).max(), name
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_a_report_whose_last_block_holds_one_path_is_the_whole_batch_report(monkeypatch, seed):
     noise, inp, ch = mimo_setup()
@@ -530,42 +568,37 @@ def test_a_block_that_stops_earlier_truncates_the_whole_report(monkeypatch):
     assert (batch.saturated_at, batch.horizon) == (67, 66)
     # the default budget holds all 60 paths in one block, the whole batch
     whole = rc.empirical_report(system, 80, 60, 31, analytic)
-    drawn, sample_paths = [], rc.simulate.sample_paths
+    drawn, block_values = [], rc.simulate._block_values
 
-    def recording(system, horizon, paths, master_seed):
-        drawn.append((paths, horizon))
-        return sample_paths(system, horizon, paths, master_seed)
+    def recording(system, plan, horizon, indices, master_seed):
+        drawn.append((indices, horizon))
+        return block_values(system, plan, horizon, indices, master_seed)
 
-    monkeypatch.setattr(rc.simulate, "sample_paths", recording)
+    monkeypatch.setattr(rc.simulate, "_block_values", recording)
     in_blocks(monkeypatch, system, 80, 60, 10)
     assert_same_report(rc.empirical_report(system, 80, 60, 31, analytic), whole)
     assert drawn == [(blocks[0], 80), (blocks[1], 68), (blocks[0], 67),
                      *((b, 67) for b in blocks[2:]), *((b, 66) for b in blocks[:5])]
 
 
-def test_the_first_blocks_kalman_run_is_freed_before_a_second_block_is_read(monkeypatch):
-    # a run kept for the whole report would hold the first block's state
-    # errors, 3.6 MB at the benchmark's size, beside every later block
+def test_a_report_holds_less_than_half_a_stored_block(monkeypatch):
+    # the block budget counts what a stored block fills: per path and step,
+    # 23 floats of this model's draws, sampled entries, state predictions and
+    # innovations. A report stores none of it but the 7 of the draws and X_t,
+    # so over three blocks its traced peak is 0.42 of one block's budget,
+    # where sampling and filtering each block whole peaked at 0.96
     noise, inp, ch = mimo_setup()
     analytic = rc.asymptotic_rate(noise, inp, ch)
-    runs, kalman_run, sample_paths = [], rc.simulate.kalman_run, rc.simulate.sample_paths
-
-    def watched_kalman_run(block):
-        run = kalman_run(block)
-        runs.append(weakref.ref(run))
-        return run
-
-    def watched_sample_paths(system, horizon, paths, master_seed):
-        if paths.start:
-            assert [run() for run in runs] == [None], paths
-        return sample_paths(system, horizon, paths, master_seed)
-
     system = rc.build_augmented(noise, inp, ch)
-    monkeypatch.setattr(rc.simulate, "kalman_run", watched_kalman_run)
-    monkeypatch.setattr(rc.simulate, "sample_paths", watched_sample_paths)
-    in_blocks(monkeypatch, system, 12, 90, 30)
-    report = rc.empirical_report(system, 12, 90, 3, analytic)
-    assert report.paths == 90 and len(runs) == 1
+    in_blocks(monkeypatch, system, 40, 1500, 500)
+    tracemalloc.start()
+    try:
+        report = rc.empirical_report(system, 40, 1500, 3, analytic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.paths == 1500 and report.horizon == 40
+    assert peak < rc.simulate._BLOCK_BYTES / 2, peak / rc.simulate._BLOCK_BYTES
 
 
 def test_report_checks_its_arguments_before_it_samples(monkeypatch):
@@ -574,7 +607,7 @@ def test_report_checks_its_arguments_before_it_samples(monkeypatch):
     analytic = rc.asymptotic_rate(noise, inp, ch)
     batch = rc.sample_paths(system, 3, 5, 0)
     sampled = []
-    monkeypatch.setattr(rc.simulate, "sample_paths", lambda *args: sampled.append(args))
+    monkeypatch.setattr(rc.simulate, "_block_values", lambda *args: sampled.append(args))
     # the analytic side first, then the system, then the counts
     with pytest.raises(TypeError, match="^analytic must be a CapacityResult$"):
         rc.empirical_report(noise, 0, 0, 0, analytic.rate_nats)

@@ -3,7 +3,7 @@
     python tools/per_size.py run --label L [--sizes 2 4 8 20 40 80]
     python tools/per_size.py compare --a A.json [A.json ...] --b B.json [B.json ...]
 
-``run`` times nine calls of the ``riccati_capacity`` in this tree's
+``run`` times ten calls of the ``riccati_capacity`` in this tree's
 ``src`` at each joint state size m (even, default 2, 4, 8, 20, 40 and
 80), on ``random_models(np.random.default_rng(m // 2), n_s=m // 2,
 n_xi=m // 2, n_y=2, n_z=2, rho_A=1.2)`` from ``tests/conftest.py``, with
@@ -22,7 +22,11 @@ H = I and kappa = 1:
 - ``finite_n_rate`` over ``HORIZON`` (2,000) steps of the constant pair;
 - ``finite_n_rate_drift``: the same on a drifting schedule, whose noise
   callback builds a new ``NoiseModel`` at every step t, with A scaled by
-  1 + 2^-t, and whose input is the pair's.
+  1 + 2^-t, and whose input is the pair's;
+- ``empirical_report``: the Monte Carlo report of ``MC_PATHS`` (1,000)
+  paths over ``MC_STEPS`` (50) steps on the built joint system, against
+  the pair's ``asymptotic_rate`` computed once beforehand: path sampling
+  and both predictors' passes, with their schedules.
 
 BLAS is pinned to one thread before numpy loads. Each call is first run
 in doubling batches until one batch takes ``MIN_BATCH_S``, which also
@@ -37,9 +41,9 @@ milliseconds, next to the median of the raw ones. The result goes to
 ``BENCH_per_size_<L>.json`` in the working directory, with the core
 count, the BLAS thread settings, the numpy and Python versions and the
 git revision of this tree ("-dirty" if tracked files differ from it,
-"unknown" outside a checkout). The default grid takes about 40 s, most
-of it in the two ``finite_n_rate`` calls at m of 20 and more, where a
-joint state of 9 or more goes by plain steps.
+"unknown" outside a checkout). The default grid takes 50 to 60 s on a
+2-core x86-64 host, most of it in the two ``finite_n_rate`` calls at m
+of 20 and more, where a joint state of 9 or more goes by plain steps.
 
 ``compare`` takes one or more runs of each side, A and B, and pools each
 (call, m) cell that every run has: the median of the runs' medians, and
@@ -69,6 +73,7 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SIZES = (2, 4, 8, 20, 40, 80)
 HORIZON = 2000
+MC_PATHS, MC_STEPS = 1000, 50
 REPEATS = 9
 MIN_BATCH_S = 0.02
 # seconds the reference kernel takes on an idle core of a 2-vCPU x86-64 VM; only a scale
@@ -144,6 +149,7 @@ def run(label, sizes):
         drifting = rc.CoefficientSchedule(
             noise_at=lambda t: rc.NoiseModel(**{**noise_fields, "A": noise.A * (1.0 + 2.0 ** -t)}),
             input_at=lambda t: inp, noise_limit=noise, input_limit=inp)
+        analytic = rc.asymptotic_rate(noise, inp, channel)
         calls = {"are_solve": lambda: rc.are_solve(system),
                  "objective": lambda: rc.capacity._logdet_gradient(
                      system, rc.are_solve(system, tol=rc.capacity._SEARCH_TOL)),
@@ -153,7 +159,9 @@ def run(label, sizes):
                  "NoiseModel": lambda: rc.NoiseModel(**noise_fields),
                  "InputModel": lambda: rc.InputModel(**input_fields),
                  "finite_n_rate": lambda: rc.finite_n_rate((noise, inp), channel, HORIZON),
-                 "finite_n_rate_drift": lambda: rc.finite_n_rate(drifting, channel, HORIZON)}
+                 "finite_n_rate_drift": lambda: rc.finite_n_rate(drifting, channel, HORIZON),
+                 "empirical_report": lambda: rc.empirical_report(system, MC_STEPS, MC_PATHS, 0,
+                                                                 analytic)}
         for name, call in calls.items():
             cells.setdefault(name, {})[str(m)] = cell = _time(call, lambda: _reference_s(np))
             print(f"# {name:<20} m = {m:<3} {cell['median_ms']:9.3f} ms", flush=True)
